@@ -53,9 +53,11 @@ func TestBenchGateFailsOnSkewedBaseline(t *testing.T) {
 }
 
 // TestBenchGatePassesAgainstSelf pins the complementary path: a baseline
-// recorded by the same measurement on the same machine moments earlier
-// passes a 15% gate (allocation counts are deterministic; wall time only
-// sees same-machine noise).
+// recorded by the same measurement moments earlier passes the gate's
+// deterministic checks (allocations, goodput, Jain). Wall time is left
+// unbounded: two single-shot timings of identical code on a shared machine
+// differ by up to ~1.7x, and the skewed-baseline test above already covers
+// the wall-regression path.
 func TestBenchGatePassesAgainstSelf(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the population rungs twice")
@@ -65,11 +67,19 @@ func TestBenchGatePassesAgainstSelf(t *testing.T) {
 	if err := writePopulationBench(path, seed, scale); err != nil {
 		t.Fatal(err)
 	}
-	report, ok, err := runBenchGate(path, seed, scale, 0.15, 0)
+	baseline, err := benchgate.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
-		t.Errorf("gate failed against a just-recorded baseline:\n%s", report)
+	current := measurePopulation(seed, scale)
+	regs, err := benchgate.Compare(baseline, current, 0.15, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range regs {
+		if r.Metric != "wall_ns" {
+			t.Errorf("gate failed against a just-recorded baseline: %v\n%s",
+				r, benchgate.Report(baseline, current, regs, 0.15, 0))
+		}
 	}
 }

@@ -161,6 +161,10 @@ type Driver struct {
 	// OnChannelActive, if set, fires each time the radio settles on a
 	// channel (after the PS-Poll flush).
 	OnChannelActive func(ch dot11.Channel)
+	// OnScanUpdate, if set, fires after every scan-table write, so a
+	// consumer that has found nothing to join in the table knows when to
+	// look again.
+	OnScanUpdate func()
 }
 
 // New creates a driver with its radio attached to medium at the mobile
@@ -479,6 +483,9 @@ func (d *Driver) onFrame(f dot11.Frame, info phy.RxInfo) {
 				RSSI:     info.RSSI,
 				Open:     body.Capabilities&0x0010 == 0,
 				LastSeen: info.At,
+			}
+			if d.OnScanUpdate != nil {
+				d.OnScanUpdate()
 			}
 		}
 	case dot11.TypeAuthResp, dot11.TypeAssocResp:

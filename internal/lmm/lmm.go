@@ -313,8 +313,14 @@ type LMM struct {
 
 	joins         []JoinRecord
 	stats         Stats
-	stopSelect    func()
 	globalBackoff sim.Time
+
+	// sel runs reselect every ReselectInterval. A pass that starts no
+	// join puts it to sleep until the earliest time a pass could start
+	// one; every event that can change a pass's outcome sooner — a
+	// scan-table write, a conn reset, SetSchedule, SetAllocTarget — wakes
+	// it. Skipped passes keep their tick, so gating changes no output.
+	sel *sim.GatedTicker
 
 	// schedChanList mirrors schedChans in schedule order for the alloc
 	// policy's channel-sense pass. allocTarget pins the module to one AP
@@ -365,13 +371,14 @@ func New(eng *sim.Engine, rng *sim.RNG, drv *driver.Driver, cfg Config) *LMM {
 	for _, v := range drv.VIFs() {
 		m.conns = append(m.conns, &conn{m: m, vif: v})
 	}
-	m.stopSelect = eng.Ticker(cfg.ReselectInterval, m.reselect)
+	m.sel = eng.GatedTicker(cfg.ReselectInterval, m.reselect)
+	drv.OnScanUpdate = m.sel.Wake
 	return m
 }
 
 // Close stops the module.
 func (m *LMM) Close() {
-	m.stopSelect()
+	m.sel.Stop()
 	for _, c := range m.conns {
 		if c.state == connUp {
 			c.link.DownCause = "shutdown"
@@ -463,6 +470,7 @@ func (m *LMM) SetSchedule(slots []driver.Slot) {
 			c.abort()
 		}
 	}
+	m.sel.Wake()
 }
 
 // scoreJoin folds a join outcome into the AP's utility.
@@ -532,6 +540,7 @@ func (m *LMM) maxActive() int {
 func (m *LMM) SetAllocTarget(bssid dot11.MACAddr) {
 	m.allocTarget = bssid
 	m.allocPinned = bssid != (dot11.MACAddr{})
+	m.sel.Wake()
 }
 
 // AllocTarget reports the current pin, if any.
@@ -592,18 +601,27 @@ func (m *LMM) reselect() {
 		}
 	}
 	m.idleScratch = idle
+	// A pass that starts nothing may put the ticker to sleep only when
+	// every input it read wakes it on change. Observe runs every pass,
+	// steering reads the scan table, and the parked channel filter reads
+	// the driver's rotation, so those configurations always poll.
+	gated := m.cfg.Alloc == nil && !m.allocPinned && !(m.cfg.ParkOnConnect && active > 0)
 	if len(idle) == 0 || active >= m.maxActive() {
+		if gated {
+			m.sel.SleepUntil(sim.Infinity) // until a conn resets
+		}
 		return
 	}
 	if now < m.globalBackoff {
+		if gated {
+			m.sel.SleepUntil(m.globalBackoff)
+		}
 		return // stock dhclient idling after a failed acquisition
 	}
+	wake := sim.Infinity // the earliest backoff expiry that yields a candidate
 	cands := m.candScratch[:0]
 	for _, e := range m.drv.ScanTable() {
-		if !e.Open || !m.schedChans[e.Channel] || e.RSSI < m.cfg.MinRSSI {
-			continue
-		}
-		if m.inUse[e.BSSID] || m.backoffUntil[e.BSSID] > now {
+		if !e.Open || !m.schedChans[e.Channel] || e.RSSI < m.cfg.MinRSSI || m.inUse[e.BSSID] {
 			continue
 		}
 		if m.allocPinned && e.BSSID != m.allocTarget {
@@ -612,9 +630,16 @@ func (m *LMM) reselect() {
 		if m.cfg.ParkOnConnect && active > 0 && e.Channel != m.drv.CurrentChannel() {
 			continue // parked on a live link's channel; don't join elsewhere
 		}
+		if until := m.backoffUntil[e.BSSID]; until > now {
+			wake = min(wake, until)
+			continue
+		}
 		cands = append(cands, e)
 	}
 	m.candScratch = cands
+	if len(cands) == 0 && gated {
+		m.sel.SleepUntil(wake)
+	}
 	// Insertion sort under rankBefore: the comparator is a strict total
 	// order (BSSIDs are unique), so the result matches any correct sort,
 	// and small candidate sets stay closure- and interface-free.
@@ -1000,6 +1025,7 @@ func (c *conn) reset() {
 		c.stopPinger = nil
 	}
 	delete(m.inUse, c.bssid)
+	m.sel.Wake() // an idle conn and a freed BSSID can change the next pass
 	c.vif.OnJoinResult = nil
 	c.vif.OnPacket = nil
 	c.vif.Disassociate()

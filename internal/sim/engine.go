@@ -434,22 +434,53 @@ func (e *Engine) RunAll() {
 
 // Ticker invokes fn every period until cancelled via the returned stop
 // function. The first tick fires one period from now. Each tick reuses one
-// pooled node and the single tickerJob allocated here — re-arming does not
+// pooled node and the single ticker allocated here — re-arming does not
 // allocate, unlike a Schedule chain which would build a handle per tick.
+// It is a GatedTicker that is never put to sleep.
 func (e *Engine) Ticker(period Time, fn func()) (stop func()) {
+	return e.GatedTicker(period, fn).Stop
+}
+
+// GatedTicker is a Ticker whose callback can be put to sleep. While
+// Now() is before the wake time a tick still fires, counts in Fired() and
+// re-arms exactly as an ungated tick would — same time, same sequence
+// number, same place in the event order — it only skips fn. A periodic
+// poll uses it to skip passes it can prove are no-ops without moving the
+// tick grid, so gating never changes a run's event order or outputs.
+type GatedTicker struct {
+	job tickerJob
+}
+
+// GatedTicker starts a ticker that invokes fn every period, first one
+// period from now, and is awake until SleepUntil says otherwise.
+func (e *Engine) GatedTicker(period Time, fn func()) *GatedTicker {
 	if period <= 0 {
 		panic("sim: Ticker with non-positive period")
 	}
-	t := &tickerJob{e: e, period: period, fn: fn}
-	t.n = e.scheduleNode(e.now+period, nil, t)
-	return t.stop
+	g := &GatedTicker{job: tickerJob{e: e, period: period, fn: fn}}
+	g.job.n = e.scheduleNode(e.now+period, nil, &g.job)
+	return g
 }
+
+// SleepUntil skips fn on every tick before at; Infinity sleeps until the
+// next Wake.
+func (g *GatedTicker) SleepUntil(at Time) { g.job.wake = at }
+
+// Wake makes the next tick invoke fn again.
+func (g *GatedTicker) Wake() { g.job.wake = 0 }
+
+// WakeAt returns the time before which ticks skip fn; 0 means awake.
+func (g *GatedTicker) WakeAt() Time { return g.job.wake }
+
+// Stop cancels the ticker; no further tick fires.
+func (g *GatedTicker) Stop() { g.job.stop() }
 
 type tickerJob struct {
 	e       *Engine
 	period  Time
 	fn      func()
 	n       *node
+	wake    Time // fn is skipped while e.now < wake
 	stopped bool
 }
 
@@ -458,7 +489,9 @@ func (t *tickerJob) RunEvent() {
 		return
 	}
 	t.n = nil // the node that fired us is already recycled
-	t.fn()
+	if t.e.now >= t.wake {
+		t.fn()
+	}
 	if !t.stopped {
 		t.n = t.e.scheduleNode(t.e.now+t.period, nil, t)
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -229,6 +231,57 @@ func TestRNGDeterminism(t *testing.T) {
 	if same > 5 {
 		t.Fatalf("streams with different labels coincide on %d/100 draws", same)
 	}
+
+	// Lazy seeding changes no draw: a NewRNG/Stream/Derive chain yields
+	// exactly what eagerly seeded math/rand sources yield, whatever order
+	// the generators are first drawn from.
+	eager := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+	deriveSeed := func(parent int64, label string) int64 {
+		return fnv1a(label) ^ (parent * 0x5851f42d4c957f2d) ^ 0x14057b7ef767814f
+	}
+	root := NewRNG(42)
+	eRoot := eager(42)
+	s1 := root.Stream("phy")
+	s1Seed := fnv1a("phy") ^ eRoot.Int63()
+	e1 := eager(s1Seed)
+	dv := s1.Derive("client-7") // never draws from s1
+	eDv := eager(deriveSeed(s1Seed, "client-7"))
+	s2 := dv.Stream("dhcp")
+	eS2 := eager(fnv1a("dhcp") ^ eDv.Int63())
+	if root.Int63() != eRoot.Int63() {
+		t.Fatal("root drifted after spawning a stream")
+	}
+	for i := 0; i < 100; i++ {
+		if s2.Float64() != eS2.Float64() || dv.Intn(1000) != eDv.Intn(1000) ||
+			s1.ExpFloat64() != e1.ExpFloat64() || s1.NormFloat64() != e1.NormFloat64() {
+			t.Fatalf("lazily seeded chain diverged from eager sources at draw %d", i)
+		}
+	}
+}
+
+// TestRNGUndrawnChildIsFree pins the point of lazy seeding: a Derived or
+// Streamed child that is never drawn from costs one small struct, not the
+// ~4.9KB math/rand source.
+func TestRNGUndrawnChildIsFree(t *testing.T) {
+	parent := NewRNG(7)
+	parent.Int63() // seed the parent outside the measurement
+	if c := parent.Derive("x"); c.r != nil {
+		t.Fatal("Derive seeded the child's source")
+	}
+	if c := parent.Stream("x"); c.r != nil {
+		t.Fatal("Stream seeded the child's source")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	kids := make([]*RNG, 100)
+	for i := range kids {
+		kids[i] = parent.Derive("x")
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(kids)); per > 256 {
+		t.Errorf("undrawn child costs %d bytes, want a bare struct", per)
+	}
+	runtime.KeepAlive(kids)
 }
 
 func TestRNGBoolEdges(t *testing.T) {

@@ -246,6 +246,138 @@ func TestDifferentialCancelDuringRun(t *testing.T) {
 	}
 }
 
+// gate is the control surface shared by GatedTicker and refTicker.
+type gate interface {
+	SleepUntil(Time)
+	Wake()
+	Stop()
+}
+
+// refTicker is the reference semantics of a GatedTicker on the heap
+// engine: a self-rescheduling event chain whose every link fires, and
+// which invokes fn iff now >= wake.
+type refTicker struct {
+	e       *heapEngine
+	period  Time
+	fn      func()
+	ev      *heapEvent
+	wake    Time
+	stopped bool
+}
+
+func newRefTicker(e *heapEngine, period Time, fn func()) *refTicker {
+	t := &refTicker{e: e, period: period, fn: fn}
+	t.arm()
+	return t
+}
+
+func (t *refTicker) arm() { t.ev = t.e.ScheduleAt(t.e.Now()+t.period, t.fire) }
+
+func (t *refTicker) fire() {
+	if t.e.Now() >= t.wake {
+		t.fn()
+	}
+	if !t.stopped {
+		t.arm()
+	}
+}
+
+func (t *refTicker) SleepUntil(at Time) { t.wake = at }
+func (t *refTicker) Wake()              { t.wake = 0 }
+func (t *refTicker) Stop() {
+	t.stopped = true
+	t.e.Cancel(t.ev)
+}
+
+// gateSide is one engine's half of the gated-ticker differential: both
+// halves draw from identically seeded streams, so they make the same
+// choices exactly as long as their callbacks run in the same order.
+type gateSide struct {
+	now     func() Time
+	rng     *RNG
+	periods []Time
+	gates   []gate
+	log     *[]firing
+	calls   int
+}
+
+// tick is every ticker's callback: log the firing, then sleep, wake or
+// stop a ticker at random. Some sleeps end exactly on one of the sleeper's
+// own ticks, which must then run.
+func (s *gateSide) tick(id int) {
+	s.calls++
+	*s.log = append(*s.log, firing{s.now(), 1_000_000 + id})
+	other := s.gates[s.rng.Intn(len(s.gates))]
+	switch s.rng.Intn(8) {
+	case 0:
+		s.gates[id].SleepUntil(s.now() + Time(s.rng.Intn(int(time.Second))))
+	case 1:
+		s.gates[id].SleepUntil(s.now() + Time(1+s.rng.Intn(4))*s.periods[id])
+	case 2:
+		other.Wake()
+	case 3:
+		other.SleepUntil(Infinity)
+	case 4:
+		if s.rng.Intn(16) == 0 {
+			other.Stop()
+		}
+	}
+}
+
+// TestDifferentialGatedTickers drives gated tickers on the wheel and on
+// the reference semantics through the same random sleeps, wakes and
+// stops — from callbacks, from one-shot events and from outside Run —
+// interleaved with plain events. A skipped tick must keep its time and
+// sequence number, so the (at, id) traces, Fired() and Pending() match.
+func TestDifferentialGatedTickers(t *testing.T) {
+	periods := []Time{1 << tickBits, 3*time.Millisecond + 7, 100 * time.Millisecond, 100 * time.Millisecond, 250 * time.Millisecond}
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			rig := newDiffRig()
+			w := &gateSide{now: rig.wheel.Now, rng: NewRNG(seed).Stream("gated"), periods: periods, log: &rig.wheelLog}
+			h := &gateSide{now: rig.heap.Now, rng: NewRNG(seed).Stream("gated"), periods: periods, log: &rig.heapLog}
+			for i, p := range periods {
+				w.gates = append(w.gates, rig.wheel.GatedTicker(p, func() { w.tick(i) }))
+				h.gates = append(h.gates, newRefTicker(rig.heap, p, func() { h.tick(i) }))
+			}
+			rng := NewRNG(seed).Stream("driver")
+			var wakes uint64
+			for round := 0; round < 40; round++ {
+				for i := 0; i < 5; i++ {
+					at := rig.wheel.Now() + Time(rng.Intn(int(500*time.Millisecond)))
+					rig.scheduleAt(at)
+					k := rng.Intn(len(periods))
+					rig.wheel.ScheduleAt(at, func() { wakes++; w.gates[k].Wake() })
+					rig.heap.ScheduleAt(at, func() { h.gates[k].Wake() })
+				}
+				k := rng.Intn(len(periods))
+				until := rig.wheel.Now() + Time(rng.Intn(int(2*time.Second)))
+				w.gates[k].SleepUntil(until)
+				h.gates[k].SleepUntil(until)
+				rig.wheel.Run(until)
+				rig.heap.Run(until)
+				rig.check(t)
+			}
+			if w.calls != h.calls {
+				t.Fatalf("callbacks diverged: wheel=%d reference=%d", w.calls, h.calls)
+			}
+			var plain uint64
+			for _, f := range rig.wheelLog {
+				if f.id < 1_000_000 {
+					plain++
+				}
+			}
+			// Fired counts plain events, wake events and every tick; the
+			// ticks that ran a callback must be a strict, non-empty
+			// subset, or the gate was never exercised.
+			tickerFirings := rig.wheel.Fired() - plain - wakes
+			if w.calls == 0 || uint64(w.calls) >= tickerFirings {
+				t.Fatalf("gate not exercised: %d callbacks over %d ticker firings", w.calls, tickerFirings)
+			}
+		})
+	}
+}
+
 // TestTickerZeroAllocSteadyState pins the pooling contract: once warm, a
 // ticker re-arms and fires without allocating.
 func TestTickerZeroAllocSteadyState(t *testing.T) {
