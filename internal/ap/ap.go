@@ -131,15 +131,16 @@ type AP struct {
 
 	// beaconBody is the serialized beacon/probe-response body. SSID,
 	// interval, and capabilities are fixed at New, so it is built once
-	// rather than on every 100 ms tick.
+	// rather than on every 100 ms tick. Never mutated: every beacon and
+	// probe response shares it, and receivers alias it.
 	beaconBody []byte
 	// decOutstanding is the status callback used when the caller passed
 	// none, cached so queue-capped sends don't allocate a closure each.
 	decOutstanding func(bool)
 	// mgmtFree pools the deferred management-response jobs.
 	mgmtFree *mgmtJob
-	// bodies backs downlink data-frame payloads; the PHY serializes
-	// frames onto its own arena, and arena bytes are never reused, so
+	// bodies backs downlink data-frame payloads. The medium hands them to
+	// receivers without copying; arena bytes are never reused, so
 	// aliasing is safe.
 	bodies mempool.ByteArena
 

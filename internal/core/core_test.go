@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 	"time"
 
@@ -251,6 +253,12 @@ func TestPCAPCaptureDecodes(t *testing.T) {
 	}
 	if types[dot11.TypeBeacon] == 0 {
 		t.Fatal("no beacons captured")
+	}
+	// The medium serializes each attempt only for the tap; pin the bytes
+	// the capture holds for this seed.
+	const want = "e78f198ca93a166365281f40cf9f98ec8bedc628a53e08cd3f9e814946b90b02"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("capture sha256 = %s, want %s", got, want)
 	}
 }
 

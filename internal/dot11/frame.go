@@ -27,7 +27,7 @@ const (
 	TypeAck
 )
 
-var frameTypeNames = map[FrameType]string{
+var frameTypeNames = [...]string{
 	TypeBeacon:    "beacon",
 	TypeProbeReq:  "probe-req",
 	TypeProbeResp: "probe-resp",
@@ -43,11 +43,14 @@ var frameTypeNames = map[FrameType]string{
 }
 
 func (t FrameType) String() string {
-	if s, ok := frameTypeNames[t]; ok {
-		return s
+	if t.Valid() {
+		return frameTypeNames[t]
 	}
 	return fmt.Sprintf("frame-type-%d", uint8(t))
 }
+
+// Valid reports whether t is one of the defined frame subtypes.
+func (t FrameType) Valid() bool { return t >= TypeBeacon && t <= TypeAck }
 
 // IsManagement reports whether the subtype is a management frame, which is
 // never buffered by power-save mode at the AP.
@@ -123,10 +126,11 @@ var (
 	ErrShortFrame = errors.New("dot11: frame too short")
 	ErrBadFCS     = errors.New("dot11: frame check sequence mismatch")
 	ErrBadType    = errors.New("dot11: unknown frame type")
+	ErrBadFlags   = errors.New("dot11: reserved frame control flag set")
 )
 
-// Decode parses a serialized frame, verifying the FCS. The returned frame's
-// Body aliases data.
+// Decode parses a serialized frame, verifying the FCS and rejecting any
+// image AppendTo would not produce. The returned frame's Body aliases data.
 func Decode(data []byte) (Frame, error) {
 	var f Frame
 	if len(data) < headerLen+fcsLen {
@@ -138,10 +142,13 @@ func Decode(data []byte) (Frame, error) {
 		return f, ErrBadFCS
 	}
 	f.Type = FrameType(data[0])
-	if _, ok := frameTypeNames[f.Type]; !ok {
+	if !f.Type.Valid() {
 		return f, ErrBadType
 	}
 	flags := data[1]
+	if flags&^(flagPowerMgmt|flagMoreData|flagRetry) != 0 {
+		return f, ErrBadFlags
+	}
 	f.PowerMgmt = flags&flagPowerMgmt != 0
 	f.MoreData = flags&flagMoreData != 0
 	f.Retry = flags&flagRetry != 0

@@ -2,6 +2,9 @@ package dot11
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -91,6 +94,13 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(bad.Bytes()); err != ErrBadType {
 		t.Fatalf("bad type: err = %v, want ErrBadType", err)
 	}
+	// A reserved flag bit under a valid FCS would not survive re-encoding.
+	hdr := (&Frame{Type: TypeData, Addr1: MAC(1)}).Bytes()[:headerLen]
+	hdr[1] |= 0x80
+	wire = binary.BigEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
+	if _, err := Decode(wire); err != ErrBadFlags {
+		t.Fatalf("reserved flag: err = %v, want ErrBadFlags", err)
+	}
 }
 
 func TestFrameTypeClasses(t *testing.T) {
@@ -107,6 +117,16 @@ func TestFrameTypeClasses(t *testing.T) {
 	}
 	if FrameType(99).String() != "frame-type-99" {
 		t.Fatalf("unknown type String = %q", FrameType(99).String())
+	}
+	for i := 0; i < 256; i++ {
+		ft := FrameType(i)
+		want := ft >= TypeBeacon && ft <= TypeAck
+		if ft.Valid() != want {
+			t.Fatalf("FrameType(%d).Valid() = %t", ft, ft.Valid())
+		}
+		if want && strings.HasPrefix(ft.String(), "frame-type-") {
+			t.Fatalf("valid type %d has no name", ft)
+		}
 	}
 }
 

@@ -128,9 +128,9 @@ type Driver struct {
 	scan    map[dot11.MACAddr]ScanEntry
 	scanOut []ScanEntry // scratch for ScanTable, reused across calls
 
-	// bodies backs data-frame payloads built by the VIFs; the PHY copies
-	// frames onto its own wire arena at Send, so these bytes only need to
-	// live until the frame leaves the transmit queue.
+	// bodies backs data-frame payloads built by the VIFs. The medium
+	// hands them to receivers without copying; arena bytes are never
+	// reused, so aliasing is safe.
 	bodies mempool.ByteArena
 
 	stopProbe func()
@@ -480,7 +480,7 @@ func (d *Driver) onFrame(f dot11.Frame, info phy.RxInfo) {
 				BSSID:    f.Addr3,
 				SSID:     body.SSID,
 				Channel:  info.Channel,
-				RSSI:     info.RSSI,
+				RSSI:     info.RSSI(),
 				Open:     body.Capabilities&0x0010 == 0,
 				LastSeen: info.At,
 			}

@@ -5,16 +5,16 @@
 // they do not recycle bytes.
 package mempool
 
-// arenaChunk is the bump-allocation block size. Wire images average ~100
-// bytes, so one chunk absorbs several hundred allocations.
+// arenaChunk is the bump-allocation block size. Frame bodies and segments
+// average ~100 bytes, so one chunk absorbs several hundred allocations.
 const arenaChunk = 1 << 16
 
 // ByteArena hands out byte slices carved from large chunks, turning N
 // small allocations into N/hundreds of chunk allocations. Slices are never
 // reclaimed or reused: a chunk is garbage-collected only after every slice
 // carved from it dies, so aliasing a returned slice indefinitely is safe
-// (frame bodies decoded by receivers alias the wire image, for example).
-// The zero value is ready to use. Not safe for concurrent use.
+// (every receiver of a frame aliases the body its sender carved, for
+// example). The zero value is ready to use. Not safe for concurrent use.
 type ByteArena struct {
 	buf []byte
 }

@@ -1,0 +1,138 @@
+package phy
+
+import (
+	"bytes"
+	"math"
+	"reflect"
+	"testing"
+
+	"spider/internal/dot11"
+	"spider/internal/sim"
+)
+
+// TestLossAtMatchesPow pins lossAt's squared-square fourth power to the
+// math.Pow form it replaced, bit for bit, over a fine distance sweep that
+// includes both ends of the range, at every 802.11b rate.
+func TestLossAtMatchesPow(t *testing.T) {
+	p := Defaults().withDefaults()
+	ref := func(d, rate float64) float64 {
+		if d >= p.Range {
+			return 1
+		}
+		robust := math.Sqrt(rate / p.maxRate())
+		return clamp01(p.BaseLoss + (1-p.BaseLoss)*math.Pow(d/p.Range, 4)*robust)
+	}
+	const steps = 100000
+	for _, rate := range Dot11bRates {
+		for i := 0; i <= steps; i++ {
+			d := p.Range * float64(i) / steps
+			if got, want := p.lossAt(d, rate), ref(d, rate); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("lossAt(%v, %v) = %v, math.Pow form %v", d, rate, got, want)
+			}
+		}
+	}
+}
+
+// TestDeliveryMatchesTappedWire checks that carrying frame values is
+// invisible to receivers: every frame a receiver gets equals the decode of
+// the wire image the capture tap saw for that attempt — a broadcast, a
+// unicast, a unicast retransmission and a collided broadcast — and RxInfo
+// reports the log-distance RSSI of the true distance.
+func TestDeliveryMatchesTappedWire(t *testing.T) {
+	eng := sim.NewEngine()
+	params := Defaults()
+	params.CollisionProb = 1 // any contender corrupts the attempt
+	failNext := 0
+	params.Loss = func(float64) float64 {
+		if failNext > 0 {
+			failNext--
+			return 1
+		}
+		return 0
+	}
+	m := NewMedium(eng, sim.NewRNG(1), params)
+	var taps [][]byte
+	m.SetTap(func(_ dot11.Channel, wire []byte, _ sim.Time) {
+		taps = append(taps, append([]byte(nil), wire...))
+	})
+	a := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
+	b := m.NewRadio(dot11.MAC(2), fixedPos(30, 0))
+	c := m.NewRadio(dot11.MAC(3), fixedPos(0, 60))
+	near := m.NewRadio(dot11.MAC(4), fixedPos(0.5, 0)) // inside the 1 m RSSI floor
+
+	received, retries := 0, 0
+	check := func(who string, dist float64) func(dot11.Frame, RxInfo) {
+		return func(got dot11.Frame, info RxInfo) {
+			received++
+			want, err := dot11.Decode(taps[len(taps)-1])
+			if err != nil {
+				t.Fatalf("%s: tapped wire does not decode: %v", who, err)
+			}
+			if !bytes.Equal(got.Body, want.Body) {
+				t.Fatalf("%s: body %q, tapped %q", who, got.Body, want.Body)
+			}
+			if cap(got.Body) != len(got.Body) {
+				t.Fatalf("%s: body capacity %d exceeds its length %d", who, cap(got.Body), len(got.Body))
+			}
+			got.Body, want.Body = nil, nil
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: frame %+v, tapped %+v", who, got, want)
+			}
+			if got.Retry {
+				retries++
+			}
+			if info.Distance != dist {
+				t.Fatalf("%s: distance %v, want %v", who, info.Distance, dist)
+			}
+			if old := -30 - 35*math.Log10(math.Max(dist, 1)); info.RSSI() != old {
+				t.Fatalf("%s: RSSI %v, log-distance model %v", who, info.RSSI(), old)
+			}
+		}
+	}
+	b.SetReceiver(check("b", 30))
+	c.SetReceiver(check("c", 60))
+	near.SetReceiver(check("near", 0.5))
+
+	beacon := (&dot11.BeaconBody{SSID: "spider", BeaconInterval: 100}).AppendTo(make([]byte, 0, 64))
+	a.Send(dot11.Frame{Type: dot11.TypeBeacon, Addr1: dot11.Broadcast, Addr3: a.MAC(), Seq: 1, Body: beacon}, nil)
+	eng.RunAll()
+	a.Send(dot11.Frame{Type: dot11.TypeData, Addr1: b.MAC(), Addr3: a.MAC(), Seq: 2, Body: []byte("unicast")}, nil)
+	eng.RunAll()
+	failNext = 1 // the first attempt is lost, the retransmission gets through
+	a.Send(dot11.Frame{Type: dot11.TypeData, Addr1: b.MAC(), Addr3: a.MAC(), Seq: 3, PowerMgmt: true, Body: []byte("retried")}, nil)
+	eng.RunAll()
+	// c commits while a's frame is still on the air, so c's probe collides.
+	a.Send(dot11.Frame{Type: dot11.TypeBeacon, Addr1: dot11.Broadcast, Addr3: a.MAC(), Seq: 4, Body: beacon}, nil)
+	c.Send(dot11.Frame{Type: dot11.TypeProbeReq, Addr1: dot11.Broadcast, Seq: 5}, nil)
+	eng.RunAll()
+
+	st := m.Stats()
+	if len(taps) != 6 || st.FramesSent != 6 {
+		t.Fatalf("tapped %d attempts, %d sent; want 6", len(taps), st.FramesSent)
+	}
+	// b, c and near hear both clean beacons; b the unicast and the
+	// retransmission.
+	if received != 8 || st.FramesDelivered != 8 {
+		t.Fatalf("received %d, delivered %d; want 8", received, st.FramesDelivered)
+	}
+	if retries != 1 || st.Collisions != 1 {
+		t.Fatalf("retries %d, collisions %d; want 1 each", retries, st.Collisions)
+	}
+	last, err := dot11.Decode(taps[len(taps)-1])
+	if err != nil || last.Type != dot11.TypeProbeReq {
+		t.Fatalf("collided attempt not tapped: %+v, %v", last, err)
+	}
+}
+
+// TestSendPanicsOnUnknownType: Send rejects a frame type the codec does
+// not know, so no receiver or tap ever sees one.
+func TestSendPanicsOnUnknownType(t *testing.T) {
+	m := NewMedium(sim.NewEngine(), sim.NewRNG(1), lossless())
+	r := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Send with an unknown frame type did not panic")
+		}
+	}()
+	r.Send(dot11.Frame{Type: dot11.FrameType(200), Addr1: dot11.Broadcast}, nil)
+}

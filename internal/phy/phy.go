@@ -9,10 +9,11 @@
 // transmissions serialize, which matches the paper's single-client,
 // several-AP roadside scenarios.
 //
-// The per-channel state lives in flat channel-indexed arrays (there are
-// only 14 channels) and per-transmission bookkeeping reuses pooled job
-// structs and an arena for wire images, so the commit/deliver path does
-// not allocate at city-scale populations.
+// The medium carries dot11.Frame values, not bytes: only a capture tap
+// ever serializes a frame. Per-channel state lives in flat channel-indexed
+// arrays (there are only 14 channels) and per-transmission bookkeeping
+// reuses pooled job structs, so the commit/deliver path does not allocate
+// at city-scale populations.
 package phy
 
 import (
@@ -21,7 +22,6 @@ import (
 
 	"spider/internal/dot11"
 	"spider/internal/geo"
-	"spider/internal/mempool"
 	"spider/internal/obs"
 	"spider/internal/sim"
 )
@@ -130,7 +130,8 @@ func (p Params) lossAt(d, rate float64) float64 {
 	if p.RateAdaptation && rate > 0 {
 		robust = math.Sqrt(rate / p.maxRate())
 	}
-	return clamp01(p.BaseLoss + (1-p.BaseLoss)*math.Pow(frac, 4)*robust)
+	sq := frac * frac // frac⁴ by squaring: bit-identical to math.Pow(frac, 4)
+	return clamp01(p.BaseLoss + (1-p.BaseLoss)*(sq*sq)*robust)
 }
 
 func clamp01(x float64) float64 {
@@ -143,12 +144,16 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// RxInfo carries reception metadata alongside a decoded frame.
+// RxInfo carries reception metadata alongside a received frame.
 type RxInfo struct {
-	Channel dot11.Channel
-	RSSI    float64 // dBm, from a simple log-distance model
-	At      sim.Time
+	Channel  dot11.Channel
+	Distance float64 // transmitter-receiver distance in metres
+	At       sim.Time
 }
+
+// RSSI converts Distance to a log-distance RSSI in dBm, on demand; used
+// only for ranking APs, not for loss.
+func (i RxInfo) RSSI() float64 { return -30 - 35*math.Log10(max(i.Distance, 1)) }
 
 // Stats aggregates medium-level counters for debugging and benchmarks.
 type Stats struct {
@@ -183,12 +188,10 @@ type Medium struct {
 	airtime      [numChannels]sim.Time
 	stats        Stats
 	tap          func(ch dot11.Channel, wire []byte, at sim.Time)
+	tapWire      []byte // scratch wire image, valid during one tap call
 
-	// Hot-path allocation amortizers: recycled transmission jobs and the
-	// arena wire images are carved from. Wire bytes are never reused (frame
-	// bodies alias them after delivery); jobs are recycled after delivery.
+	// Recycled transmission jobs: a job returns here when its airtime ends.
 	txFree *txJob
-	wires  mempool.ByteArena
 
 	// Observability counters; nil (no-op) unless SetObs installed a
 	// registry. The per-frame paths count only in the plain stats fields;
@@ -291,7 +294,8 @@ func (m *Medium) Stats() Stats {
 
 // SetTap installs a monitor callback observing every frame as its airtime
 // completes — transmissions and retransmissions alike, regardless of
-// delivery outcome. Used by the pcap capture facility.
+// delivery outcome. Used by the pcap capture facility. wire is that
+// attempt's serialized image, valid only during the call.
 func (m *Medium) SetTap(fn func(ch dot11.Channel, wire []byte, at sim.Time)) { m.tap = fn }
 
 // Airtime returns the on-air duration of a frame of the given wire length
@@ -304,15 +308,6 @@ func (m *Medium) Airtime(wireLen int) sim.Time {
 func (m *Medium) airtimeAt(wireLen int, rate float64) sim.Time {
 	bits := float64(wireLen * 8)
 	return sim.Time(bits/rate*1e9) + m.params.PerFrameOverhead
-}
-
-// rssiAt converts distance to a log-distance RSSI in dBm; used only for
-// ranking APs, not for loss.
-func rssiAt(d float64) float64 {
-	if d < 1 {
-		d = 1
-	}
-	return -30 - 35*math.Log10(d)
 }
 
 // DistanceForRSSI inverts the log-distance RSSI model: the transmitter
@@ -536,9 +531,17 @@ func (r *Radio) NextSeq() uint16 {
 // frames are retried up to the MAC retry limit; status reports whether the
 // receiver acknowledged. status may be nil.
 //
+// Send stamps Addr2 and hands receivers the frame value, body uncopied:
+// the caller must never mutate the body afterwards, and receivers may
+// alias it indefinitely (its capacity is clipped, so appending copies).
+// An unknown frame type panics.
+//
 // The transmission serializes with other traffic on the channel: it starts
 // when the channel is free.
 func (r *Radio) Send(f dot11.Frame, status func(ok bool)) {
+	if !f.Type.Valid() {
+		panic(fmt.Sprintf("phy: Send with unknown frame type %d", f.Type))
+	}
 	if r.closed || r.switching || r.down {
 		if status != nil {
 			r.m.eng.Schedule(0, func() { status(false) })
@@ -546,8 +549,8 @@ func (r *Radio) Send(f dot11.Frame, status func(ok bool)) {
 		return
 	}
 	f.Addr2 = r.mac
-	wire := f.AppendTo(r.m.wires.Take(f.WireLen()))
-	r.m.transmit(r, r.channel, f, wire, 0, status)
+	f.Body = f.Body[:len(f.Body):len(f.Body)]
+	r.m.transmit(r, r.channel, f, 0, status)
 }
 
 // contenders counts OTHER radios with frames committed but not yet off the
@@ -581,7 +584,6 @@ type txJob struct {
 	m        *Medium
 	src      *Radio
 	f        dot11.Frame
-	wire     []byte
 	rate     float64
 	status   func(ok bool)
 	attempt  int
@@ -608,16 +610,16 @@ func (m *Medium) freeTxJob(j *txJob) {
 // RunEvent fires at the end of the frame's airtime: release the contention
 // slot, recycle the job, and hand off to delivery.
 func (j *txJob) RunEvent() {
-	m, src, ch, f, wire := j.m, j.src, j.ch, j.f, j.wire
+	m, src, ch, f := j.m, j.src, j.ch, j.f
 	rate, attempt, collided, status := j.rate, j.attempt, j.collided, j.status
 	m.freeTxJob(j)
 	m.removePending(ch, src)
-	m.deliver(src, ch, f, wire, rate, attempt, collided, status)
+	m.deliver(src, ch, f, rate, attempt, collided, status)
 }
 
 // transmit performs one on-air attempt (attempt is the retry index). The
 // rate is re-evaluated per attempt so ARF fallback applies to retries.
-func (m *Medium) transmit(src *Radio, ch dot11.Channel, f dot11.Frame, wire []byte, attempt int, status func(ok bool)) {
+func (m *Medium) transmit(src *Radio, ch dot11.Channel, f dot11.Frame, attempt int, status func(ok bool)) {
 	now := m.eng.Now()
 	start := now
 	if bu := m.busyUntil[ch]; bu > start {
@@ -640,21 +642,22 @@ func (m *Medium) transmit(src *Radio, ch dot11.Channel, f dot11.Frame, wire []by
 	}
 	// Small random backoff decorrelates contending senders.
 	start += m.rng.UniformDuration(0, 100*1000) // 0-100µs
-	air := m.airtimeAt(len(wire), rate)
+	air := m.airtimeAt(f.WireLen(), rate)
 	m.busyUntil[ch] = start + air
 	src.txAirtime += air
 	m.stats.FramesSent++
 	m.airtime[ch] += air
 	m.addPending(ch, src)
 	j := m.newTxJob()
-	j.src, j.ch, j.f, j.wire = src, ch, f, wire
+	j.src, j.ch, j.f = src, ch, f
 	j.rate, j.attempt, j.collided, j.status = rate, attempt, collided, status
 	m.eng.ScheduleCall(start+air-now, j)
 }
 
-func (m *Medium) deliver(src *Radio, ch dot11.Channel, f dot11.Frame, wire []byte, rate float64, attempt int, collided bool, status func(ok bool)) {
+func (m *Medium) deliver(src *Radio, ch dot11.Channel, f dot11.Frame, rate float64, attempt int, collided bool, status func(ok bool)) {
 	if m.tap != nil {
-		m.tap(ch, wire, m.eng.Now())
+		m.tapWire = f.AppendTo(m.tapWire[:0])
+		m.tap(ch, m.tapWire, m.eng.Now())
 	}
 	if src.closed {
 		return
@@ -684,7 +687,7 @@ func (m *Medium) deliver(src *Radio, ch dot11.Channel, f dot11.Frame, wire []byt
 				m.stats.FramesLost++
 				continue
 			}
-			m.deliverTo(rx, wire, ch, d)
+			m.deliverTo(rx, f, ch, d)
 		}
 		if status != nil {
 			// Broadcasts are unacknowledged: the sender only knows the
@@ -711,7 +714,7 @@ func (m *Medium) deliver(src *Radio, ch dot11.Channel, f dot11.Frame, wire []byt
 			p := 1 - m.lossOn(ch, d, rate)
 			ok = m.rng.Bool(p * p)
 			if ok && target.recv != nil {
-				m.deliverTo(target, wire, ch, d)
+				m.deliverTo(target, f, ch, d)
 			}
 		}
 	}
@@ -724,9 +727,8 @@ func (m *Medium) deliver(src *Radio, ch dot11.Channel, f dot11.Frame, wire []byt
 	}
 	m.stats.FramesLost++
 	if attempt < m.params.RetryLimit && !src.closed && !src.switching && !src.down && src.channel == ch {
-		retry := f
-		retry.Retry = true
-		m.transmit(src, ch, retry, m.retryWire(retry, wire), attempt+1, status)
+		f.Retry = true
+		m.transmit(src, ch, f, attempt+1, status)
 		return
 	}
 	m.stats.UnicastFailed++
@@ -735,20 +737,7 @@ func (m *Medium) deliver(src *Radio, ch dot11.Channel, f dot11.Frame, wire []byt
 	}
 }
 
-// retryWire re-serializes only when the retry flag changes the wire image.
-func (m *Medium) retryWire(f dot11.Frame, prev []byte) []byte {
-	if f.Retry {
-		return f.AppendTo(m.wires.Take(f.WireLen()))
-	}
-	return prev
-}
-
-func (m *Medium) deliverTo(rx *Radio, wire []byte, ch dot11.Channel, dist float64) {
-	decoded, err := dot11.Decode(wire)
-	if err != nil {
-		// The codec produced the bytes, so this indicates a bug.
-		panic(fmt.Sprintf("phy: frame failed to decode on delivery: %v", err))
-	}
+func (m *Medium) deliverTo(rx *Radio, f dot11.Frame, ch dot11.Channel, dist float64) {
 	m.stats.FramesDelivered++
-	rx.recv(decoded, RxInfo{Channel: ch, RSSI: rssiAt(dist), At: m.eng.Now()})
+	rx.recv(f, RxInfo{Channel: ch, Distance: dist, At: m.eng.Now()})
 }

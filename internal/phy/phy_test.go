@@ -55,8 +55,8 @@ func TestUnicastDeliveryAndStatus(t *testing.T) {
 		if info.Channel != dot11.Channel1 {
 			t.Errorf("rx channel = %v", info.Channel)
 		}
-		if info.RSSI >= 0 {
-			t.Errorf("rssi = %v, want negative dBm", info.RSSI)
+		if info.RSSI() >= 0 {
+			t.Errorf("rssi = %v, want negative dBm", info.RSSI())
 		}
 	})
 	var ok *bool

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -500,10 +501,20 @@ type intentRequest struct {
 	AfterNS int64 `json:"after_ns,omitempty"`
 }
 
+// maxIntentBody bounds an intent POST body. Real intents are a few
+// hundred bytes; the cap keeps a hostile or broken client from making the
+// handler buffer an unbounded JSON document.
+const maxIntentBody = 1 << 20
+
 func (d *Daemon) handleIntent(w http.ResponseWriter, r *http.Request) {
 	var req intentRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad intent body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIntentBody)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, fmt.Errorf("bad intent body: %w", err))
 		return
 	}
 	v, code, err := d.ask(func() (any, error) {
