@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -372,7 +373,7 @@ func main() {
 	}
 
 	if *events != "" {
-		if err := writeEvents(*events, collector); err != nil {
+		if err := writeArtifact(*events, collector.WriteJSONL); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -380,7 +381,7 @@ func main() {
 			collector.Summary().Total(), len(collector.Runs()), *events)
 	}
 	if *spansOut != "" {
-		if err := writeSpans(*spansOut, collector); err != nil {
+		if err := writeArtifact(*spansOut, collector.WriteSpansJSONL); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -388,7 +389,7 @@ func main() {
 			collector.SpanCount(), len(collector.SpanRuns()), *spansOut)
 	}
 	if *rollups != "" {
-		if err := writeRollups(*rollups, rollupCollector); err != nil {
+		if err := writeArtifact(*rollups, rollupCollector.WriteJSONL); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -422,16 +423,7 @@ func main() {
 			tf.TotalJobs += r.Jobs
 			tf.CacheHits += r.CacheHits
 		}
-		if err := os.MkdirAll(filepath.Dir(*timings), 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		body, err := json.MarshalIndent(tf, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := atomicwrite.WriteFile(*timings, append(body, '\n'), 0o644); err != nil {
+		if err := writeJSON(*timings, tf); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -554,16 +546,19 @@ func measurePopulation(seed int64, scale float64) benchgate.File {
 
 // writePopulationBench records a fresh population baseline file.
 func writePopulationBench(path string, seed int64, scale float64) error {
-	body, err := json.MarshalIndent(measurePopulation(seed, scale), "", "  ")
+	return writeJSON(path, measurePopulation(seed, scale))
+}
+
+// writeJSON writes v as indented JSON through writeArtifact.
+func writeJSON(path string, v any) error {
+	body, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	return atomicwrite.WriteFile(path, append(body, '\n'), 0o644)
+	return writeArtifact(path, func(w io.Writer) error {
+		_, err := w.Write(append(body, '\n'))
+		return err
+	})
 }
 
 // runBenchGate measures the population rungs fresh, compares them against
@@ -589,11 +584,12 @@ func runBenchGate(baselinePath string, seed int64, scale float64, threshold, all
 	return benchgate.Report(baseline, current, regs, threshold, allocThreshold), len(regs) == 0, nil
 }
 
-// writeEvents exports the collector's merged event streams as JSONL, one
-// object per event, runs in sorted label order. The artifact carries only
-// sim-time timestamps, so repeated runs at any worker count produce
-// byte-identical files.
-func writeEvents(path string, c *obs.Collector) error {
+// writeArtifact atomically writes one export to path, creating its
+// directory first: a failed encode or a signal never leaves a truncated
+// file behind. The event, span and rollup exports carry only sim-time
+// values and merge runs in sorted label order, so each is byte-identical
+// at any -workers value.
+func writeArtifact(path string, write func(io.Writer) error) error {
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
@@ -603,73 +599,42 @@ func writeEvents(path string, c *obs.Collector) error {
 	if err != nil {
 		return err
 	}
-	if err := c.WriteJSONL(f); err != nil {
+	if err := write(f); err != nil {
 		f.Abort()
 		return err
 	}
 	return f.Commit()
 }
 
-// writeSpans exports the collector's merged causal spans as JSONL in the
-// same canonical order as the event export: runs sorted by label, spans in
-// recorded (Start, Client, ID) order within each run.
-func writeSpans(path string, c *obs.Collector) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := atomicwrite.Create(path, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := c.WriteSpansJSONL(f); err != nil {
-		f.Abort()
-		return err
-	}
-	return f.Commit()
+// abArm is one side of an overhead comparison. prepare builds one run's
+// inputs, untimed, and returns the timed run, which reports what it
+// recorded ("" for nothing).
+type abArm struct {
+	label   string
+	prepare func() func() string
 }
 
-// writeRollups exports the merged rollup JSONL: every run's windows then
-// its flight accounting, runs in sorted label order. Sim-time only, so
-// the artifact is byte-identical at any -workers value.
-func writeRollups(path string, c *telemetry.Collector) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := atomicwrite.Create(path, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := c.WriteJSONL(f); err != nil {
-		f.Abort()
-		return err
-	}
-	return f.Commit()
-}
+// abPairs is the number of interleaved off/on pairs an overhead report
+// sums over.
+const abPairs = 16
 
-// writeTelemetryOverhead times the 1024-client dense-stagger rung — the
-// city-scale workload the telemetry plane is sized for — with the plane
-// detached and attached, and reports the relative cost plus the evidence
-// that memory stayed bounded (window count, flight occupancy vs caps).
+// writeOverhead measures what one observability layer costs as an A/B
+// comparison of the same workload without it (off) and with it (on), and
+// writes the report to path. A positive budget (percent) turns a wall
+// overhead at or above it into an error, after the report is written.
 //
-// Protocol: after one untimed warm-up per arm, the arms run as interleaved
-// pairs whose within-pair order alternates, each timed region preceded by
-// a forced GC, and the verdict compares the per-arm SUMS of wall clock and
-// process CPU time (getrusage, user+system) across all pairs. Sums — not
-// a per-pair median or a per-arm minimum — because single runs of this
-// rung are ~300ms and machine noise on a busy box is ±10% of that;
-// summing over many alternating pairs cancels position effects and
-// averages the noise, which single-run estimators provably do not (the
-// same binary measured 1% and 14% on consecutive min-of-3 attempts). CPU
-// time is reported next to wall because it is immune to involuntary
-// scheduling gaps and so tends to be the steadier of the two.
-func writeTelemetryOverhead(path string, seed int64, scale float64) error {
-	o := experiments.Options{Seed: seed, Scale: scale}
-	const denseClients = 1024
-
+// Protocol: after one untimed warm-up per arm, the arms run as abPairs
+// interleaved pairs whose within-pair order alternates, each timed run
+// preceded by a forced GC, and the verdict compares the per-arm SUMS of
+// wall clock and process CPU time (getrusage, user+system) across all
+// pairs. Sums — not a per-pair median or a per-arm minimum — because
+// single runs are a few hundred ms and machine noise on a busy box is
+// ±10% of that; summing over many alternating pairs cancels position
+// effects and averages the noise, which single-run estimators provably
+// do not (the same binary measured 1% and 14% on consecutive min-of-3
+// attempts). CPU time is reported next to wall because it is immune to
+// involuntary scheduling gaps and so tends to be the steadier of the two.
+func writeOverhead(path, title string, budget float64, off, on abArm) error {
 	cpuNow := func() time.Duration {
 		var ru syscall.Rusage
 		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
@@ -677,127 +642,116 @@ func writeTelemetryOverhead(path string, seed int64, scale float64) error {
 		}
 		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 	}
-	run := func(attach bool) (wall, cpu time.Duration, alloc uint64, tel *telemetry.Aggregator) {
-		world, clients := experiments.PopulationDenseScenario(o, denseClients)
-		if attach {
-			tel = telemetry.New(telemetry.Config{Seed: seed, SLOs: telemetry.DefaultSLOs()})
-		}
-		world.Telemetry = tel
+	type sums struct {
+		wall, cpu time.Duration
+		alloc     uint64
+		note      string
+	}
+	var tot [2]sums
+	arms := [2]abArm{off, on}
+	timed := func(i int) {
+		run := arms[i].prepare()
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		c0 := cpuNow()
 		start := time.Now()
-		core.RunPopulation(world, clients)
-		wall = time.Since(start)
-		cpu = cpuNow() - c0
+		tot[i].note = run()
+		tot[i].wall += time.Since(start)
+		tot[i].cpu += cpuNow() - c0
 		runtime.ReadMemStats(&after)
-		return wall, cpu, after.TotalAlloc - before.TotalAlloc, tel
+		tot[i].alloc += after.TotalAlloc - before.TotalAlloc
 	}
-	run(false)
-	run(true)
-	const pairs = 16
-	var off, on, offCPU, onCPU time.Duration
-	var offAlloc, onAlloc uint64
-	var tel *telemetry.Aggregator
-	for i := 0; i < pairs; i++ {
-		runPair := func(attach bool) {
-			w, c, a, t := run(attach)
-			if attach {
-				on, onCPU, onAlloc, tel = on+w, onCPU+c, onAlloc+a, t
-			} else {
-				off, offCPU, offAlloc = off+w, offCPU+c, offAlloc+a
-			}
-		}
-		runPair(i%2 == 0)
-		runPair(i%2 != 0)
+	off.prepare()()
+	on.prepare()()
+	for i := 0; i < abPairs; i++ {
+		first := 1 - i%2 // on leads the even pairs
+		timed(first)
+		timed(1 - first)
 	}
-	overhead := float64(on-off) / float64(off) * 100
-	cpuOverhead := float64(onCPU-offCPU) / float64(offCPU) * 100
-	fc := tel.FlightCounters()
+	pct := func(o, n float64) float64 { return (n - o) / o * 100 }
+	overhead := pct(float64(tot[0].wall), float64(tot[1].wall))
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "telemetry overhead: %d-client dense-stagger rung, seed=%d scale=%g, sums over %d interleaved pairs (alternating order, GC before each timed run)\n",
-		denseClients, seed, scale, pairs)
-	fmt.Fprintf(&b, "telemetry detached: %v wall, %v cpu per run (%d MB allocated)\n",
-		(off / pairs).Round(time.Millisecond), (offCPU / pairs).Round(time.Millisecond), offAlloc/pairs>>20)
-	fmt.Fprintf(&b, "telemetry attached: %v wall, %v cpu per run (%d MB allocated)\n",
-		(on / pairs).Round(time.Millisecond), (onCPU / pairs).Round(time.Millisecond), onAlloc/pairs>>20)
-	fmt.Fprintf(&b, "overhead: %+.2f%% wall, %+.2f%% cpu, %+.1f%% allocated bytes\n",
-		overhead, cpuOverhead, float64(int64(onAlloc)-int64(offAlloc))/float64(offAlloc)*100)
-	fmt.Fprintf(&b, "bounded state: %d rollup windows (%d dropped), flight %d/%d events %d/%d spans, %d clients sampled\n",
-		len(tel.Windows()), tel.DroppedWindows(),
-		fc.EventsKept, fc.EventCap, fc.SpansKept, fc.SpanCap, fc.ClientsSampled)
-	if overhead < 3 {
-		fmt.Fprintf(&b, "verdict: PASS (< 3%% wall overhead)\n")
-	} else {
-		fmt.Fprintf(&b, "verdict: FAIL (>= 3%% wall overhead)\n")
+	fmt.Fprintf(&b, "%s, sums over %d interleaved pairs (alternating order, GC before each timed run)\n", title, abPairs)
+	for i, arm := range arms {
+		fmt.Fprintf(&b, "%s: %v wall, %v cpu per run (%d MB allocated)\n", arm.label,
+			(tot[i].wall / abPairs).Round(time.Millisecond), (tot[i].cpu / abPairs).Round(time.Millisecond),
+			tot[i].alloc/abPairs>>20)
 	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
+	fmt.Fprintf(&b, "overhead: %+.2f%% wall, %+.2f%% cpu, %+.1f%% allocated bytes\n", overhead,
+		pct(float64(tot[0].cpu), float64(tot[1].cpu)), pct(float64(tot[0].alloc), float64(tot[1].alloc)))
+	if tot[1].note != "" {
+		b.WriteString(tot[1].note + "\n")
+	}
+	if budget > 0 {
+		verdict := "PASS (<"
+		if overhead >= budget {
+			verdict = "FAIL (>="
 		}
+		fmt.Fprintf(&b, "verdict: %s %g%% wall overhead)\n", verdict, budget)
 	}
-	if err := atomicwrite.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+	if err := writeArtifact(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, b.String())
+		return err
+	}); err != nil {
 		return err
 	}
-	if overhead >= 3 {
-		return fmt.Errorf("telemetry overhead %.2f%% exceeds the 3%% budget", overhead)
+	if budget > 0 && overhead >= budget {
+		return fmt.Errorf("%s: %.2f%% wall exceeds the %g%% budget", title, overhead, budget)
 	}
 	return nil
 }
 
-// writeObsOverhead times the chaos scenario (the event-densest workload)
-// with recording disabled and enabled and reports the relative cost of the
-// observability layer. One warm-up run absorbs JIT-ish effects (page
-// faults, allocator growth) before either timed arm.
-func writeObsOverhead(path string, seed int64, scale float64) error {
+// writeTelemetryOverhead prices the telemetry plane on the 1024-client
+// dense-stagger rung — the city-scale workload it is sized for — against
+// a 3% wall budget, and reports the evidence that its memory stayed
+// bounded (window count, flight occupancy vs caps).
+func writeTelemetryOverhead(path string, seed int64, scale float64) error {
 	o := experiments.Options{Seed: seed, Scale: scale}
-	cfg := experiments.ChaosScenario(o)
+	const denseClients = 1024
+	arm := func(attach bool) func() func() string {
+		return func() func() string {
+			world, clients := experiments.PopulationDenseScenario(o, denseClients)
+			if !attach {
+				return func() string { core.RunPopulation(world, clients); return "" }
+			}
+			tel := telemetry.New(telemetry.Config{Seed: seed, SLOs: telemetry.DefaultSLOs()})
+			world.Telemetry = tel
+			return func() string {
+				core.RunPopulation(world, clients)
+				fc := tel.FlightCounters()
+				return fmt.Sprintf("bounded state: %d rollup windows (%d dropped), flight %d/%d events %d/%d spans, %d clients sampled",
+					len(tel.Windows()), tel.DroppedWindows(),
+					fc.EventsKept, fc.EventCap, fc.SpansKept, fc.SpanCap, fc.ClientsSampled)
+			}
+		}
+	}
+	title := fmt.Sprintf("telemetry overhead: %d-client dense-stagger rung, seed=%d scale=%g", denseClients, seed, scale)
+	return writeOverhead(path, title, 3,
+		abArm{"telemetry detached", arm(false)}, abArm{"telemetry attached", arm(true)})
+}
 
-	run := func(record bool) (time.Duration, int64) {
-		c := cfg
-		var rec *obs.Recorder
-		if record {
-			rec = obs.NewRecorder()
-		}
-		c.Obs = rec
-		start := time.Now()
-		core.Run(c)
-		return time.Since(start), rec.Summary().Total()
-	}
-	// One untimed warm-up per arm, then interleaved trials with the
-	// per-arm minimum taken: the minimum is the least-noise estimate of a
-	// deterministic workload's true cost, and interleaving keeps slow
-	// drift (thermal, allocator growth) from biasing one arm.
-	run(false)
-	run(true)
-	const trials = 5
-	off, on := time.Duration(1<<62), time.Duration(1<<62)
-	var events int64
-	for i := 0; i < trials; i++ {
-		if d, _ := run(false); d < off {
-			off = d
-		}
-		d, n := run(true)
-		if d < on {
-			on = d
-		}
-		events = n
-	}
-	overhead := float64(on-off) / float64(off) * 100
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "obs overhead: chaos scenario, seed=%d scale=%g, min of %d interleaved trials per arm\n", seed, scale, trials)
-	fmt.Fprintf(&b, "recording disabled: %v per run\n", off.Round(time.Microsecond))
-	fmt.Fprintf(&b, "recording enabled:  %v per run (%d events)\n", on.Round(time.Microsecond), events)
-	fmt.Fprintf(&b, "overhead: %+.1f%%\n", overhead)
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
+// writeObsOverhead prices event and span recording on the chaos scenario
+// (the event-densest workload): a retaining recorder against none.
+func writeObsOverhead(path string, seed int64, scale float64) error {
+	arm := func(record bool) func() func() string {
+		return func() func() string {
+			c := experiments.ChaosScenario(experiments.Options{Seed: seed, Scale: scale})
+			if !record {
+				return func() string { core.Run(c); return "" }
+			}
+			rec := obs.NewRecorder()
+			c.Obs = rec
+			return func() string {
+				core.Run(c)
+				return fmt.Sprintf("recorded: %d events, %d spans per run", rec.Summary().Total(), len(rec.Spans()))
+			}
 		}
 	}
-	return atomicwrite.WriteFile(path, []byte(b.String()), 0o644)
+	title := fmt.Sprintf("obs overhead: chaos scenario, seed=%d scale=%g", seed, scale)
+	return writeOverhead(path, title, 0,
+		abArm{"recording disabled", arm(false)}, abArm{"recording enabled", arm(true)})
 }
 
 // progressPrinter renders fleet telemetry as throttled stderr lines:

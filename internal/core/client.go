@@ -133,18 +133,15 @@ func (c *Client) build(rng *sim.RNG) {
 	s, cfg, eng := c.s, c.cfg, c.s.eng
 
 	c.events = s.cfg.Obs.Client(c.id)
-	reg := s.cfg.Obs.Metrics()
 	drvCfg := driver.Config{
 		NumVIFs:       cfg.NumVIFs,
 		LLTimeout:     cfg.Timers.LLTimeout,
 		ProbeInterval: probeInterval,
 		Events:        c.events,
-		Obs:           reg,
 	}
 	c.drv = driver.New(eng, rng.Stream("driver"), s.medium, c.MAC(), c.pos, drvCfg)
 	lcfg := cfg.lmmConfig()
 	lcfg.Events = c.events
-	lcfg.Obs = reg
 	if w := s.cfg.Alloc; w != nil && w.Variant == alloc.Decentralized {
 		c.allocPol = alloc.NewPolicy(*w, c.id, s.medium.Params())
 		lcfg.Alloc = c.allocPol

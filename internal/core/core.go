@@ -200,8 +200,8 @@ type WorldConfig struct {
 	// PCAP, when non-nil, receives a pcap capture of every frame on the
 	// air (see internal/capture).
 	PCAP io.Writer
-	// Obs, when non-nil, records the run's structured event timeline and
-	// counters (see internal/obs). Events carry sim-time only, so a
+	// Obs, when non-nil, records the run's structured event and span
+	// timeline (see internal/obs). Events carry sim-time only, so a
 	// recorded run stays bit-reproducible. Nil disables recording with no
 	// cost beyond a nil check at each instrumentation site.
 	Obs *obs.Recorder
@@ -209,7 +209,7 @@ type WorldConfig struct {
 	// (see internal/telemetry): bounded-memory rollup windows, a flight
 	// recorder of raw events, and SLO health evaluation. The scenario
 	// binds it to the recorder, drives its window ticks from the engine,
-	// and wires the medium/DHCP probe. When Obs is nil a streaming
+	// and wires the medium/DHCP/driver probe. When Obs is nil a streaming
 	// (non-retaining) recorder is created automatically, so city-scale
 	// runs get telemetry without the O(events) raw timeline.
 	Telemetry *telemetry.Aggregator
@@ -419,8 +419,8 @@ type ScenarioConfig struct {
 	// PCAP, when non-nil, receives a pcap capture of every frame on the
 	// air (see internal/capture).
 	PCAP io.Writer
-	// Obs, when non-nil, records the run's structured event timeline and
-	// counters (see internal/obs).
+	// Obs, when non-nil, records the run's structured event and span
+	// timeline (see internal/obs).
 	Obs *obs.Recorder
 	// Telemetry, when non-nil, attaches the streaming aggregation plane
 	// (see WorldConfig.Telemetry).

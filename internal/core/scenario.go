@@ -7,7 +7,9 @@ import (
 	"spider/internal/ap"
 	"spider/internal/capture"
 	"spider/internal/chaos"
+	"spider/internal/dhcp"
 	"spider/internal/dot11"
+	"spider/internal/driver"
 	"spider/internal/ipam"
 	"spider/internal/ipnet"
 	"spider/internal/lmm"
@@ -130,15 +132,6 @@ func (s *Scenario) Start() {
 		s.cfg.Obs = obs.NewStreamingRecorder()
 	}
 
-	// Pre-size per-client observability buffers before any log exists
-	// (buildWorld creates the world log). Event and span volume scales
-	// with run length (join pipeline stages, link transitions, outage
-	// windows), not packet counts, so a small per-second rate covers
-	// typical runs without overcommitting at city scale.
-	if s.cfg.Obs != nil {
-		secs := int(s.cfg.Duration / (1000 * 1000 * 1000))
-		s.cfg.Obs.Reserve(32+4*secs, 8+secs)
-	}
 	// Bind telemetry before the world exists so no emission can precede
 	// its subscriptions.
 	s.cfg.Telemetry.Bind(s.cfg.Obs)
@@ -171,38 +164,23 @@ func (s *Scenario) Start() {
 		tel.SetProbe(s.telemetryProbe)
 		s.eng.Ticker(tel.Window(), func() { tel.Tick(s.eng.Now()) })
 	}
-
-	// Frame- and probe-path counts accumulate in plain stats and are
-	// pushed into the registry's atomic counters on a coarse cadence
-	// (plus once at Finalize, so exported values are exact). A scrape
-	// between publishes reads values at most five sim-seconds stale —
-	// fine for /v1/metrics — and the frame path never pays an atomic.
-	if s.cfg.Obs != nil {
-		s.eng.Ticker(5*1000*1000*1000, s.publishObs)
-	}
-}
-
-// publishObs flushes stats deltas from the medium and every driver into
-// the observability registry. Runs on the sim goroutine.
-func (s *Scenario) publishObs() {
-	s.medium.PublishObs()
-	for _, c := range s.clients {
-		// A client whose StartOffset has not arrived has no stack yet.
-		if c.drv != nil {
-			c.drv.PublishObs()
-		}
-	}
 }
 
 // telemetryProbe snapshots the world's cumulative counters for the
 // aggregator's per-window deltas: per-channel airtime and contenders from
-// the medium, total collisions, and DHCP pool-exhaustion refusals. Runs on
-// the sim goroutine at window closes.
+// the medium, total collisions, DHCP pool-exhaustion refusals, and the
+// drivers' sampled-out chatty emissions. Runs on the sim goroutine.
 func (s *Scenario) telemetryProbe() telemetry.Probe {
 	p := telemetry.Probe{
 		Clients:          len(s.clients),
 		CumCollisions:    int64(s.medium.Stats().Collisions),
 		CumPoolExhausted: int64(s.DHCPPoolExhausted()),
+	}
+	for _, c := range s.clients {
+		// A client whose StartOffset has not arrived has no stack yet.
+		if c.drv != nil {
+			p.CumSuppressed += c.drv.Suppressed()
+		}
 	}
 	chSet := make(map[int]struct{}, 4)
 	for _, site := range s.cfg.Sites {
@@ -266,7 +244,6 @@ func (s *Scenario) StepUntil(t sim.Time) sim.Time {
 // the run use the clock where the scenario actually stopped, which for a
 // batch Run is exactly the configured duration.
 func (s *Scenario) Finalize() []Result {
-	s.publishObs()
 	s.cfg.Obs.CloseOpenSpans(s.eng.Now())
 	s.cfg.Telemetry.Finish(s.eng.Now())
 	// Mid-run-added clients (AddClientNow) sort into ID order with the
@@ -287,6 +264,60 @@ func (s *Scenario) Finalize() []Result {
 // Telemetry returns the scenario's streaming aggregation plane (nil when
 // the world was configured without one).
 func (s *Scenario) Telemetry() *telemetry.Aggregator { return s.cfg.Telemetry }
+
+// Metrics snapshots the world's counters for /v1/metrics (valid after
+// Start). Nothing is pushed anywhere during the run: every value is read
+// here from the count its layer already keeps — the medium's Stats, the
+// summed driver Stats and LMM DHCP counts, the IPAM Stats and Status, and
+// the telemetry plane's window and violation tallies — so a scrape is
+// exact at the sim time it runs. Call it on the sim goroutine or a
+// quiescent world.
+func (s *Scenario) Metrics() []obs.Metric {
+	ph := s.medium.Stats()
+	var drv driver.Stats
+	var dh dhcp.Counts
+	for _, c := range s.clients {
+		if c.drv == nil {
+			continue // StartOffset not reached: no stack yet
+		}
+		st := c.drv.Stats()
+		drv.Switches += st.Switches
+		drv.ProbesSent += st.ProbesSent
+		drv.TxQueueDrops += st.TxQueueDrops
+		n := c.manager.DHCPCounts()
+		dh.Acks += n.Acks
+		dh.Naks += n.Naks
+		dh.Retransmits += n.Retransmits
+	}
+	ip := s.ipam.Stats()
+	ms := []obs.Metric{
+		{Name: "phy.frames_sent", Value: int64(ph.FramesSent)},
+		{Name: "phy.frames_delivered", Value: int64(ph.FramesDelivered)},
+		{Name: "phy.frames_lost", Value: int64(ph.FramesLost)},
+		{Name: "phy.collisions", Value: int64(ph.Collisions)},
+		{Name: "driver.channel_switches", Value: int64(drv.Switches)},
+		{Name: "driver.probes_sent", Value: int64(drv.ProbesSent)},
+		{Name: "driver.tx_queue_drops", Value: int64(drv.TxQueueDrops)},
+		{Name: "dhcp.acks", Value: dh.Acks},
+		{Name: "dhcp.naks", Value: dh.Naks},
+		{Name: "dhcp.retransmits", Value: dh.Retransmits},
+		{Name: "ipam.allocs", Value: ip.Allocs},
+		{Name: "ipam.failovers", Value: ip.Failovers},
+		{Name: "ipam.reclaimed", Value: ip.Reclaimed},
+		{Name: "ipam.exhausted", Value: ip.Exhausted},
+		{Name: "ipam.conflicts", Value: ip.Conflicts},
+		{Name: "ipam.leases.reclaimed", Gauge: true, Value: ip.Reclaimed},
+	}
+	for _, p := range s.ipam.Status() {
+		ms = append(ms, obs.Metric{Name: "ipam.pool." + p.Name + ".used", Gauge: true, Value: int64(p.InUse)})
+	}
+	if tel := s.cfg.Telemetry; tel != nil {
+		ms = append(ms,
+			obs.Metric{Name: "telemetry.windows_closed", Value: tel.WindowsClosed()},
+			obs.Metric{Name: "telemetry.slo_violations", Value: tel.Violations()})
+	}
+	return ms
+}
 
 // Engine exposes the scenario's event engine (valid after Start). The
 // serve loop reads Now/Len/PeekNext from it to pick step barriers and
@@ -347,9 +378,6 @@ func (s *Scenario) buildWorld() {
 	s.flows = make(map[ipnet.Addr]*flow)
 
 	s.medium = phy.NewMedium(s.eng, s.rng.Stream("phy"), cfg.Phy)
-	if cfg.Obs != nil {
-		s.medium.SetObs(cfg.Obs.Metrics())
-	}
 	if cfg.PCAP != nil {
 		pw := capture.NewWriter(cfg.PCAP)
 		s.medium.SetTap(func(_ dot11.Channel, wire []byte, at sim.Time) {
@@ -413,7 +441,7 @@ func (s *Scenario) buildWorld() {
 		}
 		s.ipam = ipam.MustNew(ic)
 	}
-	s.ipam.SetObs(cfg.Obs.World(), cfg.Obs.Metrics())
+	s.ipam.SetLog(cfg.Obs.World())
 
 	// Deploy APs. apList keeps Sites order for chaos targeting.
 	s.aps = make(map[dot11.MACAddr]*ap.AP, len(cfg.Sites))

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"spider/internal/dot11"
-	"spider/internal/obs"
 	"spider/internal/sim"
 	"spider/internal/telemetry"
 )
@@ -114,23 +113,5 @@ func TestTelemetryExportDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(export(), export()) {
 		t.Fatal("identical runs exported different rollups")
-	}
-}
-
-// TestReserveNoRegrow (satellite): the Start-time Reserve sizing must
-// cover a populated run end to end — any regrow means per-client
-// timelines paid the append doubling ladder after all.
-func TestReserveNoRegrow(t *testing.T) {
-	world, model := corridorWorld(11)
-	rec := obs.NewRecorder()
-	world.Obs = rec
-	s := NewScenario(world)
-	for i := 0; i < 8; i++ {
-		s.AddClient(ClientConfig{ID: i, Preset: SingleChannelMultiAP, Mobility: model,
-			StartOffset: sim.Time(i) * sim.Time(500*time.Millisecond)})
-	}
-	s.Run()
-	if ev, sp := rec.Regrown(); ev != 0 || sp != 0 {
-		t.Fatalf("observability buffers regrew during the run: events=%d spans=%d", ev, sp)
 	}
 }

@@ -25,9 +25,15 @@ type ClientConfig struct {
 	// AcquireWindow bounds the whole acquisition; the default stack tries
 	// for 3 s before going idle.
 	AcquireWindow sim.Time
-	// Obs, when non-nil, resolves the client's counters (retransmits,
-	// acks, naks). Nil disables instrumentation.
-	Obs *obs.Registry
+	// Counts, when non-nil, accumulates the client's message counts. An
+	// owner that spawns one client per acquisition shares one Counts
+	// across all of them, so the totals outlive each client.
+	Counts *Counts
+}
+
+// Counts totals DHCP client traffic across acquisitions.
+type Counts struct {
+	Acks, Naks, Retransmits int64
 }
 
 // DefaultClientConfig mirrors a stock DHCP client.
@@ -81,10 +87,6 @@ type Client struct {
 
 	// Retransmits counts messages sent beyond the first of each phase.
 	Retransmits int
-
-	obsRetransmits *obs.Counter
-	obsAcks        *obs.Counter
-	obsNaks        *obs.Counter
 }
 
 // NewClient creates a client for one interface. send transmits a message
@@ -100,11 +102,10 @@ func NewClient(eng *sim.Engine, rng *sim.RNG, cfg ClientConfig, mac dot11.MACAdd
 	if send == nil || done == nil {
 		panic("dhcp: NewClient requires send and done callbacks")
 	}
-	return &Client{eng: eng, rng: rng, cfg: cfg, mac: mac, send: send, done: done,
-		obsRetransmits: cfg.Obs.Counter("dhcp.retransmits"),
-		obsAcks:        cfg.Obs.Counter("dhcp.acks"),
-		obsNaks:        cfg.Obs.Counter("dhcp.naks"),
+	if cfg.Counts == nil {
+		cfg.Counts = &Counts{}
 	}
+	return &Client{eng: eng, rng: rng, cfg: cfg, mac: mac, send: send, done: done}
 }
 
 // Start begins acquisition. If cached is non-nil the client skips Discover
@@ -156,7 +157,7 @@ func (c *Client) cancelTimer() {
 func (c *Client) transmit(first bool) {
 	if !first {
 		c.Retransmits++
-		c.obsRetransmits.Inc()
+		c.cfg.Counts.Retransmits++
 	}
 	c.send(c.pending)
 	c.cancelTimer()
@@ -198,14 +199,14 @@ func (c *Client) Deliver(msg Message) {
 		c.phase = c.Span.StartChild(c.eng.Now(), "dhcp-request")
 		c.transmit(true)
 	case msg.Type == Ack && c.state == stateRequesting:
-		c.obsAcks.Inc()
+		c.cfg.Counts.Acks++
 		c.cancelTimer()
 		c.phase.EndStatus(c.eng.Now(), "ok")
 		c.phase = nil
 		c.state = stateBound
 		c.done(Lease{IP: msg.YourIP, Server: msg.ServerIP, LeaseSecs: msg.LeaseSecs}, true)
 	case msg.Type == Nak && c.state == stateRequesting:
-		c.obsNaks.Inc()
+		c.cfg.Counts.Naks++
 		// Cached lease rejected: restart with Discover inside the same
 		// window if any time remains.
 		if c.eng.Now() >= c.deadline {

@@ -41,8 +41,6 @@ type Config struct {
 	// (channel switches, probes, auth/assoc transmissions, PSM drains).
 	// Nil disables recording at zero cost.
 	Events *obs.ClientLog
-	// Obs, when non-nil, resolves the driver's counters. Nil disables.
-	Obs *obs.Registry
 }
 
 // DefaultConfig returns Spider's deployed settings.
@@ -136,23 +134,15 @@ type Driver struct {
 	stopProbe func()
 	stats     Stats
 
-	// Resolved observability handles (nil-receiver no-ops when disabled).
-	events      *obs.ClientLog
-	obsSwitches *obs.Counter
-	obsProbes   *obs.Counter
-	obsDrops    *obs.Counter
-	// pubProbes remembers how many probes were already pushed to
-	// obsProbes; probe() fires every dwell for every client, so the count
-	// is published as deltas rather than one atomic add per probe.
-	pubProbes uint64
+	// events is the driver's timeline (nil-receiver no-ops when disabled).
+	events *obs.ClientLog
 	// evChatty caches the log's per-client sampling decision (immutable
 	// after the log exists) so the per-probe guard reads driver-local
 	// state instead of chasing the ClientLog pointer every emission.
-	// suppressed counts emissions the cached flag swallowed; PublishObs
-	// settles them into the recorder so sampling loss stays loud.
-	evChatty      bool
-	suppressed    int64
-	pubSuppressed int64
+	// suppressed counts emissions the cached flag swallowed, so sampling
+	// loss stays loud (see Suppressed).
+	evChatty   bool
+	suppressed int64
 	// occSpan is the open schedule-occupancy span for the channel the
 	// radio currently dwells on; switches close it and arrivals open the
 	// next, so the span timeline tiles the run per channel.
@@ -178,11 +168,8 @@ func New(eng *sim.Engine, rng *sim.RNG, medium *phy.Medium, mac dot11.MACAddr, p
 		cfg:  cfg,
 		scan: make(map[dot11.MACAddr]ScanEntry),
 
-		events:      cfg.Events,
-		evChatty:    cfg.Events.ChattyFlag(),
-		obsSwitches: cfg.Obs.Counter("driver.channel_switches"),
-		obsProbes:   cfg.Obs.Counter("driver.probes_sent"),
-		obsDrops:    cfg.Obs.Counter("driver.tx_queue_drops"),
+		events:   cfg.Events,
+		evChatty: cfg.Events.ChattyFlag(),
 	}
 	d.radio = medium.NewRadio(mac, pos)
 	d.radio.SetReceiver(d.onFrame)
@@ -218,16 +205,9 @@ func (d *Driver) Config() Config { return d.cfg }
 // Stats returns a snapshot of the driver counters.
 func (d *Driver) Stats() Stats { return d.stats }
 
-// PublishObs pushes counts accumulated since the last call into the
-// registry counters. The probe path counts only in plain stats; callers
-// publish on a coarse cadence (and at finalize) so exported values are
-// exact without a per-probe atomic add.
-func (d *Driver) PublishObs() {
-	d.obsProbes.Add(int64(d.stats.ProbesSent - d.pubProbes))
-	d.pubProbes = d.stats.ProbesSent
-	d.events.AddSuppressed(d.suppressed - d.pubSuppressed)
-	d.pubSuppressed = d.suppressed
-}
+// Suppressed returns how many chatty events (probes, auth and assoc
+// attempts) the log's sampling policy kept this driver from emitting.
+func (d *Driver) Suppressed() int64 { return d.suppressed }
 
 // TxAirtime returns the radio's cumulative transmit airtime.
 func (d *Driver) TxAirtime() sim.Time { return d.radio.TxAirtime() }
@@ -395,7 +375,6 @@ func (d *Driver) switchTo(ch dot11.Channel) {
 	}
 	d.switching = true
 	d.stats.Switches++
-	d.obsSwitches.Inc()
 	d.occSpan.End(d.eng.Now())
 	d.occSpan = nil
 	d.events.Emit(obs.Event{
@@ -461,7 +440,6 @@ func (d *Driver) sendOrQueue(ch dot11.Channel, f dot11.Frame) {
 	}
 	if len(d.txq[ch]) >= d.cfg.TxQueueLimit {
 		d.stats.TxQueueDrops++
-		d.obsDrops.Inc()
 		return
 	}
 	d.stats.TxQueued++

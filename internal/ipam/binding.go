@@ -97,13 +97,11 @@ func (b *Binding) Allocate(now sim.Time, mac dot11.MACAddr, ttl sim.Time) (ipnet
 		b.record(now, mac, a, p, ttl)
 		if i > 0 {
 			b.m.st.Failovers++
-			b.m.cFailover.Inc()
 			b.m.emit(now, kindFailover, b.name, p.name, int64(a))
 		}
 		return a, nil
 	}
 	b.m.st.Exhausted++
-	b.m.cExhaust.Inc()
 	return ipnet.Unspecified, ErrExhausted
 }
 
@@ -121,7 +119,6 @@ func (b *Binding) AllocateSpecific(now sim.Time, mac dot11.MACAddr, want ipnet.A
 			return l.Addr, nil
 		}
 		b.m.st.Conflicts++
-		b.m.cConflict.Inc()
 		return ipnet.Unspecified, ErrConflict
 	}
 	tries := b.pools
@@ -139,7 +136,6 @@ func (b *Binding) AllocateSpecific(now sim.Time, mac dot11.MACAddr, want ipnet.A
 		break // in this pool but held by someone else
 	}
 	b.m.st.Conflicts++
-	b.m.cConflict.Inc()
 	return ipnet.Unspecified, ErrConflict
 }
 
@@ -150,8 +146,6 @@ func (b *Binding) record(now sim.Time, mac dot11.MACAddr, a ipnet.Addr, p *pool,
 	}
 	b.leases[mac] = &Lease{Addr: a, MAC: mac, Pool: p.name, Expiry: expiry(now, ttl), p: p}
 	b.m.st.Allocs++
-	b.m.cAllocs.Inc()
-	b.m.setUtil(p)
 	b.m.emit(now, kindAlloc, b.name, p.name, int64(a))
 }
 
@@ -163,7 +157,6 @@ func (b *Binding) Release(mac dot11.MACAddr) {
 	}
 	delete(b.leases, mac)
 	l.p.release(l.Addr)
-	b.m.setUtil(l.p)
 }
 
 // Reset drops every lease this binding holds — an AP power cycle. Leases
@@ -175,7 +168,6 @@ func (b *Binding) Reset() {
 	for _, l := range b.sortedLeases() {
 		delete(b.leases, l.MAC)
 		l.p.release(l.Addr)
-		b.m.setUtil(l.p)
 	}
 	if b.reserve != nil && b.reserve.inUse() == 0 {
 		b.reserve.next = 0
@@ -185,8 +177,8 @@ func (b *Binding) Reset() {
 
 // SweepExpired reclaims every lease whose expiry has passed, in ascending
 // address order, and returns the reclaimed leases. One ipam.gc event is
-// emitted per pool touched (Value = reclaim count), and the reclaim
-// counters/gauge advance — this is the vanished-vehicle GC.
+// emitted per pool touched (Value = reclaim count), and Stats.Reclaimed
+// advances — this is the vanished-vehicle GC.
 func (b *Binding) SweepExpired(now sim.Time) []Lease {
 	var out []Lease
 	for _, l := range b.sortedLeases() {
@@ -195,15 +187,12 @@ func (b *Binding) SweepExpired(now sim.Time) []Lease {
 		}
 		delete(b.leases, l.MAC)
 		l.p.release(l.Addr)
-		b.m.setUtil(l.p)
 		out = append(out, *l)
 	}
 	if len(out) == 0 {
 		return nil
 	}
 	b.m.st.Reclaimed += int64(len(out))
-	b.m.cReclaim.Add(int64(len(out)))
-	b.m.gReclaim.Set(b.m.st.Reclaimed)
 	// Per-pool gc events in hierarchy order (reserve last).
 	perPool := make(map[string]int64, 2)
 	for _, l := range out {

@@ -101,21 +101,14 @@ type PoolStatus struct {
 // Manager owns the pools and hands out per-AP bindings. All methods are
 // called from a single simulation goroutine, like the rest of the stack.
 type Manager struct {
-	pools     map[string]*pool
-	order     []string
-	groups    map[string][]string
-	groupDef  string
-	reserve   int
-	numBound  int
-	st        Stats
-	log       *obs.ClientLog
-	cAllocs   *obs.Counter
-	cFailover *obs.Counter
-	cReclaim  *obs.Counter
-	cExhaust  *obs.Counter
-	cConflict *obs.Counter
-	gReclaim  *obs.Gauge
-	util      map[string]*obs.Gauge
+	pools    map[string]*pool
+	order    []string
+	groups   map[string][]string
+	groupDef string
+	reserve  int
+	numBound int
+	st       Stats
+	log      *obs.ClientLog
 }
 
 // New validates the config and builds the manager. Pool CIDRs must not
@@ -129,7 +122,6 @@ func New(cfg Config) (*Manager, error) {
 		pools:   make(map[string]*pool, len(cfg.Pools)),
 		groups:  make(map[string][]string, len(cfg.Groups)),
 		reserve: cfg.ReservePerAP,
-		util:    make(map[string]*obs.Gauge),
 	}
 	var cidrs []ipnet.Prefix
 	for _, ps := range cfg.Pools {
@@ -201,21 +193,9 @@ func MustNew(cfg Config) *Manager {
 	return m
 }
 
-// SetObs attaches the world event log and metrics registry. Nil values
-// disable the corresponding output (every sink here is nil-safe).
-func (m *Manager) SetObs(log *obs.ClientLog, reg *obs.Registry) {
-	m.log = log
-	m.cAllocs = reg.Counter("ipam.allocs")
-	m.cFailover = reg.Counter("ipam.failovers")
-	m.cReclaim = reg.Counter("ipam.reclaimed")
-	m.cExhaust = reg.Counter("ipam.exhausted")
-	m.cConflict = reg.Counter("ipam.conflicts")
-	m.gReclaim = reg.Gauge("ipam.leases.reclaimed")
-	for _, name := range m.order {
-		m.util[name] = reg.Gauge("ipam.pool." + name + ".used")
-		m.util[name].Set(int64(m.pools[name].inUse()))
-	}
-}
+// SetLog attaches the world event log the address-plane lifecycle
+// records on. A nil log disables it.
+func (m *Manager) SetLog(log *obs.ClientLog) { m.log = log }
 
 // Bind attaches one AP to a pool group and returns its allocation handle.
 // The binding's name labels its obs events (core uses the AP's BSSID).
@@ -258,14 +238,6 @@ func (m *Manager) Status() []PoolStatus {
 		out = append(out, PoolStatus{Name: name, Capacity: p.capacity(), InUse: p.inUse()})
 	}
 	return out
-}
-
-// setUtil refreshes a pool's utilization gauge (nil-safe when no registry
-// is attached; reserve carves have no gauge of their own).
-func (m *Manager) setUtil(p *pool) {
-	if g, ok := m.util[p.name]; ok {
-		g.Set(int64(p.inUse()))
-	}
 }
 
 // emit records one ipam event on the world log (no-op when recording is

@@ -304,12 +304,12 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestObsWiring: counters, per-pool gauges, and the typed event stream
-// reflect the allocation lifecycle.
+// TestObsWiring: the stats, per-pool occupancy, and the typed event
+// stream reflect the allocation lifecycle.
 func TestObsWiring(t *testing.T) {
 	rec := obs.NewRecorder()
 	m := twoPoolManager(t, 0)
-	m.SetObs(rec.World(), rec.Metrics())
+	m.SetLog(rec.World())
 	b, err := m.Bind("ap", "seg")
 	if err != nil {
 		t.Fatal(err)
@@ -320,20 +320,16 @@ func TestObsWiring(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if got := m.Status()[0]; got.Name != "primary" || got.InUse != 2 {
+		t.Fatalf("primary status = %+v before sweep, want 2 in use", got)
+	}
 	b.SweepExpired(2 * ttl)
 
-	reg := rec.Metrics()
-	if got := reg.Counter("ipam.allocs").Value(); got != 3 {
-		t.Fatalf("ipam.allocs = %d, want 3", got)
+	if st := m.Stats(); st.Allocs != 3 || st.Failovers != 1 || st.Reclaimed != 3 {
+		t.Fatalf("stats = %+v, want 3 allocs, 1 failover, 3 reclaimed", st)
 	}
-	if got := reg.Counter("ipam.failovers").Value(); got != 1 {
-		t.Fatalf("ipam.failovers = %d, want 1", got)
-	}
-	if got := reg.Counter("ipam.reclaimed").Value(); got != 3 {
-		t.Fatalf("ipam.reclaimed = %d, want 3", got)
-	}
-	if got := reg.Gauge("ipam.pool.primary.used").Value(); got != 0 {
-		t.Fatalf("primary used gauge = %d after sweep, want 0", got)
+	if got := m.Status()[0]; got.InUse != 0 {
+		t.Fatalf("primary status = %+v after sweep, want 0 in use", got)
 	}
 
 	var kinds []obs.Kind

@@ -89,9 +89,6 @@ type Config struct {
 	// Events, when non-nil, receives the module's structured timeline
 	// (join pipeline stages, DHCP message arrivals, lease renewals).
 	Events *obs.ClientLog
-	// Obs, when non-nil, resolves counters here and in the DHCP clients
-	// the module spawns. Nil disables instrumentation.
-	Obs *obs.Registry
 }
 
 // DefaultConfig returns Spider's deployed settings: single channel 1,
@@ -313,6 +310,7 @@ type LMM struct {
 
 	joins         []JoinRecord
 	stats         Stats
+	dhcpCounts    dhcp.Counts
 	globalBackoff sim.Time
 
 	// sel runs reselect every ReselectInterval. A pass that starts no
@@ -348,7 +346,6 @@ type LMM struct {
 // begins selecting APs immediately.
 func New(eng *sim.Engine, rng *sim.RNG, drv *driver.Driver, cfg Config) *LMM {
 	cfg = cfg.withDefaults()
-	cfg.DHCP.Obs = cfg.Obs
 	m := &LMM{
 		eng:          eng,
 		rng:          rng,
@@ -361,6 +358,8 @@ func New(eng *sim.Engine, rng *sim.RNG, drv *driver.Driver, cfg Config) *LMM {
 		leaseCache:   make(map[dot11.MACAddr]dhcp.Lease),
 		schedChans:   make(map[dot11.Channel]bool),
 	}
+	// One tally across every DHCP client the module spawns.
+	m.cfg.DHCP.Counts = &m.dhcpCounts
 	drv.SetSchedule(cfg.Schedule)
 	for _, s := range cfg.Schedule {
 		if !m.schedChans[s.Channel] {
@@ -392,6 +391,10 @@ func (m *LMM) Config() Config { return m.cfg }
 
 // Stats returns a snapshot of the counters.
 func (m *LMM) Stats() Stats { return m.stats }
+
+// DHCPCounts returns the message counts of every DHCP client the module
+// has spawned, join and renewal alike.
+func (m *LMM) DHCPCounts() dhcp.Counts { return *m.cfg.DHCP.Counts }
 
 // Joins returns the join attempt records collected so far.
 func (m *LMM) Joins() []JoinRecord { return append([]JoinRecord(nil), m.joins...) }

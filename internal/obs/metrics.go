@@ -2,243 +2,25 @@ package obs
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
-// Counter is a monotonically increasing count. A nil counter (resolved
-// from a nil registry) makes every method a no-op, so disabled
-// instrumentation costs one nil check on the hot path.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.v.Add(1)
-}
-
-// Add adds n.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is a last-writer-wins level.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set records the current level.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Value returns the last set level (0 on nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-// histBuckets is the fixed bucket count: bucket i holds observations v
-// with bit-length i, i.e. exponentially widening ranges. 64 covers every
-// non-negative int64.
-const histBuckets = 65
-
-// Histogram accumulates a value distribution in power-of-two buckets —
-// coarse, allocation-free, and mergeable by addition. Observations are
-// one atomic add per call.
-type Histogram struct {
-	count   atomic.Int64
-	sum     atomic.Int64
-	buckets [histBuckets]atomic.Int64
-}
-
-// Observe records one value; negatives clamp to bucket zero.
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	b := 0
-	if v > 0 {
-		b = bits.Len64(uint64(v))
-	}
-	h.buckets[b].Add(1)
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the observation total (0 on nil).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// Buckets returns the non-zero buckets as (bit-length, count) pairs in
-// ascending bucket order.
-func (h *Histogram) Buckets() (idx []int, counts []int64) {
-	if h == nil {
-		return nil, nil
-	}
-	for i := range h.buckets {
-		if c := h.buckets[i].Load(); c > 0 {
-			idx = append(idx, i)
-			counts = append(counts, c)
-		}
-	}
-	return idx, counts
-}
-
-// Registry resolves named instruments. Resolution (construction-time)
-// takes a lock; the returned instruments are lock-free. A nil registry
-// resolves nil instruments, disabling recording with no branches beyond
-// the instruments' own nil checks.
-type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-	}
-}
-
-// Counter returns the named counter, creating it on first resolution.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first resolution.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named histogram, creating it on first resolution.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
-
-// Metric is one snapshot sample.
+// Metric is one sample of a world's counters, read from the count a layer
+// already keeps (phy.Stats, driver.Stats, ipam.Stats, ...) at the moment
+// the snapshot is taken.
 type Metric struct {
 	Name string
-	Type string // "counter", "gauge", or "histogram"
-	// Value is the counter/gauge value, or the histogram count.
+	// Gauge marks a level (pool occupancy); otherwise the value is a
+	// monotonically increasing count.
+	Gauge bool
 	Value int64
-	// Sum is the histogram observation total (histograms only).
-	Sum int64
 }
 
-// Snapshot returns every instrument sorted by (type, name) — a
-// deterministic order suitable for artifact export.
-func (r *Registry) Snapshot() []Metric {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n, c := range r.counters {
-		out = append(out, Metric{Name: n, Type: "counter", Value: c.Value()})
-	}
-	for n, g := range r.gauges {
-		out = append(out, Metric{Name: n, Type: "gauge", Value: g.Value()})
-	}
-	for n, h := range r.hists {
-		out = append(out, Metric{Name: n, Type: "histogram", Value: h.Count(), Sum: h.Sum()})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Type != out[j].Type {
-			return out[i].Type < out[j].Type
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// Render prints the snapshot as stable "type name value [sum]" lines.
-func (r *Registry) Render() string {
-	var b strings.Builder
-	for _, m := range r.Snapshot() {
-		if m.Type == "histogram" {
-			fmt.Fprintf(&b, "%s %s count=%d sum=%d\n", m.Type, m.Name, m.Value, m.Sum)
-			continue
-		}
-		fmt.Fprintf(&b, "%s %s %d\n", m.Type, m.Name, m.Value)
-	}
-	return b.String()
-}
-
-// promName sanitizes a registry instrument name into the Prometheus
-// metric-name alphabet ([a-zA-Z0-9_:]) under the spider_ namespace:
-// dots and dashes — the registry's native separators — become
-// underscores, anything else outside the alphabet does too.
+// promName sanitizes a metric name into the Prometheus metric-name
+// alphabet ([a-zA-Z0-9_:]) under the spider_ namespace: dots and dashes —
+// the native separators — become underscores, anything else outside the
+// alphabet does too.
 func promName(name string) string {
 	var b strings.Builder
 	b.WriteString("spider_")
@@ -256,25 +38,27 @@ func promName(name string) string {
 	return b.String()
 }
 
-// RenderPrometheus prints the snapshot in the Prometheus text exposition
-// format: one `# TYPE` line plus one sample per instrument, counters and
-// gauges verbatim, histograms as the conventional _count/_sum pair.
-// Families render in Snapshot order — sorted by (type, name) — so two
-// renders of the same registry state are byte-identical; /v1/metrics and
+// RenderPrometheus prints the samples in the Prometheus text exposition
+// format: one `# TYPE` line plus one sample per metric, counters before
+// gauges and each group sorted by name, so two renders of the same state
+// are byte-identical whatever order the samples came in; /v1/metrics and
 // its order-pinning test depend on that.
-func (r *Registry) RenderPrometheus() string {
-	var b strings.Builder
-	for _, m := range r.Snapshot() {
-		name := promName(m.Name)
-		switch m.Type {
-		case "histogram":
-			fmt.Fprintf(&b, "# TYPE %s_count counter\n%s_count %d\n", name, name, m.Value)
-			fmt.Fprintf(&b, "# TYPE %s_sum counter\n%s_sum %d\n", name, name, m.Sum)
-		case "gauge":
-			fmt.Fprintf(&b, "# TYPE %s gauge\n%s %d\n", name, name, m.Value)
-		default:
-			fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", name, name, m.Value)
+func RenderPrometheus(ms []Metric) string {
+	ms = append([]Metric(nil), ms...)
+	sort.Slice(ms, func(i, j int) bool {
+		if ms[i].Gauge != ms[j].Gauge {
+			return !ms[i].Gauge
 		}
+		return ms[i].Name < ms[j].Name
+	})
+	var b strings.Builder
+	for _, m := range ms {
+		typ := "counter"
+		if m.Gauge {
+			typ = "gauge"
+		}
+		name := promName(m.Name)
+		fmt.Fprintf(&b, "# TYPE %s %s\n%s %d\n", name, typ, name, m.Value)
 	}
 	return b.String()
 }

@@ -1,20 +1,19 @@
 // Package obs is the structured observability subsystem: a per-client
-// typed event log recorded in simulation time, a lightweight counter/
-// gauge/histogram registry, and the wall-clock seam every telemetry
-// consumer reads through.
+// typed event log and causal span tree recorded in simulation time, the
+// Prometheus rendering of a world's counter snapshot, and the wall-clock
+// seam every telemetry consumer reads through.
 //
 // Three properties make it safe to leave wired into the hot paths:
 //
 //  1. Determinism. Events carry only simulation time — never wall clock —
 //     and export ordered by (sim-time, client ID, sequence), so a given
 //     (seed, scenario) emits a byte-identical stream at any fleet worker
-//     count. Recording appends to slices and draws no randomness, so an
-//     instrumented run computes exactly what an uninstrumented one does.
+//     count. Recording draws no randomness, so an instrumented run
+//     computes exactly what an uninstrumented one does.
 //  2. Near-zero disabled cost. Every entry point is nil-safe: a nil
-//     *ClientLog, *Counter, or *Registry turns the call into a single
-//     pointer test. Components resolve their instruments once at
-//     construction, so hot paths pay one atomic add when recording is
-//     enabled and one nil check when it is not.
+//     *ClientLog or *ActiveSpan turns the call into a single pointer
+//     test. Counts live in the layers' own plain stats and are read when
+//     a snapshot is taken, so the hot paths never pay for metrics.
 //  3. No dependencies. The package imports only the sim kernel and the
 //     standard library, so every layer — phy, driver, dhcp, lmm, chaos,
 //     core, fleet — can thread it without import cycles.
@@ -28,7 +27,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"spider/internal/sim"
@@ -190,53 +188,6 @@ type Event struct {
 
 // WorldClient is the pseudo client ID world-scoped events record under.
 const WorldClient = -1
-
-// csvEscape quotes a field per RFC 4180 when it contains a comma, quote,
-// or line break; embedded quotes double. Plain fields pass through
-// unchanged, so the common all-clean row costs one scan and no copies.
-func csvEscape(b *strings.Builder, field string) {
-	if !strings.ContainsAny(field, ",\"\r\n") {
-		b.WriteString(field)
-		return
-	}
-	b.WriteByte('"')
-	for i := 0; i < len(field); i++ {
-		if field[i] == '"' {
-			b.WriteByte('"')
-		}
-		b.WriteByte(field[i])
-	}
-	b.WriteByte('"')
-}
-
-// appendCSV appends the event as one CSV row matching CSVHeader. The
-// free-form fields (BSSID, Note) are RFC-4180-escaped: a fault cause or
-// outage attribution note may legally contain commas.
-func (e Event) appendCSV(b *strings.Builder) {
-	b.WriteString(strconv.FormatInt(int64(e.At), 10))
-	b.WriteByte(',')
-	b.WriteString(strconv.Itoa(e.Client))
-	b.WriteByte(',')
-	b.WriteString(strconv.FormatUint(e.Seq, 10))
-	b.WriteByte(',')
-	b.WriteString(e.Kind.String())
-	b.WriteByte(',')
-	csvEscape(b, e.BSSID)
-	b.WriteByte(',')
-	if e.Channel != 0 {
-		b.WriteString(strconv.Itoa(e.Channel))
-	}
-	b.WriteByte(',')
-	if e.Value != 0 {
-		b.WriteString(strconv.FormatInt(e.Value, 10))
-	}
-	b.WriteByte(',')
-	csvEscape(b, e.Note)
-	b.WriteByte('\n')
-}
-
-// CSVHeader is the column order of the CSV timeline export.
-const CSVHeader = "t_ns,client,seq,kind,bssid,channel,value,note"
 
 // Summary counts recorded events by kind. Merging summaries is plain
 // addition — commutative and associative — so fold order (and therefore

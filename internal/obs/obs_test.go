@@ -27,19 +27,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil recorder summary not empty")
 	}
 
-	var reg *Registry
-	c := reg.Counter("x")
-	c.Inc()
-	c.Add(5)
-	if c.Value() != 0 {
-		t.Fatalf("nil counter has value")
-	}
-	reg.Gauge("g").Set(7)
-	reg.Histogram("h").Observe(9)
-	if reg.Snapshot() != nil {
-		t.Fatalf("nil registry snapshot non-nil")
-	}
-
 	var col *Collector
 	col.Add("r", []Event{{}})
 	if err := col.WriteJSONL(&bytes.Buffer{}); err != nil {
@@ -112,20 +99,6 @@ func TestJSONLSchemaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCSVExport checks the CSV header/row shape.
-func TestCSVExport(t *testing.T) {
-	rec := NewRecorder()
-	rec.Client(1).Emit(Event{At: 1500, Kind: KindPSMDrain, Value: 3})
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, rec.Events()); err != nil {
-		t.Fatal(err)
-	}
-	want := CSVHeader + "\n1500,1,0,psm-drain,,,3,\n"
-	if buf.String() != want {
-		t.Fatalf("csv mismatch:\n got %q\nwant %q", buf.String(), want)
-	}
-}
-
 // TestCollectorOrderInvariance: export order must depend only on run
 // labels, not Add order — the property that makes fleet export
 // worker-count invariant.
@@ -175,36 +148,37 @@ func TestSummaryMerge(t *testing.T) {
 	}
 }
 
-// TestRegistrySnapshotDeterministic: snapshots sort by (type, name).
+// TestRegistrySnapshotDeterministic: a metric snapshot renders sorted by
+// (type, name), counters before gauges, whatever order its samples
+// arrive in.
 func TestRegistrySnapshotDeterministic(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("z").Add(2)
-	reg.Counter("a").Inc()
-	reg.Gauge("m").Set(-4)
-	h := reg.Histogram("lat")
-	h.Observe(100)
-	h.Observe(3000)
-
-	snap := reg.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("got %d metrics, want 4", len(snap))
+	snap := []Metric{
+		{Name: "z", Value: 2},
+		{Name: "a", Value: 1},
+		{Name: "m", Gauge: true, Value: -4},
 	}
-	wantOrder := []string{"a", "z", "m", "lat"}
-	for i, m := range snap {
-		if m.Name != wantOrder[i] {
-			t.Fatalf("snapshot[%d] = %s, want %s", i, m.Name, wantOrder[i])
+	want := RenderPrometheus(snap)
+	wantOrder := []string{"spider_a 1", "spider_z 2", "spider_m -4"}
+	var samples []string
+	for _, line := range strings.Split(strings.TrimSuffix(want, "\n"), "\n") {
+		if !strings.HasPrefix(line, "# ") {
+			samples = append(samples, line)
 		}
 	}
-	if snap[3].Value != 2 || snap[3].Sum != 3100 {
-		t.Fatalf("histogram sample wrong: %+v", snap[3])
+	if len(samples) != len(wantOrder) {
+		t.Fatalf("got %d samples, want %d:\n%s", len(samples), len(wantOrder), want)
 	}
-	// Same counter name resolves to the same instrument.
-	if reg.Counter("a").Value() != 1 {
-		t.Fatalf("counter identity lost")
+	for i, s := range samples {
+		if s != wantOrder[i] {
+			t.Fatalf("sample[%d] = %q, want %q", i, s, wantOrder[i])
+		}
 	}
-	idx, counts := h.Buckets()
-	if len(idx) != 2 || counts[0] != 1 || counts[1] != 1 {
-		t.Fatalf("histogram buckets: idx=%v counts=%v", idx, counts)
+	perms := [][3]int{{0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	for _, p := range perms {
+		in := []Metric{snap[p[0]], snap[p[1]], snap[p[2]]}
+		if got := RenderPrometheus(in); got != want {
+			t.Fatalf("order %v renders\n%s\nwant\n%s", p, got, want)
+		}
 	}
 }
 

@@ -83,20 +83,17 @@ func (s Span) Open() bool { return s.End == openEnd }
 type ActiveSpan struct {
 	l   *ClientLog
 	idx int
-	// gen is the slot generation the handle was issued against. In
-	// streaming mode, closed slots are recycled; a reused slot bumps its
-	// generation, so a stale handle (kept past its span's close) fails
-	// the check and degrades to the nil-handle no-op path.
+	// gen is the slot generation the handle was issued against. Closed
+	// slots are recycled; a reused slot bumps its generation, so a stale
+	// handle (kept past its span's close) fails the check and degrades to
+	// the nil-handle no-op path.
 	gen uint32
 }
 
 // span returns the underlying record (nil handle → nil; stale handle on
 // a recycled slot → nil).
 func (s *ActiveSpan) span() *Span {
-	if s == nil {
-		return nil
-	}
-	if s.l.spanGen != nil && s.l.spanGen[s.idx] != s.gen {
+	if s == nil || s.l.spanGen[s.idx] != s.gen {
 		return nil
 	}
 	return &s.l.spans[s.idx]
@@ -158,27 +155,25 @@ func (s *ActiveSpan) EndStatus(at sim.Time, status string) {
 }
 
 // spanClosed delivers the just-closed span at idx to span subscribers
-// and, in streaming mode, returns its slot to the free list for reuse.
+// and returns its slot to the free list for reuse.
 func (l *ClientLog) spanClosed(idx int) {
 	for _, fn := range l.r.spanSubs {
 		fn(l.spans[idx])
 	}
-	if !l.r.retain {
-		l.spanFree = append(l.spanFree, idx)
-	}
+	l.spanFree = append(l.spanFree, idx)
 }
 
 // StartChild opens a child span under s. On the nil handle it returns
 // nil, so whole span trees disappear when recording is off. A stale
-// handle (streaming mode, slot recycled) also yields nil: the parent is
-// gone, so the child would dangle.
+// handle (slot recycled) also yields nil: the parent is gone, so the
+// child would dangle.
 func (s *ActiveSpan) StartChild(at sim.Time, name string) *ActiveSpan {
 	sp := s.span()
 	if sp == nil {
 		return nil
 	}
-	// Capture the ID before StartSpan: in streaming mode the allocation
-	// may recycle storage and invalidate sp.
+	// Capture the ID before StartSpan: the allocation may grow or
+	// recycle storage and invalidate sp.
 	pid := sp.ID
 	child := s.l.StartSpan(at, name)
 	if c := child.span(); c != nil {
@@ -201,47 +196,30 @@ func (l *ClientLog) StartSpan(at sim.Time, name string) *ActiveSpan {
 		Start:  at,
 		End:    openEnd,
 	}
-	if !l.r.retain {
-		// Streaming mode: reuse a closed slot when one is free, bumping
-		// its generation so handles on the previous occupant go stale.
-		if n := len(l.spanFree); n > 0 {
-			idx := l.spanFree[n-1]
-			l.spanFree = l.spanFree[:n-1]
-			l.spanGen[idx]++
-			l.spans[idx] = sp
-			return &ActiveSpan{l: l, idx: idx, gen: l.spanGen[idx]}
-		}
-		if len(l.spans) == cap(l.spans) {
-			l.r.regrownSpan++
-		}
-		l.spans = append(l.spans, sp)
-		l.spanGen = append(l.spanGen, 0)
-		return &ActiveSpan{l: l, idx: len(l.spans) - 1}
-	}
-	if len(l.spans) == cap(l.spans) {
-		l.r.regrownSpan++
+	// Reuse a closed slot when one is free, bumping its generation so
+	// handles on the previous occupant go stale.
+	if n := len(l.spanFree); n > 0 {
+		idx := l.spanFree[n-1]
+		l.spanFree = l.spanFree[:n-1]
+		l.spanGen[idx]++
+		l.spans[idx] = sp
+		return &ActiveSpan{l: l, idx: idx, gen: l.spanGen[idx]}
 	}
 	l.spans = append(l.spans, sp)
+	l.spanGen = append(l.spanGen, 0)
 	return &ActiveSpan{l: l, idx: len(l.spans) - 1}
 }
 
-// Spans returns the merged span set ordered by (Start, Client, ID) — the
-// canonical artifact order. Within a client, IDs allocate in creation
-// order, so a parent always sorts at or before its children.
+// Spans returns the retained closed spans ordered by (Start, Client, ID)
+// — the canonical artifact order. Within a client, IDs allocate in
+// creation order, so a parent always sorts at or before its children.
+// Spans still open are not in it until they close (CloseOpenSpans closes
+// them all at the end of a run). Nil on a streaming recorder.
 func (r *Recorder) Spans() []Span {
-	if r == nil || !r.retain {
-		// A streaming recorder's span storage is a recycling arena, not a
-		// timeline — the closed-span stream went to SubscribeSpans.
+	if r == nil || r.kept == nil {
 		return nil
 	}
-	var n int
-	for _, l := range r.logs {
-		n += len(l.spans)
-	}
-	out := make([]Span, 0, n)
-	for _, l := range r.logs {
-		out = append(out, l.spans...)
-	}
+	out := append([]Span(nil), r.kept.spans...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
 			return out[i].Start < out[j].Start

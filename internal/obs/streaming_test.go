@@ -89,67 +89,51 @@ func TestStreamingSpanRecycling(t *testing.T) {
 	ch.End(26)
 	b.End(30)
 
-	// Retained-mode recorders never recycle.
+	// A retaining recorder recycles slots the same way, and still keeps
+	// every closed span.
 	rr := NewRecorder()
 	rl := rr.Client(1)
 	x := rl.StartSpan(0, "x")
 	x.End(1)
-	rl.StartSpan(2, "y")
-	if len(rl.spans) != 2 {
-		t.Fatalf("retained recorder recycled a slot")
+	rl.StartSpan(2, "y").End(3)
+	if len(rl.spans) != 1 {
+		t.Fatalf("retaining recorder did not recycle: %d slots", len(rl.spans))
 	}
-}
-
-// TestReserveRegrowCounter: appends within a reservation are free;
-// outgrowing it is counted so undersized reservations are loud.
-func TestReserveRegrowCounter(t *testing.T) {
-	rec := NewRecorder()
-	rec.Reserve(4, 2)
-	l := rec.Client(0)
-	for i := 0; i < 4; i++ {
-		l.Emit(Event{At: 1, Kind: KindProbe})
-	}
-	l.StartSpan(0, "a")
-	l.StartSpan(0, "b")
-	if ev, sp := rec.Regrown(); ev != 0 || sp != 0 {
-		t.Fatalf("regrow within reservation: ev=%d sp=%d", ev, sp)
-	}
-	l.Emit(Event{At: 2, Kind: KindProbe})
-	l.StartSpan(0, "c")
-	if ev, sp := rec.Regrown(); ev != 1 || sp != 1 {
-		t.Fatalf("overflow not counted: ev=%d sp=%d", ev, sp)
+	if sps := rr.Spans(); len(sps) != 2 || sps[0].Name != "x" || sps[1].Name != "y" {
+		t.Fatalf("retained spans = %+v", sps)
 	}
 }
 
 // TestRenderPrometheusDeterministic pins /v1/metrics' exposition: names
-// sanitized into the spider_ namespace, families sorted, two renders of
-// the same state byte-identical.
+// sanitized into the spider_ namespace, counters before gauges, each
+// group sorted by name whatever the sample order, and two renders of the
+// same samples byte-identical.
 func TestRenderPrometheusDeterministic(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("join.attempts").Add(3)
-	reg.Counter("dhcp-nak").Inc()
-	reg.Gauge("links.live").Set(2)
-	reg.Histogram("join.latency_ns").Observe(1500)
-	reg.Histogram("join.latency_ns").Observe(300)
-
+	samples := []Metric{
+		{Name: "links.live", Gauge: true, Value: 2},
+		{Name: "join.attempts", Value: 3},
+		{Name: "ipam.pool.a-1.used", Gauge: true, Value: -4},
+		{Name: "dhcp-nak", Value: 1},
+	}
 	want := strings.Join([]string{
 		"# TYPE spider_dhcp_nak counter",
 		"spider_dhcp_nak 1",
 		"# TYPE spider_join_attempts counter",
 		"spider_join_attempts 3",
+		"# TYPE spider_ipam_pool_a_1_used gauge",
+		"spider_ipam_pool_a_1_used -4",
 		"# TYPE spider_links_live gauge",
 		"spider_links_live 2",
-		"# TYPE spider_join_latency_ns_count counter",
-		"spider_join_latency_ns_count 2",
-		"# TYPE spider_join_latency_ns_sum counter",
-		"spider_join_latency_ns_sum 1800",
 		"",
 	}, "\n")
-	got := reg.RenderPrometheus()
+	got := RenderPrometheus(samples)
 	if got != want {
 		t.Fatalf("render:\n%s\nwant:\n%s", got, want)
 	}
-	if again := reg.RenderPrometheus(); again != got {
+	if samples[0].Name != "links.live" {
+		t.Fatalf("render reordered its input")
+	}
+	if again := RenderPrometheus(samples); again != got {
 		t.Fatalf("two renders differ")
 	}
 }

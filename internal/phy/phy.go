@@ -22,7 +22,6 @@ import (
 
 	"spider/internal/dot11"
 	"spider/internal/geo"
-	"spider/internal/obs"
 	"spider/internal/sim"
 )
 
@@ -192,18 +191,6 @@ type Medium struct {
 
 	// Recycled transmission jobs: a job returns here when its airtime ends.
 	txFree *txJob
-
-	// Observability counters; nil (no-op) unless SetObs installed a
-	// registry. The per-frame paths count only in the plain stats fields;
-	// PublishObs pushes accumulated deltas into these handles — a dense
-	// minute is ~450k frame-path increments, and paying a lock-prefixed
-	// atomic add for each measurably slows city-scale runs. pub remembers
-	// what was already pushed.
-	obsSent       *obs.Counter
-	obsDelivered  *obs.Counter
-	obsLost       *obs.Counter
-	obsCollisions *obs.Counter
-	pub           struct{ sent, delivered, lost, collisions uint64 }
 }
 
 // NewMedium creates a medium on the given engine. rng must be a dedicated
@@ -215,33 +202,6 @@ func NewMedium(eng *sim.Engine, rng *sim.RNG, params Params) *Medium {
 		params: params.withDefaults(),
 		radios: make(map[*Radio]struct{}),
 	}
-}
-
-// SetObs resolves the medium's counters against reg. A nil reg leaves
-// instrumentation disabled (every counter call is a nil-receiver no-op).
-func (m *Medium) SetObs(reg *obs.Registry) {
-	m.obsSent = reg.Counter("phy.frames_sent")
-	m.obsDelivered = reg.Counter("phy.frames_delivered")
-	m.obsLost = reg.Counter("phy.frames_lost")
-	m.obsCollisions = reg.Counter("phy.collisions")
-}
-
-// PublishObs pushes the medium's frame accounting into its registry
-// counters as deltas since the previous publish. Call on the sim
-// goroutine — core drives it from a coarse ticker for live readers and
-// once at finalize so exported values are exact.
-func (m *Medium) PublishObs() {
-	if m.obsSent == nil {
-		return
-	}
-	m.obsSent.Add(int64(m.stats.FramesSent - m.pub.sent))
-	m.obsDelivered.Add(int64(m.stats.FramesDelivered - m.pub.delivered))
-	m.obsLost.Add(int64(m.stats.FramesLost - m.pub.lost))
-	m.obsCollisions.Add(int64(m.stats.Collisions - m.pub.collisions))
-	m.pub.sent = m.stats.FramesSent
-	m.pub.delivered = m.stats.FramesDelivered
-	m.pub.lost = m.stats.FramesLost
-	m.pub.collisions = m.stats.Collisions
 }
 
 // SetChannelNoise injects an additional per-try loss probability applied

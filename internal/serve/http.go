@@ -415,11 +415,12 @@ func (d *Daemon) handleStatus(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (d *Daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	// Prometheus text exposition, rendered loop-side so the counters are
-	// a quiescent snapshot. Line order is pinned (sorted by type, name)
-	// so two scrapes of the same state are byte-identical.
+	// Prometheus text exposition of the world's counters, read loop-side
+	// so the snapshot is quiescent and exact. Line order is pinned
+	// (counters then gauges, each by name) so two scrapes of the same
+	// state are byte-identical.
 	v, code, err := d.ask(func() (any, error) {
-		return d.srv.Recorder().Metrics().RenderPrometheus(), nil
+		return obs.RenderPrometheus(d.srv.Scenario().Metrics()), nil
 	})
 	if err != nil {
 		writeErr(w, code, err)

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"spider/internal/obs"
 	"spider/internal/sim"
 )
 
@@ -145,10 +148,10 @@ func TestHTTPMetricsPrometheus(t *testing.T) {
 	if !strings.Contains(text, "spider_telemetry_windows_closed") {
 		t.Fatalf("exposition missing telemetry counter:\n%s", text)
 	}
-	// The renderer walks the registry snapshot sorted by (type, name), so
-	// every metric line must carry the prefix and, within each declared
-	// type, names must ascend — the pinned order the scrape-diff tooling
-	// relies on. Histogram expansion (_count/_sum) collapses to its base.
+	// The renderer sorts the snapshot by (type, name), so every metric
+	// line must carry the prefix and, within each declared type, names
+	// must ascend — the pinned order the scrape-diff tooling relies on.
+	// A _count/_sum pair would collapse to its base name.
 	byType := make(map[string][]string)
 	for _, line := range strings.Split(text, "\n") {
 		if !strings.HasPrefix(line, "# TYPE ") {
@@ -175,5 +178,24 @@ func TestHTTPMetricsPrometheus(t *testing.T) {
 		if !sort.StringsAreSorted(names) {
 			t.Fatalf("%s metrics out of order: %v", kind, names)
 		}
+	}
+}
+
+// TestPrometheusExpositionPinned pins the /v1/metrics exposition of the
+// finalized script world against a fixed digest, so a change that moves
+// every scrape the same way cannot pass unnoticed.
+func TestPrometheusExpositionPinned(t *testing.T) {
+	srv, err := Open(t.TempDir(), corridorWorld())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	driveScript(t, srv, testScript(), sim.Time(time.Second), testUntil)
+	srv.Scenario().Finalize()
+	text := obs.RenderPrometheus(srv.Scenario().Metrics())
+	sum := sha256.Sum256([]byte(text))
+	const want = "a73b53a768efedf5c5cd9cce2061f09e71bfab3c9596d1e504ddc19b88267ebd"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("exposition sha256 %s, want %s:\n%s", got, want, text)
 	}
 }

@@ -232,12 +232,16 @@ func (a *Aggregator) FlightSpans() []obs.Span {
 
 // FlightCounters returns the recorder's current accounting. Emissions a
 // chatty policy suppressed at their call sites count as sampled out —
-// they are the same per-client sampling decision, applied earlier.
+// they are the same per-client sampling decision, applied earlier — and
+// are read live from the probe, so the count is exact whenever it is
+// asked for. Call it on the simulation goroutine or a quiescent world.
 func (a *Aggregator) FlightCounters() FlightCounters {
 	if a == nil {
 		return FlightCounters{}
 	}
 	fc := a.fl.counters()
-	fc.EventsSampledOut += a.rec.ChattySuppressed()
+	if a.probe != nil {
+		fc.EventsSampledOut += a.probe().CumSuppressed
+	}
 	return fc
 }

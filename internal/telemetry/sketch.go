@@ -12,10 +12,10 @@ import (
 // each power-of-two octave split into four linear sub-buckets — giving
 // ≤12.5% relative error at any quantile with zero allocation and zero
 // randomness. Two sketches built from the same observations in any order
-// are identical, and merging is element-wise addition, so every rollup
-// export it feeds is byte-identical at any fleet worker count. This is
-// deliberately not a randomized sketch (t-digest, KLL): those trade
-// determinism for tighter error, and determinism is the contract here.
+// are identical, so every rollup export it feeds is byte-identical at any
+// fleet worker count. This is deliberately not a randomized sketch
+// (t-digest, KLL): those trade determinism for tighter error, and
+// determinism is the contract here.
 type Sketch struct {
 	counts [sketchBuckets]int64
 	count  int64
@@ -41,15 +41,6 @@ var sketchUppers = func() [sketchBuckets]float64 {
 	}
 	return u
 }()
-
-// BucketUppers returns the sketch's bucket upper bounds (a copy) —
-// consumers reconstructing quantiles from an exported sparse histogram
-// (tracereport) pair it with stats.QuantileFromBuckets.
-func BucketUppers() []float64 {
-	out := make([]float64, sketchBuckets)
-	copy(out, sketchUppers[:])
-	return out
-}
 
 func bucketOf(v int64) int {
 	if v < 0 {
@@ -88,15 +79,6 @@ func (s *Sketch) Quantile(q float64) float64 {
 		return 0
 	}
 	return v
-}
-
-// Merge adds another sketch's observations into s.
-func (s *Sketch) Merge(o *Sketch) {
-	for i := range s.counts {
-		s.counts[i] += o.counts[i]
-	}
-	s.count += o.count
-	s.sum += o.sum
 }
 
 // Sparse returns the non-empty buckets as (bucket index, count) pairs in

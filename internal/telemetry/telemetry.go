@@ -26,11 +26,8 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"spider/internal/obs"
 	"spider/internal/sim"
@@ -98,6 +95,10 @@ type Probe struct {
 	Channels         []ChannelProbe
 	CumCollisions    int64
 	CumPoolExhausted int64
+	// CumSuppressed counts chatty emissions the recorder's sampling
+	// policy suppressed at their call sites (see Bind); FlightCounters
+	// reports them as sampled out.
+	CumSuppressed int64
 }
 
 // ClientRoll is one client's share of a window.
@@ -159,7 +160,7 @@ type Window struct {
 	Collisions    int64 `json:"collisions,omitempty"`
 	PoolExhausted int64 `json:"pool_exhausted,omitempty"`
 	// JoinHist / RTTHist are the window's quantile sketches in sparse
-	// (bucket, count) form; BucketUppers() recovers the bucket bounds.
+	// (bucket, count) form; QuantileFromSparse reads quantiles back.
 	JoinHist [][2]int64 `json:"join_hist,omitempty"`
 	RTTHist  [][2]int64 `json:"rtt_hist,omitempty"`
 
@@ -237,9 +238,8 @@ type Aggregator struct {
 	fl       flight
 	sloBad   map[string]bool
 	finished bool
-
-	mWindows    *obs.Counter
-	mViolations *obs.Counter
+	// violations counts SLO rules entering violation, over the run.
+	violations int64
 }
 
 // New builds an aggregator; zero-value fields of cfg take the package
@@ -266,8 +266,8 @@ func (a *Aggregator) Window() sim.Time {
 }
 
 // Bind subscribes the aggregator to a recorder's event and span streams
-// and adopts its world log for health emission and its registry for the
-// live counters. Call once, before the run starts.
+// and adopts its world log for health emission. Call once, before the
+// run starts.
 func (a *Aggregator) Bind(rec *obs.Recorder) {
 	if a == nil || rec == nil {
 		return
@@ -284,12 +284,11 @@ func (a *Aggregator) Bind(rec *obs.Recorder) {
 	if rec.Streaming() {
 		rec.SetChattyPolicy(a.fl.sampled)
 	}
-	a.mWindows = rec.Metrics().Counter("telemetry.windows_closed")
-	a.mViolations = rec.Metrics().Counter("telemetry.slo_violations")
 }
 
 // SetProbe registers the cumulative-counter snapshot callback sampled at
-// window closes (core wires the medium and DHCP pools through this).
+// window closes (core wires the medium, DHCP pools and drivers through
+// this). FlightCounters reads it too, for the suppressed-emission count.
 func (a *Aggregator) SetProbe(fn func() Probe) {
 	if a == nil {
 		return
@@ -612,7 +611,7 @@ func (a *Aggregator) closeWindow(idx int64, end sim.Time, withProbe bool) {
 		kind := obs.KindHealthRecovered
 		if bad {
 			kind = obs.KindHealthViolation
-			a.mViolations.Inc()
+			a.violations++
 		}
 		a.rec.Client(obs.WorldClient).Emit(obs.Event{
 			At:    end,
@@ -623,7 +622,6 @@ func (a *Aggregator) closeWindow(idx int64, end sim.Time, withProbe bool) {
 	}
 
 	a.windows = append(a.windows, w)
-	a.mWindows.Inc()
 	if a.cfg.MaxWindows > 0 && len(a.windows) > a.cfg.MaxWindows {
 		drop := len(a.windows) - a.cfg.MaxWindows
 		a.droppedWindows += int64(drop)
@@ -647,6 +645,23 @@ func (a *Aggregator) DroppedWindows() int64 {
 		return 0
 	}
 	return a.droppedWindows
+}
+
+// WindowsClosed returns how many windows have closed, dropped ones
+// included.
+func (a *Aggregator) WindowsClosed() int64 {
+	if a == nil {
+		return 0
+	}
+	return int64(len(a.windows)) + a.droppedWindows
+}
+
+// Violations returns how many times an SLO rule entered violation.
+func (a *Aggregator) Violations() int64 {
+	if a == nil {
+		return 0
+	}
+	return a.violations
 }
 
 // RollupLine is one line of the rollup JSONL export: either a window or
@@ -679,48 +694,4 @@ func (a *Aggregator) WriteJSONL(w io.Writer, run string) error {
 	}
 	fc := a.FlightCounters()
 	return WriteRollupsJSONL(w, run, a.windows, &fc)
-}
-
-// RollupCSVHeader is the column order of the CSV rollup export (scalar
-// window fields only; histograms and breakdowns live in the JSONL form).
-const RollupCSVHeader = "w,start_ns,end_ns,clients,active_clients,goodput_bytes,jain," +
-	"join_starts,join_oks,join_fails,join_p50_ms,join_p95_ms,join_p99_ms," +
-	"rtt_p50_ms,rtt_p95_ms,outage_begins,outage_ns,link_ups,link_downs,handoffs," +
-	"fault_begins,ipam_allocs,ipam_failovers,collisions,pool_exhausted,violations"
-
-// WriteRollupsCSV writes the scalar window series as CSV with header.
-func WriteRollupsCSV(w io.Writer, windows []Window) error {
-	var b strings.Builder
-	b.WriteString(RollupCSVHeader)
-	b.WriteByte('\n')
-	for i := range windows {
-		win := &windows[i]
-		ints := []int64{
-			win.Index, win.StartNS, win.EndNS, int64(win.Clients), int64(win.ActiveClients),
-			win.GoodputBytes,
-		}
-		for _, v := range ints {
-			b.WriteString(strconv.FormatInt(v, 10))
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%.4f,", win.Jain)
-		b.WriteString(strconv.FormatInt(win.JoinStarts, 10))
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatInt(win.JoinOKs, 10))
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatInt(win.JoinFails, 10))
-		b.WriteByte(',')
-		fmt.Fprintf(&b, "%.3f,%.3f,%.3f,%.3f,%.3f,", win.JoinP50MS, win.JoinP95MS, win.JoinP99MS, win.RTTP50MS, win.RTTP95MS)
-		for _, v := range []int64{
-			win.OutageBegins, win.OutageNS, win.LinkUps, win.LinkDowns, win.Handoffs,
-			win.FaultBegins, win.IPAMAllocs, win.IPAMFailovers, win.Collisions, win.PoolExhausted,
-		} {
-			b.WriteString(strconv.FormatInt(v, 10))
-			b.WriteByte(',')
-		}
-		b.WriteString(strings.Join(win.Violations, ";"))
-		b.WriteByte('\n')
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }

@@ -336,10 +336,9 @@ func TestMaxWindows(t *testing.T) {
 	}
 }
 
-// TestExportDeterminism: two identical runs produce byte-identical JSONL
-// and CSV exports.
+// TestExportDeterminism: two identical runs produce byte-identical JSONL.
 func TestExportDeterminism(t *testing.T) {
-	runOnce := func() ([]byte, []byte) {
+	runOnce := func() []byte {
 		a, rec := newBound(t, Config{Window: W, Seed: 3, SLOs: DefaultSLOs(), KeepClients: 0.5})
 		a.SetProbe(func() Probe { return Probe{Clients: 8} })
 		for c := 0; c < 8; c++ {
@@ -351,25 +350,15 @@ func TestExportDeterminism(t *testing.T) {
 		}
 		a.Tick(W)
 		a.Finish(2 * W)
-		var j, c bytes.Buffer
+		var j bytes.Buffer
 		if err := a.WriteJSONL(&j, "run-a"); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteRollupsCSV(&c, a.Windows()); err != nil {
-			t.Fatal(err)
-		}
-		return j.Bytes(), c.Bytes()
+		return j.Bytes()
 	}
-	j1, c1 := runOnce()
-	j2, c2 := runOnce()
+	j1, j2 := runOnce(), runOnce()
 	if !bytes.Equal(j1, j2) {
 		t.Fatalf("JSONL differs:\n%s\nvs\n%s", j1, j2)
-	}
-	if !bytes.Equal(c1, c2) {
-		t.Fatalf("CSV differs")
-	}
-	if !strings.HasPrefix(string(c1), RollupCSVHeader+"\n") {
-		t.Fatalf("CSV header missing")
 	}
 	// The JSONL must parse back and carry the flight accounting line.
 	lines := strings.Split(strings.TrimSpace(string(j1)), "\n")
