@@ -9,7 +9,6 @@
 //	spider-bench -run chaos -events out.jsonl -pprof localhost:6060
 //	spider-bench -run population -spans spans.jsonl   (analyze with spider-trace)
 //	spider-bench -run chaos -rollups rollups.jsonl    (analyze with spider-trace -rollups)
-//	spider-bench -run none -benchgate BENCH_population.json
 //	spider-bench -run none -teloverhead results/telemetry-overhead.txt
 //
 // Each experiment is deterministic in -seed. -scale in (0,1] trades
@@ -41,11 +40,11 @@ import (
 	"time"
 
 	"spider/internal/atomicwrite"
-	"spider/internal/benchgate"
 	"spider/internal/core"
 	"spider/internal/experiments"
 	"spider/internal/fleet"
 	"spider/internal/obs"
+	"spider/internal/stats"
 	"spider/internal/telemetry"
 )
 
@@ -176,10 +175,6 @@ func main() {
 		workers  = flag.Int("workers", runtime.NumCPU(), "parallel simulation workers (1 = fully sequential)")
 		progress = flag.Bool("progress", false, "report fleet progress (jobs, cache, ETA) on stderr")
 		timings  = flag.String("timings", "", "write machine-readable per-experiment timings JSON to this file")
-		popjson  = flag.String("popjson", "", "benchmark the population ladder (1/8/64 classic rungs, a 32-client ipam-enabled rung, and dense-stagger 256/1024 city-scale rungs) and write goodput, ns/op, and allocs JSON to this file")
-		gate     = flag.String("benchgate", "", "re-measure the population benchmark and exit non-zero if it regressed past -benchgate-threshold vs this baseline JSON (at default -seed/-scale, gates against the baseline's own workload)")
-		gateThr  = flag.Float64("benchgate-threshold", 0.15, "relative regression tolerated by -benchgate (0.15 = 15%)")
-		allocThr = flag.Float64("benchgate-alloc-threshold", benchgate.DefaultAllocThreshold, "stricter relative growth tolerated for the deterministic allocation metrics (0.05 = 5%)")
 		events   = flag.String("events", "", "record every simulation run's structured event stream and write merged JSONL to this file")
 		spansOut = flag.String("spans", "", "record every simulation run's causal spans and write merged JSONL to this file (analyze with spider-trace)")
 		pprofSrv = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the duration of the run")
@@ -241,7 +236,7 @@ func main() {
 	if *progress {
 		onEvent = progressPrinter()
 	}
-	pool := fleet.New(fleet.Config{Workers: *workers, Retries: 1, OnEvent: onEvent})
+	pool := fleet.New(fleet.Config{Workers: *workers, OnEvent: onEvent})
 	defer pool.Close()
 
 	// One collector shared by every experiment: each run files its event
@@ -429,24 +424,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "# timings written to %s\n", *timings)
 	}
-	if *popjson != "" && gotSig == nil {
-		if err := writePopulationBench(*popjson, *seed, *scale); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "# population bench written to %s\n", *popjson)
-	}
-	if *gate != "" && gotSig == nil {
-		report, ok, err := runBenchGate(*gate, *seed, *scale, *gateThr, *allocThr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Print(report)
-		if !ok {
-			os.Exit(1)
-		}
-	}
 	if gotSig != nil {
 		fmt.Fprintf(os.Stderr, "# interrupted by %v: %d experiment(s) flushed, %d skipped\n",
 			gotSig, len(records), skipped)
@@ -462,93 +439,6 @@ func main() {
 	}
 }
 
-// measurePopulation runs the population benchmark ladder inline (no
-// fleet: one run per rung, timed alone) and samples each rung's goodput,
-// wall time, and allocation counts — the measurement behind both -popjson
-// (record a baseline) and -benchgate (compare against one). Each rung
-// reports the minimum over a few trials: the simulation is deterministic,
-// so the minimum is the least-noise estimate of its true cost and keeps
-// scheduler jitter from tripping the regression gate.
-// The 32-client rung swaps in the production IPAM plan (shared pool
-// hierarchy, backup failover, sim-time lease GC) under the same radio
-// workload, so address-management cost regressions gate independently of
-// the plain data-path rungs. The 256 and 1024 rungs use the dense-stagger
-// city-scale scenario (the classic 1.5 s spacing would leave most of the
-// population off the road) and run a single trial — at that size the run
-// is long enough that scheduler jitter is a rounding error. Rungs match
-// by client count and benchgate ignores rungs present in only one file,
-// so older baselines that predate a rung still compare cleanly.
-func measurePopulation(seed int64, scale float64) benchgate.File {
-	o := experiments.Options{Seed: seed, Scale: scale}
-	out := benchgate.File{Seed: seed, Scale: scale, GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	rungs := []struct {
-		n         int
-		trials    int
-		scenario  func(experiments.Options, int) (core.WorldConfig, []core.ClientConfig)
-		telemetry bool
-	}{
-		{1, 3, experiments.PopulationScenario, false},
-		{8, 3, experiments.PopulationScenario, false},
-		{32, 3, experiments.PopulationIPAMScenario, false},
-		{64, 3, experiments.PopulationScenario, false},
-		{256, 1, experiments.PopulationDenseScenario, false},
-		// The 512 rung runs the dense scenario with the full telemetry
-		// plane attached (streaming recorder, rollups, flight recorder,
-		// SLO evaluation), so telemetry-path cost regressions gate
-		// independently of the bare data-path rungs. Matched by client
-		// count like every other rung — 512 is unique to this arm.
-		{512, 1, experiments.PopulationDenseScenario, true},
-		{1024, 1, experiments.PopulationDenseScenario, false},
-	}
-	for _, rung := range rungs {
-		n := rung.n
-		var rec benchgate.Record
-		for trial := 0; trial < rung.trials; trial++ {
-			world, clients := rung.scenario(o, n)
-			if rung.telemetry {
-				world.Telemetry = telemetry.New(telemetry.Config{Seed: seed, SLOs: telemetry.DefaultSLOs()})
-			}
-			runtime.GC()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			start := time.Now()
-			p := core.RunPopulation(world, clients)
-			wall := time.Since(start)
-			runtime.ReadMemStats(&after)
-			sample := benchgate.Record{
-				Clients:       n,
-				Telemetry:     rung.telemetry,
-				AggregateKBps: p.AggregateKBps,
-				JainFairness:  p.JainFairness,
-				WallNS:        wall.Nanoseconds(),
-				NSPerClient:   wall.Nanoseconds() / int64(n),
-				Allocs:        after.Mallocs - before.Mallocs,
-				AllocBytes:    after.TotalAlloc - before.TotalAlloc,
-			}
-			if trial == 0 || sample.WallNS < rec.WallNS {
-				rec.WallNS, rec.NSPerClient = sample.WallNS, sample.NSPerClient
-			}
-			if trial == 0 || sample.Allocs < rec.Allocs {
-				rec.Allocs, rec.AllocBytes = sample.Allocs, sample.AllocBytes
-			}
-			rec.Clients = sample.Clients
-			rec.Telemetry = sample.Telemetry
-			rec.AggregateKBps = sample.AggregateKBps
-			rec.JainFairness = sample.JainFairness
-		}
-		rec.AllocsPerClient = rec.Allocs / uint64(n)
-		fmt.Fprintf(os.Stderr, "# population bench: clients=%-4d wall=%v allocs=%d (%d/client)\n",
-			n, time.Duration(rec.WallNS).Round(time.Millisecond), rec.Allocs, rec.AllocsPerClient)
-		out.Records = append(out.Records, rec)
-	}
-	return out
-}
-
-// writePopulationBench records a fresh population baseline file.
-func writePopulationBench(path string, seed int64, scale float64) error {
-	return writeJSON(path, measurePopulation(seed, scale))
-}
-
 // writeJSON writes v as indented JSON through writeArtifact.
 func writeJSON(path string, v any) error {
 	body, err := json.MarshalIndent(v, "", "  ")
@@ -559,29 +449,6 @@ func writeJSON(path string, v any) error {
 		_, err := w.Write(append(body, '\n'))
 		return err
 	})
-}
-
-// runBenchGate measures the population rungs fresh, compares them against
-// the committed baseline, and returns the rendered verdict plus whether
-// the gate passed. Wall-time comparisons only mean something on hardware
-// comparable to the baseline's; CI re-records its baseline on the same
-// machine before gating.
-func runBenchGate(baselinePath string, seed int64, scale float64, threshold, allocThreshold float64) (string, bool, error) {
-	baseline, err := benchgate.Load(baselinePath)
-	if err != nil {
-		return "", false, err
-	}
-	// Gate against the baseline's own workload: a -scale mismatch would
-	// otherwise just error out in Compare.
-	if seed == 1 && scale == 1.0 {
-		seed, scale = baseline.Seed, baseline.Scale
-	}
-	current := measurePopulation(seed, scale)
-	regs, err := benchgate.Compare(baseline, current, threshold, allocThreshold)
-	if err != nil {
-		return "", false, err
-	}
-	return benchgate.Report(baseline, current, regs, threshold, allocThreshold), len(regs) == 0, nil
 }
 
 // writeArtifact atomically writes one export to path, creating its
@@ -634,6 +501,9 @@ const abPairs = 16
 // do not (the same binary measured 1% and 14% on consecutive min-of-3
 // attempts). CPU time is reported next to wall because it is immune to
 // involuntary scheduling gaps and so tends to be the steadier of the two.
+// Under the sums, the report spreads out the per-pair wall overheads
+// (minimum, quartiles, maximum) and counts the pairs the on arm lost, so
+// a reader can tell a consistent cost from a few noisy pairs.
 func writeOverhead(path, title string, budget float64, off, on abArm) error {
 	cpuNow := func() time.Duration {
 		var ru syscall.Rusage
@@ -649,7 +519,7 @@ func writeOverhead(path, title string, budget float64, off, on abArm) error {
 	}
 	var tot [2]sums
 	arms := [2]abArm{off, on}
-	timed := func(i int) {
+	timed := func(i int) time.Duration {
 		run := arms[i].prepare()
 		runtime.GC()
 		var before, after runtime.MemStats
@@ -657,19 +527,28 @@ func writeOverhead(path, title string, budget float64, off, on abArm) error {
 		c0 := cpuNow()
 		start := time.Now()
 		tot[i].note = run()
-		tot[i].wall += time.Since(start)
+		wall := time.Since(start)
+		tot[i].wall += wall
 		tot[i].cpu += cpuNow() - c0
 		runtime.ReadMemStats(&after)
 		tot[i].alloc += after.TotalAlloc - before.TotalAlloc
-	}
-	off.prepare()()
-	on.prepare()()
-	for i := 0; i < abPairs; i++ {
-		first := 1 - i%2 // on leads the even pairs
-		timed(first)
-		timed(1 - first)
+		return wall
 	}
 	pct := func(o, n float64) float64 { return (n - o) / o * 100 }
+	off.prepare()()
+	on.prepare()()
+	pairs := make([]float64, abPairs)
+	slower := 0
+	for i := range pairs {
+		first := 1 - i%2 // on leads the even pairs
+		var wall [2]time.Duration
+		wall[first] = timed(first)
+		wall[1-first] = timed(1 - first)
+		pairs[i] = pct(float64(wall[0]), float64(wall[1]))
+		if wall[1] > wall[0] {
+			slower++
+		}
+	}
 	overhead := pct(float64(tot[0].wall), float64(tot[1].wall))
 
 	var b strings.Builder
@@ -681,6 +560,9 @@ func writeOverhead(path, title string, budget float64, off, on abArm) error {
 	}
 	fmt.Fprintf(&b, "overhead: %+.2f%% wall, %+.2f%% cpu, %+.1f%% allocated bytes\n", overhead,
 		pct(float64(tot[0].cpu), float64(tot[1].cpu)), pct(float64(tot[0].alloc), float64(tot[1].alloc)))
+	q := func(p float64) float64 { return stats.Percentile(pairs, p) }
+	fmt.Fprintf(&b, "per-pair wall overhead: min %+.2f%%, q1 %+.2f%%, median %+.2f%%, q3 %+.2f%%, max %+.2f%%; %s slower in %d of %d pairs\n",
+		q(0), q(0.25), q(0.5), q(0.75), q(1), on.label, slower, abPairs)
 	if tot[1].note != "" {
 		b.WriteString(tot[1].note + "\n")
 	}

@@ -158,8 +158,9 @@ type APOverrides struct {
 	// LeaseSecs overrides the advertised DHCP lease duration; short
 	// leases force the LMM's mid-encounter renewal path.
 	LeaseSecs uint32
-	// DHCPPoolSize overrides the per-AP DHCP address pool size. Small
-	// pools put population runs under genuine lease pressure.
+	// DHCPPoolSize overrides the size of each AP's private pool in the
+	// legacy address plan; an explicit WorldConfig.IPAM plan ignores it.
+	// Small pools put population runs under genuine lease pressure.
 	DHCPPoolSize int
 	// DisableLeaseExpiry turns off the server-side lease expiry sweep, so
 	// a vanished client's address is never reclaimed — the pre-ipam

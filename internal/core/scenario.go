@@ -473,9 +473,6 @@ func (s *Scenario) buildWorld() {
 		if cfg.AP.LeaseSecs > 0 {
 			apCfg.DHCP.LeaseSecs = cfg.AP.LeaseSecs
 		}
-		if cfg.AP.DHCPPoolSize > 0 {
-			apCfg.DHCP.PoolSize = cfg.AP.DHCPPoolSize
-		}
 		if site.DHCPDead {
 			// The server exists but never answers inside any client's
 			// acquisition window.

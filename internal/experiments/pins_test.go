@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"spider/internal/core"
@@ -76,6 +77,38 @@ func TestPinnedDenseTelemetry(t *testing.T) {
 		}
 		if got := sha(b.Bytes()); got != tc.want {
 			t.Errorf("n=%d: sha256 %s, want %s", tc.clients, got, tc.want)
+		}
+	}
+}
+
+// TestPinnedPopulationLadder pins every rung of the population ladder at
+// seed 1, scale 0.05: the classic corridor at 1, 8 and 64 clients, the
+// shared-IPAM plan at 32, the dense stagger at 256 and 1024, and the dense
+// stagger with the telemetry plane attached at 512. Each digest covers the
+// rung's whole core.PopulationResult, per-client results included.
+func TestPinnedPopulationLadder(t *testing.T) {
+	for _, tc := range []struct {
+		clients   int
+		scenario  func(Options, int) (core.WorldConfig, []core.ClientConfig)
+		telemetry bool
+		want      string
+	}{
+		{1, PopulationScenario, false, "3c3ef3cf7899aa8b161fe311c03bcd7d26d17d5e094e4f674b996bfbbc8ee99b"},
+		{8, PopulationScenario, false, "f67eff4c8c6a2e0a739d016d93fd5477abda065ff9f35429d926aa1dd1e4b73a"},
+		{32, PopulationIPAMScenario, false, "c57d512485f656066926b4d8b5e789300021a43eee4f4bdda20f52270116b5ed"},
+		{64, PopulationScenario, false, "d24b0b91d20992118b9bb1a054567eefb40d59a78cdf21559e48b366a84f78e1"},
+		{256, PopulationDenseScenario, false, "759404670a0bbd43ca4cbadbe2ed1c2ffc62d8acacc248601adabbc895e5684b"},
+		{512, PopulationDenseScenario, true, "07f05b3813736f66fcd4aabe1beb768656be2abb292b91f53558db6afae57682"},
+		{1024, PopulationDenseScenario, false, "676b2f11ec322f99a56e9901f8fcc1a44bfad701fb037cdbdd7f89ac43fb3bdf"},
+	} {
+		world, clients := tc.scenario(Options{Seed: 1, Scale: 0.05}, tc.clients)
+		if tc.telemetry {
+			world.Telemetry = telemetry.New(telemetry.Config{Seed: 1, SLOs: telemetry.DefaultSLOs()})
+		}
+		p := core.RunPopulation(world, clients)
+		if got := sha([]byte(fmt.Sprintf("%+v", p))); got != tc.want {
+			t.Errorf("n=%d: aggregate %g KB/s, jain %g: sha256 %s, want %s",
+				tc.clients, p.AggregateKBps, p.JainFairness, got, tc.want)
 		}
 	}
 }

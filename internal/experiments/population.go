@@ -83,9 +83,9 @@ func populationClients(n int, route mobility.Model) []core.ClientConfig {
 
 // PopulationScenario returns one rung of the population study — the world
 // and N staggered clients at the options' duration — for callers that
-// need to execute a rung directly (the spider-bench -popjson harness and
-// the benchmark suite). Running it through core.RunPopulation reproduces
-// the study's numbers for that rung exactly.
+// need to execute a rung directly (the ladder pin and the benchmark
+// suite). Running it through core.RunPopulation reproduces the study's
+// numbers for that rung exactly.
 func PopulationScenario(o Options, n int) (core.WorldConfig, []core.ClientConfig) {
 	d := o.dur(sim.Time(5*time.Minute), sim.Time(60*time.Second))
 	world, route := populationWorld(o.seed(), d)
@@ -115,15 +115,15 @@ func PopulationDenseScenario(o Options, n int) (core.WorldConfig, []core.ClientC
 // plan swapped in for the legacy per-AP pools: every corridor AP joins
 // one "corridor" group — a primary pool carved from a /26 CIDR with an
 // ordered backup and a one-address per-AP reserve — and leases expire at
-// sim time. The radio workload is identical to PopulationScenario, so a
-// benchgate rung built on this isolates the cost of the full ipam data
-// path (hierarchy lookup, failover, reserve carving, expiry sweeps).
+// sim time. The radio workload is identical to PopulationScenario, so the
+// ladder's 32-client rung built on this adds the full ipam data path
+// (hierarchy lookup, failover, reserve carving, expiry sweeps) and
+// nothing else.
 func PopulationIPAMScenario(o Options, n int) (core.WorldConfig, []core.ClientConfig) {
 	world, clients := PopulationScenario(o, n)
 	for i := range world.Sites {
 		world.Sites[i].Segment = "corridor"
 	}
-	world.AP.DHCPPoolSize = 0
 	world.IPAM = &ipam.Config{
 		Pools: []ipam.PoolSpec{
 			{Name: "corridor-primary", CIDR: ipnet.MustParsePrefix("172.20.0.0/26")},

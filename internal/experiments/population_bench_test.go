@@ -10,9 +10,9 @@ import (
 // Population benchmarks: the classic 64-client rung plus the
 // dense-stagger city-scale rungs. CI runs the dense rungs under
 // -benchmem and captures a heap profile from the 1024-client rung
-// (-memprofile); allocs/op here is the same number the benchgate ladder
-// publishes in BENCH_population.json, so a local -bench run reproduces
-// the gate's cost metric directly.
+// (-memprofile) as artifacts to read, not to gate on: perfbench is the
+// cross-commit timer, and TestPinnedPopulationLadder pins each rung's
+// output.
 func BenchmarkPopulation(b *testing.B) {
 	o := Options{Seed: 1, Scale: 0.05}
 	b.ReportAllocs()

@@ -40,8 +40,9 @@ func TestPopulationWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestPopulationScenarioMatchesStudy: executing one rung directly (the
-// -popjson benchmark path) reproduces the study's numbers for that rung.
+// TestPopulationScenarioMatchesStudy: executing one rung directly (as the
+// ladder pin and the benchmarks do) reproduces the study's numbers for
+// that rung.
 func TestPopulationScenarioMatchesStudy(t *testing.T) {
 	o := Options{Seed: 1, Scale: 0.02}
 	study := PopulationStudy(o)

@@ -8,9 +8,12 @@
 //  2. Results are merged in canonical submission order regardless of
 //     completion order, so rendered output is byte-identical to a
 //     sequential run.
-//  3. A panicking job is isolated: the panic is captured with its stack,
-//     optionally retried, and reported as a typed per-job error, so one
-//     diverging scenario cannot kill a 200-job sweep.
+//  3. A panicking job is isolated: the panic is captured with its stack
+//     and reported as a typed per-job error, so one diverging scenario
+//     cannot kill a 200-job sweep. It is not retried: a job is a pure
+//     function of its inputs, so a second run panics again, and a retry
+//     that succeeded would hide exactly the nondeterminism the
+//     worker-invariance tests exist to catch.
 //
 // A content-keyed single-flight cache (see cache.go) memoizes expensive
 // shared computations such as the town study, and a telemetry layer (see
@@ -32,9 +35,6 @@ import (
 type Config struct {
 	// Workers bounds concurrent job execution; <=0 means runtime.NumCPU().
 	Workers int
-	// Retries is how many times a panicking job is re-run before it is
-	// marked failed. Plain (non-panic) job errors are never retried.
-	Retries int
 	// OnEvent, when non-nil, receives telemetry for every job lifecycle
 	// transition. Callbacks are serialized and must be fast.
 	OnEvent func(Event)
@@ -64,18 +64,16 @@ type JobResult struct {
 	Value    any
 	Err      *JobError
 	Wall     time.Duration
-	Attempts int
 	CacheHit bool
 }
 
 // JobError is the typed failure report for a single job.
 type JobError struct {
-	ID       string
-	Index    int
-	Attempts int
+	ID    string
+	Index int
 	// Panic holds the recovered panic value when the job panicked.
 	Panic any
-	// Stack is the goroutine stack at the final panic.
+	// Stack is the goroutine stack at the panic.
 	Stack string
 	// Err holds a plain job error or a cancellation error.
 	Err error
@@ -84,7 +82,7 @@ type JobError struct {
 func (e *JobError) Error() string {
 	switch {
 	case e.Panic != nil:
-		return fmt.Sprintf("fleet: job %q (index %d) panicked after %d attempt(s): %v", e.ID, e.Index, e.Attempts, e.Panic)
+		return fmt.Sprintf("fleet: job %q (index %d) panicked: %v", e.ID, e.Index, e.Panic)
 	case e.Err != nil:
 		return fmt.Sprintf("fleet: job %q (index %d): %v", e.ID, e.Index, e.Err)
 	default:
@@ -247,54 +245,31 @@ func (p *Pool) exec(t *task) {
 	}
 	p.noteStarted(t)
 	start := p.clock.Now()
-	var res JobResult
+	var (
+		value any
+		err   error
+		hit   bool
+	)
 	if t.job.Key != "" {
-		value, err, hit := p.cacheDo(t.group, t.job.Key, func() (any, error) {
-			v, _, jerr := p.attempt(t)
-			if jerr != nil {
-				return nil, jerr
-			}
-			return v, nil
-		})
-		res = JobResult{ID: t.job.ID, Value: value, Attempts: 1, CacheHit: hit}
-		if err != nil {
-			if je, ok := err.(*JobError); ok {
-				// Re-home the cached failure to this job's slot.
-				res.Err = &JobError{ID: t.job.ID, Index: t.idx, Attempts: je.Attempts, Panic: je.Panic, Stack: je.Stack, Err: je.Err}
-				res.Attempts = je.Attempts
-			} else {
-				res.Err = &JobError{ID: t.job.ID, Index: t.idx, Attempts: 1, Err: err}
-			}
+		// A failed keyed computation is cached like a result, so every
+		// job sharing the key replays the same failure.
+		value, err, hit = p.cacheDo(t.group, t.job.Key, t.job.Run)
+	} else {
+		value, err = safeRun(t.job.Run)
+	}
+	res := JobResult{ID: t.job.ID, CacheHit: hit}
+	if err != nil {
+		res.Err = &JobError{ID: t.job.ID, Index: t.idx}
+		if pe, ok := err.(*panicError); ok {
+			res.Err.Panic, res.Err.Stack = pe.value, pe.stack
+		} else {
+			res.Err.Err = err
 		}
 	} else {
-		value, attempts, jerr := p.attempt(t)
-		res = JobResult{ID: t.job.ID, Value: value, Attempts: attempts, Err: jerr}
+		res.Value = value
 	}
 	res.Wall = p.clock.Since(start)
 	p.finishTask(t, res, start)
-}
-
-// attempt runs the job with panic isolation, retrying panics up to
-// cfg.Retries times.
-func (p *Pool) attempt(t *task) (value any, attempts int, jerr *JobError) {
-	for a := 0; a <= p.cfg.Retries; a++ {
-		attempts = a + 1
-		var err error
-		value, err = safeRun(t.job.Run)
-		if err == nil {
-			return value, attempts, nil
-		}
-		pe, panicked := err.(*panicError)
-		if !panicked {
-			return nil, attempts, &JobError{ID: t.job.ID, Index: t.idx, Attempts: attempts, Err: err}
-		}
-		if a < p.cfg.Retries {
-			p.event(Event{Type: JobRetried, Job: t.job.ID, Group: t.group.name, Err: err})
-			continue
-		}
-		return nil, attempts, &JobError{ID: t.job.ID, Index: t.idx, Attempts: attempts, Panic: pe.value, Stack: pe.stack}
-	}
-	return nil, attempts, &JobError{ID: t.job.ID, Index: t.idx, Attempts: attempts}
 }
 
 // panicError carries a recovered panic across the safeRun boundary.

@@ -97,34 +97,19 @@ func TestSingleWorkerRunsSequentially(t *testing.T) {
 	}
 }
 
-// TestPanicRetrySucceeds: a job that panics once and then succeeds is
-// transparently retried.
-func TestPanicRetrySucceeds(t *testing.T) {
-	p := New(Config{Workers: 2, Retries: 1})
+// TestPanicExhaustsRetries: a panicking job runs exactly once — a job is
+// a pure function of its inputs, so there is nothing a retry could fix —
+// and becomes a typed JobError carrying the panic value and stack, inside
+// a SweepError, while the healthy job's result survives.
+func TestPanicExhaustsRetries(t *testing.T) {
+	p := New(Config{Workers: 2})
 	defer p.Close()
 	var calls int32
-	res, err := p.Map(context.Background(), []Job{{ID: "flaky", Run: func() (any, error) {
-		if atomic.AddInt32(&calls, 1) == 1 {
-			panic("transient divergence")
-		}
-		return "ok", nil
-	}}})
-	if err != nil {
-		t.Fatalf("retried job reported error: %v", err)
-	}
-	if res[0].Value != "ok" || res[0].Attempts != 2 {
-		t.Errorf("got value=%v attempts=%d, want ok/2", res[0].Value, res[0].Attempts)
-	}
-}
-
-// TestPanicExhaustsRetries: a persistently panicking job becomes a typed
-// JobError carrying the panic value and stack, inside a SweepError, while
-// the healthy job's result survives.
-func TestPanicExhaustsRetries(t *testing.T) {
-	p := New(Config{Workers: 2, Retries: 2})
-	defer p.Close()
 	res, err := p.Map(context.Background(), []Job{
-		{ID: "doomed", Run: func() (any, error) { panic("unstable scenario") }},
+		{ID: "doomed", Run: func() (any, error) {
+			atomic.AddInt32(&calls, 1)
+			panic("unstable scenario")
+		}},
 		{ID: "fine", Run: func() (any, error) { return 42, nil }},
 	})
 	var sweep *SweepError
@@ -134,9 +119,12 @@ func TestPanicExhaustsRetries(t *testing.T) {
 	if sweep.Total != 2 || len(sweep.Failed) != 1 {
 		t.Errorf("sweep reports %d/%d failed, want 1/2", len(sweep.Failed), sweep.Total)
 	}
+	if got := atomic.LoadInt32(&calls); got != 1 {
+		t.Errorf("panicking job ran %d times, want 1", got)
+	}
 	je := res[0].Err
-	if je == nil || je.Panic != "unstable scenario" || je.Attempts != 3 {
-		t.Errorf("job error %+v, want panic after 3 attempts", je)
+	if je == nil || je.Panic != "unstable scenario" || je.Err != nil {
+		t.Errorf("job error %+v, want the panic value and no plain error", je)
 	}
 	if je != nil && !strings.Contains(je.Stack, "fleet") {
 		t.Errorf("stack not captured: %q", je.Stack)
@@ -146,10 +134,10 @@ func TestPanicExhaustsRetries(t *testing.T) {
 	}
 }
 
-// TestPlainErrorNotRetried: only panics are retried; a job returning an
-// ordinary error fails immediately.
+// TestPlainErrorNotRetried: a job returning an ordinary error runs once
+// and its error is preserved in the job's slot.
 func TestPlainErrorNotRetried(t *testing.T) {
-	p := New(Config{Workers: 1, Retries: 5})
+	p := New(Config{Workers: 1})
 	defer p.Close()
 	var calls int32
 	boom := errors.New("boom")
@@ -161,9 +149,9 @@ func TestPlainErrorNotRetried(t *testing.T) {
 		t.Fatal("expected sweep error")
 	}
 	if got := atomic.LoadInt32(&calls); got != 1 {
-		t.Errorf("plain error retried %d times", got)
+		t.Errorf("plain error ran %d times, want 1", got)
 	}
-	if !errors.Is(res[0].Err, boom) {
+	if !errors.Is(res[0].Err, boom) || res[0].Err.Panic != nil {
 		t.Errorf("error not preserved: %v", res[0].Err)
 	}
 }
@@ -197,6 +185,35 @@ func TestCacheSingleFlight(t *testing.T) {
 	}
 	if p.CacheLen() != 2 {
 		t.Errorf("cache holds %d keys, want 2", p.CacheLen())
+	}
+}
+
+// TestKeyedPanicReplaysToEverySlot: keyed jobs sharing a key whose
+// computation panics compute once, and every job's slot carries the panic
+// under its own ID and index.
+func TestKeyedPanicReplaysToEverySlot(t *testing.T) {
+	p := New(Config{Workers: 1})
+	defer p.Close()
+	var calls int32
+	run := func() (any, error) {
+		atomic.AddInt32(&calls, 1)
+		panic("bad town")
+	}
+	res, err := p.Map(context.Background(), []Job{
+		{ID: "a", Key: "town|seed=1", Run: run},
+		{ID: "b", Key: "town|seed=1", Run: run},
+	})
+	if err == nil {
+		t.Fatal("expected sweep error")
+	}
+	if got := atomic.LoadInt32(&calls); got != 1 {
+		t.Errorf("keyed computation ran %d times, want 1", got)
+	}
+	for i, id := range []string{"a", "b"} {
+		je := res[i].Err
+		if je == nil || je.ID != id || je.Index != i || je.Panic != "bad town" || je.Stack == "" {
+			t.Errorf("slot %d: error %+v, want job %q's panic with its stack", i, je, id)
+		}
 	}
 }
 

@@ -17,10 +17,8 @@ const (
 	JobStarted
 	// JobDone fires when a job completes successfully.
 	JobDone
-	// JobFailed fires when a job exhausts its retries or is canceled.
+	// JobFailed fires when a job panics, returns an error, or is canceled.
 	JobFailed
-	// JobRetried fires when a panicking job is about to be re-run.
-	JobRetried
 	// CacheHit fires when a keyed computation is served from the cache.
 	CacheHit
 	// CacheMiss fires when a keyed computation must be computed.
@@ -37,8 +35,6 @@ func (t EventType) String() string {
 		return "done"
 	case JobFailed:
 		return "failed"
-	case JobRetried:
-		return "retried"
 	case CacheHit:
 		return "cache-hit"
 	case CacheMiss:
@@ -56,7 +52,7 @@ type Event struct {
 	Group string
 	// Wall is the job's wall time (JobDone/JobFailed only).
 	Wall time.Duration
-	// Err is the failure being reported (JobFailed/JobRetried only).
+	// Err is the failure being reported (JobFailed only).
 	Err   error
 	Stats Stats
 }
