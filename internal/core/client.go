@@ -65,6 +65,10 @@ type Client struct {
 	// (0 = unpaced).
 	allocPol  *alloc.Policy
 	allocPace float64
+
+	// linkSeconds[k] counts the once-a-second samples that saw exactly k
+	// links up.
+	linkSeconds []int
 }
 
 func newClient(s *Scenario, cfg ClientConfig) *Client {
@@ -72,7 +76,7 @@ func newClient(s *Scenario, cfg ClientConfig) *Client {
 		linkSpans: make(map[*lmm.Link]*obs.ActiveSpan)}
 	c.series = stats.NewTimeSeries(statsBucket)
 	c.res = Result{ClientID: cfg.ID, Preset: cfg.Preset, Seed: s.cfg.Seed,
-		Duration: s.cfg.Duration, LinkSeconds: map[int]int{}}
+		Duration: s.cfg.Duration}
 	return c
 }
 
@@ -173,8 +177,8 @@ func (c *Client) build(rng *sim.RNG) {
 	// Outage accounting: an outage opens when this client's last live
 	// link drops and closes at its next established link — per-client
 	// state, so one client's outage never bleeds into another's record.
-	// The LMM resets the dying conn before notifying, so ActiveLinks is
-	// already post-drop here.
+	// The LMM resets the dying conn before notifying, so its link count
+	// is already post-drop here.
 	baseUp, baseDown := manager.OnLinkUp, manager.OnLinkDown
 	manager.OnLinkUp = func(l *lmm.Link) {
 		// Event payloads render BSSIDs; the Enabled guards keep the
@@ -234,7 +238,7 @@ func (c *Client) build(rng *sim.RNG) {
 		if baseDown != nil {
 			baseDown(l)
 		}
-		if c.outageStart < 0 && len(manager.ActiveLinks()) == 0 {
+		if c.outageStart < 0 && manager.NumActiveLinks() == 0 {
 			c.outageStart = eng.Now()
 			cause := c.classifyOutage(l)
 			if c.events.Enabled() {
@@ -309,9 +313,11 @@ func (c *Client) build(rng *sim.RNG) {
 		})
 	}
 
-	// Sample concurrent-link counts once a second (Section 4.4).
+	// Sample concurrent-link counts once a second (Section 4.4); finalize
+	// turns the tally into Result.LinkSeconds.
+	c.linkSeconds = make([]int, len(c.drv.VIFs())+1)
 	eng.Ticker(statsBucket, func() {
-		c.res.LinkSeconds[len(manager.ActiveLinks())]++
+		c.linkSeconds[manager.NumActiveLinks()]++
 	})
 }
 
@@ -499,6 +505,12 @@ func (c *Client) finalize() Result {
 		res.Chaos.Add(inj.Stats())
 	}
 	res.Medium = s.medium.Stats()
+	res.LinkSeconds = map[int]int{}
+	for k, secs := range c.linkSeconds {
+		if secs > 0 {
+			res.LinkSeconds[k] = secs
+		}
+	}
 	if c.manager == nil {
 		// Stack never built (StartOffset beyond the run): an all-zero
 		// result with only world-level counters.

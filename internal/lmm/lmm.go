@@ -301,6 +301,7 @@ type LMM struct {
 	cfg Config
 
 	conns        []*conn
+	up           int // conns in connUp: goUp counts them in, reset out
 	inUse        map[dot11.MACAddr]bool
 	utility      map[dot11.MACAddr]*utilState
 	backoffUntil map[dot11.MACAddr]sim.Time
@@ -398,6 +399,10 @@ func (m *LMM) DHCPCounts() dhcp.Counts { return *m.cfg.DHCP.Counts }
 
 // Joins returns the join attempt records collected so far.
 func (m *LMM) Joins() []JoinRecord { return append([]JoinRecord(nil), m.joins...) }
+
+// NumActiveLinks returns how many links are established: len(ActiveLinks())
+// without building the list.
+func (m *LMM) NumActiveLinks() int { return m.up }
 
 // ActiveLinks returns all currently established links.
 func (m *LMM) ActiveLinks() []*Link {
@@ -912,7 +917,7 @@ func (c *conn) finishJoin(stage JoinStage) {
 		m.globalBackoff = m.eng.Now() + m.cfg.FailureBackoff
 	}
 	c.reset()
-	if m.cfg.ParkOnConnect && len(m.ActiveLinks()) == 0 {
+	if m.cfg.ParkOnConnect && m.up == 0 {
 		m.drv.SetSchedule(m.cfg.Schedule)
 	}
 }
@@ -950,6 +955,7 @@ func (c *conn) goUp() {
 	m.scoreJoin(c.bssid, StageComplete)
 	delete(m.blacklist, c.bssid) // success forgives the failure streak
 	c.state = connUp
+	m.up++
 	c.pingFails = 0
 	c.link = &Link{
 		VIF:   c.vif,
@@ -984,7 +990,7 @@ func (c *conn) down(notify bool) {
 	c.pingPending = nil
 	m.backoffUntil[c.bssid] = m.eng.Now() + m.cfg.FailureBackoff
 	c.reset()
-	if m.cfg.ParkOnConnect && len(m.ActiveLinks()) == 0 {
+	if m.cfg.ParkOnConnect && m.up == 0 {
 		// All links gone: resume the configured scan rotation.
 		m.drv.SetSchedule(m.cfg.Schedule)
 	}
@@ -1032,6 +1038,9 @@ func (c *conn) reset() {
 	c.vif.OnJoinResult = nil
 	c.vif.OnPacket = nil
 	c.vif.Disassociate()
+	if c.state == connUp {
+		m.up--
+	}
 	c.state = connIdle
 	c.bssid = dot11.MACAddr{}
 	c.link = nil

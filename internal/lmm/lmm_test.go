@@ -535,3 +535,86 @@ func TestRecoveryAfterAPCrashReboot(t *testing.T) {
 		t.Fatal("recovered link not active")
 	}
 }
+
+// TestNumActiveLinksMatchesActiveLinks holds the link count to the list it
+// stands in for across every way a link comes and goes: joins, a
+// ping-timeout drop, an alloc-steer teardown, a schedule change that
+// aborts a live link and a join in flight, and Close. The hooks check at
+// each transition and a 10 ms ticker checks in between.
+func TestNumActiveLinksMatchesActiveLinks(t *testing.T) {
+	r := newRig(t, Config{Schedule: ch1Sched(), PingFailLimit: 10, FailureBackoff: time.Second})
+	check := func(when string) {
+		t.Helper()
+		if got, want := r.m.NumActiveLinks(), len(r.m.ActiveLinks()); got != want {
+			t.Fatalf("%s at %v: NumActiveLinks = %d, len(ActiveLinks) = %d", when, r.eng.Now(), got, want)
+		}
+	}
+	causes := map[string]int{}
+	r.m.OnLinkUp = func(l *Link) { r.ups = append(r.ups, l); check("link up") }
+	r.m.OnLinkDown = func(l *Link) { causes[l.DownCause]++; check("link down (" + l.DownCause + ")") }
+	r.eng.Ticker(10*time.Millisecond, func() { check("tick") })
+	inFlight := func() bool {
+		for _, c := range r.m.conns {
+			if c.state != connIdle && c.state != connUp {
+				return true
+			}
+		}
+		return false
+	}
+
+	a := r.addAP(dot11.Channel1, 1, true)
+	r.addAP(dot11.Channel1, 2, true)
+	r.run(15 * time.Second)
+	if n := r.m.NumActiveLinks(); n != 2 {
+		t.Fatalf("links up after the joins = %d, want 2", n)
+	}
+
+	a.Close()
+	r.run(10 * time.Second)
+	if causes["ping-timeout"] != 1 {
+		t.Fatalf("down causes after the AP died = %v, want one ping-timeout", causes)
+	}
+
+	// Pin an AP that is not on air yet: once it shows up, steering tears
+	// the other link down.
+	r.m.SetAllocTarget(dot11.MAC(1003))
+	r.run(time.Second)
+	target := r.addAP(dot11.Channel1, 3, true)
+	r.run(10 * time.Second)
+	if causes["alloc-steer"] == 0 || !r.m.inUse[target.BSSID()] {
+		t.Fatalf("steer to %v: down causes %v, target in use %v", target.BSSID(), causes, r.m.inUse[target.BSSID()])
+	}
+	r.m.SetAllocTarget(dot11.MACAddr{})
+
+	// A zombie AP never answers association, so joins to it stay in flight
+	// for the 2 s join window.
+	zcfg := ap.DefaultConfig("zombie", dot11.Channel1, ipnet.AddrFrom4(10, 9, 0, 1))
+	zcfg.MgmtDelayMin, zcfg.MgmtDelayMax = 10*time.Second, 11*time.Second
+	ap.New(r.eng, sim.NewRNG(309), r.medium, geo.Point{X: 20}, dot11.MAC(2009), zcfg, nil)
+	for i := 0; !inFlight(); i++ {
+		if i == 300 {
+			t.Fatal("no join in flight within 30 s")
+		}
+		r.run(100 * time.Millisecond)
+	}
+	if r.m.NumActiveLinks() == 0 {
+		t.Fatal("no live link to abort")
+	}
+	r.m.SetSchedule([]driver.Slot{{Channel: dot11.Channel6}})
+	check("SetSchedule")
+	if r.m.NumActiveLinks() != 0 || inFlight() || causes["schedule-change"] == 0 {
+		t.Fatalf("after the schedule change: %d links, in flight %v, down causes %v",
+			r.m.NumActiveLinks(), inFlight(), causes)
+	}
+
+	r.m.SetSchedule(ch1Sched())
+	r.run(15 * time.Second)
+	if r.m.NumActiveLinks() == 0 {
+		t.Fatal("no link came back on channel 1")
+	}
+	r.m.Close()
+	check("Close")
+	if r.m.NumActiveLinks() != 0 {
+		t.Fatalf("links up after Close = %d", r.m.NumActiveLinks())
+	}
+}

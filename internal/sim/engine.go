@@ -10,10 +10,13 @@
 // The scheduler is a hierarchical timer wheel over pooled event nodes: far
 // events cost O(1) to insert and sit in coarse slots until the clock nears
 // them; due events drain into a small (at, seq)-ordered batch heap that
-// reproduces the exact total order of a global binary heap. City-scale runs
-// schedule tens of millions of events, so nodes are recycled through a
-// free list and fire-and-forget callers can schedule a Runnable without
-// allocating a handle or a closure.
+// reproduces the exact total order of a global binary heap. Tickers bypass
+// the wheel: each period has a FIFO lane, which stays sorted because every
+// arm lands at now+period with a fresh sequence number, and the fire loop
+// merges the earliest lane head with the batch head by (at, seq).
+// City-scale runs schedule tens of millions of events, so nodes are
+// recycled through a free list and fire-and-forget callers can schedule a
+// Runnable without allocating a handle or a closure.
 package sim
 
 import (
@@ -53,23 +56,31 @@ const (
 	levelBatch    = -1 // in the due-batch heap; node.index is the heap slot
 	levelOverflow = -2 // on the overflow list (beyond the wheel horizon)
 	levelFree     = -3 // on the free list
+	levelLane     = -4 // on a ticker lane; node.index is the lane index
+	levelFiring   = -5 // a ticker's node while its tick runs, on no list
 )
 
+// noLimit is advance's limit when no lane holds a node.
+const noLimit = ^uint64(0)
+
 // node is a pooled scheduler entry. It lives on exactly one of: a wheel
-// slot's doubly-linked list, the overflow list, the batch heap, or the free
-// list. Nodes are recycled after firing or cancellation; the public *Event
-// handle is detached first, so stale handles can never reach a recycled node.
+// slot's doubly-linked list, the overflow list, the batch heap, a ticker
+// lane, or the free list. Nodes are recycled after firing or cancellation;
+// the public *Event handle is detached first, so stale handles can never
+// reach a recycled node. A ticker keeps one node for its whole life. The
+// small fields are packed so a node stays 80 bytes.
 type node struct {
 	at    Time
 	seq   uint64
 	fn    func()
 	r     Runnable
 	ev    *Event // back-pointer to the handle, nil for fire-and-forget
+	wake  Time   // a ticker's ticks skip its callback while now < wake
 	next  *node
 	prev  *node
-	level int32 // wheel level, or a placement marker above
-	slot  int32 // wheel slot index within level
-	index int32 // batch heap index while level == levelBatch
+	index int32 // batch heap index (levelBatch), or lane index (levelLane)
+	level int8  // wheel level, or a placement marker above
+	slot  uint8 // wheel slot index within level
 }
 
 // Event is a handle to a scheduled callback. It may be cancelled until it
@@ -106,8 +117,16 @@ type Engine struct {
 	levels      [numLevels][wheelSlots]*node
 	occ         [numLevels]uint64 // per-level slot occupancy bitmask
 
-	batch    []*node // min-heap on (at, seq): the only totally ordered region
-	overflow *node   // events beyond the wheel horizon, unordered
+	batch       []*node // min-heap on (at, seq): the only totally ordered region
+	overflow    *node   // events beyond the wheel horizon, unordered
+	overflowMin uint64  // lower bound on the overflow list's ticks
+
+	// lanes hold ticker nodes, one FIFO per period, each sorted by
+	// (at, seq). laneMin is the earliest lane head, recomputed after a
+	// head changes (laneStale).
+	lanes     []lane
+	laneMin   *node
+	laneStale bool
 
 	free      *node
 	freeChunk []node // bulk allocation backing the free list
@@ -139,10 +158,10 @@ func (e *Engine) Len() int { return e.pending }
 // at a time t with PeekNext() > t can never split a batch of equal-time
 // events.
 func (e *Engine) PeekNext() (Time, bool) {
-	if len(e.batch) == 0 && !e.advance() {
-		return 0, false
+	if n := e.next(); n != nil {
+		return n.at, true
 	}
-	return e.batch[0].at, true
+	return 0, false
 }
 
 // Schedule runs fn after delay. A negative delay is treated as zero: the
@@ -212,6 +231,9 @@ func (e *Engine) place(n *node) {
 	}
 	level := (bits.Len64(tick^e.currentTick) - 1) / levelBits
 	if level >= numLevels {
+		if e.overflow == nil || tick < e.overflowMin {
+			e.overflowMin = tick
+		}
 		n.level = levelOverflow
 		n.slot = 0
 		n.prev = nil
@@ -222,8 +244,8 @@ func (e *Engine) place(n *node) {
 		e.overflow = n
 		return
 	}
-	slot := int32((tick >> (uint(level) * levelBits)) & slotMask)
-	n.level = int32(level)
+	slot := uint8((tick >> (uint(level) * levelBits)) & slotMask)
+	n.level = int8(level)
 	n.slot = slot
 	n.prev = nil
 	n.next = e.levels[level][slot]
@@ -264,42 +286,63 @@ func (e *Engine) unlink(n *node) {
 	n.next, n.prev = nil, nil
 }
 
-// advance moves the wheel cursor to the next occupied tick and drains that
-// tick's events into the batch heap. It returns false when nothing is
-// scheduled anywhere. It never touches the clock (now), so PeekNext can
-// call it freely.
-func (e *Engine) advance() bool {
-	for {
-		if len(e.batch) > 0 {
-			return true
+// next returns the earliest scheduled node without removing it, or nil when
+// nothing is scheduled: the earlier of the batch head and the earliest lane
+// head. With the batch empty it first advances the wheel, but never past
+// the lane head's tick.
+func (e *Engine) next() *node {
+	l := e.laneHead()
+	if len(e.batch) == 0 {
+		limit := noLimit
+		if l != nil {
+			limit = uint64(l.at) >> tickBits
 		}
-		// Nearest occupied level-0 slot in the current window. Slots at
-		// or below the cursor's own index are empty by construction
-		// (due events go to the batch), so masking from the cursor up
-		// never resurrects a past tick.
-		c0 := e.currentTick & slotMask
-		if m := e.occ[0] &^ ((1 << c0) - 1); m != 0 {
-			s := uint64(bits.TrailingZeros64(m))
-			e.currentTick = (e.currentTick &^ slotMask) | s
-			e.drainSlot(0, int32(s))
-			return true
+		if !e.advance(limit) {
+			return l
 		}
-		if e.cascade() {
-			continue
-		}
-		if e.overflow != nil {
-			e.refillFromOverflow()
-			continue
-		}
-		return false
 	}
+	if b := e.batch[0]; l == nil || nodeLess(b, l) {
+		return b
+	}
+	return l
 }
 
-// cascade scans the higher levels finest-first for the nearest occupied
-// slot, jumps the cursor to that slot's base tick, and redistributes its
-// nodes to finer levels (or the batch, for nodes landing exactly on the
-// new cursor tick).
-func (e *Engine) cascade() bool {
+// advance fills an empty batch with the wheel's next occupied tick and
+// reports whether the batch holds a node. It stops, leaving the cursor
+// where it is, when every wheel node is later than limit (the lane head's
+// tick), so the cursor never runs past a lane head that is due first. It
+// never touches the clock (now), so PeekNext can call it freely.
+func (e *Engine) advance(limit uint64) bool {
+	for len(e.batch) == 0 {
+		level, slot, tick := e.nearestSlot()
+		switch {
+		case level < 0 && e.overflow != nil:
+			if e.overflowMin > limit {
+				return false
+			}
+			e.refillFromOverflow()
+		case level < 0 || tick > limit:
+			return false
+		default:
+			e.currentTick = tick
+			e.drainSlot(level, slot)
+		}
+	}
+	return true
+}
+
+// nearestSlot finds the nearest occupied wheel slot ahead of the cursor,
+// finest level first, and the tick the cursor takes on entering it (the
+// slot's base tick). It returns level -1 when every level is empty.
+// Slots at or below the cursor's own index are empty by construction (due
+// events go to the batch, and the cursor drains each slot it enters), so
+// masking from the cursor up never resurrects a past tick.
+func (e *Engine) nearestSlot() (level int, slot uint8, tick uint64) {
+	c0 := e.currentTick & slotMask
+	if m := e.occ[0] &^ ((1 << c0) - 1); m != 0 {
+		s := uint64(bits.TrailingZeros64(m))
+		return 0, uint8(s), (e.currentTick &^ slotMask) | s
+	}
 	for level := 1; level < numLevels; level++ {
 		shift := uint(level) * levelBits
 		c := (e.currentTick >> shift) & slotMask
@@ -311,18 +354,16 @@ func (e *Engine) cascade() bool {
 		}
 		s := uint64(bits.TrailingZeros64(m))
 		windowMask := uint64(1)<<(shift+levelBits) - 1
-		e.currentTick = (e.currentTick &^ windowMask) | (s << shift)
-		e.drainSlot(level, int32(s))
-		return true
+		return level, uint8(s), (e.currentTick &^ windowMask) | (s << shift)
 	}
-	return false
+	return -1, 0, 0
 }
 
 // drainSlot reinserts every node of a wheel slot relative to the (just
 // moved) cursor. Level-0 drains land entirely in the batch; higher-level
-// drains scatter across finer levels. Intra-slot list order is irrelevant:
-// the batch heap re-establishes the global (at, seq) order.
-func (e *Engine) drainSlot(level int, slot int32) {
+// drains (cascades) scatter across finer levels. Intra-slot list order is
+// irrelevant: the batch heap re-establishes the global (at, seq) order.
+func (e *Engine) drainSlot(level int, slot uint8) {
 	n := e.levels[level][slot]
 	e.levels[level][slot] = nil
 	e.occ[level] &^= 1 << uint(slot)
@@ -348,6 +389,7 @@ func (e *Engine) refillFromOverflow() {
 	e.currentTick = minTick
 	n := e.overflow
 	e.overflow = nil
+	e.overflowMin = noLimit
 	for n != nil {
 		next := n.next
 		n.next, n.prev = nil, nil
@@ -375,14 +417,24 @@ func (e *Engine) Cancel(ev *Event) bool {
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// fireNext pops and executes the earliest due event. The caller has
-// ensured the batch is non-empty; the batch minimum is the global minimum
-// because every wheel node's tick is strictly ahead of the cursor.
-func (e *Engine) fireNext(n *node) {
-	e.batchRemove(0)
+// fire removes n, the node next returned, and executes it. A lane node
+// stays with its ticker, which re-arms it; any other node is recycled
+// before its callback runs.
+func (e *Engine) fire(n *node) {
 	e.now = n.at
 	e.fired++
 	e.pending--
+	if n.level == levelLane {
+		e.laneRemove(n)
+		if e.now < n.wake {
+			e.laneAppend(n) // asleep: the tick only re-arms
+			return
+		}
+		n.level = levelFiring
+		n.r.RunEvent()
+		return
+	}
+	e.batchRemove(0)
 	fn, r := n.fn, n.r
 	if ev := n.ev; ev != nil {
 		ev.n = nil
@@ -402,14 +454,11 @@ func (e *Engine) fireNext(n *node) {
 func (e *Engine) Run(until Time) {
 	e.stopped = false
 	for !e.stopped {
-		if len(e.batch) == 0 && !e.advance() {
+		n := e.next()
+		if n == nil || n.at > until {
 			break
 		}
-		next := e.batch[0]
-		if next.at > until {
-			break
-		}
-		e.fireNext(next)
+		e.fire(n)
 	}
 	if !e.stopped && e.now < until {
 		e.now = until
@@ -422,10 +471,11 @@ func (e *Engine) RunAll() {
 	const backstop = 1 << 34
 	e.stopped = false
 	for !e.stopped {
-		if len(e.batch) == 0 && !e.advance() {
+		n := e.next()
+		if n == nil {
 			break
 		}
-		e.fireNext(e.batch[0])
+		e.fire(n)
 		if e.fired > backstop {
 			panic(fmt.Sprintf("sim: runaway event loop: %d events fired", e.fired))
 		}
@@ -433,10 +483,11 @@ func (e *Engine) RunAll() {
 }
 
 // Ticker invokes fn every period until cancelled via the returned stop
-// function. The first tick fires one period from now. Each tick reuses one
-// pooled node and the single ticker allocated here — re-arming does not
-// allocate, unlike a Schedule chain which would build a handle per tick.
-// It is a GatedTicker that is never put to sleep.
+// function. The first tick fires one period from now. Ticks never enter
+// the timer wheel: each one is appended to its period's lane, and the one
+// pooled node and the single ticker allocated here are reused by every
+// re-arm, so a running ticker allocates nothing. It is a GatedTicker that
+// is never put to sleep.
 func (e *Engine) Ticker(period Time, fn func()) (stop func()) {
 	return e.GatedTicker(period, fn).Stop
 }
@@ -444,9 +495,11 @@ func (e *Engine) Ticker(period Time, fn func()) (stop func()) {
 // GatedTicker is a Ticker whose callback can be put to sleep. While
 // Now() is before the wake time a tick still fires, counts in Fired() and
 // re-arms exactly as an ungated tick would — same time, same sequence
-// number, same place in the event order — it only skips fn. A periodic
-// poll uses it to skip passes it can prove are no-ops without moving the
-// tick grid, so gating never changes a run's event order or outputs.
+// number, same place in its lane and in the event order — it only skips
+// fn. A periodic poll uses it to skip passes it can prove are no-ops
+// without moving the tick grid, so gating never changes a run's event
+// order or outputs. The wake time sits on the ticker's node, so a
+// sleeping tick is one lane pop and one append.
 type GatedTicker struct {
 	job tickerJob
 }
@@ -457,54 +510,141 @@ func (e *Engine) GatedTicker(period Time, fn func()) *GatedTicker {
 	if period <= 0 {
 		panic("sim: Ticker with non-positive period")
 	}
-	g := &GatedTicker{job: tickerJob{e: e, period: period, fn: fn}}
-	g.job.n = e.scheduleNode(e.now+period, nil, &g.job)
+	g := &GatedTicker{job: tickerJob{e: e, fn: fn}}
+	n := e.allocNode()
+	n.r = &g.job
+	n.index = e.laneFor(period)
+	g.job.n = n
+	e.laneAppend(n)
 	return g
 }
 
 // SleepUntil skips fn on every tick before at; Infinity sleeps until the
 // next Wake.
-func (g *GatedTicker) SleepUntil(at Time) { g.job.wake = at }
+func (g *GatedTicker) SleepUntil(at Time) {
+	if n := g.job.n; n != nil {
+		n.wake = at
+	}
+}
 
 // Wake makes the next tick invoke fn again.
-func (g *GatedTicker) Wake() { g.job.wake = 0 }
+func (g *GatedTicker) Wake() { g.SleepUntil(0) }
 
-// WakeAt returns the time before which ticks skip fn; 0 means awake.
-func (g *GatedTicker) WakeAt() Time { return g.job.wake }
+// WakeAt returns the time before which ticks skip fn; 0 means awake or
+// stopped.
+func (g *GatedTicker) WakeAt() Time {
+	if n := g.job.n; n != nil {
+		return n.wake
+	}
+	return 0
+}
 
 // Stop cancels the ticker; no further tick fires.
 func (g *GatedTicker) Stop() { g.job.stop() }
 
+// tickerJob is a ticker's Runnable. The wake time lives on its node, so a
+// sleeping tick re-arms without touching the job.
 type tickerJob struct {
-	e       *Engine
-	period  Time
-	fn      func()
-	n       *node
-	wake    Time // fn is skipped while e.now < wake
-	stopped bool
+	e  *Engine
+	fn func()
+	n  *node // the ticker's node; nil once stopped
 }
 
+// RunEvent runs an awake tick: fn, then the re-arm, which takes its
+// sequence number after everything fn scheduled.
 func (t *tickerJob) RunEvent() {
-	if t.stopped {
+	t.fn()
+	if t.n != nil {
+		t.e.laneAppend(t.n)
+	}
+}
+
+// stop takes the ticker's node off its lane, or, when called from the
+// ticker's own callback, lets RunEvent skip the re-arm.
+func (t *tickerJob) stop() {
+	n := t.n
+	if n == nil {
 		return
 	}
-	t.n = nil // the node that fired us is already recycled
-	if t.e.now >= t.wake {
-		t.fn()
+	t.n = nil
+	if n.level == levelLane {
+		t.e.laneRemove(n)
+		t.e.pending--
 	}
-	if !t.stopped {
-		t.n = t.e.scheduleNode(t.e.now+t.period, nil, t)
-	}
+	t.e.freeNode(n)
 }
 
-func (t *tickerJob) stop() {
-	t.stopped = true
-	if n := t.n; n != nil {
-		t.n = nil
-		t.e.unlink(n)
-		t.e.pending--
-		t.e.freeNode(n)
+// --- ticker lanes: one FIFO of ticker nodes per period ---
+
+// lane is the queue of every armed ticker with one period. Each arm lands
+// at now+period with the next sequence number, and neither ever
+// decreases, so appending at the tail keeps the lane sorted by (at, seq).
+type lane struct {
+	period     Time
+	head, tail *node
+}
+
+// laneFor returns the index of period's lane, adding it on first use.
+// Worlds use a handful of periods, so a scan beats a map.
+func (e *Engine) laneFor(period Time) int32 {
+	for i := range e.lanes {
+		if e.lanes[i].period == period {
+			return int32(i)
+		}
 	}
+	e.lanes = append(e.lanes, lane{period: period})
+	return int32(len(e.lanes) - 1)
+}
+
+// laneAppend arms a ticker node one period from now at its lane's tail.
+func (e *Engine) laneAppend(n *node) {
+	l := &e.lanes[n.index]
+	n.at = e.now + l.period
+	n.seq = e.seq
+	e.seq++
+	e.pending++
+	n.level = levelLane
+	n.next = nil
+	n.prev = l.tail
+	if l.tail != nil {
+		l.tail.next = n
+	} else {
+		l.head = n
+		e.laneStale = true
+	}
+	l.tail = n
+}
+
+// laneRemove unlinks a node from its lane.
+func (e *Engine) laneRemove(n *node) {
+	l := &e.lanes[n.index]
+	if n.prev != nil {
+		n.prev.next = n.next
+	} else {
+		l.head = n.next
+		e.laneStale = true
+	}
+	if n.next != nil {
+		n.next.prev = n.prev
+	} else {
+		l.tail = n.prev
+	}
+	n.next, n.prev = nil, nil
+}
+
+// laneHead returns the earliest lane head, or nil when every lane is empty.
+// The scan costs one comparison per period, whatever the number of tickers.
+func (e *Engine) laneHead() *node {
+	if e.laneStale {
+		e.laneStale = false
+		e.laneMin = nil
+		for i := range e.lanes {
+			if h := e.lanes[i].head; h != nil && (e.laneMin == nil || nodeLess(h, e.laneMin)) {
+				e.laneMin = h
+			}
+		}
+	}
+	return e.laneMin
 }
 
 // --- batch heap: min-heap of nodes ordered by (at, seq) ---
@@ -601,6 +741,7 @@ func (e *Engine) freeNode(n *node) {
 	n.fn = nil
 	n.r = nil
 	n.ev = nil
+	n.wake = 0
 	n.prev = nil
 	n.level = levelFree
 	n.next = e.free

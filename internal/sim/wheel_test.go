@@ -378,6 +378,212 @@ func TestDifferentialGatedTickers(t *testing.T) {
 	}
 }
 
+// lanePeriods spans every lane regime: sub-tick (several ticks per wheel
+// tick), one tick, level-0 and level-1 distances, a repeat (two tickers
+// share a lane), and seconds to minutes.
+var lanePeriods = []Time{
+	7 * time.Microsecond, 40 * time.Microsecond, 1 << tickBits, 3*time.Millisecond + 7,
+	100 * time.Millisecond, 100 * time.Millisecond, time.Second, 2*time.Minute + 3,
+}
+
+// Lane-differential population bounds: tickers alive at once, tickers the
+// callbacks may start per seed, and a log size past which every tick stops
+// its ticker. Ticks die at a fixed rate, so the event count stays small.
+const (
+	maxLiveTickers = 40
+	tickerBudget   = 400
+	maxLaneLog     = 1 << 20
+)
+
+// laneSide is one engine's half of the lane differential. Like gateSide,
+// both halves draw from identically seeded streams, so they start, stop,
+// sleep and schedule alike exactly as long as their callbacks run in the
+// same order.
+type laneSide struct {
+	now     func() Time
+	peek    func() (Time, bool)
+	pending func() int
+	start   func(period Time, fn func()) gate
+	after   func(d Time, fn func())
+	rng     *RNG
+	log     *[]firing
+
+	gates   []gate
+	periods []Time
+	alive   []bool
+	live    int
+	// quiet turns off one-shots, so only lanes hold events.
+	quiet    bool
+	oneShots int
+	// Coverage counters, read from the wheel side only.
+	subTick, minutes, selfStops int
+}
+
+func (s *laneSide) startTicker(period Time) {
+	id := len(s.gates)
+	s.periods = append(s.periods, period)
+	s.alive = append(s.alive, true)
+	s.live++
+	s.gates = append(s.gates, s.start(period, func() { s.tick(id) }))
+}
+
+func (s *laneSide) stop(id int) {
+	if s.alive[id] {
+		s.alive[id] = false
+		s.live--
+	}
+	s.gates[id].Stop()
+}
+
+func (s *laneSide) canStart() bool { return s.live < maxLiveTickers && len(s.gates) < tickerBudget }
+
+func (s *laneSide) randomPeriod() Time { return lanePeriods[s.rng.Intn(len(lanePeriods))] }
+
+// tick is every ticker's callback. A tick stops its own ticker one time in
+// sixteen, and a sub-tick ticker's one time in eight more, so no ticker
+// floods a long stretch.
+func (s *laneSide) tick(id int) {
+	*s.log = append(*s.log, firing{s.now(), 2_000_000 + id})
+	p := s.periods[id]
+	if p < 1<<tickBits {
+		s.subTick++
+	}
+	if p >= time.Minute {
+		s.minutes++
+	}
+	if len(*s.log) > maxLaneLog || s.rng.Intn(16) == 0 || (p < 1<<tickBits && s.rng.Intn(8) == 0) {
+		s.stop(id) // inside its own callback
+		s.selfStops++
+		return
+	}
+	switch s.rng.Intn(24) {
+	case 0:
+		if s.canStart() {
+			s.startTicker(s.randomPeriod())
+		}
+	case 1:
+		// Several tickers of one period, started at the same instant.
+		p := s.randomPeriod()
+		for k := 0; k < 3 && s.canStart(); k++ {
+			s.startTicker(p)
+		}
+	case 2:
+		if !s.quiet {
+			s.oneShot(Time(s.rng.Intn(int(300 * time.Millisecond))))
+		}
+	case 3:
+		s.stop(s.rng.Intn(len(s.gates)))
+	case 4:
+		s.gates[s.rng.Intn(len(s.gates))].SleepUntil(s.now() + Time(s.rng.Intn(int(time.Second))))
+	case 5:
+		// The queue as seen from inside a callback, where the running
+		// ticker is not pending.
+		at, ok := s.peek()
+		if !ok {
+			at = -1
+		}
+		*s.log = append(*s.log, firing{at, -1}, firing{Time(s.pending()), -2})
+	}
+}
+
+// oneShot schedules a plain event that may start a ticker when it fires.
+func (s *laneSide) oneShot(d Time) {
+	id := s.oneShots
+	s.oneShots++
+	s.after(d, func() {
+		*s.log = append(*s.log, firing{s.now(), 3_000_000 + id})
+		if s.rng.Intn(3) == 0 {
+			s.startTicker(s.randomPeriod())
+		}
+	})
+}
+
+// wheelIdle reports whether the wheel, batch and overflow hold nothing,
+// so that every pending event sits on a lane.
+func wheelIdle(e *Engine) bool {
+	return len(e.batch) == 0 && e.overflow == nil && e.occ == [numLevels]uint64{}
+}
+
+// TestDifferentialLanes drives tickers on the lanes and on the reference
+// semantics through the same random starts (from outside Run, from
+// callbacks, from one-shot events, several of one period at once), stops
+// (including from a ticker's own callback) and sleeps, over periods from
+// sub-tick to minutes. Busy rounds mix in plain events; quiet stretches
+// leave the wheel empty for minutes while only lanes fire, then schedule
+// near-future events, which must land in order behind the caught-up
+// cursor. The traces, clocks, Fired, Pending and PeekNext must agree at
+// every barrier.
+func TestDifferentialLanes(t *testing.T) {
+	var subTick, minutes, selfStops, idleStretches int
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			rig := newDiffRig()
+			w := &laneSide{now: rig.wheel.Now, peek: rig.wheel.PeekNext, pending: rig.wheel.Pending,
+				start: func(p Time, fn func()) gate { return rig.wheel.GatedTicker(p, fn) },
+				after: func(d Time, fn func()) { rig.wheel.Schedule(d, fn) },
+				rng:   NewRNG(seed).Stream("lanes"), log: &rig.wheelLog}
+			h := &laneSide{now: rig.heap.Now, peek: rig.heap.PeekNext, pending: rig.heap.Pending,
+				start: func(p Time, fn func()) gate { return newRefTicker(rig.heap, p, fn) },
+				after: func(d Time, fn func()) { rig.heap.Schedule(d, fn) },
+				rng:   NewRNG(seed).Stream("lanes"), log: &rig.heapLog}
+			both := func(f func(s *laneSide)) { f(w); f(h) }
+			rng := NewRNG(seed).Stream("driver")
+			for round := 0; round < 60; round++ {
+				quiet := round%10 == 9
+				both(func(s *laneSide) { s.quiet = quiet })
+				// Tickers started from outside Run; a quiet stretch also
+				// gets a minute-period one, which likely outlives it.
+				p := lanePeriods[rng.Intn(len(lanePeriods))]
+				for k := rng.Intn(3); k >= 0; k-- {
+					both(func(s *laneSide) { s.startTicker(p) })
+				}
+				if quiet {
+					both(func(s *laneSide) { s.startTicker(lanePeriods[len(lanePeriods)-1]) })
+				}
+				span := Time(rng.Intn(int(2 * time.Second)))
+				if quiet {
+					span = Time(1+rng.Intn(5)) * time.Minute
+				} else {
+					for i := 0; i < 5; i++ {
+						at := rig.wheel.Now() + Time(rng.Intn(int(500*time.Millisecond)))
+						rig.scheduleAt(at)
+					}
+				}
+				until := rig.wheel.Now() + span
+				rig.wheel.Run(until)
+				rig.heap.Run(until)
+				rig.check(t)
+				if quiet && rig.wheel.Pending() > 0 && wheelIdle(rig.wheel) {
+					idleStretches++
+				}
+				// Near-future plain events right after a stretch.
+				for i := 0; i < 3; i++ {
+					rig.scheduleAt(rig.wheel.Now() + Time(rng.Intn(int(5*time.Millisecond))))
+				}
+			}
+			for id := range w.gates {
+				both(func(s *laneSide) { s.stop(id) })
+			}
+			rig.check(t)
+			rig.wheel.RunAll()
+			rig.heap.RunAll()
+			rig.check(t)
+			if n := rig.wheel.Pending(); n != 0 {
+				t.Fatalf("%d events pending after every ticker stopped", n)
+			}
+			subTick += w.subTick
+			minutes += w.minutes
+			selfStops += w.selfStops
+		})
+	}
+	t.Logf("%d sub-tick ticks, %d minute-period ticks, %d self-stops, %d idle-wheel stretches",
+		subTick, minutes, selfStops, idleStretches)
+	if subTick == 0 || minutes == 0 || selfStops == 0 || idleStretches == 0 {
+		t.Fatalf("coverage: %d sub-tick ticks, %d minute-period ticks, %d self-stops, %d idle-wheel stretches",
+			subTick, minutes, selfStops, idleStretches)
+	}
+}
+
 // TestTickerZeroAllocSteadyState pins the pooling contract: once warm, a
 // ticker re-arms and fires without allocating.
 func TestTickerZeroAllocSteadyState(t *testing.T) {
