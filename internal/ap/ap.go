@@ -8,6 +8,10 @@
 // PSM. If the client is away on another channel when a join response is
 // transmitted, the response is lost and the client must retransmit — this
 // is why fractional channel schedules depress join success.
+//
+// Data frames carry their IP packet as a value (dot11.Frame.Packet). The AP
+// routes on the packet's fields, holds packet values in its power-save
+// buffers and backhaul queues, and serializes nothing.
 package ap
 
 import (
@@ -19,7 +23,6 @@ import (
 	"spider/internal/geo"
 	"spider/internal/ipam"
 	"spider/internal/ipnet"
-	"spider/internal/mempool"
 	"spider/internal/phy"
 	"spider/internal/sim"
 )
@@ -139,10 +142,6 @@ type AP struct {
 	decOutstanding func(bool)
 	// mgmtFree pools the deferred management-response jobs.
 	mgmtFree *mgmtJob
-	// bodies backs downlink data-frame payloads. The medium hands them to
-	// receivers without copying; arena bytes are never reused, so
-	// aliasing is safe.
-	bodies mempool.ByteArena
 
 	stats Stats
 }
@@ -364,7 +363,9 @@ func (a *AP) mgmtDelay() sim.Time {
 	return a.rng.UniformDuration(a.cfg.MgmtDelayMin, a.cfg.MgmtDelayMax+1)
 }
 
-func (a *AP) onFrame(f dot11.Frame, info phy.RxInfo) {
+// onFrame handles a received frame, which is the medium's and valid only
+// for the call.
+func (a *AP) onFrame(f *dot11.Frame, info phy.RxInfo) {
 	if a.crashed {
 		return
 	}
@@ -511,29 +512,23 @@ func (a *AP) flush(st *station) {
 }
 
 // handleData processes an uplink data frame from an associated station.
-func (a *AP) handleData(f dot11.Frame) {
+func (a *AP) handleData(f *dot11.Frame) {
 	st := a.stations[f.Addr2]
 	if st == nil || !st.assoc {
 		return // not associated: a real AP would deauth; the client re-joins
 	}
-	pkt, err := ipnet.Decode(f.Body)
-	if err != nil {
-		return
-	}
+	pkt := &f.Packet
 	// DHCP traffic terminates at the AP.
-	if pkt.Proto == ipnet.ProtoUDP {
-		if udp, err := ipnet.DecodeUDP(pkt.Payload); err == nil && udp.DstPort == ipnet.PortDHCPServer {
-			a.handleDHCP(st.mac, udp.Payload)
-			return
-		}
+	if pkt.Proto == ipnet.ProtoUDP && pkt.UDP.DstPort == ipnet.PortDHCPServer {
+		a.handleDHCP(st.mac, pkt.UDP.Payload)
+		return
 	}
 	// Gateway-addressed ICMP answers locally.
 	if pkt.Dst == a.cfg.Gateway && pkt.Proto == ipnet.ProtoICMP {
-		if echo, err := ipnet.DecodeEcho(pkt.Payload); err == nil && echo.Type == ipnet.ICMPEchoRequest {
+		if pkt.Echo.Type == ipnet.ICMPEchoRequest {
 			a.stats.PingsAnswered++
-			reply := ipnet.EchoReplyPacket(pkt, echo)
 			// Liveness replies are join-class traffic: never PSM-buffered.
-			a.transmitDown(st.mac, reply)
+			a.transmitDown(st.mac, ipnet.EchoReplyPacket(*pkt))
 		}
 		return
 	}
@@ -543,7 +538,7 @@ func (a *AP) handleData(f dot11.Frame) {
 		a.stats.WANBlocked++
 		return
 	}
-	a.up.Send(pkt)
+	a.up.Send(*pkt)
 }
 
 func (a *AP) handleDHCP(mac dot11.MACAddr, payload []byte) {
@@ -561,10 +556,10 @@ func (a *AP) handleDHCP(mac dot11.MACAddr, payload []byte) {
 				st.hasLease = true
 			}
 		}
-		u := ipnet.UDP{SrcPort: ipnet.PortDHCPServer, DstPort: ipnet.PortDHCPClient, Payload: resp.Bytes()}
 		pkt := ipnet.Packet{
 			Proto: ipnet.ProtoUDP, TTL: ipnet.DefaultTTL,
-			Src: a.cfg.Gateway, Dst: resp.YourIP, Payload: u.AppendTo(nil),
+			Src: a.cfg.Gateway, Dst: resp.YourIP,
+			UDP: ipnet.UDP{SrcPort: ipnet.PortDHCPServer, DstPort: ipnet.PortDHCPClient, Payload: resp.Bytes()},
 		}
 		// DHCP responses are join traffic: transmitted immediately, lost
 		// if the client is off-channel (the paper's key constraint).
@@ -604,11 +599,11 @@ func (a *AP) fromWire(p ipnet.Packet) {
 // transmitDown wraps an IP packet in a data frame to the station.
 func (a *AP) transmitDown(mac dot11.MACAddr, p ipnet.Packet) {
 	a.sendFrame(dot11.Frame{
-		Type:  dot11.TypeData,
-		Addr1: mac,
-		Addr3: a.BSSID(),
-		Seq:   a.radio.NextSeq(),
-		Body:  p.AppendTo(a.bodies.Take(p.WireLen())),
+		Type:   dot11.TypeData,
+		Addr1:  mac,
+		Addr3:  a.BSSID(),
+		Seq:    a.radio.NextSeq(),
+		Packet: p,
 	}, nil)
 }
 

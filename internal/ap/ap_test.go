@@ -47,7 +47,7 @@ func (w *world) newClient(mac dot11.MACAddr) *client {
 	c := &client{}
 	c.radio = w.medium.NewRadio(mac, func() geo.Point { return geo.Point{X: 10} })
 	c.radio.SetChannel(dot11.Channel6, nil)
-	c.radio.SetReceiver(func(f dot11.Frame, _ phy.RxInfo) { c.got = append(c.got, f) })
+	c.radio.SetReceiver(func(f *dot11.Frame, _ phy.RxInfo) { c.got = append(c.got, *f) })
 	// Let the channel switch (hardware reset) complete before the test
 	// transmits anything.
 	w.eng.Run(w.eng.Now() + 10*time.Millisecond)
@@ -96,22 +96,17 @@ func (c *client) dhcpJoin(w *world, t *testing.T) ipnet.Addr {
 
 func (c *client) sendDHCP(w *world, m dhcp.Message) {
 	u := ipnet.UDP{SrcPort: ipnet.PortDHCPClient, DstPort: ipnet.PortDHCPServer, Payload: m.Bytes()}
-	pkt := ipnet.Packet{Proto: ipnet.ProtoUDP, TTL: 64, Src: ipnet.Unspecified, Dst: ipnet.BroadcastAddr, Payload: u.AppendTo(nil)}
-	c.send(dot11.Frame{Type: dot11.TypeData, Addr1: w.ap.BSSID(), Addr3: w.ap.BSSID(), Body: pkt.Bytes()})
+	pkt := ipnet.Packet{Proto: ipnet.ProtoUDP, TTL: 64, Src: ipnet.Unspecified, Dst: ipnet.BroadcastAddr, UDP: u}
+	c.send(dot11.Frame{Type: dot11.TypeData, Addr1: w.ap.BSSID(), Addr3: w.ap.BSSID(), Packet: pkt})
 }
 
 func (c *client) findDHCP(t *testing.T, want dhcp.MessageType) dhcp.Message {
 	t.Helper()
 	for _, f := range c.frames(dot11.TypeData) {
-		pkt, err := ipnet.Decode(f.Body)
-		if err != nil || pkt.Proto != ipnet.ProtoUDP {
+		if f.Packet.Proto != ipnet.ProtoUDP || f.Packet.UDP.DstPort != ipnet.PortDHCPClient {
 			continue
 		}
-		u, err := ipnet.DecodeUDP(pkt.Payload)
-		if err != nil || u.DstPort != ipnet.PortDHCPClient {
-			continue
-		}
-		m, err := dhcp.DecodeMessage(u.Payload)
+		m, err := dhcp.DecodeMessage(f.Packet.UDP.Payload)
 		if err == nil && m.Type == want {
 			return m
 		}
@@ -234,16 +229,11 @@ func TestGatewayPing(t *testing.T) {
 	c := w.newClient(dot11.MAC(1))
 	ip := c.dhcpJoin(w, t)
 	ping := ipnet.EchoRequestPacket(ip, gw, 1, 1)
-	c.send(dot11.Frame{Type: dot11.TypeData, Addr1: w.ap.BSSID(), Addr3: w.ap.BSSID(), Body: ping.Bytes()})
+	c.send(dot11.Frame{Type: dot11.TypeData, Addr1: w.ap.BSSID(), Addr3: w.ap.BSSID(), Packet: ping})
 	w.eng.Run(w.eng.Now() + 100*time.Millisecond)
 	found := false
 	for _, f := range c.frames(dot11.TypeData) {
-		pkt, err := ipnet.Decode(f.Body)
-		if err != nil || pkt.Proto != ipnet.ProtoICMP {
-			continue
-		}
-		e, err := ipnet.DecodeEcho(pkt.Payload)
-		if err == nil && e.Type == ipnet.ICMPEchoReply && pkt.Dst == ip {
+		if pkt := f.Packet; pkt.Proto == ipnet.ProtoICMP && pkt.Echo.Type == ipnet.ICMPEchoReply && pkt.Dst == ip {
 			found = true
 		}
 	}
@@ -260,8 +250,8 @@ func TestUplinkForwarding(t *testing.T) {
 	c := w.newClient(dot11.MAC(1))
 	ip := c.dhcpJoin(w, t)
 	remote := ipnet.AddrFrom4(203, 0, 113, 1)
-	pkt := ipnet.Packet{Proto: ipnet.ProtoTCP, TTL: 64, Src: ip, Dst: remote, Payload: []byte("hi")}
-	c.send(dot11.Frame{Type: dot11.TypeData, Addr1: w.ap.BSSID(), Addr3: w.ap.BSSID(), Body: pkt.Bytes()})
+	pkt := ipnet.Packet{Proto: ipnet.ProtoTCP, TTL: 64, Src: ip, Dst: remote, TCP: ipnet.TCP{Payload: 2}}
+	c.send(dot11.Frame{Type: dot11.TypeData, Addr1: w.ap.BSSID(), Addr3: w.ap.BSSID(), Packet: pkt})
 	w.eng.Run(w.eng.Now() + 2*time.Second)
 	if len(w.uplink) != 1 {
 		t.Fatalf("uplink packets = %d, want 1", len(w.uplink))
@@ -276,7 +266,7 @@ func TestDownlinkToStation(t *testing.T) {
 	c := w.newClient(dot11.MAC(1))
 	ip := c.dhcpJoin(w, t)
 	before := len(c.frames(dot11.TypeData))
-	w.ap.FromInternet(ipnet.Packet{Proto: ipnet.ProtoTCP, TTL: 64, Src: ipnet.AddrFrom4(1, 1, 1, 1), Dst: ip, Payload: []byte("data")})
+	w.ap.FromInternet(ipnet.Packet{Proto: ipnet.ProtoTCP, TTL: 64, Src: ipnet.AddrFrom4(1, 1, 1, 1), Dst: ip, TCP: ipnet.TCP{Payload: 4}})
 	w.eng.Run(w.eng.Now() + 2*time.Second)
 	if got := len(c.frames(dot11.TypeData)); got != before+1 {
 		t.Fatalf("station data frames = %d, want %d", got, before+1)
@@ -301,7 +291,7 @@ func TestPSMBuffersDataAfterLease(t *testing.T) {
 	w.eng.Run(w.eng.Now() + 50*time.Millisecond)
 	before := len(c.frames(dot11.TypeData))
 	for i := 0; i < 5; i++ {
-		w.ap.FromInternet(ipnet.Packet{Proto: ipnet.ProtoTCP, Dst: ip, Payload: []byte("x")})
+		w.ap.FromInternet(ipnet.Packet{Proto: ipnet.ProtoTCP, Dst: ip, TCP: ipnet.TCP{Payload: 1}})
 	}
 	w.eng.Run(w.eng.Now() + 200*time.Millisecond)
 	if got := len(c.frames(dot11.TypeData)); got != before {
@@ -382,7 +372,7 @@ func TestBackhaulShapesDownlink(t *testing.T) {
 	start := w.eng.Now()
 	// 2 Mbit/s backhaul: 50 × 1472 B ≈ 0.59 Mbit ≈ 0.29 s.
 	for i := 0; i < 50; i++ {
-		w.ap.FromInternet(ipnet.Packet{Proto: ipnet.ProtoTCP, Dst: ip, Payload: make([]byte, 1460)})
+		w.ap.FromInternet(ipnet.Packet{Proto: ipnet.ProtoTCP, Dst: ip, TCP: ipnet.TCP{Payload: 1460}})
 	}
 	w.eng.Run(w.eng.Now() + 2*time.Second)
 	elapsed := w.eng.Now() - start
@@ -419,14 +409,14 @@ func TestCaptivePortalBlocksWAN(t *testing.T) {
 
 	// Gateway ping still answered locally.
 	ping := ipnet.EchoRequestPacket(ip, gw, 1, 1)
-	c.send(dot11.Frame{Type: dot11.TypeData, Addr1: w.ap.BSSID(), Addr3: w.ap.BSSID(), Body: ping.Bytes()})
+	c.send(dot11.Frame{Type: dot11.TypeData, Addr1: w.ap.BSSID(), Addr3: w.ap.BSSID(), Packet: ping})
 	w.eng.Run(w.eng.Now() + 200*time.Millisecond)
 	if w.ap.Stats().PingsAnswered != 1 {
 		t.Fatal("gateway ping blocked by captive portal")
 	}
 	// WAN traffic is dropped.
 	pkt := ipnet.Packet{Proto: ipnet.ProtoTCP, TTL: 64, Src: ip, Dst: ipnet.AddrFrom4(8, 8, 8, 8)}
-	c.send(dot11.Frame{Type: dot11.TypeData, Addr1: w.ap.BSSID(), Addr3: w.ap.BSSID(), Body: pkt.Bytes()})
+	c.send(dot11.Frame{Type: dot11.TypeData, Addr1: w.ap.BSSID(), Addr3: w.ap.BSSID(), Packet: pkt})
 	w.eng.Run(w.eng.Now() + 500*time.Millisecond)
 	if len(uplinked) != 0 {
 		t.Fatalf("captive portal leaked %d packets upstream", len(uplinked))
@@ -506,12 +496,7 @@ func TestCrashGatesInFlightDHCPReply(t *testing.T) {
 	w.ap.Crash()
 	w.eng.Run(w.eng.Now() + time.Second)
 	for _, f := range c.frames(dot11.TypeData) {
-		pkt, err := ipnet.Decode(f.Body)
-		if err != nil || pkt.Proto != ipnet.ProtoUDP {
-			continue
-		}
-		u, err := ipnet.DecodeUDP(pkt.Payload)
-		if err == nil && u.DstPort == ipnet.PortDHCPClient {
+		if f.Packet.Proto == ipnet.ProtoUDP && f.Packet.UDP.DstPort == ipnet.PortDHCPClient {
 			t.Fatal("DHCP reply escaped a crashed AP")
 		}
 	}
@@ -546,11 +531,7 @@ func TestSetDHCPFaultReachesServer(t *testing.T) {
 	c.sendDHCP(w, dhcp.Message{Type: dhcp.Discover, XID: 3, ClientMAC: dot11.MAC(1)})
 	w.eng.Run(w.eng.Now() + time.Second)
 	for _, f := range c.frames(dot11.TypeData) {
-		pkt, err := ipnet.Decode(f.Body)
-		if err != nil || pkt.Proto != ipnet.ProtoUDP {
-			continue
-		}
-		if u, err := ipnet.DecodeUDP(pkt.Payload); err == nil && u.DstPort == ipnet.PortDHCPClient {
+		if f.Packet.Proto == ipnet.ProtoUDP && f.Packet.UDP.DstPort == ipnet.PortDHCPClient {
 			t.Fatal("silenced DHCP server replied")
 		}
 	}
@@ -566,14 +547,14 @@ func TestBackhaulFaultKnobs(t *testing.T) {
 	ip := c.dhcpJoin(w, t)
 	w.ap.SetBackhaulBlackhole(true)
 	before := len(c.frames(dot11.TypeData))
-	w.ap.FromInternet(ipnet.Packet{Proto: ipnet.ProtoTCP, Dst: ip, Payload: []byte("x")})
+	w.ap.FromInternet(ipnet.Packet{Proto: ipnet.ProtoTCP, Dst: ip, TCP: ipnet.TCP{Payload: 1}})
 	w.eng.Run(w.eng.Now() + time.Second)
 	if got := len(c.frames(dot11.TypeData)); got != before {
 		t.Fatal("blackholed downlink delivered")
 	}
 	w.ap.SetBackhaulBlackhole(false)
 	w.ap.SetBackhaulExtraDelay(200 * time.Millisecond)
-	w.ap.FromInternet(ipnet.Packet{Proto: ipnet.ProtoTCP, Dst: ip, Payload: []byte("y")})
+	w.ap.FromInternet(ipnet.Packet{Proto: ipnet.ProtoTCP, Dst: ip, TCP: ipnet.TCP{Payload: 1}})
 	w.eng.Run(w.eng.Now() + 150*time.Millisecond)
 	if got := len(c.frames(dot11.TypeData)); got != before {
 		t.Fatal("downlink arrived before the injected latency elapsed")

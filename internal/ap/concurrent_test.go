@@ -134,15 +134,10 @@ func TestPoolExhaustionUnderConcurrentJoiners(t *testing.T) {
 	offered := 0
 	for _, c := range clients {
 		for _, f := range c.frames(dot11.TypeData) {
-			pkt, err := ipnet.Decode(f.Body)
-			if err != nil || pkt.Proto != ipnet.ProtoUDP {
+			if f.Packet.Proto != ipnet.ProtoUDP || f.Packet.UDP.DstPort != ipnet.PortDHCPClient {
 				continue
 			}
-			u, err := ipnet.DecodeUDP(pkt.Payload)
-			if err != nil || u.DstPort != ipnet.PortDHCPClient {
-				continue
-			}
-			if m, err := dhcp.DecodeMessage(u.Payload); err == nil && m.Type == dhcp.Offer && m.ClientMAC == c.radio.MAC() {
+			if m, err := dhcp.DecodeMessage(f.Packet.UDP.Payload); err == nil && m.Type == dhcp.Offer && m.ClientMAC == c.radio.MAC() {
 				offered++
 				break
 			}

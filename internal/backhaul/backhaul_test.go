@@ -8,8 +8,10 @@ import (
 	"spider/internal/sim"
 )
 
+// pkt returns a packet of n bytes after its 12-byte IP header: a TCP
+// segment whose 11-byte header leaves n-11 payload bytes.
 func pkt(n int) ipnet.Packet {
-	return ipnet.Packet{Proto: ipnet.ProtoTCP, Payload: make([]byte, n)}
+	return ipnet.Packet{Proto: ipnet.ProtoTCP, TCP: ipnet.TCP{Payload: n - 11}}
 }
 
 func TestDeliveryWithDelay(t *testing.T) {

@@ -1,7 +1,8 @@
 // Package capture records simulated 802.11 frames into the classic
 // libpcap container format, the equivalent of running tcpdump next to the
 // real Spider driver. A Writer streams records to any io.Writer; a Reader
-// parses them back for assertions and offline analysis.
+// parses them back for assertions and offline analysis, and accepts
+// exactly the files a Writer produces.
 //
 // Frames use the repository's compact 802.11 wire encoding (package
 // dot11), not the full IEEE layout, so captures are written with the
@@ -46,11 +47,8 @@ func NewWriter(w io.Writer) *Writer {
 // Count returns the number of packets written.
 func (w *Writer) Count() int { return w.count }
 
-func (w *Writer) header() error {
-	if w.wroteHd {
-		return nil
-	}
-	w.wroteHd = true
+// fileHeader is the 24-byte pcap file header every capture starts with.
+func fileHeader() [24]byte {
 	var hdr [24]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], magicMicros)
 	binary.LittleEndian.PutUint16(hdr[4:6], versionMajor)
@@ -58,8 +56,21 @@ func (w *Writer) header() error {
 	// thiszone, sigfigs = 0
 	binary.LittleEndian.PutUint32(hdr[16:20], snapLen)
 	binary.LittleEndian.PutUint32(hdr[20:24], LinkType)
-	_, err := w.w.Write(hdr[:])
-	return err
+	return hdr
+}
+
+// header writes the file header unless an earlier call wrote it. A failed
+// write leaves it unwritten, so no record lands in a file without one.
+func (w *Writer) header() error {
+	if w.wroteHd {
+		return nil
+	}
+	hdr := fileHeader()
+	if _, err := w.w.Write(hdr[:]); err != nil {
+		return err
+	}
+	w.wroteHd = true
+	return nil
 }
 
 // Flush ensures the file header exists (useful for empty captures).
@@ -95,16 +106,16 @@ type Packet struct {
 	Data []byte
 }
 
-// Reader parses a pcap capture produced by Writer (or any little-endian
-// microsecond pcap).
+// Reader parses a pcap capture produced by Writer.
 type Reader struct {
-	r        io.Reader
-	linkType uint32
+	r io.Reader
 }
 
 // Parsing errors.
 var (
 	ErrBadMagic  = errors.New("capture: bad pcap magic")
+	ErrBadHeader = errors.New("capture: pcap file header not written by this package")
+	ErrBadRecord = errors.New("capture: malformed record header")
 	ErrTruncated = errors.New("capture: truncated record")
 )
 
@@ -117,11 +128,11 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if binary.LittleEndian.Uint32(hdr[0:4]) != magicMicros {
 		return nil, ErrBadMagic
 	}
-	return &Reader{r: r, linkType: binary.LittleEndian.Uint32(hdr[20:24])}, nil
+	if hdr != fileHeader() {
+		return nil, ErrBadHeader
+	}
+	return &Reader{r: r}, nil
 }
-
-// LinkTypeField returns the capture's link type.
-func (r *Reader) LinkTypeField() uint32 { return r.linkType }
 
 // Next returns the next record, or io.EOF at a clean end of capture.
 func (r *Reader) Next() (Packet, error) {
@@ -135,8 +146,10 @@ func (r *Reader) Next() (Packet, error) {
 	sec := binary.LittleEndian.Uint32(rec[0:4])
 	usec := binary.LittleEndian.Uint32(rec[4:8])
 	n := binary.LittleEndian.Uint32(rec[8:12])
-	if n > snapLen {
-		return Packet{}, fmt.Errorf("capture: record of %d bytes exceeds snaplen", n)
+	// Writer never truncates a frame, so the original length equals the
+	// captured one.
+	if usec >= 1e6 || n > snapLen || binary.LittleEndian.Uint32(rec[12:16]) != n {
+		return Packet{}, ErrBadRecord
 	}
 	data := make([]byte, n)
 	if _, err := io.ReadFull(r.r, data); err != nil {

@@ -3,13 +3,14 @@ package capture
 import (
 	"bytes"
 	"encoding/binary"
-
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"spider/internal/dot11"
 	"spider/internal/geo"
+	"spider/internal/ipnet"
 	"spider/internal/phy"
 	"spider/internal/sim"
 )
@@ -76,6 +77,59 @@ func TestReaderRejectsGarbage(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
 	}
+	hdr := fileHeader()
+	hdr[20] = 1 // LINKTYPE_ETHERNET
+	if _, err := NewReader(bytes.NewReader(hdr[:])); err != ErrBadHeader {
+		t.Fatalf("foreign link type: %v", err)
+	}
+	// Record headers a Writer never produces: a microsecond field past one
+	// second, and an original length beyond the captured one.
+	for _, field := range []int{4, 12} {
+		var buf bytes.Buffer
+		if err := NewWriter(&buf).WritePacket(0, []byte("abc")); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		binary.LittleEndian.PutUint32(raw[24+field:], 1e6)
+		if _, err := ReadAll(bytes.NewReader(raw)); err != ErrBadRecord {
+			t.Fatalf("record field at %d: %v", field, err)
+		}
+	}
+}
+
+// failOnce is an io.Writer whose first Write fails.
+type failOnce struct {
+	bytes.Buffer
+	failed bool
+}
+
+func (f *failOnce) Write(p []byte) (int, error) {
+	if !f.failed {
+		f.failed = true
+		return 0, errors.New("disk full")
+	}
+	return f.Buffer.Write(p)
+}
+
+// TestHeaderRetriedAfterFailedWrite: a file header whose write failed is
+// written again before the next record, so no record lands in a capture
+// without one.
+func TestHeaderRetriedAfterFailedWrite(t *testing.T) {
+	var out failOnce
+	w := NewWriter(&out)
+	if err := w.WritePacket(0, []byte("lost")); err == nil {
+		t.Fatal("failed header write reported no error")
+	}
+	if err := w.WritePacket(time.Second, []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	pkts, err := ReadAll(bytes.NewReader(out.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkts) != 1 || string(pkts[0].Data) != "kept" || w.Count() != 1 {
+		t.Fatalf("read %d packets (%+v), count %d; want the one written after the failure", len(pkts), pkts, w.Count())
+	}
 }
 
 func TestTruncatedRecord(t *testing.T) {
@@ -120,9 +174,10 @@ func TestMediumTapCapturesFrames(t *testing.T) {
 	})
 	tx := medium.NewRadio(dot11.MAC(1), func() geo.Point { return geo.Point{} })
 	rx := medium.NewRadio(dot11.MAC(2), func() geo.Point { return geo.Point{X: 5} })
-	rx.SetReceiver(func(dot11.Frame, phy.RxInfo) {})
+	rx.SetReceiver(func(*dot11.Frame, phy.RxInfo) {})
 	tx.Send(dot11.Frame{Type: dot11.TypeBeacon, Addr1: dot11.Broadcast, Addr3: dot11.MAC(1)}, nil)
-	tx.Send(dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(2), Body: []byte("payload")}, nil)
+	tx.Send(dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(2),
+		Packet: ipnet.Packet{Proto: ipnet.ProtoUDP, UDP: ipnet.UDP{Payload: []byte("payload")}}}, nil)
 	eng.Run(time.Second)
 
 	pkts, err := ReadAll(bytes.NewReader(buf.Bytes()))

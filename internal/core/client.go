@@ -11,7 +11,6 @@ import (
 	"spider/internal/geo"
 	"spider/internal/ipnet"
 	"spider/internal/lmm"
-	"spider/internal/mempool"
 	"spider/internal/obs"
 	"spider/internal/predict"
 	"spider/internal/sim"
@@ -53,10 +52,6 @@ type Client struct {
 	// per-link spans (a multi-VIF client can hold several at once).
 	outSpan   *obs.ActiveSpan
 	linkSpans map[*lmm.Link]*obs.ActiveSpan
-	// wire backs serialized TCP segments on this client's flows; the
-	// driver and AP copy payloads onward, and arena bytes are never
-	// reused, so aliasing is safe.
-	wire mempool.ByteArena
 
 	// allocPol is this client's decentralized fairness policy (nil unless
 	// WorldConfig.Alloc selects the Decentralized variant); allocPace is
@@ -370,7 +365,7 @@ func (c *Client) startFlow(l *lmm.Link, total int64, onDone func()) *flow {
 	f.rcv = tcpsim.NewReceiver(eng,
 		func(seg tcpsim.Segment) {
 			l.Send(ipnet.Packet{Proto: ipnet.ProtoTCP, TTL: ipnet.DefaultTTL,
-				Src: lease.IP, Dst: serverIP, Payload: seg.AppendTo(c.wire.Take(seg.WireLen()))})
+				Src: lease.IP, Dst: serverIP, TCP: seg})
 		},
 		func(n int, at sim.Time) {
 			c.series.Add(at, float64(n))
@@ -380,7 +375,7 @@ func (c *Client) startFlow(l *lmm.Link, total int64, onDone func()) *flow {
 	f.snd = tcpsim.NewSender(eng, tcpsim.Config{},
 		func(seg tcpsim.Segment) {
 			access.FromInternet(ipnet.Packet{Proto: ipnet.ProtoTCP, TTL: ipnet.DefaultTTL,
-				Src: serverIP, Dst: lease.IP, Payload: seg.AppendTo(c.wire.Take(seg.WireLen()))})
+				Src: serverIP, Dst: lease.IP, TCP: seg})
 		}, func() {
 			delete(s.flows, serverIP)
 			if onDone != nil {
@@ -388,11 +383,8 @@ func (c *Client) startFlow(l *lmm.Link, total int64, onDone func()) *flow {
 			}
 		})
 	l.OnPacket = func(p ipnet.Packet) {
-		if p.Proto != ipnet.ProtoTCP || p.Src != serverIP {
-			return
-		}
-		if seg, err := tcpsim.DecodeSegment(p.Payload); err == nil {
-			f.rcv.Deliver(seg)
+		if p.Proto == ipnet.ProtoTCP && p.Src == serverIP {
+			f.rcv.Deliver(p.TCP)
 		}
 	}
 	if tel := s.cfg.Telemetry; tel != nil {

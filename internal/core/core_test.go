@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -65,6 +66,29 @@ func TestDriveBySingleAP(t *testing.T) {
 	}
 	if res.ThroughputKBps <= 0 {
 		t.Fatal("zero throughput")
+	}
+}
+
+// TestDataPathAllocatesLittle bounds what a bulk download allocates per
+// delivered payload byte. Packets travel the data path as values, so a
+// segment costs no allocation at any hop; serializing each segment's
+// payload at each hop cost about two bytes per payload byte. The bound
+// reads allocated bytes, not allocation counts, which the Go toolchain
+// moves, and sits far from both.
+func TestDataPathAllocatesLittle(t *testing.T) {
+	sites, model, dur := road(dot11.Channel1, dot11.Channel1, dot11.Channel1)
+	cfg := ScenarioConfig{Seed: 1, Duration: dur, Preset: SingleChannelSingleAP, Mobility: model, Sites: sites}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := Run(cfg)
+	runtime.ReadMemStats(&after)
+	if res.BytesReceived < 1<<20 {
+		t.Fatalf("delivered only %d bytes; the bound needs a bulk transfer", res.BytesReceived)
+	}
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.BytesReceived)
+	t.Logf("%.3f bytes allocated per payload byte over %d delivered", perByte, res.BytesReceived)
+	if perByte >= 0.5 {
+		t.Fatalf("allocated %.3f bytes per delivered payload byte, want < 0.5", perByte)
 	}
 }
 

@@ -396,16 +396,12 @@ func (s *Scenario) buildWorld() {
 			if p.Dst != TestServerAddr {
 				return
 			}
-			if echo, err := ipnet.DecodeEcho(p.Payload); err == nil && echo.Type == ipnet.ICMPEchoRequest {
-				src.FromInternet(ipnet.EchoReplyPacket(p, echo))
+			if p.Echo.Type == ipnet.ICMPEchoRequest {
+				src.FromInternet(ipnet.EchoReplyPacket(p))
 			}
 		case ipnet.ProtoTCP:
-			f, ok := s.flows[p.Dst]
-			if !ok {
-				return
-			}
-			if seg, err := tcpsim.DecodeSegment(p.Payload); err == nil {
-				f.snd.Deliver(seg)
+			if f, ok := s.flows[p.Dst]; ok {
+				f.snd.Deliver(p.TCP)
 			}
 		}
 	}

@@ -35,6 +35,9 @@ func TestMessageDecodeErrors(t *testing.T) {
 		t.Fatalf("short: %v", err)
 	}
 	m := Message{Type: Ack}
+	if _, err := DecodeMessage(append(m.Bytes(), 0)); err != ErrLongMessage {
+		t.Fatalf("trailing byte: %v", err)
+	}
 	wire := m.Bytes()
 	wire[0] = 99
 	if _, err := DecodeMessage(wire); err != ErrBadType {

@@ -58,6 +58,9 @@ const messageLen = 1 + 4 + 6 + 4 + 4 + 4
 // ErrShortMessage reports a truncated DHCP message.
 var ErrShortMessage = errors.New("dhcp: message too short")
 
+// ErrLongMessage reports bytes beyond a DHCP message's fixed fields.
+var ErrLongMessage = errors.New("dhcp: trailing bytes after message")
+
 // ErrBadType reports an unknown message type byte.
 var ErrBadType = errors.New("dhcp: unknown message type")
 
@@ -74,11 +77,15 @@ func (m *Message) AppendTo(b []byte) []byte {
 // Bytes serializes the message into a fresh buffer.
 func (m *Message) Bytes() []byte { return m.AppendTo(make([]byte, 0, messageLen)) }
 
-// DecodeMessage parses a serialized DHCP message.
+// DecodeMessage parses a serialized DHCP message, rejecting any image
+// AppendTo would not produce.
 func DecodeMessage(data []byte) (Message, error) {
 	var m Message
-	if len(data) < messageLen {
+	switch {
+	case len(data) < messageLen:
 		return m, ErrShortMessage
+	case len(data) > messageLen:
+		return m, ErrLongMessage
 	}
 	m.Type = MessageType(data[0])
 	if m.Type < Discover || m.Type > Nak {

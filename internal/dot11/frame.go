@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"spider/internal/ipnet"
 )
 
 // FrameType identifies the management, control, or data frame subtype.
@@ -75,22 +77,30 @@ const fcsLen = 4
 // Frame is a single 802.11 MAC frame.
 //
 // Addr1 is the receiver, Addr2 the transmitter, and Addr3 the BSSID, per
-// the usual infrastructure-mode convention.
+// the usual infrastructure-mode convention. A data frame's body is its
+// Packet, a typed value; every other frame's body is Body's bytes.
 type Frame struct {
 	Type      FrameType
 	Addr1     MACAddr // receiver / destination
 	Addr2     MACAddr // transmitter / source
 	Addr3     MACAddr // BSSID
 	Seq       uint16
-	PowerMgmt bool // PM bit: transmitter is entering power-save mode
-	MoreData  bool // AP has more buffered frames for the station
-	Retry     bool // MAC retransmission
-	Body      []byte
+	PowerMgmt bool         // PM bit: transmitter is entering power-save mode
+	MoreData  bool         // AP has more buffered frames for the station
+	Retry     bool         // MAC retransmission
+	Body      []byte       // management body; nil on data frames
+	Packet    ipnet.Packet // TypeData only
 }
 
 // WireLen returns the full serialized length in bytes, including the FCS.
 // The PHY charges airtime for exactly this many bytes plus PHY preamble.
-func (f *Frame) WireLen() int { return headerLen + len(f.Body) + fcsLen }
+func (f *Frame) WireLen() int {
+	n := len(f.Body)
+	if f.Type == TypeData {
+		n = f.Packet.WireLen()
+	}
+	return headerLen + n + fcsLen
+}
 
 // AppendTo serializes the frame (with FCS) onto b and returns the extended
 // slice.
@@ -111,7 +121,11 @@ func (f *Frame) AppendTo(b []byte) []byte {
 	b = append(b, f.Addr2[:]...)
 	b = append(b, f.Addr3[:]...)
 	b = binary.BigEndian.AppendUint16(b, f.Seq)
-	b = append(b, f.Body...)
+	if f.Type == TypeData {
+		b = f.Packet.AppendTo(b)
+	} else {
+		b = append(b, f.Body...)
+	}
 	fcs := crc32.ChecksumIEEE(b[start:])
 	return binary.BigEndian.AppendUint32(b, fcs)
 }
@@ -130,7 +144,9 @@ var (
 )
 
 // Decode parses a serialized frame, verifying the FCS and rejecting any
-// image AppendTo would not produce. The returned frame's Body aliases data.
+// image AppendTo would not produce. A data frame's body decodes into its
+// Packet (an ipnet error reports a body that does not); any other frame's
+// Body aliases data.
 func Decode(data []byte) (Frame, error) {
 	var f Frame
 	if len(data) < headerLen+fcsLen {
@@ -156,8 +172,13 @@ func Decode(data []byte) (Frame, error) {
 	copy(f.Addr2[:], data[8:14])
 	copy(f.Addr3[:], data[14:20])
 	f.Seq = binary.BigEndian.Uint16(data[20:22])
-	f.Body = body[headerLen:]
-	return f, nil
+	if f.Type != TypeData {
+		f.Body = body[headerLen:]
+		return f, nil
+	}
+	var err error
+	f.Packet, err = ipnet.Decode(body[headerLen:])
+	return f, err
 }
 
 func (f *Frame) String() string {

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"spider/internal/ipnet"
 )
 
 func TestMACString(t *testing.T) {
@@ -47,6 +49,12 @@ func TestChannelValid(t *testing.T) {
 	}
 }
 
+// udp wraps body in a UDP packet, the data-frame body that carries
+// arbitrary bytes.
+func udp(body []byte) ipnet.Packet {
+	return ipnet.Packet{Proto: ipnet.ProtoUDP, TTL: ipnet.DefaultTTL, UDP: ipnet.UDP{Payload: body}}
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	f := Frame{
 		Type:      TypeData,
@@ -57,7 +65,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		PowerMgmt: true,
 		MoreData:  true,
 		Retry:     true,
-		Body:      []byte("hello, 802.11"),
+		Packet:    udp([]byte("hello, 802.11")),
 	}
 	wire := f.Bytes()
 	if len(wire) != f.WireLen() {
@@ -72,8 +80,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		g.PowerMgmt != f.PowerMgmt || g.MoreData != f.MoreData || g.Retry != f.Retry {
 		t.Fatalf("decoded %+v != original %+v", g, f)
 	}
-	if !bytes.Equal(g.Body, f.Body) {
-		t.Fatalf("body %q != %q", g.Body, f.Body)
+	if !bytes.Equal(g.Packet.UDP.Payload, f.Packet.UDP.Payload) {
+		t.Fatalf("body %q != %q", g.Packet.UDP.Payload, f.Packet.UDP.Payload)
 	}
 }
 
@@ -181,7 +189,8 @@ func TestAssocRespBodyRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: every frame round-trips through the wire format.
+// Property: every frame round-trips through the wire format; a data
+// frame carries the body bytes in a UDP packet.
 func TestPropertyFrameRoundTrip(t *testing.T) {
 	f := func(typ uint8, a1, a2, a3 uint32, seq uint16, pm, md, rt bool, body []byte) bool {
 		ft := FrameType(typ%12) + 1
@@ -189,15 +198,20 @@ func TestPropertyFrameRoundTrip(t *testing.T) {
 			Type: ft, Addr1: MAC(a1), Addr2: MAC(a2), Addr3: MAC(a3),
 			Seq: seq, PowerMgmt: pm, MoreData: md, Retry: rt, Body: body,
 		}
-		dec, err := Decode(orig.Bytes())
-		if err != nil {
+		if ft == TypeData {
+			orig.Body, orig.Packet = nil, udp(body)
+		}
+		wire := orig.Bytes()
+		dec, err := Decode(wire)
+		if err != nil || len(wire) != orig.WireLen() {
 			return false
 		}
 		return dec.Type == orig.Type && dec.Addr1 == orig.Addr1 &&
 			dec.Addr2 == orig.Addr2 && dec.Addr3 == orig.Addr3 &&
 			dec.Seq == orig.Seq && dec.PowerMgmt == orig.PowerMgmt &&
 			dec.MoreData == orig.MoreData && dec.Retry == orig.Retry &&
-			bytes.Equal(dec.Body, orig.Body)
+			bytes.Equal(dec.Body, orig.Body) && dec.Packet.TTL == orig.Packet.TTL &&
+			bytes.Equal(dec.Packet.UDP.Payload, orig.Packet.UDP.Payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -208,7 +222,7 @@ func TestPropertyFrameRoundTrip(t *testing.T) {
 // FCS (CRC-32 detects all single-bit errors).
 func TestPropertyFCSDetectsBitFlips(t *testing.T) {
 	f := func(seed uint16, body []byte, pos uint16, bit uint8) bool {
-		orig := Frame{Type: TypeData, Addr1: MAC(1), Addr2: MAC(2), Addr3: MAC(3), Seq: seed, Body: body}
+		orig := Frame{Type: TypeData, Addr1: MAC(1), Addr2: MAC(2), Addr3: MAC(3), Seq: seed, Packet: udp(body)}
 		wire := orig.Bytes()
 		p := int(pos) % len(wire)
 		wire[p] ^= 1 << (bit % 8)
@@ -220,8 +234,12 @@ func TestPropertyFCSDetectsBitFlips(t *testing.T) {
 	}
 }
 
+// segment is a full-size TCP data segment.
+var segment = ipnet.Packet{Proto: ipnet.ProtoTCP, TTL: ipnet.DefaultTTL,
+	TCP: ipnet.TCP{Flags: ipnet.TCPAck, Seq: 1, Payload: 1460}}
+
 func BenchmarkFrameEncode(b *testing.B) {
-	f := Frame{Type: TypeData, Addr1: MAC(1), Addr2: MAC(2), Addr3: MAC(3), Body: make([]byte, 1460)}
+	f := Frame{Type: TypeData, Addr1: MAC(1), Addr2: MAC(2), Addr3: MAC(3), Packet: segment}
 	buf := make([]byte, 0, f.WireLen())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -230,7 +248,7 @@ func BenchmarkFrameEncode(b *testing.B) {
 }
 
 func BenchmarkFrameDecode(b *testing.B) {
-	f := Frame{Type: TypeData, Addr1: MAC(1), Addr2: MAC(2), Addr3: MAC(3), Body: make([]byte, 1460)}
+	f := Frame{Type: TypeData, Addr1: MAC(1), Addr2: MAC(2), Addr3: MAC(3), Packet: segment}
 	wire := f.Bytes()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -7,6 +7,10 @@
 // The driver knows nothing about AP selection policy; the link management
 // module (package lmm) drives it. A single-slot schedule degenerates to a
 // stock single-channel driver, which is how the baselines are built.
+//
+// Data frames carry their IP packet as a value (dot11.Frame.Packet): a VIF
+// wraps what it sends without serializing it and hands what it receives to
+// OnPacket without parsing it, and the per-channel queues hold frames.
 package driver
 
 import (
@@ -14,7 +18,6 @@ import (
 
 	"spider/internal/dot11"
 	"spider/internal/geo"
-	"spider/internal/mempool"
 	"spider/internal/obs"
 	"spider/internal/phy"
 	"spider/internal/sim"
@@ -125,11 +128,6 @@ type Driver struct {
 	txq     [numChannels][]dot11.Frame
 	scan    map[dot11.MACAddr]ScanEntry
 	scanOut []ScanEntry // scratch for ScanTable, reused across calls
-
-	// bodies backs data-frame payloads built by the VIFs. The medium
-	// hands them to receivers without copying; arena bytes are never
-	// reused, so aliasing is safe.
-	bodies mempool.ByteArena
 
 	stopProbe func()
 	stats     Stats
@@ -446,8 +444,9 @@ func (d *Driver) sendOrQueue(ch dot11.Channel, f dot11.Frame) {
 	d.txq[ch] = append(d.txq[ch], f)
 }
 
-// onFrame dispatches received frames to the scan table and the VIFs.
-func (d *Driver) onFrame(f dot11.Frame, info phy.RxInfo) {
+// onFrame dispatches received frames to the scan table and the VIFs. The
+// frame is the medium's, valid only for the call.
+func (d *Driver) onFrame(f *dot11.Frame, info phy.RxInfo) {
 	switch f.Type {
 	case dot11.TypeBeacon, dot11.TypeProbeResp:
 		// Reusing the previous entry's SSID string keeps the steady
@@ -478,7 +477,9 @@ func (d *Driver) onFrame(f dot11.Frame, info phy.RxInfo) {
 		}
 		for _, v := range d.vifs {
 			if v.bssid == f.Addr3 && v.state == vifAssociated {
-				v.onData(f)
+				if v.OnPacket != nil {
+					v.OnPacket(f.Packet)
+				}
 				return
 			}
 		}

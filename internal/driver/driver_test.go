@@ -222,7 +222,7 @@ func dhcpOverVIF(t *testing.T, r *rig, v *VIF) dhcp.Lease {
 	cli := dhcp.NewClient(r.eng, sim.NewRNG(31), dhcp.ReducedClientConfig(100*time.Millisecond), r.drv.MAC(),
 		func(m dhcp.Message) {
 			u := ipnet.UDP{SrcPort: ipnet.PortDHCPClient, DstPort: ipnet.PortDHCPServer, Payload: m.Bytes()}
-			v.SendPacket(ipnet.Packet{Proto: ipnet.ProtoUDP, TTL: 64, Src: ipnet.Unspecified, Dst: ipnet.BroadcastAddr, Payload: u.AppendTo(nil)})
+			v.SendPacket(ipnet.Packet{Proto: ipnet.ProtoUDP, TTL: 64, Src: ipnet.Unspecified, Dst: ipnet.BroadcastAddr, UDP: u})
 		}, func(l dhcp.Lease, ok bool) {
 			if !ok {
 				t.Fatal("dhcp over vif failed")
@@ -230,14 +230,10 @@ func dhcpOverVIF(t *testing.T, r *rig, v *VIF) dhcp.Lease {
 		})
 	var lease dhcp.Lease
 	v.OnPacket = func(p ipnet.Packet) {
-		if p.Proto != ipnet.ProtoUDP {
+		if p.Proto != ipnet.ProtoUDP || p.UDP.DstPort != ipnet.PortDHCPClient {
 			return
 		}
-		u, err := ipnet.DecodeUDP(p.Payload)
-		if err != nil || u.DstPort != ipnet.PortDHCPClient {
-			return
-		}
-		if m, err := dhcp.DecodeMessage(u.Payload); err == nil {
+		if m, err := dhcp.DecodeMessage(p.UDP.Payload); err == nil {
 			cli.Deliver(m)
 			if m.Type == dhcp.Ack {
 				lease = dhcp.Lease{IP: m.YourIP, Server: m.ServerIP}
@@ -279,7 +275,7 @@ func TestPSMBufferingAcrossSwitch(t *testing.T) {
 		r.run(10 * time.Millisecond)
 	}
 	for i := 0; i < 5; i++ {
-		a.FromInternet(ipnet.Packet{Proto: ipnet.ProtoTCP, TTL: 64, Src: ipnet.AddrFrom4(1, 1, 1, 1), Dst: lease.IP, Payload: []byte("x")})
+		a.FromInternet(ipnet.Packet{Proto: ipnet.ProtoTCP, TTL: 64, Src: ipnet.AddrFrom4(1, 1, 1, 1), Dst: lease.IP, TCP: ipnet.TCP{Payload: 1}})
 	}
 	r.run(150 * time.Millisecond) // packets cross the backhaul while client away
 	if len(got) != 0 {

@@ -35,7 +35,7 @@ type VIF struct {
 	// OnJoinResult reports the outcome of Associate: true once the
 	// four-way handshake completes, false on window expiry or rejection.
 	OnJoinResult func(ok bool)
-	// OnPacket receives decoded IP packets addressed to this interface.
+	// OnPacket receives the IP packets addressed to this interface.
 	OnPacket func(ipnet.Packet)
 	// Span, when non-nil, is the Join root span this attempt's link-layer
 	// phases nest under (set by the LMM before Associate). The VIF opens
@@ -241,7 +241,7 @@ func (v *VIF) sendAssoc() {
 }
 
 // onMgmt handles auth/assoc responses from the bound AP.
-func (v *VIF) onMgmt(f dot11.Frame) {
+func (v *VIF) onMgmt(f *dot11.Frame) {
 	switch {
 	case f.Type == dot11.TypeAuthResp && v.state == vifAuthWait:
 		body, err := dot11.DecodeAuthBody(f.Body)
@@ -275,17 +275,6 @@ func (v *VIF) onMgmt(f dot11.Frame) {
 	}
 }
 
-// onData decodes and delivers a data frame's IP payload.
-func (v *VIF) onData(f dot11.Frame) {
-	pkt, err := ipnet.Decode(f.Body)
-	if err != nil {
-		return
-	}
-	if v.OnPacket != nil {
-		v.OnPacket(pkt)
-	}
-}
-
 // SendPacket transmits an IP packet to the bound AP, buffering it in the
 // per-channel queue while the radio is elsewhere. Packets on idle VIFs are
 // dropped.
@@ -294,10 +283,10 @@ func (v *VIF) SendPacket(p ipnet.Packet) {
 		return
 	}
 	v.drv.sendOrQueue(v.channel, dot11.Frame{
-		Type:  dot11.TypeData,
-		Addr1: v.bssid,
-		Addr3: v.bssid,
-		Seq:   v.drv.radio.NextSeq(),
-		Body:  p.AppendTo(v.drv.bodies.Take(p.WireLen())),
+		Type:   dot11.TypeData,
+		Addr1:  v.bssid,
+		Addr3:  v.bssid,
+		Seq:    v.drv.radio.NextSeq(),
+		Packet: p,
 	})
 }

@@ -186,10 +186,10 @@ func measureSwitchLatency(seed int64, k, trials int) []float64 {
 	for i := 0; i < k; i++ {
 		old := medium.NewRadio(dot11.MAC(uint32(100+i)), func() geo.Point { return geo.Point{X: 5} })
 		old.SetChannel(dot11.Channel1, nil)
-		old.SetReceiver(func(dot11.Frame, phy.RxInfo) {})
+		old.SetReceiver(func(*dot11.Frame, phy.RxInfo) {})
 		new := medium.NewRadio(dot11.MAC(uint32(200+i)), func() geo.Point { return geo.Point{X: 5} })
 		new.SetChannel(dot11.Channel11, nil)
-		new.SetReceiver(func(dot11.Frame, phy.RxInfo) {})
+		new.SetReceiver(func(*dot11.Frame, phy.RxInfo) {})
 	}
 	client.SetChannel(dot11.Channel1, nil)
 	eng.Run(100 * time.Millisecond)

@@ -1,6 +1,7 @@
 // Package ipnet models the minimal IPv4 layer the simulation needs: 32-bit
-// addresses, a compact packet header, ICMP echo for Spider's liveness
-// probes, and a UDP header for DHCP.
+// addresses, a compact packet header, the TCP segment header that tcpsim
+// exchanges, ICMP echo for Spider's liveness probes, and a UDP header for
+// DHCP.
 package ipnet
 
 import (
@@ -57,42 +58,73 @@ func (p Protocol) String() string {
 // headerLen is the serialized IPv4-lite header length.
 const headerLen = 1 + 1 + 4 + 4 + 2
 
-// Packet is an IPv4-lite packet.
+// Packet is an IPv4-lite packet. Its payload is a typed value, not bytes:
+// Proto selects which of TCP, Echo and UDP is meaningful. Packets travel
+// the stack as values, through frames, queues and buffers, and only
+// AppendTo turns one into bytes.
 type Packet struct {
-	Proto   Protocol
-	TTL     uint8
-	Src     Addr
-	Dst     Addr
-	Payload []byte
+	Proto Protocol
+	TTL   uint8
+	Src   Addr
+	Dst   Addr
+	TCP   TCP  // ProtoTCP
+	Echo  Echo // ProtoICMP
+	UDP   UDP  // ProtoUDP
 }
 
 // DefaultTTL is the initial time-to-live for locally originated packets.
 const DefaultTTL = 64
 
-// ErrShortPacket reports a truncated serialized packet.
-var ErrShortPacket = errors.New("ipnet: packet too short")
+// Decoding errors.
+var (
+	// ErrShortPacket reports an image shorter than a header or a length
+	// it declares, at any layer.
+	ErrShortPacket = errors.New("ipnet: packet too short")
+	// ErrMalformed reports an image AppendTo would not produce: an
+	// unknown protocol, bytes beyond a declared length, or a TCP payload
+	// that is not all zeros.
+	ErrMalformed = errors.New("ipnet: malformed packet")
+)
 
-// AppendTo serializes the packet onto b.
-func (p *Packet) AppendTo(b []byte) []byte {
-	b = append(b, byte(p.Proto), p.TTL)
-	b = binary.BigEndian.AppendUint32(b, uint32(p.Src))
-	b = binary.BigEndian.AppendUint32(b, uint32(p.Dst))
-	if len(p.Payload) > 0xffff {
-		panic("ipnet: payload exceeds 64KiB")
+// payloadLen is the serialized length of the packet's protocol layer.
+func (p *Packet) payloadLen() int {
+	switch p.Proto {
+	case ProtoTCP:
+		return tcpHeaderLen + p.TCP.Payload
+	case ProtoICMP:
+		return echoLen
+	case ProtoUDP:
+		return udpHeaderLen + len(p.UDP.Payload)
 	}
-	b = binary.BigEndian.AppendUint16(b, uint16(len(p.Payload)))
-	return append(b, p.Payload...)
-}
-
-// Bytes serializes the packet into a fresh buffer.
-func (p *Packet) Bytes() []byte {
-	return p.AppendTo(make([]byte, 0, headerLen+len(p.Payload)))
+	return 0
 }
 
 // WireLen returns the serialized length in bytes.
-func (p *Packet) WireLen() int { return headerLen + len(p.Payload) }
+func (p *Packet) WireLen() int { return headerLen + p.payloadLen() }
 
-// Decode parses a serialized packet. The Payload aliases data.
+// AppendTo serializes the packet onto b.
+func (p *Packet) AppendTo(b []byte) []byte {
+	n := p.payloadLen()
+	if n > 0xffff {
+		panic("ipnet: payload exceeds 64KiB")
+	}
+	b = append(b, byte(p.Proto), p.TTL)
+	b = binary.BigEndian.AppendUint32(b, uint32(p.Src))
+	b = binary.BigEndian.AppendUint32(b, uint32(p.Dst))
+	b = binary.BigEndian.AppendUint16(b, uint16(n))
+	switch p.Proto {
+	case ProtoTCP:
+		b = p.TCP.appendTo(b)
+	case ProtoICMP:
+		b = p.Echo.appendTo(b)
+	case ProtoUDP:
+		b = p.UDP.appendTo(b)
+	}
+	return b
+}
+
+// Decode parses a serialized packet, rejecting any image AppendTo would
+// not produce. A UDP payload aliases data.
 func Decode(data []byte) (Packet, error) {
 	var p Packet
 	if len(data) < headerLen {
@@ -102,12 +134,81 @@ func Decode(data []byte) (Packet, error) {
 	p.TTL = data[1]
 	p.Src = Addr(binary.BigEndian.Uint32(data[2:6]))
 	p.Dst = Addr(binary.BigEndian.Uint32(data[6:10]))
-	n := int(binary.BigEndian.Uint16(data[10:12]))
-	if len(data) < headerLen+n {
-		return p, ErrShortPacket
+	if err := exactly(data, headerLen+int(binary.BigEndian.Uint16(data[10:12]))); err != nil {
+		return p, err
 	}
-	p.Payload = data[headerLen : headerLen+n]
-	return p, nil
+	var err error
+	switch body := data[headerLen:]; p.Proto {
+	case ProtoTCP:
+		err = p.TCP.decode(body)
+	case ProtoICMP:
+		err = p.Echo.decode(body)
+	case ProtoUDP:
+		err = p.UDP.decode(body)
+	default:
+		err = ErrMalformed
+	}
+	return p, err
+}
+
+// exactly checks that data is n bytes long.
+func exactly(data []byte, n int) error {
+	switch {
+	case len(data) < n:
+		return ErrShortPacket
+	case len(data) > n:
+		return ErrMalformed
+	}
+	return nil
+}
+
+// TCP flag bits.
+const (
+	TCPSyn uint8 = 1 << 0
+	TCPAck uint8 = 1 << 1
+)
+
+// TCP is a TCP segment. Its payload is synthetic: only the length
+// travels, and AppendTo writes that many zero bytes, so lower layers
+// charge the right airtime and serialization delay for bytes that no
+// one stores.
+type TCP struct {
+	Flags   uint8
+	Seq     uint32 // first payload byte
+	Ack     uint32 // next expected byte (valid when TCPAck is set)
+	Payload int    // payload length in bytes
+}
+
+const tcpHeaderLen = 1 + 4 + 4 + 2
+
+func (s *TCP) appendTo(b []byte) []byte {
+	if s.Payload < 0 {
+		panic(fmt.Sprintf("ipnet: negative tcp payload length %d", s.Payload))
+	}
+	b = append(b, s.Flags)
+	b = binary.BigEndian.AppendUint32(b, s.Seq)
+	b = binary.BigEndian.AppendUint32(b, s.Ack)
+	b = binary.BigEndian.AppendUint16(b, uint16(s.Payload))
+	return append(b, make([]byte, s.Payload)...)
+}
+
+func (s *TCP) decode(data []byte) error {
+	if len(data) < tcpHeaderLen {
+		return ErrShortPacket
+	}
+	s.Flags = data[0]
+	s.Seq = binary.BigEndian.Uint32(data[1:5])
+	s.Ack = binary.BigEndian.Uint32(data[5:9])
+	s.Payload = int(binary.BigEndian.Uint16(data[9:11]))
+	if err := exactly(data, tcpHeaderLen+s.Payload); err != nil {
+		return err
+	}
+	for _, c := range data[tcpHeaderLen:] {
+		if c != 0 {
+			return ErrMalformed
+		}
+	}
+	return nil
 }
 
 // ICMP echo message types.
@@ -123,38 +224,34 @@ type Echo struct {
 	Seq  uint16
 }
 
-// ErrShortICMP reports a truncated echo message.
-var ErrShortICMP = errors.New("ipnet: icmp message too short")
+const echoLen = 1 + 2 + 2
 
-// AppendTo serializes the echo message onto b.
-func (e *Echo) AppendTo(b []byte) []byte {
+func (e *Echo) appendTo(b []byte) []byte {
 	b = append(b, e.Type)
 	b = binary.BigEndian.AppendUint16(b, e.ID)
 	return binary.BigEndian.AppendUint16(b, e.Seq)
 }
 
-// DecodeEcho parses an ICMP echo message.
-func DecodeEcho(data []byte) (Echo, error) {
-	if len(data) < 5 {
-		return Echo{}, ErrShortICMP
+func (e *Echo) decode(data []byte) error {
+	if err := exactly(data, echoLen); err != nil {
+		return err
 	}
-	return Echo{
-		Type: data[0],
-		ID:   binary.BigEndian.Uint16(data[1:3]),
-		Seq:  binary.BigEndian.Uint16(data[3:5]),
-	}, nil
+	e.Type = data[0]
+	e.ID = binary.BigEndian.Uint16(data[1:3])
+	e.Seq = binary.BigEndian.Uint16(data[3:5])
+	return nil
 }
 
 // EchoRequestPacket builds a ready-to-send ping packet.
 func EchoRequestPacket(src, dst Addr, id, seq uint16) Packet {
-	e := Echo{Type: ICMPEchoRequest, ID: id, Seq: seq}
-	return Packet{Proto: ProtoICMP, TTL: DefaultTTL, Src: src, Dst: dst, Payload: e.AppendTo(nil)}
+	return Packet{Proto: ProtoICMP, TTL: DefaultTTL, Src: src, Dst: dst,
+		Echo: Echo{Type: ICMPEchoRequest, ID: id, Seq: seq}}
 }
 
 // EchoReplyPacket builds the reply to a ping.
-func EchoReplyPacket(req Packet, e Echo) Packet {
-	r := Echo{Type: ICMPEchoReply, ID: e.ID, Seq: e.Seq}
-	return Packet{Proto: ProtoICMP, TTL: DefaultTTL, Src: req.Dst, Dst: req.Src, Payload: r.AppendTo(nil)}
+func EchoReplyPacket(req Packet) Packet {
+	return Packet{Proto: ProtoICMP, TTL: DefaultTTL, Src: req.Dst, Dst: req.Src,
+		Echo: Echo{Type: ICMPEchoReply, ID: req.Echo.ID, Seq: req.Echo.Seq}}
 }
 
 // UDP is a minimal UDP header plus payload.
@@ -170,29 +267,24 @@ const (
 	PortDHCPClient uint16 = 68
 )
 
-// ErrShortUDP reports a truncated UDP datagram.
-var ErrShortUDP = errors.New("ipnet: udp datagram too short")
+const udpHeaderLen = 2 + 2 + 2
 
-// AppendTo serializes the datagram onto b.
-func (u *UDP) AppendTo(b []byte) []byte {
+func (u *UDP) appendTo(b []byte) []byte {
 	b = binary.BigEndian.AppendUint16(b, u.SrcPort)
 	b = binary.BigEndian.AppendUint16(b, u.DstPort)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(u.Payload)))
 	return append(b, u.Payload...)
 }
 
-// DecodeUDP parses a UDP datagram. The Payload aliases data.
-func DecodeUDP(data []byte) (UDP, error) {
-	var u UDP
-	if len(data) < 6 {
-		return u, ErrShortUDP
+func (u *UDP) decode(data []byte) error {
+	if len(data) < udpHeaderLen {
+		return ErrShortPacket
 	}
 	u.SrcPort = binary.BigEndian.Uint16(data[0:2])
 	u.DstPort = binary.BigEndian.Uint16(data[2:4])
-	n := int(binary.BigEndian.Uint16(data[4:6]))
-	if len(data) < 6+n {
-		return u, ErrShortUDP
+	if err := exactly(data, udpHeaderLen+int(binary.BigEndian.Uint16(data[4:6]))); err != nil {
+		return err
 	}
-	u.Payload = data[6 : 6+n]
-	return u, nil
+	u.Payload = data[udpHeaderLen:]
+	return nil
 }

@@ -755,11 +755,10 @@ func (c *conn) startDHCP() {
 
 // dhcpSend broadcasts a DHCP client message through the interface.
 func (c *conn) dhcpSend(msg dhcp.Message) {
-	u := ipnet.UDP{SrcPort: ipnet.PortDHCPClient, DstPort: ipnet.PortDHCPServer, Payload: msg.Bytes()}
 	c.vif.SendPacket(ipnet.Packet{
 		Proto: ipnet.ProtoUDP, TTL: ipnet.DefaultTTL,
 		Src: ipnet.Unspecified, Dst: ipnet.BroadcastAddr,
-		Payload: u.AppendTo(nil),
+		UDP: ipnet.UDP{SrcPort: ipnet.PortDHCPClient, DstPort: ipnet.PortDHCPServer, Payload: msg.Bytes()},
 	})
 }
 
@@ -1052,11 +1051,10 @@ func (c *conn) reset() {
 func (c *conn) onPacket(p ipnet.Packet) {
 	switch p.Proto {
 	case ipnet.ProtoUDP:
-		u, err := ipnet.DecodeUDP(p.Payload)
-		if err != nil || u.DstPort != ipnet.PortDHCPClient {
+		if p.UDP.DstPort != ipnet.PortDHCPClient {
 			return
 		}
-		if msg, err := dhcp.DecodeMessage(u.Payload); err == nil && c.dhcpCli != nil {
+		if msg, err := dhcp.DecodeMessage(p.UDP.Payload); err == nil && c.dhcpCli != nil {
 			var kind obs.Kind
 			known := true
 			switch msg.Type {
@@ -1080,12 +1078,8 @@ func (c *conn) onPacket(p ipnet.Packet) {
 			c.dhcpCli.Deliver(msg)
 		}
 	case ipnet.ProtoICMP:
-		echo, err := ipnet.DecodeEcho(p.Payload)
-		if err != nil {
-			return
-		}
-		if echo.Type == ipnet.ICMPEchoReply && echo.ID == uint16(c.vif.ID()) {
-			c.onPingReply(echo.Seq)
+		if p.Echo.Type == ipnet.ICMPEchoReply && p.Echo.ID == uint16(c.vif.ID()) {
+			c.onPingReply(p.Echo.Seq)
 			return
 		}
 		// Foreign ICMP flows to the application.

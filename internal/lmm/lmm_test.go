@@ -233,13 +233,13 @@ func TestLinkCarriesApplicationTraffic(t *testing.T) {
 	var got []ipnet.Packet
 	l.OnPacket = func(p ipnet.Packet) { got = append(got, p) }
 	remote := ipnet.AddrFrom4(93, 184, 216, 34)
-	l.Send(ipnet.Packet{Proto: ipnet.ProtoTCP, TTL: 64, Src: l.Lease.IP, Dst: remote, Payload: []byte("GET /")})
+	l.Send(ipnet.Packet{Proto: ipnet.ProtoTCP, TTL: 64, Src: l.Lease.IP, Dst: remote, TCP: ipnet.TCP{Payload: 5}})
 	r.run(time.Second)
 	if len(uplinked) != 1 || uplinked[0].Dst != remote {
 		t.Fatalf("uplink saw %v", uplinked)
 	}
 	// Reply path.
-	a.FromInternet(ipnet.Packet{Proto: ipnet.ProtoTCP, TTL: 64, Src: remote, Dst: l.Lease.IP, Payload: []byte("200 OK")})
+	a.FromInternet(ipnet.Packet{Proto: ipnet.ProtoTCP, TTL: 64, Src: remote, Dst: l.Lease.IP, TCP: ipnet.TCP{Payload: 6}})
 	r.run(time.Second)
 	if len(got) != 1 || got[0].Src != remote {
 		t.Fatalf("application packets = %v", got)

@@ -22,7 +22,7 @@ func TestNoCollisionsWithoutContention(t *testing.T) {
 	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
 	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
 	got := 0
-	rx.SetReceiver(func(dot11.Frame, RxInfo) { got++ })
+	rx.SetReceiver(func(*dot11.Frame, RxInfo) { got++ })
 
 	// A burst from one radio queues many frames on the channel at once,
 	// but a station never contends with itself.
@@ -45,7 +45,7 @@ func TestContendingBroadcastsCollide(t *testing.T) {
 	b := m.NewRadio(dot11.MAC(2), fixedPos(5, 0))
 	rx := m.NewRadio(dot11.MAC(3), fixedPos(10, 0))
 	var got []dot11.MACAddr
-	rx.SetReceiver(func(f dot11.Frame, _ RxInfo) { got = append(got, f.Addr2) })
+	rx.SetReceiver(func(f *dot11.Frame, _ RxInfo) { got = append(got, f.Addr2) })
 
 	// Both stations commit at t=0: the first sees an idle channel, the
 	// second is contended and (at p=1) must be corrupted.
@@ -68,7 +68,7 @@ func TestCollidedUnicastRetriesAndRecovers(t *testing.T) {
 	a := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
 	b := m.NewRadio(dot11.MAC(2), fixedPos(5, 0))
 	rx := m.NewRadio(dot11.MAC(3), fixedPos(10, 0))
-	rx.SetReceiver(func(dot11.Frame, RxInfo) {})
+	rx.SetReceiver(func(*dot11.Frame, RxInfo) {})
 
 	// b's unicast commits while a's frame is on the air: the first
 	// attempt is corrupted, and the MAC retry (after a's frame has
@@ -101,7 +101,7 @@ func TestNegativeCollisionProbDisablesCollisions(t *testing.T) {
 	b := m.NewRadio(dot11.MAC(2), fixedPos(5, 0))
 	rx := m.NewRadio(dot11.MAC(3), fixedPos(10, 0))
 	got := 0
-	rx.SetReceiver(func(dot11.Frame, RxInfo) { got++ })
+	rx.SetReceiver(func(*dot11.Frame, RxInfo) { got++ })
 
 	a.Send(dot11.Frame{Type: dot11.TypeBeacon, Addr1: dot11.Broadcast, Addr3: dot11.MAC(1)}, nil)
 	b.Send(dot11.Frame{Type: dot11.TypeBeacon, Addr1: dot11.Broadcast, Addr3: dot11.MAC(2)}, nil)
@@ -125,7 +125,7 @@ func TestContentionDeterminism(t *testing.T) {
 		radios := make([]*Radio, 4)
 		for i := range radios {
 			radios[i] = m.NewRadio(dot11.MAC(uint32(1+i)), fixedPos(float64(i)*5, 0))
-			radios[i].SetReceiver(func(dot11.Frame, RxInfo) {})
+			radios[i].SetReceiver(func(*dot11.Frame, RxInfo) {})
 		}
 		for round := 0; round < 10; round++ {
 			for _, r := range radios {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"spider/internal/dot11"
+	"spider/internal/ipnet"
 	"spider/internal/sim"
 )
 
@@ -36,8 +37,9 @@ func TestLossAtMatchesPow(t *testing.T) {
 // TestDeliveryMatchesTappedWire checks that carrying frame values is
 // invisible to receivers: every frame a receiver gets equals the decode of
 // the wire image the capture tap saw for that attempt — a broadcast, a
-// unicast, a unicast retransmission and a collided broadcast — and RxInfo
-// reports the log-distance RSSI of the true distance.
+// unicast ping, a retransmitted DHCP packet, a retransmitted TCP segment
+// and a collided broadcast — and RxInfo reports the log-distance RSSI of
+// the true distance.
 func TestDeliveryMatchesTappedWire(t *testing.T) {
 	eng := sim.NewEngine()
 	params := Defaults()
@@ -61,19 +63,20 @@ func TestDeliveryMatchesTappedWire(t *testing.T) {
 	near := m.NewRadio(dot11.MAC(4), fixedPos(0.5, 0)) // inside the 1 m RSSI floor
 
 	received, retries := 0, 0
-	check := func(who string, dist float64) func(dot11.Frame, RxInfo) {
-		return func(got dot11.Frame, info RxInfo) {
+	check := func(who string, dist float64) func(*dot11.Frame, RxInfo) {
+		return func(f *dot11.Frame, info RxInfo) {
 			received++
 			want, err := dot11.Decode(taps[len(taps)-1])
 			if err != nil {
 				t.Fatalf("%s: tapped wire does not decode: %v", who, err)
 			}
-			if !bytes.Equal(got.Body, want.Body) {
-				t.Fatalf("%s: body %q, tapped %q", who, got.Body, want.Body)
+			if !bytes.Equal(f.Body, want.Body) {
+				t.Fatalf("%s: body %q, tapped %q", who, f.Body, want.Body)
 			}
-			if cap(got.Body) != len(got.Body) {
-				t.Fatalf("%s: body capacity %d exceeds its length %d", who, cap(got.Body), len(got.Body))
+			if cap(f.Body) != len(f.Body) {
+				t.Fatalf("%s: body capacity %d exceeds its length %d", who, cap(f.Body), len(f.Body))
 			}
+			got := *f
 			got.Body, want.Body = nil, nil
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: frame %+v, tapped %+v", who, got, want)
@@ -96,31 +99,61 @@ func TestDeliveryMatchesTappedWire(t *testing.T) {
 	beacon := (&dot11.BeaconBody{SSID: "spider", BeaconInterval: 100}).AppendTo(make([]byte, 0, 64))
 	a.Send(dot11.Frame{Type: dot11.TypeBeacon, Addr1: dot11.Broadcast, Addr3: a.MAC(), Seq: 1, Body: beacon}, nil)
 	eng.RunAll()
-	a.Send(dot11.Frame{Type: dot11.TypeData, Addr1: b.MAC(), Addr3: a.MAC(), Seq: 2, Body: []byte("unicast")}, nil)
+	ping := ipnet.EchoRequestPacket(ipnet.AddrFrom4(10, 0, 0, 1), ipnet.AddrFrom4(10, 0, 0, 2), 1, 7)
+	a.Send(dot11.Frame{Type: dot11.TypeData, Addr1: b.MAC(), Addr3: a.MAC(), Seq: 2, Packet: ping}, nil)
 	eng.RunAll()
 	failNext = 1 // the first attempt is lost, the retransmission gets through
-	a.Send(dot11.Frame{Type: dot11.TypeData, Addr1: b.MAC(), Addr3: a.MAC(), Seq: 3, PowerMgmt: true, Body: []byte("retried")}, nil)
+	dhcp := ipnet.Packet{Proto: ipnet.ProtoUDP, TTL: ipnet.DefaultTTL, Dst: ipnet.BroadcastAddr,
+		UDP: ipnet.UDP{SrcPort: ipnet.PortDHCPClient, DstPort: ipnet.PortDHCPServer, Payload: []byte("discover")}}
+	a.Send(dot11.Frame{Type: dot11.TypeData, Addr1: b.MAC(), Addr3: a.MAC(), Seq: 3, PowerMgmt: true, Packet: dhcp}, nil)
+	eng.RunAll()
+	failNext = 1
+	a.Send(dot11.Frame{Type: dot11.TypeData, Addr1: b.MAC(), Addr3: a.MAC(), Seq: 4, Packet: segment(1500)}, nil)
 	eng.RunAll()
 	// c commits while a's frame is still on the air, so c's probe collides.
-	a.Send(dot11.Frame{Type: dot11.TypeBeacon, Addr1: dot11.Broadcast, Addr3: a.MAC(), Seq: 4, Body: beacon}, nil)
-	c.Send(dot11.Frame{Type: dot11.TypeProbeReq, Addr1: dot11.Broadcast, Seq: 5}, nil)
+	a.Send(dot11.Frame{Type: dot11.TypeBeacon, Addr1: dot11.Broadcast, Addr3: a.MAC(), Seq: 5, Body: beacon}, nil)
+	c.Send(dot11.Frame{Type: dot11.TypeProbeReq, Addr1: dot11.Broadcast, Seq: 6}, nil)
 	eng.RunAll()
 
 	st := m.Stats()
-	if len(taps) != 6 || st.FramesSent != 6 {
-		t.Fatalf("tapped %d attempts, %d sent; want 6", len(taps), st.FramesSent)
+	if len(taps) != 8 || st.FramesSent != 8 {
+		t.Fatalf("tapped %d attempts, %d sent; want 8", len(taps), st.FramesSent)
 	}
-	// b, c and near hear both clean beacons; b the unicast and the
-	// retransmission.
-	if received != 8 || st.FramesDelivered != 8 {
-		t.Fatalf("received %d, delivered %d; want 8", received, st.FramesDelivered)
+	// b, c and near hear both clean beacons; b the ping and both
+	// retransmissions.
+	if received != 9 || st.FramesDelivered != 9 {
+		t.Fatalf("received %d, delivered %d; want 9", received, st.FramesDelivered)
 	}
-	if retries != 1 || st.Collisions != 1 {
-		t.Fatalf("retries %d, collisions %d; want 1 each", retries, st.Collisions)
+	if retries != 2 || st.Collisions != 1 {
+		t.Fatalf("retries %d, collisions %d; want 2 and 1", retries, st.Collisions)
 	}
 	last, err := dot11.Decode(taps[len(taps)-1])
 	if err != nil || last.Type != dot11.TypeProbeReq {
 		t.Fatalf("collided attempt not tapped: %+v, %v", last, err)
+	}
+}
+
+// TestReceiverMaySendDuringDelivery: a receiver that transmits from its
+// callback does not disturb the frame later receivers of the same
+// transmission see, because the job holding that frame is recycled only
+// after delivery.
+func TestReceiverMaySendDuringDelivery(t *testing.T) {
+	eng := sim.NewEngine()
+	m := NewMedium(eng, sim.NewRNG(1), lossless())
+	a := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
+	b := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
+	c := m.NewRadio(dot11.MAC(3), fixedPos(20, 0))
+	b.SetReceiver(func(f *dot11.Frame, _ RxInfo) {
+		if f.Addr2 == a.MAC() {
+			b.Send(dot11.Frame{Type: dot11.TypeProbeReq, Addr1: dot11.Broadcast, Seq: 9}, nil)
+		}
+	})
+	var got []dot11.Frame
+	c.SetReceiver(func(f *dot11.Frame, _ RxInfo) { got = append(got, *f) })
+	a.Send(dot11.Frame{Type: dot11.TypeBeacon, Addr1: dot11.Broadcast, Addr3: a.MAC(), Seq: 7}, nil)
+	eng.RunAll()
+	if len(got) != 2 || got[0].Addr2 != a.MAC() || got[0].Seq != 7 || got[1].Addr2 != b.MAC() || got[1].Seq != 9 {
+		t.Fatalf("c received %+v; want a's beacon, then b's probe", got)
 	}
 }
 

@@ -10,10 +10,12 @@
 // several-AP roadside scenarios.
 //
 // The medium carries dot11.Frame values, not bytes: only a capture tap
-// ever serializes a frame. Per-channel state lives in flat channel-indexed
-// arrays (there are only 14 channels) and per-transmission bookkeeping
-// reuses pooled job structs, so the commit/deliver path does not allocate
-// at city-scale populations.
+// ever serializes a frame. Each transmission's frame lives in a pooled job
+// until its last receiver has seen it, and receivers get a pointer to it,
+// so a data frame and its packet are copied once per Send, not once per
+// receiver. Per-channel state lives in flat channel-indexed arrays (there
+// are only 14 channels), so the commit/deliver path does not allocate at
+// city-scale populations.
 package phy
 
 import (
@@ -352,7 +354,7 @@ type Radio struct {
 	mac     dot11.MACAddr
 	channel dot11.Channel
 	pos     func() geo.Point
-	recv    func(dot11.Frame, RxInfo)
+	recv    func(*dot11.Frame, RxInfo)
 
 	switching bool
 	closed    bool
@@ -430,8 +432,10 @@ func (r *Radio) Down() bool { return r.down }
 // Position returns the radio's current position.
 func (r *Radio) Position() geo.Point { return r.pos() }
 
-// SetReceiver installs the frame delivery callback.
-func (r *Radio) SetReceiver(fn func(dot11.Frame, RxInfo)) { r.recv = fn }
+// SetReceiver installs the frame delivery callback. The frame belongs to
+// the medium and is valid only during the call: a receiver copies out what
+// it keeps (the packet value, say) and never writes through the pointer.
+func (r *Radio) SetReceiver(fn func(*dot11.Frame, RxInfo)) { r.recv = fn }
 
 // Close detaches the radio from the medium. Frames in flight to it are
 // dropped.
@@ -491,8 +495,9 @@ func (r *Radio) NextSeq() uint16 {
 // frames are retried up to the MAC retry limit; status reports whether the
 // receiver acknowledged. status may be nil.
 //
-// Send stamps Addr2 and hands receivers the frame value, body uncopied:
-// the caller must never mutate the body afterwards, and receivers may
+// Send stamps Addr2 and keeps the frame value until its last attempt is
+// delivered; receivers see that one copy. A management body is not
+// copied: the caller must never mutate it afterwards, and receivers may
 // alias it indefinitely (its capacity is clipped, so appending copies).
 // An unknown frame type panics.
 //
@@ -508,9 +513,11 @@ func (r *Radio) Send(f dot11.Frame, status func(ok bool)) {
 		}
 		return
 	}
-	f.Addr2 = r.mac
-	f.Body = f.Body[:len(f.Body):len(f.Body)]
-	r.m.transmit(r, r.channel, f, 0, status)
+	j := r.m.newTxJob()
+	j.src, j.ch, j.f, j.status = r, r.channel, f, status
+	j.f.Addr2 = r.mac
+	j.f.Body = f.Body[:len(f.Body):len(f.Body)]
+	r.m.transmit(j)
 }
 
 // contenders counts OTHER radios with frames committed but not yet off the
@@ -537,9 +544,11 @@ func (m *Medium) removePending(ch dot11.Channel, src *Radio) {
 	}
 }
 
-// txJob carries one committed transmission from commit to the end of its
-// airtime. Jobs are pooled on the medium and scheduled as sim.Runnables,
-// so the per-frame event costs no closure and no handle.
+// txJob carries one transmission from Send until its last attempt is
+// delivered. Jobs are pooled on the medium and scheduled as sim.Runnables,
+// so the per-frame event costs no closure and no handle. Receivers get a
+// pointer to the job's frame, so a job is recycled after delivery, and a
+// retransmission reschedules the same job.
 type txJob struct {
 	m        *Medium
 	src      *Radio
@@ -568,18 +577,20 @@ func (m *Medium) freeTxJob(j *txJob) {
 }
 
 // RunEvent fires at the end of the frame's airtime: release the contention
-// slot, recycle the job, and hand off to delivery.
+// slot, deliver, and recycle the job unless delivery queued a retry.
 func (j *txJob) RunEvent() {
-	m, src, ch, f := j.m, j.src, j.ch, j.f
-	rate, attempt, collided, status := j.rate, j.attempt, j.collided, j.status
-	m.freeTxJob(j)
-	m.removePending(ch, src)
-	m.deliver(src, ch, f, rate, attempt, collided, status)
+	m := j.m
+	m.removePending(j.ch, j.src)
+	if !m.deliver(j) {
+		m.freeTxJob(j)
+	}
 }
 
-// transmit performs one on-air attempt (attempt is the retry index). The
-// rate is re-evaluated per attempt so ARF fallback applies to retries.
-func (m *Medium) transmit(src *Radio, ch dot11.Channel, f dot11.Frame, attempt int, status func(ok bool)) {
+// transmit commits one on-air attempt of j (j.attempt is the retry
+// index). The rate is re-evaluated per attempt so ARF fallback applies to
+// retries.
+func (m *Medium) transmit(j *txJob) {
+	src, ch, f := j.src, j.ch, &j.f
 	now := m.eng.Now()
 	start := now
 	if bu := m.busyUntil[ch]; bu > start {
@@ -608,32 +619,33 @@ func (m *Medium) transmit(src *Radio, ch dot11.Channel, f dot11.Frame, attempt i
 	m.stats.FramesSent++
 	m.airtime[ch] += air
 	m.addPending(ch, src)
-	j := m.newTxJob()
-	j.src, j.ch, j.f = src, ch, f
-	j.rate, j.attempt, j.collided, j.status = rate, attempt, collided, status
+	j.rate, j.collided = rate, collided
 	m.eng.ScheduleCall(start+air-now, j)
 }
 
-func (m *Medium) deliver(src *Radio, ch dot11.Channel, f dot11.Frame, rate float64, attempt int, collided bool, status func(ok bool)) {
+// deliver ends one attempt of j: tap it, hand it to receivers, and either
+// report its outcome or retransmit. It reports whether j was rescheduled.
+func (m *Medium) deliver(j *txJob) bool {
+	src, ch, f, rate, status := j.src, j.ch, &j.f, j.rate, j.status
 	if m.tap != nil {
 		m.tapWire = f.AppendTo(m.tapWire[:0])
 		m.tap(ch, m.tapWire, m.eng.Now())
 	}
 	if src.closed {
-		return
+		return false
 	}
-	if collided {
+	if j.collided {
 		m.stats.Collisions++
 	}
 	srcPos := src.pos()
 	if f.Addr1.IsBroadcast() {
 		m.stats.Broadcasts++
-		if collided {
+		if j.collided {
 			m.stats.FramesLost++
 			if status != nil {
 				status(true)
 			}
-			return
+			return false
 		}
 		for _, rx := range m.byChannel[ch] {
 			if rx == src || rx.closed || rx.switching || rx.down || rx.recv == nil {
@@ -654,7 +666,7 @@ func (m *Medium) deliver(src *Radio, ch dot11.Channel, f dot11.Frame, rate float
 			// frame has been on air, collided or not.
 			status(true)
 		}
-		return
+		return false
 	}
 
 	// Unicast: locate the addressed radio on this channel.
@@ -666,7 +678,7 @@ func (m *Medium) deliver(src *Radio, ch dot11.Channel, f dot11.Frame, rate float
 		}
 	}
 	ok := false
-	if target != nil && !collided {
+	if target != nil && !j.collided {
 		d := target.pos().Distance(srcPos)
 		if d <= m.params.Range {
 			// Success requires the data frame and the returning ACK to
@@ -683,21 +695,23 @@ func (m *Medium) deliver(src *Radio, ch dot11.Channel, f dot11.Frame, rate float
 		if status != nil {
 			status(true)
 		}
-		return
+		return false
 	}
 	m.stats.FramesLost++
-	if attempt < m.params.RetryLimit && !src.closed && !src.switching && !src.down && src.channel == ch {
+	if j.attempt < m.params.RetryLimit && !src.closed && !src.switching && !src.down && src.channel == ch {
 		f.Retry = true
-		m.transmit(src, ch, f, attempt+1, status)
-		return
+		j.attempt++
+		m.transmit(j)
+		return true
 	}
 	m.stats.UnicastFailed++
 	if status != nil {
 		status(false)
 	}
+	return false
 }
 
-func (m *Medium) deliverTo(rx *Radio, f dot11.Frame, ch dot11.Channel, dist float64) {
+func (m *Medium) deliverTo(rx *Radio, f *dot11.Frame, ch dot11.Channel, dist float64) {
 	m.stats.FramesDelivered++
 	rx.recv(f, RxInfo{Channel: ch, Distance: dist, At: m.eng.Now()})
 }

@@ -7,6 +7,7 @@ import (
 
 	"spider/internal/dot11"
 	"spider/internal/geo"
+	"spider/internal/ipnet"
 	"spider/internal/sim"
 )
 
@@ -20,16 +21,24 @@ func fixedPos(x, y float64) func() geo.Point {
 	return func() geo.Point { return geo.Point{X: x, Y: y} }
 }
 
+// segment returns a TCP packet that serializes to n bytes: the body of an
+// n-byte data frame.
+func segment(n int) ipnet.Packet {
+	p := ipnet.Packet{Proto: ipnet.ProtoTCP, TTL: ipnet.DefaultTTL, TCP: ipnet.TCP{Flags: ipnet.TCPAck}}
+	p.TCP.Payload = n - p.WireLen()
+	return p
+}
+
 func TestBroadcastDelivery(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMedium(eng, sim.NewRNG(1), lossless())
 	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
 	var got []dot11.Frame
 	rx := m.NewRadio(dot11.MAC(2), fixedPos(50, 0))
-	rx.SetReceiver(func(f dot11.Frame, _ RxInfo) { got = append(got, f) })
+	rx.SetReceiver(func(f *dot11.Frame, _ RxInfo) { got = append(got, *f) })
 	far := m.NewRadio(dot11.MAC(3), fixedPos(500, 0))
 	farGot := 0
-	far.SetReceiver(func(dot11.Frame, RxInfo) { farGot++ })
+	far.SetReceiver(func(*dot11.Frame, RxInfo) { farGot++ })
 
 	tx.Send(dot11.Frame{Type: dot11.TypeBeacon, Addr1: dot11.Broadcast, Addr3: dot11.MAC(1)}, nil)
 	eng.RunAll()
@@ -50,7 +59,7 @@ func TestUnicastDeliveryAndStatus(t *testing.T) {
 	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
 	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
 	delivered := 0
-	rx.SetReceiver(func(f dot11.Frame, info RxInfo) {
+	rx.SetReceiver(func(f *dot11.Frame, info RxInfo) {
 		delivered++
 		if info.Channel != dot11.Channel1 {
 			t.Errorf("rx channel = %v", info.Channel)
@@ -60,7 +69,7 @@ func TestUnicastDeliveryAndStatus(t *testing.T) {
 		}
 	})
 	var ok *bool
-	tx.Send(dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(2), Body: []byte("x")}, func(b bool) { ok = &b })
+	tx.Send(dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(2), Packet: segment(24)}, func(b bool) { ok = &b })
 	eng.RunAll()
 	if delivered != 1 {
 		t.Fatalf("delivered = %d, want 1", delivered)
@@ -98,7 +107,7 @@ func TestChannelIsolation(t *testing.T) {
 	rx.SetChannel(dot11.Channel6, nil)
 	eng.RunAll()
 	got := 0
-	rx.SetReceiver(func(dot11.Frame, RxInfo) { got++ })
+	rx.SetReceiver(func(*dot11.Frame, RxInfo) { got++ })
 	tx.Send(dot11.Frame{Type: dot11.TypeBeacon, Addr1: dot11.Broadcast}, nil)
 	eng.RunAll()
 	if got != 0 {
@@ -149,7 +158,7 @@ func TestReceiverMissesFramesWhileSwitching(t *testing.T) {
 	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
 	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
 	got := 0
-	rx.SetReceiver(func(dot11.Frame, RxInfo) { got++ })
+	rx.SetReceiver(func(*dot11.Frame, RxInfo) { got++ })
 	// Start a broadcast, then immediately put the receiver into a switch
 	// that spans the delivery time.
 	tx.Send(dot11.Frame{Type: dot11.TypeBeacon, Addr1: dot11.Broadcast}, nil)
@@ -167,8 +176,8 @@ func TestAirtimeSerialization(t *testing.T) {
 	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
 	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
 	var times []sim.Time
-	rx.SetReceiver(func(dot11.Frame, RxInfo) { times = append(times, eng.Now()) })
-	f := dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(2), Body: make([]byte, 1460)}
+	rx.SetReceiver(func(*dot11.Frame, RxInfo) { times = append(times, eng.Now()) })
+	f := dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(2), Packet: segment(1460)}
 	tx.Send(f, nil)
 	tx.Send(f, nil)
 	eng.RunAll()
@@ -239,7 +248,7 @@ func TestLossyDeliveryRate(t *testing.T) {
 	m := NewMedium(eng, sim.NewRNG(42), p)
 	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
 	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
-	rx.SetReceiver(func(dot11.Frame, RxInfo) {})
+	rx.SetReceiver(func(*dot11.Frame, RxInfo) {})
 	okCount := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
@@ -264,7 +273,7 @@ func TestCloseDetaches(t *testing.T) {
 	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
 	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
 	got := 0
-	rx.SetReceiver(func(dot11.Frame, RxInfo) { got++ })
+	rx.SetReceiver(func(*dot11.Frame, RxInfo) { got++ })
 	rx.Close()
 	var ok *bool
 	tx.Send(dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(2)}, func(b bool) { ok = &b })
@@ -286,7 +295,7 @@ func TestMobilePositionSampledAtDelivery(t *testing.T) {
 		return geo.Point{X: 1000 * eng.Now().Seconds(), Y: 0}
 	})
 	got := 0
-	rx.SetReceiver(func(dot11.Frame, RxInfo) { got++ })
+	rx.SetReceiver(func(*dot11.Frame, RxInfo) { got++ })
 	tx.Send(dot11.Frame{Type: dot11.TypeBeacon, Addr1: dot11.Broadcast}, nil)
 	eng.Run(50 * time.Millisecond)
 	first := got
@@ -349,12 +358,12 @@ func TestARFDropsRateAtRangeEdge(t *testing.T) {
 	m := NewMedium(eng, sim.NewRNG(9), p)
 	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
 	near := m.NewRadio(dot11.MAC(2), fixedPos(5, 0))
-	near.SetReceiver(func(dot11.Frame, RxInfo) {})
+	near.SetReceiver(func(*dot11.Frame, RxInfo) {})
 	edge := m.NewRadio(dot11.MAC(3), fixedPos(88, 0))
-	edge.SetReceiver(func(dot11.Frame, RxInfo) {})
+	edge.SetReceiver(func(*dot11.Frame, RxInfo) {})
 	for i := 0; i < 200; i++ {
-		tx.Send(dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(2), Body: make([]byte, 200)}, nil)
-		tx.Send(dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(3), Body: make([]byte, 200)}, nil)
+		tx.Send(dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(2), Packet: segment(200)}, nil)
+		tx.Send(dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(3), Packet: segment(200)}, nil)
 		eng.Run(eng.Now() + 50*time.Millisecond)
 	}
 	if got := tx.CurrentRate(dot11.MAC(2)); got != 11e6 {
@@ -377,9 +386,9 @@ func TestARFImprovesEdgeDelivery(t *testing.T) {
 		m := NewMedium(eng, sim.NewRNG(4), p)
 		tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
 		rx := m.NewRadio(dot11.MAC(2), fixedPos(90, 0))
-		rx.SetReceiver(func(dot11.Frame, RxInfo) {})
+		rx.SetReceiver(func(*dot11.Frame, RxInfo) {})
 		for i := 0; i < 500; i++ {
-			tx.Send(dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(2), Body: make([]byte, 500)}, nil)
+			tx.Send(dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(2), Packet: segment(500)}, nil)
 			eng.Run(eng.Now() + 20*time.Millisecond)
 		}
 		return m.Stats().FramesDelivered
@@ -407,7 +416,7 @@ func TestChannelNoiseRaisesLossAndClears(t *testing.T) {
 	m := NewMedium(eng, sim.NewRNG(7), lossless())
 	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
 	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
-	rx.SetReceiver(func(dot11.Frame, RxInfo) {})
+	rx.SetReceiver(func(*dot11.Frame, RxInfo) {})
 	send := func(n int) int {
 		ok := 0
 		for i := 0; i < n; i++ {
@@ -462,7 +471,7 @@ func TestRadioDownStopsTraffic(t *testing.T) {
 	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
 	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
 	got := 0
-	rx.SetReceiver(func(dot11.Frame, RxInfo) { got++ })
+	rx.SetReceiver(func(*dot11.Frame, RxInfo) { got++ })
 
 	rx.SetDown(true)
 	if !rx.Down() {
@@ -504,7 +513,7 @@ func TestRadioDownDuringChannelSwitch(t *testing.T) {
 	eng.RunAll()
 	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
 	got := 0
-	rx.SetReceiver(func(dot11.Frame, RxInfo) { got++ })
+	rx.SetReceiver(func(*dot11.Frame, RxInfo) { got++ })
 	// Go down mid-switch; when the switch completes the radio must not
 	// re-index onto the new channel.
 	rx.SetChannel(dot11.Channel6, nil)

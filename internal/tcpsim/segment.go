@@ -6,69 +6,17 @@
 // behind the paper's Figures 7, 8, and 10.
 package tcpsim
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-)
+import "spider/internal/ipnet"
+
+// Segment is a TCP segment as the sender and receiver exchange it: flags,
+// sequence numbers and a payload length. It is the ipnet.TCP header, so a
+// segment rides inside an ipnet.Packet, and through every frame, queue and
+// buffer below it, as a value. Its payload is only a length: the zero
+// bytes exist only in a wire image that a capture tap asks for.
+type Segment = ipnet.TCP
 
 // Segment flag bits.
 const (
-	FlagSYN = 1 << 0
-	FlagACK = 1 << 1
-	FlagFIN = 1 << 2
+	FlagSYN = ipnet.TCPSyn
+	FlagACK = ipnet.TCPAck
 )
-
-// Segment is a TCP segment. Payload content is synthetic (zeros) but its
-// length is carried on the wire so lower layers charge correct airtime.
-type Segment struct {
-	Flags   uint8
-	Seq     uint32 // first payload byte
-	Ack     uint32 // next expected byte (valid when FlagACK set)
-	Payload int    // payload length in bytes
-}
-
-const segHeaderLen = 1 + 4 + 4 + 2
-
-// ErrShortSegment reports a truncated serialized segment.
-var ErrShortSegment = errors.New("tcpsim: segment too short")
-
-// AppendTo serializes the segment (header plus zero payload) onto b.
-func (s *Segment) AppendTo(b []byte) []byte {
-	b = append(b, s.Flags)
-	b = binary.BigEndian.AppendUint32(b, s.Seq)
-	b = binary.BigEndian.AppendUint32(b, s.Ack)
-	if s.Payload < 0 || s.Payload > 0xffff {
-		panic(fmt.Sprintf("tcpsim: payload length %d out of range", s.Payload))
-	}
-	b = binary.BigEndian.AppendUint16(b, uint16(s.Payload))
-	return append(b, make([]byte, s.Payload)...)
-}
-
-// Bytes serializes the segment into a fresh buffer.
-func (s *Segment) Bytes() []byte {
-	return s.AppendTo(make([]byte, 0, segHeaderLen+s.Payload))
-}
-
-// WireLen returns the serialized length.
-func (s *Segment) WireLen() int { return segHeaderLen + s.Payload }
-
-// DecodeSegment parses a serialized segment.
-func DecodeSegment(data []byte) (Segment, error) {
-	var s Segment
-	if len(data) < segHeaderLen {
-		return s, ErrShortSegment
-	}
-	s.Flags = data[0]
-	s.Seq = binary.BigEndian.Uint32(data[1:5])
-	s.Ack = binary.BigEndian.Uint32(data[5:9])
-	s.Payload = int(binary.BigEndian.Uint16(data[9:11]))
-	if len(data) < segHeaderLen+s.Payload {
-		return s, ErrShortSegment
-	}
-	return s, nil
-}
-
-func (s Segment) String() string {
-	return fmt.Sprintf("seg{flags=%03b seq=%d ack=%d len=%d}", s.Flags, s.Seq, s.Ack, s.Payload)
-}

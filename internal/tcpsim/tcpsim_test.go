@@ -37,39 +37,6 @@ func connect(eng *sim.Engine, p *pipe, cfg Config, total int64, done func()) (*S
 	return snd, rcv
 }
 
-func TestSegmentRoundTrip(t *testing.T) {
-	s := Segment{Flags: FlagACK | FlagSYN, Seq: 1234, Ack: 5678, Payload: 321}
-	got, err := DecodeSegment(s.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != s {
-		t.Fatalf("round trip %+v != %+v", got, s)
-	}
-	if s.WireLen() != len(s.Bytes()) {
-		t.Fatal("WireLen mismatch")
-	}
-	if _, err := DecodeSegment([]byte{1, 2}); err != ErrShortSegment {
-		t.Fatalf("short: %v", err)
-	}
-	big := Segment{Payload: 100}
-	wire := big.Bytes()
-	if _, err := DecodeSegment(wire[:len(wire)-1]); err != ErrShortSegment {
-		t.Fatalf("truncated payload: %v", err)
-	}
-}
-
-func TestPropertySegmentRoundTrip(t *testing.T) {
-	f := func(flags uint8, seq, ack uint32, pl uint16) bool {
-		s := Segment{Flags: flags, Seq: seq, Ack: ack, Payload: int(pl)}
-		got, err := DecodeSegment(s.Bytes())
-		return err == nil && got == s
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLosslessTransferCompletes(t *testing.T) {
 	eng := sim.NewEngine()
 	p := &pipe{eng: eng, rng: sim.NewRNG(1), delay: 10 * time.Millisecond}
