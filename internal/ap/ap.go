@@ -219,9 +219,9 @@ func New(eng *sim.Engine, rng *sim.RNG, medium *phy.Medium, pos geo.Point, mac d
 		Capabilities:   a.capabilities(),
 	}
 	a.beaconBody = body.AppendTo(nil)
-	a.radio = medium.NewRadio(mac, func() geo.Point { return pos })
+	a.radio = medium.NewRadio(mac, func() geo.Point { return pos }, 0)
 	a.radio.SetChannel(cfg.Channel, nil)
-	a.radio.SetReceiver(a.onFrame)
+	a.radio.SetReceiver(a.onFrame, rxTypes...)
 	a.dhcpSrv = dhcp.NewServer(eng, rng.Stream("dhcp"), cfg.DHCP)
 	a.down = backhaul.NewLink(eng, cfg.Backhaul, a.fromWire)
 	a.up = backhaul.NewLink(eng, cfg.Backhaul, func(p ipnet.Packet) {
@@ -362,6 +362,11 @@ func (a *AP) sendFrame(f dot11.Frame, status func(bool)) {
 func (a *AP) mgmtDelay() sim.Time {
 	return a.rng.UniformDuration(a.cfg.MgmtDelayMin, a.cfg.MgmtDelayMax+1)
 }
+
+// rxTypes lists the frame types onFrame handles. The medium still draws
+// for and counts a frame of any other type, but does not call onFrame.
+var rxTypes = []dot11.FrameType{dot11.TypeProbeReq, dot11.TypeAuth, dot11.TypeAssocReq,
+	dot11.TypeDeauth, dot11.TypeNullData, dot11.TypePSPoll, dot11.TypeData}
 
 // onFrame handles a received frame, which is the medium's and valid only
 // for the call.

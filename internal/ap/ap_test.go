@@ -45,7 +45,7 @@ type client struct {
 
 func (w *world) newClient(mac dot11.MACAddr) *client {
 	c := &client{}
-	c.radio = w.medium.NewRadio(mac, func() geo.Point { return geo.Point{X: 10} })
+	c.radio = w.medium.NewRadio(mac, func() geo.Point { return geo.Point{X: 10} }, 0)
 	c.radio.SetChannel(dot11.Channel6, nil)
 	c.radio.SetReceiver(func(f *dot11.Frame, _ phy.RxInfo) { c.got = append(c.got, *f) })
 	// Let the channel switch (hardware reset) complete before the test

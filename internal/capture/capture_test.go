@@ -172,8 +172,8 @@ func TestMediumTapCapturesFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	tx := medium.NewRadio(dot11.MAC(1), func() geo.Point { return geo.Point{} })
-	rx := medium.NewRadio(dot11.MAC(2), func() geo.Point { return geo.Point{X: 5} })
+	tx := medium.NewRadio(dot11.MAC(1), func() geo.Point { return geo.Point{} }, 0)
+	rx := medium.NewRadio(dot11.MAC(2), func() geo.Point { return geo.Point{X: 5} }, 0)
 	rx.SetReceiver(func(*dot11.Frame, phy.RxInfo) {})
 	tx.Send(dot11.Frame{Type: dot11.TypeBeacon, Addr1: dot11.Broadcast, Addr3: dot11.MAC(1)}, nil)
 	tx.Send(dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(2),

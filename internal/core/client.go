@@ -93,6 +93,16 @@ func (c *Client) pos() geo.Point {
 	return c.cfg.Mobility.PositionAt(c.modelTime(c.s.eng.Now()))
 }
 
+// stillFrom is the engine time from which pos stops changing: the model's
+// StillFrom on the client's clock, saturating at sim.Infinity.
+func (c *Client) stillFrom() sim.Time {
+	still := c.cfg.Mobility.StillFrom()
+	if still > sim.Infinity-c.cfg.StartOffset {
+		return sim.Infinity
+	}
+	return c.cfg.StartOffset + still
+}
+
 // nextServerIP allocates this client's next flow server address from its
 // private block, failing loudly on exhaustion rather than wrapping into a
 // neighbour's. Clients 0..255 keep the original 203.<id>.0.0/16 carve;
@@ -138,7 +148,7 @@ func (c *Client) build(rng *sim.RNG) {
 		ProbeInterval: probeInterval,
 		Events:        c.events,
 	}
-	c.drv = driver.New(eng, rng.Stream("driver"), s.medium, c.MAC(), c.pos, drvCfg)
+	c.drv = driver.New(eng, rng.Stream("driver"), s.medium, c.MAC(), c.pos, c.stillFrom(), drvCfg)
 	lcfg := cfg.lmmConfig()
 	lcfg.Events = c.events
 	if w := s.cfg.Alloc; w != nil && w.Variant == alloc.Decentralized {

@@ -156,9 +156,9 @@ type Driver struct {
 }
 
 // New creates a driver with its radio attached to medium at the mobile
-// position pos. The radio starts on channel 1 with an empty (single-slot)
-// schedule.
-func New(eng *sim.Engine, rng *sim.RNG, medium *phy.Medium, mac dot11.MACAddr, pos func() geo.Point, cfg Config) *Driver {
+// position pos, which stops changing at stillFrom (see phy.Medium.NewRadio).
+// The radio starts on channel 1 with an empty (single-slot) schedule.
+func New(eng *sim.Engine, rng *sim.RNG, medium *phy.Medium, mac dot11.MACAddr, pos func() geo.Point, stillFrom sim.Time, cfg Config) *Driver {
 	cfg = cfg.withDefaults()
 	d := &Driver{
 		eng:  eng,
@@ -169,8 +169,8 @@ func New(eng *sim.Engine, rng *sim.RNG, medium *phy.Medium, mac dot11.MACAddr, p
 		events:   cfg.Events,
 		evChatty: cfg.Events.ChattyFlag(),
 	}
-	d.radio = medium.NewRadio(mac, pos)
-	d.radio.SetReceiver(d.onFrame)
+	d.radio = medium.NewRadio(mac, pos, stillFrom)
+	d.radio.SetReceiver(d.onFrame, rxTypes...)
 	for i := 0; i < cfg.NumVIFs; i++ {
 		d.vifs = append(d.vifs, &VIF{id: i, drv: d})
 	}
@@ -443,6 +443,11 @@ func (d *Driver) sendOrQueue(ch dot11.Channel, f dot11.Frame) {
 	d.stats.TxQueued++
 	d.txq[ch] = append(d.txq[ch], f)
 }
+
+// rxTypes lists the frame types onFrame handles. The medium still draws
+// for and counts a frame of any other type, but does not call onFrame.
+var rxTypes = []dot11.FrameType{dot11.TypeBeacon, dot11.TypeProbeResp,
+	dot11.TypeAuthResp, dot11.TypeAssocResp, dot11.TypeData}
 
 // onFrame dispatches received frames to the scan table and the VIFs. The
 // frame is the medium's, valid only for the call.

@@ -26,7 +26,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 	params := phy.Defaults()
 	params.Loss = func(float64) float64 { return 0 }
 	r := &rig{eng: eng, medium: phy.NewMedium(eng, sim.NewRNG(11).Stream("phy"), params)}
-	r.drv = New(eng, sim.NewRNG(12), r.medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, cfg)
+	r.drv = New(eng, sim.NewRNG(12), r.medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, 0, cfg)
 	return r
 }
 
@@ -373,7 +373,7 @@ func TestFractionalScheduleDegradesJoin(t *testing.T) {
 		params := phy.Defaults()
 		params.Loss = func(float64) float64 { return 0.1 }
 		medium := phy.NewMedium(eng, sim.NewRNG(seed).Stream("phy"), params)
-		drv := New(eng, sim.NewRNG(seed+1), medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, Config{JoinWindow: 4 * time.Second})
+		drv := New(eng, sim.NewRNG(seed+1), medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, 0, Config{JoinWindow: 4 * time.Second})
 		gw := ipnet.AddrFrom4(10, 1, 0, 1)
 		apCfg := ap.DefaultConfig("net", dot11.Channel6, gw)
 		apCfg.MgmtDelayMin, apCfg.MgmtDelayMax = 5*time.Millisecond, 50*time.Millisecond

@@ -2,6 +2,7 @@ package ipnet
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -25,6 +26,33 @@ func FuzzDecode(f *testing.F) {
 		}
 		if p.WireLen() != len(data) {
 			t.Fatalf("WireLen %d for a %d-byte image", p.WireLen(), len(data))
+		}
+	})
+}
+
+// FuzzParsePrefix feeds arbitrary strings to ParsePrefix, which reads the
+// address plans in world specs. It must never panic. Anything it accepts
+// must re-parse from its String form to the same prefix, and an input with
+// no host bits set must already be that String form: one prefix has one
+// spelling, so no sign, leading zero or octal reading slips through. The
+// seed corpus in testdata/fuzz/FuzzParsePrefix holds canonical prefixes,
+// host bits to mask, the /0 and /32 ends, and rejected spellings.
+func FuzzParsePrefix(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePrefix(s)
+		if err != nil {
+			return
+		}
+		if q, err := ParsePrefix(p.String()); err != nil || q != p {
+			t.Fatalf("ParsePrefix(%q) = %v, but its String re-parses to %v, %v", s, p, q, err)
+		}
+		addr, _, _ := strings.Cut(s, "/")
+		host, err := ParsePrefix(addr + "/32")
+		if err != nil {
+			t.Fatalf("ParsePrefix accepted %q but not its address as a /32: %v", s, err)
+		}
+		if host.Network() == p.Network() && s != p.String() {
+			t.Fatalf("ParsePrefix(%q) has no host bits but formats as %q", s, p)
 		}
 	})
 }

@@ -26,30 +26,50 @@ func PrefixFrom(addr Addr, bits int) Prefix {
 	return Prefix{addr: addr & maskOf(bits), bits: bits}
 }
 
-// ParsePrefix parses "a.b.c.d/len" CIDR notation.
+// ParsePrefix parses "a.b.c.d/len" CIDR notation. Each octet and the
+// length are plain decimal: a sign or a leading zero is rejected, as
+// net/netip does, because inet_aton reads "010" as octal 8. Host bits are
+// masked off.
 func ParsePrefix(s string) (Prefix, error) {
 	slash := strings.IndexByte(s, '/')
 	if slash < 0 {
 		return Prefix{}, fmt.Errorf("ipnet: prefix %q missing /len", s)
 	}
-	bits, err := strconv.Atoi(s[slash+1:])
-	if err != nil || bits < 0 || bits > 32 {
+	bits, ok := parseDecimal(s[slash+1:], 32)
+	if !ok {
 		return Prefix{}, fmt.Errorf("ipnet: prefix %q has invalid length", s)
 	}
-	var quad [4]int
+	var quad [4]byte
 	parts := strings.Split(s[:slash], ".")
 	if len(parts) != 4 {
 		return Prefix{}, fmt.Errorf("ipnet: prefix %q has invalid address", s)
 	}
 	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 0 || v > 255 {
+		v, ok := parseDecimal(p, 255)
+		if !ok {
 			return Prefix{}, fmt.Errorf("ipnet: prefix %q has invalid octet %q", s, p)
 		}
-		quad[i] = v
+		quad[i] = byte(v)
 	}
-	a := AddrFrom4(byte(quad[0]), byte(quad[1]), byte(quad[2]), byte(quad[3]))
-	return PrefixFrom(a, bits), nil
+	return PrefixFrom(AddrFrom4(quad[0], quad[1], quad[2], quad[3]), bits), nil
+}
+
+// parseDecimal parses digits only, with no leading zero unless the number
+// is 0 itself, and reports false for anything else or a value above limit.
+func parseDecimal(s string, limit int) (int, bool) {
+	if s == "" || len(s) > 1 && s[0] == '0' {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, false
+		}
+		if n = n*10 + int(s[i]-'0'); n > limit {
+			return 0, false
+		}
+	}
+	return n, true
 }
 
 // MustParsePrefix is ParsePrefix for literals; it panics on error.

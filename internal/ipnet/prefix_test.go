@@ -34,7 +34,10 @@ func TestPrefixParseAndFormat(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"", "10.0.0.0", "10.0.0/24", "10.0.0.0/33",
-		"10.0.0.0/-1", "10.0.0.256/8", "10.0.0.x/8", "10.0.0.0/x"} {
+		"10.0.0.0/-1", "10.0.0.256/8", "10.0.0.x/8", "10.0.0.0/x",
+		// Signs and leading zeros: inet_aton reads 010 as octal 8.
+		"+10.0.0.0/8", "010.000.0.0/08", "-0.0.0.0/0", "10.0.0.0/+8",
+		"10.0.0.00/8", "10.0.0.0/08", "10.01.0.0/16", "10.0.0.0/", "10..0.0/8"} {
 		if _, err := ParsePrefix(bad); err == nil {
 			t.Errorf("ParsePrefix(%q) accepted malformed input", bad)
 		}

@@ -30,7 +30,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 	params.Loss = func(float64) float64 { return 0.05 }
 	r := &rig{eng: eng, medium: phy.NewMedium(eng, sim.NewRNG(21).Stream("phy"), params)}
 	dcfg := driver.Config{NumVIFs: 4, LLTimeout: 100 * time.Millisecond, JoinWindow: 2 * time.Second}
-	r.drv = driver.New(eng, sim.NewRNG(22), r.medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, dcfg)
+	r.drv = driver.New(eng, sim.NewRNG(22), r.medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, 0, dcfg)
 	r.m = New(eng, sim.NewRNG(23), r.drv, cfg)
 	r.m.OnLinkUp = func(l *Link) { r.ups = append(r.ups, l) }
 	r.m.OnLinkDown = func(l *Link) { r.downs = append(r.downs, l) }
@@ -281,7 +281,7 @@ func TestCaptivePortalDetectedByE2ETest(t *testing.T) {
 	params.Loss = func(float64) float64 { return 0.05 }
 	medium := phy.NewMedium(eng, sim.NewRNG(21).Stream("phy"), params)
 	dcfg := driver.Config{NumVIFs: 2, LLTimeout: 100 * time.Millisecond, JoinWindow: 2 * time.Second}
-	drv := driver.New(eng, sim.NewRNG(22), medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, dcfg)
+	drv := driver.New(eng, sim.NewRNG(22), medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, 0, dcfg)
 	remote := ipnet.AddrFrom4(198, 18, 0, 1)
 	cfg := Config{Schedule: ch1Sched(), TestTarget: remote}
 	m := New(eng, sim.NewRNG(23), drv, cfg)
@@ -316,7 +316,7 @@ func TestRSSIOnlySelectionIgnoresUtility(t *testing.T) {
 		params.Loss = func(float64) float64 { return 0 }
 		medium := phy.NewMedium(eng, sim.NewRNG(5).Stream("phy"), params)
 		dcfg := driver.Config{NumVIFs: 1, LLTimeout: 100 * time.Millisecond, JoinWindow: time.Second}
-		drv := driver.New(eng, sim.NewRNG(6), medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, dcfg)
+		drv := driver.New(eng, sim.NewRNG(6), medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, 0, dcfg)
 		cfg := Config{Schedule: ch1Sched(), SingleAP: true, SelectByRSSIOnly: rssiOnly}
 		m := New(eng, sim.NewRNG(7), drv, cfg)
 		// Pre-poison the near AP's history.

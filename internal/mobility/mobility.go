@@ -18,6 +18,12 @@ type Model interface {
 	PositionAt(t sim.Time) geo.Point
 	// Speed returns the nominal speed in m/s (0 for stationary).
 	Speed() float64
+	// StillFrom returns the earliest time from which PositionAt returns one
+	// fixed point: 0 for a stationary model, the arrival time of a route
+	// that parks, and sim.Infinity for one that never stops. A radio
+	// reads its position once from then on and keeps it, so an early
+	// value freezes a moving radio.
+	StillFrom() sim.Time
 }
 
 // static is a stationary model.
@@ -25,6 +31,7 @@ type static struct{ p geo.Point }
 
 func (s static) PositionAt(sim.Time) geo.Point { return s.p }
 func (s static) Speed() float64                { return 0 }
+func (s static) StillFrom() sim.Time           { return 0 }
 
 // Static returns a stationary model at p, used for the indoor experiments.
 func Static(p geo.Point) Model { return static{p} }
@@ -37,6 +44,7 @@ type Waypoints struct {
 	total float64
 	speed float64
 	loop  bool
+	still sim.Time // StillFrom, fixed at construction
 }
 
 // NewWaypoints builds a route through pts at the given speed in m/s. With
@@ -61,11 +69,40 @@ func NewWaypoints(pts []geo.Point, speed float64, loop bool) *Waypoints {
 	if w.total == 0 {
 		panic("mobility: route has zero length")
 	}
+	w.still = sim.Infinity
+	if !loop {
+		w.still = w.arrival()
+	}
 	return w
+}
+
+// arrival returns the least t at which PositionAt parks, speed×t ≥ total,
+// by bisection on t: the predicate is monotone in t, and bisection finds
+// its exact boundary where dividing total by speed could round either
+// way. Infinity when no representable time gets there.
+func (w *Waypoints) arrival() sim.Time {
+	parked := func(t sim.Time) bool { return w.speed*t.Seconds() >= w.total }
+	lo, hi := sim.Time(0), sim.Infinity // !parked(lo), since total > 0
+	if !parked(hi) {
+		return sim.Infinity
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if parked(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
 }
 
 // Speed returns the route speed in m/s.
 func (w *Waypoints) Speed() float64 { return w.speed }
+
+// StillFrom returns when the route parks at its final point: the least t
+// with speed×t ≥ Length, or sim.Infinity for a loop.
+func (w *Waypoints) StillFrom() sim.Time { return w.still }
 
 // Length returns the route length in metres (one lap when looping).
 func (w *Waypoints) Length() float64 { return w.total }

@@ -208,3 +208,54 @@ func TestPropertyEncounterDuration(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: StillFrom is exactly when a route parks. Over random routes and
+// speeds, a parking route's StillFrom is the least t with speed×t ≥ Length,
+// PositionAt returns the final point at every sampled t from then on, and
+// a loop never parks.
+func TestPropertyStillFrom(t *testing.T) {
+	if got := Static(geo.Point{X: 3, Y: 4}).StillFrom(); got != 0 {
+		t.Fatalf("static StillFrom = %v, want 0", got)
+	}
+	rng := sim.NewRNG(5)
+	for i := 0; i < 2000; i++ {
+		scale := math.Pow(10, rng.Uniform(-2, 5)) // centimetres to 100 km
+		pts := make([]geo.Point, 2+rng.Intn(5))
+		for j := range pts {
+			pts[j] = geo.Point{X: rng.Uniform(-scale, scale), Y: rng.Uniform(-scale, scale)}
+		}
+		speed := math.Pow(10, rng.Uniform(-2, 3))
+		loop := rng.Bool(0.2)
+		w := NewWaypoints(pts, speed, loop)
+		still := w.StillFrom()
+		if loop {
+			if still != sim.Infinity {
+				t.Fatalf("route %d: loop StillFrom = %v, want sim.Infinity", i, still)
+			}
+			continue
+		}
+		if still <= 0 || still == sim.Infinity {
+			t.Fatalf("route %d: StillFrom = %v for a %.3g m route at %.3g m/s", i, still, w.Length(), speed)
+		}
+		if speed*still.Seconds() < w.Length() {
+			t.Fatalf("route %d: speed×StillFrom = %v short of length %v", i, speed*still.Seconds(), w.Length())
+		}
+		if speed*(still-1).Seconds() >= w.Length() {
+			t.Fatalf("route %d: already parked at StillFrom-1 = %v", i, still-1)
+		}
+		last := w.pts[len(w.pts)-1]
+		for _, at := range []sim.Time{still, still + 1, still + rng.ExpDuration(time.Minute), sim.Infinity} {
+			if at < still { // the exponential sample overflowed
+				continue
+			}
+			if p := w.PositionAt(at); p != last {
+				t.Fatalf("route %d: PositionAt(%v) = %v after StillFrom %v, want %v", i, at, p, still, last)
+			}
+		}
+	}
+	// A route no representable time finishes never parks either.
+	far := NewWaypoints([]geo.Point{{X: 0, Y: 0}, {X: 1e12, Y: 0}}, 1e-3, false)
+	if got := far.StillFrom(); got != sim.Infinity {
+		t.Fatalf("unfinishable route StillFrom = %v, want sim.Infinity", got)
+	}
+}

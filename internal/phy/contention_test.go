@@ -19,8 +19,8 @@ func certainCollisions() Params {
 func TestNoCollisionsWithoutContention(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMedium(eng, sim.NewRNG(1), certainCollisions())
-	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
-	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
+	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
+	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0), 0)
 	got := 0
 	rx.SetReceiver(func(*dot11.Frame, RxInfo) { got++ })
 
@@ -41,9 +41,9 @@ func TestNoCollisionsWithoutContention(t *testing.T) {
 func TestContendingBroadcastsCollide(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMedium(eng, sim.NewRNG(1), certainCollisions())
-	a := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
-	b := m.NewRadio(dot11.MAC(2), fixedPos(5, 0))
-	rx := m.NewRadio(dot11.MAC(3), fixedPos(10, 0))
+	a := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
+	b := m.NewRadio(dot11.MAC(2), fixedPos(5, 0), 0)
+	rx := m.NewRadio(dot11.MAC(3), fixedPos(10, 0), 0)
 	var got []dot11.MACAddr
 	rx.SetReceiver(func(f *dot11.Frame, _ RxInfo) { got = append(got, f.Addr2) })
 
@@ -65,9 +65,9 @@ func TestContendingBroadcastsCollide(t *testing.T) {
 func TestCollidedUnicastRetriesAndRecovers(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMedium(eng, sim.NewRNG(1), certainCollisions())
-	a := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
-	b := m.NewRadio(dot11.MAC(2), fixedPos(5, 0))
-	rx := m.NewRadio(dot11.MAC(3), fixedPos(10, 0))
+	a := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
+	b := m.NewRadio(dot11.MAC(2), fixedPos(5, 0), 0)
+	rx := m.NewRadio(dot11.MAC(3), fixedPos(10, 0), 0)
 	rx.SetReceiver(func(*dot11.Frame, RxInfo) {})
 
 	// b's unicast commits while a's frame is on the air: the first
@@ -97,9 +97,9 @@ func TestNegativeCollisionProbDisablesCollisions(t *testing.T) {
 	p := lossless()
 	p.CollisionProb = -1
 	m := NewMedium(eng, sim.NewRNG(1), p)
-	a := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
-	b := m.NewRadio(dot11.MAC(2), fixedPos(5, 0))
-	rx := m.NewRadio(dot11.MAC(3), fixedPos(10, 0))
+	a := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
+	b := m.NewRadio(dot11.MAC(2), fixedPos(5, 0), 0)
+	rx := m.NewRadio(dot11.MAC(3), fixedPos(10, 0), 0)
 	got := 0
 	rx.SetReceiver(func(*dot11.Frame, RxInfo) { got++ })
 
@@ -124,7 +124,7 @@ func TestContentionDeterminism(t *testing.T) {
 		m := NewMedium(eng, sim.NewRNG(7), p)
 		radios := make([]*Radio, 4)
 		for i := range radios {
-			radios[i] = m.NewRadio(dot11.MAC(uint32(1+i)), fixedPos(float64(i)*5, 0))
+			radios[i] = m.NewRadio(dot11.MAC(uint32(1+i)), fixedPos(float64(i)*5, 0), 0)
 			radios[i].SetReceiver(func(*dot11.Frame, RxInfo) {})
 		}
 		for round := 0; round < 10; round++ {

@@ -57,10 +57,10 @@ func TestDeliveryMatchesTappedWire(t *testing.T) {
 	m.SetTap(func(_ dot11.Channel, wire []byte, _ sim.Time) {
 		taps = append(taps, append([]byte(nil), wire...))
 	})
-	a := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
-	b := m.NewRadio(dot11.MAC(2), fixedPos(30, 0))
-	c := m.NewRadio(dot11.MAC(3), fixedPos(0, 60))
-	near := m.NewRadio(dot11.MAC(4), fixedPos(0.5, 0)) // inside the 1 m RSSI floor
+	a := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
+	b := m.NewRadio(dot11.MAC(2), fixedPos(30, 0), 0)
+	c := m.NewRadio(dot11.MAC(3), fixedPos(0, 60), 0)
+	near := m.NewRadio(dot11.MAC(4), fixedPos(0.5, 0), 0) // inside the 1 m RSSI floor
 
 	received, retries := 0, 0
 	check := func(who string, dist float64) func(*dot11.Frame, RxInfo) {
@@ -140,9 +140,9 @@ func TestDeliveryMatchesTappedWire(t *testing.T) {
 func TestReceiverMaySendDuringDelivery(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMedium(eng, sim.NewRNG(1), lossless())
-	a := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
-	b := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
-	c := m.NewRadio(dot11.MAC(3), fixedPos(20, 0))
+	a := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
+	b := m.NewRadio(dot11.MAC(2), fixedPos(10, 0), 0)
+	c := m.NewRadio(dot11.MAC(3), fixedPos(20, 0), 0)
 	b.SetReceiver(func(f *dot11.Frame, _ RxInfo) {
 		if f.Addr2 == a.MAC() {
 			b.Send(dot11.Frame{Type: dot11.TypeProbeReq, Addr1: dot11.Broadcast, Seq: 9}, nil)
@@ -161,7 +161,7 @@ func TestReceiverMaySendDuringDelivery(t *testing.T) {
 // not know, so no receiver or tap ever sees one.
 func TestSendPanicsOnUnknownType(t *testing.T) {
 	m := NewMedium(sim.NewEngine(), sim.NewRNG(1), lossless())
-	r := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
+	r := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Send with an unknown frame type did not panic")

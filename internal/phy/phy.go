@@ -16,6 +16,16 @@
 // receiver. Per-channel state lives in flat channel-indexed arrays (there
 // are only 14 channels), so the commit/deliver path does not allocate at
 // city-scale populations.
+//
+// A broadcast visits every radio on its channel, so the receiver loop
+// computes only what the loss draws and the counters need. A radio that
+// has stopped moving reads its position once and keeps it. A receiver at
+// the same point as the radio visited just before it reuses that radio's
+// distance and loss, and a transmission's rate and noise factors are fixed
+// before the loop. A receiver whose callback does not handle the frame's
+// type still takes its loss draw and still counts as delivered or lost;
+// only the call is skipped. Every receiver in range therefore costs
+// exactly one draw, as it always has.
 package phy
 
 import (
@@ -60,7 +70,9 @@ type Params struct {
 	CollisionProb float64
 	// Loss optionally overrides the distance-loss curve. It receives the
 	// transmitter-receiver distance in metres and returns a per-try loss
-	// probability in [0,1] (ignoring the transmit rate).
+	// probability in [0,1] (ignoring the transmit rate). It must be a pure
+	// function of distance: receivers at one point share one evaluation,
+	// so the medium may call it fewer times than it delivers frames.
 	Loss func(distance float64) float64
 	// RateAdaptation enables per-peer ARF rate control over Rates; lower
 	// rates are more robust near the range edge but cost airtime.
@@ -115,24 +127,50 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// lossAt returns the per-try loss probability at distance d for a frame
-// sent at the given rate. Lower rates flatten the distance term — the
+// lossCurve is one transmission's per-try loss as a function of distance
+// alone: the rate's robustness and the channel's noise burst are fixed for
+// the whole transmission, so they are computed once and the curve is
+// evaluated per receiver.
+type lossCurve struct {
+	p      *Params
+	robust float64 // rate factor on the distance term (1 without adaptation)
+	noise  float64 // injected extra loss, combined as an independent event
+}
+
+// curve fixes the loss curve of a frame sent at rate on a channel with the
+// given injected noise. Lower rates flatten the distance term — the
 // robustness that makes ARF fallback worthwhile at the range edge — but
 // the hard range cutoff is rate-independent.
-func (p Params) lossAt(d, rate float64) float64 {
-	if p.Loss != nil {
-		return clamp01(p.Loss(d))
-	}
-	if d >= p.Range {
-		return 1
-	}
-	frac := d / p.Range
-	robust := 1.0
+func (p *Params) curve(rate, noise float64) lossCurve {
+	c := lossCurve{p: p, robust: 1, noise: noise}
 	if p.RateAdaptation && rate > 0 {
-		robust = math.Sqrt(rate / p.maxRate())
+		c.robust = math.Sqrt(rate / p.maxRate())
 	}
-	sq := frac * frac // frac⁴ by squaring: bit-identical to math.Pow(frac, 4)
-	return clamp01(p.BaseLoss + (1-p.BaseLoss)*(sq*sq)*robust)
+	return c
+}
+
+// lossAt returns the per-try loss at distance d for a frame sent at rate
+// on a quiet channel.
+func (p Params) lossAt(d, rate float64) float64 { return p.curve(rate, 0).at(d) }
+
+// at returns the per-try loss probability at distance d.
+func (c lossCurve) at(d float64) float64 {
+	p := c.p
+	var loss float64
+	switch {
+	case p.Loss != nil:
+		loss = clamp01(p.Loss(d))
+	case d >= p.Range:
+		loss = 1
+	default:
+		frac := d / p.Range
+		sq := frac * frac // frac⁴ by squaring: bit-identical to math.Pow(frac, 4)
+		loss = clamp01(p.BaseLoss + (1-p.BaseLoss)*(sq*sq)*c.robust)
+	}
+	if c.noise > 0 {
+		loss = 1 - (1-loss)*(1-c.noise)
+	}
+	return loss
 }
 
 func clamp01(x float64) float64 {
@@ -177,7 +215,6 @@ type Medium struct {
 	rng    *sim.RNG
 	params Params
 
-	radios map[*Radio]struct{}
 	// Flat per-channel state, indexed by channel number (1..14).
 	byChannel [numChannels][]*Radio // registration order, so delivery iteration is deterministic
 	busyUntil [numChannels]sim.Time
@@ -198,12 +235,7 @@ type Medium struct {
 // NewMedium creates a medium on the given engine. rng must be a dedicated
 // stream; the medium draws from it for loss sampling and backoff jitter.
 func NewMedium(eng *sim.Engine, rng *sim.RNG, params Params) *Medium {
-	return &Medium{
-		eng:    eng,
-		rng:    rng,
-		params: params.withDefaults(),
-		radios: make(map[*Radio]struct{}),
-	}
+	return &Medium{eng: eng, rng: rng, params: params.withDefaults()}
 }
 
 // SetChannelNoise injects an additional per-try loss probability applied
@@ -226,16 +258,6 @@ func (m *Medium) ChannelNoise(ch dot11.Channel) float64 {
 		return 0
 	}
 	return m.noise[ch]
-}
-
-// lossOn is the effective per-try loss on a channel: the distance model
-// combined with any injected noise burst as independent loss events.
-func (m *Medium) lossOn(ch dot11.Channel, d, rate float64) float64 {
-	p := m.params.lossAt(d, rate)
-	if n := m.noise[ch]; n > 0 {
-		p = 1 - (1-p)*(1-n)
-	}
-	return p
 }
 
 // Params returns the effective (defaulted) parameter set.
@@ -354,7 +376,13 @@ type Radio struct {
 	mac     dot11.MACAddr
 	channel dot11.Channel
 	pos     func() geo.Point
-	recv    func(*dot11.Frame, RxInfo)
+	// From stillFrom on, pos returns one fixed point: the first read at or
+	// after it is kept in at, and pos is not called again.
+	stillFrom sim.Time
+	still     bool
+	at        geo.Point
+	recv      func(*dot11.Frame, RxInfo)
+	accepts   uint16 // bit t set: recv handles frame type t
 
 	switching bool
 	closed    bool
@@ -373,14 +401,17 @@ type Radio struct {
 }
 
 // NewRadio attaches a radio to the medium. pos is sampled at delivery time,
-// so mobile nodes simply pass a closure over their mobility model. The
-// radio starts tuned to channel 1 with no receiver.
-func (m *Medium) NewRadio(mac dot11.MACAddr, pos func() geo.Point) *Radio {
+// so mobile nodes simply pass a closure over their mobility model.
+// stillFrom is the time from which pos returns one fixed point: the radio
+// reads its position once at or after it and keeps it. A fixed radio
+// passes 0; a radio that may move forever passes sim.Infinity. The radio
+// starts tuned to channel 1 with no receiver.
+func (m *Medium) NewRadio(mac dot11.MACAddr, pos func() geo.Point, stillFrom sim.Time) *Radio {
 	if pos == nil {
 		panic("phy: NewRadio with nil position func")
 	}
-	r := &Radio{m: m, mac: mac, channel: dot11.Channel1, pos: pos, arfIdx: make(map[dot11.MACAddr]int32)}
-	m.radios[r] = struct{}{}
+	r := &Radio{m: m, mac: mac, channel: dot11.Channel1, pos: pos, stillFrom: stillFrom,
+		arfIdx: make(map[dot11.MACAddr]int32)}
 	m.index(r, dot11.Channel1)
 	return r
 }
@@ -429,19 +460,43 @@ func (r *Radio) SetDown(down bool) {
 // Down reports whether the radio is powered off.
 func (r *Radio) Down() bool { return r.down }
 
-// Position returns the radio's current position.
-func (r *Radio) Position() geo.Point { return r.pos() }
+// Position returns the radio's current position. Once the radio is still,
+// this is the point it read then.
+func (r *Radio) Position() geo.Point {
+	if r.still {
+		return r.at
+	}
+	p := r.pos()
+	if r.m.eng.Now() >= r.stillFrom {
+		r.at, r.still = p, true
+	}
+	return p
+}
 
-// SetReceiver installs the frame delivery callback. The frame belongs to
-// the medium and is valid only during the call: a receiver copies out what
-// it keeps (the packet value, say) and never writes through the pointer.
-func (r *Radio) SetReceiver(fn func(*dot11.Frame, RxInfo)) { r.recv = fn }
+// SetReceiver installs the frame delivery callback and the frame types it
+// handles; no types means every type. A frame of another type still takes
+// its loss draw and counts in FramesDelivered or FramesLost, exactly as if
+// fn had ignored it, but fn is not called. The frame belongs to the medium
+// and is valid only during the call: a receiver copies out what it keeps
+// (the packet value, say) and never writes through the pointer. An unknown
+// frame type panics.
+func (r *Radio) SetReceiver(fn func(*dot11.Frame, RxInfo), types ...dot11.FrameType) {
+	r.recv, r.accepts = fn, ^uint16(0)
+	if len(types) > 0 {
+		r.accepts = 0
+	}
+	for _, t := range types {
+		if !t.Valid() {
+			panic(fmt.Sprintf("phy: SetReceiver with unknown frame type %d", t))
+		}
+		r.accepts |= 1 << t
+	}
+}
 
 // Close detaches the radio from the medium. Frames in flight to it are
 // dropped.
 func (r *Radio) Close() {
 	r.closed = true
-	delete(r.m.radios, r)
 	r.m.unindex(r, r.channel)
 }
 
@@ -637,7 +692,6 @@ func (m *Medium) deliver(j *txJob) bool {
 	if j.collided {
 		m.stats.Collisions++
 	}
-	srcPos := src.pos()
 	if f.Addr1.IsBroadcast() {
 		m.stats.Broadcasts++
 		if j.collided {
@@ -647,15 +701,26 @@ func (m *Medium) deliver(j *txJob) bool {
 			}
 			return false
 		}
+		srcPos, curve := src.Position(), m.params.curve(rate, m.noise[ch])
+		// Receivers at one point share one distance and one loss: the
+		// memo holds the previous radio visited (loss < 0: not yet
+		// evaluated for that point).
+		var last geo.Point
+		d, loss := -1.0, -1.0
 		for _, rx := range m.byChannel[ch] {
 			if rx == src || rx.closed || rx.switching || rx.down || rx.recv == nil {
 				continue
 			}
-			d := rx.pos().Distance(srcPos)
+			if pos := rx.Position(); d < 0 || pos != last {
+				last, d, loss = pos, pos.Distance(srcPos), -1
+			}
 			if d > m.params.Range {
 				continue
 			}
-			if m.rng.Bool(m.lossOn(ch, d, rate)) {
+			if loss < 0 {
+				loss = curve.at(d)
+			}
+			if m.rng.Bool(loss) {
 				m.stats.FramesLost++
 				continue
 			}
@@ -679,11 +744,11 @@ func (m *Medium) deliver(j *txJob) bool {
 	}
 	ok := false
 	if target != nil && !j.collided {
-		d := target.pos().Distance(srcPos)
+		d := target.Position().Distance(src.Position())
 		if d <= m.params.Range {
 			// Success requires the data frame and the returning ACK to
 			// both survive, hence the squared survival probability.
-			p := 1 - m.lossOn(ch, d, rate)
+			p := 1 - m.params.curve(rate, m.noise[ch]).at(d)
 			ok = m.rng.Bool(p * p)
 			if ok && target.recv != nil {
 				m.deliverTo(target, f, ch, d)
@@ -711,7 +776,11 @@ func (m *Medium) deliver(j *txJob) bool {
 	return false
 }
 
+// deliverTo counts a reception and calls rx's receiver if it handles the
+// frame's type.
 func (m *Medium) deliverTo(rx *Radio, f *dot11.Frame, ch dot11.Channel, dist float64) {
 	m.stats.FramesDelivered++
-	rx.recv(f, RxInfo{Channel: ch, Distance: dist, At: m.eng.Now()})
+	if rx.accepts&(1<<f.Type) != 0 {
+		rx.recv(f, RxInfo{Channel: ch, Distance: dist, At: m.eng.Now()})
+	}
 }

@@ -32,11 +32,11 @@ func segment(n int) ipnet.Packet {
 func TestBroadcastDelivery(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMedium(eng, sim.NewRNG(1), lossless())
-	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
+	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
 	var got []dot11.Frame
-	rx := m.NewRadio(dot11.MAC(2), fixedPos(50, 0))
+	rx := m.NewRadio(dot11.MAC(2), fixedPos(50, 0), 0)
 	rx.SetReceiver(func(f *dot11.Frame, _ RxInfo) { got = append(got, *f) })
-	far := m.NewRadio(dot11.MAC(3), fixedPos(500, 0))
+	far := m.NewRadio(dot11.MAC(3), fixedPos(500, 0), 0)
 	farGot := 0
 	far.SetReceiver(func(*dot11.Frame, RxInfo) { farGot++ })
 
@@ -56,8 +56,8 @@ func TestBroadcastDelivery(t *testing.T) {
 func TestUnicastDeliveryAndStatus(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMedium(eng, sim.NewRNG(1), lossless())
-	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
-	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
+	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
+	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0), 0)
 	delivered := 0
 	rx.SetReceiver(func(f *dot11.Frame, info RxInfo) {
 		delivered++
@@ -82,7 +82,7 @@ func TestUnicastDeliveryAndStatus(t *testing.T) {
 func TestUnicastToAbsentStationFails(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMedium(eng, sim.NewRNG(1), lossless())
-	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
+	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
 	var ok *bool
 	tx.Send(dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(99)}, func(b bool) { ok = &b })
 	eng.RunAll()
@@ -102,8 +102,8 @@ func TestUnicastToAbsentStationFails(t *testing.T) {
 func TestChannelIsolation(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMedium(eng, sim.NewRNG(1), lossless())
-	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
-	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
+	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
+	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0), 0)
 	rx.SetChannel(dot11.Channel6, nil)
 	eng.RunAll()
 	got := 0
@@ -118,7 +118,7 @@ func TestChannelIsolation(t *testing.T) {
 func TestSetChannelLatencyAndCallback(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMedium(eng, sim.NewRNG(1), lossless())
-	r := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
+	r := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
 	var doneAt sim.Time = -1
 	r.SetChannel(dot11.Channel11, func() { doneAt = eng.Now() })
 	if !r.Switching() {
@@ -142,7 +142,7 @@ func TestSetChannelLatencyAndCallback(t *testing.T) {
 func TestSendWhileSwitchingFails(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMedium(eng, sim.NewRNG(1), lossless())
-	r := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
+	r := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
 	r.SetChannel(dot11.Channel6, nil)
 	var ok *bool
 	r.Send(dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(2)}, func(b bool) { ok = &b })
@@ -155,8 +155,8 @@ func TestSendWhileSwitchingFails(t *testing.T) {
 func TestReceiverMissesFramesWhileSwitching(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMedium(eng, sim.NewRNG(1), lossless())
-	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
-	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
+	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
+	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0), 0)
 	got := 0
 	rx.SetReceiver(func(*dot11.Frame, RxInfo) { got++ })
 	// Start a broadcast, then immediately put the receiver into a switch
@@ -173,8 +173,8 @@ func TestAirtimeSerialization(t *testing.T) {
 	eng := sim.NewEngine()
 	p := lossless()
 	m := NewMedium(eng, sim.NewRNG(1), p)
-	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
-	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
+	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
+	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0), 0)
 	var times []sim.Time
 	rx.SetReceiver(func(*dot11.Frame, RxInfo) { times = append(times, eng.Now()) })
 	f := dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(2), Packet: segment(1460)}
@@ -246,8 +246,8 @@ func TestLossyDeliveryRate(t *testing.T) {
 	p.Loss = func(float64) float64 { return 0.5 }
 	p.RetryLimit = 1
 	m := NewMedium(eng, sim.NewRNG(42), p)
-	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
-	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
+	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
+	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0), 0)
 	rx.SetReceiver(func(*dot11.Frame, RxInfo) {})
 	okCount := 0
 	const n = 2000
@@ -270,8 +270,8 @@ func TestLossyDeliveryRate(t *testing.T) {
 func TestCloseDetaches(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMedium(eng, sim.NewRNG(1), lossless())
-	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
-	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
+	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
+	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0), 0)
 	got := 0
 	rx.SetReceiver(func(*dot11.Frame, RxInfo) { got++ })
 	rx.Close()
@@ -289,11 +289,11 @@ func TestCloseDetaches(t *testing.T) {
 func TestMobilePositionSampledAtDelivery(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMedium(eng, sim.NewRNG(1), lossless())
-	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
+	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
 	// Receiver moves out of range as time passes: 1000 m/s along x.
 	rx := m.NewRadio(dot11.MAC(2), func() geo.Point {
 		return geo.Point{X: 1000 * eng.Now().Seconds(), Y: 0}
-	})
+	}, sim.Infinity)
 	got := 0
 	rx.SetReceiver(func(*dot11.Frame, RxInfo) { got++ })
 	tx.Send(dot11.Frame{Type: dot11.TypeBeacon, Addr1: dot11.Broadcast}, nil)
@@ -319,7 +319,7 @@ func TestInvalidChannelPanics(t *testing.T) {
 		}
 	}()
 	m := NewMedium(sim.NewEngine(), sim.NewRNG(1), Defaults())
-	m.NewRadio(dot11.MAC(1), fixedPos(0, 0)).SetChannel(0, nil)
+	m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0).SetChannel(0, nil)
 }
 
 // Property: airtime is monotone in frame size and always positive.
@@ -356,10 +356,10 @@ func TestARFDropsRateAtRangeEdge(t *testing.T) {
 	p := Defaults() // rate adaptation on, distance loss model
 	p.BaseLoss = 0  // isolate the distance term: ARF oscillates under a flat loss floor
 	m := NewMedium(eng, sim.NewRNG(9), p)
-	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
-	near := m.NewRadio(dot11.MAC(2), fixedPos(5, 0))
+	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
+	near := m.NewRadio(dot11.MAC(2), fixedPos(5, 0), 0)
 	near.SetReceiver(func(*dot11.Frame, RxInfo) {})
-	edge := m.NewRadio(dot11.MAC(3), fixedPos(88, 0))
+	edge := m.NewRadio(dot11.MAC(3), fixedPos(88, 0), 0)
 	edge.SetReceiver(func(*dot11.Frame, RxInfo) {})
 	for i := 0; i < 200; i++ {
 		tx.Send(dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(2), Packet: segment(200)}, nil)
@@ -384,8 +384,8 @@ func TestARFImprovesEdgeDelivery(t *testing.T) {
 		p := Defaults()
 		p.RateAdaptation = adapt
 		m := NewMedium(eng, sim.NewRNG(4), p)
-		tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
-		rx := m.NewRadio(dot11.MAC(2), fixedPos(90, 0))
+		tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
+		rx := m.NewRadio(dot11.MAC(2), fixedPos(90, 0), 0)
 		rx.SetReceiver(func(*dot11.Frame, RxInfo) {})
 		for i := 0; i < 500; i++ {
 			tx.Send(dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(2), Packet: segment(500)}, nil)
@@ -414,8 +414,8 @@ func TestBroadcastUsesBasicRate(t *testing.T) {
 func TestChannelNoiseRaisesLossAndClears(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMedium(eng, sim.NewRNG(7), lossless())
-	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
-	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
+	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
+	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0), 0)
 	rx.SetReceiver(func(*dot11.Frame, RxInfo) {})
 	send := func(n int) int {
 		ok := 0
@@ -468,8 +468,8 @@ func TestChannelNoiseClamped(t *testing.T) {
 func TestRadioDownStopsTraffic(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMedium(eng, sim.NewRNG(1), lossless())
-	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
-	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
+	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
+	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0), 0)
 	got := 0
 	rx.SetReceiver(func(*dot11.Frame, RxInfo) { got++ })
 
@@ -508,10 +508,10 @@ func TestRadioDownStopsTraffic(t *testing.T) {
 func TestRadioDownDuringChannelSwitch(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMedium(eng, sim.NewRNG(1), lossless())
-	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0))
+	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
 	tx.SetChannel(dot11.Channel6, nil)
 	eng.RunAll()
-	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0))
+	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0), 0)
 	got := 0
 	rx.SetReceiver(func(*dot11.Frame, RxInfo) { got++ })
 	// Go down mid-switch; when the switch completes the radio must not

@@ -70,7 +70,7 @@ func OpenWAL(path string) (*WAL, []Intent, RecoveryInfo, error) {
 
 // scanWAL reads every intact record and reports the offset of the first
 // byte that is not part of one.
-func scanWAL(f *os.File) (intents []Intent, good int64, info RecoveryInfo, err error) {
+func scanWAL(f io.ReadSeeker) (intents []Intent, good int64, info RecoveryInfo, err error) {
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		return nil, 0, info, err

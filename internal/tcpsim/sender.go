@@ -77,8 +77,10 @@ type Sender struct {
 
 	srtt, rttvar, rto sim.Time
 	hasSample         bool
-	sendTimes         map[uint32]sim.Time // end-seq -> transmit time (Karn-safe)
-	ackScratch        []uint32            // reused by sampleRTT across ACKs
+	// sendTimes holds each segment sent since the last Karn clear, in send
+	// order. Sequence numbers only grow between clears, so the ends
+	// increase and an ACK covers a prefix.
+	sendTimes []sentSegment
 
 	rtoTimer *sim.Event
 	stopped  bool
@@ -103,6 +105,12 @@ type Sender struct {
 	OnRTT func(at sim.Time, sample sim.Time)
 }
 
+// sentSegment records when the segment ending at end went out.
+type sentSegment struct {
+	end uint32
+	at  sim.Time
+}
+
 // NewSender creates a sender. out transmits a segment toward the receiver;
 // done (optional) fires once a finite flow is fully acknowledged.
 func NewSender(eng *sim.Engine, cfg Config, out func(Segment), done func()) *Sender {
@@ -111,14 +119,13 @@ func NewSender(eng *sim.Engine, cfg Config, out func(Segment), done func()) *Sen
 	}
 	cfg = cfg.withDefaults()
 	return &Sender{
-		eng:       eng,
-		cfg:       cfg,
-		out:       out,
-		done:      done,
-		cwnd:      cfg.InitCwnd,
-		ssthresh:  64, // segments
-		rto:       cfg.InitRTO,
-		sendTimes: make(map[uint32]sim.Time),
+		eng:      eng,
+		cfg:      cfg,
+		out:      out,
+		done:     done,
+		cwnd:     cfg.InitCwnd,
+		ssthresh: 64, // segments
+		rto:      cfg.InitRTO,
 	}
 }
 
@@ -222,7 +229,7 @@ func (s *Sender) onRTO() {
 	s.ssthresh = maxf(flightSeg/2, 2)
 	s.cwnd = 1
 	s.dupAcks = 0
-	clear(s.sendTimes) // Karn: no samples across retransmits
+	s.sendTimes = s.sendTimes[:0] // Karn: no samples across retransmits
 	s.rto *= 2
 	if s.rto > s.cfg.MaxRTO {
 		s.rto = s.cfg.MaxRTO
@@ -278,7 +285,7 @@ func (s *Sender) sendData() {
 			s.paceNext += sim.Time(float64(n) * 8 / s.paceBps * 1e9)
 		}
 		seg := Segment{Flags: FlagACK, Seq: s.sndNxt, Payload: n}
-		s.sendTimes[s.sndNxt+uint32(n)] = s.eng.Now()
+		s.sendTimes = append(s.sendTimes, sentSegment{s.sndNxt + uint32(n), s.eng.Now()})
 		s.sndNxt += uint32(n)
 		s.out(seg)
 		s.SegmentsSent++
@@ -294,26 +301,15 @@ func (s *Sender) sendData() {
 // absence carry large samples that keep the RTO above the absence length.
 func (s *Sender) sampleRTT(ack uint32) {
 	// Fold samples in sequence order: the estimator is an EWMA, so the
-	// folding order changes srtt/rttvar — iterating the map directly
-	// would make the RTO depend on map iteration order.
-	ends := s.ackScratch[:0]
-	for end := range s.sendTimes {
-		if end <= ack {
-			ends = append(ends, end)
-		}
+	// folding order changes srtt/rttvar. The FIFO is already in that
+	// order, and the acknowledged segments are its head.
+	n := 0
+	for n < len(s.sendTimes) && s.sendTimes[n].end <= ack {
+		s.addSample(s.eng.Now() - s.sendTimes[n].at)
+		n++
 	}
-	s.ackScratch = ends
-	// Insertion sort: an ACK rarely covers more than a handful of
-	// segments, and this keeps the per-ACK path closure-free.
-	for i := 1; i < len(ends); i++ {
-		for j := i; j > 0 && ends[j] < ends[j-1]; j-- {
-			ends[j], ends[j-1] = ends[j-1], ends[j]
-		}
-	}
-	for _, end := range ends {
-		at := s.sendTimes[end]
-		delete(s.sendTimes, end)
-		s.addSample(s.eng.Now() - at)
+	if n > 0 {
+		s.sendTimes = append(s.sendTimes[:0], s.sendTimes[n:]...)
 	}
 }
 
@@ -397,7 +393,7 @@ func (s *Sender) Deliver(seg Segment) {
 				flightSeg := float64(s.flight()) / float64(s.cfg.MSS)
 				s.ssthresh = maxf(flightSeg/2, 2)
 				s.cwnd = s.ssthresh
-				clear(s.sendTimes)
+				s.sendTimes = s.sendTimes[:0]
 				n := s.cfg.MSS
 				if rem := s.remaining() + int64(s.flight()); int64(n) > rem {
 					n = int(rem)
