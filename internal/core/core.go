@@ -336,6 +336,59 @@ func (c ClientConfig) schedule() []driver.Slot {
 	}
 }
 
+// Validate reports why a scenario would refuse c: no mobility model, an
+// ID outside [0,65535], or a channel schedule the driver would refuse.
+func (c ClientConfig) Validate() error {
+	if c.Mobility == nil {
+		return fmt.Errorf("core: client %d has no mobility model", c.ID)
+	}
+	if err := c.withDefaults().validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	return nil
+}
+
+// validate checks a defaulted config's ID and every channel it can be
+// scheduled on: the primary channel and each of Channels, from which the
+// presets build their schedules and among which the adaptive and
+// predictive controllers switch, and a custom schedule, which must pass
+// the driver's own check. It allocates nothing, since every client of a
+// world passes through it.
+func (c ClientConfig) validate() error {
+	if c.ID < 0 || c.ID > 65535 {
+		return fmt.Errorf("client ID %d out of range [0,65535]", c.ID)
+	}
+	if !c.PrimaryChannel.Valid() {
+		return fmt.Errorf("client %d: invalid primary channel %d", c.ID, c.PrimaryChannel)
+	}
+	for _, ch := range c.Channels {
+		if !ch.Valid() {
+			return fmt.Errorf("client %d: invalid channel %d", c.ID, ch)
+		}
+	}
+	if len(c.CustomSchedule) > 0 {
+		if err := driver.CheckSchedule(c.CustomSchedule); err != nil {
+			return fmt.Errorf("client %d: %w", c.ID, err)
+		}
+	}
+	return nil
+}
+
+// Validate reports why a scenario would refuse the world: a site on an
+// invalid channel, or an address plan that ipam refuses or that cannot
+// bind every site.
+func (c WorldConfig) Validate() error {
+	for i, site := range c.Sites {
+		if !site.Channel.Valid() {
+			return fmt.Errorf("core: site %d (%s): invalid channel %d", i, site.SSID, site.Channel)
+		}
+	}
+	if _, _, err := addressPlane(c); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	return nil
+}
+
 // lmmConfig builds the link-manager configuration for the preset.
 func (c ClientConfig) lmmConfig() lmm.Config {
 	cfg := lmm.DefaultConfig()

@@ -202,11 +202,11 @@ func (s *Scenario) telemetryProbe() telemetry.Probe {
 }
 
 // materialize admits one defaulted client config into the live world:
-// validates its ID, registers it, and builds its stack (now, or at
-// StartOffset if that is still in the future).
+// validates its ID and schedule, registers it, and builds its stack (now,
+// or at StartOffset if that is still in the future).
 func (s *Scenario) materialize(cc ClientConfig) error {
-	if cc.ID < 0 || cc.ID > 65535 {
-		return fmt.Errorf("client ID %d out of range [0,65535]", cc.ID)
+	if err := cc.validate(); err != nil {
+		return err
 	}
 	if s.usedIDs[cc.ID] {
 		return fmt.Errorf("duplicate client ID %d", cc.ID)
@@ -406,36 +406,12 @@ func (s *Scenario) buildWorld() {
 		}
 	}
 
-	// Build the address plane. An explicit WorldConfig.IPAM declares
-	// shared pool hierarchies keyed by site Segment; otherwise each AP
-	// gets a private single-pool group covering the same gw+1..gw+N range
-	// the legacy per-server carve handed out, so address assignment is
-	// byte-identical to the pre-ipam stack. Bindings are created in Sites
-	// order, which keeps reserved-range carves deterministic.
-	groups := make([]string, len(cfg.Sites))
-	if cfg.IPAM != nil {
-		s.ipam = ipam.MustNew(*cfg.IPAM)
-		for i, site := range cfg.Sites {
-			groups[i] = site.Segment
-		}
-	} else {
-		var ic ipam.Config
-		size := 64
-		if cfg.AP.DHCPPoolSize > 0 {
-			size = cfg.AP.DHCPPoolSize
-		}
-		for i := range cfg.Sites {
-			gw := siteGateway(i)
-			name := fmt.Sprintf("ap%03d", i)
-			addrs := make([]ipnet.Addr, size)
-			for j := range addrs {
-				addrs[j] = gw + ipnet.Addr(j+1)
-			}
-			ic.Pools = append(ic.Pools, ipam.PoolSpec{Name: name, Addrs: addrs})
-			ic.Groups = append(ic.Groups, ipam.GroupSpec{Name: name, Pools: []string{name}})
-			groups[i] = name
-		}
-		s.ipam = ipam.MustNew(ic)
+	// Build the address plane, one binding per site.
+	var bindings []*ipam.Binding
+	var err error
+	s.ipam, bindings, err = addressPlane(cfg)
+	if err != nil {
+		panic("core: " + err.Error())
 	}
 	s.ipam.SetLog(cfg.Obs.World())
 
@@ -476,12 +452,8 @@ func (s *Scenario) buildWorld() {
 			apCfg.DHCP.RespDelayMax = deadDHCPRespMax
 		}
 		apCfg.BlockWAN = site.Captive
-		mac := dot11.MAC(uint32(0x100000 + i))
-		binding, err := s.ipam.Bind(mac.String(), groups[i])
-		if err != nil {
-			panic(fmt.Sprintf("core: site %d (%s): %v", i, site.SSID, err))
-		}
-		apCfg.IPAM = binding
+		mac := siteMAC(i)
+		apCfg.IPAM = bindings[i]
 		apCfg.DHCP.ExpireLeases = !cfg.AP.DisableLeaseExpiry
 		apCfg.Backhaul.Segment = site.Segment
 		sitePos := site.Pos
@@ -566,6 +538,54 @@ func (s *Scenario) armInjector(plan chaos.Plan, rng *sim.RNG) *chaos.Injector {
 		}
 	}
 	return inj
+}
+
+// siteMAC is the BSSID of the AP at site i.
+func siteMAC(i int) dot11.MACAddr { return dot11.MAC(uint32(0x100000 + i)) }
+
+// addressPlane builds the world's address manager and binds every site
+// to its pool group, in Sites order, which keeps reserved-range carves
+// deterministic. An explicit WorldConfig.IPAM declares shared pool
+// hierarchies keyed by site Segment; otherwise each AP gets a private
+// single-pool group covering the same gw+1..gw+N range the legacy
+// per-server carve handed out, so address assignment is byte-identical to
+// the pre-ipam stack.
+func addressPlane(cfg WorldConfig) (*ipam.Manager, []*ipam.Binding, error) {
+	groups := make([]string, len(cfg.Sites))
+	var ic ipam.Config
+	if cfg.IPAM != nil {
+		ic = *cfg.IPAM
+		for i, site := range cfg.Sites {
+			groups[i] = site.Segment
+		}
+	} else {
+		size := 64
+		if cfg.AP.DHCPPoolSize > 0 {
+			size = cfg.AP.DHCPPoolSize
+		}
+		for i := range cfg.Sites {
+			gw := siteGateway(i)
+			name := fmt.Sprintf("ap%03d", i)
+			addrs := make([]ipnet.Addr, size)
+			for j := range addrs {
+				addrs[j] = gw + ipnet.Addr(j+1)
+			}
+			ic.Pools = append(ic.Pools, ipam.PoolSpec{Name: name, Addrs: addrs})
+			ic.Groups = append(ic.Groups, ipam.GroupSpec{Name: name, Pools: []string{name}})
+			groups[i] = name
+		}
+	}
+	m, err := ipam.New(ic)
+	if err != nil {
+		return nil, nil, err
+	}
+	bindings := make([]*ipam.Binding, len(cfg.Sites))
+	for i, site := range cfg.Sites {
+		if bindings[i], err = m.Bind(siteMAC(i).String(), groups[i]); err != nil {
+			return nil, nil, fmt.Errorf("site %d (%s): %w", i, site.SSID, err)
+		}
+	}
+	return m, bindings, nil
 }
 
 // siteGateway returns site i's gateway address: 10.hi.lo.1 by Sites index,

@@ -250,22 +250,32 @@ func (d *Driver) Channels() []dot11.Channel {
 // Schedule returns a copy of the active schedule.
 func (d *Driver) Schedule() []Slot { return append([]Slot(nil), d.schedule...) }
 
-// SetSchedule installs a channel schedule. A single slot (any duration)
-// parks the radio on that channel with no switching. Multi-slot schedules
-// cycle round-robin; each duration is the dwell time on that channel,
-// excluding the hardware switch cost. Durations must be positive for
-// multi-slot schedules.
-func (d *Driver) SetSchedule(slots []Slot) {
+// CheckSchedule reports why SetSchedule would refuse slots: an empty
+// schedule, an invalid channel, or a multi-slot schedule with a duration
+// that is not positive.
+func CheckSchedule(slots []Slot) error {
 	if len(slots) == 0 {
-		panic("driver: SetSchedule with empty schedule")
+		return fmt.Errorf("driver: empty schedule")
 	}
 	for _, s := range slots {
 		if !s.Channel.Valid() {
-			panic(fmt.Sprintf("driver: invalid channel %d in schedule", s.Channel))
+			return fmt.Errorf("driver: invalid channel %d in schedule", s.Channel)
 		}
 		if len(slots) > 1 && s.Duration <= 0 {
-			panic("driver: multi-slot schedule needs positive durations")
+			return fmt.Errorf("driver: multi-slot schedule needs positive durations")
 		}
+	}
+	return nil
+}
+
+// SetSchedule installs a channel schedule. A single slot (any duration)
+// parks the radio on that channel with no switching. Multi-slot schedules
+// cycle round-robin; each duration is the dwell time on that channel,
+// excluding the hardware switch cost. It panics on a schedule
+// CheckSchedule refuses.
+func (d *Driver) SetSchedule(slots []Slot) {
+	if err := CheckSchedule(slots); err != nil {
+		panic(err.Error())
 	}
 	d.schedule = append([]Slot(nil), slots...)
 	d.slotIdx = 0

@@ -6,6 +6,7 @@ package mobility
 
 import (
 	"fmt"
+	"math"
 
 	"spider/internal/dot11"
 	"spider/internal/geo"
@@ -49,13 +50,25 @@ type Waypoints struct {
 
 // NewWaypoints builds a route through pts at the given speed in m/s. With
 // loop set, the route closes back to pts[0] and repeats forever; otherwise
-// the model parks at the final point.
+// the model parks at the final point. It panics where BuildWaypoints
+// returns an error, so it suits routes written in code.
 func NewWaypoints(pts []geo.Point, speed float64, loop bool) *Waypoints {
-	if len(pts) < 2 {
-		panic("mobility: NewWaypoints needs at least two points")
+	w, err := BuildWaypoints(pts, speed, loop)
+	if err != nil {
+		panic(err.Error())
 	}
-	if speed <= 0 {
-		panic("mobility: NewWaypoints needs positive speed")
+	return w
+}
+
+// BuildWaypoints is NewWaypoints for routes read from input: it refuses
+// fewer than two points, a speed that is not positive, and a route whose
+// length is zero or not finite.
+func BuildWaypoints(pts []geo.Point, speed float64, loop bool) (*Waypoints, error) {
+	if len(pts) < 2 {
+		return nil, fmt.Errorf("mobility: route needs at least two points")
+	}
+	if !(speed > 0) {
+		return nil, fmt.Errorf("mobility: route needs positive speed")
 	}
 	w := &Waypoints{pts: append([]geo.Point(nil), pts...), speed: speed, loop: loop}
 	if loop && pts[len(pts)-1] != pts[0] {
@@ -67,13 +80,16 @@ func NewWaypoints(pts []geo.Point, speed float64, loop bool) *Waypoints {
 	}
 	w.total = w.cum[len(w.cum)-1]
 	if w.total == 0 {
-		panic("mobility: route has zero length")
+		return nil, fmt.Errorf("mobility: route has zero length")
+	}
+	if math.IsInf(w.total, 0) || math.IsNaN(w.total) {
+		return nil, fmt.Errorf("mobility: route length is not finite")
 	}
 	w.still = sim.Infinity
 	if !loop {
 		w.still = w.arrival()
 	}
-	return w
+	return w, nil
 }
 
 // arrival returns the least t at which PositionAt parks, speed×t ≥ total,

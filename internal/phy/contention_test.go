@@ -2,6 +2,7 @@ package phy
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"spider/internal/dot11"
@@ -137,5 +138,26 @@ func TestContentionDeterminism(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same-seed contention runs differ:\n%s\n%s", a, b)
+	}
+}
+
+// TestCollisionLawTable holds the per-medium collision table to the
+// expression it caches: every entry, filled in any order, is bit-equal to
+// 1-(1-p)^k, for k = 1..2048 and several per-contender probabilities.
+func TestCollisionLawTable(t *testing.T) {
+	const maxK = 2048
+	for _, p := range []float64{Defaults().CollisionProb, 0.5, 1, 1e-9, 0.999} {
+		params := lossless()
+		params.CollisionProb = p
+		m := NewMedium(sim.NewEngine(), sim.NewRNG(1), params)
+		for _, k := range sim.NewRNG(int64(p * 1e9)).Perm(maxK) {
+			k++
+			want := 1 - math.Pow(1-p, float64(k))
+			for pass := 0; pass < 2; pass++ { // filled, then cached
+				if got := m.collisionLaw(k); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("p=%g k=%d pass %d: table %v, expression %v", p, k, pass, got, want)
+				}
+			}
+		}
 	}
 }

@@ -224,9 +224,12 @@ type Medium struct {
 	// charges against (each radio keeps its own per-channel counts).
 	transmitters [numChannels]int32
 	airtime      [numChannels]sim.Time
-	stats        Stats
-	tap          func(ch dot11.Channel, wire []byte, at sim.Time)
-	tapWire      []byte // scratch wire image, valid during one tap call
+	// collide[k] caches the collision law 1-(1-p)^k for k contenders,
+	// NaN until first used (CollisionProb is fixed at NewMedium).
+	collide []float64
+	stats   Stats
+	tap     func(ch dot11.Channel, wire []byte, at sim.Time)
+	tapWire []byte // scratch wire image, valid during one tap call
 
 	// Recycled transmission jobs: a job returns here when its airtime ends.
 	txFree *txJob
@@ -585,6 +588,21 @@ func (m *Medium) contenders(ch dot11.Channel, src *Radio) int {
 	return k
 }
 
+// collisionLaw returns the probability 1-(1-p)^k that an attempt against
+// k contenders collides. Each entry is computed once, on first use, by
+// that expression, so the table moves no draw.
+func (m *Medium) collisionLaw(k int) float64 {
+	for len(m.collide) <= k {
+		m.collide = append(m.collide, math.NaN())
+	}
+	c := m.collide[k]
+	if math.IsNaN(c) {
+		c = 1 - math.Pow(1-m.params.CollisionProb, float64(k))
+		m.collide[k] = c
+	}
+	return c
+}
+
 func (m *Medium) addPending(ch dot11.Channel, src *Radio) {
 	if src.pending[ch] == 0 {
 		m.transmitters[ch]++
@@ -663,7 +681,7 @@ func (m *Medium) transmit(j *txJob) {
 	collided := false
 	if p := m.params.CollisionProb; p > 0 {
 		if k := m.contenders(ch, src); k > 0 {
-			collided = m.rng.Bool(1 - math.Pow(1-p, float64(k)))
+			collided = m.rng.Bool(m.collisionLaw(k))
 		}
 	}
 	// Small random backoff decorrelates contending senders.

@@ -76,16 +76,14 @@ func Open(dir string, spec *WorldSpec) (*Server, error) {
 		spec = onDisk
 	case spec == nil:
 		return nil, fmt.Errorf("serve: fresh directory %s needs a world spec", dir)
-	default:
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
-		if err := saveConfig(dir, spec); err != nil {
-			return nil, err
-		}
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
+	}
+	if !haveCfg {
+		if err := saveConfig(dir, spec); err != nil {
+			return nil, err
+		}
 	}
 
 	s := &Server{
@@ -125,19 +123,11 @@ func Open(dir string, spec *WorldSpec) (*Server, error) {
 	}
 
 	// Build the world and declared clients at virtual time zero.
-	s.tel = spec.TelemetryAggregator()
-	wc := spec.WorldConfig(s.rec)
-	wc.Telemetry = s.tel
-	s.scn = core.NewScenario(wc)
-	for _, cs := range spec.Clients {
-		cc, err := cs.ClientConfig()
-		if err != nil {
-			wal.Close()
-			return nil, err
-		}
-		s.scn.AddClient(cc)
+	s.scn, s.tel, err = spec.start(s.rec)
+	if err != nil {
+		wal.Close()
+		return nil, err
 	}
-	s.scn.Start()
 
 	if info.TruncatedBytes > 0 {
 		s.life.World().Emit(obs.Event{

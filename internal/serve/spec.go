@@ -139,10 +139,12 @@ func (r RouteSpec) Model() (mobility.Model, error) {
 		return nil, fmt.Errorf("serve: route needs at least one point")
 	case len(r.Points) == 1:
 		return mobility.Static(r.Points[0]), nil
-	case r.SpeedMPS <= 0:
-		return nil, fmt.Errorf("serve: multi-point route needs positive speed_mps")
 	}
-	return mobility.NewWaypoints(r.Points, r.SpeedMPS, r.Loop), nil
+	w, err := mobility.BuildWaypoints(r.Points, r.SpeedMPS, r.Loop)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	return w, nil
 }
 
 // ParsePreset resolves a preset's canonical name (core.Preset.String).
@@ -162,8 +164,22 @@ func ParsePreset(name string) (core.Preset, error) {
 	}
 }
 
+// Bounds on what a spec may ask to allocate. A world is rebuilt and its
+// intents re-applied on every restart, so a spec or an intent that
+// exhausts memory would wedge its state directory; these refuse it.
+const (
+	// maxVIFs bounds a client's virtual interfaces (the paper uses 7).
+	maxVIFs = 64
+	// maxPoolHosts bounds every address pool, explicit or per AP, whose
+	// addresses are listed in memory: a world holds at most 65,536
+	// clients (IDs 0..65535).
+	maxPoolHosts = 1 << 16
+	// maxFlightRing bounds each flight-recorder ring, allocated whole.
+	maxFlightRing = 1 << 20
+)
+
 // ClientConfig converts the spec into a core client config, validating
-// preset and route.
+// preset, route, ID, channels and interface count.
 func (c ClientSpec) ClientConfig() (core.ClientConfig, error) {
 	preset, err := ParsePreset(c.Preset)
 	if err != nil {
@@ -173,11 +189,14 @@ func (c ClientSpec) ClientConfig() (core.ClientConfig, error) {
 	if err != nil {
 		return core.ClientConfig{}, fmt.Errorf("serve: client %d: %w", c.ID, err)
 	}
+	if c.NumVIFs > maxVIFs {
+		return core.ClientConfig{}, fmt.Errorf("serve: client %d: num_vifs %d exceeds %d", c.ID, c.NumVIFs, maxVIFs)
+	}
 	var channels []dot11.Channel
 	for _, ch := range c.Channels {
 		channels = append(channels, dot11.Channel(ch))
 	}
-	return core.ClientConfig{
+	cc := core.ClientConfig{
 		ID:                c.ID,
 		Preset:            preset,
 		PrimaryChannel:    dot11.Channel(c.PrimaryChannel),
@@ -189,11 +208,16 @@ func (c ClientSpec) ClientConfig() (core.ClientConfig, error) {
 		DisableTraffic:    c.DisableTraffic,
 		StartOffset:       sim.Time(c.StartOffsetNS),
 		Mobility:          model,
-	}, nil
+	}
+	if err := cc.Validate(); err != nil {
+		return core.ClientConfig{}, fmt.Errorf("serve: %w", err)
+	}
+	return cc, nil
 }
 
-// Validate checks the spec without building anything: site presence and
-// every declared client's preset and route.
+// Validate checks everything Open would otherwise panic on, without
+// building a world: sites and their channels, the address plan, the
+// telemetry rings, and every declared client, whose IDs must be distinct.
 func (w *WorldSpec) Validate() error {
 	if len(w.Sites) == 0 {
 		return fmt.Errorf("serve: world spec declares no sites")
@@ -201,12 +225,51 @@ func (w *WorldSpec) Validate() error {
 	if w.HorizonNS < 0 {
 		return fmt.Errorf("serve: negative horizon")
 	}
+	if w.AP.DHCPPoolSize > maxPoolHosts {
+		return fmt.Errorf("serve: dhcp pool size %d exceeds %d", w.AP.DHCPPoolSize, maxPoolHosts)
+	}
+	if w.IPAM != nil {
+		for _, p := range w.IPAM.Pools {
+			if p.CIDR.IsValid() && p.CIDR.NumHosts() > maxPoolHosts {
+				return fmt.Errorf("serve: pool %q holds %d hosts, more than %d", p.Name, p.CIDR.NumHosts(), maxPoolHosts)
+			}
+		}
+	}
+	if err := w.WorldConfig(nil).Validate(); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	if t := w.Telemetry; t != nil && (t.FlightEvents > maxFlightRing || t.FlightSpans > maxFlightRing) {
+		return fmt.Errorf("serve: flight rings hold at most %d records", maxFlightRing)
+	}
+	ids := make(map[int]bool, len(w.Clients))
 	for _, c := range w.Clients {
 		if _, err := c.ClientConfig(); err != nil {
 			return err
 		}
+		if ids[c.ID] {
+			return fmt.Errorf("serve: duplicate client ID %d", c.ID)
+		}
+		ids[c.ID] = true
 	}
 	return nil
+}
+
+// start builds the world and its declared clients, recorded by rec, and
+// starts it at virtual time zero.
+func (w *WorldSpec) start(rec *obs.Recorder) (*core.Scenario, *telemetry.Aggregator, error) {
+	tel := w.TelemetryAggregator()
+	wc := w.WorldConfig(rec)
+	wc.Telemetry = tel
+	scn := core.NewScenario(wc)
+	for _, cs := range w.Clients {
+		cc, err := cs.ClientConfig()
+		if err != nil {
+			return nil, nil, err
+		}
+		scn.AddClient(cc)
+	}
+	scn.Start()
+	return scn, tel, nil
 }
 
 // Hash returns a stable FNV-1a digest of the spec's canonical JSON

@@ -6,27 +6,41 @@ import "math/rand"
 // own streams so that adding events to one component does not perturb the
 // random sequence seen by another.
 //
-// The math/rand source is seeded on the first draw, not at construction:
-// seeding costs ~10µs and ~4.9KB (the lagged-Fibonacci state is 607
-// words), and a city-scale world derives thousands of streams, most of
-// which are never drawn from. A source seeded late yields exactly the
-// sequence it would have yielded seeded early.
+// Every RNG yields exactly the sequence of rand.New(rand.NewSource(seed)),
+// but builds that source only for a stream that draws more than headLen
+// values. Seeding a math/rand source costs ~10µs and ~4.9KB (its
+// lagged-Fibonacci state is 607 words), and nearly every stream a world
+// derives draws a handful of values or none. Until its first draw an RNG
+// is a bare struct; from then on its rand.Rand runs on a head, which
+// computes the first headLen draws straight from the seed (rnghead.go).
+// On the draw after them the head seeds the full source and discards
+// headLen draws, and the next call points r at that source, so a long
+// stream draws through math/rand with no extra indirection.
 type RNG struct {
-	r    *rand.Rand // nil until the first draw
-	seed int64
+	r    *rand.Rand // nil until the first draw; then on head, then on head.long
+	head rngHead
 }
 
 // NewRNG returns a deterministic generator for the given seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{seed: seed}
+	return &RNG{head: newRNGHead(seed)}
 }
 
-// src returns the generator's source, seeding it on first use.
+// src returns the generator's rand.Rand, settling it first on the first
+// draw and once the head has built the full source.
 func (g *RNG) src() *rand.Rand {
-	if g.r == nil {
-		g.r = rand.New(rand.NewSource(g.seed))
+	if g.r == nil || g.head.long != nil {
+		g.settle()
 	}
 	return g.r
+}
+
+func (g *RNG) settle() {
+	if g.r == nil {
+		g.r = rand.New(&g.head)
+		return
+	}
+	g.r, g.head.long = g.head.long, nil
 }
 
 func fnv1a(label string) int64 {
@@ -53,7 +67,7 @@ func (g *RNG) Stream(label string) *RNG {
 // perturbing one another. Scenario clients use it so that client
 // construction order cannot change a run.
 func (g *RNG) Derive(label string) *RNG {
-	return NewRNG(fnv1a(label) ^ (g.seed * 0x5851f42d4c957f2d) ^ 0x14057b7ef767814f)
+	return NewRNG(fnv1a(label) ^ (g.head.seed * 0x5851f42d4c957f2d) ^ 0x14057b7ef767814f)
 }
 
 // Coin returns one uniform [0,1) variate that is a pure function of
@@ -63,7 +77,7 @@ func (g *RNG) Derive(label string) *RNG {
 // per-client keep/drop coin). Like Derive it consumes no generator state,
 // so call order cannot perturb anything.
 func (g *RNG) Coin(label string) float64 {
-	x := uint64(fnv1a(label) ^ (g.seed * 0x5851f42d4c957f2d) ^ 0x14057b7ef767814f)
+	x := uint64(fnv1a(label) ^ (g.head.seed * 0x5851f42d4c957f2d) ^ 0x14057b7ef767814f)
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
