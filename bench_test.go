@@ -156,13 +156,9 @@ func BenchmarkScenarioSecond(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		spider.Run(spider.ScenarioConfig{
-			Seed:     int64(i + 1),
-			Duration: 30 * time.Second,
-			Preset:   spider.SingleChannelMultiAP,
-			Mobility: spider.Route(loop, 10, true),
-			Sites:    sites,
-		})
+		spider.Run(
+			spider.WorldConfig{Seed: int64(i + 1), Duration: 30 * time.Second, Sites: sites},
+			spider.ClientConfig{Preset: spider.SingleChannelMultiAP, Mobility: spider.Route(loop, 10, true)})
 	}
 }
 

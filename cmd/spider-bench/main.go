@@ -239,18 +239,13 @@ func main() {
 	pool := fleet.New(fleet.Config{Workers: *workers, OnEvent: onEvent})
 	defer pool.Close()
 
-	// One collector shared by every experiment: each run files its event
-	// stream under a canonical job label, and export is in sorted label
-	// order, so the JSONL is byte-identical at any -workers value.
-	var collector *obs.Collector
-	if *events != "" || *spansOut != "" {
-		collector = obs.NewCollector()
-	}
-	// Likewise one rollup collector: each run's telemetry aggregator files
-	// its closed windows under the job label, merged in sorted order.
-	var rollupCollector *telemetry.Collector
-	if *rollups != "" {
-		rollupCollector = telemetry.NewCollector()
+	// One run store shared by every experiment: each run files its events,
+	// spans and rollups once, under its own run label, and every export is
+	// in sorted label order, so the JSONL is byte-identical at any
+	// -workers value.
+	var store *experiments.RunStore
+	if *events != "" || *spansOut != "" || *rollups != "" {
+		store = experiments.NewRunStore(*events != "" || *spansOut != "", *rollups != "")
 	}
 
 	var selected []experiment
@@ -283,7 +278,7 @@ func main() {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			group := pool.Group(e.id)
-			opts := experiments.Options{Seed: *seed, Scale: *scale, Fleet: group, Events: collector, Rollups: rollupCollector}
+			opts := experiments.Options{Seed: *seed, Scale: *scale, Fleet: group, Runs: store}
 			start := time.Now()
 			defer func() {
 				if r := recover(); r != nil {
@@ -367,29 +362,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "# %s done in %v\n", e.id, oc.wall.Round(time.Millisecond))
 	}
 
-	if *events != "" {
-		if err := writeArtifact(*events, collector.WriteJSONL); err != nil {
+	runs, nEvents, nSpans, nWindows := store.Totals()
+	for _, a := range []struct {
+		path  string
+		write func(io.Writer) error
+		count int
+		what  string
+	}{
+		{*events, store.WriteEvents, nEvents, "events"},
+		{*spansOut, store.WriteSpans, nSpans, "spans"},
+		{*rollups, store.WriteRollups, nWindows, "rollup windows"},
+	} {
+		if a.path == "" {
+			continue
+		}
+		if err := writeArtifact(a.path, a.write); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "# %d events (%d runs) written to %s\n",
-			collector.Summary().Total(), len(collector.Runs()), *events)
-	}
-	if *spansOut != "" {
-		if err := writeArtifact(*spansOut, collector.WriteSpansJSONL); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "# %d spans (%d runs) written to %s\n",
-			collector.SpanCount(), len(collector.SpanRuns()), *spansOut)
-	}
-	if *rollups != "" {
-		if err := writeArtifact(*rollups, rollupCollector.WriteJSONL); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "# %d rollup windows (%d runs) written to %s\n",
-			rollupCollector.WindowCount(), len(rollupCollector.Runs()), *rollups)
+		fmt.Fprintf(os.Stderr, "# %d %s (%d runs) written to %s\n", a.count, a.what, runs, a.path)
 	}
 	if *telOver != "" && gotSig == nil {
 		if err := writeTelemetryOverhead(*telOver, *seed, *scale); err != nil {
@@ -619,14 +610,14 @@ func writeTelemetryOverhead(path string, seed int64, scale float64) error {
 func writeObsOverhead(path string, seed int64, scale float64) error {
 	arm := func(record bool) func() func() string {
 		return func() func() string {
-			c := experiments.ChaosScenario(experiments.Options{Seed: seed, Scale: scale})
+			world, client := experiments.ChaosScenario(experiments.Options{Seed: seed, Scale: scale})
 			if !record {
-				return func() string { core.Run(c); return "" }
+				return func() string { core.Run(world, client); return "" }
 			}
 			rec := obs.NewRecorder()
-			c.Obs = rec
+			world.Obs = rec
 			return func() string {
-				core.Run(c)
+				core.Run(world, client)
 				return fmt.Sprintf("recorded: %d events, %d spans per run", rec.Summary().Total(), len(rec.Spans()))
 			}
 		}

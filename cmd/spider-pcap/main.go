@@ -1,5 +1,5 @@
 // Command spider-pcap summarizes a frame capture produced by
-// spider-sim -pcap (or any core.ScenarioConfig.PCAP writer): frame counts
+// spider-sim -pcap (or any core.WorldConfig.PCAP writer): frame counts
 // by type, top transmitters, retry fraction, and the capture's time span.
 //
 // Usage:

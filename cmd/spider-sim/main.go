@@ -64,13 +64,11 @@ func main() {
 	fmt.Printf("town: %d APs (%.0f/km, %.0f%% open), loop %.1f km, speed %.1f m/s\n",
 		len(sites), *apsPerKm, *openFraction*100, 3.6, *speed)
 
-	cfg := spider.ScenarioConfig{
-		Seed:           *seed,
-		Duration:       *duration,
+	world := spider.WorldConfig{Seed: *seed, Duration: *duration, Sites: sites}
+	client := spider.ClientConfig{
 		Preset:         preset,
 		PrimaryChannel: spider.Channel(*channel),
 		Mobility:       spider.Route(loop, *speed, true),
-		Sites:          sites,
 	}
 	if *pcapPath != "" {
 		f, err := os.Create(*pcapPath)
@@ -79,9 +77,9 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		cfg.PCAP = f
+		world.PCAP = f
 	}
-	res := spider.Run(cfg)
+	res := spider.Run(world, client)
 
 	fmt.Printf("\n=== %v, %v simulated ===\n", res.Preset, res.Duration)
 	fmt.Printf("throughput:    %8.1f KB/s\n", res.ThroughputKBps)

@@ -17,13 +17,9 @@ import (
 )
 
 func run(preset spider.Preset, speed float64, sites []spider.APSite, loop []spider.Point) spider.Result {
-	return spider.Run(spider.ScenarioConfig{
-		Seed:     3,
-		Duration: 8 * time.Minute,
-		Preset:   preset,
-		Mobility: spider.Route(loop, speed, true),
-		Sites:    sites,
-	})
+	return spider.Run(
+		spider.WorldConfig{Seed: 3, Duration: 8 * time.Minute, Sites: sites},
+		spider.ClientConfig{Preset: preset, Mobility: spider.Route(loop, speed, true)})
 }
 
 func main() {

@@ -43,14 +43,13 @@ func main() {
 		{"static rotation", spider.MultiChannelMultiAP},
 		{"predictive planner", spider.Predictive},
 	} {
-		res := spider.Run(spider.ScenarioConfig{
-			Seed:           5,
-			Duration:       18 * time.Minute,
-			Preset:         cfg.preset,
-			PrimaryChannel: spider.Channel6,
-			Mobility:       spider.Route(loop, 10, true),
-			Sites:          sites,
-		})
+		res := spider.Run(
+			spider.WorldConfig{Seed: 5, Duration: 18 * time.Minute, Sites: sites},
+			spider.ClientConfig{
+				Preset:         cfg.preset,
+				PrimaryChannel: spider.Channel6,
+				Mobility:       spider.Route(loop, 10, true),
+			})
 		fmt.Printf("%-28s %8.1f KB/s %12.1f %%\n",
 			cfg.name, res.ThroughputKBps, res.Connectivity*100)
 	}

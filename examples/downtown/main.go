@@ -45,13 +45,9 @@ func main() {
 	}
 	fmt.Printf("%-32s %12s %14s %8s\n", "configuration", "throughput", "connectivity", "links")
 	for _, cfg := range configs {
-		res := spider.Run(spider.ScenarioConfig{
-			Seed:     *seed,
-			Duration: time.Duration(*minutes) * time.Minute,
-			Preset:   cfg.preset,
-			Mobility: spider.Route(loop, 10, true),
-			Sites:    sites,
-		})
+		res := spider.Run(
+			spider.WorldConfig{Seed: *seed, Duration: time.Duration(*minutes) * time.Minute, Sites: sites},
+			spider.ClientConfig{Preset: cfg.preset, Mobility: spider.Route(loop, 10, true)})
 		fmt.Printf("%-32s %8.1f KB/s %12.1f %% %8d\n",
 			cfg.name, res.ThroughputKBps, res.Connectivity*100, res.LinkUps)
 	}

@@ -26,13 +26,13 @@ func main() {
 	// A vehicle crossing at 10 m/s (~22 mph, the paper's dividing speed).
 	route := spider.Route([]spider.Point{{X: 0, Y: 0}, {X: 1000, Y: 0}}, 10, false)
 
-	res := spider.Run(spider.ScenarioConfig{
-		Seed:     42,
-		Duration: 100 * time.Second,
-		Preset:   spider.SingleChannelMultiAP, // Spider's throughput-optimal mode
-		Mobility: route,
-		Sites:    sites,
-	})
+	// The world holds the deployment; the client is the vehicle.
+	res := spider.Run(
+		spider.WorldConfig{Seed: 42, Duration: 100 * time.Second, Sites: sites},
+		spider.ClientConfig{
+			Preset:   spider.SingleChannelMultiAP, // Spider's throughput-optimal mode
+			Mobility: route,
+		})
 
 	fmt.Println("Spider quickstart — 1 km drive past 3 APs on channel 1")
 	fmt.Printf("  downloaded:    %.1f KiB\n", float64(res.BytesReceived)/1024)

@@ -21,14 +21,13 @@ func run(preset spider.Preset) spider.Result {
 		{Pos: spider.Point{X: 13, Y: 0}, Channel: spider.Channel1, SSID: "beta", Open: true, BackhaulBps: 1.5e6},
 		{Pos: spider.Point{X: 16, Y: 0}, Channel: spider.Channel1, SSID: "gamma", Open: true, BackhaulBps: 1e6},
 	}
-	return spider.Run(spider.ScenarioConfig{
-		Seed:              11,
-		Duration:          3 * time.Minute,
-		Preset:            preset,
-		Mobility:          spider.StaticClient(spider.Point{}),
-		Sites:             sites,
-		StripeObjectBytes: 4 << 20,
-	})
+	return spider.Run(
+		spider.WorldConfig{Seed: 11, Duration: 3 * time.Minute, Sites: sites},
+		spider.ClientConfig{
+			Preset:            preset,
+			Mobility:          spider.StaticClient(spider.Point{}),
+			StripeObjectBytes: 4 << 20,
+		})
 }
 
 func main() {

@@ -49,13 +49,12 @@ type Config struct {
 	PSMBufferLimit int
 	// WirelessQueueLimit caps frames queued at the radio.
 	WirelessQueueLimit int
-	// DHCP configures the embedded DHCP server. Gateway/PoolBase are
-	// overwritten with Config.Gateway.
+	// DHCP configures the embedded DHCP server. Gateway is overwritten
+	// with Config.Gateway.
 	DHCP dhcp.ServerConfig
-	// IPAM, when non-nil, is the ipam binding the DHCP server allocates
-	// through — how a scenario puts many APs of one backhaul segment on a
-	// shared pool hierarchy with backup failover and per-AP reserves.
-	// Nil keeps the legacy standalone per-AP pool (PoolBase/PoolSize).
+	// IPAM is the ipam binding the DHCP server allocates through
+	// (required) — how a scenario puts many APs of one backhaul segment on
+	// a shared pool hierarchy with backup failover and per-AP reserves.
 	IPAM *ipam.Binding
 	// Backhaul configures each direction of the wired link. RateBps is
 	// the AP's offered end-to-end bandwidth.
@@ -201,8 +200,6 @@ func New(eng *sim.Engine, rng *sim.RNG, medium *phy.Medium, pos geo.Point, mac d
 		cfg.MgmtDelayMax = cfg.MgmtDelayMin
 	}
 	cfg.DHCP.Gateway = cfg.Gateway
-	cfg.DHCP.PoolBase = cfg.Gateway
-	cfg.DHCP.Binding = cfg.IPAM
 	a := &AP{
 		eng:       eng,
 		rng:       rng,
@@ -222,7 +219,7 @@ func New(eng *sim.Engine, rng *sim.RNG, medium *phy.Medium, pos geo.Point, mac d
 	a.radio = medium.NewRadio(mac, func() geo.Point { return pos }, 0)
 	a.radio.SetChannel(cfg.Channel, nil)
 	a.radio.SetReceiver(a.onFrame, rxTypes...)
-	a.dhcpSrv = dhcp.NewServer(eng, rng.Stream("dhcp"), cfg.DHCP)
+	a.dhcpSrv = dhcp.NewServer(eng, rng.Stream("dhcp"), cfg.DHCP, cfg.IPAM)
 	a.down = backhaul.NewLink(eng, cfg.Backhaul, a.fromWire)
 	a.up = backhaul.NewLink(eng, cfg.Backhaul, func(p ipnet.Packet) {
 		a.stats.UplinkPackets++

@@ -7,12 +7,31 @@ import (
 	"spider/internal/dhcp"
 	"spider/internal/dot11"
 	"spider/internal/geo"
+	"spider/internal/ipam"
 	"spider/internal/ipnet"
 	"spider/internal/phy"
 	"spider/internal/sim"
 )
 
 var gw = ipnet.AddrFrom4(10, 0, 0, 1)
+
+// bindPool binds an AP to its own pool of gw+1 … gw+size, through
+// ipam.New and Bind as core binds every AP.
+func bindPool(gw ipnet.Addr, size int) *ipam.Binding {
+	addrs := make([]ipnet.Addr, size)
+	for i := range addrs {
+		addrs[i] = gw + ipnet.Addr(i+1)
+	}
+	m := ipam.MustNew(ipam.Config{
+		Pools:  []ipam.PoolSpec{{Name: "lan", Addrs: addrs}},
+		Groups: []ipam.GroupSpec{{Name: "lan", Pools: []string{"lan"}}},
+	})
+	b, err := m.Bind(gw.String(), "")
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
 
 type world struct {
 	eng    *sim.Engine
@@ -32,6 +51,7 @@ func newWorld(t *testing.T, open bool) *world {
 	cfg.MgmtDelayMin, cfg.MgmtDelayMax = time.Millisecond, 2*time.Millisecond
 	cfg.DHCP.RespDelayMin, cfg.DHCP.RespDelayMax = 10*time.Millisecond, 20*time.Millisecond
 	cfg.PSMBufferLimit = 10
+	cfg.IPAM = bindPool(gw, 64)
 	w.ap = New(eng, sim.NewRNG(2), w.medium, geo.Point{}, dot11.MAC(1000), cfg,
 		func(p ipnet.Packet) { w.uplink = append(w.uplink, p) })
 	return w
@@ -400,6 +420,7 @@ func TestCaptivePortalBlocksWAN(t *testing.T) {
 	cfg.BlockWAN = true
 	cfg.MgmtDelayMin, cfg.MgmtDelayMax = time.Millisecond, 2*time.Millisecond
 	cfg.DHCP.RespDelayMin, cfg.DHCP.RespDelayMax = 10*time.Millisecond, 20*time.Millisecond
+	cfg.IPAM = bindPool(gw, 64)
 	var uplinked []ipnet.Packet
 	w := &world{eng: eng, medium: medium}
 	w.ap = New(eng, sim.NewRNG(2), medium, geo.Point{}, dot11.MAC(1000), cfg,

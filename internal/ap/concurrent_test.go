@@ -24,7 +24,7 @@ func newWorldPool(t *testing.T, poolSize int) *world {
 	cfg.Open = true
 	cfg.MgmtDelayMin, cfg.MgmtDelayMax = time.Millisecond, 2*time.Millisecond
 	cfg.DHCP.RespDelayMin, cfg.DHCP.RespDelayMax = 10*time.Millisecond, 20*time.Millisecond
-	cfg.DHCP.PoolSize = poolSize
+	cfg.IPAM = bindPool(gw, poolSize)
 	w.ap = New(eng, sim.NewRNG(2), w.medium, geo.Point{}, dot11.MAC(1000), cfg,
 		func(p ipnet.Packet) { w.uplink = append(w.uplink, p) })
 	return w

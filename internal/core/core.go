@@ -416,104 +416,6 @@ func (c ClientConfig) lmmConfig() lmm.Config {
 	return cfg
 }
 
-// ScenarioConfig describes one single-client run: a WorldConfig and a
-// ClientConfig flattened into the structure every pre-population caller
-// composes. Run splits it back apart.
-type ScenarioConfig struct {
-	// Seed makes the run reproducible.
-	Seed int64
-	// Duration is the simulated experiment length.
-	Duration sim.Time
-	// Preset picks the Spider configuration.
-	Preset Preset
-	// PrimaryChannel is the channel for single-channel presets
-	// (default channel 1, as in Table 2).
-	PrimaryChannel dot11.Channel
-	// Channels are the rotation channels for multi-channel presets
-	// (default 1, 6, 11).
-	Channels []dot11.Channel
-	// SlotDuration is the per-channel dwell for multi-channel presets
-	// (default 200 ms, as in Table 4).
-	SlotDuration sim.Time
-	// CustomSchedule, when non-empty, overrides the preset's channel
-	// schedule entirely (used for the fractional-schedule experiments of
-	// Figures 5-8).
-	CustomSchedule []driver.Slot
-	// Timers selects the join timeout profile (default ReducedTimers,
-	// except Stock which forces DefaultTimers unless explicitly set).
-	Timers *TimerProfile
-	// Mobility is the client motion model (required).
-	Mobility mobility.Model
-	// Sites are the deployed APs (required).
-	Sites []mobility.APSite
-	// Phy overrides the PHY parameters (zero fields default).
-	Phy phy.Params
-	// AP tunes all deployed APs.
-	AP APOverrides
-	// IPAM, when non-nil, declares the address plane explicitly (see
-	// WorldConfig.IPAM).
-	IPAM *ipam.Config
-	// NumVIFs overrides the interface count (default 7).
-	NumVIFs int
-	// AdaptiveSpeedThreshold is the single-channel cutover speed for the
-	// Adaptive preset (default 10 m/s, the paper's dividing speed).
-	AdaptiveSpeedThreshold float64
-	// FlowBytes bounds each per-link download; <=0 means unbounded bulk
-	// (the paper's large-file HTTP downloads).
-	FlowBytes int64
-	// StripeObjectBytes, when positive, replaces bulk downloads with
-	// back-to-back object fetches block-striped across all live links
-	// (the data-striping extension).
-	StripeObjectBytes int64
-	// DisableTraffic turns off TCP flows (join-only experiments).
-	DisableTraffic bool
-	// Chaos, when non-nil, injects the fault plan into the scenario (see
-	// internal/chaos). The plan's AP indices refer to Sites order.
-	Chaos *chaos.Plan
-	// PCAP, when non-nil, receives a pcap capture of every frame on the
-	// air (see internal/capture).
-	PCAP io.Writer
-	// Obs, when non-nil, records the run's structured event and span
-	// timeline (see internal/obs).
-	Obs *obs.Recorder
-	// Telemetry, when non-nil, attaches the streaming aggregation plane
-	// (see WorldConfig.Telemetry).
-	Telemetry *telemetry.Aggregator
-}
-
-// split separates the flattened single-client config into its world and
-// client halves.
-func (c ScenarioConfig) split() (WorldConfig, ClientConfig) {
-	world := WorldConfig{
-		Seed:      c.Seed,
-		Duration:  c.Duration,
-		Sites:     c.Sites,
-		Phy:       c.Phy,
-		AP:        c.AP,
-		IPAM:      c.IPAM,
-		Chaos:     c.Chaos,
-		PCAP:      c.PCAP,
-		Obs:       c.Obs,
-		Telemetry: c.Telemetry,
-	}
-	client := ClientConfig{
-		ID:                     0,
-		Preset:                 c.Preset,
-		PrimaryChannel:         c.PrimaryChannel,
-		Channels:               c.Channels,
-		SlotDuration:           c.SlotDuration,
-		CustomSchedule:         c.CustomSchedule,
-		Timers:                 c.Timers,
-		Mobility:               c.Mobility,
-		NumVIFs:                c.NumVIFs,
-		AdaptiveSpeedThreshold: c.AdaptiveSpeedThreshold,
-		FlowBytes:              c.FlowBytes,
-		StripeObjectBytes:      c.StripeObjectBytes,
-		DisableTraffic:         c.DisableTraffic,
-	}
-	return world, client
-}
-
 // Result reports everything one client's run measured.
 type Result struct {
 	// ClientID identifies the client in population runs (0 for the
@@ -575,10 +477,9 @@ type Result struct {
 // connectivity tests (and answered by every non-captive AP's uplink).
 const TestServerAddr ipnet.Addr = 0xC6120001 // 198.18.0.1
 
-// Run executes a single-client scenario to completion and returns its
-// measurements: a thin compose-and-execute over Scenario and Client.
-func Run(cfg ScenarioConfig) Result {
-	world, client := cfg.split()
+// Run executes a world with one client to completion and returns the
+// client's measurements.
+func Run(world WorldConfig, client ClientConfig) Result {
 	s := NewScenario(world)
 	s.AddClient(client)
 	return s.Run()[0]

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,13 +40,7 @@ func road(channels ...dot11.Channel) ([]mobility.APSite, mobility.Model, time.Du
 
 func TestDriveBySingleAP(t *testing.T) {
 	sites, model, dur := road(dot11.Channel1)
-	res := Run(ScenarioConfig{
-		Seed:     1,
-		Duration: dur,
-		Preset:   SingleChannelMultiAP,
-		Mobility: model,
-		Sites:    sites,
-	})
+	res := Run(WorldConfig{Seed: 1, Duration: dur, Sites: sites}, ClientConfig{Preset: SingleChannelMultiAP, Mobility: model})
 	if res.BytesReceived == 0 {
 		t.Fatal("no data received driving past an AP")
 	}
@@ -77,10 +72,11 @@ func TestDriveBySingleAP(t *testing.T) {
 // moves, and sits far from both.
 func TestDataPathAllocatesLittle(t *testing.T) {
 	sites, model, dur := road(dot11.Channel1, dot11.Channel1, dot11.Channel1)
-	cfg := ScenarioConfig{Seed: 1, Duration: dur, Preset: SingleChannelSingleAP, Mobility: model, Sites: sites}
+	world := WorldConfig{Seed: 1, Duration: dur, Sites: sites}
+	client := ClientConfig{Preset: SingleChannelSingleAP, Mobility: model}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res := Run(cfg)
+	res := Run(world, client)
 	runtime.ReadMemStats(&after)
 	if res.BytesReceived < 1<<20 {
 		t.Fatalf("delivered only %d bytes; the bound needs a bulk transfer", res.BytesReceived)
@@ -95,7 +91,7 @@ func TestDataPathAllocatesLittle(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	sites, model, dur := road(dot11.Channel1, dot11.Channel1)
 	run := func() Result {
-		return Run(ScenarioConfig{Seed: 42, Duration: dur, Preset: SingleChannelMultiAP, Mobility: model, Sites: sites})
+		return Run(WorldConfig{Seed: 42, Duration: dur, Sites: sites}, ClientConfig{Preset: SingleChannelMultiAP, Mobility: model})
 	}
 	a, b := run(), run()
 	if a.BytesReceived != b.BytesReceived || a.LinkUps != b.LinkUps || a.Connectivity != b.Connectivity {
@@ -105,8 +101,8 @@ func TestDeterminism(t *testing.T) {
 
 func TestSeedChangesOutcome(t *testing.T) {
 	sites, model, dur := road(dot11.Channel1, dot11.Channel1)
-	a := Run(ScenarioConfig{Seed: 1, Duration: dur, Preset: SingleChannelMultiAP, Mobility: model, Sites: sites})
-	b := Run(ScenarioConfig{Seed: 2, Duration: dur, Preset: SingleChannelMultiAP, Mobility: model, Sites: sites})
+	a := Run(WorldConfig{Seed: 1, Duration: dur, Sites: sites}, ClientConfig{Preset: SingleChannelMultiAP, Mobility: model})
+	b := Run(WorldConfig{Seed: 2, Duration: dur, Sites: sites}, ClientConfig{Preset: SingleChannelMultiAP, Mobility: model})
 	if a.BytesReceived == b.BytesReceived {
 		t.Fatal("different seeds produced byte-identical results (suspicious)")
 	}
@@ -114,10 +110,7 @@ func TestSeedChangesOutcome(t *testing.T) {
 
 func TestDisableTraffic(t *testing.T) {
 	sites, model, dur := road(dot11.Channel1)
-	res := Run(ScenarioConfig{
-		Seed: 1, Duration: dur, Preset: SingleChannelMultiAP,
-		Mobility: model, Sites: sites, DisableTraffic: true,
-	})
+	res := Run(WorldConfig{Seed: 1, Duration: dur, Sites: sites}, ClientConfig{Preset: SingleChannelMultiAP, Mobility: model, DisableTraffic: true})
 	if res.BytesReceived != 0 {
 		t.Fatal("traffic flowed despite DisableTraffic")
 	}
@@ -138,8 +131,8 @@ func TestMultiAPBeatsSingleAPOnSameChannel(t *testing.T) {
 	}
 	model := mobility.NewWaypoints([]geo.Point{{X: 0, Y: 0}, {X: 600, Y: 0}}, 5, false)
 	dur := 2 * time.Minute
-	multi := Run(ScenarioConfig{Seed: 3, Duration: dur, Preset: SingleChannelMultiAP, Mobility: model, Sites: sites})
-	single := Run(ScenarioConfig{Seed: 3, Duration: dur, Preset: SingleChannelSingleAP, Mobility: model, Sites: sites})
+	multi := Run(WorldConfig{Seed: 3, Duration: dur, Sites: sites}, ClientConfig{Preset: SingleChannelMultiAP, Mobility: model})
+	single := Run(WorldConfig{Seed: 3, Duration: dur, Sites: sites}, ClientConfig{Preset: SingleChannelSingleAP, Mobility: model})
 	if multi.BytesReceived <= single.BytesReceived {
 		t.Fatalf("multi-AP %d <= single-AP %d bytes", multi.BytesReceived, single.BytesReceived)
 	}
@@ -147,7 +140,7 @@ func TestMultiAPBeatsSingleAPOnSameChannel(t *testing.T) {
 
 func TestStockPresetRuns(t *testing.T) {
 	sites, model, dur := road(dot11.Channel1, dot11.Channel6)
-	res := Run(ScenarioConfig{Seed: 5, Duration: dur, Preset: Stock, Mobility: model, Sites: sites})
+	res := Run(WorldConfig{Seed: 5, Duration: dur, Sites: sites}, ClientConfig{Preset: Stock, Mobility: model})
 	// Stock must at least occasionally connect somewhere.
 	if res.LinkUps == 0 {
 		t.Fatal("stock driver never connected")
@@ -159,10 +152,7 @@ func TestAdaptivePresetSwitchesModes(t *testing.T) {
 	// multi-channel schedule and still work.
 	sites, _, _ := road(dot11.Channel1, dot11.Channel6, dot11.Channel11)
 	model := mobility.NewWaypoints([]geo.Point{{X: 0, Y: 0}, {X: 900, Y: 0}}, 3, false)
-	res := Run(ScenarioConfig{
-		Seed: 7, Duration: 2 * time.Minute, Preset: Adaptive,
-		Mobility: model, Sites: sites,
-	})
+	res := Run(WorldConfig{Seed: 7, Duration: 2 * time.Minute, Sites: sites}, ClientConfig{Preset: Adaptive, Mobility: model})
 	if res.Driver.Switches == 0 {
 		t.Fatal("adaptive mode never rotated channels for a slow client")
 	}
@@ -173,10 +163,7 @@ func TestAdaptivePresetSwitchesModes(t *testing.T) {
 
 func TestFiniteFlows(t *testing.T) {
 	sites, model, dur := road(dot11.Channel1)
-	res := Run(ScenarioConfig{
-		Seed: 9, Duration: dur, Preset: SingleChannelMultiAP,
-		Mobility: model, Sites: sites, FlowBytes: 50_000,
-	})
+	res := Run(WorldConfig{Seed: 9, Duration: dur, Sites: sites}, ClientConfig{Preset: SingleChannelMultiAP, Mobility: model, FlowBytes: 50_000})
 	if res.BytesReceived == 0 {
 		t.Fatal("finite flow transferred nothing")
 	}
@@ -187,7 +174,7 @@ func TestFiniteFlows(t *testing.T) {
 
 func TestLinkSecondsAccounting(t *testing.T) {
 	sites, model, dur := road(dot11.Channel1, dot11.Channel1)
-	res := Run(ScenarioConfig{Seed: 11, Duration: dur, Preset: SingleChannelMultiAP, Mobility: model, Sites: sites})
+	res := Run(WorldConfig{Seed: 11, Duration: dur, Sites: sites}, ClientConfig{Preset: SingleChannelMultiAP, Mobility: model})
 	total := 0
 	for _, secs := range res.LinkSeconds {
 		total += secs
@@ -199,12 +186,14 @@ func TestLinkSecondsAccounting(t *testing.T) {
 }
 
 func TestMissingMobilityPanics(t *testing.T) {
+	// The world has a site, so the panic can only come from the client.
+	sites, _, _ := road(dot11.Channel1)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("missing mobility did not panic")
+		if r := recover(); r == nil || !strings.Contains(strings.ToLower(fmt.Sprint(r)), "mobility") {
+			t.Fatalf("missing mobility: panic %v, want the mobility check's", r)
 		}
 	}()
-	Run(ScenarioConfig{Seed: 1, Duration: time.Second})
+	Run(WorldConfig{Seed: 1, Duration: time.Second, Sites: sites}, ClientConfig{})
 }
 
 func TestCaptiveSiteNeverBecomesALink(t *testing.T) {
@@ -212,10 +201,7 @@ func TestCaptiveSiteNeverBecomesALink(t *testing.T) {
 		Pos: geo.Point{X: 10, Y: 0}, Channel: dot11.Channel1,
 		SSID: "portal", Open: true, BackhaulBps: 2e6, Captive: true,
 	}}
-	res := Run(ScenarioConfig{
-		Seed: 1, Duration: 30 * time.Second, Preset: SingleChannelMultiAP,
-		Mobility: mobility.Static(geo.Point{}), Sites: sites,
-	})
+	res := Run(WorldConfig{Seed: 1, Duration: 30 * time.Second, Sites: sites}, ClientConfig{Preset: SingleChannelMultiAP, Mobility: mobility.Static(geo.Point{})})
 	if res.LinkUps != 0 {
 		t.Fatal("captive portal produced a usable link")
 	}
@@ -232,10 +218,7 @@ func TestDHCPDeadSiteFailsAtDHCP(t *testing.T) {
 		Pos: geo.Point{X: 10, Y: 0}, Channel: dot11.Channel1,
 		SSID: "deadhcp", Open: true, BackhaulBps: 2e6, DHCPDead: true,
 	}}
-	res := Run(ScenarioConfig{
-		Seed: 1, Duration: 30 * time.Second, Preset: SingleChannelMultiAP,
-		Mobility: mobility.Static(geo.Point{}), Sites: sites,
-	})
+	res := Run(WorldConfig{Seed: 1, Duration: 30 * time.Second, Sites: sites}, ClientConfig{Preset: SingleChannelMultiAP, Mobility: mobility.Static(geo.Point{})})
 	if res.LinkUps != 0 {
 		t.Fatal("dead-DHCP AP produced a link")
 	}
@@ -250,10 +233,7 @@ func TestDHCPDeadSiteFailsAtDHCP(t *testing.T) {
 func TestPCAPCaptureDecodes(t *testing.T) {
 	sites, model, _ := road(dot11.Channel1)
 	var buf bytes.Buffer
-	res := Run(ScenarioConfig{
-		Seed: 1, Duration: 20 * time.Second, Preset: SingleChannelMultiAP,
-		Mobility: model, Sites: sites, PCAP: &buf,
-	})
+	res := Run(WorldConfig{Seed: 1, Duration: 20 * time.Second, Sites: sites, PCAP: &buf}, ClientConfig{Preset: SingleChannelMultiAP, Mobility: model})
 	_ = res
 	pkts, err := capture.ReadAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -312,8 +292,8 @@ func segregatedTown() (mobility.Model, []mobility.APSite) {
 func TestPredictiveLearnsSegmentChannels(t *testing.T) {
 	mob, sites := segregatedTown()
 	dur := 18 * time.Minute // ~3 laps
-	pred := Run(ScenarioConfig{Seed: 5, Duration: dur, Preset: Predictive, Mobility: mob, Sites: sites})
-	rot := Run(ScenarioConfig{Seed: 5, Duration: dur, Preset: MultiChannelMultiAP, Mobility: mob, Sites: sites})
+	pred := Run(WorldConfig{Seed: 5, Duration: dur, Sites: sites}, ClientConfig{Preset: Predictive, Mobility: mob})
+	rot := Run(WorldConfig{Seed: 5, Duration: dur, Sites: sites}, ClientConfig{Preset: MultiChannelMultiAP, Mobility: mob})
 	if pred.LinkUps == 0 {
 		t.Fatal("predictive never connected")
 	}
@@ -336,10 +316,7 @@ func TestChaosCrashRecoveryAndGoodputRetention(t *testing.T) {
 	plan := chaos.Plan{Events: []chaos.Event{
 		{At: 40 * sec, Kind: chaos.APCrash, AP: 0, Duration: 10 * sec},
 	}}
-	res := Run(ScenarioConfig{
-		Seed: 1, Duration: 150 * time.Second, Preset: SingleChannelMultiAP,
-		Mobility: mobility.Static(geo.Point{}), Sites: sites, Chaos: &plan,
-	})
+	res := Run(WorldConfig{Seed: 1, Duration: 150 * time.Second, Sites: sites, Chaos: &plan}, ClientConfig{Preset: SingleChannelMultiAP, Mobility: mobility.Static(geo.Point{})})
 	if res.Chaos.Crashes != 1 || res.Chaos.Reboots != 1 {
 		t.Fatalf("chaos stats = %+v, want 1 crash + 1 scheduled reboot", res.Chaos)
 	}
@@ -398,8 +375,7 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 	run := func() Result {
 		p := plan
-		return Run(ScenarioConfig{Seed: 42, Duration: dur, Preset: SingleChannelMultiAP,
-			Mobility: model, Sites: sites, Chaos: &p})
+		return Run(WorldConfig{Seed: 42, Duration: dur, Sites: sites, Chaos: &p}, ClientConfig{Preset: SingleChannelMultiAP, Mobility: model})
 	}
 	a, b := run(), run()
 	if a.BytesReceived != b.BytesReceived || a.LinkUps != b.LinkUps ||

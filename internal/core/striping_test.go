@@ -10,7 +10,7 @@ import (
 )
 
 // stripeScenario is a static client inside range of n same-channel APs.
-func stripeScenario(n int, objectBytes int64, preset Preset) ScenarioConfig {
+func stripeScenario(n int, objectBytes int64, preset Preset) (WorldConfig, ClientConfig) {
 	var sites []mobility.APSite
 	for i := 0; i < n; i++ {
 		sites = append(sites, mobility.APSite{
@@ -19,14 +19,8 @@ func stripeScenario(n int, objectBytes int64, preset Preset) ScenarioConfig {
 			Open: true, BackhaulBps: 2e6,
 		})
 	}
-	return ScenarioConfig{
-		Seed:              7,
-		Duration:          2 * time.Minute,
-		Preset:            preset,
-		Mobility:          mobility.Static(geo.Point{}),
-		Sites:             sites,
-		StripeObjectBytes: objectBytes,
-	}
+	return WorldConfig{Seed: 7, Duration: 2 * time.Minute, Sites: sites},
+		ClientConfig{Preset: preset, Mobility: mobility.Static(geo.Point{}), StripeObjectBytes: objectBytes}
 }
 
 func TestStripedObjectsComplete(t *testing.T) {
@@ -59,10 +53,7 @@ func TestStripingAggregatesAPs(t *testing.T) {
 func TestStripedMobileRun(t *testing.T) {
 	// Striping must survive link churn on a drive-by scenario.
 	sites, model, dur := road(dot11.Channel1, dot11.Channel1, dot11.Channel1)
-	res := Run(ScenarioConfig{
-		Seed: 3, Duration: dur, Preset: SingleChannelMultiAP,
-		Mobility: model, Sites: sites, StripeObjectBytes: 512 << 10,
-	})
+	res := Run(WorldConfig{Seed: 3, Duration: dur, Sites: sites}, ClientConfig{Preset: SingleChannelMultiAP, Mobility: model, StripeObjectBytes: 512 << 10})
 	if res.StripeObjects == 0 {
 		t.Fatal("no objects completed while mobile")
 	}

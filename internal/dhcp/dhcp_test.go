@@ -6,16 +6,35 @@ import (
 	"time"
 
 	"spider/internal/dot11"
+	"spider/internal/ipam"
 	"spider/internal/ipnet"
 	"spider/internal/sim"
 )
 
 var gw = ipnet.AddrFrom4(192, 168, 1, 1)
 
+// bindPool binds a server to its own pool of gw+1 … gw+size, through
+// ipam.New and Bind as core binds every AP.
+func bindPool(gw ipnet.Addr, size int) *ipam.Binding {
+	addrs := make([]ipnet.Addr, size)
+	for i := range addrs {
+		addrs[i] = gw + ipnet.Addr(i+1)
+	}
+	m := ipam.MustNew(ipam.Config{
+		Pools:  []ipam.PoolSpec{{Name: "lan", Addrs: addrs}},
+		Groups: []ipam.GroupSpec{{Name: "lan", Pools: []string{"lan"}}},
+	})
+	b, err := m.Bind(gw.String(), "")
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func instantServer(eng *sim.Engine) *Server {
 	cfg := DefaultServerConfig(gw)
 	cfg.RespDelayMin, cfg.RespDelayMax = 0, 0
-	return NewServer(eng, sim.NewRNG(1).Stream("srv"), cfg)
+	return NewServer(eng, sim.NewRNG(1).Stream("srv"), cfg, bindPool(gw, 64))
 }
 
 func TestMessageRoundTrip(t *testing.T) {
@@ -84,9 +103,8 @@ func TestServerStableLeases(t *testing.T) {
 func TestServerPoolExhaustion(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultServerConfig(gw)
-	cfg.PoolSize = 2
 	cfg.RespDelayMin, cfg.RespDelayMax = 0, 0
-	s := NewServer(eng, sim.NewRNG(1), cfg)
+	s := NewServer(eng, sim.NewRNG(1), cfg, bindPool(gw, 2))
 	replies := 0
 	for i := uint32(1); i <= 5; i++ {
 		s.Handle(Message{Type: Discover, XID: i, ClientMAC: dot11.MAC(i)}, func(Message) { replies++ })
@@ -114,7 +132,7 @@ func TestServerResponseDelayWithinBounds(t *testing.T) {
 	cfg := DefaultServerConfig(gw)
 	cfg.RespDelayMin = 500 * time.Millisecond
 	cfg.RespDelayMax = 2 * time.Second
-	s := NewServer(eng, sim.NewRNG(3), cfg)
+	s := NewServer(eng, sim.NewRNG(3), cfg, bindPool(gw, 64))
 	var at sim.Time = -1
 	s.Handle(Message{Type: Discover, XID: 1, ClientMAC: dot11.MAC(1)}, func(Message) { at = eng.Now() })
 	eng.RunAll()
@@ -390,9 +408,8 @@ func TestServerFaultExhausted(t *testing.T) {
 func TestServerRequestOnRealExhaustionNaks(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultServerConfig(gw)
-	cfg.PoolSize = 1
 	cfg.RespDelayMin, cfg.RespDelayMax = 0, 0
-	s := NewServer(eng, sim.NewRNG(1), cfg)
+	s := NewServer(eng, sim.NewRNG(1), cfg, bindPool(gw, 1))
 	var first Message
 	s.Handle(Message{Type: Discover, XID: 1, ClientMAC: dot11.MAC(1)}, func(m Message) { first = m })
 	eng.RunAll()
@@ -416,9 +433,8 @@ func TestServerRequestOnRealExhaustionNaks(t *testing.T) {
 func TestServerReleaseReusesAddress(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultServerConfig(gw)
-	cfg.PoolSize = 1
 	cfg.RespDelayMin, cfg.RespDelayMax = 0, 0
-	s := NewServer(eng, sim.NewRNG(1), cfg)
+	s := NewServer(eng, sim.NewRNG(1), cfg, bindPool(gw, 1))
 	var first Message
 	s.Handle(Message{Type: Discover, XID: 1, ClientMAC: dot11.MAC(1)}, func(m Message) { first = m })
 	eng.RunAll()
@@ -484,7 +500,7 @@ func expiringServer(eng *sim.Engine, leaseSecs uint32) *Server {
 	cfg.RespDelayMin, cfg.RespDelayMax = 0, 0
 	cfg.LeaseSecs = leaseSecs
 	cfg.ExpireLeases = true
-	return NewServer(eng, sim.NewRNG(1).Stream("srv"), cfg)
+	return NewServer(eng, sim.NewRNG(1).Stream("srv"), cfg, bindPool(gw, 64))
 }
 
 // TestServerExpiresUnrenewedLeases: with ExpireLeases on, LeasesInUse

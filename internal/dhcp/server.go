@@ -1,7 +1,6 @@
 package dhcp
 
 import (
-	"errors"
 	"time"
 
 	"spider/internal/dot11"
@@ -14,17 +13,6 @@ import (
 type ServerConfig struct {
 	// Gateway is the server/gateway address handed to clients.
 	Gateway ipnet.Addr
-	// PoolBase is the first client address; leases are PoolBase+1,
-	// PoolBase+2, ... (stable per client MAC). Only used when Binding is
-	// nil: the server then owns a standalone single-pool ipam binding
-	// covering exactly that range.
-	PoolBase ipnet.Addr
-	// PoolSize caps the number of distinct leases (Binding nil only).
-	PoolSize int
-	// Binding, when non-nil, is the ipam allocation handle the server
-	// draws addresses from — how many APs on one backhaul share a pool
-	// hierarchy with backup failover and per-AP reserves.
-	Binding *ipam.Binding
 	// RespDelayMin/Max bound the uniform per-response processing delay.
 	// The paper's β is the end-to-end join response time; residential APs
 	// show βmin ≈ 0.5 s and βmax of several seconds.
@@ -45,8 +33,6 @@ type ServerConfig struct {
 func DefaultServerConfig(gateway ipnet.Addr) ServerConfig {
 	return ServerConfig{
 		Gateway:      gateway,
-		PoolBase:     gateway,
-		PoolSize:     64,
 		RespDelayMin: 100 * 1000 * 1000,  // 100 ms per response;
 		RespDelayMax: 1250 * 1000 * 1000, // two responses span ≈[0.2s, 2.5s]
 		LeaseSecs:    3600,
@@ -93,7 +79,6 @@ type Server struct {
 	cfg ServerConfig
 
 	binding *ipam.Binding
-	owned   bool // binding built from PoolBase/PoolSize, reset rebuilds it
 	fault   FaultMode
 
 	sweepEv *sim.Event
@@ -109,27 +94,21 @@ type Server struct {
 	FaultDrops    int // messages swallowed by FaultSilent
 }
 
-// NewServer creates a server. rng must be a dedicated stream.
-func NewServer(eng *sim.Engine, rng *sim.RNG, cfg ServerConfig) *Server {
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = 64
+// NewServer creates a server that draws addresses through binding, its
+// handle on an ipam pool hierarchy (required). rng must be a dedicated
+// stream.
+func NewServer(eng *sim.Engine, rng *sim.RNG, cfg ServerConfig, binding *ipam.Binding) *Server {
+	if binding == nil {
+		panic("dhcp: NewServer needs an ipam binding")
 	}
 	if cfg.RespDelayMax < cfg.RespDelayMin {
 		cfg.RespDelayMax = cfg.RespDelayMin
 	}
-	s := &Server{eng: eng, rng: rng, cfg: cfg, binding: cfg.Binding}
-	if s.binding == nil {
-		s.binding = ipam.Solo(cfg.Gateway.String(), cfg.PoolBase, cfg.PoolSize)
-		s.owned = true
-	}
-	return s
+	return &Server{eng: eng, rng: rng, cfg: cfg, binding: binding}
 }
 
 // Gateway returns the server's gateway address.
 func (s *Server) Gateway() ipnet.Addr { return s.cfg.Gateway }
-
-// Binding exposes the server's ipam allocation handle.
-func (s *Server) Binding() *ipam.Binding { return s.binding }
 
 // SetFault switches the server's fault mode (fault injection).
 func (s *Server) SetFault(m FaultMode) { s.fault = m }
@@ -152,15 +131,10 @@ func (s *Server) Exhausted() bool {
 func (s *Server) Release(mac dot11.MACAddr) { s.binding.Release(mac) }
 
 // Reset drops every lease and clears any fault mode, as a power cycle
-// would. Responses already scheduled still fire; the AP layer gates them.
+// would; an exclusive pool then allocates in virgin order again.
+// Responses already scheduled still fire; the AP layer gates them.
 func (s *Server) Reset() {
-	if s.owned {
-		// Exclusive pool: rebuild from scratch so allocation restarts at
-		// PoolBase+1 (virgin order), exactly as before the power cycle.
-		s.binding = ipam.Solo(s.cfg.Gateway.String(), s.cfg.PoolBase, s.cfg.PoolSize)
-	} else {
-		s.binding.Reset()
-	}
+	s.binding.Reset()
 	s.fault = FaultNone
 	s.disarmSweep()
 }
@@ -257,15 +231,12 @@ func (s *Server) Handle(msg Message, reply func(Message)) {
 		ip, err := s.binding.AllocateSpecific(now, msg.ClientMAC, msg.YourIP, s.ttl())
 		if err != nil {
 			// The requested address did not validate against the live
-			// pool: reclaimed and re-issued to someone else, stale from a
+			// pool (AllocateSpecific's only error is ErrConflict):
+			// reclaimed and re-issued to someone else, stale from a
 			// different visit, or outside this AP's hierarchy. NAK so the
 			// client restarts with Discover instead of riding a lease the
 			// server no longer stands behind.
-			if errors.Is(err, ipam.ErrConflict) {
-				s.Conflicts++
-			} else {
-				s.PoolExhausted++
-			}
+			s.Conflicts++
 			resp = s.nak(msg)
 			break
 		}

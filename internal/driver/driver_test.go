@@ -8,10 +8,29 @@ import (
 	"spider/internal/dhcp"
 	"spider/internal/dot11"
 	"spider/internal/geo"
+	"spider/internal/ipam"
 	"spider/internal/ipnet"
 	"spider/internal/phy"
 	"spider/internal/sim"
 )
+
+// bindPool binds an AP to its own pool of gw+1 … gw+size, through
+// ipam.New and Bind as core binds every AP.
+func bindPool(gw ipnet.Addr, size int) *ipam.Binding {
+	addrs := make([]ipnet.Addr, size)
+	for i := range addrs {
+		addrs[i] = gw + ipnet.Addr(i+1)
+	}
+	m := ipam.MustNew(ipam.Config{
+		Pools:  []ipam.PoolSpec{{Name: "lan", Addrs: addrs}},
+		Groups: []ipam.GroupSpec{{Name: "lan", Pools: []string{"lan"}}},
+	})
+	b, err := m.Bind(gw.String(), "")
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
 
 type rig struct {
 	eng    *sim.Engine
@@ -35,6 +54,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 func (r *rig) addAP(ch dot11.Channel, id uint32) *ap.AP {
 	gw := ipnet.AddrFrom4(10, byte(id), 0, 1)
 	cfg := ap.DefaultConfig("net", ch, gw)
+	cfg.IPAM = bindPool(cfg.Gateway, 64)
 	cfg.MgmtDelayMin, cfg.MgmtDelayMax = time.Millisecond, 2*time.Millisecond
 	cfg.DHCP.RespDelayMin, cfg.DHCP.RespDelayMax = 5*time.Millisecond, 10*time.Millisecond
 	a := ap.New(r.eng, sim.NewRNG(int64(100+id)), r.medium, geo.Point{X: 20}, dot11.MAC(1000+id), cfg, nil)
@@ -122,6 +142,7 @@ func TestJoinToClosedAPFails(t *testing.T) {
 	eng := r.eng
 	gw := ipnet.AddrFrom4(10, 9, 0, 1)
 	cfg := ap.DefaultConfig("locked", dot11.Channel6, gw)
+	cfg.IPAM = bindPool(cfg.Gateway, 64)
 	cfg.Open = false
 	cfg.MgmtDelayMin, cfg.MgmtDelayMax = time.Millisecond, 2*time.Millisecond
 	closed := ap.New(eng, sim.NewRNG(55), r.medium, geo.Point{X: 20}, dot11.MAC(999), cfg, nil)
@@ -376,6 +397,7 @@ func TestFractionalScheduleDegradesJoin(t *testing.T) {
 		drv := New(eng, sim.NewRNG(seed+1), medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, 0, Config{JoinWindow: 4 * time.Second})
 		gw := ipnet.AddrFrom4(10, 1, 0, 1)
 		apCfg := ap.DefaultConfig("net", dot11.Channel6, gw)
+		apCfg.IPAM = bindPool(apCfg.Gateway, 64)
 		apCfg.MgmtDelayMin, apCfg.MgmtDelayMax = 5*time.Millisecond, 50*time.Millisecond
 		access := ap.New(eng, sim.NewRNG(seed+2), medium, geo.Point{X: 20}, dot11.MAC(1000), apCfg, nil)
 		period := 400 * time.Millisecond

@@ -8,32 +8,35 @@ import (
 	"spider/internal/stats"
 )
 
-// ablationCfg builds a ch1 multi-AP town run with a mutated config.
-func ablationCfg(o Options, seed int64, mut func(*core.ScenarioConfig)) core.ScenarioConfig {
+// ablationRun builds a ch1 multi-AP town run with a mutated client.
+func ablationRun(o Options, seed int64, mut func(*core.ClientConfig)) run {
 	mob, sites := townLoop(seed, 10, 0.45)
-	cfg := core.ScenarioConfig{
+	world := core.WorldConfig{
 		Seed:     seed,
 		Duration: o.dur(20*time.Minute, 2*time.Minute),
-		Preset:   core.SingleChannelMultiAP,
-		Mobility: mob,
 		Sites:    sites,
 	}
+	client := core.ClientConfig{Preset: core.SingleChannelMultiAP, Mobility: mob}
 	if mut != nil {
-		mut(&cfg)
+		mut(&client)
 	}
-	return cfg
+	return solo(world, client)
 }
 
-// meanOver runs an ablation config over several seeds as one sweep and
-// averages throughput, connectivity, and completed joins.
-func meanOver(o Options, base int64, mut func(*core.ScenarioConfig)) (tput, conn float64, joins float64) {
-	seeds := o.n(3, 2)
-	cfgs := make([]core.ScenarioConfig, seeds)
-	for s := 0; s < seeds; s++ {
-		cfgs[s] = ablationCfg(o, base+int64(s)*331, mut)
+// ablationSweep runs one ablation arm over several seeds as sweep id.
+func ablationSweep(o Options, id string, mut func(*core.ClientConfig)) []core.Result {
+	runs := make([]run, o.n(3, 2))
+	for s := range runs {
+		runs[s] = ablationRun(o, o.seed()+int64(s)*331, mut)
 	}
+	return soloSweep(o, id, runs)
+}
+
+// meanOver runs one ablation arm over several seeds as sweep id and
+// averages throughput, connectivity, and completed joins.
+func meanOver(o Options, id string, mut func(*core.ClientConfig)) (tput, conn float64, joins float64) {
 	var tputs, conns, joinCounts []float64
-	for _, res := range runConfigs(o, "ablation", cfgs) {
+	for _, res := range ablationSweep(o, id, mut) {
 		tputs = append(tputs, res.ThroughputKBps)
 		conns = append(conns, res.Connectivity*100)
 		joinCounts = append(joinCounts, float64(res.LMM.JoinsComplete))
@@ -51,15 +54,15 @@ func AblationLeaseCache(o Options) Table {
 	}
 	for _, cache := range []bool{true, false} {
 		cache := cache
-		tput, conn, joins := meanOver(o, o.seed(), func(c *core.ScenarioConfig) {
+		name, arm := "lease cache on (Spider)", "on"
+		if !cache {
+			name, arm = "lease cache off", "off"
+		}
+		tput, conn, joins := meanOver(o, t.ID+"/"+arm, func(c *core.ClientConfig) {
 			timers := core.ReducedTimers()
 			timers.UseLeaseCache = cache
 			c.Timers = &timers
 		})
-		name := "lease cache on (Spider)"
-		if !cache {
-			name = "lease cache off"
-		}
 		t.Rows = append(t.Rows, []string{name,
 			fmt.Sprintf("%.1f KB/s", tput), fmt.Sprintf("%.1f%%", conn), fmt.Sprintf("%.1f", joins)})
 	}
@@ -74,11 +77,11 @@ func AblationTimers(o Options) Table {
 		Columns: []string{"configuration", "throughput", "connectivity", "joins completed"},
 	}
 	profiles := []struct {
-		name   string
-		timers core.TimerProfile
+		name, arm string
+		timers    core.TimerProfile
 	}{
-		{"reduced timers (Spider)", core.ReducedTimers()},
-		{"default timers", func() core.TimerProfile {
+		{"reduced timers (Spider)", "reduced", core.ReducedTimers()},
+		{"default timers", "default", func() core.TimerProfile {
 			p := core.DefaultTimers()
 			p.FailureBackoff = 5 * time.Second // isolate the timer effect
 			p.UseLeaseCache = true
@@ -87,7 +90,7 @@ func AblationTimers(o Options) Table {
 	}
 	for _, pr := range profiles {
 		timers := pr.timers
-		tput, conn, joins := meanOver(o, o.seed(), func(c *core.ScenarioConfig) { c.Timers = &timers })
+		tput, conn, joins := meanOver(o, t.ID+"/"+pr.arm, func(c *core.ClientConfig) { c.Timers = &timers })
 		t.Rows = append(t.Rows, []string{pr.name,
 			fmt.Sprintf("%.1f KB/s", tput), fmt.Sprintf("%.1f%%", conn), fmt.Sprintf("%.1f", joins)})
 	}
@@ -104,7 +107,7 @@ func AblationInterfaces(o Options) Table {
 	}
 	for _, n := range []int{1, 2, 4, 7} {
 		n := n
-		tput, conn, joins := meanOver(o, o.seed(), func(c *core.ScenarioConfig) { c.NumVIFs = n })
+		tput, conn, joins := meanOver(o, fmt.Sprintf("%s/n=%d", t.ID, n), func(c *core.ClientConfig) { c.NumVIFs = n })
 		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.1f KB/s", tput), fmt.Sprintf("%.1f%%", conn), fmt.Sprintf("%.1f", joins)})
 	}
@@ -121,24 +124,21 @@ func AblationStriping(o Options) Table {
 	}
 	const object = 2 << 20
 	for _, cs := range []struct {
-		name string
-		mut  func(*core.ScenarioConfig)
+		name, arm string
+		mut       func(*core.ClientConfig)
 	}{
-		{"striped, multi-AP", func(c *core.ScenarioConfig) { c.StripeObjectBytes = object }},
-		{"striped, single-AP", func(c *core.ScenarioConfig) {
+		{"striped, multi-AP", "multi-ap", func(c *core.ClientConfig) { c.StripeObjectBytes = object }},
+		{"striped, single-AP", "single-ap", func(c *core.ClientConfig) {
 			c.StripeObjectBytes = object
 			c.Preset = core.SingleChannelSingleAP
 		}},
 	} {
-		seeds := o.n(3, 2)
-		cfgs := make([]core.ScenarioConfig, seeds)
-		for s := 0; s < seeds; s++ {
-			cfgs[s] = ablationCfg(o, o.seed()+int64(s)*331, cs.mut)
-		}
+		results := ablationSweep(o, t.ID+"/"+cs.arm, cs.mut)
+		seeds := len(results)
 		objects := 0
 		var times []float64
 		var tput float64
-		for _, res := range runConfigs(o, "ablation-striping", cfgs) {
+		for _, res := range results {
 			objects += res.StripeObjects
 			times = append(times, res.StripeObjectSecs...)
 			tput += res.ThroughputKBps
@@ -169,20 +169,16 @@ func AblationAdaptive(o Options) Table {
 		{"adaptive", core.Adaptive},
 	}
 	speeds := []float64{3, 15}
-	cfgs := make([]core.ScenarioConfig, 0, len(speeds)*len(modes))
+	runs := make([]run, 0, len(speeds)*len(modes))
 	for _, speed := range speeds {
 		for _, cs := range modes {
 			mob, sites := townLoop(o.seed(), speed, 0.45)
-			cfgs = append(cfgs, core.ScenarioConfig{
-				Seed:     o.seed(),
-				Duration: o.dur(15*time.Minute, 2*time.Minute),
-				Preset:   cs.preset,
-				Mobility: mob,
-				Sites:    sites,
-			})
+			runs = append(runs, solo(
+				core.WorldConfig{Seed: o.seed(), Duration: o.dur(15*time.Minute, 2*time.Minute), Sites: sites},
+				core.ClientConfig{Preset: cs.preset, Mobility: mob}))
 		}
 	}
-	results := runConfigs(o, "ablation-adaptive", cfgs)
+	results := soloSweep(o, t.ID, runs)
 	i := 0
 	for _, speed := range speeds {
 		for _, cs := range modes {
@@ -215,17 +211,12 @@ func AblationPredictive(o Options) Table {
 		{"static rotation (3 channels)", core.MultiChannelMultiAP},
 		{"predictive planner", core.Predictive},
 	}
-	cfgs := make([]core.ScenarioConfig, len(modes))
+	world := core.WorldConfig{Seed: o.seed(), Duration: o.dur(20*time.Minute, 3*time.Minute), Sites: sites}
+	runs := make([]run, len(modes))
 	for i, cs := range modes {
-		cfgs[i] = core.ScenarioConfig{
-			Seed:     o.seed(),
-			Duration: o.dur(20*time.Minute, 3*time.Minute),
-			Preset:   cs.preset,
-			Mobility: mob,
-			Sites:    sites,
-		}
+		runs[i] = solo(world, core.ClientConfig{Preset: cs.preset, Mobility: mob})
 	}
-	for i, res := range runConfigs(o, "ablation-predictive", cfgs) {
+	for i, res := range soloSweep(o, t.ID, runs) {
 		t.Rows = append(t.Rows, []string{modes[i].name,
 			fmt.Sprintf("%.1f KB/s", res.ThroughputKBps),
 			fmt.Sprintf("%.1f%%", res.Connectivity*100),
@@ -251,17 +242,12 @@ func AblationEnergy(o Options) Table {
 		{"multi-channel, multi-AP", core.MultiChannelMultiAP},
 		{"stock", core.Stock},
 	}
-	cfgs := make([]core.ScenarioConfig, len(modes))
+	world := core.WorldConfig{Seed: o.seed(), Duration: o.dur(15*time.Minute, 2*time.Minute), Sites: sites}
+	runs := make([]run, len(modes))
 	for i, cs := range modes {
-		cfgs[i] = core.ScenarioConfig{
-			Seed:     o.seed(),
-			Duration: o.dur(15*time.Minute, 2*time.Minute),
-			Preset:   cs.preset,
-			Mobility: mob,
-			Sites:    sites,
-		}
+		runs[i] = solo(world, core.ClientConfig{Preset: cs.preset, Mobility: mob})
 	}
-	for i, res := range runConfigs(o, "ablation-energy", cfgs) {
+	for i, res := range soloSweep(o, t.ID, runs) {
 		t.Rows = append(t.Rows, []string{modes[i].name,
 			fmt.Sprintf("%.1f KB/s", res.ThroughputKBps),
 			fmt.Sprintf("%.0f J", res.Energy.TotalJ()),

@@ -48,23 +48,30 @@ func chaosPlan(crashesPerMin float64) chaos.Plan {
 }
 
 // ChaosScenario returns the 2-crashes/min point of the chaos sweep as a
-// standalone scenario config — the representative faulted run that
-// spider-bench's -events export and the obs-overhead benchmark execute
-// directly, bypassing the fleet result cache so events are always
+// standalone world and client — the representative faulted run that
+// spider-bench's obs-overhead benchmark and the chaos timeline pins
+// execute directly, bypassing the fleet result cache so events are always
 // generated fresh.
-func ChaosScenario(o Options) core.ScenarioConfig {
+func ChaosScenario(o Options) (core.WorldConfig, core.ClientConfig) {
 	plan := chaosPlan(2)
+	world, client := chaosRun(o)
+	world.Chaos = &plan
+	return world, client
+}
+
+// chaosRun is one run of the chaos sweep before its fault plan: the town
+// drive in the paper's winning configuration (channel 1, multi-AP), with
+// short leases (renew at ~7.5 s, within a typical town encounter) so the
+// sweep exercises mid-encounter renewal.
+func chaosRun(o Options) (core.WorldConfig, core.ClientConfig) {
 	mob, sites := townLoop(o.seed(), 10, 0.4)
-	return core.ScenarioConfig{
-		Seed:           o.seed(),
-		Duration:       o.dur(10*time.Minute, 2*time.Minute),
-		Preset:         core.SingleChannelMultiAP,
-		PrimaryChannel: dot11.Channel1,
-		Mobility:       mob,
-		Sites:          sites,
-		AP:             core.APOverrides{LeaseSecs: 15},
-		Chaos:          &plan,
+	world := core.WorldConfig{
+		Seed:     o.seed(),
+		Duration: o.dur(10*time.Minute, 2*time.Minute),
+		Sites:    sites,
+		AP:       core.APOverrides{LeaseSecs: 15},
 	}
+	return world, core.ClientConfig{Preset: core.SingleChannelMultiAP, PrimaryChannel: dot11.Channel1, Mobility: mob}
 }
 
 // ChaosStudy sweeps fault intensity over the town drive in the paper's
@@ -83,30 +90,18 @@ func ChaosStudy(o Options) *ChaosResults {
 	}
 	key := o.Key("chaos") + "|plans=" + strings.Join(hashes, ",")
 	return memoKey(o, key, func() *ChaosResults {
-		dur := o.dur(10*time.Minute, 2*time.Minute)
-		mob, sites := townLoop(o.seed(), 10, 0.4)
-		cfgs := make([]core.ScenarioConfig, len(intensities))
+		runs := make([]run, len(intensities))
 		for i := range intensities {
-			plan := plans[i]
-			cfgs[i] = core.ScenarioConfig{
-				Seed:           o.seed(),
-				Duration:       dur,
-				Preset:         core.SingleChannelMultiAP,
-				PrimaryChannel: dot11.Channel1,
-				Mobility:       mob,
-				Sites:          sites,
-				// Short leases (renew at ~7.5 s, within a typical town
-				// encounter) so the sweep exercises mid-encounter renewal.
-				AP: core.APOverrides{LeaseSecs: 15},
+			world, client := chaosRun(o)
+			if !plans[i].Empty() {
+				world.Chaos = &plans[i]
 			}
-			if !plan.Empty() {
-				cfgs[i].Chaos = &plan
-			}
+			runs[i] = solo(world, client)
 		}
 		return &ChaosResults{
-			Duration:    dur,
+			Duration:    runs[0].world.Duration,
 			Intensities: intensities,
-			Results:     runConfigsHealth(o, "chaos", cfgs),
+			Results:     soloSweep(o, "chaos", runs),
 			Hashes:      hashes,
 		}
 	})

@@ -112,18 +112,16 @@ func miniChaosSweep(o Options) string {
 		})
 	}
 	model := mobility.NewWaypoints([]geo.Point{{X: 0, Y: 0}, {X: 700, Y: 0}}, 10, false)
-	cfgs := make([]core.ScenarioConfig, 2)
-	for i := range cfgs {
-		cfgs[i] = core.ScenarioConfig{
-			Seed: 42, Duration: 70 * time.Second, Preset: core.SingleChannelMultiAP,
-			PrimaryChannel: dot11.Channel1, Mobility: model, Sites: sites,
-		}
+	runs := make([]run, 2)
+	for i := range runs {
+		runs[i] = solo(core.WorldConfig{Seed: 42, Duration: 70 * time.Second, Sites: sites},
+			core.ClientConfig{Preset: core.SingleChannelMultiAP, PrimaryChannel: dot11.Channel1, Mobility: model})
 	}
-	cfgs[1].Chaos = &plan
+	runs[1].world.Chaos = &plan
 	cr := &ChaosResults{
 		Duration:    70 * sec,
 		Intensities: []float64{0, 1},
-		Results:     runConfigsHealth(o, "minichaos", cfgs),
+		Results:     soloSweep(o, "minichaos", runs),
 		Hashes:      []string{"", plan.Hash()},
 	}
 	t := ChaosTable(cr)

@@ -6,6 +6,8 @@ import (
 
 	"spider/internal/core"
 	"spider/internal/fleet"
+	"spider/internal/obs"
+	"spider/internal/telemetry"
 )
 
 // This file routes experiment work through the fleet engine. Every helper
@@ -46,71 +48,81 @@ func mapJobs[T any](o Options, jobs []job[T]) []T {
 	return out
 }
 
-// runConfigs executes scenario configs as one sharded sweep, returning
-// results in config order. Each config must be self-contained; shared
-// Timers pointers are copied so concurrent runs never alias.
-func runConfigs(o Options, id string, cfgs []core.ScenarioConfig) []core.Result {
-	jobs := make([]job[core.Result], len(cfgs))
-	for i := range cfgs {
-		cfg := cfgs[i]
-		if cfg.Timers != nil {
-			t := *cfg.Timers
-			cfg.Timers = &t
+// run is one simulation: a world and the clients that traverse it.
+type run struct {
+	world   core.WorldConfig
+	clients []core.ClientConfig
+}
+
+// solo is a run with one client.
+func solo(world core.WorldConfig, client core.ClientConfig) run {
+	return run{world: world, clients: []core.ClientConfig{client}}
+}
+
+// simulate executes one run and files it under label: it attaches a
+// recorder and a telemetry aggregator as o.Runs asks, runs the world with
+// its clients, folds the run's event summary and health into the fleet
+// group, and files the artifacts. A label already filed panics, which
+// fails the experiment.
+func (o Options) simulate(label string, r run) core.PopulationResult {
+	world := r.world
+	var rec *obs.Recorder
+	if o.Runs.Traces() {
+		rec = obs.NewRecorder()
+	}
+	world.Obs = rec
+	var tel *telemetry.Aggregator
+	if o.Runs.Rollups() {
+		// Flight sampling seeds from the experiment seed, so the kept-client
+		// set is a pure function of Options.
+		tel = telemetry.New(telemetry.Config{Seed: o.Seed, SLOs: telemetry.DefaultSLOs()})
+	}
+	world.Telemetry = tel
+	p := core.RunPopulation(world, r.clients)
+	if o.Fleet != nil {
+		o.Fleet.AddEvents(rec.Summary())
+		o.Fleet.AddHealth(health(p))
+	}
+	if err := o.Runs.File(label, rec, tel); err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// health sums a run's fault, recovery and link-drop counters. Faults are
+// a world-level count that every client reports, so it is read once.
+func health(p core.PopulationResult) fleet.Health {
+	var h fleet.Health
+	for i, c := range p.Clients {
+		if i == 0 {
+			h.Faults = int64(c.Chaos.Injected)
 		}
-		label := fmt.Sprintf("%s#%d", id, i)
-		jobs[i] = job[core.Result]{
-			id: label,
-			fn: func() core.Result {
-				rec := o.recorder()
-				cfg.Obs = rec
-				tel := o.rollup()
-				cfg.Telemetry = tel
-				r := core.Run(cfg)
-				o.collect(label, rec)
-				o.collectRollups(label, tel)
-				return r
-			},
-		}
+		h.Recoveries += int64(len(c.Recoveries))
+		h.LinkDrops += int64(c.LinkDowns)
+	}
+	return h
+}
+
+// sweep executes runs as one fleet sweep, filing run i under label(i),
+// and returns their results in run order.
+func sweep(o Options, runs []run, label func(i int) string) []core.PopulationResult {
+	jobs := make([]job[core.PopulationResult], len(runs))
+	for i, r := range runs {
+		l := label(i)
+		jobs[i] = job[core.PopulationResult]{id: l, fn: func() core.PopulationResult { return o.simulate(l, r) }}
 	}
 	return mapJobs(o, jobs)
 }
 
-// runConfigsHealth is runConfigs plus per-job chaos-health telemetry:
-// every completed run folds its fault and recovery counters into the
-// fleet group, so -progress shows chaos-run health while the sweep is
-// still executing. The reported totals are additive, so worker count and
-// completion order never change the final numbers.
-func runConfigsHealth(o Options, id string, cfgs []core.ScenarioConfig) []core.Result {
-	jobs := make([]job[core.Result], len(cfgs))
-	for i := range cfgs {
-		cfg := cfgs[i]
-		if cfg.Timers != nil {
-			t := *cfg.Timers
-			cfg.Timers = &t
-		}
-		label := fmt.Sprintf("%s#%d", id, i)
-		jobs[i] = job[core.Result]{
-			id: label,
-			fn: func() core.Result {
-				rec := o.recorder()
-				cfg.Obs = rec
-				tel := o.rollup()
-				cfg.Telemetry = tel
-				r := core.Run(cfg)
-				o.collect(label, rec)
-				o.collectRollups(label, tel)
-				if o.Fleet != nil {
-					o.Fleet.AddHealth(fleet.Health{
-						Faults:     int64(r.Chaos.Injected),
-						Recoveries: int64(len(r.Recoveries)),
-						LinkDrops:  int64(r.LinkDowns),
-					})
-				}
-				return r
-			},
-		}
+// soloSweep executes single-client runs as one sweep labelled id#0,
+// id#1, … and returns each run's client result in run order.
+func soloSweep(o Options, id string, runs []run) []core.Result {
+	pops := sweep(o, runs, func(i int) string { return fmt.Sprintf("%s#%d", id, i) })
+	out := make([]core.Result, len(pops))
+	for i, p := range pops {
+		out[i] = p.Clients[0]
 	}
-	return mapJobs(o, jobs)
+	return out
 }
 
 // memo caches compute under the experiment's canonical key when a fleet is

@@ -14,7 +14,6 @@ import (
 	"spider/internal/fleet"
 	"spider/internal/obs"
 	"spider/internal/sim"
-	"spider/internal/telemetry"
 )
 
 // Options control experiment fidelity. The zero value means full fidelity
@@ -38,20 +37,17 @@ type Options struct {
 	// tests substitute obs.NewManual so rendered artifacts containing
 	// wall times become byte-stable. Never part of cache keys.
 	Clock obs.Clock
-	// Events, when non-nil, collects every simulation run's structured
-	// event stream under its job label ("chaos#0", …). Each stream is a
-	// pure function of the run's (seed, config) and the collector exports
-	// in sorted label order, so the merged JSONL is byte-identical at any
-	// fleet worker count. Note the fleet result cache can satisfy a
-	// memoized experiment without re-running its jobs; collect events
-	// with a fresh pool when a complete stream matters.
-	Events *obs.Collector
-	// Rollups, when non-nil, attaches a telemetry aggregator (default
-	// window, default SLOs) to every simulation run and files its closed
-	// windows plus flight accounting under the run's job label. Same
-	// determinism contract as Events: export is in sorted label order,
-	// so the merged rollup JSONL is byte-identical at any worker count.
-	Rollups *telemetry.Collector
+	// Runs, when non-nil, files every simulation run's artifacts under
+	// its run label ("chaos#0", "population#n=8", …): its event and span
+	// streams when the store traces, and the closed windows and flight
+	// accounting of a telemetry aggregator (default window, default SLOs)
+	// when it rolls up. Each artifact is a pure function of the run's
+	// (seed, config) and the store exports in sorted label order, so the
+	// merged JSONL is byte-identical at any fleet worker count. Note the
+	// fleet result cache can satisfy a memoized experiment without
+	// re-running its jobs; collect with a fresh pool when a complete
+	// export matters.
+	Runs *RunStore
 }
 
 // Key returns the canonical result-cache key for an experiment with these
@@ -81,44 +77,6 @@ func (o Options) clock() obs.Clock {
 		return obs.Wall()
 	}
 	return o.Clock
-}
-
-// recorder returns a fresh per-run event recorder when collection is on,
-// nil (recording disabled end to end) otherwise.
-func (o Options) recorder() *obs.Recorder {
-	if o.Events == nil {
-		return nil
-	}
-	return obs.NewRecorder()
-}
-
-// collect files one finished run's event and span streams under its job
-// label and folds the per-kind summary into the fleet telemetry.
-func (o Options) collect(label string, rec *obs.Recorder) {
-	if rec == nil {
-		return
-	}
-	o.Events.Add(label, rec.Events())
-	o.Events.AddSpans(label, rec.Spans())
-	if o.Fleet != nil {
-		o.Fleet.AddEvents(rec.Summary())
-	}
-}
-
-// rollup returns a fresh per-run telemetry aggregator when rollup
-// collection is on. The aggregator seeds its flight sampling from the
-// experiment seed, so the kept-client set is a pure function of Options.
-func (o Options) rollup() *telemetry.Aggregator {
-	if o.Rollups == nil {
-		return nil
-	}
-	return telemetry.New(telemetry.Config{Seed: o.Seed, SLOs: telemetry.DefaultSLOs()})
-}
-
-// collectRollups files one finished run's closed windows and flight
-// accounting under its job label. Nil-safe on both sides.
-func (o Options) collectRollups(label string, tel *telemetry.Aggregator) {
-	o.Rollups.Add(label, tel)
 }
 
 // dur scales a full-fidelity duration, with a floor to stay meaningful.

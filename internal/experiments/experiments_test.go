@@ -235,7 +235,7 @@ func TestAppendixAQuality(t *testing.T) {
 // joinStageDistribution sanity-checks the vehicular join harness directly.
 func TestJoinRunProducesRecords(t *testing.T) {
 	o := quick()
-	joins := joinRun(o, 1, fractionSchedule(1.0, 0), ReducedTimersForTest(), 7)
+	joins := joinSweep(o, "joins", []run{joinCfg(o, 1, fractionSchedule(1.0, 0), ReducedTimersForTest(), 7)})[0]
 	if len(joins) == 0 {
 		t.Fatal("no join records")
 	}

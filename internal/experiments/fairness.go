@@ -116,25 +116,17 @@ func FairnessScenario(o Options, n int, v alloc.Variant) (core.WorldConfig, []co
 func FairnessStudy(o Options) *FairnessResults {
 	return memo(o, "fairness", func() *FairnessResults {
 		d := o.dur(sim.Time(5*time.Minute), sim.Time(60*time.Second))
-		jobs := make([]job[core.PopulationResult], 0, len(fairnessArms)*len(fairnessSizes))
+		var runs []run
 		for _, v := range fairnessArms {
 			for _, n := range fairnessSizes {
-				v, n := v, n
-				label := fmt.Sprintf("fairness#arm=%s,n=%d", armName(v), n)
-				jobs = append(jobs, job[core.PopulationResult]{
-					id: label,
-					fn: func() core.PopulationResult {
-						world, clients := FairnessScenario(o, n, v)
-						rec := o.recorder()
-						world.Obs = rec
-						r := core.RunPopulation(world, clients)
-						o.collect(label, rec)
-						return r
-					},
-				})
+				world, clients := FairnessScenario(o, n, v)
+				runs = append(runs, run{world: world, clients: clients})
 			}
 		}
-		flat := mapJobs(o, jobs)
+		flat := sweep(o, runs, func(i int) string {
+			v, n := fairnessArms[i/len(fairnessSizes)], fairnessSizes[i%len(fairnessSizes)]
+			return fmt.Sprintf("fairness#arm=%s,n=%d", armName(v), n)
+		})
 		res := &FairnessResults{Sizes: fairnessSizes, Arms: fairnessArms, Duration: d}
 		for i := range fairnessArms {
 			res.Results = append(res.Results, flat[i*len(fairnessSizes):(i+1)*len(fairnessSizes)])

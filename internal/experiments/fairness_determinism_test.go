@@ -8,7 +8,6 @@ import (
 	"spider/internal/alloc"
 	"spider/internal/core"
 	"spider/internal/fleet"
-	"spider/internal/obs"
 )
 
 // fairnessJSONL runs both allocator variants over two population rungs on
@@ -19,32 +18,26 @@ func fairnessJSONL(t *testing.T, workers int) ([]byte, []byte) {
 	t.Helper()
 	pool := fleet.New(fleet.Config{Workers: workers})
 	defer pool.Close()
-	col := obs.NewCollector()
-	o := Options{Seed: 1, Scale: 0.02, Fleet: pool.Group("fairness-det"), Events: col}
+	store := NewRunStore(true, false)
+	o := Options{Seed: 1, Scale: 0.02, Fleet: pool.Group("fairness-det"), Runs: store}
 
-	var jobs []job[core.PopulationResult]
+	var runs []run
+	var labels []string
 	for _, v := range []alloc.Variant{alloc.Decentralized, alloc.Oracle} {
 		for _, n := range []int{4, 16} {
-			v, n := v, n
-			label := fmt.Sprintf("fairness-det#arm=%s,n=%d", v, n)
-			jobs = append(jobs, job[core.PopulationResult]{id: label, fn: func() core.PopulationResult {
-				world, clients := FairnessScenario(o, n, v)
-				rec := o.recorder()
-				world.Obs = rec
-				r := core.RunPopulation(world, clients)
-				o.collect(label, rec)
-				return r
-			}})
+			world, clients := FairnessScenario(o, n, v)
+			runs = append(runs, run{world: world, clients: clients})
+			labels = append(labels, fmt.Sprintf("fairness-det#arm=%s,n=%d", v, n))
 		}
 	}
-	mapJobs(o, jobs)
+	sweep(o, runs, func(i int) string { return labels[i] })
 
 	var evs, spans bytes.Buffer
-	if err := col.WriteJSONL(&evs); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
+	if err := store.WriteEvents(&evs); err != nil {
+		t.Fatalf("WriteEvents: %v", err)
 	}
-	if err := col.WriteSpansJSONL(&spans); err != nil {
-		t.Fatalf("WriteSpansJSONL: %v", err)
+	if err := store.WriteSpans(&spans); err != nil {
+		t.Fatalf("WriteSpans: %v", err)
 	}
 	if evs.Len() == 0 || spans.Len() == 0 {
 		t.Fatalf("empty streams: events=%d spans=%d bytes", evs.Len(), spans.Len())

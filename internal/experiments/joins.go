@@ -46,32 +46,25 @@ func fractionSchedule(x float64, d sim.Time) []driver.Slot {
 }
 
 // joinCfg builds the traffic-free vehicular run every join experiment
-// uses. Each config owns its timers copy so sharded runs never alias.
-func joinCfg(o Options, seed int64, schedule []driver.Slot, timers core.TimerProfile, numVIFs int) core.ScenarioConfig {
+// uses. Each run owns its timers copy so sharded runs never alias.
+func joinCfg(o Options, seed int64, schedule []driver.Slot, timers core.TimerProfile, numVIFs int) run {
 	mob, sites := townLoop(seed, 10, 0.5)
-	return core.ScenarioConfig{
-		Seed:           seed,
-		Duration:       o.dur(20*time.Minute, time.Minute),
-		Preset:         core.SingleChannelMultiAP,
-		CustomSchedule: schedule,
-		Timers:         &timers,
-		Mobility:       mob,
-		Sites:          sites,
-		NumVIFs:        numVIFs,
-		DisableTraffic: true,
-	}
+	return solo(
+		core.WorldConfig{Seed: seed, Duration: o.dur(20*time.Minute, time.Minute), Sites: sites},
+		core.ClientConfig{
+			Preset:         core.SingleChannelMultiAP,
+			CustomSchedule: schedule,
+			Timers:         &timers,
+			Mobility:       mob,
+			NumVIFs:        numVIFs,
+			DisableTraffic: true,
+		})
 }
 
-// joinRun executes a traffic-free vehicular run and returns its join
-// records.
-func joinRun(o Options, seed int64, schedule []driver.Slot, timers core.TimerProfile, numVIFs int) []lmm.JoinRecord {
-	return core.Run(joinCfg(o, seed, schedule, timers, numVIFs)).Joins
-}
-
-// joinSweep executes a batch of join configs as one fleet sweep and
-// returns each run's join records in config order.
-func joinSweep(o Options, id string, cfgs []core.ScenarioConfig) [][]lmm.JoinRecord {
-	results := runConfigs(o, id, cfgs)
+// joinSweep executes a batch of join runs as one fleet sweep and returns
+// each run's join records in run order.
+func joinSweep(o Options, id string, runs []run) [][]lmm.JoinRecord {
+	results := soloSweep(o, id, runs)
 	joins := make([][]lmm.JoinRecord, len(results))
 	for i, r := range results {
 		joins[i] = r.Joins
@@ -109,14 +102,14 @@ func Figure5(o Options) Figure {
 	timers := core.ReducedTimers()
 	fracs := []float64{0.25, 0.50, 0.75, 1.00}
 	seeds := int64(o.n(3, 1))
-	var cfgs []core.ScenarioConfig
+	var runs []run
 	for i, frac := range fracs {
 		sched := fractionSchedule(frac, 400*time.Millisecond)
 		for s := int64(0); s < seeds; s++ {
-			cfgs = append(cfgs, joinCfg(o, o.seed()+s*1000+int64(i), sched, timers, 7))
+			runs = append(runs, joinCfg(o, o.seed()+s*1000+int64(i), sched, timers, 7))
 		}
 	}
-	joins := joinSweep(o, "fig5", cfgs)
+	joins := joinSweep(o, "fig5", runs)
 	for i, frac := range fracs {
 		var durations []float64
 		attempts := 0
@@ -159,7 +152,7 @@ func Figure6(o Options) Figure {
 		{"100% - default", 1.0, 0, true},
 	}
 	seeds := int64(o.n(3, 1))
-	var cfgs []core.ScenarioConfig
+	var runs []run
 	for i, cs := range cases {
 		timers := core.ReducedTimers()
 		if cs.deflt {
@@ -170,10 +163,10 @@ func Figure6(o Options) Figure {
 		}
 		sched := fractionSchedule(cs.frac, 400*time.Millisecond)
 		for s := int64(0); s < seeds; s++ {
-			cfgs = append(cfgs, joinCfg(o, o.seed()+s*1000+int64(i)*37, sched, timers, 7))
+			runs = append(runs, joinCfg(o, o.seed()+s*1000+int64(i)*37, sched, timers, 7))
 		}
 	}
-	joins := joinSweep(o, "fig6", cfgs)
+	joins := joinSweep(o, "fig6", runs)
 	for i, cs := range cases {
 		var durations []float64
 		attempts := 0
@@ -222,7 +215,7 @@ func Table3(o Options) Table {
 		{"3 chans, static 1/3 schedule, default timer, 7 interfaces", third, 0, true},
 	}
 	seeds := o.n(5, 2)
-	var cfgs []core.ScenarioConfig
+	var runs []run
 	for ci, cs := range cases {
 		timers := core.ReducedTimers()
 		if cs.deflt {
@@ -232,10 +225,10 @@ func Table3(o Options) Table {
 			timers.DHCPRetry = cs.retry
 		}
 		for s := 0; s < seeds; s++ {
-			cfgs = append(cfgs, joinCfg(o, o.seed()+int64(s)*211+int64(ci)*7919, cs.sched, timers, 7))
+			runs = append(runs, joinCfg(o, o.seed()+int64(s)*211+int64(ci)*7919, cs.sched, timers, 7))
 		}
 	}
-	joins := joinSweep(o, "table3", cfgs)
+	joins := joinSweep(o, "table3", runs)
 	for ci, cs := range cases {
 		var rates []float64
 		for s := 0; s < seeds; s++ {
@@ -278,13 +271,13 @@ func joinTimeFigure(o Options, id, title string, cases []joinTimeSeriesCase) Fig
 		YLabel: "fraction of connections",
 	}
 	seeds := int64(o.n(3, 1))
-	var cfgs []core.ScenarioConfig
+	var runs []run
 	for ci, cs := range cases {
 		for s := int64(0); s < seeds; s++ {
-			cfgs = append(cfgs, joinCfg(o, o.seed()+s*503+int64(ci)*101, cs.sched, cs.timers, cs.numVIFs))
+			runs = append(runs, joinCfg(o, o.seed()+s*503+int64(ci)*101, cs.sched, cs.timers, cs.numVIFs))
 		}
 	}
-	joins := joinSweep(o, id, cfgs)
+	joins := joinSweep(o, id, runs)
 	for ci, cs := range cases {
 		var durations []float64
 		attempts := 0

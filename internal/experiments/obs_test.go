@@ -19,12 +19,12 @@ func chaosEventJSONL(t *testing.T, workers int) []byte {
 	t.Helper()
 	pool := fleet.New(fleet.Config{Workers: workers})
 	defer pool.Close()
-	col := obs.NewCollector()
-	o := Options{Seed: 1, Scale: 0.05, Fleet: pool.Group("chaos"), Events: col}
+	store := NewRunStore(true, false)
+	o := Options{Seed: 1, Scale: 0.05, Fleet: pool.Group("chaos"), Runs: store}
 	ChaosStudy(o)
 	var buf bytes.Buffer
-	if err := col.WriteJSONL(&buf); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
+	if err := store.WriteEvents(&buf); err != nil {
+		t.Fatalf("WriteEvents: %v", err)
 	}
 	if buf.Len() == 0 {
 		t.Fatal("no events collected")
@@ -52,13 +52,13 @@ func TestEventStreamWorkerInvariance(t *testing.T) {
 // observability layer observes, it never steers.
 func TestRecordingDisabledIdentity(t *testing.T) {
 	o := Options{Seed: 1, Scale: 0.05}
-	cfg := ChaosScenario(o)
+	world, client := ChaosScenario(o)
 
-	cfg.Obs = nil
-	plain := core.Run(cfg)
+	world.Obs = nil
+	plain := core.Run(world, client)
 
-	cfg.Obs = obs.NewRecorder()
-	recorded := core.Run(cfg)
+	world.Obs = obs.NewRecorder()
+	recorded := core.Run(world, client)
 	if recorded.Events.Empty() {
 		t.Fatal("recorded run reported no events")
 	}

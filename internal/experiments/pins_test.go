@@ -26,10 +26,10 @@ func sha(b []byte) string {
 // TestPinnedChaosTimeline pins the retained event and span timeline of
 // the chaos scenario (seed 1, scale 0.05).
 func TestPinnedChaosTimeline(t *testing.T) {
-	cfg := ChaosScenario(Options{Seed: 1, Scale: 0.05})
+	world, client := ChaosScenario(Options{Seed: 1, Scale: 0.05})
 	rec := obs.NewRecorder()
-	cfg.Obs = rec
-	core.Run(cfg)
+	world.Obs = rec
+	core.Run(world, client)
 	evs, spans := rec.Events(), rec.Spans()
 	var ev, sp bytes.Buffer
 	if err := obs.WriteJSONL(&ev, "", evs); err != nil {

@@ -82,10 +82,10 @@ func populationClients(n int, route mobility.Model) []core.ClientConfig {
 }
 
 // PopulationScenario returns one rung of the population study — the world
-// and N staggered clients at the options' duration — for callers that
-// need to execute a rung directly (the ladder pin and the benchmark
-// suite). Running it through core.RunPopulation reproduces the study's
-// numbers for that rung exactly.
+// and N staggered clients at the options' duration. The study runs every
+// rung from it, so a caller that executes a rung directly (the ladder pin
+// and the benchmark suite) through core.RunPopulation reproduces the
+// study's numbers for that rung exactly.
 func PopulationScenario(o Options, n int) (core.WorldConfig, []core.ClientConfig) {
 	d := o.dur(sim.Time(5*time.Minute), sim.Time(60*time.Second))
 	world, route := populationWorld(o.seed(), d)
@@ -143,26 +143,16 @@ func PopulationIPAMScenario(o Options, n int) (core.WorldConfig, []core.ClientCo
 func PopulationStudy(o Options) *PopulationResults {
 	return memo(o, "population", func() *PopulationResults {
 		d := o.dur(sim.Time(5*time.Minute), sim.Time(60*time.Second))
-		jobs := make([]job[core.PopulationResult], len(populationSizes))
+		runs := make([]run, len(populationSizes))
 		for i, n := range populationSizes {
-			n := n
-			label := fmt.Sprintf("population#n=%d", n)
-			jobs[i] = job[core.PopulationResult]{
-				id: label,
-				fn: func() core.PopulationResult {
-					world, route := populationWorld(o.seed(), d)
-					rec := o.recorder()
-					world.Obs = rec
-					r := core.RunPopulation(world, populationClients(n, route))
-					o.collect(label, rec)
-					return r
-				},
-			}
+			world, clients := PopulationScenario(o, n)
+			runs[i] = run{world: world, clients: clients}
 		}
+		results := sweep(o, runs, func(i int) string { return fmt.Sprintf("population#n=%d", populationSizes[i]) })
 		return &PopulationResults{
 			Sizes:    populationSizes,
 			Duration: d,
-			Results:  mapJobs(o, jobs),
+			Results:  results,
 		}
 	})
 }

@@ -215,9 +215,9 @@ func measureRushHourArm(name string, p core.PopulationResult) RushHourArm {
 }
 
 // RushHourScenario returns one arm of the rush-hour study by index — the
-// world and its staggered vehicles — for callers that need to execute an
-// arm directly (the spider-bench benchmark rung). Running it through
-// core.RunPopulation reproduces the study's numbers for that arm exactly.
+// world and its staggered vehicles. The study runs every arm from it, so
+// a caller that executes an arm directly through core.RunPopulation
+// reproduces the study's numbers for that arm exactly.
 func RushHourScenario(o Options, arm int) (core.WorldConfig, []core.ClientConfig) {
 	d := o.dur(sim.Time(10*time.Minute), sim.Time(90*time.Second))
 	n := o.n(300, 24)
@@ -233,23 +233,17 @@ func RushHourStudy(o Options) *RushHourResults {
 		d := o.dur(sim.Time(10*time.Minute), sim.Time(90*time.Second))
 		n := o.n(300, 24)
 		arms := rushHourArms(n)
-		jobs := make([]job[RushHourArm], len(arms))
-		for i, a := range arms {
-			a := a
-			label := fmt.Sprintf("rushhour#%s", a.name)
-			jobs[i] = job[RushHourArm]{
-				id: label,
-				fn: func() RushHourArm {
-					world := rushHourWorld(o.seed(), d, a.plan, a.gc)
-					rec := o.recorder()
-					world.Obs = rec
-					p := core.RunPopulation(world, rushHourClients(n, d))
-					o.collect(label, rec)
-					return measureRushHourArm(a.name, p)
-				},
-			}
+		runs := make([]run, len(arms))
+		for i := range arms {
+			world, clients := RushHourScenario(o, i)
+			runs[i] = run{world: world, clients: clients}
 		}
-		return &RushHourResults{N: n, Duration: d, Arms: mapJobs(o, jobs)}
+		pops := sweep(o, runs, func(i int) string { return "rushhour#" + arms[i].name })
+		res := &RushHourResults{N: n, Duration: d}
+		for i, a := range arms {
+			res.Arms = append(res.Arms, measureRushHourArm(a.name, pops[i]))
+		}
+		return res
 	})
 }
 

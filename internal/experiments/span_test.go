@@ -18,12 +18,12 @@ func populationSpanJSONL(t *testing.T, workers int) []byte {
 	t.Helper()
 	pool := fleet.New(fleet.Config{Workers: workers})
 	defer pool.Close()
-	col := obs.NewCollector()
-	o := Options{Seed: 1, Scale: 0.05, Fleet: pool.Group("population"), Events: col}
+	store := NewRunStore(true, false)
+	o := Options{Seed: 1, Scale: 0.05, Fleet: pool.Group("population"), Runs: store}
 	PopulationStudy(o)
 	var buf bytes.Buffer
-	if err := col.WriteSpansJSONL(&buf); err != nil {
-		t.Fatalf("WriteSpansJSONL: %v", err)
+	if err := store.WriteSpans(&buf); err != nil {
+		t.Fatalf("WriteSpans: %v", err)
 	}
 	if buf.Len() == 0 {
 		t.Fatal("no spans collected")

@@ -32,25 +32,14 @@ func indoorSites(n int, channels []dot11.Channel, backhaulBps float64) []mobilit
 
 // indoorCfg describes a stationary-client TCP run under an explicit
 // schedule.
-func indoorCfg(seed int64, sites []mobility.APSite, sched []driver.Slot, singleAP bool, dur sim.Time) core.ScenarioConfig {
+func indoorCfg(seed int64, sites []mobility.APSite, sched []driver.Slot, singleAP bool, dur sim.Time) run {
 	preset := core.SingleChannelMultiAP
 	if singleAP {
 		preset = core.SingleChannelSingleAP
 	}
-	return core.ScenarioConfig{
-		Seed:           seed,
-		Duration:       dur,
-		Preset:         preset,
-		CustomSchedule: sched,
-		Mobility:       mobility.Static(geo.Point{}),
-		Sites:          sites,
-	}
-}
-
-// indoorRun measures average TCP throughput for a stationary client under
-// an explicit schedule.
-func indoorRun(o Options, seed int64, sites []mobility.APSite, sched []driver.Slot, singleAP bool, dur sim.Time) core.Result {
-	return core.Run(indoorCfg(seed, sites, sched, singleAP, dur))
+	return solo(
+		core.WorldConfig{Seed: seed, Duration: dur, Sites: sites},
+		core.ClientConfig{Preset: preset, CustomSchedule: sched, Mobility: mobility.Static(geo.Point{})})
 }
 
 // Figure7 reproduces the indoor experiment: average TCP throughput as a
@@ -122,13 +111,13 @@ func Figure8(o Options) Figure {
 // resonance effects. Results are in schedule order.
 func meanThroughputSweep(o Options, id string, sites []mobility.APSite, scheds [][]driver.Slot, dur sim.Time) []float64 {
 	seeds := o.n(3, 2)
-	var cfgs []core.ScenarioConfig
+	var runs []run
 	for _, sched := range scheds {
 		for i := 0; i < seeds; i++ {
-			cfgs = append(cfgs, indoorCfg(o.seed()+int64(i)*97, sites, sched, false, dur))
+			runs = append(runs, indoorCfg(o.seed()+int64(i)*97, sites, sched, false, dur))
 		}
 	}
-	results := runConfigs(o, id, cfgs)
+	results := soloSweep(o, id, runs)
 	means := make([]float64, len(scheds))
 	for si := range scheds {
 		total := 0.0
@@ -265,10 +254,10 @@ func Figure10(o Options) Figure {
 	// one stock card (reused for the two-card sum), the second card on an
 	// orthogonal channel, and three Spider schedules.
 	const runsPer = 5
-	var cfgs []core.ScenarioConfig
+	var runs []run
 	for _, bw := range bws {
 		twoChan := indoorSites(2, []dot11.Channel{dot11.Channel1, dot11.Channel11}, bw)
-		cfgs = append(cfgs,
+		runs = append(runs,
 			// One card, stock driver: a single AP on channel 1.
 			indoorCfg(o.seed(), indoorSites(1, []dot11.Channel{dot11.Channel1}, bw),
 				[]driver.Slot{{Channel: dot11.Channel1}}, true, dur),
@@ -290,7 +279,7 @@ func Figure10(o Options) Figure {
 				{Channel: dot11.Channel11, Duration: 100 * time.Millisecond},
 			}, false, dur))
 	}
-	results := runConfigs(o, "fig10", cfgs)
+	results := soloSweep(o, "fig10", runs)
 	for bi, bw := range bws {
 		x := bw / 1e6
 		one, oneB := results[bi*runsPer], results[bi*runsPer+1]

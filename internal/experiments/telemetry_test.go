@@ -19,14 +19,14 @@ func chaosRollupJSONL(t *testing.T, workers int) []byte {
 	t.Helper()
 	pool := fleet.New(fleet.Config{Workers: workers})
 	defer pool.Close()
-	col := telemetry.NewCollector()
-	o := Options{Seed: 1, Scale: 0.05, Fleet: pool.Group("chaos"), Rollups: col}
+	store := NewRunStore(false, true)
+	o := Options{Seed: 1, Scale: 0.05, Fleet: pool.Group("chaos"), Runs: store}
 	ChaosStudy(o)
 	var buf bytes.Buffer
-	if err := col.WriteJSONL(&buf); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
+	if err := store.WriteRollups(&buf); err != nil {
+		t.Fatalf("WriteRollups: %v", err)
 	}
-	if col.WindowCount() == 0 {
+	if _, _, _, windows := store.Totals(); windows == 0 {
 		t.Fatal("no rollup windows collected")
 	}
 	return buf.Bytes()
@@ -52,7 +52,7 @@ func TestRollupStreamWorkerInvariance(t *testing.T) {
 // keeps (health transitions are an always-keep class).
 func TestChaosSLOFires(t *testing.T) {
 	o := Options{Seed: 1, Scale: 0.05}
-	cfg := ChaosScenario(o)
+	world, client := ChaosScenario(o)
 	tel := telemetry.New(telemetry.Config{
 		Seed: 1,
 		SLOs: []telemetry.SLORule{
@@ -61,8 +61,8 @@ func TestChaosSLOFires(t *testing.T) {
 			{Name: "outage-any", Signal: "outage_rate", Op: "max", Limit: 0},
 		},
 	})
-	cfg.Telemetry = tel
-	core.Run(cfg)
+	world.Telemetry = tel
+	core.Run(world, client)
 
 	violated := false
 	for _, w := range tel.Windows() {

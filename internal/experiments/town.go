@@ -44,56 +44,31 @@ func TownStudy(o Options) *TownResults {
 func townStudy(o Options) *TownResults {
 	dur := o.dur(30*time.Minute, 2*time.Minute)
 	mob, sites := townLoop(o.seed(), 10, 0.4)
-	base := core.ScenarioConfig{
-		Seed:     o.seed(),
-		Duration: dur,
-		Mobility: mob,
-		Sites:    sites,
-	}
+	world := core.WorldConfig{Seed: o.seed(), Duration: dur, Sites: sites}
 	// Multi-channel static schedule: D = 600 ms split equally (paper's
 	// Table 2 note).
 	plan := []struct {
-		key string
-		mut func(*core.ScenarioConfig)
+		key    string
+		client core.ClientConfig
 	}{
-		{RunCh1Multi, func(c *core.ScenarioConfig) {
-			c.Preset = core.SingleChannelMultiAP
-			c.PrimaryChannel = dot11.Channel1
-		}},
-		{RunCh1Single, func(c *core.ScenarioConfig) {
-			c.Preset = core.SingleChannelSingleAP
-			c.PrimaryChannel = dot11.Channel1
-		}},
-		{RunMultiMulti, func(c *core.ScenarioConfig) {
-			c.Preset = core.MultiChannelMultiAP
-			c.SlotDuration = 200 * time.Millisecond
-		}},
-		{RunMultiSingle, func(c *core.ScenarioConfig) {
-			c.Preset = core.MultiChannelSingleAP
-			c.SlotDuration = 200 * time.Millisecond
-		}},
-		{RunCh6Single, func(c *core.ScenarioConfig) {
-			c.Preset = core.SingleChannelSingleAP
-			c.PrimaryChannel = dot11.Channel6
-		}},
-		{RunStock, func(c *core.ScenarioConfig) {
-			c.Preset = core.Stock
-		}},
-		{RunTwoChMulti, func(c *core.ScenarioConfig) {
-			c.Preset = core.MultiChannelMultiAP
-			c.CustomSchedule = []driver.Slot{
-				{Channel: dot11.Channel1, Duration: 200 * time.Millisecond},
-				{Channel: dot11.Channel6, Duration: 200 * time.Millisecond},
-			}
-		}},
+		{RunCh1Multi, core.ClientConfig{Preset: core.SingleChannelMultiAP, PrimaryChannel: dot11.Channel1}},
+		{RunCh1Single, core.ClientConfig{Preset: core.SingleChannelSingleAP, PrimaryChannel: dot11.Channel1}},
+		{RunMultiMulti, core.ClientConfig{Preset: core.MultiChannelMultiAP, SlotDuration: 200 * time.Millisecond}},
+		{RunMultiSingle, core.ClientConfig{Preset: core.MultiChannelSingleAP, SlotDuration: 200 * time.Millisecond}},
+		{RunCh6Single, core.ClientConfig{Preset: core.SingleChannelSingleAP, PrimaryChannel: dot11.Channel6}},
+		{RunStock, core.ClientConfig{Preset: core.Stock}},
+		{RunTwoChMulti, core.ClientConfig{Preset: core.MultiChannelMultiAP, CustomSchedule: []driver.Slot{
+			{Channel: dot11.Channel1, Duration: 200 * time.Millisecond},
+			{Channel: dot11.Channel6, Duration: 200 * time.Millisecond},
+		}}},
 	}
-	cfgs := make([]core.ScenarioConfig, len(plan))
+	runs := make([]run, len(plan))
 	for i, p := range plan {
-		cfg := base
-		p.mut(&cfg)
-		cfgs[i] = cfg
+		client := p.client
+		client.Mobility = mob
+		runs[i] = solo(world, client)
 	}
-	results := runConfigs(o, "townstudy", cfgs)
+	results := soloSweep(o, "townstudy", runs)
 	tr := &TownResults{Duration: dur, Runs: make(map[string]core.Result, len(plan))}
 	for i, p := range plan {
 		tr.Runs[p.key] = results[i]

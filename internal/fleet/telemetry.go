@@ -57,9 +57,9 @@ type Event struct {
 	Stats Stats
 }
 
-// Health aggregates fault-injection outcomes reported by chaos jobs:
-// how many faults landed, how many outages the client recovered from,
-// and how many links were torn down. Zero for fault-free workloads.
+// Health aggregates the outcomes every simulation run reports: how many
+// injected faults landed (zero without a fault plan), how many outages
+// its clients recovered from, and how many links were torn down.
 type Health struct {
 	Faults     int64
 	Recoveries int64
@@ -92,7 +92,7 @@ type Stats struct {
 	// and the worker count; zero when nothing is pending or no job has
 	// finished yet.
 	ETA time.Duration
-	// Health sums the fault/recovery counters chaos jobs reported.
+	// Health sums the fault/recovery counters jobs reported.
 	Health Health
 	// Events sums the per-kind event counts jobs reported via AddEvents.
 	// Addition commutes, so the totals are identical at any worker count.
@@ -236,8 +236,8 @@ func (g *Group) record(res JobResult) {
 }
 
 // AddHealth folds one completed job's fault/recovery counters into the
-// group and pool totals, surfacing chaos-run health through Stats and
-// the -progress printer. Safe to call from job functions on any worker.
+// group and pool totals, surfacing run health through Stats and the
+// -progress printer. Safe to call from job functions on any worker.
 func (g *Group) AddHealth(h Health) {
 	g.mu.Lock()
 	g.health.add(h)

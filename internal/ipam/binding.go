@@ -29,7 +29,6 @@ type Lease struct {
 type Binding struct {
 	m       *Manager
 	name    string
-	group   string
 	pools   []*pool
 	reserve *pool
 	leases  map[dot11.MACAddr]*Lease
@@ -37,9 +36,6 @@ type Binding struct {
 
 // Name returns the binding's label (the AP's BSSID in core scenarios).
 func (b *Binding) Name() string { return b.name }
-
-// Group returns the pool-group name the binding allocates from.
-func (b *Binding) Group() string { return b.group }
 
 // LeaseCount returns the number of live leases held through this binding.
 func (b *Binding) LeaseCount() int { return len(b.leases) }
@@ -162,8 +158,8 @@ func (b *Binding) Release(mac dot11.MACAddr) {
 // Reset drops every lease this binding holds — an AP power cycle. Leases
 // release in ascending address order so shared-pool free lists rebuild
 // identically on every run; pools that empty out entirely (the exclusive
-// per-AP case) rewind to virgin allocation order, matching the legacy
-// server's Reset byte for byte.
+// per-AP case) rewind to virgin allocation order, so a power-cycled AP
+// hands out the addresses it handed out from boot.
 func (b *Binding) Reset() {
 	for _, l := range b.sortedLeases() {
 		delete(b.leases, l.MAC)

@@ -47,8 +47,8 @@ var (
 
 // PoolSpec declares one named pool. Addresses come either from a CIDR
 // block (network, broadcast, and any excluded addresses — gateways — are
-// never handed out) or from an explicit address list (how a legacy
-// PoolBase/PoolSize server carves its range).
+// never handed out) or from an explicit address list (how core's default
+// plan gives each AP gw+1 … gw+size).
 type PoolSpec struct {
 	Name string
 	// CIDR is the block to carve host addresses from (when valid).
@@ -106,7 +106,6 @@ type Manager struct {
 	groups   map[string][]string
 	groupDef string
 	reserve  int
-	numBound int
 	st       Stats
 	log      *obs.ClientLog
 }
@@ -210,7 +209,7 @@ func (m *Manager) Bind(name, group string) (*Binding, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrNoGroup, group)
 	}
-	b := &Binding{m: m, name: name, group: group}
+	b := &Binding{m: m, name: name}
 	for _, pn := range poolNames {
 		b.pools = append(b.pools, m.pools[pn])
 	}
@@ -221,7 +220,6 @@ func (m *Manager) Bind(name, group string) (*Binding, error) {
 		}
 		b.reserve = newPool(b.pools[0].name+"/reserved", carved)
 	}
-	m.numBound++
 	return b, nil
 }
 
@@ -248,24 +246,4 @@ func (m *Manager) emit(at sim.Time, kind obs.Kind, binding, pool string, value i
 		return
 	}
 	m.log.Emit(obs.Event{At: at, Kind: kind, BSSID: binding, Note: pool, Value: value})
-}
-
-// Solo builds a standalone single-pool binding covering base+1 ..
-// base+size — the address range a legacy PoolBase/PoolSize DHCP server
-// hands out. It is how a dhcp.Server constructed without an explicit
-// binding gets ipam semantics with byte-identical allocation order.
-func Solo(name string, base ipnet.Addr, size int) *Binding {
-	addrs := make([]ipnet.Addr, size)
-	for i := range addrs {
-		addrs[i] = base + ipnet.Addr(i+1)
-	}
-	m := MustNew(Config{
-		Pools:  []PoolSpec{{Name: name, Addrs: addrs}},
-		Groups: []GroupSpec{{Name: name, Pools: []string{name}}},
-	})
-	b, err := m.Bind(name, name)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }

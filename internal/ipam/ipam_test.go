@@ -14,12 +14,19 @@ import (
 
 func addr4(a, b, c, d byte) ipnet.Addr { return ipnet.AddrFrom4(a, b, c, d) }
 
-// TestSoloMatchesLegacyOrder: a standalone binding hands out base+1,
-// base+2, ... stable per MAC — byte-identical to the legacy
-// PoolBase/PoolSize server carve it replaces.
-func TestSoloMatchesLegacyOrder(t *testing.T) {
+// TestAddrListPoolOrder: an explicit address-list pool — the plan core
+// gives each AP by default — hands out base+1, base+2, ... in list order,
+// stable per MAC, and then refuses with typed exhaustion.
+func TestAddrListPoolOrder(t *testing.T) {
 	base := addr4(10, 0, 0, 1)
-	b := Solo("gw", base, 3)
+	m := MustNew(Config{
+		Pools:  []PoolSpec{{Name: "ap", Addrs: []ipnet.Addr{base + 1, base + 2, base + 3}}},
+		Groups: []GroupSpec{{Name: "ap", Pools: []string{"ap"}}},
+	})
+	b, err := m.Bind("gw", "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 1; i <= 3; i++ {
 		a, err := b.Allocate(0, dot11.MAC(uint32(i)), 0)
 		if err != nil {

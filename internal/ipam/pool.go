@@ -9,8 +9,7 @@ import (
 
 // pool is one named allocation space. Allocation order is deterministic:
 // released addresses reuse LIFO, otherwise the lowest untouched address
-// goes next — the exact order the legacy DHCP server used, so swapping
-// ipam in changes no existing scenario's assignments.
+// goes next.
 //
 // claim (requested-address validation) can take any member address, which
 // is why both the free list and the untouched tail re-check the used map:
@@ -80,16 +79,10 @@ func (p *pool) claim(a ipnet.Addr, mac dot11.MACAddr) bool {
 	return true
 }
 
-// holder reports who currently holds a member address.
-func (p *pool) holder(a ipnet.Addr) (dot11.MACAddr, bool) {
-	mac, ok := p.used[a]
-	return mac, ok
-}
-
 // release returns an address to the free list. When the pool empties out
 // completely, allocation state rewinds to the virgin order — so an AP
-// that power-cycles an exclusive pool hands out base+1 first again,
-// exactly like the legacy server's Reset.
+// that power-cycles an exclusive pool hands out its first address first
+// again.
 func (p *pool) release(a ipnet.Addr) {
 	if _, ok := p.used[a]; !ok {
 		return

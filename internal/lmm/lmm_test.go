@@ -9,10 +9,29 @@ import (
 	"spider/internal/dot11"
 	"spider/internal/driver"
 	"spider/internal/geo"
+	"spider/internal/ipam"
 	"spider/internal/ipnet"
 	"spider/internal/phy"
 	"spider/internal/sim"
 )
+
+// bindPool binds an AP to its own pool of gw+1 … gw+size, through
+// ipam.New and Bind as core binds every AP.
+func bindPool(gw ipnet.Addr, size int) *ipam.Binding {
+	addrs := make([]ipnet.Addr, size)
+	for i := range addrs {
+		addrs[i] = gw + ipnet.Addr(i+1)
+	}
+	m := ipam.MustNew(ipam.Config{
+		Pools:  []ipam.PoolSpec{{Name: "lan", Addrs: addrs}},
+		Groups: []ipam.GroupSpec{{Name: "lan", Pools: []string{"lan"}}},
+	})
+	b, err := m.Bind(gw.String(), "")
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
 
 type rig struct {
 	eng    *sim.Engine
@@ -40,6 +59,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 func (r *rig) addAP(ch dot11.Channel, id uint32, open bool) *ap.AP {
 	gw := ipnet.AddrFrom4(10, byte(id), 0, 1)
 	cfg := ap.DefaultConfig("net", ch, gw)
+	cfg.IPAM = bindPool(cfg.Gateway, 64)
 	cfg.Open = open
 	cfg.MgmtDelayMin, cfg.MgmtDelayMax = 2*time.Millisecond, 10*time.Millisecond
 	cfg.DHCP.RespDelayMin, cfg.DHCP.RespDelayMax = 50*time.Millisecond, 200*time.Millisecond
@@ -124,6 +144,7 @@ func TestUtilityDemotesFailingAP(t *testing.T) {
 	// to complete a join inside the window.
 	gw := ipnet.AddrFrom4(10, 7, 0, 1)
 	cfg := ap.DefaultConfig("zombie", dot11.Channel1, gw)
+	cfg.IPAM = bindPool(cfg.Gateway, 64)
 	cfg.MgmtDelayMin, cfg.MgmtDelayMax = 10*time.Second, 11*time.Second
 	zombie := ap.New(r.eng, sim.NewRNG(300), r.medium, geo.Point{X: 20}, dot11.MAC(2000), cfg, nil)
 	r.run(12 * time.Second)
@@ -221,6 +242,7 @@ func TestLinkCarriesApplicationTraffic(t *testing.T) {
 	var uplinked []ipnet.Packet
 	gw := ipnet.AddrFrom4(10, 1, 0, 1)
 	cfg := ap.DefaultConfig("net", dot11.Channel1, gw)
+	cfg.IPAM = bindPool(cfg.Gateway, 64)
 	cfg.MgmtDelayMin, cfg.MgmtDelayMax = 2*time.Millisecond, 10*time.Millisecond
 	cfg.DHCP.RespDelayMin, cfg.DHCP.RespDelayMax = 50*time.Millisecond, 100*time.Millisecond
 	a := ap.New(r.eng, sim.NewRNG(101), r.medium, geo.Point{X: 20}, dot11.MAC(1001), cfg,
@@ -251,6 +273,7 @@ func TestBackoffPreventsThrashing(t *testing.T) {
 	// Zombie AP that never completes joins.
 	gw := ipnet.AddrFrom4(10, 7, 0, 1)
 	cfg := ap.DefaultConfig("zombie", dot11.Channel1, gw)
+	cfg.IPAM = bindPool(cfg.Gateway, 64)
 	cfg.MgmtDelayMin, cfg.MgmtDelayMax = 10*time.Second, 11*time.Second
 	ap.New(r.eng, sim.NewRNG(300), r.medium, geo.Point{X: 20}, dot11.MAC(2000), cfg, nil)
 	r.run(20 * time.Second)
@@ -290,6 +313,7 @@ func TestCaptivePortalDetectedByE2ETest(t *testing.T) {
 
 	gw := ipnet.AddrFrom4(10, 1, 0, 1)
 	apCfg := ap.DefaultConfig("portal", dot11.Channel1, gw)
+	apCfg.IPAM = bindPool(apCfg.Gateway, 64)
 	apCfg.BlockWAN = true
 	apCfg.MgmtDelayMin, apCfg.MgmtDelayMax = 2*time.Millisecond, 10*time.Millisecond
 	apCfg.DHCP.RespDelayMin, apCfg.DHCP.RespDelayMax = 50*time.Millisecond, 100*time.Millisecond
@@ -331,6 +355,7 @@ func TestRSSIOnlySelectionIgnoresUtility(t *testing.T) {
 		mk := func(mac dot11.MACAddr, x float64, id uint32) {
 			gw := ipnet.AddrFrom4(10, byte(id), 0, 1)
 			c := ap.DefaultConfig("n", dot11.Channel1, gw)
+			c.IPAM = bindPool(c.Gateway, 64)
 			c.MgmtDelayMin, c.MgmtDelayMax = 2*time.Millisecond, 5*time.Millisecond
 			c.DHCP.RespDelayMin, c.DHCP.RespDelayMax = 20*time.Millisecond, 50*time.Millisecond
 			ap.New(eng, sim.NewRNG(int64(50+id)), medium, geo.Point{X: x}, mac, c, nil)
@@ -354,6 +379,7 @@ func TestGlobalDHCPBackoffStallsEverything(t *testing.T) {
 	// An AP whose DHCP never answers, plus a healthy AP.
 	gw := ipnet.AddrFrom4(10, 7, 0, 1)
 	cfg := ap.DefaultConfig("dead-dhcp", dot11.Channel1, gw)
+	cfg.IPAM = bindPool(cfg.Gateway, 64)
 	cfg.MgmtDelayMin, cfg.MgmtDelayMax = 2*time.Millisecond, 5*time.Millisecond
 	cfg.DHCP.RespDelayMin, cfg.DHCP.RespDelayMax = 2*time.Minute, 4*time.Minute
 	ap.New(r.eng, sim.NewRNG(300), r.medium, geo.Point{X: 10}, dot11.MAC(2000), cfg, nil)
@@ -450,6 +476,7 @@ func leaseRig(t *testing.T, leaseSecs uint32, cfg Config) (*rig, *ap.AP) {
 	r := newRig(t, cfg)
 	gw := ipnet.AddrFrom4(10, 1, 0, 1)
 	acfg := ap.DefaultConfig("net", dot11.Channel1, gw)
+	acfg.IPAM = bindPool(acfg.Gateway, 64)
 	acfg.MgmtDelayMin, acfg.MgmtDelayMax = 2*time.Millisecond, 10*time.Millisecond
 	acfg.DHCP.RespDelayMin, acfg.DHCP.RespDelayMax = 50*time.Millisecond, 200*time.Millisecond
 	acfg.DHCP.LeaseSecs = leaseSecs
@@ -589,6 +616,7 @@ func TestNumActiveLinksMatchesActiveLinks(t *testing.T) {
 	// A zombie AP never answers association, so joins to it stay in flight
 	// for the 2 s join window.
 	zcfg := ap.DefaultConfig("zombie", dot11.Channel1, ipnet.AddrFrom4(10, 9, 0, 1))
+	zcfg.IPAM = bindPool(zcfg.Gateway, 64)
 	zcfg.MgmtDelayMin, zcfg.MgmtDelayMax = 10*time.Second, 11*time.Second
 	ap.New(r.eng, sim.NewRNG(309), r.medium, geo.Point{X: 20}, dot11.MAC(2009), zcfg, nil)
 	for i := 0; !inFlight(); i++ {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
-	"sync"
 )
 
 // Recorder stamps one run's events and spans and dispatches them to its
@@ -254,80 +253,4 @@ func WriteJSONL(w io.Writer, run string, evs []Event) error {
 		}
 	}
 	return nil
-}
-
-// Collector accumulates the per-run event streams of a multi-run sweep
-// and exports them in canonical run-label order, so the merged artifact
-// is byte-identical however runs were scheduled across workers. Add is
-// safe to call from fleet job goroutines.
-type Collector struct {
-	mu    sync.Mutex
-	runs  map[string][]Event
-	spans map[string][]Span
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{runs: make(map[string][]Event), spans: make(map[string][]Span)}
-}
-
-// Add stores one run's (already ordered) event stream under its label.
-// Adding the same label twice appends, preserving call order per label.
-func (c *Collector) Add(run string, evs []Event) {
-	if c == nil || len(evs) == 0 {
-		return
-	}
-	c.mu.Lock()
-	c.runs[run] = append(c.runs[run], evs...)
-	c.mu.Unlock()
-}
-
-// Runs returns the stored run labels in sorted (export) order.
-func (c *Collector) Runs() []string {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	labels := make([]string, 0, len(c.runs))
-	for l := range c.runs {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	return labels
-}
-
-// WriteJSONL exports every run's stream, runs in sorted label order and
-// events in recorded order within each run.
-func (c *Collector) WriteJSONL(w io.Writer) error {
-	if c == nil {
-		return nil
-	}
-	for _, run := range c.Runs() {
-		c.mu.Lock()
-		evs := c.runs[run]
-		c.mu.Unlock()
-		if err := WriteJSONL(w, run, evs); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Summary folds every stored run's events into one summary.
-func (c *Collector) Summary() Summary {
-	var s Summary
-	if c == nil {
-		return s
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, evs := range c.runs {
-		for _, e := range evs {
-			if int(e.Kind) < NumKinds {
-				s.Counts[e.Kind]++
-			}
-		}
-	}
-	return s
 }

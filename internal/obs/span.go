@@ -279,61 +279,3 @@ func WriteSpansJSONL(w io.Writer, run string, spans []Span) error {
 	}
 	return nil
 }
-
-// AddSpans stores one run's (already ordered) span set under its label.
-// Safe from fleet job goroutines, like Add.
-func (c *Collector) AddSpans(run string, spans []Span) {
-	if c == nil || len(spans) == 0 {
-		return
-	}
-	c.mu.Lock()
-	c.spans[run] = append(c.spans[run], spans...)
-	c.mu.Unlock()
-}
-
-// SpanRuns returns the stored span run labels in sorted (export) order.
-func (c *Collector) SpanRuns() []string {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	labels := make([]string, 0, len(c.spans))
-	for l := range c.spans {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	return labels
-}
-
-// SpanCount returns the number of stored spans across all runs.
-func (c *Collector) SpanCount() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, s := range c.spans {
-		n += len(s)
-	}
-	return n
-}
-
-// WriteSpansJSONL exports every run's spans, runs in sorted label order
-// and spans in recorded order within each run — byte-identical at any
-// fleet worker count, like the event export.
-func (c *Collector) WriteSpansJSONL(w io.Writer) error {
-	if c == nil {
-		return nil
-	}
-	for _, run := range c.SpanRuns() {
-		c.mu.Lock()
-		spans := c.spans[run]
-		c.mu.Unlock()
-		if err := WriteSpansJSONL(w, run, spans); err != nil {
-			return err
-		}
-	}
-	return nil
-}

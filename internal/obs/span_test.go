@@ -146,32 +146,3 @@ func TestSpanJSONLStable(t *testing.T) {
 		t.Errorf("exported spans leak the open-end sentinel: %s", a.String())
 	}
 }
-
-// TestCollectorSpans: span streams file under run labels and export in
-// sorted label order, independent of Add order.
-func TestCollectorSpans(t *testing.T) {
-	spansOf := func(name string) []Span {
-		rec := NewRecorder()
-		rec.Client(0).StartSpan(1, name).End(2)
-		return rec.Spans()
-	}
-	forward, reverse := NewCollector(), NewCollector()
-	forward.AddSpans("a", spansOf("join"))
-	forward.AddSpans("b", spansOf("outage"))
-	reverse.AddSpans("b", spansOf("outage"))
-	reverse.AddSpans("a", spansOf("join"))
-
-	var fw, rv bytes.Buffer
-	if err := forward.WriteSpansJSONL(&fw); err != nil {
-		t.Fatal(err)
-	}
-	if err := reverse.WriteSpansJSONL(&rv); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fw.Bytes(), rv.Bytes()) {
-		t.Errorf("collector span export depends on Add order:\n%s\nvs\n%s", fw.String(), rv.String())
-	}
-	if forward.SpanCount() != 2 {
-		t.Errorf("SpanCount = %d, want 2", forward.SpanCount())
-	}
-}

@@ -61,6 +61,11 @@ func (in Intent) validate() error {
 		if in.Chaos == nil || in.Chaos.Empty() {
 			return fmt.Errorf("serve: %s intent without a non-empty plan", in.Kind)
 		}
+		for i, p := range in.Chaos.Procs {
+			if err := checkPeriod("Mean", p.Mean); err != nil {
+				return fmt.Errorf("serve: %s intent procs[%d]: %w", in.Kind, i, err)
+			}
+		}
 	case IntentStartFlow, IntentStopFlow:
 		if in.TargetClient < 0 || in.TargetClient > 65535 {
 			return fmt.Errorf("serve: %s intent target %d out of range", in.Kind, in.TargetClient)

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"time"
 
 	"spider/internal/core"
 	"spider/internal/dot11"
@@ -178,6 +179,22 @@ const (
 	maxFlightRing = 1 << 20
 )
 
+// minPeriod is the shortest positive period a spec or an intent may ask
+// for: one 802.11 time unit, the unit beacon intervals are counted in.
+// Every restart replays the world, so a period that fires events far
+// faster than that — a two-AP world fires 74 events per sim-second at
+// 100 ms beacons and 24,261 at 100 µs — would leave the daemon behind its
+// clock for good. Zero keeps its meaning (default, or off).
+const minPeriod = sim.Time(1024 * time.Microsecond)
+
+// checkPeriod refuses a positive period below minPeriod, naming field.
+func checkPeriod(field string, d sim.Time) error {
+	if d > 0 && d < minPeriod {
+		return fmt.Errorf("%s %v is below one 802.11 time unit (%v)", field, d, minPeriod)
+	}
+	return nil
+}
+
 // ClientConfig converts the spec into a core client config, validating
 // preset, route, ID, channels and interface count.
 func (c ClientSpec) ClientConfig() (core.ClientConfig, error) {
@@ -191,6 +208,9 @@ func (c ClientSpec) ClientConfig() (core.ClientConfig, error) {
 	}
 	if c.NumVIFs > maxVIFs {
 		return core.ClientConfig{}, fmt.Errorf("serve: client %d: num_vifs %d exceeds %d", c.ID, c.NumVIFs, maxVIFs)
+	}
+	if err := checkPeriod("slot_ns", sim.Time(c.SlotNS)); err != nil {
+		return core.ClientConfig{}, fmt.Errorf("serve: client %d: %w", c.ID, err)
 	}
 	var channels []dot11.Channel
 	for _, ch := range c.Channels {
@@ -227,6 +247,14 @@ func (w *WorldSpec) Validate() error {
 	}
 	if w.AP.DHCPPoolSize > maxPoolHosts {
 		return fmt.Errorf("serve: dhcp pool size %d exceeds %d", w.AP.DHCPPoolSize, maxPoolHosts)
+	}
+	if err := checkPeriod("ap.BeaconInterval", w.AP.BeaconInterval); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	if t := w.Telemetry; t != nil {
+		if err := checkPeriod("telemetry.window_ns", sim.Time(t.WindowNS)); err != nil {
+			return fmt.Errorf("serve: %w", err)
+		}
 	}
 	if w.IPAM != nil {
 		for _, p := range w.IPAM.Pools {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"spider/internal/chaos"
 	"spider/internal/dot11"
 	"spider/internal/geo"
 	"spider/internal/obs"
@@ -164,4 +165,63 @@ func TestChannelsValidatedAtEveryLayer(t *testing.T) {
 		t.Fatal("refused client was registered")
 	}
 	srv.Advance(time.Second)
+}
+
+// A positive period below one 802.11 time unit is refused wherever a spec
+// or an intent can set one: the error names the field, nothing panics,
+// and nothing is written or journaled.
+
+func TestSpecBeaconIntervalBelowOneTURefused(t *testing.T) {
+	refuseSpec(t, func(w *WorldSpec) { w.AP.BeaconInterval = 100 * time.Microsecond })
+}
+
+func TestSpecTelemetryWindowBelowOneTURefused(t *testing.T) {
+	refuseSpec(t, func(w *WorldSpec) { w.Telemetry = &TelemetrySpec{WindowNS: 1} })
+}
+
+func TestSpecClientSlotBelowOneTURefused(t *testing.T) {
+	refuseSpec(t, func(w *WorldSpec) { w.Clients[0].SlotNS = 1 })
+}
+
+func TestIntentClientSlotBelowOneTURefused(t *testing.T) {
+	refuseIntent(t, addClient(func(c *ClientSpec) {
+		c.Preset = "multi-channel/multi-AP"
+		c.SlotNS = 1
+	}))
+}
+
+func TestIntentChaosMeanBelowOneTURefused(t *testing.T) {
+	refuseIntent(t, Intent{Kind: IntentInjectChaos, Chaos: &chaos.Plan{Procs: []chaos.Process{
+		{Kind: chaos.NoiseBurst, Mean: time.Microsecond, Duration: time.Second, Channel: dot11.Channel1, Loss: 0.5},
+	}}})
+}
+
+// TestPeriodFloorNamesTheFieldAndKeepsZero: each refusal names its field,
+// one time unit itself is accepted, and zero keeps its default meaning.
+func TestPeriodFloorNamesTheFieldAndKeepsZero(t *testing.T) {
+	spec := corridorWorld()
+	spec.AP.BeaconInterval = minPeriod - 1
+	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "ap.BeaconInterval") {
+		t.Fatalf("beacon refusal %v does not name ap.BeaconInterval", err)
+	}
+	spec.AP.BeaconInterval = minPeriod
+	spec.Telemetry = &TelemetrySpec{WindowNS: int64(minPeriod)}
+	spec.Clients[0].SlotNS = int64(minPeriod)
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("periods of one time unit refused: %v", err)
+	}
+	spec.AP.BeaconInterval, spec.Telemetry.WindowNS, spec.Clients[0].SlotNS = 0, 0, 0
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("zero periods refused: %v", err)
+	}
+	for field, err := range map[string]error{
+		"telemetry.window_ns": (&WorldSpec{Sites: spec.Sites, Telemetry: &TelemetrySpec{WindowNS: 1}}).Validate(),
+		"slot_ns":             addClient(func(c *ClientSpec) { c.SlotNS = 1 }).validate(),
+		"procs[0]: Mean": Intent{Kind: IntentInjectChaos, Chaos: &chaos.Plan{Procs: []chaos.Process{
+			{Kind: chaos.DHCPSilence, Mean: 1, Duration: time.Second}}}}.validate(),
+	} {
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("refusal %v does not name %s", err, field)
+		}
+	}
 }

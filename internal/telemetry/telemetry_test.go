@@ -385,39 +385,4 @@ func TestNilAggregator(t *testing.T) {
 	if err := a.WriteJSONL(&bytes.Buffer{}, "x"); err != nil {
 		t.Fatal(err)
 	}
-	var c *Collector
-	c.Add("r", a)
-	if c.Runs() != nil || c.WriteJSONL(&bytes.Buffer{}) != nil {
-		t.Fatalf("nil collector misbehaved")
-	}
-}
-
-// TestCollectorOrder: export order is label-sorted regardless of Add
-// order.
-func TestCollectorOrder(t *testing.T) {
-	mk := func() *Aggregator {
-		a, _ := newBound(t, Config{Window: W, Seed: 1})
-		a.Tick(W)
-		a.Finish(W)
-		return a
-	}
-	c1, c2 := NewCollector(), NewCollector()
-	x, y := mk(), mk()
-	c1.Add("b", y)
-	c1.Add("a", x)
-	c2.Add("a", x)
-	c2.Add("b", y)
-	var b1, b2 bytes.Buffer
-	if err := c1.WriteJSONL(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.WriteJSONL(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatalf("collector export depends on Add order")
-	}
-	if c1.WindowCount() != 2 {
-		t.Fatalf("window count: %d", c1.WindowCount())
-	}
 }

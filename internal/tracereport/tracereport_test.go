@@ -23,10 +23,10 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // writer/reader pair, so the reader is exercised on real output.
 func chaosSpans(t *testing.T) []TraceSpan {
 	t.Helper()
-	cfg := experiments.ChaosScenario(experiments.Options{Seed: 1, Scale: 0.05})
+	world, client := experiments.ChaosScenario(experiments.Options{Seed: 1, Scale: 0.05})
 	rec := obs.NewRecorder()
-	cfg.Obs = rec
-	core.Run(cfg)
+	world.Obs = rec
+	core.Run(world, client)
 
 	var buf bytes.Buffer
 	if err := obs.WriteSpansJSONL(&buf, "chaos#0", rec.Spans()); err != nil {

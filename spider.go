@@ -7,9 +7,11 @@
 // APs by join-success history, caching DHCP leases, and shrinking join
 // timeouts. This package re-exports the three layers a user composes:
 //
-//   - Scenario simulation: Run executes a full client-against-deployment
-//     scenario (mobility, PHY, APs, DHCP, TCP) and reports throughput,
-//     connectivity, and join telemetry.
+//   - Scenario simulation: a run is a WorldConfig (the deployed APs and
+//     everything else clients share) plus its ClientConfigs. Run executes
+//     a world with one client (mobility, PHY, APs, DHCP, TCP) and reports
+//     throughput, connectivity, and join telemetry; RunPopulation executes
+//     it with any number of clients.
 //   - Analytical model: JoinModel evaluates the paper's closed-form join
 //     probability (Eq. 5-7) and its Monte-Carlo validator.
 //   - Optimization: OptimalSchedule solves the throughput-maximization
@@ -31,11 +33,10 @@ import (
 
 // Re-exported scenario types.
 type (
-	// ScenarioConfig describes one simulated run; see core.ScenarioConfig.
-	ScenarioConfig = core.ScenarioConfig
-	// WorldConfig is the shared world of an N-client scenario.
+	// WorldConfig is the shared world of a run: seed, duration, deployed
+	// APs, and optional fault plan, recorder and telemetry plane.
 	WorldConfig = core.WorldConfig
-	// ClientConfig is one client of an N-client scenario.
+	// ClientConfig is one client of a run: its preset, timers and route.
 	ClientConfig = core.ClientConfig
 	// Result is a run's measurements.
 	Result = core.Result
@@ -75,9 +76,9 @@ const (
 	Channel11 = dot11.Channel11
 )
 
-// Run executes a scenario to completion; it is deterministic in
-// cfg.Seed.
-func Run(cfg ScenarioConfig) Result { return core.Run(cfg) }
+// Run executes a world with one client to completion; it is deterministic
+// in world.Seed.
+func Run(world WorldConfig, client ClientConfig) Result { return core.Run(world, client) }
 
 // RunPopulation executes one shared world traversed by N clients and
 // returns per-client results plus population aggregates (goodput

@@ -14,13 +14,12 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		Pos: spider.Point{X: 200, Y: 20}, Channel: spider.Channel1,
 		SSID: "cafe", Open: true, BackhaulBps: 2e6,
 	}}
-	res := spider.Run(spider.ScenarioConfig{
-		Seed:     42,
-		Duration: 90 * time.Second,
-		Preset:   spider.SingleChannelMultiAP,
-		Mobility: spider.Route([]spider.Point{{X: 0, Y: 0}, {X: 1000, Y: 0}}, 10, false),
-		Sites:    sites,
-	})
+	res := spider.Run(
+		spider.WorldConfig{Seed: 42, Duration: 90 * time.Second, Sites: sites},
+		spider.ClientConfig{
+			Preset:   spider.SingleChannelMultiAP,
+			Mobility: spider.Route([]spider.Point{{X: 0, Y: 0}, {X: 1000, Y: 0}}, 10, false),
+		})
 	if res.BytesReceived == 0 || res.LinkUps == 0 {
 		t.Fatalf("quickstart produced nothing: %+v", res)
 	}
