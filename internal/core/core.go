@@ -177,7 +177,10 @@ type WorldConfig struct {
 	Duration sim.Time
 	// Sites are the deployed APs (required).
 	Sites []mobility.APSite
-	// Phy overrides the PHY parameters (zero fields default).
+	// Phy overrides the PHY parameters. Zero fields take phy.Defaults()
+	// except BaseLoss and RateAdaptation, which stay zero: a zero Phy is
+	// lossless at zero distance and sends at a fixed 11 Mbit/s (see
+	// phy.Params).
 	Phy phy.Params
 	// AP tunes all deployed APs.
 	AP APOverrides

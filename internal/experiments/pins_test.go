@@ -6,9 +6,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"testing"
+	"time"
 
 	"spider/internal/core"
 	"spider/internal/obs"
+	"spider/internal/sim"
 	"spider/internal/telemetry"
 )
 
@@ -110,5 +112,25 @@ func TestPinnedPopulationLadder(t *testing.T) {
 			t.Errorf("n=%d: aggregate %g KB/s, jain %g: sha256 %s, want %s",
 				tc.clients, p.AggregateKBps, p.JainFairness, got, tc.want)
 		}
+	}
+}
+
+// TestPinnedHeldBytes pins the bytes a traced world's stores hold on the
+// rush-hour plaza (seed 1, 60 vehicles over 60 sim-s, the +failover+gc
+// arm, events, spans and telemetry on): the retaining recorder's record
+// chunks and string table, and the telemetry plane's flight rings. Both
+// figures are counted from the stores' own structures, so they move only
+// when the recorded stream or the storage layout does, and a layout
+// regression fails here before any benchmark sees it.
+func TestPinnedHeldBytes(t *testing.T) {
+	const n, d = 60, sim.Time(60 * time.Second)
+	world := rushHourWorld(1, d, rushHourIPAM(n, true), true)
+	rec := obs.NewRecorder()
+	tel := telemetry.New(telemetry.Config{Seed: 1, SLOs: telemetry.DefaultSLOs()})
+	world.Obs, world.Telemetry = rec, tel
+	core.RunPopulation(world, rushHourClients(n, d))
+	got := [4]int64{rec.Summary().Total(), int64(len(rec.Spans())), rec.HeldBytes(), tel.HeldBytes()}
+	if want := [4]int64{8523, 2445, 654242, 106496}; got != want {
+		t.Errorf("events, spans, recorder bytes, telemetry bytes = %v, want %v", got, want)
 	}
 }

@@ -44,21 +44,13 @@ type Recorder struct {
 	spanSlab []Span
 }
 
-// timeline is what a retaining recorder keeps: every event and every
-// closed span, in dispatch order.
-type timeline struct {
-	events []Event
-	spans  []Span
-}
-
 // NewRecorder returns a recorder that retains its whole timeline for
 // Events, Spans and Summary.
 func NewRecorder() *Recorder {
 	r := NewStreamingRecorder()
-	kept := &timeline{}
-	r.kept = kept
-	r.Subscribe(func(e Event) { kept.events = append(kept.events, e) })
-	r.SubscribeSpans(func(s Span) { kept.spans = append(kept.spans, s) })
+	r.kept = newTimeline()
+	r.Subscribe(r.kept.addEvent)
+	r.SubscribeSpans(r.kept.addSpan)
 	return r
 }
 
@@ -155,12 +147,14 @@ func (r *Recorder) SubscribeSpans(fn func(Span)) {
 }
 
 // Events returns the retained timeline ordered by (sim-time, client ID,
-// sequence) — the canonical artifact order. Nil on a streaming recorder.
+// sequence) — the canonical artifact order. Each call builds a fresh
+// slice from the compact records and sorts it. Nil on a streaming
+// recorder.
 func (r *Recorder) Events() []Event {
 	if r == nil || r.kept == nil {
 		return nil
 	}
-	out := append([]Event(nil), r.kept.events...)
+	out := r.kept.allEvents()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].At != out[j].At {
 			return out[i].At < out[j].At
@@ -175,16 +169,22 @@ func (r *Recorder) Events() []Event {
 
 // Summary counts the retained events by kind.
 func (r *Recorder) Summary() Summary {
-	var s Summary
 	if r == nil || r.kept == nil {
-		return s
+		return Summary{}
 	}
-	for _, e := range r.kept.events {
-		if int(e.Kind) < NumKinds {
-			s.Counts[e.Kind]++
-		}
+	return r.kept.summary()
+}
+
+// HeldBytes is the bytes the retained timeline holds: its record chunks'
+// capacities times their record sizes, plus the interned strings' bytes,
+// plus the full-width fields of any event whose client or channel did not
+// fit its record. It is counted from the timeline's own structures, so it
+// depends only on what was recorded. Zero on a nil or streaming recorder.
+func (r *Recorder) HeldBytes() int64 {
+	if r == nil || r.kept == nil {
+		return 0
 	}
-	return s
+	return r.kept.held()
 }
 
 // ClientLog is one client's slice of the timeline. The zero of usefulness

@@ -214,12 +214,13 @@ func (l *ClientLog) StartSpan(at sim.Time, name string) *ActiveSpan {
 // — the canonical artifact order. Within a client, IDs allocate in
 // creation order, so a parent always sorts at or before its children.
 // Spans still open are not in it until they close (CloseOpenSpans closes
-// them all at the end of a run). Nil on a streaming recorder.
+// them all at the end of a run). Like Events, each call builds a fresh
+// slice and sorts it. Nil on a streaming recorder.
 func (r *Recorder) Spans() []Span {
 	if r == nil || r.kept == nil {
 		return nil
 	}
-	out := append([]Span(nil), r.kept.spans...)
+	out := r.kept.allSpans()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
 			return out[i].Start < out[j].Start

@@ -41,8 +41,12 @@ import (
 // (channels are 1..14, dot11.Channel.Valid).
 const numChannels = 15
 
-// Params configures the PHY model. ZeroValue fields are replaced by
-// Defaults() values in NewMedium.
+// Params configures the PHY model. NewMedium fills in some zero fields
+// from Defaults(): Range, BitRate, PerFrameOverhead, SwitchLatency,
+// RetryLimit and CollisionProb. It keeps a zero BaseLoss, so the medium
+// is lossless at zero distance, and a false RateAdaptation, so every frame
+// goes at BitRate. The zero Params is therefore not Defaults(), and it is
+// what every shipped world runs with: none of them sets WorldConfig.Phy.
 type Params struct {
 	// Range is the usable communication radius in metres (paper: 100 m).
 	Range float64
@@ -82,8 +86,10 @@ type Params struct {
 	Rates []float64
 }
 
-// Defaults returns the parameter set used throughout the evaluation, chosen
-// to match the paper's testbed numbers.
+// Defaults returns the parameter set chosen to match the paper's testbed
+// numbers, with the paper's base loss h = 0.10 and ARF rate adaptation on.
+// Only phy's own tests run with it whole; a world that leaves Phy zero gets
+// the subset NewMedium fills in (see Params).
 func Defaults() Params {
 	return Params{
 		Range:            100,

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -532,5 +533,26 @@ func TestRadioDownDuringChannelSwitch(t *testing.T) {
 	eng.RunAll()
 	if got != 1 {
 		t.Fatalf("revived radio got %d frames on channel 6, want 1", got)
+	}
+}
+
+// TestZeroParamsDefaults pins what a world that leaves Phy zero — every
+// shipped world — actually runs with. It is not Defaults(): the base loss
+// stays 0 and ARF stays off, so frames go at a fixed 11 Mbit/s.
+func TestZeroParamsDefaults(t *testing.T) {
+	got := Params{}.withDefaults()
+	want := Params{
+		Range:            100,
+		BitRate:          11e6,
+		PerFrameOverhead: 400 * time.Microsecond,
+		SwitchLatency:    5 * time.Millisecond,
+		RetryLimit:       3,
+		CollisionProb:    0.03,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Params{}.withDefaults() = %+v, want %+v", got, want)
+	}
+	if d := Defaults(); d.BaseLoss != 0.10 || !d.RateAdaptation {
+		t.Fatalf("Defaults() = %+v, want BaseLoss 0.10 and RateAdaptation on", d)
 	}
 }

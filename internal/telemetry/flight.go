@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"spider/internal/obs"
 	"spider/internal/sim"
@@ -42,40 +43,49 @@ type FlightCounters struct {
 	ClientsSampled   int   `json:"clients_sampled,omitempty"`
 }
 
-// ring is a fixed-capacity FIFO that overwrites oldest entries.
+// ring is a FIFO of at most capacity entries that overwrites its oldest
+// entry when full. Its buffer grows on push, doubling from ringFirst up to
+// capacity, so a ring that never fills never pays for its whole capacity;
+// once full it wraps in place.
 type ring[T any] struct {
-	buf     []T
-	head    int // index of the oldest entry
-	n       int
-	evicted int64
+	buf      []T
+	capacity int
+	head     int // index of the oldest entry; nonzero only once full
+	evicted  int64
 }
 
-func newRing[T any](capacity int) ring[T] {
-	return ring[T]{buf: make([]T, capacity)}
-}
+// ringFirst is the entries a ring's first buffer holds.
+const ringFirst = 64
 
 func (r *ring[T]) push(v T) {
-	if len(r.buf) == 0 {
-		r.evicted++
+	if len(r.buf) < r.capacity {
+		if len(r.buf) == cap(r.buf) {
+			grown := make([]T, len(r.buf), min(max(2*cap(r.buf), ringFirst), r.capacity))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
+		r.buf = append(r.buf, v)
 		return
 	}
-	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = v
-		r.n++
+	r.evicted++
+	if r.capacity <= 0 {
 		return
 	}
 	r.buf[r.head] = v
 	r.head = (r.head + 1) % len(r.buf)
-	r.evicted++
 }
 
 // slice returns the retained entries oldest-first.
 func (r *ring[T]) slice() []T {
-	out := make([]T, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(r.head+i)%len(r.buf)])
-	}
-	return out
+	out := make([]T, 0, len(r.buf))
+	out = append(out, r.buf[r.head:]...)
+	return append(out, r.buf[:r.head]...)
+}
+
+// held is the ring buffer's capacity times the entry size.
+func (r *ring[T]) held() int64 {
+	var v T
+	return int64(cap(r.buf)) * int64(unsafe.Sizeof(v))
 }
 
 // flight is the recorder state embedded in the Aggregator.
@@ -103,8 +113,8 @@ type flight struct {
 
 func newFlight(eventCap, spanCap int, seed int64, keepFrac float64) flight {
 	return flight{
-		events:   newRing[obs.Event](eventCap),
-		spans:    newRing[obs.Span](spanCap),
+		events:   ring[obs.Event]{capacity: eventCap},
+		spans:    ring[obs.Span]{capacity: spanCap},
 		root:     sim.NewRNG(seed),
 		keepFrac: keepFrac,
 	}
@@ -178,10 +188,10 @@ func (f *flight) counters() FlightCounters {
 		}
 	}
 	return FlightCounters{
-		EventCap:         len(f.events.buf),
-		SpanCap:          len(f.spans.buf),
-		EventsKept:       f.events.n,
-		SpansKept:        f.spans.n,
+		EventCap:         f.events.capacity,
+		SpanCap:          f.spans.capacity,
+		EventsKept:       len(f.events.buf),
+		SpansKept:        len(f.spans.buf),
 		EventsAdmitted:   f.eventsAdmitted,
 		SpansAdmitted:    f.spansAdmitted,
 		EventsSampledOut: f.eventsSampledOut,
@@ -228,6 +238,17 @@ func (a *Aggregator) FlightSpans() []obs.Span {
 		return out[i].ID < out[j].ID
 	})
 	return out
+}
+
+// HeldBytes is the bytes the flight rings hold: each ring buffer's
+// capacity times its entry size. It is counted from the rings themselves,
+// so it depends only on what was admitted and on the configured caps.
+// Zero on nil.
+func (a *Aggregator) HeldBytes() int64 {
+	if a == nil {
+		return 0
+	}
+	return a.fl.events.held() + a.fl.spans.held()
 }
 
 // FlightCounters returns the recorder's current accounting. Emissions a
