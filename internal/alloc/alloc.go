@@ -4,7 +4,7 @@
 // and channels, collisions explode, and Jain fairness collapses while
 // aggregate goodput drops below the 8-client figure.
 //
-// The allocator comes in two variants sharing one Config:
+// The allocator comes in two variants:
 //
 //   - Oracle: a centralized controller (wired into core) that re-solves the
 //     proportional-fair association each epoch with full knowledge of every
@@ -53,81 +53,50 @@ func (v Variant) String() string {
 	return "none"
 }
 
-// Config tunes either allocator variant. Zero fields take defaults.
-type Config struct {
-	// Variant selects oracle or decentralized operation (required).
-	Variant Variant
-	// Epoch is the allocation period: the oracle re-solves, and both
-	// variants re-pace flows, every Epoch (default 1 s).
-	Epoch sim.Time
-	// Headroom scales pacing targets relative to the modeled fair share
-	// (default 0.6). The share model prices data airtime only; the real
-	// channel also carries TCP acks, liveness pings, probes, and beacons,
-	// and collision losses compound with the number of stations holding
-	// committed frames — pacing at the raw share keeps the channel
-	// saturated and hands the surplus to the collision lottery. Targeting
-	// ~60% of the modeled share keeps utilization below the knee, where
-	// every client actually delivers its cap.
-	Headroom float64
-	// MaxLinks caps concurrent links per allocated client (default 1):
-	// under PF association a client holds its assigned AP, not every AP
-	// in range — multi-AP herding is the collapse being fixed.
-	MaxLinks int
-	// HerdEpsilon is the decentralized variant's deterministic preference
-	// spread: each (client, AP) pair's score is scaled by a hash-derived
-	// factor in [1-ε, 1+ε], so equal-rate clients fan out across equal
-	// APs instead of all ranking them identically (default 0.35).
-	HerdEpsilon float64
-	// BusyWeight converts the sensed channel busy fraction into
-	// equivalent contenders in the decentralized load estimate
-	// (default 4: a fully busy channel reads as four unseen rivals).
-	BusyWeight float64
-	// EWMAAlpha is the smoothing weight of fresh decentralized samples
-	// (default 0.3).
-	EWMAAlpha float64
-	// SwitchMargin is the relative gain an alternative AP must offer
-	// before the oracle moves a client off the AP it holds (default 0.5).
-	// The PF model prices airtime but not churn; every steer costs the
-	// client a reassociation, a DHCP exchange, and a TCP restart, so
-	// marginal wins must not trigger moves.
-	SwitchMargin float64
-}
+// Epoch is the allocation period: the oracle re-solves, and both variants
+// re-pace flows, every Epoch.
+const Epoch sim.Time = 1_000_000_000 // 1 s
 
-// WithDefaults returns the config with zero fields defaulted.
-func (c Config) WithDefaults() Config {
-	if c.Epoch <= 0 {
-		c.Epoch = sim.Time(1_000_000_000)
-	}
-	if c.Headroom <= 0 {
-		c.Headroom = 0.6
-	}
-	if c.MaxLinks <= 0 {
-		c.MaxLinks = 1
-	}
-	if c.HerdEpsilon < 0 {
-		c.HerdEpsilon = 0
-	} else if c.HerdEpsilon == 0 {
-		c.HerdEpsilon = 0.35
-	}
-	if c.BusyWeight <= 0 {
-		c.BusyWeight = 4
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.3
-	}
-	if c.SwitchMargin < 0 {
-		c.SwitchMargin = 0
-	} else if c.SwitchMargin == 0 {
-		c.SwitchMargin = 0.5
-	}
-	return c
-}
+// Headroom scales pacing targets relative to the modeled fair share. The
+// share model prices data airtime only; the real channel also carries TCP
+// acks, liveness pings, probes, and beacons, and collision losses compound
+// with the number of stations holding committed frames — pacing at the raw
+// share keeps the channel saturated and hands the surplus to the collision
+// lottery. Targeting ~60% of the modeled share keeps utilization below the
+// knee, where every client actually delivers its cap.
+const Headroom = 0.6
+
+// SwitchMargin is the relative gain an alternative AP must offer before
+// the oracle moves a client off the AP it holds. The PF model prices
+// airtime but not churn; every steer costs the client a reassociation, a
+// DHCP exchange, and a TCP restart, so marginal wins must not trigger
+// moves.
+const SwitchMargin = 0.5
+
+// The decentralized policy's constants.
+const (
+	// maxLinks caps concurrent links per allocated client: under PF
+	// association a client holds its assigned AP, not every AP in range —
+	// multi-AP herding is the collapse being fixed.
+	maxLinks = 1
+	// herdEpsilon is the deterministic preference spread: each (client,
+	// AP) pair's score is scaled by a hash-derived factor in [1-ε, 1+ε],
+	// so equal-rate clients fan out across equal APs instead of all
+	// ranking them identically.
+	herdEpsilon = 0.35
+	// busyWeight converts the sensed channel busy fraction into equivalent
+	// contenders in the load estimate: a fully busy channel reads as four
+	// unseen rivals.
+	busyWeight = 4
+	// ewmaAlpha is the smoothing weight of fresh carrier-sense samples.
+	ewmaAlpha = 0.3
+)
 
 // prefSpread returns the deterministic preference factor for a
 // (client, BSSID) pair: an FNV-1a hash mapped into [1-ε, 1+ε]. A hash —
 // not an RNG draw — so the policy consumes no randomness and two runs of
 // the same population rank identically.
-func prefSpread(clientID int, bssid dot11.MACAddr, eps float64) float64 {
+func prefSpread(clientID int, bssid dot11.MACAddr) float64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -139,5 +108,5 @@ func prefSpread(clientID int, bssid dot11.MACAddr, eps float64) float64 {
 	}
 	// Top 53 bits -> uniform [0,1).
 	u := float64(h>>11) / (1 << 53)
-	return 1 + eps*(2*u-1)
+	return 1 + herdEpsilon*(2*u-1)
 }

@@ -21,26 +21,8 @@ func (f *fakeSense) airtimeFn(ch dot11.Channel) sim.Time { return f.airtime[ch] 
 func (f *fakeSense) contFn(ch dot11.Channel) int         { return f.cont[ch] }
 
 func newTestPolicy(id int) (*Policy, *fakeSense) {
-	p := NewPolicy(Config{Variant: Decentralized}, id, phy.Defaults())
+	p := NewPolicy(id, phy.Defaults())
 	return p, &fakeSense{}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	c := Config{Variant: Oracle}.WithDefaults()
-	if c.Epoch != sec(1) || c.MaxLinks != 1 || c.HerdEpsilon <= 0 || c.SwitchMargin <= 0 {
-		t.Fatalf("unexpected defaults: %+v", c)
-	}
-	// Pacing targets must sit below the modeled share: the share model
-	// prices data airtime only, and saturating the channel hands the
-	// surplus to the collision lottery.
-	if c.Headroom <= 0 || c.Headroom >= 1 {
-		t.Fatalf("default headroom %v not in (0,1)", c.Headroom)
-	}
-	// Explicit values survive defaulting.
-	c = Config{Variant: Oracle, Epoch: sec(2), MaxLinks: 3, HerdEpsilon: -1}.WithDefaults()
-	if c.Epoch != sec(2) || c.MaxLinks != 3 || c.HerdEpsilon != 0 {
-		t.Fatalf("explicit values clobbered: %+v", c)
-	}
 }
 
 func TestObserveInfersBusyChannel(t *testing.T) {
@@ -93,7 +75,7 @@ func TestPreferenceSpreadFansClientsOut(t *testing.T) {
 	prefersA := 0
 	const n = 64
 	for id := 0; id < n; id++ {
-		p := NewPolicy(Config{Variant: Decentralized}, id, phy.Defaults())
+		p := NewPolicy(id, phy.Defaults())
 		a, b := p.Score(apA, dot11.Channel1, -60), p.Score(apB, dot11.Channel1, -60)
 		if a == b {
 			t.Fatalf("client %d scores tied: spread inactive", id)
@@ -101,7 +83,7 @@ func TestPreferenceSpreadFansClientsOut(t *testing.T) {
 		if a > b {
 			prefersA++
 		}
-		p2 := NewPolicy(Config{Variant: Decentralized}, id, phy.Defaults())
+		p2 := NewPolicy(id, phy.Defaults())
 		if p2.Score(apA, dot11.Channel1, -60) != a {
 			t.Fatalf("client %d preference not deterministic", id)
 		}
@@ -131,6 +113,12 @@ func TestPaceTracksContention(t *testing.T) {
 	light := p.PaceBps(dot11.Channel1, -55)
 	if light <= 0 {
 		t.Fatal("contended channel must pace")
+	}
+	// Pacing sits below the raw share (the rate split between the client
+	// and its one rival): the share model prices data airtime only, and
+	// saturating the channel hands the surplus to the collision lottery.
+	if share := p.EstRateBps(-55) / 2; light >= share {
+		t.Fatalf("pace %v not below the raw share %v", light, share)
 	}
 	for i := 0; i < 20; i++ {
 		now += sec(1)

@@ -16,7 +16,6 @@ const numChannels = 15
 // reads another client's state — everything it knows comes through the
 // signals a real station's firmware reports.
 type Policy struct {
-	cfg      Config
 	clientID int
 	phy      phy.Params
 
@@ -32,15 +31,12 @@ type Policy struct {
 
 // NewPolicy creates one client's decentralized policy. params is the
 // medium's effective PHY parameter set (for the rate-vs-distance model).
-func NewPolicy(cfg Config, clientID int, params phy.Params) *Policy {
-	return &Policy{cfg: cfg.WithDefaults(), clientID: clientID, phy: params}
+func NewPolicy(clientID int, params phy.Params) *Policy {
+	return &Policy{clientID: clientID, phy: params}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (p *Policy) Config() Config { return p.cfg }
-
 // MaxLinks returns the concurrent-link cap the policy imposes.
-func (p *Policy) MaxLinks() int { return p.cfg.MaxLinks }
+func (p *Policy) MaxLinks() int { return maxLinks }
 
 // Observe folds fresh carrier-sense readings into the per-channel load
 // estimate. airtime returns the cumulative occupancy on a channel and
@@ -53,7 +49,6 @@ func (p *Policy) Observe(now sim.Time, airtime func(dot11.Channel) sim.Time, con
 	if p.sampled && dt <= 0 {
 		return
 	}
-	a := p.cfg.EWMAAlpha
 	for _, ch := range chans {
 		if ch <= 0 || int(ch) >= numChannels {
 			continue
@@ -61,8 +56,8 @@ func (p *Policy) Observe(now sim.Time, airtime func(dot11.Channel) sim.Time, con
 		cum := airtime(ch)
 		if p.sampled && dt > 0 {
 			frac := float64(cum-p.lastAirtime[ch]) / float64(dt)
-			p.busy[ch] = (1-a)*p.busy[ch] + a*frac
-			p.cont[ch] = (1-a)*p.cont[ch] + a*float64(contenders(ch))
+			p.busy[ch] = (1-ewmaAlpha)*p.busy[ch] + ewmaAlpha*frac
+			p.cont[ch] = (1-ewmaAlpha)*p.cont[ch] + ewmaAlpha*float64(contenders(ch))
 		}
 		p.lastAirtime[ch] = cum
 	}
@@ -77,7 +72,7 @@ func (p *Policy) Load(ch dot11.Channel) float64 {
 	if ch <= 0 || int(ch) >= numChannels {
 		return 0
 	}
-	return p.cont[ch] + p.cfg.BusyWeight*p.busy[ch]
+	return p.cont[ch] + busyWeight*p.busy[ch]
 }
 
 // EstRateBps models the PHY goodput toward an AP heard at the given RSSI,
@@ -98,12 +93,12 @@ func (p *Policy) Score(bssid dot11.MACAddr, ch dot11.Channel, rssi float64) floa
 	if rate <= 0 {
 		return 0
 	}
-	return rate / (1 + p.Load(ch)) * prefSpread(p.clientID, bssid, p.cfg.HerdEpsilon)
+	return rate / (1 + p.Load(ch)) * prefSpread(p.clientID, bssid)
 }
 
 // PaceBps returns the client's self-inferred fair-share pacing target on
 // the channel it is associated on: its estimated PHY rate divided by the
-// inferred rival count (plus itself), scaled by the configured headroom.
+// inferred rival count (plus itself), scaled by Headroom.
 // Zero means unpaced.
 //
 // The raw contender count includes the client's own radio and its AP —
@@ -125,5 +120,5 @@ func (p *Policy) PaceBps(ch dot11.Channel, rssi float64) float64 {
 	if rivals <= 0 {
 		return 0
 	}
-	return p.cfg.Headroom * rate / (1 + rivals + p.cfg.BusyWeight*p.busy[ch])
+	return Headroom * rate / (1 + rivals + busyWeight*p.busy[ch])
 }

@@ -30,6 +30,13 @@ import (
 // CapPrivacy is the beacon capability bit advertising an encrypted network.
 const CapPrivacy uint16 = 0x0010
 
+const (
+	// psmBufferLimit caps buffered frames per dozing station.
+	psmBufferLimit = 100
+	// wirelessQueueLimit caps frames queued at the radio.
+	wirelessQueueLimit = 50
+)
+
 // Config describes one access point.
 type Config struct {
 	SSID    string
@@ -45,10 +52,6 @@ type Config struct {
 	// management responses (probe, auth, assoc).
 	MgmtDelayMin sim.Time
 	MgmtDelayMax sim.Time
-	// PSMBufferLimit caps buffered frames per dozing station.
-	PSMBufferLimit int
-	// WirelessQueueLimit caps frames queued at the radio.
-	WirelessQueueLimit int
 	// DHCP configures the embedded DHCP server. Gateway is overwritten
 	// with Config.Gateway.
 	DHCP dhcp.ServerConfig
@@ -69,16 +72,14 @@ type Config struct {
 // residential parameters.
 func DefaultConfig(ssid string, ch dot11.Channel, gateway ipnet.Addr) Config {
 	return Config{
-		SSID:               ssid,
-		Channel:            ch,
-		Open:               true,
-		Gateway:            gateway,
-		BeaconInterval:     100 * 1000 * 1000, // 100 ms
-		MgmtDelayMin:       2 * 1000 * 1000,
-		MgmtDelayMax:       30 * 1000 * 1000,
-		PSMBufferLimit:     100,
-		WirelessQueueLimit: 50,
-		DHCP:               dhcp.DefaultServerConfig(gateway),
+		SSID:           ssid,
+		Channel:        ch,
+		Open:           true,
+		Gateway:        gateway,
+		BeaconInterval: 100 * 1000 * 1000, // 100 ms
+		MgmtDelayMin:   2 * 1000 * 1000,
+		MgmtDelayMax:   30 * 1000 * 1000,
+		DHCP:           dhcp.DefaultServerConfig(gateway),
 		// 100 ms one-way wired delay gives the ≈200 ms RTTs of the
 		// paper's testbed ("400 ms ... is less than two RTTs").
 		Backhaul: backhaul.Config{RateBps: 2e6, Delay: 100 * 1000 * 1000},
@@ -189,12 +190,6 @@ func (a *AP) scheduleMgmt(kind dot11.FrameType, from dot11.MACAddr) {
 func New(eng *sim.Engine, rng *sim.RNG, medium *phy.Medium, pos geo.Point, mac dot11.MACAddr, cfg Config, uplink func(ipnet.Packet)) *AP {
 	if cfg.BeaconInterval <= 0 {
 		cfg.BeaconInterval = 100 * 1000 * 1000
-	}
-	if cfg.PSMBufferLimit <= 0 {
-		cfg.PSMBufferLimit = 100
-	}
-	if cfg.WirelessQueueLimit <= 0 {
-		cfg.WirelessQueueLimit = 50
 	}
 	if cfg.MgmtDelayMax < cfg.MgmtDelayMin {
 		cfg.MgmtDelayMax = cfg.MgmtDelayMin
@@ -337,7 +332,7 @@ func (a *AP) beacon() {
 
 // sendFrame transmits with the wireless queue cap applied.
 func (a *AP) sendFrame(f dot11.Frame, status func(bool)) {
-	if a.outstanding >= a.cfg.WirelessQueueLimit {
+	if a.outstanding >= wirelessQueueLimit {
 		a.stats.QueueDropped++
 		if status != nil {
 			status(false)
@@ -587,7 +582,7 @@ func (a *AP) fromWire(p ipnet.Packet) {
 		return
 	}
 	if st.psm && st.hasLease {
-		if len(st.buffer) >= a.cfg.PSMBufferLimit {
+		if len(st.buffer) >= psmBufferLimit {
 			a.stats.PSMDropped++
 			return
 		}

@@ -50,7 +50,6 @@ func newWorld(t *testing.T, open bool) *world {
 	cfg.Open = open
 	cfg.MgmtDelayMin, cfg.MgmtDelayMax = time.Millisecond, 2*time.Millisecond
 	cfg.DHCP.RespDelayMin, cfg.DHCP.RespDelayMax = 10*time.Millisecond, 20*time.Millisecond
-	cfg.PSMBufferLimit = 10
 	cfg.IPAM = bindPool(gw, 64)
 	w.ap = New(eng, sim.NewRNG(2), w.medium, geo.Point{}, dot11.MAC(1000), cfg,
 		func(p ipnet.Packet) { w.uplink = append(w.uplink, p) })
@@ -334,17 +333,21 @@ func TestPSMBufferCapDrops(t *testing.T) {
 	ip := c.dhcpJoin(w, t)
 	c.send(dot11.Frame{Type: dot11.TypeNullData, Addr1: w.ap.BSSID(), Addr3: w.ap.BSSID(), PowerMgmt: true})
 	w.eng.Run(w.eng.Now() + 50*time.Millisecond)
-	// Feed 40 small packets (within the backhaul queue limit); the PSM
-	// buffer holds 10 and the rest must be dropped at the buffer.
-	for i := 0; i < 40; i++ {
-		w.ap.FromInternet(ipnet.Packet{Proto: ipnet.ProtoTCP, Dst: ip})
+	// Feed 150 small packets in batches of 30 (within the backhaul queue
+	// limit); the PSM buffer holds 100 and the rest must be dropped at the
+	// buffer.
+	for batch := 0; batch < 5; batch++ {
+		for i := 0; i < 30; i++ {
+			w.ap.FromInternet(ipnet.Packet{Proto: ipnet.ProtoTCP, Dst: ip})
+		}
+		w.eng.Run(w.eng.Now() + 500*time.Millisecond)
 	}
 	w.eng.Run(w.eng.Now() + 2*time.Second)
-	if got := w.ap.Stats().PSMDropped; got != 30 {
-		t.Fatalf("PSMDropped = %d, want 30", got)
+	if got := w.ap.Stats().PSMDropped; got != 150-psmBufferLimit {
+		t.Fatalf("PSMDropped = %d, want %d", got, 150-psmBufferLimit)
 	}
-	if _, _, _, buffered := w.ap.StationState(dot11.MAC(1)); buffered != 10 {
-		t.Fatalf("buffered = %d, want 10", buffered)
+	if _, _, _, buffered := w.ap.StationState(dot11.MAC(1)); buffered != psmBufferLimit {
+		t.Fatalf("buffered = %d, want %d", buffered, psmBufferLimit)
 	}
 }
 

@@ -16,17 +16,11 @@ type Config struct {
 	RateBps float64
 	// Delay is the one-way propagation/processing delay.
 	Delay sim.Time
-	// QueueLimit caps queued-but-not-transmitting packets; beyond it the
-	// link drops (drop-tail). Zero means DefaultQueueLimit.
-	QueueLimit int
-	// Segment labels the wired segment this link belongs to. Purely
-	// descriptive on the link itself; scenario construction uses the same
-	// label to group APs onto shared IPAM pool hierarchies.
-	Segment string
 }
 
-// DefaultQueueLimit is a typical residential-gateway buffer.
-const DefaultQueueLimit = 50
+// queueLimit caps queued-but-not-transmitting packets; beyond it the link
+// drops (drop-tail). 50 is a typical residential-gateway buffer.
+const queueLimit = 50
 
 // Link is one direction of a wired path. Packets serialize at RateBps,
 // then arrive Delay later at the deliver callback.
@@ -78,9 +72,6 @@ func NewLink(eng *sim.Engine, cfg Config, deliver func(ipnet.Packet)) *Link {
 	if deliver == nil {
 		panic("backhaul: NewLink with nil deliver")
 	}
-	if cfg.QueueLimit <= 0 {
-		cfg.QueueLimit = DefaultQueueLimit
-	}
 	return &Link{eng: eng, cfg: cfg, deliver: deliver}
 }
 
@@ -119,7 +110,7 @@ func (l *Link) Send(p ipnet.Packet) {
 	if l.busyUntil < now {
 		l.busyUntil = now
 	}
-	if l.queued >= l.cfg.QueueLimit {
+	if l.queued >= queueLimit {
 		l.Dropped++
 		return
 	}

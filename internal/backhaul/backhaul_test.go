@@ -48,36 +48,37 @@ func TestRateLimiting(t *testing.T) {
 func TestDropTail(t *testing.T) {
 	eng := sim.NewEngine()
 	delivered := 0
-	l := NewLink(eng, Config{RateBps: 1e6, QueueLimit: 5}, func(ipnet.Packet) { delivered++ })
-	for i := 0; i < 20; i++ {
+	l := NewLink(eng, Config{RateBps: 1e6}, func(ipnet.Packet) { delivered++ })
+	for i := 0; i < 4*queueLimit; i++ {
 		l.Send(pkt(1000))
 	}
 	eng.RunAll()
-	if delivered != 5 {
-		t.Fatalf("delivered = %d, want 5 (queue limit)", delivered)
+	if delivered != queueLimit {
+		t.Fatalf("delivered = %d, want %d (queue limit)", delivered, queueLimit)
 	}
-	if l.Dropped != 15 {
-		t.Fatalf("Dropped = %d, want 15", l.Dropped)
+	if l.Dropped != 3*queueLimit {
+		t.Fatalf("Dropped = %d, want %d", l.Dropped, 3*queueLimit)
 	}
-	if l.Sent != 5 {
-		t.Fatalf("Sent = %d, want 5", l.Sent)
+	if l.Sent != queueLimit {
+		t.Fatalf("Sent = %d, want %d", l.Sent, queueLimit)
 	}
 }
 
 func TestQueueDrainsOverTime(t *testing.T) {
 	eng := sim.NewEngine()
 	delivered := 0
-	l := NewLink(eng, Config{RateBps: 1e6, QueueLimit: 2}, func(ipnet.Packet) { delivered++ })
-	// Send two now, two after the queue drains.
-	l.Send(pkt(1000))
-	l.Send(pkt(1000))
-	eng.ScheduleAt(time.Second, func() {
-		l.Send(pkt(1000))
-		l.Send(pkt(1000))
-	})
+	l := NewLink(eng, Config{RateBps: 1e6}, func(ipnet.Packet) { delivered++ })
+	// Fill the queue now, and again after it drains (50 × 8 ms ≈ 0.4 s).
+	fill := func() {
+		for i := 0; i < queueLimit; i++ {
+			l.Send(pkt(1000))
+		}
+	}
+	fill()
+	eng.ScheduleAt(time.Second, fill)
 	eng.RunAll()
-	if delivered != 4 {
-		t.Fatalf("delivered = %d, want 4", delivered)
+	if delivered != 2*queueLimit {
+		t.Fatalf("delivered = %d, want %d", delivered, 2*queueLimit)
 	}
 	if l.Dropped != 0 {
 		t.Fatalf("Dropped = %d, want 0", l.Dropped)
@@ -87,7 +88,7 @@ func TestQueueDrainsOverTime(t *testing.T) {
 func TestThroughputMatchesRate(t *testing.T) {
 	eng := sim.NewEngine()
 	bytes := 0
-	l := NewLink(eng, Config{RateBps: 2e6, QueueLimit: 10}, func(p ipnet.Packet) { bytes += p.WireLen() })
+	l := NewLink(eng, Config{RateBps: 2e6}, func(p ipnet.Packet) { bytes += p.WireLen() })
 	// Keep the queue fed for one simulated second.
 	stop := eng.Ticker(time.Millisecond, func() {
 		for l.QueueDepth() < 10 {

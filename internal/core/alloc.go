@@ -13,7 +13,7 @@ import (
 )
 
 // allocController drives the fairness allocator over a live scenario. One
-// controller per scenario, ticking every Config.Epoch:
+// controller per scenario, ticking every alloc.Epoch:
 //
 //   - Oracle: re-solves the proportional-fair association (opt.SolvePF)
 //     with full knowledge of client positions, AP channels, backhauls, and
@@ -28,8 +28,7 @@ import (
 // Everything iterates clients in materialization order and flows in
 // address order, so an epoch is a pure function of the world state.
 type allocController struct {
-	s   *Scenario
-	cfg alloc.Config
+	s *Scenario
 
 	// Previous decision per client ID: assignment hysteresis for the PF
 	// solver and change-detection for event emission and re-scheduling.
@@ -47,7 +46,6 @@ type allocController struct {
 func newAllocController(s *Scenario) *allocController {
 	return &allocController{
 		s:        s,
-		cfg:      s.cfg.Alloc.WithDefaults(),
 		lastAP:   make(map[int]int),
 		lastPace: make(map[int]float64),
 		lastCh:   make(map[int]dot11.Channel),
@@ -55,7 +53,7 @@ func newAllocController(s *Scenario) *allocController {
 }
 
 func (a *allocController) epoch() {
-	switch a.cfg.Variant {
+	switch a.s.cfg.Alloc {
 	case alloc.Oracle:
 		a.oracleEpoch()
 	case alloc.Decentralized:
@@ -134,7 +132,7 @@ func (a *allocController) oracleEpoch() {
 		}
 	}
 
-	a.prob.SwitchMargin = a.cfg.SwitchMargin
+	a.prob.SwitchMargin = alloc.SwitchMargin
 	sol := opt.SolvePF(a.prob)
 
 	// Per-AP and per-channel station counts under the solved assignment:
@@ -162,7 +160,7 @@ func (a *allocController) oracleEpoch() {
 		if apIdx >= 0 {
 			target = s.apList[apIdx].BSSID()
 			ch = s.apList[apIdx].Channel()
-			pace = a.cfg.Headroom * sol.ThroughputBps[ci]
+			pace = alloc.Headroom * sol.ThroughputBps[ci]
 			if apCount[apIdx] == 1 && int(ch) < 16 && chCount[ch] == 1 {
 				pace = 0
 			}
@@ -198,7 +196,7 @@ func (a *allocController) oracleEpoch() {
 	}
 	// One world span tile per epoch summarizing how much the solution
 	// moved — the frontier experiments read these to see steering churn.
-	if sp := s.cfg.Obs.World().StartSpan(now-a.cfg.Epoch, "alloc"); sp != nil {
+	if sp := s.cfg.Obs.World().StartSpan(now-alloc.Epoch, "alloc"); sp != nil {
 		sp.SetStatus(fmt.Sprintf("oracle n=%d moved=%d", len(clients), moves))
 		sp.End(now)
 	}

@@ -151,8 +151,8 @@ func (c *Client) build(rng *sim.RNG) {
 	c.drv = driver.New(eng, rng.Stream("driver"), s.medium, c.MAC(), c.pos, c.stillFrom(), drvCfg)
 	lcfg := cfg.lmmConfig()
 	lcfg.Events = c.events
-	if w := s.cfg.Alloc; w != nil && w.Variant == alloc.Decentralized {
-		c.allocPol = alloc.NewPolicy(*w, c.id, s.medium.Params())
+	if s.cfg.Alloc == alloc.Decentralized {
+		c.allocPol = alloc.NewPolicy(c.id, s.medium.Params())
 		lcfg.Alloc = c.allocPol
 	}
 	c.manager = lmm.New(eng, rng.Stream("lmm"), c.drv, lcfg)
@@ -264,7 +264,7 @@ func (c *Client) build(rng *sim.RNG) {
 	if cfg.Preset == Adaptive {
 		multi := false
 		eng.Ticker(adaptiveCheckInterval, func() {
-			fast := cfg.Mobility.Speed() >= cfg.AdaptiveSpeedThreshold
+			fast := cfg.Mobility.Speed() >= adaptiveSpeedThreshold
 			if fast && multi {
 				multi = false
 				manager.SetSchedule([]driver.Slot{{Channel: cfg.PrimaryChannel}})
@@ -283,7 +283,7 @@ func (c *Client) build(rng *sim.RNG) {
 	// channel quality from join outcomes, then plan the schedule for the
 	// position a few seconds ahead; rotate channels in unexplored areas.
 	if cfg.Preset == Predictive {
-		hist := predict.New(predict.Config{})
+		hist := predict.New()
 		manager.OnJoin = func(j lmm.JoinRecord) {
 			score := 0.0
 			switch j.Stage {
@@ -382,7 +382,7 @@ func (c *Client) startFlow(l *lmm.Link, total int64, onDone func()) *flow {
 			c.res.BytesReceived += int64(n)
 			s.cfg.Telemetry.AddGoodput(c.id, at, n)
 		})
-	f.snd = tcpsim.NewSender(eng, tcpsim.Config{},
+	f.snd = tcpsim.NewSender(eng,
 		func(seg tcpsim.Segment) {
 			access.FromInternet(ipnet.Packet{Proto: ipnet.ProtoTCP, TTL: ipnet.DefaultTTL,
 				Src: serverIP, Dst: lease.IP, TCP: seg})
@@ -521,7 +521,7 @@ func (c *Client) finalize() Result {
 	res.Joins = c.manager.Joins()
 	res.LMM = c.manager.Stats()
 	res.Driver = c.drv.Stats()
-	res.Energy = energy.Compute(energy.DefaultProfile(), c.drv.TxAirtime(), c.drv.SwitchTime(), dur)
+	res.Energy = energy.Compute(c.drv.TxAirtime(), c.drv.SwitchTime(), dur)
 	res.EnergyPerBitMicroJ = res.Energy.PerBitMicroJ(res.BytesReceived)
 	return res
 }

@@ -44,6 +44,9 @@ const (
 	// adaptiveCheckInterval is how often the Adaptive controller samples
 	// the client's speed.
 	adaptiveCheckInterval = sim.Time(time.Second)
+	// adaptiveSpeedThreshold is the Adaptive controller's single-channel
+	// cutover speed in m/s, the paper's dividing speed.
+	adaptiveSpeedThreshold = 10.0
 	// predictiveReplanInterval is how often the Predictive controller
 	// re-plans its channel schedule.
 	predictiveReplanInterval = sim.Time(2 * time.Second)
@@ -193,14 +196,13 @@ type WorldConfig struct {
 	// Chaos, when non-nil, injects the fault plan into the scenario (see
 	// internal/chaos). The plan's AP indices refer to Sites order.
 	Chaos *chaos.Plan
-	// Alloc, when non-nil, arms the proportional-fair association +
-	// airtime allocator (see internal/alloc): Oracle runs a centralized
-	// epoch re-solve that steers every client to its PF assignment and
-	// paces its flows to the equal-airtime share; Decentralized installs a
-	// client-local policy in each LMM that infers contention from
-	// carrier-sense signals. Nil keeps the legacy selfish heuristic
-	// byte-identical.
-	Alloc *alloc.Config
+	// Alloc arms the proportional-fair association + airtime allocator
+	// (see internal/alloc): Oracle runs a centralized epoch re-solve that
+	// steers every client to its PF assignment and paces its flows to the
+	// equal-airtime share; Decentralized installs a client-local policy in
+	// each LMM that infers contention from carrier-sense signals. Zero
+	// keeps the legacy selfish heuristic byte-identical.
+	Alloc alloc.Variant
 	// PCAP, when non-nil, receives a pcap capture of every frame on the
 	// air (see internal/capture).
 	PCAP io.Writer
@@ -257,9 +259,6 @@ type ClientConfig struct {
 	Mobility mobility.Model
 	// NumVIFs overrides the interface count (default 7).
 	NumVIFs int
-	// AdaptiveSpeedThreshold is the single-channel cutover speed for the
-	// Adaptive preset (default 10 m/s, the paper's dividing speed).
-	AdaptiveSpeedThreshold float64
 	// FlowBytes bounds each per-link download; <=0 means unbounded bulk
 	// (the paper's large-file HTTP downloads).
 	FlowBytes int64
@@ -303,9 +302,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 			c.NumVIFs = 7
 		}
 	}
-	if c.AdaptiveSpeedThreshold <= 0 {
-		c.AdaptiveSpeedThreshold = 10
-	}
 	if c.StartOffset < 0 {
 		c.StartOffset = 0
 	}
@@ -323,14 +319,9 @@ func (c ClientConfig) schedule() []driver.Slot {
 	switch c.Preset {
 	case SingleChannelMultiAP, SingleChannelSingleAP, Adaptive:
 		return []driver.Slot{{Channel: c.PrimaryChannel}}
-	case Predictive:
-		// Start exploring: rotate until the history has opinions.
-		slots := make([]driver.Slot, 0, len(c.Channels))
-		for _, ch := range c.Channels {
-			slots = append(slots, driver.Slot{Channel: ch, Duration: c.SlotDuration})
-		}
-		return slots
 	default:
+		// Multi-channel presets rotate; Predictive starts exploring this
+		// way until its history has opinions.
 		slots := make([]driver.Slot, 0, len(c.Channels))
 		for _, ch := range c.Channels {
 			slots = append(slots, driver.Slot{Channel: ch, Duration: c.SlotDuration})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"spider/internal/alloc"
 	"spider/internal/ap"
 	"spider/internal/capture"
 	"spider/internal/chaos"
@@ -152,9 +153,9 @@ func (s *Scenario) Start() {
 		}
 	}
 
-	if s.cfg.Alloc != nil {
+	if s.cfg.Alloc != 0 {
 		s.allocCtl = newAllocController(s)
-		s.eng.Ticker(s.allocCtl.cfg.Epoch, s.allocCtl.epoch)
+		s.eng.Ticker(alloc.Epoch, s.allocCtl.epoch)
 	}
 
 	// Drive the telemetry window clock and wire the cumulative-counter
@@ -319,20 +320,14 @@ func (s *Scenario) Metrics() []obs.Metric {
 	return ms
 }
 
-// Engine exposes the scenario's event engine (valid after Start). The
-// serve loop reads Now/Len/PeekNext from it to pick step barriers and
-// report queue depth; mutating the queue directly is the scenario's job.
+// Engine exposes the scenario's event engine (valid after Start). Serve
+// reads Now and Pending from it: the clock, the queue depth it reports,
+// and whether an idle world may block. Mutating the queue directly is the
+// scenario's job.
 func (s *Scenario) Engine() *sim.Engine { return s.eng }
 
 // ClientByID returns the materialized client with the given ID, or nil.
-func (s *Scenario) ClientByID(id int) *Client {
-	for _, c := range s.clients {
-		if c.id == id {
-			return c
-		}
-	}
-	return nil
-}
+func (s *Scenario) ClientByID(id int) *Client { return s.byID[id] }
 
 // AddClientNow admits one client into the live, already-started world at
 // the current virtual time: its mobility clock and stack start here (any
@@ -455,7 +450,6 @@ func (s *Scenario) buildWorld() {
 		mac := siteMAC(i)
 		apCfg.IPAM = bindings[i]
 		apCfg.DHCP.ExpireLeases = !cfg.AP.DisableLeaseExpiry
-		apCfg.Backhaul.Segment = site.Segment
 		sitePos := site.Pos
 		var self *ap.AP
 		self = ap.New(s.eng, s.rng.Stream(site.SSID), s.medium, sitePos, mac, apCfg,

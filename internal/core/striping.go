@@ -41,7 +41,7 @@ func wireStriping(eng *sim.Engine, objectBytes int64, res *Result, manager *lmm.
 	var startObject func()
 	startObject = func() {
 		objectStart = eng.Now()
-		ctrl = stripe.New(eng, objectBytes, stripe.DefaultConfig(), fetch)
+		ctrl = stripe.New(eng, objectBytes, fetch)
 		ctrl.OnComplete = func() {
 			res.StripeObjects++
 			res.StripeObjectSecs = append(res.StripeObjectSecs, (eng.Now() - objectStart).Seconds())

@@ -30,7 +30,7 @@ func stackPackets(t *testing.T) []ipnet.Packet {
 		tcp(client, server, s)
 		eng.Schedule(time.Millisecond, func() { snd.Deliver(s) })
 	}, nil)
-	snd = tcpsim.NewSender(eng, tcpsim.Config{}, func(s tcpsim.Segment) {
+	snd = tcpsim.NewSender(eng, func(s tcpsim.Segment) {
 		tcp(server, client, s)
 		eng.Schedule(time.Millisecond, func() { rcv.Deliver(s) })
 	}, nil)

@@ -30,53 +30,36 @@ type Config struct {
 	// LLTimeout is the link-layer retransmission timeout for join
 	// handshake messages (default 1 s; Spider reduces it to 100 ms).
 	LLTimeout sim.Time
-	// JoinWindow bounds one link-layer join attempt.
-	JoinWindow sim.Time
-	// TxQueueLimit caps buffered outgoing frames per channel.
-	TxQueueLimit int
 	// ProbeInterval, when positive, broadcasts probe requests on the
 	// active channel at this period (active scanning). Passive beacon
 	// collection is always on.
 	ProbeInterval sim.Time
-	// ScanEntryTTL ages out scan-table entries not heard from.
-	ScanEntryTTL sim.Time
 	// Events, when non-nil, receives the driver's structured timeline
 	// (channel switches, probes, auth/assoc transmissions, PSM drains).
 	// Nil disables recording at zero cost.
 	Events *obs.ClientLog
 }
 
-// DefaultConfig returns Spider's deployed settings.
-func DefaultConfig() Config {
-	return Config{
-		NumVIFs:       7,
-		LLTimeout:     100 * 1000 * 1000,  // 100 ms
-		JoinWindow:    3000 * 1000 * 1000, // 3 s
-		TxQueueLimit:  100,
-		ProbeInterval: 500 * 1000 * 1000,      // 500 ms
-		ScanEntryTTL:  5 * 1000 * 1000 * 1000, // 5 s
-	}
-}
-
+// withDefaults fills Spider's deployed settings into zero fields: seven
+// virtual interfaces and a 100 ms link-layer timeout.
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
 	if c.NumVIFs <= 0 {
-		c.NumVIFs = d.NumVIFs
+		c.NumVIFs = 7
 	}
 	if c.LLTimeout <= 0 {
-		c.LLTimeout = d.LLTimeout
-	}
-	if c.JoinWindow <= 0 {
-		c.JoinWindow = d.JoinWindow
-	}
-	if c.TxQueueLimit <= 0 {
-		c.TxQueueLimit = d.TxQueueLimit
-	}
-	if c.ScanEntryTTL <= 0 {
-		c.ScanEntryTTL = d.ScanEntryTTL
+		c.LLTimeout = 100 * 1000 * 1000 // 100 ms
 	}
 	return c
 }
+
+const (
+	// joinWindow bounds one link-layer join attempt.
+	joinWindow sim.Time = 3000 * 1000 * 1000 // 3 s
+	// txQueueLimit caps buffered outgoing frames per channel.
+	txQueueLimit = 100
+	// scanEntryTTL ages out scan-table entries not heard from.
+	scanEntryTTL sim.Time = 5 * 1000 * 1000 * 1000 // 5 s
+)
 
 // numChannels sizes flat channel-indexed tables; index 0 is unused
 // (channels are 1..14).
@@ -292,11 +275,11 @@ func (d *Driver) SetSchedule(slots []Slot) {
 
 // ScanTable returns live scan entries in BSSID order (a stable order, so
 // downstream selection never depends on map iteration); callers rank by
-// their own criteria as needed. Entries older than ScanEntryTTL are
+// their own criteria as needed. Entries older than scanEntryTTL are
 // dropped. The returned slice is a scratch buffer reused by the next
 // ScanTable call — consume it before calling again; copy it to retain.
 func (d *Driver) ScanTable() []ScanEntry {
-	cutoff := d.eng.Now() - d.cfg.ScanEntryTTL
+	cutoff := d.eng.Now() - scanEntryTTL
 	out := d.scanOut[:0]
 	for b, e := range d.scan {
 		if e.LastSeen < cutoff {
@@ -446,7 +429,7 @@ func (d *Driver) sendOrQueue(ch dot11.Channel, f dot11.Frame) {
 		d.radio.Send(f, nil)
 		return
 	}
-	if len(d.txq[ch]) >= d.cfg.TxQueueLimit {
+	if len(d.txq[ch]) >= txQueueLimit {
 		d.stats.TxQueueDrops++
 		return
 	}

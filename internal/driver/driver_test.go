@@ -94,7 +94,7 @@ func TestActiveProbing(t *testing.T) {
 }
 
 func TestScanEntryExpiry(t *testing.T) {
-	r := newRig(t, Config{ScanEntryTTL: time.Second})
+	r := newRig(t, Config{})
 	a := r.addAP(dot11.Channel1, 1)
 	r.drv.SetSchedule([]Slot{{Channel: dot11.Channel1}})
 	r.run(500 * time.Millisecond)
@@ -102,6 +102,10 @@ func TestScanEntryExpiry(t *testing.T) {
 		t.Fatal("AP not discovered")
 	}
 	a.Close()
+	r.run(scanEntryTTL - time.Second)
+	if len(r.drv.ScanTable()) != 1 {
+		t.Fatal("scan entry aged out before its TTL")
+	}
 	r.run(2 * time.Second)
 	if len(r.drv.ScanTable()) != 0 {
 		t.Fatal("stale scan entry survived TTL")
@@ -157,7 +161,7 @@ func TestJoinToClosedAPFails(t *testing.T) {
 }
 
 func TestJoinWindowExpiry(t *testing.T) {
-	r := newRig(t, Config{JoinWindow: time.Second, LLTimeout: 100 * time.Millisecond})
+	r := newRig(t, Config{LLTimeout: 100 * time.Millisecond})
 	// No AP at all: join must fail after the window.
 	r.drv.SetSchedule([]Slot{{Channel: dot11.Channel6}})
 	r.run(100 * time.Millisecond)
@@ -166,8 +170,8 @@ func TestJoinWindowExpiry(t *testing.T) {
 	if joinVIF(t, r, v, dot11.MAC(404), dot11.Channel6, 5*time.Second) {
 		t.Fatal("join to absent AP succeeded")
 	}
-	if gone := r.eng.Now() - start; gone < time.Second || gone > 2*time.Second {
-		t.Fatalf("join failed after %v, want ≈1s window", gone)
+	if gone := r.eng.Now() - start; gone < joinWindow || gone > joinWindow+time.Second {
+		t.Fatalf("join failed after %v, want ≈%v window", gone, joinWindow)
 	}
 	if v.AuthAttempts < 5 {
 		t.Fatalf("auth attempts = %d, want several at 100ms spacing", v.AuthAttempts)
@@ -342,7 +346,7 @@ func TestPerChannelTxQueueFlushesOnReturn(t *testing.T) {
 }
 
 func TestTxQueueCap(t *testing.T) {
-	r := newRig(t, Config{TxQueueLimit: 3})
+	r := newRig(t, Config{})
 	a := r.addAP(dot11.Channel1, 1)
 	r.drv.SetSchedule([]Slot{{Channel: dot11.Channel1}})
 	r.run(100 * time.Millisecond)
@@ -357,12 +361,12 @@ func TestTxQueueCap(t *testing.T) {
 	for r.drv.CurrentChannel() != dot11.Channel6 || r.drv.Switching() {
 		r.run(10 * time.Millisecond)
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < txQueueLimit+7; i++ {
 		v.SendPacket(ipnet.Packet{Proto: ipnet.ProtoTCP})
 	}
 	st := r.drv.Stats()
-	if st.TxQueued != 3 || st.TxQueueDrops != 7 {
-		t.Fatalf("queued=%d drops=%d, want 3/7", st.TxQueued, st.TxQueueDrops)
+	if st.TxQueued != txQueueLimit || st.TxQueueDrops != 7 {
+		t.Fatalf("queued=%d drops=%d, want %d/7", st.TxQueued, st.TxQueueDrops, txQueueLimit)
 	}
 }
 
@@ -394,7 +398,7 @@ func TestFractionalScheduleDegradesJoin(t *testing.T) {
 		params := phy.Defaults()
 		params.Loss = func(float64) float64 { return 0.1 }
 		medium := phy.NewMedium(eng, sim.NewRNG(seed).Stream("phy"), params)
-		drv := New(eng, sim.NewRNG(seed+1), medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, 0, Config{JoinWindow: 4 * time.Second})
+		drv := New(eng, sim.NewRNG(seed+1), medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, 0, Config{})
 		gw := ipnet.AddrFrom4(10, 1, 0, 1)
 		apCfg := ap.DefaultConfig("net", dot11.Channel6, gw)
 		apCfg.IPAM = bindPool(apCfg.Gateway, 64)

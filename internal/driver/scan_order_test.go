@@ -16,7 +16,6 @@ func scanCfg() Config {
 	return Config{
 		NumVIFs:       2,
 		LLTimeout:     100 * time.Millisecond,
-		JoinWindow:    2 * time.Second,
 		ProbeInterval: 500 * time.Millisecond,
 	}
 }

@@ -86,7 +86,7 @@ func (v *VIF) Associate(bssid dot11.MACAddr, ch dot11.Channel) {
 	v.state = vifAuthWait
 	v.bssid = bssid
 	v.channel = ch
-	v.deadline = v.drv.eng.Now() + v.drv.cfg.JoinWindow
+	v.deadline = v.drv.eng.Now() + joinWindow
 	v.startPhase("scan")
 	v.sendAuth()
 }

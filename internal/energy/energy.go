@@ -12,20 +12,16 @@ import (
 	"spider/internal/sim"
 )
 
-// Profile is a radio power profile in watts.
-type Profile struct {
-	// TxW is the draw while transmitting.
-	TxW float64
-	// ListenW is the draw while awake on a channel (receive/overhear).
-	ListenW float64
-	// SwitchW is the draw during a hardware reset.
-	SwitchW float64
-}
-
-// DefaultProfile matches a typical 200x-era Atheros 802.11b card.
-func DefaultProfile() Profile {
-	return Profile{TxW: 1.4, ListenW: 0.9, SwitchW: 1.0}
-}
+// The radio's power draw in watts, from a typical 200x-era Atheros 802.11b
+// card.
+const (
+	// txW is the draw while transmitting.
+	txW = 1.4
+	// listenW is the draw while awake on a channel (receive/overhear).
+	listenW = 0.9
+	// switchW is the draw during a hardware reset.
+	switchW = 1.0
+)
 
 // Breakdown is a run's energy attribution in joules.
 type Breakdown struct {
@@ -57,7 +53,7 @@ func (b Breakdown) String() string {
 // Compute attributes a run's duration: txTime on air transmitting,
 // switchTime in hardware resets, and the remainder listening. Times beyond
 // the total are clamped.
-func Compute(p Profile, txTime, switchTime, total sim.Time) Breakdown {
+func Compute(txTime, switchTime, total sim.Time) Breakdown {
 	if total <= 0 {
 		return Breakdown{}
 	}
@@ -76,8 +72,8 @@ func Compute(p Profile, txTime, switchTime, total sim.Time) Breakdown {
 	}
 	listen := total - txTime - switchTime
 	return Breakdown{
-		TxJ:     p.TxW * txTime.Seconds(),
-		SwitchJ: p.SwitchW * switchTime.Seconds(),
-		ListenJ: p.ListenW * listen.Seconds(),
+		TxJ:     txW * txTime.Seconds(),
+		SwitchJ: switchW * switchTime.Seconds(),
+		ListenJ: listenW * listen.Seconds(),
 	}
 }

@@ -10,36 +10,35 @@ import (
 )
 
 func TestComputeBasic(t *testing.T) {
-	p := Profile{TxW: 2, ListenW: 1, SwitchW: 3}
-	b := Compute(p, 10*time.Second, 5*time.Second, 100*time.Second)
-	if b.TxJ != 20 {
-		t.Fatalf("TxJ = %v, want 20", b.TxJ)
-	}
-	if b.SwitchJ != 15 {
-		t.Fatalf("SwitchJ = %v, want 15", b.SwitchJ)
-	}
-	if b.ListenJ != 85 {
-		t.Fatalf("ListenJ = %v, want 85", b.ListenJ)
-	}
-	if b.TotalJ() != 120 {
-		t.Fatalf("TotalJ = %v", b.TotalJ())
+	b := Compute(10*time.Second, 5*time.Second, 100*time.Second)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"TxJ", b.TxJ, 14},           // 1.4 W × 10 s
+		{"SwitchJ", b.SwitchJ, 5},    // 1.0 W × 5 s
+		{"ListenJ", b.ListenJ, 76.5}, // 0.9 W × 85 s
+		{"TotalJ", b.TotalJ(), 95.5},
+	} {
+		if math.Abs(c.got-c.want) > 1e-9 {
+			t.Fatalf("%s = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }
 
 func TestComputeClamps(t *testing.T) {
-	p := DefaultProfile()
 	// tx+switch exceeding total must clamp without negative listen time.
-	b := Compute(p, 90*time.Second, 30*time.Second, 100*time.Second)
+	b := Compute(90*time.Second, 30*time.Second, 100*time.Second)
 	if b.ListenJ < 0 {
 		t.Fatalf("negative listen energy: %v", b.ListenJ)
 	}
 	if b.TotalJ() <= 0 {
 		t.Fatal("no energy accounted")
 	}
-	if z := Compute(p, time.Second, time.Second, 0); z.TotalJ() != 0 {
+	if z := Compute(time.Second, time.Second, 0); z.TotalJ() != 0 {
 		t.Fatalf("zero-duration energy = %v", z.TotalJ())
 	}
-	neg := Compute(p, -time.Second, -time.Second, 10*time.Second)
+	neg := Compute(-time.Second, -time.Second, 10*time.Second)
 	if neg.TxJ != 0 || neg.SwitchJ != 0 {
 		t.Fatal("negative inputs not clamped")
 	}
@@ -57,11 +56,10 @@ func TestPerBit(t *testing.T) {
 }
 
 func TestDefaultProfileSane(t *testing.T) {
-	p := DefaultProfile()
-	if p.TxW <= p.ListenW {
+	if txW <= listenW {
 		t.Fatal("transmit should cost more than listening")
 	}
-	if p.ListenW <= 0 || p.SwitchW <= 0 {
+	if listenW <= 0 || switchW <= 0 {
 		t.Fatal("non-positive draws")
 	}
 }
@@ -70,10 +68,9 @@ func TestDefaultProfileSane(t *testing.T) {
 // negative.
 func TestPropertyEnergyBounds(t *testing.T) {
 	f := func(txMs, swMs, totMs uint16) bool {
-		p := DefaultProfile()
 		total := sim.Time(totMs) * time.Millisecond
-		b := Compute(p, sim.Time(txMs)*time.Millisecond, sim.Time(swMs)*time.Millisecond, total)
-		maxW := math.Max(p.TxW, math.Max(p.ListenW, p.SwitchW))
+		b := Compute(sim.Time(txMs)*time.Millisecond, sim.Time(swMs)*time.Millisecond, total)
+		maxW := math.Max(txW, math.Max(listenW, switchW))
 		if b.TxJ < 0 || b.SwitchJ < 0 || b.ListenJ < -1e-9 {
 			return false
 		}

@@ -25,7 +25,7 @@ import (
 var fairnessSizes = []int{1, 4, 16, 64, 256, 1024}
 
 // fairnessArms are the compared policies in frontier order. Variant 0 is
-// the legacy selfish heuristic (WorldConfig.Alloc nil).
+// the legacy selfish heuristic (a zero WorldConfig.Alloc).
 var fairnessArms = []alloc.Variant{0, alloc.Decentralized, alloc.Oracle}
 
 func armName(v alloc.Variant) string {
@@ -104,9 +104,7 @@ func FairnessScenario(o Options, n int, v alloc.Variant) (core.WorldConfig, []co
 			StartOffset: sim.Time(i) * window / sim.Time(n),
 		}
 	}
-	if v != 0 {
-		world.Alloc = &alloc.Config{Variant: v}
-	}
+	world.Alloc = v
 	return world, clients
 }
 

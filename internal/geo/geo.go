@@ -46,14 +46,3 @@ func (v Vector) Unit() Vector {
 func Lerp(a, b Point, t float64) Point {
 	return Point{a.X + (b.X-a.X)*t, a.Y + (b.Y-a.Y)*t}
 }
-
-// ChordLength returns the length of the chord that a straight path passing
-// at perpendicular offset from a disc centre of radius r cuts through the
-// disc, or 0 if the path misses the disc. This is the in-range path length
-// for a vehicle passing an AP.
-func ChordLength(r, offset float64) float64 {
-	if offset >= r {
-		return 0
-	}
-	return 2 * math.Sqrt(r*r-offset*offset)
-}

@@ -49,22 +49,6 @@ func TestLerp(t *testing.T) {
 	}
 }
 
-func TestChordLength(t *testing.T) {
-	if c := ChordLength(100, 0); !almostEqual(c, 200) {
-		t.Fatalf("through-centre chord = %v, want 200", c)
-	}
-	if c := ChordLength(100, 100); c != 0 {
-		t.Fatalf("tangent chord = %v, want 0", c)
-	}
-	if c := ChordLength(100, 120); c != 0 {
-		t.Fatalf("miss chord = %v, want 0", c)
-	}
-	// 60-80-100 triangle: offset 60 gives half-chord 80.
-	if c := ChordLength(100, 60); !almostEqual(c, 160) {
-		t.Fatalf("chord = %v, want 160", c)
-	}
-}
-
 // Property: distance is symmetric and satisfies the triangle inequality.
 func TestPropertyMetric(t *testing.T) {
 	f := func(ax, ay, bx, by, cx, cy int16) bool {
@@ -75,21 +59,6 @@ func TestPropertyMetric(t *testing.T) {
 			return false
 		}
 		return a.Distance(c) <= a.Distance(b)+b.Distance(c)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: chord length is monotonically non-increasing in offset and
-// bounded by the diameter.
-func TestPropertyChordMonotone(t *testing.T) {
-	f := func(r8, o8 uint8) bool {
-		r := float64(r8) + 1
-		o := float64(o8)
-		c1 := ChordLength(r, o)
-		c2 := ChordLength(r, o+1)
-		return c1 <= 2*r+1e-9 && c2 <= c1+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -99,9 +99,6 @@ func (p Prefix) IsValid() bool { return p.bits > 0 && p.bits <= 32 }
 // Bits returns the mask length.
 func (p Prefix) Bits() int { return p.bits }
 
-// Mask returns the netmask.
-func (p Prefix) Mask() Addr { return maskOf(p.bits) }
-
 // Network returns the network base address (host bits zero).
 func (p Prefix) Network() Addr { return p.addr }
 
@@ -165,22 +162,6 @@ func (p Prefix) Hosts(exclude ...Addr) []Addr {
 		if a == p.LastHost() {
 			break
 		}
-	}
-	return out
-}
-
-// Subnets splits the block into equal children of the given longer mask
-// length, in address order. newBits must not be shorter than Bits; equal
-// returns the block itself.
-func (p Prefix) Subnets(newBits int) []Prefix {
-	if newBits < p.bits || newBits > 32 {
-		panic(fmt.Sprintf("ipnet: cannot split /%d into /%d", p.bits, newBits))
-	}
-	n := 1 << (newBits - p.bits)
-	step := Addr(1) << (32 - newBits)
-	out := make([]Prefix, n)
-	for i := range out {
-		out[i] = Prefix{addr: p.addr + Addr(i)*step, bits: newBits}
 	}
 	return out
 }

@@ -134,41 +134,6 @@ func TestPrefixSmallBlocks(t *testing.T) {
 	}
 }
 
-func TestPrefixSubnets(t *testing.T) {
-	p := MustParsePrefix("10.0.0.0/22")
-	quarters := p.Subnets(24)
-	want := []string{"10.0.0.0/24", "10.0.1.0/24", "10.0.2.0/24", "10.0.3.0/24"}
-	if len(quarters) != len(want) {
-		t.Fatalf("Subnets(24) returned %d blocks, want %d", len(quarters), len(want))
-	}
-	for i, q := range quarters {
-		if q.String() != want[i] {
-			t.Errorf("Subnets(24)[%d] = %s, want %s", i, q, want[i])
-		}
-		if !p.Contains(q.Network()) || !p.Contains(q.Broadcast()) {
-			t.Errorf("child %s escapes parent %s", q, p)
-		}
-	}
-	// Splitting to the same length returns the block itself.
-	if same := p.Subnets(22); len(same) != 1 || same[0] != p {
-		t.Fatalf("Subnets(equal) = %v, want [%v]", same, p)
-	}
-	// Children tile the parent exactly: address counts conserve.
-	var total uint64
-	for _, q := range quarters {
-		total += q.NumAddrs()
-	}
-	if total != p.NumAddrs() {
-		t.Fatalf("children cover %d addresses, parent has %d", total, p.NumAddrs())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Subnets(shorter) did not panic")
-		}
-	}()
-	p.Subnets(20)
-}
-
 func TestPrefixFromPanicsOutOfRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {

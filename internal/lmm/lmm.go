@@ -37,34 +37,17 @@ type Config struct {
 	PingInterval sim.Time
 	// PingFailLimit is the consecutive-failure threshold (paper: 30).
 	PingFailLimit int
-	// PingTimeout is how long a probe may remain unanswered.
-	PingTimeout sim.Time
 	// ReselectInterval is how often idle interfaces look for APs.
 	ReselectInterval sim.Time
 	// FailureBackoff blocks re-attempts to an AP after a failed join
 	// (stock DHCP clients idle for 60 s; Spider uses a short backoff).
+	// Consecutive failures grow it (see noteFailure).
 	FailureBackoff sim.Time
-	// BackoffFactor multiplies the per-BSSID backoff on each consecutive
-	// join failure — the exponential blacklist that keeps a crashed AP
-	// from monopolising join attempts. 1 disables growth; default 2.
-	BackoffFactor float64
-	// BackoffMax caps the grown per-BSSID backoff.
-	BackoffMax sim.Time
-	// BackoffDecay forgets an AP's failure streak after this long without
-	// a new failure (default 2×BackoffMax), so yesterday's outage does
-	// not penalise today's encounter.
-	BackoffDecay sim.Time
-	// DisableLeaseRenewal turns off DHCP renewal; by default the module
-	// renews at half the lease lifetime and demotes the link when the
-	// renewal fails.
-	DisableLeaseRenewal bool
 	// GlobalDHCPBackoff makes a DHCP failure suppress ALL join attempts
 	// for FailureBackoff, as a stock dhclient does when it goes idle
 	// after a failed acquisition. Spider's per-interface clients leave
 	// this off.
 	GlobalDHCPBackoff bool
-	// MinRSSI filters scan entries with insufficient signal.
-	MinRSSI float64
 	// TestTarget is the address pinged by the end-to-end connectivity
 	// test after DHCP binds. Zero means ping the gateway, which cannot
 	// detect captive portals; the paper's Spider pings an external host
@@ -73,12 +56,6 @@ type Config struct {
 	// SelectByRSSIOnly disables the join-history utility and ranks
 	// candidates purely by signal strength, as a stock driver does.
 	SelectByRSSIOnly bool
-	// Va, Vb, Vc are the join-score values for reaching association,
-	// DHCP, and end-to-end connectivity respectively (va < vb < vc).
-	Va, Vb, Vc float64
-	// RecencyAlpha is the exponential weight given to the newest join
-	// attempt when updating utility.
-	RecencyAlpha float64
 	// Alloc, when non-nil, swaps the selfish utility ranking for the
 	// decentralized proportional-fair policy: candidates rank by estimated
 	// rate over sensed channel load, concurrent links cap at the policy's
@@ -100,18 +77,30 @@ func DefaultConfig() Config {
 		UseLeaseCache:    true,
 		PingInterval:     100 * 1000 * 1000,
 		PingFailLimit:    30,
-		PingTimeout:      500 * 1000 * 1000,
 		ReselectInterval: 100 * 1000 * 1000,
 		FailureBackoff:   5 * 1000 * 1000 * 1000,
-		BackoffFactor:    2,
-		BackoffMax:       60 * 1000 * 1000 * 1000,
-		MinRSSI:          -96,
-		Va:               0.3,
-		Vb:               0.6,
-		Vc:               1.0,
-		RecencyAlpha:     0.3,
 	}
 }
+
+const (
+	// pingTimeout is how long a probe may remain unanswered.
+	pingTimeout sim.Time = 500 * 1000 * 1000 // 500 ms
+	// minRSSI filters scan entries with insufficient signal.
+	minRSSI = -96
+	// va, vb, vc are the join-score values for reaching association,
+	// DHCP, and end-to-end connectivity respectively (va < vb < vc).
+	va, vb, vc = 0.3, 0.6, 1.0
+	// recencyAlpha is the exponential weight given to the newest join
+	// attempt when updating utility.
+	recencyAlpha = 0.3
+	// backoffFactor multiplies the per-BSSID backoff on each consecutive
+	// join failure: the exponential blacklist that keeps a crashed AP
+	// from monopolising join attempts.
+	backoffFactor = 2
+	// maxBackoff caps the grown per-BSSID backoff, unless FailureBackoff
+	// is longer (see noteFailure).
+	maxBackoff sim.Time = 60 * 1000 * 1000 * 1000 // 60 s
+)
 
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
@@ -127,35 +116,11 @@ func (c Config) withDefaults() Config {
 	if c.PingFailLimit <= 0 {
 		c.PingFailLimit = d.PingFailLimit
 	}
-	if c.PingTimeout <= 0 {
-		c.PingTimeout = d.PingTimeout
-	}
 	if c.ReselectInterval <= 0 {
 		c.ReselectInterval = d.ReselectInterval
 	}
 	if c.FailureBackoff <= 0 {
 		c.FailureBackoff = d.FailureBackoff
-	}
-	if c.BackoffFactor < 1 {
-		c.BackoffFactor = d.BackoffFactor
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = d.BackoffMax
-	}
-	if c.BackoffMax < c.FailureBackoff {
-		c.BackoffMax = c.FailureBackoff
-	}
-	if c.BackoffDecay <= 0 {
-		c.BackoffDecay = 2 * c.BackoffMax
-	}
-	if c.MinRSSI == 0 {
-		c.MinRSSI = d.MinRSSI
-	}
-	if c.Vc <= 0 {
-		c.Va, c.Vb, c.Vc = d.Va, d.Vb, d.Vc
-	}
-	if c.RecencyAlpha <= 0 || c.RecencyAlpha > 1 {
-		c.RecencyAlpha = d.RecencyAlpha
 	}
 	return c
 }
@@ -425,9 +390,11 @@ func (m *LMM) Blacklist(bssid dot11.MACAddr) (streak int, until sim.Time) {
 }
 
 // noteFailure records a join failure against bssid and arms the
-// exponentially grown backoff: FailureBackoff × BackoffFactor^(streak-1),
-// capped at BackoffMax. A streak older than BackoffDecay is forgotten
-// first, so decayed history restarts from the base backoff.
+// exponentially grown backoff: FailureBackoff × backoffFactor^(streak-1),
+// capped at maxBackoff or at FailureBackoff when that is longer. A streak
+// older than twice the cap is forgotten first, so yesterday's outage does
+// not penalise today's encounter and decayed history restarts from the
+// base backoff.
 func (m *LMM) noteFailure(bssid dot11.MACAddr) {
 	now := m.eng.Now()
 	e := m.blacklist[bssid]
@@ -435,17 +402,18 @@ func (m *LMM) noteFailure(bssid dot11.MACAddr) {
 		e = &blEntry{}
 		m.blacklist[bssid] = e
 	}
-	if e.streak > 0 && now-e.lastFail > m.cfg.BackoffDecay {
+	limit := max(maxBackoff, m.cfg.FailureBackoff)
+	if e.streak > 0 && now-e.lastFail > 2*limit {
 		e.streak = 0
 	}
 	e.streak++
 	e.lastFail = now
 	backoff := m.cfg.FailureBackoff
-	for i := 1; i < e.streak && backoff < m.cfg.BackoffMax; i++ {
-		backoff = sim.Time(float64(backoff) * m.cfg.BackoffFactor)
+	for i := 1; i < e.streak && backoff < limit; i++ {
+		backoff *= backoffFactor
 	}
-	if backoff > m.cfg.BackoffMax {
-		backoff = m.cfg.BackoffMax
+	if backoff > limit {
+		backoff = limit
 	}
 	m.backoffUntil[bssid] = now + backoff
 }
@@ -454,7 +422,7 @@ func (m *LMM) noteFailure(bssid dot11.MACAddr) {
 func (m *LMM) Utility(bssid dot11.MACAddr) (float64, bool) {
 	u, ok := m.utility[bssid]
 	if !ok {
-		return m.cfg.Vc, false
+		return vc, false
 	}
 	return u.value, true
 }
@@ -488,11 +456,11 @@ func (m *LMM) scoreJoin(bssid dot11.MACAddr, stage JoinStage) {
 	case StageAssocFailed:
 		score = 0
 	case StageDHCPFailed:
-		score = m.cfg.Va
+		score = va
 	case StagePingFailed:
-		score = m.cfg.Vb
+		score = vb
 	case StageComplete:
-		score = m.cfg.Vc
+		score = vc
 	}
 	u, ok := m.utility[bssid]
 	if !ok {
@@ -500,7 +468,7 @@ func (m *LMM) scoreJoin(bssid dot11.MACAddr, stage JoinStage) {
 		m.utility[bssid] = &utilState{value: score, seen: true}
 		return
 	}
-	u.value = (1-m.cfg.RecencyAlpha)*u.value + m.cfg.RecencyAlpha*score
+	u.value = (1-recencyAlpha)*u.value + recencyAlpha*score
 	u.seen = true
 }
 
@@ -551,11 +519,6 @@ func (m *LMM) SetAllocTarget(bssid dot11.MACAddr) {
 	m.sel.Wake()
 }
 
-// AllocTarget reports the current pin, if any.
-func (m *LMM) AllocTarget() (dot11.MACAddr, bool) {
-	return m.allocTarget, m.allocPinned
-}
-
 // steerToTarget tears down connections to APs other than the pinned target
 // once the target is actually joinable — tearing down earlier would strand
 // the client between the AP it had and the AP it cannot reach yet.
@@ -566,7 +529,7 @@ func (m *LMM) steerToTarget(now sim.Time) {
 	visible := false
 	for _, e := range m.drv.ScanTable() {
 		if e.BSSID == m.allocTarget && e.Open && m.schedChans[e.Channel] &&
-			e.RSSI >= m.cfg.MinRSSI && m.backoffUntil[e.BSSID] <= now {
+			e.RSSI >= minRSSI && m.backoffUntil[e.BSSID] <= now {
 			visible = true
 			break
 		}
@@ -629,7 +592,7 @@ func (m *LMM) reselect() {
 	wake := sim.Infinity // the earliest backoff expiry that yields a candidate
 	cands := m.candScratch[:0]
 	for _, e := range m.drv.ScanTable() {
-		if !e.Open || !m.schedChans[e.Channel] || e.RSSI < m.cfg.MinRSSI || m.inUse[e.BSSID] {
+		if !e.Open || !m.schedChans[e.Channel] || e.RSSI < minRSSI || m.inUse[e.BSSID] {
 			continue
 		}
 		if m.allocPinned && e.BSSID != m.allocTarget {
@@ -767,7 +730,7 @@ func (c *conn) dhcpSend(msg dhcp.Message) {
 // address the server may hand to someone else once LeaseSecs elapses.
 func (c *conn) armRenewal() {
 	m := c.m
-	if m.cfg.DisableLeaseRenewal || c.lease.LeaseSecs == 0 {
+	if c.lease.LeaseSecs == 0 {
 		return
 	}
 	life := sim.Time(c.lease.LeaseSecs) * 1000 * 1000 * 1000
@@ -853,8 +816,8 @@ func (c *conn) sendTestPing() {
 		target = c.lease.Server
 	}
 	c.sendPingTo(target)
-	// Retry every PingTimeout until an answer arrives or attempts cap.
-	m.eng.Schedule(m.cfg.PingTimeout, c.sendTestPing)
+	// Retry every pingTimeout until an answer arrives or attempts cap.
+	m.eng.Schedule(pingTimeout, c.sendTestPing)
 }
 
 func (c *conn) sendPing() { c.sendPingTo(c.lease.Server) }
@@ -866,7 +829,7 @@ func (c *conn) sendPingTo(target ipnet.Addr) {
 	c.vif.SendPacket(ping)
 	// Arm the liveness timeout for this probe (used in the up state).
 	if c.state == connUp {
-		ev := c.m.eng.Schedule(c.m.cfg.PingTimeout, func() {
+		ev := c.m.eng.Schedule(pingTimeout, func() {
 			delete(c.pingPending, seq)
 			c.pingFails++
 			if c.pingFails >= c.m.cfg.PingFailLimit && c.state == connUp {

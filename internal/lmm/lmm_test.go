@@ -48,7 +48,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 	params := phy.Defaults()
 	params.Loss = func(float64) float64 { return 0.05 }
 	r := &rig{eng: eng, medium: phy.NewMedium(eng, sim.NewRNG(21).Stream("phy"), params)}
-	dcfg := driver.Config{NumVIFs: 4, LLTimeout: 100 * time.Millisecond, JoinWindow: 2 * time.Second}
+	dcfg := driver.Config{NumVIFs: 4, LLTimeout: 100 * time.Millisecond}
 	r.drv = driver.New(eng, sim.NewRNG(22), r.medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, 0, dcfg)
 	r.m = New(eng, sim.NewRNG(23), r.drv, cfg)
 	r.m.OnLinkUp = func(l *Link) { r.ups = append(r.ups, l) }
@@ -92,7 +92,7 @@ func TestEndToEndJoin(t *testing.T) {
 	if joins[0].AssocDur <= 0 || joins[0].DHCPDur <= 0 || joins[0].TotalDur < joins[0].AssocDur+joins[0].DHCPDur {
 		t.Fatalf("durations inconsistent: %+v", joins[0])
 	}
-	if u, seen := r.m.Utility(a.BSSID()); !seen || u != r.m.Config().Vc {
+	if u, seen := r.m.Utility(a.BSSID()); !seen || u != vc {
 		t.Fatalf("utility = %v seen=%v", u, seen)
 	}
 }
@@ -303,7 +303,7 @@ func TestCaptivePortalDetectedByE2ETest(t *testing.T) {
 	params := phy.Defaults()
 	params.Loss = func(float64) float64 { return 0.05 }
 	medium := phy.NewMedium(eng, sim.NewRNG(21).Stream("phy"), params)
-	dcfg := driver.Config{NumVIFs: 2, LLTimeout: 100 * time.Millisecond, JoinWindow: 2 * time.Second}
+	dcfg := driver.Config{NumVIFs: 2, LLTimeout: 100 * time.Millisecond}
 	drv := driver.New(eng, sim.NewRNG(22), medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, 0, dcfg)
 	remote := ipnet.AddrFrom4(198, 18, 0, 1)
 	cfg := Config{Schedule: ch1Sched(), TestTarget: remote}
@@ -339,7 +339,7 @@ func TestRSSIOnlySelectionIgnoresUtility(t *testing.T) {
 		params := phy.Defaults()
 		params.Loss = func(float64) float64 { return 0 }
 		medium := phy.NewMedium(eng, sim.NewRNG(5).Stream("phy"), params)
-		dcfg := driver.Config{NumVIFs: 1, LLTimeout: 100 * time.Millisecond, JoinWindow: time.Second}
+		dcfg := driver.Config{NumVIFs: 1, LLTimeout: 100 * time.Millisecond}
 		drv := driver.New(eng, sim.NewRNG(6), medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, 0, dcfg)
 		cfg := Config{Schedule: ch1Sched(), SingleAP: true, SelectByRSSIOnly: rssiOnly}
 		m := New(eng, sim.NewRNG(7), drv, cfg)
@@ -397,8 +397,7 @@ func TestGlobalDHCPBackoffStallsEverything(t *testing.T) {
 }
 
 func TestExponentialBackoffGrowsAndCaps(t *testing.T) {
-	r := newRig(t, Config{Schedule: ch1Sched(),
-		FailureBackoff: 2 * time.Second, BackoffFactor: 2, BackoffMax: 10 * time.Second,
+	r := newRig(t, Config{Schedule: ch1Sched(), FailureBackoff: 8 * time.Second,
 		DHCP: dhcp.ClientConfig{RetryTimeout: 300 * time.Millisecond, AcquireWindow: time.Second}})
 	// An AP whose DHCP server never answers: association succeeds but
 	// every join deterministically fails at the DHCP stage.
@@ -422,8 +421,8 @@ func TestExponentialBackoffGrowsAndCaps(t *testing.T) {
 		streakSeen = streak
 		embargoes = append(embargoes, until-r.eng.Now())
 	}
-	// Embargoes grow ~2× per failure until the cap: 2s, 4s, 8s, 10s.
-	for i, want := range []sim.Time{2 * time.Second, 4 * time.Second, 8 * time.Second, 10 * time.Second} {
+	// Embargoes grow 2× per failure until the 60 s cap: 8s, 16s, 32s, 60s.
+	for i, want := range []sim.Time{8 * time.Second, 16 * time.Second, 32 * time.Second, maxBackoff} {
 		got := embargoes[i]
 		// Allow the polling loop's 1s granularity on the lower bound.
 		if got > want || got < want-time.Second {
@@ -436,16 +435,21 @@ func TestExponentialBackoffGrowsAndCaps(t *testing.T) {
 }
 
 func TestBackoffStreakDecays(t *testing.T) {
-	r := newRig(t, Config{Schedule: ch1Sched(),
-		FailureBackoff: time.Second, BackoffFactor: 2, BackoffMax: 8 * time.Second, BackoffDecay: 5 * time.Second})
+	r := newRig(t, Config{Schedule: ch1Sched(), FailureBackoff: time.Second})
 	bssid := dot11.MAC(2000)
 	r.m.noteFailure(bssid)
 	r.m.noteFailure(bssid)
 	if streak, _ := r.m.Blacklist(bssid); streak != 2 {
 		t.Fatalf("streak = %d, want 2", streak)
 	}
-	// After BackoffDecay with no failures, the next failure starts fresh.
-	r.run(6 * time.Second)
+	// A failure within twice the cap extends the streak.
+	r.run(2*maxBackoff - time.Second)
+	r.m.noteFailure(bssid)
+	if streak, _ := r.m.Blacklist(bssid); streak != 3 {
+		t.Fatalf("streak = %d, want 3", streak)
+	}
+	// After twice the cap with no failures, the next failure starts fresh.
+	r.run(2*maxBackoff + time.Second)
 	r.m.noteFailure(bssid)
 	streak, until := r.m.Blacklist(bssid)
 	if streak != 1 {
@@ -453,6 +457,20 @@ func TestBackoffStreakDecays(t *testing.T) {
 	}
 	if embargo := until - r.eng.Now(); embargo != time.Second {
 		t.Fatalf("post-decay embargo = %v, want the base backoff", embargo)
+	}
+}
+
+// TestBackoffCapRaisedToFailureBackoff: a base backoff longer than the
+// 60 s cap is the cap, so every failure blocks the AP for exactly that
+// long.
+func TestBackoffCapRaisedToFailureBackoff(t *testing.T) {
+	r := newRig(t, Config{Schedule: ch1Sched(), FailureBackoff: 90 * time.Second})
+	bssid := dot11.MAC(2000)
+	for i := 1; i <= 3; i++ {
+		r.m.noteFailure(bssid)
+		if streak, until := r.m.Blacklist(bssid); streak != i || until-r.eng.Now() != 90*time.Second {
+			t.Fatalf("failure %d: streak %d, embargo %v, want %d and 90s", i, streak, until-r.eng.Now(), i)
+		}
 	}
 }
 
@@ -521,17 +539,6 @@ func TestRenewalFailureDemotesLink(t *testing.T) {
 	}
 	if len(r.downs) == 0 {
 		t.Fatal("failed renewal did not demote the link")
-	}
-}
-
-func TestDisableLeaseRenewal(t *testing.T) {
-	r, _ := leaseRig(t, 4, Config{Schedule: ch1Sched(), DisableLeaseRenewal: true})
-	r.run(30 * time.Second)
-	if len(r.ups) != 1 {
-		t.Fatal("join did not complete")
-	}
-	if st := r.m.Stats(); st.LeaseRenewals != 0 {
-		t.Fatalf("LeaseRenewals = %d with renewal disabled", st.LeaseRenewals)
 	}
 }
 

@@ -103,19 +103,11 @@ func TestRankBeforeStrictTotalOrderRSSIOnly(t *testing.T) {
 }
 
 func TestRankBeforeStrictTotalOrderAlloc(t *testing.T) {
-	cfg := DefaultConfig()
-	// HerdEpsilon -1 disables the preference spread, forcing equal-rate
-	// equal-load candidates into exact score ties: the order must still
-	// resolve them via RSSI and BSSID, never insertion order.
-	cfg.Alloc = alloc.NewPolicy(alloc.Config{Variant: alloc.Decentralized, HerdEpsilon: -1}, 7, phy.Defaults())
-	r := newRig(t, cfg)
-	checkStrictTotalOrder(t, rankEntries(), r.m.rankBefore)
-	checkPermutationInvariant(t, rankEntries(), r.m.rankBefore)
-
-	// And with the spread active, scores differ per BSSID but the order
+	// The preference spread makes scores differ per BSSID; the order
 	// properties must hold all the same.
-	cfg.Alloc = alloc.NewPolicy(alloc.Config{Variant: alloc.Decentralized}, 7, phy.Defaults())
-	r = newRig(t, cfg)
+	cfg := DefaultConfig()
+	cfg.Alloc = alloc.NewPolicy(7, phy.Defaults())
+	r := newRig(t, cfg)
 	checkStrictTotalOrder(t, rankEntries(), r.m.rankBefore)
 	checkPermutationInvariant(t, rankEntries(), r.m.rankBefore)
 }

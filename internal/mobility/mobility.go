@@ -293,27 +293,3 @@ func pickChannel(rng *sim.RNG, weights []float64, channels []dot11.Channel) dot1
 	}
 	return channels[len(channels)-1]
 }
-
-// CoverageFraction estimates the fraction of travel time within radio range
-// of at least one site matching keep (nil keeps all), by sampling the route
-// at the given time step over one full pass.
-func CoverageFraction(m Model, duration sim.Time, step sim.Time, sites []APSite, radioRange float64, keep func(APSite) bool) float64 {
-	if step <= 0 || duration <= 0 {
-		return 0
-	}
-	covered, samples := 0, 0
-	for t := sim.Time(0); t < duration; t += step {
-		p := m.PositionAt(t)
-		samples++
-		for _, s := range sites {
-			if keep != nil && !keep(s) {
-				continue
-			}
-			if p.Distance(s.Pos) <= radioRange {
-				covered++
-				break
-			}
-		}
-	}
-	return float64(covered) / float64(samples)
-}

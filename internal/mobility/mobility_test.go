@@ -174,34 +174,27 @@ func TestDeployValidation(t *testing.T) {
 	DeployAlongRoute(sim.NewRNG(1), []geo.Point{{X: 0, Y: 0}, {X: 1, Y: 0}}, DeployConfig{})
 }
 
-func TestCoverageFraction(t *testing.T) {
-	m := NewWaypoints([]geo.Point{{X: 0, Y: 0}, {X: 1000, Y: 0}}, 10, false)
-	// One AP covering x∈[400,600] (range 100 at x=500).
-	sites := []APSite{{Pos: geo.Point{X: 500, Y: 0}, Channel: dot11.Channel1, Open: true}}
-	frac := CoverageFraction(m, 100*time.Second, time.Second, sites, 100, nil)
-	if math.Abs(frac-0.2) > 0.05 {
-		t.Fatalf("coverage = %.3f, want ≈0.2", frac)
-	}
-	// A filter that rejects everything yields zero coverage.
-	if f := CoverageFraction(m, 100*time.Second, time.Second, sites, 100, func(APSite) bool { return false }); f != 0 {
-		t.Fatalf("filtered coverage = %v, want 0", f)
-	}
-	if CoverageFraction(m, 0, time.Second, sites, 100, nil) != 0 {
-		t.Fatal("zero duration should report 0")
-	}
-}
-
 // Property: encounter duration at a given offset matches the chord length
-// divided by speed.
+// divided by speed: sampling the route every 10 ms, the fraction of
+// samples within 100 m of a site at perpendicular offset o is the chord
+// 2·√(100²−o²) over the 2 km route.
 func TestPropertyEncounterDuration(t *testing.T) {
+	const radius, step = 100.0, 10 * time.Millisecond
 	f := func(off uint8, spd uint8) bool {
 		offset := float64(off % 99)
 		speed := float64(spd%20) + 1
 		m := NewWaypoints([]geo.Point{{X: -1000, Y: 0}, {X: 1000, Y: 0}}, speed, false)
-		sites := []APSite{{Pos: geo.Point{X: 0, Y: offset}}}
+		site := geo.Point{X: 0, Y: offset}
 		total := sim.Time(float64(2000/speed) * float64(time.Second))
-		frac := CoverageFraction(m, total, 10*time.Millisecond, sites, 100, nil)
-		wantFrac := geo.ChordLength(100, offset) / 2000
+		covered, samples := 0, 0
+		for at := sim.Time(0); at < total; at += step {
+			samples++
+			if m.PositionAt(at).Distance(site) <= radius {
+				covered++
+			}
+		}
+		frac := float64(covered) / float64(samples)
+		wantFrac := 2 * math.Sqrt(radius*radius-offset*offset) / 2000
 		return math.Abs(frac-wantFrac) < 0.02
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

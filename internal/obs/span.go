@@ -139,7 +139,7 @@ func (s *ActiveSpan) Ended() bool {
 // wins, so teardown paths may end defensively.
 func (s *ActiveSpan) End(at sim.Time) {
 	if sp := s.span(); sp != nil && sp.End == openEnd {
-		sp.End = at
+		sp.End = closeTime(at)
 		s.l.spanClosed(s.idx)
 	}
 }
@@ -148,11 +148,17 @@ func (s *ActiveSpan) End(at sim.Time) {
 // End, the first close wins (status included).
 func (s *ActiveSpan) EndStatus(at sim.Time, status string) {
 	if sp := s.span(); sp != nil && sp.End == openEnd {
-		sp.End = at
+		sp.End = closeTime(at)
 		sp.Status = status
 		s.l.spanClosed(s.idx)
 	}
 }
+
+// closeTime is the End a span closed at sim time at records. Sim time
+// never runs below zero, and a close at openEnd would leave the span
+// reading open after it was delivered and its slot freed, so negative
+// times clamp to 0.
+func closeTime(at sim.Time) sim.Time { return max(at, 0) }
 
 // spanClosed delivers the just-closed span at idx to span subscribers
 // and returns its slot to the free list for reuse.
@@ -249,6 +255,7 @@ func (r *Recorder) CloseOpenSpans(at sim.Time) {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
+	at = closeTime(at)
 	for _, id := range ids {
 		l := r.logs[id]
 		for i := range l.spans {

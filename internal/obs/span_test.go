@@ -119,6 +119,43 @@ func TestSpanEndIdempotent(t *testing.T) {
 	}
 }
 
+// TestSpanNegativeCloseDeliversOnce: a close at a negative sim time,
+// the open marker -1 included, records End 0, so CloseOpenSpans neither
+// delivers the span again nor frees its slot twice.
+func TestSpanNegativeCloseDeliversOnce(t *testing.T) {
+	rec := NewRecorder()
+	delivered := map[SpanID]int{}
+	rec.SubscribeSpans(func(s Span) { delivered[s.ID]++ })
+	l := rec.Client(0)
+	a, b := l.StartSpan(0, "a"), l.StartSpan(0, "b")
+	l.StartSpan(0, "c")
+	a.End(-1)
+	b.EndStatus(-1, "done")
+	rec.CloseOpenSpans(-5) // closes c; a and b are already closed
+	rec.CloseOpenSpans(7)
+	spans := rec.Spans()
+	if len(spans) != 3 {
+		t.Fatalf("retained %d spans, want 3", len(spans))
+	}
+	for _, sp := range spans {
+		if sp.End != 0 || delivered[sp.ID] != 1 {
+			t.Errorf("span %q: End %d, delivered %d times; want End 0, once", sp.Name, sp.End, delivered[sp.ID])
+		}
+	}
+	// Each freed slot is on the free list once, so new spans get distinct
+	// slots and every one of them closes and is retained.
+	var more []*ActiveSpan
+	for i := 0; i < 5; i++ {
+		more = append(more, l.StartSpan(10, "more"))
+	}
+	for _, h := range more {
+		h.End(20)
+	}
+	if n := len(rec.Spans()); n != 8 {
+		t.Fatalf("retained %d spans after five more, want 8", n)
+	}
+}
+
 // TestSpanJSONLStable: the exported JSONL is a deterministic function of
 // the recorded spans (and the run label wraps each line when given).
 func TestSpanJSONLStable(t *testing.T) {

@@ -60,7 +60,9 @@ var fuzzExtremes = []int64{
 // fuzzRig drives a retaining recorder from a fuzz program and keeps a
 // plain-slice reference timeline beside it: the events as the rig itself
 // stamps them, and the spans as a subscriber appends them — the way the
-// recorder retained its timeline before it kept compact records.
+// recorder retained its timeline before it kept compact records. The
+// subscriber fails the run when one (client, span ID) pair is delivered
+// twice: every span closes exactly once.
 type fuzzRig struct {
 	prog    []byte
 	rec     *Recorder
@@ -71,9 +73,21 @@ type fuzzRig struct {
 	spans   []Span
 }
 
-func newFuzzRig(prog []byte) *fuzzRig {
+func newFuzzRig(t *testing.T, prog []byte) *fuzzRig {
 	r := &fuzzRig{prog: prog, rec: NewRecorder()}
-	r.rec.SubscribeSpans(func(s Span) { r.spans = append(r.spans, s) })
+	type key struct {
+		client int
+		id     SpanID
+	}
+	delivered := map[key]bool{}
+	r.rec.SubscribeSpans(func(s Span) {
+		k := key{s.Client, s.ID}
+		if delivered[k] {
+			t.Fatalf("span %d of client %d delivered twice", s.ID, s.Client)
+		}
+		delivered[k] = true
+		r.spans = append(r.spans, s)
+	})
 	return r
 }
 
@@ -275,7 +289,7 @@ func (r *fuzzRig) wantHeld() int64 {
 func FuzzTimeline(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, prog []byte) {
-		r := newFuzzRig(prog[:min(len(prog), 4096)])
+		r := newFuzzRig(t, prog[:min(len(prog), 4096)])
 		for len(r.prog) > 0 {
 			r.step(t)
 		}

@@ -20,23 +20,16 @@ import (
 	"spider/internal/geo"
 )
 
-// Config tunes the history grid.
-type Config struct {
-	// CellSize is the grid granularity in metres (default 100, matching
-	// the radio range).
-	CellSize float64
-	// Decay is the multiplicative factor applied to a cell-channel score
+const (
+	// cellSize is the grid granularity in metres, matching the radio range.
+	cellSize = 100
+	// decay is the multiplicative factor applied to a cell-channel score
 	// when a new observation for the same pair arrives (recency bias).
-	Decay float64
-	// MinScore is the aggregate score a channel needs before BestChannel
+	decay = 0.7
+	// minScore is the aggregate score a channel needs before BestChannel
 	// will recommend it.
-	MinScore float64
-}
-
-// DefaultConfig returns the deployed settings.
-func DefaultConfig() Config {
-	return Config{CellSize: 100, Decay: 0.7, MinScore: 0.5}
-}
+	minScore = 0.5
+)
 
 // Observation is one join outcome at a position.
 type Observation struct {
@@ -57,7 +50,6 @@ type cellStats struct {
 
 // History is the position-indexed join-outcome database.
 type History struct {
-	cfg   Config
 	cells map[cellKey]*cellStats
 
 	// Observations counts records ever made.
@@ -65,24 +57,14 @@ type History struct {
 }
 
 // New creates an empty history.
-func New(cfg Config) *History {
-	d := DefaultConfig()
-	if cfg.CellSize <= 0 {
-		cfg.CellSize = d.CellSize
-	}
-	if cfg.Decay <= 0 || cfg.Decay > 1 {
-		cfg.Decay = d.Decay
-	}
-	if cfg.MinScore <= 0 {
-		cfg.MinScore = d.MinScore
-	}
-	return &History{cfg: cfg, cells: make(map[cellKey]*cellStats)}
+func New() *History {
+	return &History{cells: make(map[cellKey]*cellStats)}
 }
 
 func (h *History) key(p geo.Point) cellKey {
 	return cellKey{
-		x: int32(math.Floor(p.X / h.cfg.CellSize)),
-		y: int32(math.Floor(p.Y / h.cfg.CellSize)),
+		x: int32(math.Floor(p.X / cellSize)),
+		y: int32(math.Floor(p.Y / cellSize)),
 	}
 }
 
@@ -100,7 +82,7 @@ func (h *History) Record(obs Observation) {
 	}
 	c.visits++
 	prev := c.byChannel[obs.Channel]
-	c.byChannel[obs.Channel] = prev*h.cfg.Decay + obs.Score
+	c.byChannel[obs.Channel] = prev*decay + obs.Score
 }
 
 // Cells returns the number of populated grid cells.
@@ -128,7 +110,7 @@ func (h *History) ExpectedScore(p geo.Point, ch dot11.Channel) float64 {
 }
 
 // BestChannel recommends the historically best channel near p, or false if
-// no channel clears MinScore (unexplored territory).
+// no channel clears minScore (unexplored territory).
 func (h *History) BestChannel(p geo.Point) (dot11.Channel, bool) {
 	scores := make(map[dot11.Channel]float64)
 	k := h.key(p)
@@ -151,7 +133,7 @@ func (h *History) BestChannel(p geo.Point) (dot11.Channel, bool) {
 		}
 		return channels[i] < channels[j]
 	})
-	if len(channels) == 0 || scores[channels[0]] < h.cfg.MinScore {
+	if len(channels) == 0 || scores[channels[0]] < minScore {
 		return 0, false
 	}
 	return channels[0], true

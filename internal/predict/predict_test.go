@@ -13,7 +13,7 @@ func obs(x, y float64, ch dot11.Channel, score float64) Observation {
 }
 
 func TestRecordAndBestChannel(t *testing.T) {
-	h := New(Config{CellSize: 100})
+	h := New()
 	if _, ok := h.BestChannel(geo.Point{X: 50, Y: 50}); ok {
 		t.Fatal("empty history recommended a channel")
 	}
@@ -30,7 +30,7 @@ func TestRecordAndBestChannel(t *testing.T) {
 }
 
 func TestNeighbourCellsCount(t *testing.T) {
-	h := New(Config{CellSize: 100})
+	h := New()
 	// Observation in the adjacent cell still informs the query point.
 	h.Record(obs(150, 50, dot11.Channel11, 1.0))
 	ch, ok := h.BestChannel(geo.Point{X: 95, Y: 50})
@@ -44,10 +44,10 @@ func TestNeighbourCellsCount(t *testing.T) {
 }
 
 func TestMinScoreGate(t *testing.T) {
-	h := New(Config{CellSize: 100, MinScore: 0.5})
+	h := New()
 	h.Record(obs(10, 10, dot11.Channel1, 0.2))
 	if _, ok := h.BestChannel(geo.Point{X: 10, Y: 10}); ok {
-		t.Fatal("weak evidence cleared the MinScore gate")
+		t.Fatal("weak evidence cleared the minScore gate")
 	}
 	h.Record(obs(10, 10, dot11.Channel1, 0.9))
 	if _, ok := h.BestChannel(geo.Point{X: 10, Y: 10}); !ok {
@@ -56,7 +56,7 @@ func TestMinScoreGate(t *testing.T) {
 }
 
 func TestNegativeScoresSteerAway(t *testing.T) {
-	h := New(Config{CellSize: 100})
+	h := New()
 	// ch1 looks good until repeated failures poison it; ch6 stays solid.
 	h.Record(obs(10, 10, dot11.Channel1, 1.0))
 	h.Record(obs(10, 10, dot11.Channel6, 0.8))
@@ -70,14 +70,14 @@ func TestNegativeScoresSteerAway(t *testing.T) {
 }
 
 func TestDecayFavoursRecency(t *testing.T) {
-	h := New(Config{CellSize: 100, Decay: 0.5})
+	h := New()
 	// Old glory on ch1, recent success on ch11.
 	for i := 0; i < 10; i++ {
 		h.Record(obs(10, 10, dot11.Channel1, 1.0))
 	}
 	old := h.ExpectedScore(geo.Point{X: 10, Y: 10}, dot11.Channel1)
-	if old >= 2.5 {
-		t.Fatalf("decayed accumulation = %v, want bounded by 1/(1-decay)=2", old)
+	if bound := 1 / (1 - decay); old >= bound {
+		t.Fatalf("decayed accumulation = %v, want bounded by 1/(1-decay)=%v", old, bound)
 	}
 	// A string of failures rapidly displaces the old signal.
 	for i := 0; i < 4; i++ {
@@ -89,7 +89,7 @@ func TestDecayFavoursRecency(t *testing.T) {
 }
 
 func TestExplored(t *testing.T) {
-	h := New(Config{CellSize: 100})
+	h := New()
 	p := geo.Point{X: 10, Y: 10}
 	if h.Explored(p) {
 		t.Fatal("unexplored cell reported explored")
@@ -101,7 +101,7 @@ func TestExplored(t *testing.T) {
 }
 
 func TestInvalidChannelIgnored(t *testing.T) {
-	h := New(Config{})
+	h := New()
 	h.Record(Observation{Pos: geo.Point{}, Channel: 0, Score: 1})
 	if h.Observations != 0 {
 		t.Fatal("invalid channel recorded")
@@ -109,7 +109,7 @@ func TestInvalidChannelIgnored(t *testing.T) {
 }
 
 func TestNegativeCoordinates(t *testing.T) {
-	h := New(Config{CellSize: 100})
+	h := New()
 	h.Record(obs(-150, -250, dot11.Channel6, 1.0))
 	ch, ok := h.BestChannel(geo.Point{X: -160, Y: -260})
 	if !ok || ch != dot11.Channel6 {
@@ -121,7 +121,7 @@ func TestNegativeCoordinates(t *testing.T) {
 // determinism holds for tied scores.
 func TestPropertyBestChannelSane(t *testing.T) {
 	f := func(points []uint16, chans []uint8) bool {
-		h := New(Config{CellSize: 50, MinScore: 0.1})
+		h := New()
 		n := len(points)
 		if len(chans) < n {
 			n = len(chans)

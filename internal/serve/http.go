@@ -43,11 +43,11 @@ type DaemonConfig struct {
 	// CheckpointEvery checkpoints each time the virtual clock crosses a
 	// multiple of it (default 30s virtual; negative disables).
 	CheckpointEvery sim.Time
-	// SubscriberBuffer bounds each event subscriber's channel; a slow
-	// subscriber drops events (counted) instead of stalling the loop
-	// (default 1024).
-	SubscriberBuffer int
 }
+
+// subscriberBuffer bounds each event subscriber's channel; a slow
+// subscriber drops events (counted) instead of stalling the loop.
+const subscriberBuffer = 1024
 
 func (c DaemonConfig) withDefaults() DaemonConfig {
 	if c.Quantum <= 0 {
@@ -64,9 +64,6 @@ func (c DaemonConfig) withDefaults() DaemonConfig {
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = sim.Time(30 * time.Second)
-	}
-	if c.SubscriberBuffer <= 0 {
-		c.SubscriberBuffer = 1024
 	}
 	return c
 }
@@ -197,7 +194,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 
 		// Idle worlds (no scheduled events, no pending intents, nothing
 		// to pace toward) block instead of spinning.
-		if limit == 0 && d.srv.Scenario().Engine().Len() == 0 && d.srv.Pending() == 0 {
+		if limit == 0 && d.srv.Scenario().Engine().Pending() == 0 && d.srv.Pending() == 0 {
 			if stop := d.waitCtrl(ctx); stop {
 				return d.shutdown()
 			}
@@ -327,7 +324,7 @@ func (d *Daemon) publishStatus(lastStep time.Duration) {
 		RestoredNS:     int64(d.srv.Restored()),
 		HorizonNS:      d.srv.Spec().HorizonNS,
 		Clients:        len(d.srv.Scenario().Clients()),
-		EngineQueue:    d.srv.Scenario().Engine().Len(),
+		EngineQueue:    d.srv.Scenario().Engine().Pending(),
 		PendingIntents: d.srv.Pending(),
 		AppliedIntents: d.srv.Applied(),
 		NextSeq:        d.srv.NextSeq(),
@@ -554,7 +551,7 @@ func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// Register the subscriber and snapshot the backlog in one loop-side
 	// step, so the stream has no gap between backlog and live tail.
 	v, code, err := d.ask(func() (any, error) {
-		sub := &subscriber{ch: make(chan obs.Event, d.cfg.SubscriberBuffer)}
+		sub := &subscriber{ch: make(chan obs.Event, subscriberBuffer)}
 		d.subsMu.Lock()
 		id := d.nextID
 		d.nextID++

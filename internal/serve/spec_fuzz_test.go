@@ -16,28 +16,20 @@ import (
 
 // Fuzz-execution bounds. They keep each execution to milliseconds and are
 // not limits on what the daemon accepts: inputs over 4 KiB, worlds with
-// more than 8 sites or 8 clients, chaos plans with more than 8 entries,
-// address pools over 1,024 hosts, and beacon periods, telemetry windows,
-// channel slots or chaos inter-arrival means under 10 ms are skipped, and
-// each world runs 2 s of virtual time.
+// more than 8 sites or 8 clients, chaos plans with more than 8 entries and
+// address pools over 1,024 hosts are skipped, and each world runs 2 s of
+// virtual time.
 const (
 	fuzzMaxInput   = 4 << 10
 	fuzzMaxEntries = 8
 	fuzzMaxHosts   = 1 << 10
-	fuzzMinPeriod  = sim.Time(10 * time.Millisecond)
 	fuzzRun        = sim.Time(2 * time.Second)
 )
-
-// shortPeriod reports a positive period below fuzzMinPeriod.
-func shortPeriod(ns sim.Time) bool { return ns > 0 && ns < fuzzMinPeriod }
-
-// slowClient reports a client spec outside the fuzz-execution bounds.
-func slowClient(c *ClientSpec) bool { return shortPeriod(sim.Time(c.SlotNS)) }
 
 // slowSpec reports a world spec outside the fuzz-execution bounds.
 func slowSpec(w *WorldSpec) bool {
 	if len(w.Sites) > fuzzMaxEntries || len(w.Clients) > fuzzMaxEntries ||
-		w.AP.DHCPPoolSize > fuzzMaxHosts || shortPeriod(w.AP.BeaconInterval) {
+		w.AP.DHCPPoolSize > fuzzMaxHosts {
 		return true
 	}
 	if w.IPAM != nil {
@@ -45,14 +37,6 @@ func slowSpec(w *WorldSpec) bool {
 			if (p.CIDR.IsValid() && p.CIDR.NumHosts() > fuzzMaxHosts) || len(p.Addrs) > fuzzMaxHosts {
 				return true
 			}
-		}
-	}
-	if t := w.Telemetry; t != nil && shortPeriod(sim.Time(t.WindowNS)) {
-		return true
-	}
-	for i := range w.Clients {
-		if slowClient(&w.Clients[i]) {
-			return true
 		}
 	}
 	return false
@@ -103,18 +87,8 @@ func FuzzIntent(f *testing.F) {
 		if len(data) > fuzzMaxInput || json.Unmarshal(data, &in) != nil {
 			return
 		}
-		if in.Client != nil && slowClient(in.Client) {
+		if p := in.Chaos; p != nil && len(p.Events)+len(p.Procs) > fuzzMaxEntries {
 			return
-		}
-		if p := in.Chaos; p != nil {
-			if len(p.Events)+len(p.Procs) > fuzzMaxEntries {
-				return
-			}
-			for _, pr := range p.Procs {
-				if shortPeriod(pr.Mean) {
-					return
-				}
-			}
 		}
 		dir := t.TempDir()
 		srv, err := Open(dir, fuzzWorld())

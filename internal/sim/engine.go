@@ -146,17 +146,11 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending returns the number of events still scheduled.
 func (e *Engine) Pending() int { return e.pending }
 
-// Len returns the number of events still scheduled — an alias for Pending
-// under the conventional container name, for callers (spider-serve) that
-// read queue depth as a quiescence signal.
-func (e *Engine) Len() int { return e.pending }
-
 // PeekNext returns the virtual time of the earliest scheduled event
 // without firing it, and false when the queue is empty. Cancelled events
-// leave the queue immediately, so the reported time is always live. The
-// serve loop uses it to find quiescent barrier points: a checkpoint taken
-// at a time t with PeekNext() > t can never split a batch of equal-time
-// events.
+// leave the queue immediately, so the reported time is always live.
+// FuzzEngine checks it against the heap reference; no loop of the program
+// reads it.
 func (e *Engine) PeekNext() (Time, bool) {
 	if n := e.next(); n != nil {
 		return n.at, true

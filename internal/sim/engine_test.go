@@ -391,8 +391,8 @@ func TestPeekNextEmpty(t *testing.T) {
 	if at, ok := e.PeekNext(); ok || at != 0 {
 		t.Fatalf("PeekNext on empty queue = (%v, %v), want (0, false)", at, ok)
 	}
-	if e.Len() != 0 {
-		t.Fatalf("Len on empty queue = %d, want 0", e.Len())
+	if e.Pending() != 0 {
+		t.Fatalf("Pending on empty queue = %d, want 0", e.Pending())
 	}
 }
 
@@ -403,8 +403,8 @@ func TestPeekNextReportsHead(t *testing.T) {
 	if at, ok := e.PeekNext(); !ok || at != time.Second {
 		t.Fatalf("PeekNext = (%v, %v), want (1s, true)", at, ok)
 	}
-	if e.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", e.Len())
+	if e.Pending() != 2 {
+		t.Fatalf("Pending = %d, want 2", e.Pending())
 	}
 	e.Run(time.Second)
 	if at, ok := e.PeekNext(); !ok || at != 3*time.Second {
@@ -422,11 +422,11 @@ func TestPeekNextAfterCancelledHead(t *testing.T) {
 	if at, ok := e.PeekNext(); !ok || at != 2*time.Second {
 		t.Fatalf("PeekNext after cancelling head = (%v, %v), want (2s, true)", at, ok)
 	}
-	if e.Len() != 1 {
-		t.Fatalf("Len after cancel = %d, want 1", e.Len())
+	if e.Pending() != 1 {
+		t.Fatalf("Pending after cancel = %d, want 1", e.Pending())
 	}
 	e.Cancel(head)
-	if e.Len() != 1 {
-		t.Fatalf("double-cancel changed Len to %d", e.Len())
+	if e.Pending() != 1 {
+		t.Fatalf("double-cancel changed Pending to %d", e.Pending())
 	}
 }

@@ -19,19 +19,8 @@ import (
 	"spider/internal/sim"
 )
 
-// Config tunes the scheduler.
-type Config struct {
-	// BlockSize is the fetch granularity in bytes (default 256 KiB).
-	BlockSize int64
-	// DuplicateTail lets idle paths re-fetch blocks still in flight
-	// elsewhere once no pending blocks remain (straggler mitigation).
-	DuplicateTail bool
-}
-
-// DefaultConfig returns the deployed settings.
-func DefaultConfig() Config {
-	return Config{BlockSize: 256 << 10, DuplicateTail: true}
-}
+// blockSize is the fetch granularity in bytes.
+const blockSize = 256 << 10
 
 // FetchFunc starts fetching size bytes over the identified path. The
 // transport must call done exactly once: true when the bytes fully
@@ -65,7 +54,6 @@ type path struct {
 // Controller is the striping scheduler.
 type Controller struct {
 	eng   *sim.Engine
-	cfg   Config
 	fetch FetchFunc
 
 	blocks  []*block
@@ -83,19 +71,16 @@ type Controller struct {
 
 // New creates a controller for an object of total bytes. fetch is invoked
 // re-entrantly from AddPath and from completion callbacks.
-func New(eng *sim.Engine, total int64, cfg Config, fetch FetchFunc) *Controller {
+func New(eng *sim.Engine, total int64, fetch FetchFunc) *Controller {
 	if total <= 0 {
 		panic("stripe: New needs a positive object size")
 	}
 	if fetch == nil {
 		panic("stripe: New needs a fetch func")
 	}
-	if cfg.BlockSize <= 0 {
-		cfg.BlockSize = DefaultConfig().BlockSize
-	}
-	c := &Controller{eng: eng, cfg: cfg, fetch: fetch, paths: make(map[int]*path)}
-	for off := int64(0); off < total; off += cfg.BlockSize {
-		size := cfg.BlockSize
+	c := &Controller{eng: eng, fetch: fetch, paths: make(map[int]*path)}
+	for off := int64(0); off < total; off += blockSize {
+		size := int64(blockSize)
 		if off+size > total {
 			size = total - off
 		}
@@ -112,16 +97,6 @@ func (c *Controller) Done() bool { return c.doneCnt == len(c.blocks) }
 
 // Progress returns completed and total block counts.
 func (c *Controller) Progress() (done, total int) { return c.doneCnt, len(c.blocks) }
-
-// ActivePaths returns the ids of currently attached paths.
-func (c *Controller) ActivePaths() []int {
-	var out []int
-	for id := range c.paths {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // AddPath attaches a link and immediately puts it to work. Adding an
 // existing id panics.
@@ -153,16 +128,13 @@ func (c *Controller) RemovePath(id int) {
 }
 
 // nextBlock picks the block a path should fetch: the first pending block,
-// or — with DuplicateTail — the smallest in-flight block not already held
-// by this path.
+// or, once none is pending, the in-flight block with the fewest holders,
+// so an idle path re-fetches the tail a straggler still holds.
 func (c *Controller) nextBlock() *block {
 	for _, b := range c.blocks {
 		if b.state == blockPending {
 			return b
 		}
-	}
-	if !c.cfg.DuplicateTail {
-		return nil
 	}
 	var best *block
 	for _, b := range c.blocks {

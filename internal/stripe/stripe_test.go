@@ -30,26 +30,26 @@ func (f *fakeNet) fetch(pathID int, size int64, done func(bool)) {
 	f.eng.Schedule(d, func() { done(true) })
 }
 
-func newRig(total int64, cfg Config) (*sim.Engine, *fakeNet, *Controller) {
+func newRig(total int64) (*sim.Engine, *fakeNet, *Controller) {
 	eng := sim.NewEngine()
 	net := &fakeNet{eng: eng, rate: map[int]float64{}, fail: map[int]bool{}}
-	c := New(eng, total, cfg, net.fetch)
+	c := New(eng, total, net.fetch)
 	return eng, net, c
 }
 
 func TestBlockPartition(t *testing.T) {
-	_, _, c := newRig(1_000_000, Config{BlockSize: 300_000})
+	_, _, c := newRig(3*blockSize + 100_000)
 	if c.Blocks() != 4 {
-		t.Fatalf("blocks = %d, want 4 (3×300k + 100k)", c.Blocks())
+		t.Fatalf("blocks = %d, want 4 (3×256 KiB + 100k)", c.Blocks())
 	}
-	_, _, c2 := newRig(300_000, Config{BlockSize: 300_000})
+	_, _, c2 := newRig(blockSize)
 	if c2.Blocks() != 1 {
 		t.Fatalf("blocks = %d, want 1", c2.Blocks())
 	}
 }
 
 func TestSinglePathCompletes(t *testing.T) {
-	eng, _, c := newRig(1_000_000, Config{BlockSize: 100_000})
+	eng, _, c := newRig(1_000_000)
 	completed := false
 	c.OnComplete = func() { completed = true }
 	c.AddPath(1)
@@ -64,7 +64,8 @@ func TestSinglePathCompletes(t *testing.T) {
 }
 
 func TestTwoPathsShareWork(t *testing.T) {
-	eng, net, c := newRig(2_000_000, Config{BlockSize: 100_000})
+	const total = 20 * blockSize
+	eng, net, c := newRig(total)
 	net.rate[1] = 1_000_000
 	net.rate[2] = 1_000_000
 	c.AddPath(1)
@@ -79,13 +80,13 @@ func TestTwoPathsShareWork(t *testing.T) {
 		t.Fatalf("one path idle: %d/%d", f1, f2)
 	}
 	// Equal rates: roughly equal shares.
-	if f1 < 600_000 || f2 < 600_000 {
+	if f1 < 3*total/10 || f2 < 3*total/10 {
 		t.Fatalf("imbalanced shares: %d/%d", f1, f2)
 	}
 }
 
 func TestFasterPathFetchesMore(t *testing.T) {
-	eng, net, c := newRig(4_000_000, Config{BlockSize: 100_000, DuplicateTail: false})
+	eng, net, c := newRig(16 * blockSize)
 	net.rate[1] = 2_000_000
 	net.rate[2] = 500_000
 	c.AddPath(1)
@@ -102,7 +103,7 @@ func TestStripingBeatsBestSinglePath(t *testing.T) {
 	run := func(paths map[int]float64) sim.Time {
 		eng := sim.NewEngine()
 		net := &fakeNet{eng: eng, rate: paths, fail: map[int]bool{}}
-		c := New(eng, 8_000_000, Config{BlockSize: 200_000}, net.fetch)
+		c := New(eng, 8_000_000, net.fetch)
 		var doneAt sim.Time = -1
 		c.OnComplete = func() { doneAt = eng.Now() }
 		for id := range paths {
@@ -122,8 +123,8 @@ func TestStripingBeatsBestSinglePath(t *testing.T) {
 }
 
 func TestPathDeathReassignsBlock(t *testing.T) {
-	eng, net, c := newRig(500_000, Config{BlockSize: 500_000})
-	net.rate[1] = 100_000 // 5 s fetch
+	eng, net, c := newRig(blockSize)
+	net.rate[1] = 50_000 // ≈5 s fetch
 	net.rate[2] = 1_000_000
 	c.AddPath(1)
 	eng.Run(time.Second)
@@ -143,9 +144,9 @@ func TestPathDeathReassignsBlock(t *testing.T) {
 // pattern chaos-driven AP crashes produce); the object must still finish
 // without stalling as long as some path is eventually alive.
 func TestPathChurnCompletes(t *testing.T) {
-	eng, net, c := newRig(2_000_000, Config{BlockSize: 100_000})
-	net.rate[1] = 400_000
-	net.rate[2] = 400_000
+	eng, net, c := newRig(8 * blockSize)
+	net.rate[1] = 2_000_000 // ≈130 ms per block
+	net.rate[2] = 2_000_000
 	completed := false
 	c.OnComplete = func() { completed = true }
 	c.AddPath(1)
@@ -177,7 +178,7 @@ func TestPathChurnCompletes(t *testing.T) {
 }
 
 func TestFailingPathDoesNotStall(t *testing.T) {
-	eng, net, c := newRig(1_000_000, Config{BlockSize: 250_000})
+	eng, net, c := newRig(4 * blockSize)
 	net.fail[1] = true
 	net.rate[2] = 1_000_000
 	c.AddPath(1)
@@ -196,31 +197,36 @@ func TestFailingPathDoesNotStall(t *testing.T) {
 }
 
 func TestDuplicateTailMitigatesStraggler(t *testing.T) {
-	finish := func(dup bool) sim.Time {
-		eng := sim.NewEngine()
-		net := &fakeNet{eng: eng, rate: map[int]float64{1: 2_000_000, 2: 50_000}, fail: map[int]bool{}}
-		c := New(eng, 2_000_000, Config{BlockSize: 500_000, DuplicateTail: dup}, net.fetch)
-		var doneAt sim.Time = -1
-		c.OnComplete = func() { doneAt = eng.Now() }
-		// The slow path grabs a block early and crawls.
-		c.AddPath(2)
-		eng.Run(10 * time.Millisecond)
-		c.AddPath(1)
-		eng.Run(5 * time.Minute)
-		return doneAt
+	const (
+		total = 4 * blockSize
+		fast  = 2_000_000 // bytes/s
+		join  = 10 * time.Millisecond
+	)
+	eng := sim.NewEngine()
+	net := &fakeNet{eng: eng, rate: map[int]float64{1: fast, 2: 50_000}, fail: map[int]bool{}}
+	c := New(eng, total, net.fetch)
+	var doneAt sim.Time = -1
+	c.OnComplete = func() { doneAt = eng.Now() }
+	// The slow path grabs a block early and would crawl over it for ≈5 s.
+	c.AddPath(2)
+	eng.Run(join)
+	c.AddPath(1)
+	eng.Run(5 * time.Minute)
+	if doneAt <= 0 {
+		t.Fatal("incomplete run")
 	}
-	with := finish(true)
-	without := finish(false)
-	if with <= 0 || without <= 0 {
-		t.Fatal("incomplete runs")
+	// The fast path re-fetches the straggler's block, so the object
+	// arrives no later than the fast path alone could fetch all of it.
+	if bound := join + time.Duration(float64(total)/fast*float64(time.Second)); doneAt > bound {
+		t.Fatalf("finished at %v, after the fast path's %v for the whole object", doneAt, bound)
 	}
-	if with >= without {
-		t.Fatalf("tail duplication did not help: %v >= %v", with, without)
+	if c.DuplicateFetch == 0 {
+		t.Fatal("the straggler's block was not duplicated")
 	}
 }
 
 func TestDuplicateCompletionCountedOnce(t *testing.T) {
-	eng, net, c := newRig(500_000, Config{BlockSize: 500_000, DuplicateTail: true})
+	eng, net, c := newRig(blockSize)
 	net.rate[1] = 500_000
 	net.rate[2] = 450_000
 	c.AddPath(1)
@@ -240,12 +246,12 @@ func TestDuplicateCompletionCountedOnce(t *testing.T) {
 }
 
 func TestRemoveUnknownPathIsNoop(t *testing.T) {
-	_, _, c := newRig(100, Config{})
+	_, _, c := newRig(100)
 	c.RemovePath(99) // must not panic
 }
 
 func TestAddDuplicatePathPanics(t *testing.T) {
-	_, _, c := newRig(100, Config{})
+	_, _, c := newRig(100)
 	c.AddPath(1)
 	defer func() {
 		if recover() == nil {
@@ -258,8 +264,8 @@ func TestAddDuplicatePathPanics(t *testing.T) {
 func TestValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	for _, fn := range []func(){
-		func() { New(eng, 0, Config{}, func(int, int64, func(bool)) {}) },
-		func() { New(eng, 100, Config{}, nil) },
+		func() { New(eng, 0, func(int, int64, func(bool)) {}) },
+		func() { New(eng, 100, nil) },
 	} {
 		func() {
 			defer func() {
@@ -272,16 +278,15 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// Property: for any object size, block sizes partition the object exactly
+// Property: for any object size, the blocks partition the object exactly
 // and completion delivers every block once.
 func TestPropertyPartitionAndCompletion(t *testing.T) {
-	f := func(totalRaw uint32, blockRaw uint16, nPaths uint8) bool {
+	f := func(totalRaw uint32, nPaths uint8) bool {
 		total := int64(totalRaw%5_000_000) + 1
-		blockSize := int64(blockRaw)%50_000 + 1000
 		paths := int(nPaths%4) + 1
 		eng := sim.NewEngine()
 		net := &fakeNet{eng: eng, rate: map[int]float64{}, fail: map[int]bool{}}
-		c := New(eng, total, Config{BlockSize: blockSize}, net.fetch)
+		c := New(eng, total, net.fetch)
 		var sum int64
 		for _, b := range c.blocks {
 			sum += b.size

@@ -4,50 +4,19 @@ import (
 	"spider/internal/sim"
 )
 
-// Config tunes the TCP endpoints.
-type Config struct {
-	// MSS is the maximum segment payload in bytes.
-	MSS int
-	// InitCwnd is the initial congestion window in segments.
-	InitCwnd float64
-	// InitRTO is the retransmission timeout before any RTT sample.
-	InitRTO sim.Time
-	// MinRTO and MaxRTO clamp the computed timeout.
-	MinRTO sim.Time
-	MaxRTO sim.Time
-}
-
-// DefaultConfig returns values matching a mid-2000s Linux stack, which the
+// The endpoints' constants match a mid-2000s Linux stack, which the
 // paper's testbed ran.
-func DefaultConfig() Config {
-	return Config{
-		MSS:      1460,
-		InitCwnd: 2,
-		InitRTO:  1000 * 1000 * 1000, // 1 s
-		MinRTO:   200 * 1000 * 1000,  // 200 ms
-		MaxRTO:   60 * 1000 * 1000 * 1000,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.MSS <= 0 {
-		c.MSS = d.MSS
-	}
-	if c.InitCwnd <= 0 {
-		c.InitCwnd = d.InitCwnd
-	}
-	if c.InitRTO <= 0 {
-		c.InitRTO = d.InitRTO
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = d.MinRTO
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = d.MaxRTO
-	}
-	return c
-}
+const (
+	// mss is the maximum segment payload in bytes.
+	mss = 1460
+	// initCwnd is the initial congestion window in segments.
+	initCwnd = 2
+	// initRTO is the retransmission timeout before any RTT sample.
+	initRTO sim.Time = 1000 * 1000 * 1000 // 1 s
+	// minRTO and maxRTO clamp the computed timeout.
+	minRTO sim.Time = 200 * 1000 * 1000       // 200 ms
+	maxRTO sim.Time = 60 * 1000 * 1000 * 1000 // 60 s
+)
 
 type senderState uint8
 
@@ -62,7 +31,6 @@ const (
 // paper's experiments). It implements Reno congestion control.
 type Sender struct {
 	eng  *sim.Engine
-	cfg  Config
 	out  func(Segment)
 	done func()
 
@@ -113,19 +81,17 @@ type sentSegment struct {
 
 // NewSender creates a sender. out transmits a segment toward the receiver;
 // done (optional) fires once a finite flow is fully acknowledged.
-func NewSender(eng *sim.Engine, cfg Config, out func(Segment), done func()) *Sender {
+func NewSender(eng *sim.Engine, out func(Segment), done func()) *Sender {
 	if out == nil {
 		panic("tcpsim: NewSender with nil out")
 	}
-	cfg = cfg.withDefaults()
 	return &Sender{
 		eng:      eng,
-		cfg:      cfg,
 		out:      out,
 		done:     done,
-		cwnd:     cfg.InitCwnd,
+		cwnd:     initCwnd,
 		ssthresh: 64, // segments
-		rto:      cfg.InitRTO,
+		rto:      initRTO,
 	}
 }
 
@@ -225,14 +191,14 @@ func (s *Sender) onRTO() {
 		return
 	}
 	s.Timeouts++
-	flightSeg := float64(s.flight()) / float64(s.cfg.MSS)
+	flightSeg := float64(s.flight()) / float64(mss)
 	s.ssthresh = maxf(flightSeg/2, 2)
 	s.cwnd = 1
 	s.dupAcks = 0
 	s.sendTimes = s.sendTimes[:0] // Karn: no samples across retransmits
 	s.rto *= 2
-	if s.rto > s.cfg.MaxRTO {
-		s.rto = s.cfg.MaxRTO
+	if s.rto > maxRTO {
+		s.rto = maxRTO
 	}
 	switch s.state {
 	case senderSynSent:
@@ -251,7 +217,7 @@ func (s *Sender) sendData() {
 	if s.state != senderEstablished || s.stopped {
 		return
 	}
-	cwndBytes := uint32(s.cwnd * float64(s.cfg.MSS))
+	cwndBytes := uint32(s.cwnd * float64(mss))
 	for s.flight() < cwndBytes {
 		rem := s.remaining()
 		if rem <= 0 {
@@ -268,7 +234,7 @@ func (s *Sender) sendData() {
 				break
 			}
 		}
-		n := s.cfg.MSS
+		n := mss
 		if int64(n) > rem {
 			n = int(rem)
 		}
@@ -330,11 +296,11 @@ func (s *Sender) addSample(sample sim.Time) {
 		s.srtt = (7*s.srtt + sample) / 8
 	}
 	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.cfg.MinRTO {
-		s.rto = s.cfg.MinRTO
+	if s.rto < minRTO {
+		s.rto = minRTO
 	}
-	if s.rto > s.cfg.MaxRTO {
-		s.rto = s.cfg.MaxRTO
+	if s.rto > maxRTO {
+		s.rto = maxRTO
 	}
 }
 
@@ -348,7 +314,7 @@ func (s *Sender) Deliver(seg Segment) {
 		if seg.Ack >= 1 {
 			s.state = senderEstablished
 			s.sndUna, s.sndNxt = 1, 1
-			s.rto = s.cfg.InitRTO
+			s.rto = initRTO
 			s.cancelRTO()
 			s.sendData()
 		}
@@ -366,7 +332,7 @@ func (s *Sender) Deliver(seg Segment) {
 			s.sampleRTT(seg.Ack)
 			// Window growth: slow start below ssthresh, else AIMD.
 			if s.cwnd < s.ssthresh {
-				s.cwnd += minf(1, float64(acked)/float64(s.cfg.MSS))
+				s.cwnd += minf(1, float64(acked)/float64(mss))
 			} else {
 				s.cwnd += 1 / s.cwnd
 			}
@@ -390,11 +356,11 @@ func (s *Sender) Deliver(seg Segment) {
 			if s.dupAcks == 3 {
 				// Fast retransmit + simplified fast recovery.
 				s.FastRetransmits++
-				flightSeg := float64(s.flight()) / float64(s.cfg.MSS)
+				flightSeg := float64(s.flight()) / float64(mss)
 				s.ssthresh = maxf(flightSeg/2, 2)
 				s.cwnd = s.ssthresh
 				s.sendTimes = s.sendTimes[:0]
-				n := s.cfg.MSS
+				n := mss
 				if rem := s.remaining() + int64(s.flight()); int64(n) > rem {
 					n = int(rem)
 				}

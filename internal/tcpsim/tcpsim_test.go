@@ -28,11 +28,11 @@ func (p *pipe) dir(deliver func(Segment)) func(Segment) {
 }
 
 // connect wires a sender and receiver through the pipe and returns them.
-func connect(eng *sim.Engine, p *pipe, cfg Config, total int64, done func()) (*Sender, *Receiver) {
+func connect(eng *sim.Engine, p *pipe, total int64, done func()) (*Sender, *Receiver) {
 	var snd *Sender
 	var rcv *Receiver
 	rcv = NewReceiver(eng, p.dir(func(s Segment) { snd.Deliver(s) }), nil)
-	snd = NewSender(eng, cfg, p.dir(func(s Segment) { rcv.Deliver(s) }), done)
+	snd = NewSender(eng, p.dir(func(s Segment) { rcv.Deliver(s) }), done)
 	snd.Start(total)
 	return snd, rcv
 }
@@ -42,7 +42,7 @@ func TestLosslessTransferCompletes(t *testing.T) {
 	p := &pipe{eng: eng, rng: sim.NewRNG(1), delay: 10 * time.Millisecond}
 	doneAt := sim.Time(-1)
 	const total = 1 << 20 // 1 MiB
-	snd, rcv := connect(eng, p, Config{}, total, func() { doneAt = eng.Now() })
+	snd, rcv := connect(eng, p, total, func() { doneAt = eng.Now() })
 	eng.Run(time.Minute)
 	if !snd.Done() {
 		t.Fatalf("flow not done: acked=%d timeouts=%d", snd.BytesAcked, snd.Timeouts)
@@ -61,9 +61,9 @@ func TestLosslessTransferCompletes(t *testing.T) {
 func TestSlowStartGrowth(t *testing.T) {
 	eng := sim.NewEngine()
 	p := &pipe{eng: eng, rng: sim.NewRNG(1), delay: 50 * time.Millisecond}
-	snd, _ := connect(eng, p, Config{}, -1, nil)
+	snd, _ := connect(eng, p, -1, nil)
 	eng.Run(2 * time.Second)
-	if snd.Cwnd() <= DefaultConfig().InitCwnd {
+	if snd.Cwnd() <= initCwnd {
 		t.Fatalf("cwnd = %v, did not grow", snd.Cwnd())
 	}
 	if !snd.Established() {
@@ -75,7 +75,7 @@ func TestLossyTransferRecovers(t *testing.T) {
 	eng := sim.NewEngine()
 	p := &pipe{eng: eng, rng: sim.NewRNG(7), delay: 10 * time.Millisecond, loss: 0.05}
 	done := false
-	snd, rcv := connect(eng, p, Config{}, 1<<19, func() { done = true })
+	snd, rcv := connect(eng, p, 1<<19, func() { done = true })
 	eng.Run(5 * time.Minute)
 	if !done {
 		t.Fatalf("transfer did not complete: acked=%d rcv=%d", snd.BytesAcked, rcv.BytesReceived)
@@ -91,7 +91,7 @@ func TestLossyTransferRecovers(t *testing.T) {
 func TestBlackoutCausesTimeoutAndRecovery(t *testing.T) {
 	eng := sim.NewEngine()
 	p := &pipe{eng: eng, rng: sim.NewRNG(1), delay: 25 * time.Millisecond}
-	snd, rcv := connect(eng, p, Config{}, -1, nil)
+	snd, rcv := connect(eng, p, -1, nil)
 	// Let it ramp up, then block the path for 3 s (≫ RTO).
 	eng.Run(time.Second)
 	preCwnd := snd.Cwnd()
@@ -117,7 +117,7 @@ func TestBlackoutCausesTimeoutAndRecovery(t *testing.T) {
 func TestRTOBackoffGrows(t *testing.T) {
 	eng := sim.NewEngine()
 	p := &pipe{eng: eng, rng: sim.NewRNG(1), delay: 10 * time.Millisecond}
-	snd, _ := connect(eng, p, Config{}, -1, nil)
+	snd, _ := connect(eng, p, -1, nil)
 	eng.Run(time.Second)
 	base := snd.RTO()
 	p.blocked = true
@@ -135,7 +135,7 @@ func TestThroughputTracksPathDelay(t *testing.T) {
 	measure := func(delay sim.Time) int64 {
 		eng := sim.NewEngine()
 		p := &pipe{eng: eng, rng: sim.NewRNG(1), delay: delay}
-		_, rcv := connect(eng, p, Config{}, -1, nil)
+		_, rcv := connect(eng, p, -1, nil)
 		eng.Run(5 * time.Second)
 		return rcv.BytesReceived
 	}
@@ -197,7 +197,7 @@ func TestReceiverIgnoresDataBeforeSYN(t *testing.T) {
 func TestSenderStopSilences(t *testing.T) {
 	eng := sim.NewEngine()
 	sent := 0
-	s := NewSender(eng, Config{}, func(Segment) { sent++ }, nil)
+	s := NewSender(eng, func(Segment) { sent++ }, nil)
 	s.Start(-1)
 	s.Stop()
 	before := sent
@@ -214,7 +214,7 @@ func TestFiniteFlowExactBytes(t *testing.T) {
 		eng := sim.NewEngine()
 		p := &pipe{eng: eng, rng: sim.NewRNG(1), delay: time.Millisecond}
 		done := false
-		_, rcv := connect(eng, p, Config{}, total, func() { done = true })
+		_, rcv := connect(eng, p, total, func() { done = true })
 		eng.Run(time.Minute)
 		if !done {
 			t.Fatalf("total=%d: not done", total)
@@ -246,9 +246,9 @@ func TestPropertyConservation(t *testing.T) {
 		p := &pipe{eng: eng, rng: sim.NewRNG(seed), delay: 5 * time.Millisecond, loss: loss}
 		const total = 200000
 		done := false
-		snd, rcv := connect(eng, p, Config{}, total, func() { done = true })
+		snd, rcv := connect(eng, p, total, func() { done = true })
 		eng.Run(3 * time.Minute)
-		if rcv.BytesReceived > int64(snd.SegmentsSent)*int64(DefaultConfig().MSS) {
+		if rcv.BytesReceived > int64(snd.SegmentsSent)*int64(mss) {
 			return false
 		}
 		if done && rcv.BytesReceived != total {
@@ -268,7 +268,7 @@ func TestPerSegmentRTTSampling(t *testing.T) {
 	eng := sim.NewEngine()
 	var snd *Sender
 	sent := 0
-	snd = NewSender(eng, Config{}, func(seg Segment) {
+	snd = NewSender(eng, func(seg Segment) {
 		if seg.Flags&FlagSYN != 0 {
 			eng.Schedule(10*time.Millisecond, func() { snd.Deliver(Segment{Flags: FlagACK, Ack: 1}) })
 			return
@@ -292,14 +292,14 @@ func TestPerSegmentRTTSampling(t *testing.T) {
 
 func TestSenderAccessors(t *testing.T) {
 	eng := sim.NewEngine()
-	s := NewSender(eng, Config{}, func(Segment) {}, nil)
+	s := NewSender(eng, func(Segment) {}, nil)
 	if s.Established() || s.Done() {
 		t.Fatal("fresh sender claims progress")
 	}
-	if s.Cwnd() != DefaultConfig().InitCwnd {
+	if s.Cwnd() != initCwnd {
 		t.Fatalf("initial cwnd = %v", s.Cwnd())
 	}
-	if s.RTO() != DefaultConfig().InitRTO {
+	if s.RTO() != initRTO {
 		t.Fatalf("initial rto = %v", s.RTO())
 	}
 }
@@ -311,7 +311,7 @@ func TestPacingCapsThroughput(t *testing.T) {
 	p := &pipe{eng: eng, rng: sim.NewRNG(1), delay: time.Millisecond}
 	doneAt := sim.Time(-1)
 	const total = 1 << 20 // 1 MiB
-	snd, _ := connect(eng, p, Config{}, total, func() { doneAt = eng.Now() })
+	snd, _ := connect(eng, p, total, func() { doneAt = eng.Now() })
 	snd.SetPaceBps(1e6)
 	eng.Run(time.Minute)
 	if !snd.Done() {
@@ -333,7 +333,7 @@ func TestPacingClearedMidFlow(t *testing.T) {
 	p := &pipe{eng: eng, rng: sim.NewRNG(1), delay: time.Millisecond}
 	doneAt := sim.Time(-1)
 	const total = 1 << 20
-	snd, _ := connect(eng, p, Config{}, total, func() { doneAt = eng.Now() })
+	snd, _ := connect(eng, p, total, func() { doneAt = eng.Now() })
 	snd.SetPaceBps(1e5) // would take ~84 s alone
 	eng.Schedule(time.Second, func() { snd.SetPaceBps(0) })
 	eng.Run(time.Minute)
@@ -349,7 +349,7 @@ func TestPacingSetterSchedulesNothing(t *testing.T) {
 	// The allocator re-paces idle senders in bulk; the setter must not
 	// perturb the event timeline.
 	eng := sim.NewEngine()
-	snd := NewSender(eng, Config{}, func(Segment) {}, nil)
+	snd := NewSender(eng, func(Segment) {}, nil)
 	snd.SetPaceBps(5e6)
 	snd.SetPaceBps(1e6)
 	snd.SetPaceBps(0)
