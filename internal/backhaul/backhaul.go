@@ -75,9 +75,6 @@ func NewLink(eng *sim.Engine, cfg Config, deliver func(ipnet.Packet)) *Link {
 	return &Link{eng: eng, cfg: cfg, deliver: deliver}
 }
 
-// Config returns the link configuration.
-func (l *Link) Config() Config { return l.cfg }
-
 // QueueDepth returns the packets currently queued ahead of new arrivals.
 func (l *Link) QueueDepth() int { return l.queued }
 

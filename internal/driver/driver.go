@@ -28,7 +28,8 @@ type Config struct {
 	// NumVIFs is the number of virtual interfaces (the paper uses 7).
 	NumVIFs int
 	// LLTimeout is the link-layer retransmission timeout for join
-	// handshake messages (default 1 s; Spider reduces it to 100 ms).
+	// handshake messages (default 100 ms, Spider's reduced value; the
+	// stock stack's 1 s comes from core.DefaultTimers).
 	LLTimeout sim.Time
 	// ProbeInterval, when positive, broadcasts probe requests on the
 	// active channel at this period (active scanning). Passive beacon

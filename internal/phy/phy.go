@@ -17,18 +17,29 @@
 // are only 14 channels), so the commit/deliver path does not allocate at
 // city-scale populations.
 //
-// A broadcast visits every radio on its channel, so the receiver loop
+// A broadcast reaches every radio on its channel, so the receiver loop
 // computes only what the loss draws and the counters need. A radio that
 // has stopped moving reads its position once and keeps it. A receiver at
 // the same point as the radio visited just before it reuses that radio's
 // distance and loss, and a transmission's rate and noise factors are fixed
 // before the loop. A receiver whose callback does not handle the frame's
-// type still takes its loss draw and still counts as delivered or lost;
-// only the call is skipped. Every receiver in range therefore costs
-// exactly one draw, as it always has.
+// type still counts as delivered or lost; only the call is skipped.
+//
+// Still receivers that sit next to each other in a channel's order, at one
+// point and handling the same frame types, form a run, and the loop meets
+// a run of two or more once: it is skipped whole out of range, and it is
+// counted whole when its loss is 1, or 0 with a frame type it does not
+// handle. Such members take no loss draw (a draw at a loss of 0 or 1 is
+// decided without the stream) and get no call, so counting them changes
+// no draw, no call and no counter. Any other run is visited member by
+// member. A channel's runs are rebuilt at its next broadcast after its
+// list or a member's state changes; a change made by a receiver during the
+// loop retires the rest of that loop's runs. A unicast frame finds its
+// target through an index by address.
 package phy
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -239,12 +250,40 @@ type Medium struct {
 
 	// Recycled transmission jobs: a job returns here when its airtime ends.
 	txFree *txJob
+
+	// runs[ch] lists the runs of two or more radios in byChannel[ch], in
+	// order. stale[ch] is set by any change to the channel's list or to a
+	// listed radio's state, and runs[ch] is rebuilt at the next broadcast.
+	runs  [numChannels][]run
+	stale [numChannels]bool
+	// runIDs numbers runs across rebuilds, so a radio's runID names the run
+	// it was last placed in and no older one.
+	runIDs uint64
+	// byMAC maps an address to the one radio created with it, until that
+	// radio closes; it holds nil once two radios have shared the address,
+	// and a unicast to that address scans the channel's list instead.
+	byMAC map[uint64]*Radio
+	// deliverJob ends one on-air attempt: (*Medium).deliver, or in
+	// FuzzDelivery's reference medium the per-radio loop and scan that the
+	// runs and byMAC replaced.
+	deliverJob func(*Medium, *txJob) bool
+}
+
+// run is byChannel[ch][start:end]: radios that are all eligible receivers
+// (open, not switching, up, with a receiver), still, at one point and
+// handling the same frame types.
+type run struct {
+	start, end int32
+	accepts    uint16
+	at         geo.Point
+	id         uint64
 }
 
 // NewMedium creates a medium on the given engine. rng must be a dedicated
 // stream; the medium draws from it for loss sampling and backoff jitter.
 func NewMedium(eng *sim.Engine, rng *sim.RNG, params Params) *Medium {
-	return &Medium{eng: eng, rng: rng, params: params.withDefaults()}
+	return &Medium{eng: eng, rng: rng, params: params.withDefaults(),
+		byMAC: make(map[uint64]*Radio), deliverJob: (*Medium).deliver}
 }
 
 // SetChannelNoise injects an additional per-try loss probability applied
@@ -386,12 +425,13 @@ type Radio struct {
 	channel dot11.Channel
 	pos     func() geo.Point
 	// From stillFrom on, pos returns one fixed point: the first read at or
-	// after it is kept in at, and pos is not called again.
+	// after it is kept in at, still is set, and pos is not called again.
 	stillFrom sim.Time
-	still     bool
 	at        geo.Point
+	runID     uint64 // the run a rebuild last placed the radio in
 	recv      func(*dot11.Frame, RxInfo)
 	accepts   uint16 // bit t set: recv handles frame type t
+	still     bool
 
 	switching bool
 	closed    bool
@@ -421,19 +461,32 @@ func (m *Medium) NewRadio(mac dot11.MACAddr, pos func() geo.Point, stillFrom sim
 	}
 	r := &Radio{m: m, mac: mac, channel: dot11.Channel1, pos: pos, stillFrom: stillFrom,
 		arfIdx: make(map[dot11.MACAddr]int32)}
+	k := macKey(mac)
+	if _, shared := m.byMAC[k]; shared {
+		m.byMAC[k] = nil
+	} else {
+		m.byMAC[k] = r
+	}
 	m.index(r, dot11.Channel1)
 	return r
+}
+
+// macKey packs an address into a map key.
+func macKey(a dot11.MACAddr) uint64 {
+	return uint64(binary.LittleEndian.Uint32(a[:4])) | uint64(binary.LittleEndian.Uint16(a[4:]))<<32
 }
 
 // index moves a radio into a channel's lookup list. The per-channel lists
 // preserve registration order: delivery iterates them, and both the RNG
 // draws consumed per receiver and the receive callback order must not
-// depend on map iteration order for runs to be reproducible.
+// depend on map iteration order for a simulation to be reproducible.
 func (m *Medium) index(r *Radio, ch dot11.Channel) {
 	m.byChannel[ch] = append(m.byChannel[ch], r)
+	m.stale[ch] = true
 }
 
 func (m *Medium) unindex(r *Radio, ch dot11.Channel) {
+	m.stale[ch] = true
 	list := m.byChannel[ch]
 	for i, x := range list {
 		if x == r {
@@ -441,6 +494,36 @@ func (m *Medium) unindex(r *Radio, ch dot11.Channel) {
 			return
 		}
 	}
+}
+
+// receives reports whether a broadcast on the radio's list reaches its
+// receiver: it is open, not switching, up and has one.
+func (r *Radio) receives() bool {
+	return !r.closed && !r.switching && !r.down && r.recv != nil
+}
+
+// buildRuns rebuilds the runs of ch's list.
+func (m *Medium) buildRuns(ch dot11.Channel) {
+	m.stale[ch] = false
+	runs, list := m.runs[ch][:0], m.byChannel[ch]
+	for i := 0; i < len(list); {
+		r, j := list[i], i+1
+		if r.still && r.receives() {
+			for j < len(list) && list[j].still && list[j].receives() &&
+				list[j].at == r.at && list[j].accepts == r.accepts {
+				j++
+			}
+		}
+		if j-i > 1 {
+			m.runIDs++
+			for _, x := range list[i:j] {
+				x.runID = m.runIDs
+			}
+			runs = append(runs, run{start: int32(i), end: int32(j), accepts: r.accepts, at: r.at, id: m.runIDs})
+		}
+		i = j
+	}
+	m.runs[ch] = runs
 }
 
 // MAC returns the radio's MAC address.
@@ -478,6 +561,7 @@ func (r *Radio) Position() geo.Point {
 	p := r.pos()
 	if r.m.eng.Now() >= r.stillFrom {
 		r.at, r.still = p, true
+		r.m.stale[r.channel] = true
 	}
 	return p
 }
@@ -500,12 +584,16 @@ func (r *Radio) SetReceiver(fn func(*dot11.Frame, RxInfo), types ...dot11.FrameT
 		}
 		r.accepts |= 1 << t
 	}
+	r.m.stale[r.channel] = true
 }
 
 // Close detaches the radio from the medium. Frames in flight to it are
 // dropped.
 func (r *Radio) Close() {
 	r.closed = true
+	if k := macKey(r.mac); r.m.byMAC[k] == r {
+		delete(r.m.byMAC, k)
+	}
 	r.m.unindex(r, r.channel)
 }
 
@@ -524,6 +612,7 @@ func (r *Radio) SetChannel(ch dot11.Channel, done func()) {
 		return
 	}
 	r.switching = true
+	r.m.stale[r.channel] = true
 	r.m.eng.Schedule(r.m.params.SwitchLatency, func() {
 		if r.closed {
 			return
@@ -660,7 +749,7 @@ func (m *Medium) freeTxJob(j *txJob) {
 func (j *txJob) RunEvent() {
 	m := j.m
 	m.removePending(j.ch, j.src)
-	if !m.deliver(j) {
+	if !m.deliverJob(m, j) {
 		m.freeTxJob(j)
 	}
 }
@@ -725,31 +814,7 @@ func (m *Medium) deliver(j *txJob) bool {
 			}
 			return false
 		}
-		srcPos, curve := src.Position(), m.params.curve(rate, m.noise[ch])
-		// Receivers at one point share one distance and one loss: the
-		// memo holds the previous radio visited (loss < 0: not yet
-		// evaluated for that point).
-		var last geo.Point
-		d, loss := -1.0, -1.0
-		for _, rx := range m.byChannel[ch] {
-			if rx == src || rx.closed || rx.switching || rx.down || rx.recv == nil {
-				continue
-			}
-			if pos := rx.Position(); d < 0 || pos != last {
-				last, d, loss = pos, pos.Distance(srcPos), -1
-			}
-			if d > m.params.Range {
-				continue
-			}
-			if loss < 0 {
-				loss = curve.at(d)
-			}
-			if m.rng.Bool(loss) {
-				m.stats.FramesLost++
-				continue
-			}
-			m.deliverTo(rx, f, ch, d)
-		}
+		m.fanOut(src, ch, f, m.params.curve(rate, m.noise[ch]))
 		if status != nil {
 			// Broadcasts are unacknowledged: the sender only knows the
 			// frame has been on air, collided or not.
@@ -758,14 +823,7 @@ func (m *Medium) deliver(j *txJob) bool {
 		return false
 	}
 
-	// Unicast: locate the addressed radio on this channel.
-	var target *Radio
-	for _, rx := range m.byChannel[ch] {
-		if rx.mac == f.Addr1 && !rx.closed && !rx.switching && !rx.down {
-			target = rx
-			break
-		}
-	}
+	target := m.target(ch, f.Addr1)
 	ok := false
 	if target != nil && !j.collided {
 		d := target.Position().Distance(src.Position())
@@ -798,6 +856,106 @@ func (m *Medium) deliver(j *txJob) bool {
 		status(false)
 	}
 	return false
+}
+
+// fanOut hands one broadcast from src to every other receiver on ch, in
+// list order. Receivers at one point share one distance and one loss: the
+// memo holds the previous point met (loss < 0: not yet evaluated for it).
+// A run (see buildRuns) is met once, at its first member, and counted
+// whole where each member would take no draw and get no call; otherwise
+// its members are visited like any other radio. A receiver's call may
+// change the list or a radio's state; the loop then goes on radio by radio
+// through the slice it began with, reading each entry as it is now, and
+// meets no further run.
+func (m *Medium) fanOut(src *Radio, ch dot11.Channel, f *dot11.Frame, curve lossCurve) {
+	srcPos := src.Position()
+	if m.stale[ch] {
+		m.buildRuns(ch)
+	}
+	list, runs := m.byChannel[ch], m.runs[ch]
+	next := len(list) // where the next run starts
+	if len(runs) > 0 {
+		next = int(runs[0].start)
+	}
+	var last geo.Point
+	d, loss := -1.0, -1.0
+	for i := 0; i < len(list); i++ {
+		if i == next {
+			r := &runs[0]
+			runs = runs[1:]
+			next = len(list)
+			if m.stale[ch] {
+				runs = nil // a call changed the channel: no run is current
+			} else {
+				if len(runs) > 0 {
+					next = int(runs[0].start)
+				}
+				if d < 0 || r.at != last {
+					last, d, loss = r.at, r.at.Distance(srcPos), -1
+				}
+				if d > m.params.Range {
+					i = int(r.end) - 1
+					continue
+				}
+				if loss < 0 {
+					loss = curve.at(d)
+				}
+				if loss >= 1 || loss <= 0 && r.accepts&(1<<f.Type) == 0 {
+					n := uint64(r.end - r.start)
+					if src.runID == r.id {
+						n-- // the sender does not hear itself
+					}
+					if loss >= 1 {
+						m.stats.FramesLost += n
+					} else {
+						m.stats.FramesDelivered += n
+					}
+					i = int(r.end) - 1
+					continue
+				}
+			}
+		}
+		rx := list[i]
+		if rx == src || !rx.receives() {
+			continue
+		}
+		if pos := rx.Position(); d < 0 || pos != last {
+			last, d, loss = pos, pos.Distance(srcPos), -1
+		}
+		if d > m.params.Range {
+			continue
+		}
+		if loss < 0 {
+			loss = curve.at(d)
+		}
+		if m.rng.Bool(loss) {
+			m.stats.FramesLost++
+			continue
+		}
+		m.deliverTo(rx, f, ch, d)
+	}
+}
+
+// target returns the radio a unicast frame to addr on ch reaches: the
+// first radio in ch's list with that address that is not closed, switching
+// or down, or nil. byMAC answers for an address that one open radio has:
+// an open radio that is up and not switching is on its channel's list.
+func (m *Medium) target(ch dot11.Channel, addr dot11.MACAddr) *Radio {
+	r, ok := m.byMAC[macKey(addr)]
+	if r != nil {
+		if r.channel == ch && !r.switching && !r.down {
+			return r
+		}
+		return nil
+	}
+	if ok {
+		for _, rx := range m.byChannel[ch] {
+			if rx.mac == addr && !rx.closed && !rx.switching && !rx.down {
+				return rx
+			}
+		}
+	}
+	return nil
 }
 
 // deliverTo counts a reception and calls rx's receiver if it handles the
