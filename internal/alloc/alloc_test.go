@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"spider/internal/dot11"
-	"spider/internal/phy"
 	"spider/internal/sim"
 )
 
@@ -21,7 +20,7 @@ func (f *fakeSense) airtimeFn(ch dot11.Channel) sim.Time { return f.airtime[ch] 
 func (f *fakeSense) contFn(ch dot11.Channel) int         { return f.cont[ch] }
 
 func newTestPolicy(id int) (*Policy, *fakeSense) {
-	p := NewPolicy(id, phy.Defaults())
+	p := NewPolicy(id)
 	return p, &fakeSense{}
 }
 
@@ -75,7 +74,7 @@ func TestPreferenceSpreadFansClientsOut(t *testing.T) {
 	prefersA := 0
 	const n = 64
 	for id := 0; id < n; id++ {
-		p := NewPolicy(id, phy.Defaults())
+		p := NewPolicy(id)
 		a, b := p.Score(apA, dot11.Channel1, -60), p.Score(apB, dot11.Channel1, -60)
 		if a == b {
 			t.Fatalf("client %d scores tied: spread inactive", id)
@@ -83,7 +82,7 @@ func TestPreferenceSpreadFansClientsOut(t *testing.T) {
 		if a > b {
 			prefersA++
 		}
-		p2 := NewPolicy(id, phy.Defaults())
+		p2 := NewPolicy(id)
 		if p2.Score(apA, dot11.Channel1, -60) != a {
 			t.Fatalf("client %d preference not deterministic", id)
 		}

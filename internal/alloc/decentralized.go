@@ -17,7 +17,6 @@ const numChannels = 15
 // signals a real station's firmware reports.
 type Policy struct {
 	clientID int
-	phy      phy.Params
 
 	// Per-channel occupancy inference: the last cumulative airtime sample
 	// and its timestamp, folded into EWMAs of the busy fraction and the
@@ -29,10 +28,9 @@ type Policy struct {
 	sampled     bool
 }
 
-// NewPolicy creates one client's decentralized policy. params is the
-// medium's effective PHY parameter set (for the rate-vs-distance model).
-func NewPolicy(clientID int, params phy.Params) *Policy {
-	return &Policy{clientID: clientID, phy: params}
+// NewPolicy creates one client's decentralized policy.
+func NewPolicy(clientID int) *Policy {
+	return &Policy{clientID: clientID}
 }
 
 // MaxLinks returns the concurrent-link cap the policy imposes.
@@ -79,7 +77,7 @@ func (p *Policy) Load(ch dot11.Channel) float64 {
 // by inverting the log-distance model and applying the shared
 // rate-vs-distance curve.
 func (p *Policy) EstRateBps(rssi float64) float64 {
-	return p.phy.ExpectedThroughput(phy.DistanceForRSSI(rssi))
+	return phy.ExpectedThroughput(phy.DistanceForRSSI(rssi))
 }
 
 // Score ranks a candidate AP for association: estimated rate over inferred

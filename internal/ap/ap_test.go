@@ -43,9 +43,7 @@ type world struct {
 func newWorld(t *testing.T, open bool) *world {
 	t.Helper()
 	eng := sim.NewEngine()
-	params := phy.Defaults()
-	params.Loss = func(float64) float64 { return 0 }
-	w := &world{eng: eng, medium: phy.NewMedium(eng, sim.NewRNG(1).Stream("phy"), params)}
+	w := &world{eng: eng, medium: phy.NewMedium(eng, sim.NewRNG(1).Stream("phy"))}
 	cfg := DefaultConfig("testnet", dot11.Channel6, gw)
 	cfg.Open = open
 	cfg.MgmtDelayMin, cfg.MgmtDelayMax = time.Millisecond, 2*time.Millisecond
@@ -416,9 +414,7 @@ func TestCloseSilences(t *testing.T) {
 
 func TestCaptivePortalBlocksWAN(t *testing.T) {
 	eng := sim.NewEngine()
-	params := phy.Defaults()
-	params.Loss = func(float64) float64 { return 0 }
-	medium := phy.NewMedium(eng, sim.NewRNG(1).Stream("phy"), params)
+	medium := phy.NewMedium(eng, sim.NewRNG(1).Stream("phy"))
 	cfg := DefaultConfig("captive", dot11.Channel6, gw)
 	cfg.BlockWAN = true
 	cfg.MgmtDelayMin, cfg.MgmtDelayMax = time.Millisecond, 2*time.Millisecond

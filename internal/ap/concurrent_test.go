@@ -17,9 +17,7 @@ import (
 func newWorldPool(t *testing.T, poolSize int) *world {
 	t.Helper()
 	eng := sim.NewEngine()
-	params := phy.Defaults()
-	params.Loss = func(float64) float64 { return 0 }
-	w := &world{eng: eng, medium: phy.NewMedium(eng, sim.NewRNG(1).Stream("phy"), params)}
+	w := &world{eng: eng, medium: phy.NewMedium(eng, sim.NewRNG(1).Stream("phy"))}
 	cfg := DefaultConfig("testnet", dot11.Channel6, gw)
 	cfg.Open = true
 	cfg.MgmtDelayMin, cfg.MgmtDelayMax = time.Millisecond, 2*time.Millisecond

@@ -162,9 +162,7 @@ func TestNilWriterPanics(t *testing.T) {
 // to valid dot11 frames.
 func TestMediumTapCapturesFrames(t *testing.T) {
 	eng := sim.NewEngine()
-	params := phy.Defaults()
-	params.Loss = func(float64) float64 { return 0 }
-	medium := phy.NewMedium(eng, sim.NewRNG(1), params)
+	medium := phy.NewMedium(eng, sim.NewRNG(1))
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	medium.SetTap(func(_ dot11.Channel, wire []byte, at sim.Time) {

@@ -10,6 +10,7 @@ import (
 	"spider/internal/ipnet"
 	"spider/internal/obs"
 	"spider/internal/opt"
+	"spider/internal/phy"
 )
 
 // allocController drives the fairness allocator over a live scenario. One
@@ -107,7 +108,6 @@ func (a *allocController) oracleEpoch() {
 	}
 	a.prob.Initial = a.prob.Initial[:len(clients)]
 
-	params := s.medium.Params()
 	for ci, c := range clients {
 		row := a.prob.RateBps[ci]
 		if cap(row) < len(aps) {
@@ -121,7 +121,7 @@ func (a *allocController) oracleEpoch() {
 				s.apList[i].Crashed():
 				row[i] = 0
 			default:
-				row[i] = params.ExpectedThroughput(pos.Distance(site.Pos))
+				row[i] = phy.ExpectedThroughput(pos.Distance(site.Pos))
 			}
 		}
 		a.prob.RateBps[ci] = row

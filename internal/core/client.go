@@ -152,7 +152,7 @@ func (c *Client) build(rng *sim.RNG) {
 	lcfg := cfg.lmmConfig()
 	lcfg.Events = c.events
 	if s.cfg.Alloc == alloc.Decentralized {
-		c.allocPol = alloc.NewPolicy(c.id, s.medium.Params())
+		c.allocPol = alloc.NewPolicy(c.id)
 		lcfg.Alloc = c.allocPol
 	}
 	c.manager = lmm.New(eng, rng.Stream("lmm"), c.drv, lcfg)

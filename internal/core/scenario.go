@@ -372,7 +372,7 @@ func (s *Scenario) buildWorld() {
 	s.rng = sim.NewRNG(cfg.Seed)
 	s.flows = make(map[ipnet.Addr]*flow)
 
-	s.medium = phy.NewMedium(s.eng, s.rng.Stream("phy"), cfg.Phy)
+	s.medium = phy.NewMedium(s.eng, s.rng.Stream("phy"))
 	if cfg.PCAP != nil {
 		pw := capture.NewWriter(cfg.PCAP)
 		s.medium.SetTap(func(_ dot11.Channel, wire []byte, at sim.Time) {

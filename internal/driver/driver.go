@@ -205,7 +205,7 @@ func (d *Driver) ChannelContenders(ch dot11.Channel) int { return d.radio.Channe
 
 // SwitchTime returns the total time spent in hardware resets.
 func (d *Driver) SwitchTime() sim.Time {
-	return sim.Time(d.stats.Switches) * d.radio.SwitchLatency()
+	return sim.Time(d.stats.Switches) * phy.SwitchLatency
 }
 
 // VIFs returns the virtual interfaces.

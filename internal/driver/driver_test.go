@@ -42,9 +42,7 @@ type rig struct {
 func newRig(t *testing.T, cfg Config) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
-	params := phy.Defaults()
-	params.Loss = func(float64) float64 { return 0 }
-	r := &rig{eng: eng, medium: phy.NewMedium(eng, sim.NewRNG(11).Stream("phy"), params)}
+	r := &rig{eng: eng, medium: phy.NewMedium(eng, sim.NewRNG(11).Stream("phy"))}
 	r.drv = New(eng, sim.NewRNG(12), r.medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, 0, cfg)
 	return r
 }
@@ -395,9 +393,10 @@ func TestFractionalScheduleDegradesJoin(t *testing.T) {
 	// mean completion times.
 	mean := func(frac float64, seed int64) sim.Time {
 		eng := sim.NewEngine()
-		params := phy.Defaults()
-		params.Loss = func(float64) float64 { return 0.1 }
-		medium := phy.NewMedium(eng, sim.NewRNG(seed).Stream("phy"), params)
+		medium := phy.NewMedium(eng, sim.NewRNG(seed).Stream("phy"))
+		for ch := dot11.Channel(1); ch <= 14; ch++ {
+			medium.SetChannelNoise(ch, 0.1)
+		}
 		drv := New(eng, sim.NewRNG(seed+1), medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, 0, Config{})
 		gw := ipnet.AddrFrom4(10, 1, 0, 1)
 		apCfg := ap.DefaultConfig("net", dot11.Channel6, gw)

@@ -95,13 +95,13 @@ func TestPinnedPopulationLadder(t *testing.T) {
 		telemetry bool
 		want      string
 	}{
-		{1, PopulationScenario, false, "3c3ef3cf7899aa8b161fe311c03bcd7d26d17d5e094e4f674b996bfbbc8ee99b"},
-		{8, PopulationScenario, false, "f67eff4c8c6a2e0a739d016d93fd5477abda065ff9f35429d926aa1dd1e4b73a"},
-		{32, PopulationIPAMScenario, false, "c57d512485f656066926b4d8b5e789300021a43eee4f4bdda20f52270116b5ed"},
-		{64, PopulationScenario, false, "d24b0b91d20992118b9bb1a054567eefb40d59a78cdf21559e48b366a84f78e1"},
-		{256, PopulationDenseScenario, false, "759404670a0bbd43ca4cbadbe2ed1c2ffc62d8acacc248601adabbc895e5684b"},
-		{512, PopulationDenseScenario, true, "07f05b3813736f66fcd4aabe1beb768656be2abb292b91f53558db6afae57682"},
-		{1024, PopulationDenseScenario, false, "676b2f11ec322f99a56e9901f8fcc1a44bfad701fb037cdbdd7f89ac43fb3bdf"},
+		{1, PopulationScenario, false, "3a082011f13ed40d9b4bbf6ae7fa5e08190473f2db56b3543123418681cac9ad"},
+		{8, PopulationScenario, false, "f9041649594567ff232d2e301bb3b06863126cba20faf5820d150fe6ababda99"},
+		{32, PopulationIPAMScenario, false, "c5e7f6645e9705f4958a872c264ca4518bea8ba5df800a0d9a339f3a84d12c33"},
+		{64, PopulationScenario, false, "89b04d1777c70893ed295e9435ae0b530e60cb68aebf2abe6eb81b596ba73fb6"},
+		{256, PopulationDenseScenario, false, "cbebfc4a5c75ff9157a18e6c288f3bce620b8569e84474955e621b23e8db0814"},
+		{512, PopulationDenseScenario, true, "521b6faf20528cf4eca088b4371998c122d33f6e6c9a538f05e6b9b18784562d"},
+		{1024, PopulationDenseScenario, false, "ef9a952945063139c35e0d01329b6fa34beedb7013ec82fc099a4b2c933aba0e"},
 	} {
 		world, clients := tc.scenario(Options{Seed: 1, Scale: 0.05}, tc.clients)
 		if tc.telemetry {

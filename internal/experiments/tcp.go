@@ -167,16 +167,16 @@ func Table1(o Options) Table {
 func measureSwitchLatency(seed int64, k, trials int) []float64 {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(seed)
-	params := phy.Defaults()
-	params.Loss = func(float64) float64 { return 0 }
-	medium := phy.NewMedium(eng, rng.Stream("phy"), params)
-	client := medium.NewRadio(dot11.MAC(1), func() geo.Point { return geo.Point{} }, 0)
-	// k peer APs on each side of the switch.
+	medium := phy.NewMedium(eng, rng.Stream("phy"))
+	here := func() geo.Point { return geo.Point{} }
+	client := medium.NewRadio(dot11.MAC(1), here, 0)
+	// k peer APs on each side of the switch, at the client's point, where
+	// no frame is lost.
 	for i := 0; i < k; i++ {
-		old := medium.NewRadio(dot11.MAC(uint32(100+i)), func() geo.Point { return geo.Point{X: 5} }, 0)
+		old := medium.NewRadio(dot11.MAC(uint32(100+i)), here, 0)
 		old.SetChannel(dot11.Channel1, nil)
 		old.SetReceiver(func(*dot11.Frame, phy.RxInfo) {})
-		new := medium.NewRadio(dot11.MAC(uint32(200+i)), func() geo.Point { return geo.Point{X: 5} }, 0)
+		new := medium.NewRadio(dot11.MAC(uint32(200+i)), here, 0)
 		new.SetChannel(dot11.Channel11, nil)
 		new.SetReceiver(func(*dot11.Frame, phy.RxInfo) {})
 	}

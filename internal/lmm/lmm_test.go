@@ -45,9 +45,10 @@ type rig struct {
 func newRig(t *testing.T, cfg Config) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
-	params := phy.Defaults()
-	params.Loss = func(float64) float64 { return 0.05 }
-	r := &rig{eng: eng, medium: phy.NewMedium(eng, sim.NewRNG(21).Stream("phy"), params)}
+	r := &rig{eng: eng, medium: phy.NewMedium(eng, sim.NewRNG(21).Stream("phy"))}
+	for ch := dot11.Channel(1); ch <= 14; ch++ {
+		r.medium.SetChannelNoise(ch, 0.05)
+	}
 	dcfg := driver.Config{NumVIFs: 4, LLTimeout: 100 * time.Millisecond}
 	r.drv = driver.New(eng, sim.NewRNG(22), r.medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, 0, dcfg)
 	r.m = New(eng, sim.NewRNG(23), r.drv, cfg)
@@ -300,9 +301,10 @@ func TestCaptivePortalDetectedByE2ETest(t *testing.T) {
 	// WAN blocked) must fail the connectivity test and score vb, not come
 	// up as a link.
 	eng := sim.NewEngine()
-	params := phy.Defaults()
-	params.Loss = func(float64) float64 { return 0.05 }
-	medium := phy.NewMedium(eng, sim.NewRNG(21).Stream("phy"), params)
+	medium := phy.NewMedium(eng, sim.NewRNG(21).Stream("phy"))
+	for ch := dot11.Channel(1); ch <= 14; ch++ {
+		medium.SetChannelNoise(ch, 0.05)
+	}
 	dcfg := driver.Config{NumVIFs: 2, LLTimeout: 100 * time.Millisecond}
 	drv := driver.New(eng, sim.NewRNG(22), medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, 0, dcfg)
 	remote := ipnet.AddrFrom4(198, 18, 0, 1)
@@ -336,9 +338,7 @@ func TestRSSIOnlySelectionIgnoresUtility(t *testing.T) {
 	// one. Utility ranking picks the good one; RSSI-only picks the near one.
 	pick := func(rssiOnly bool) dot11.MACAddr {
 		eng := sim.NewEngine()
-		params := phy.Defaults()
-		params.Loss = func(float64) float64 { return 0 }
-		medium := phy.NewMedium(eng, sim.NewRNG(5).Stream("phy"), params)
+		medium := phy.NewMedium(eng, sim.NewRNG(5).Stream("phy"))
 		dcfg := driver.Config{NumVIFs: 1, LLTimeout: 100 * time.Millisecond}
 		drv := driver.New(eng, sim.NewRNG(6), medium, dot11.MAC(1), func() geo.Point { return geo.Point{} }, 0, dcfg)
 		cfg := Config{Schedule: ch1Sched(), SingleAP: true, SelectByRSSIOnly: rssiOnly}

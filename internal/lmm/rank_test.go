@@ -7,7 +7,6 @@ import (
 	"spider/internal/alloc"
 	"spider/internal/dot11"
 	"spider/internal/driver"
-	"spider/internal/phy"
 )
 
 // The candidate ranking must be a strict total order over scan entries:
@@ -106,7 +105,7 @@ func TestRankBeforeStrictTotalOrderAlloc(t *testing.T) {
 	// The preference spread makes scores differ per BSSID; the order
 	// properties must hold all the same.
 	cfg := DefaultConfig()
-	cfg.Alloc = alloc.NewPolicy(7, phy.Defaults())
+	cfg.Alloc = alloc.NewPolicy(7)
 	r := newRig(t, cfg)
 	checkStrictTotalOrder(t, rankEntries(), r.m.rankBefore)
 	checkPermutationInvariant(t, rankEntries(), r.m.rankBefore)

@@ -8,7 +8,6 @@ import (
 	"spider/internal/dhcp"
 	"spider/internal/dot11"
 	"spider/internal/driver"
-	"spider/internal/phy"
 	"spider/internal/sim"
 )
 
@@ -211,7 +210,7 @@ func TestReselectWakesOnSetAllocTarget(t *testing.T) {
 // TestReselectNeverSleepsUnderAllocPolicy: the policy observes channel
 // load on every pass, so no pass is a no-op.
 func TestReselectNeverSleepsUnderAllocPolicy(t *testing.T) {
-	r := newRig(t, Config{Schedule: ch1Sched(), Alloc: alloc.NewPolicy(0, phy.Defaults())})
+	r := newRig(t, Config{Schedule: ch1Sched(), Alloc: alloc.NewPolicy(0)})
 	for i := 0; i < 5; i++ {
 		if w := r.wakeAfterNextTick(); w != 0 {
 			t.Fatalf("module with an alloc policy slept until %v", w)

@@ -9,17 +9,17 @@ import (
 	"spider/internal/sim"
 )
 
-// certainCollisions returns lossless params whose collision model fires on
-// every contended attempt, making contention outcomes exact.
-func certainCollisions() Params {
-	p := lossless()
-	p.CollisionProb = 1
-	return p
+// certainCollisions returns a medium whose collision model fires on every
+// contended attempt, making contention outcomes exact.
+func certainCollisions(eng *sim.Engine) *Medium {
+	m := NewMedium(eng, sim.NewRNG(1))
+	m.collisionProb = 1
+	return m
 }
 
 func TestNoCollisionsWithoutContention(t *testing.T) {
 	eng := sim.NewEngine()
-	m := NewMedium(eng, sim.NewRNG(1), certainCollisions())
+	m := certainCollisions(eng)
 	tx := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
 	rx := m.NewRadio(dot11.MAC(2), fixedPos(10, 0), 0)
 	got := 0
@@ -41,7 +41,7 @@ func TestNoCollisionsWithoutContention(t *testing.T) {
 
 func TestContendingBroadcastsCollide(t *testing.T) {
 	eng := sim.NewEngine()
-	m := NewMedium(eng, sim.NewRNG(1), certainCollisions())
+	m := certainCollisions(eng)
 	a := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
 	b := m.NewRadio(dot11.MAC(2), fixedPos(5, 0), 0)
 	rx := m.NewRadio(dot11.MAC(3), fixedPos(10, 0), 0)
@@ -65,7 +65,7 @@ func TestContendingBroadcastsCollide(t *testing.T) {
 
 func TestCollidedUnicastRetriesAndRecovers(t *testing.T) {
 	eng := sim.NewEngine()
-	m := NewMedium(eng, sim.NewRNG(1), certainCollisions())
+	m := certainCollisions(eng)
 	a := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
 	b := m.NewRadio(dot11.MAC(2), fixedPos(5, 0), 0)
 	rx := m.NewRadio(dot11.MAC(3), fixedPos(10, 0), 0)
@@ -93,36 +93,13 @@ func TestCollidedUnicastRetriesAndRecovers(t *testing.T) {
 	}
 }
 
-func TestNegativeCollisionProbDisablesCollisions(t *testing.T) {
-	eng := sim.NewEngine()
-	p := lossless()
-	p.CollisionProb = -1
-	m := NewMedium(eng, sim.NewRNG(1), p)
-	a := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
-	b := m.NewRadio(dot11.MAC(2), fixedPos(5, 0), 0)
-	rx := m.NewRadio(dot11.MAC(3), fixedPos(10, 0), 0)
-	got := 0
-	rx.SetReceiver(func(*dot11.Frame, RxInfo) { got++ })
-
-	a.Send(dot11.Frame{Type: dot11.TypeBeacon, Addr1: dot11.Broadcast, Addr3: dot11.MAC(1)}, nil)
-	b.Send(dot11.Frame{Type: dot11.TypeBeacon, Addr1: dot11.Broadcast, Addr3: dot11.MAC(2)}, nil)
-	eng.RunAll()
-	if s := m.Stats(); s.Collisions != 0 {
-		t.Fatalf("collisions = %d with the model disabled", s.Collisions)
-	}
-	if got != 2 {
-		t.Fatalf("delivered %d of 2 frames", got)
-	}
-}
-
 // TestContentionDeterminism: the collision draw happens at commit time, so
 // identical event sequences must yield identical medium statistics.
 func TestContentionDeterminism(t *testing.T) {
 	run := func() string {
 		eng := sim.NewEngine()
-		p := lossless()
-		p.CollisionProb = 0.5
-		m := NewMedium(eng, sim.NewRNG(7), p)
+		m := NewMedium(eng, sim.NewRNG(7))
+		m.collisionProb = 0.5
 		radios := make([]*Radio, 4)
 		for i := range radios {
 			radios[i] = m.NewRadio(dot11.MAC(uint32(1+i)), fixedPos(float64(i)*5, 0), 0)
@@ -146,10 +123,9 @@ func TestContentionDeterminism(t *testing.T) {
 // 1-(1-p)^k, for k = 1..2048 and several per-contender probabilities.
 func TestCollisionLawTable(t *testing.T) {
 	const maxK = 2048
-	for _, p := range []float64{Defaults().CollisionProb, 0.5, 1, 1e-9, 0.999} {
-		params := lossless()
-		params.CollisionProb = p
-		m := NewMedium(sim.NewEngine(), sim.NewRNG(1), params)
+	for _, p := range []float64{collisionProb, 0.5, 1, 1e-9, 0.999} {
+		m := NewMedium(sim.NewEngine(), sim.NewRNG(1))
+		m.collisionProb = p
 		for _, k := range sim.NewRNG(int64(p * 1e9)).Perm(maxK) {
 			k++
 			want := 1 - math.Pow(1-p, float64(k))

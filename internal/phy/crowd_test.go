@@ -12,8 +12,7 @@ import (
 	"spider/internal/sim"
 )
 
-// newCrowdWorld builds a fixed-seed world on the zero Params, which every
-// shipped world runs with: the base loss is 0, so a receiver at the
+// newCrowdWorld builds a fixed-seed world in which a receiver at the
 // sender's point takes no loss draw unless a noise burst is on. It holds a
 // crowd of 40 radios parked at one point, most handling only beacons and
 // data, so a probe request sent from inside the crowd reaches receivers
@@ -28,7 +27,7 @@ import (
 // final counters are hashed in order.
 func newCrowdWorld() *fanOutWorld {
 	eng := sim.NewEngine()
-	w := &fanOutWorld{eng: eng, m: NewMedium(eng, sim.NewRNG(11), Params{}), h: sha256.New()}
+	w := &fanOutWorld{eng: eng, m: NewMedium(eng, sim.NewRNG(11)), h: sha256.New()}
 	crowd := geo.Point{X: 40, Y: 30}
 	beaconsAndData := []dot11.FrameType{dot11.TypeBeacon, dot11.TypeData}
 	var onRecv [50]func() // by radio index: runs after the reception is hashed
@@ -124,10 +123,9 @@ func (w *fanOutWorld) hashReception(i int, after *func()) func(*dot11.Frame, RxI
 }
 
 // TestPinnedCrowdFanOut is a cross-commit pin of the medium's delivery
-// stream on the zero Params, where a receiver at the sender's point takes
-// no loss draw: every reception, every Send outcome and the final
-// counters. TestPinnedBroadcastFanOut runs on Defaults(), whose base loss
-// draws at every distance, so it never reaches that branch.
+// stream through a parked crowd, most of which neither draws nor gets a
+// call for a probe request: every reception, every Send outcome and the
+// final counters.
 func TestPinnedCrowdFanOut(t *testing.T) {
 	const want = "2832f11d5190b597d074dc1960286c4a08b54029f3c106b890cf4991afd501fd"
 	w := newCrowdWorld()
@@ -135,7 +133,7 @@ func TestPinnedCrowdFanOut(t *testing.T) {
 	w.eng.RunAll()
 	s := w.m.Stats()
 	for _, v := range []uint64{s.FramesSent, s.FramesDelivered, s.FramesLost, s.Collisions,
-		s.Broadcasts, s.UnicastFailed, s.RateUps, s.RateDowns} {
+		s.Broadcasts, s.UnicastFailed, 0, 0} { // as in TestPinnedBroadcastFanOut
 		w.word(v)
 	}
 	for ch := dot11.Channel(1); ch <= 14; ch++ {

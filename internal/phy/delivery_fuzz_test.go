@@ -15,7 +15,7 @@ import (
 // a unicast's target is found by scanning the channel's list. FuzzDelivery
 // runs each input on a medium that uses it and on one that does not.
 func refDeliver(m *Medium, j *txJob) bool {
-	src, ch, f, rate, status := j.src, j.ch, &j.f, j.rate, j.status
+	src, ch, f, status := j.src, j.ch, &j.f, j.status
 	if m.tap != nil {
 		m.tapWire = f.AppendTo(m.tapWire[:0])
 		m.tap(ch, m.tapWire, m.eng.Now())
@@ -35,7 +35,7 @@ func refDeliver(m *Medium, j *txJob) bool {
 			}
 			return false
 		}
-		srcPos, curve := src.Position(), m.params.curve(rate, m.noise[ch])
+		srcPos, noise := src.Position(), m.noise[ch]
 		var last geo.Point
 		d, loss := -1.0, -1.0
 		for _, rx := range m.byChannel[ch] {
@@ -45,11 +45,11 @@ func refDeliver(m *Medium, j *txJob) bool {
 			if pos := rx.Position(); d < 0 || pos != last {
 				last, d, loss = pos, pos.Distance(srcPos), -1
 			}
-			if d > m.params.Range {
+			if d > txRange {
 				continue
 			}
 			if loss < 0 {
-				loss = curve.at(d)
+				loss = lossAt(d, noise)
 			}
 			if m.rng.Bool(loss) {
 				m.stats.FramesLost++
@@ -73,15 +73,14 @@ func refDeliver(m *Medium, j *txJob) bool {
 	ok := false
 	if target != nil && !j.collided {
 		d := target.Position().Distance(src.Position())
-		if d <= m.params.Range {
-			p := 1 - m.params.curve(rate, m.noise[ch]).at(d)
+		if d <= txRange {
+			p := 1 - lossAt(d, m.noise[ch])
 			ok = m.rng.Bool(p * p)
 			if ok && target.recv != nil {
 				m.deliverTo(target, f, ch, d)
 			}
 		}
 	}
-	src.arfReport(f.Addr1, ok)
 	if ok {
 		if status != nil {
 			status(true)
@@ -89,7 +88,7 @@ func refDeliver(m *Medium, j *txJob) bool {
 		return false
 	}
 	m.stats.FramesLost++
-	if j.attempt < m.params.RetryLimit && !src.closed && !src.switching && !src.down && src.channel == ch {
+	if j.attempt < retryLimit && !src.closed && !src.switching && !src.down && src.channel == ch {
 		f.Retry = true
 		j.attempt++
 		m.transmit(j)
@@ -146,9 +145,9 @@ type deliveryRig struct {
 // runs it to quiescence. With ref set the medium delivers through
 // refDeliver.
 //
-// Layout: in[0] picks the Params (bits 0-1: zero, BaseLoss 0.25, a step
-// loss curve of 0, 1 and 0.4, or Defaults; bit 2 turns collisions off),
-// in[1] the radio count. Each radio takes four bytes: place and motion
+// Layout: in[0] picks the physics (bits 0-1: a noise floor of 0, 0.25, 1
+// or 0.1 on channels 1 and 6; bit 2 turns collisions off) and seeds the
+// medium's stream, in[1] the radio count. Each radio takes four bytes: place and motion
 // (bits 0-1 a point; bits 2-3 still from 0, still from 500 ms, parks at the
 // point, or passes through it; bits 4-7 when it parks or passes), flags
 // (bit 0 tuned to channel 6, bit 1 shares the previous radio's MAC, bit 2
@@ -161,28 +160,14 @@ func newDeliveryRig(in []byte, ref bool) *deliveryRig {
 		}
 		return 0
 	}
-	var p Params
-	switch byteAt(0) & 3 {
-	case 1:
-		p.BaseLoss = 0.25
-	case 2:
-		p.Loss = func(d float64) float64 {
-			switch {
-			case d < 25:
-				return 0
-			case d < 75:
-				return 1
-			}
-			return 0.4
-		}
-	case 3:
-		p = Defaults()
-	}
-	if byteAt(0)&4 != 0 {
-		p.CollisionProb = -1
-	}
 	eng := sim.NewEngine()
-	w := &deliveryRig{eng: eng, m: NewMedium(eng, sim.NewRNG(int64(byteAt(0))+1), p)}
+	w := &deliveryRig{eng: eng, m: NewMedium(eng, sim.NewRNG(int64(byteAt(0))+1))}
+	floor := [4]float64{0, 0.25, 1, 0.1}[byteAt(0)&3]
+	w.m.SetChannelNoise(dot11.Channel1, floor)
+	w.m.SetChannelNoise(dot11.Channel6, floor)
+	if byteAt(0)&4 != 0 {
+		w.m.collisionProb = 0
+	}
 	if ref {
 		w.m.deliverJob = refDeliver
 	}
@@ -325,7 +310,7 @@ func (w *deliveryRig) step(op, a, b byte) {
 		w.send(k, dot11.Frame{Type: dot11.TypeData, Addr1: dot11.MAC(1 << 20)})
 	case 3:
 		w.change(b%8, k, a)
-	case 4: // a noise burst: 0, 0.5 or 1 on channel 1 or 6
+	case 4: // a noise burst: 0, 0.5 or 1 on channel 1 or 6, in place of its floor
 		ch := dot11.Channel1
 		if a&1 != 0 {
 			ch = dot11.Channel6

@@ -49,7 +49,7 @@ func (w *fanOutWorld) mac(m dot11.MACAddr) { w.h.Write(m[:]) }
 // radio's receiver handles only those frame types.
 func newFanOutWorld(types ...dot11.FrameType) *fanOutWorld {
 	eng := sim.NewEngine()
-	w := &fanOutWorld{eng: eng, m: NewMedium(eng, sim.NewRNG(7), Defaults()), h: sha256.New()}
+	w := &fanOutWorld{eng: eng, m: NewMedium(eng, sim.NewRNG(7)), h: sha256.New()}
 	still := func(x, y float64) (func() geo.Point, sim.Time) { return fixedPos(x, y), 0 }
 	// drive moves from (x0, y0) at vx m/s along x and, when park > 0,
 	// stops for good at the point it reaches at park.
@@ -163,13 +163,15 @@ func (w *fanOutWorld) traffic(until sim.Time) {
 // moves one loss draw, skips one receiver or reorders two changes the
 // digest.
 func TestPinnedBroadcastFanOut(t *testing.T) {
-	const want = "7c5d781e79aca9afc84852f2286d3de719358f86de66e742f56b2cdcaa9744c8"
+	const want = "0577155d3ea562b50c6c34ff3fada0132b6868be46d0aa6081797945356b81d6"
 	w := newFanOutWorld()
 	w.traffic(12 * time.Second)
 	w.eng.RunAll()
 	s := w.m.Stats()
+	// The two zero words stand where two rate-adaptation counters were
+	// hashed, so the digest carries over from the commits that had them.
 	for _, v := range []uint64{s.FramesSent, s.FramesDelivered, s.FramesLost, s.Collisions,
-		s.Broadcasts, s.UnicastFailed, s.RateUps, s.RateDowns} {
+		s.Broadcasts, s.UnicastFailed, 0, 0} {
 		w.word(v)
 	}
 	for ch := dot11.Channel(1); ch <= 14; ch++ {
@@ -227,7 +229,7 @@ func TestTypedReceiverKeepsDrawsAndCounts(t *testing.T) {
 // radio whose still time is sim.Infinity is never frozen.
 func TestStillRadioReadsPositionOnce(t *testing.T) {
 	eng := sim.NewEngine()
-	m := NewMedium(eng, sim.NewRNG(1), lossless())
+	m := NewMedium(eng, sim.NewRNG(1))
 	reads := 0
 	counting := func() geo.Point { reads++; return geo.Point{X: float64(reads)} }
 	parks := m.NewRadio(dot11.MAC(1), counting, time.Second)

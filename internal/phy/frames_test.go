@@ -13,23 +13,19 @@ import (
 
 // TestLossAtMatchesPow pins lossAt's squared-square fourth power to the
 // math.Pow form it replaced, bit for bit, over a fine distance sweep that
-// includes both ends of the range, at every 802.11b rate.
+// includes both ends of the range.
 func TestLossAtMatchesPow(t *testing.T) {
-	p := Defaults().withDefaults()
-	ref := func(d, rate float64) float64 {
-		if d >= p.Range {
+	ref := func(d float64) float64 {
+		if d >= txRange {
 			return 1
 		}
-		robust := math.Sqrt(rate / p.maxRate())
-		return clamp01(p.BaseLoss + (1-p.BaseLoss)*math.Pow(d/p.Range, 4)*robust)
+		return math.Pow(d/txRange, 4)
 	}
 	const steps = 100000
-	for _, rate := range Dot11bRates {
-		for i := 0; i <= steps; i++ {
-			d := p.Range * float64(i) / steps
-			if got, want := p.lossAt(d, rate), ref(d, rate); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("lossAt(%v, %v) = %v, math.Pow form %v", d, rate, got, want)
-			}
+	for i := 0; i <= steps; i++ {
+		d := txRange * float64(i) / steps
+		if got, want := lossAt(d, 0), ref(d); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("lossAt(%v) = %v, math.Pow form %v", d, got, want)
 		}
 	}
 }
@@ -42,20 +38,20 @@ func TestLossAtMatchesPow(t *testing.T) {
 // the true distance.
 func TestDeliveryMatchesTappedWire(t *testing.T) {
 	eng := sim.NewEngine()
-	params := Defaults()
-	params.CollisionProb = 1 // any contender corrupts the attempt
+	m := NewMedium(eng, sim.NewRNG(1))
+	m.collisionProb = 1 // any contender corrupts the attempt
 	failNext := 0
-	params.Loss = func(float64) float64 {
+	var taps [][]byte
+	// The tap runs before an attempt's loss draw: a noise of 1 loses the
+	// attempt it sees.
+	m.SetTap(func(ch dot11.Channel, wire []byte, _ sim.Time) {
+		taps = append(taps, append([]byte(nil), wire...))
 		if failNext > 0 {
 			failNext--
-			return 1
+			m.SetChannelNoise(ch, 1)
+		} else {
+			m.SetChannelNoise(ch, 0)
 		}
-		return 0
-	}
-	m := NewMedium(eng, sim.NewRNG(1), params)
-	var taps [][]byte
-	m.SetTap(func(_ dot11.Channel, wire []byte, _ sim.Time) {
-		taps = append(taps, append([]byte(nil), wire...))
 	})
 	a := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
 	b := m.NewRadio(dot11.MAC(2), fixedPos(30, 0), 0)
@@ -139,7 +135,7 @@ func TestDeliveryMatchesTappedWire(t *testing.T) {
 // after delivery.
 func TestReceiverMaySendDuringDelivery(t *testing.T) {
 	eng := sim.NewEngine()
-	m := NewMedium(eng, sim.NewRNG(1), lossless())
+	m := NewMedium(eng, sim.NewRNG(1))
 	a := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
 	b := m.NewRadio(dot11.MAC(2), fixedPos(10, 0), 0)
 	c := m.NewRadio(dot11.MAC(3), fixedPos(20, 0), 0)
@@ -160,7 +156,7 @@ func TestReceiverMaySendDuringDelivery(t *testing.T) {
 // TestSendPanicsOnUnknownType: Send rejects a frame type the codec does
 // not know, so no receiver or tap ever sees one.
 func TestSendPanicsOnUnknownType(t *testing.T) {
-	m := NewMedium(sim.NewEngine(), sim.NewRNG(1), lossless())
+	m := NewMedium(sim.NewEngine(), sim.NewRNG(1))
 	r := m.NewRadio(dot11.MAC(1), fixedPos(0, 0), 0)
 	defer func() {
 		if recover() == nil {

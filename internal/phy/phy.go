@@ -1,10 +1,10 @@
 // Package phy simulates the 802.11 physical layer: radios attached to a
 // shared per-channel medium, distance-dependent frame loss, airtime
-// accounting at a configurable bit rate, MAC-level retransmission of
-// unicast frames, and the hardware-reset latency a channel switch costs.
+// accounting at 11 Mbit/s, MAC-level retransmission of unicast frames, and
+// the hardware-reset latency a channel switch costs.
 //
 // The model deliberately mirrors the factors the Spider paper isolates —
-// loss rate h, switching overhead w, channel airtime — rather than
+// frame loss, switching overhead w, channel airtime — rather than
 // symbol-level detail. Each channel is a single collision domain whose
 // transmissions serialize, which matches the paper's single-client,
 // several-AP roadside scenarios.
@@ -21,9 +21,9 @@
 // computes only what the loss draws and the counters need. A radio that
 // has stopped moving reads its position once and keeps it. A receiver at
 // the same point as the radio visited just before it reuses that radio's
-// distance and loss, and a transmission's rate and noise factors are fixed
-// before the loop. A receiver whose callback does not handle the frame's
-// type still counts as delivered or lost; only the call is skipped.
+// distance and loss, and a transmission's channel noise is fixed before the
+// loop. A receiver whose callback does not handle the frame's type still
+// counts as delivered or lost; only the call is skipped.
 //
 // Still receivers that sit next to each other in a channel's order, at one
 // point and handling the same frame types, form a run, and the loop meets
@@ -52,152 +52,49 @@ import (
 // (channels are 1..14, dot11.Channel.Valid).
 const numChannels = 15
 
-// Params configures the PHY model. NewMedium fills in some zero fields
-// from Defaults(): Range, BitRate, PerFrameOverhead, SwitchLatency,
-// RetryLimit and CollisionProb. It keeps a zero BaseLoss, so the medium
-// is lossless at zero distance, and a false RateAdaptation, so every frame
-// goes at BitRate. The zero Params is therefore not Defaults(), and it is
-// what every shipped world runs with: none of them sets WorldConfig.Phy.
-type Params struct {
-	// Range is the usable communication radius in metres (paper: 100 m).
-	Range float64
-	// BitRate is the channel bit rate in bits/s (paper: 11 Mbit/s).
-	BitRate float64
-	// BaseLoss is the frame loss probability at zero distance (paper h≈0.10).
-	BaseLoss float64
-	// PerFrameOverhead is the PHY preamble + IFS + ACK time charged per
+// The PHY's constants: the paper's testbed figures, and the values every
+// world runs with.
+const (
+	// txRange is the usable communication radius in metres (paper: 100 m).
+	txRange = 100
+	// bitRate is the channel bit rate in bits/s (paper: 11 Mbit/s); every
+	// frame goes at it.
+	bitRate = 11e6
+	// perFrameOverhead is the PHY preamble + IFS + ACK time charged per
 	// transmission attempt.
-	PerFrameOverhead sim.Time
-	// SwitchLatency is the hardware reset time for a channel change
-	// (paper Table 1: ≈5 ms).
-	SwitchLatency sim.Time
-	// RetryLimit is the number of MAC retransmissions for unicast frames.
-	RetryLimit int
-	// CollisionProb is the per-contender collision probability of the
+	perFrameOverhead sim.Time = 400 * 1000 // 400 µs
+	// retryLimit is the number of MAC retransmissions for unicast frames.
+	retryLimit = 3
+	// collisionProb is the per-contender collision probability of the
 	// multi-station contention model. When a frame is committed to the air
 	// while k other radios have frames in flight or queued on the same
 	// channel, the attempt is corrupted with probability 1-(1-p)^k —
 	// approximating simultaneous backoff expiry under CSMA/CA. Corrupted
 	// unicast attempts go through the normal MAC retry path, so contention
-	// costs airtime as well as loss. Zero selects the default; negative
-	// disables collisions entirely (capacity is still shared, because all
-	// transmissions on a channel serialize).
-	CollisionProb float64
-	// Loss optionally overrides the distance-loss curve. It receives the
-	// transmitter-receiver distance in metres and returns a per-try loss
-	// probability in [0,1] (ignoring the transmit rate). It must be a pure
-	// function of distance: receivers at one point share one evaluation,
-	// so the medium may call it fewer times than it delivers frames.
-	Loss func(distance float64) float64
-	// RateAdaptation enables per-peer ARF rate control over Rates; lower
-	// rates are more robust near the range edge but cost airtime.
-	RateAdaptation bool
-	// Rates is the data-rate table in bits/s, lowest first (default
-	// 802.11b: 1, 2, 5.5, 11 Mbit/s).
-	Rates []float64
-}
+	// costs airtime as well as loss.
+	collisionProb = 0.03
+)
 
-// Defaults returns the parameter set chosen to match the paper's testbed
-// numbers, with the paper's base loss h = 0.10 and ARF rate adaptation on.
-// Only phy's own tests run with it whole; a world that leaves Phy zero gets
-// the subset NewMedium fills in (see Params).
-func Defaults() Params {
-	return Params{
-		Range:            100,
-		BitRate:          11e6,
-		BaseLoss:         0.10,
-		PerFrameOverhead: 400 * 1000, // 400µs: preamble+DIFS+SIFS+ACK
-		SwitchLatency:    5 * 1000 * 1000,
-		RetryLimit:       3,
-		CollisionProb:    0.03,
-		RateAdaptation:   true,
-	}
-}
+// SwitchLatency is the hardware reset time for a channel change (paper
+// Table 1: ≈5 ms).
+const SwitchLatency sim.Time = 5 * 1000 * 1000
 
-func (p Params) withDefaults() Params {
-	d := Defaults()
-	if p.Range <= 0 {
-		p.Range = d.Range
-	}
-	if p.BitRate <= 0 {
-		p.BitRate = d.BitRate
-	}
-	if p.BaseLoss < 0 {
-		p.BaseLoss = 0
-	}
-	if p.PerFrameOverhead <= 0 {
-		p.PerFrameOverhead = d.PerFrameOverhead
-	}
-	if p.SwitchLatency < 0 {
-		p.SwitchLatency = 0
-	} else if p.SwitchLatency == 0 {
-		p.SwitchLatency = d.SwitchLatency
-	}
-	if p.RetryLimit <= 0 {
-		p.RetryLimit = d.RetryLimit
-	}
-	if p.CollisionProb < 0 {
-		p.CollisionProb = 0
-	} else if p.CollisionProb == 0 {
-		p.CollisionProb = d.CollisionProb
-	}
-	return p
-}
-
-// lossCurve is one transmission's per-try loss as a function of distance
-// alone: the rate's robustness and the channel's noise burst are fixed for
-// the whole transmission, so they are computed once and the curve is
-// evaluated per receiver.
-type lossCurve struct {
-	p      *Params
-	robust float64 // rate factor on the distance term (1 without adaptation)
-	noise  float64 // injected extra loss, combined as an independent event
-}
-
-// curve fixes the loss curve of a frame sent at rate on a channel with the
-// given injected noise. Lower rates flatten the distance term — the
-// robustness that makes ARF fallback worthwhile at the range edge — but
-// the hard range cutoff is rate-independent.
-func (p *Params) curve(rate, noise float64) lossCurve {
-	c := lossCurve{p: p, robust: 1, noise: noise}
-	if p.RateAdaptation && rate > 0 {
-		c.robust = math.Sqrt(rate / p.maxRate())
-	}
-	return c
-}
-
-// lossAt returns the per-try loss at distance d for a frame sent at rate
-// on a quiet channel.
-func (p Params) lossAt(d, rate float64) float64 { return p.curve(rate, 0).at(d) }
-
-// at returns the per-try loss probability at distance d.
-func (c lossCurve) at(d float64) float64 {
-	p := c.p
-	var loss float64
-	switch {
-	case p.Loss != nil:
-		loss = clamp01(p.Loss(d))
-	case d >= p.Range:
-		loss = 1
-	default:
-		frac := d / p.Range
+// lossAt returns the per-try loss probability at distance d on a channel
+// with the given injected noise: the distance term (d/txRange)⁴, 1 at and
+// beyond txRange, combined with the noise as an independent loss event.
+// The paper's loss rate h applies to join messages (internal/model); the
+// medium's only loss beyond distance is the noise chaos injects.
+func lossAt(d, noise float64) float64 {
+	loss := 1.0
+	if d < txRange {
+		frac := d / txRange
 		sq := frac * frac // frac⁴ by squaring: bit-identical to math.Pow(frac, 4)
-		loss = clamp01(p.BaseLoss + (1-p.BaseLoss)*(sq*sq)*c.robust)
+		loss = sq * sq
 	}
-	if c.noise > 0 {
-		loss = 1 - (1-loss)*(1-c.noise)
+	if noise > 0 {
+		loss = 1 - (1-loss)*(1-noise)
 	}
 	return loss
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
 }
 
 // RxInfo carries reception metadata alongside a received frame.
@@ -212,15 +109,31 @@ type RxInfo struct {
 func (i RxInfo) RSSI() float64 { return -30 - 35*math.Log10(max(i.Distance, 1)) }
 
 // Stats aggregates medium-level counters for debugging and benchmarks.
+//
+// Two kinds of attempt land in neither FramesDelivered nor FramesLost: a
+// unicast try acknowledged by a target that has no receiver, and any
+// attempt whose sender closed while it was on the air. The latter counts
+// in FramesSent only.
 type Stats struct {
-	FramesSent       uint64 // transmission attempts, including retries
-	FramesDelivered  uint64
-	FramesLost       uint64 // unicast tries lost to channel error
-	Collisions       uint64 // attempts corrupted by a contending transmitter
-	Broadcasts       uint64
-	UnicastFailed    uint64 // unicast gave up after all retries
-	RateUps          uint64 // ARF rate increases
-	RateDowns        uint64 // ARF rate decreases
+	// FramesSent counts transmission attempts, retries included.
+	FramesSent uint64
+	// FramesDelivered counts receptions: one per broadcast receiver that
+	// heard the frame, and one per acknowledged unicast try to a target
+	// with a receiver.
+	FramesDelivered uint64
+	// FramesLost counts every failed unicast try (lost to a loss draw, to a
+	// collision, or to a target that is missing or out of range), every
+	// broadcast receiver in range that lost the frame, and one per collided
+	// broadcast.
+	FramesLost uint64
+	// Collisions counts attempts corrupted by a contending transmitter.
+	Collisions uint64
+	// Broadcasts counts broadcast attempts, collided ones included.
+	Broadcasts uint64
+	// UnicastFailed counts unicast frames given up after all retries.
+	UnicastFailed uint64
+	// AirtimeByChannel is the on-air time committed per channel, retries
+	// included (see ChannelAirtime).
 	AirtimeByChannel map[dot11.Channel]sim.Time
 }
 
@@ -228,9 +141,8 @@ type Stats struct {
 // one Medium; each 802.11 channel is an independent, serialized collision
 // domain.
 type Medium struct {
-	eng    *sim.Engine
-	rng    *sim.RNG
-	params Params
+	eng *sim.Engine
+	rng *sim.RNG
 
 	// Flat per-channel state, indexed by channel number (1..14).
 	byChannel [numChannels][]*Radio // registration order, so delivery iteration is deterministic
@@ -241,8 +153,12 @@ type Medium struct {
 	// charges against (each radio keeps its own per-channel counts).
 	transmitters [numChannels]int32
 	airtime      [numChannels]sim.Time
+	// collisionProb is the per-contender collision probability. It is
+	// always the constant; only phy's own tests set another value (1 for
+	// exact outcomes, 0 for none), before the first transmission.
+	collisionProb float64
 	// collide[k] caches the collision law 1-(1-p)^k for k contenders,
-	// NaN until first used (CollisionProb is fixed at NewMedium).
+	// NaN until first used.
 	collide []float64
 	stats   Stats
 	tap     func(ch dot11.Channel, wire []byte, at sim.Time)
@@ -281,8 +197,8 @@ type run struct {
 
 // NewMedium creates a medium on the given engine. rng must be a dedicated
 // stream; the medium draws from it for loss sampling and backoff jitter.
-func NewMedium(eng *sim.Engine, rng *sim.RNG, params Params) *Medium {
-	return &Medium{eng: eng, rng: rng, params: params.withDefaults(),
+func NewMedium(eng *sim.Engine, rng *sim.RNG) *Medium {
+	return &Medium{eng: eng, rng: rng, collisionProb: collisionProb,
 		byMAC: make(map[uint64]*Radio), deliverJob: (*Medium).deliver}
 }
 
@@ -297,7 +213,7 @@ func (m *Medium) SetChannelNoise(ch dot11.Channel, extraLoss float64) {
 		m.noise[ch] = 0
 		return
 	}
-	m.noise[ch] = clamp01(extraLoss)
+	m.noise[ch] = min(extraLoss, 1)
 }
 
 // ChannelNoise returns the injected extra loss on ch (0 when clear).
@@ -307,9 +223,6 @@ func (m *Medium) ChannelNoise(ch dot11.Channel) float64 {
 	}
 	return m.noise[ch]
 }
-
-// Params returns the effective (defaulted) parameter set.
-func (m *Medium) Params() Params { return m.params }
 
 // Stats returns a snapshot of the medium counters. The per-channel airtime
 // map is materialized from the flat internal array on each call.
@@ -330,16 +243,11 @@ func (m *Medium) Stats() Stats {
 // attempt's serialized image, valid only during the call.
 func (m *Medium) SetTap(fn func(ch dot11.Channel, wire []byte, at sim.Time)) { m.tap = fn }
 
-// Airtime returns the on-air duration of a frame of the given wire length
-// at the full bit rate, excluding queueing.
+// Airtime returns the on-air duration of a frame of the given wire length,
+// excluding queueing.
 func (m *Medium) Airtime(wireLen int) sim.Time {
-	return m.airtimeAt(wireLen, m.params.BitRate)
-}
-
-// airtimeAt charges a frame's on-air time at a specific rate.
-func (m *Medium) airtimeAt(wireLen int, rate float64) sim.Time {
 	bits := float64(wireLen * 8)
-	return sim.Time(bits/rate*1e9) + m.params.PerFrameOverhead
+	return sim.Time(bits/bitRate*1e9) + perFrameOverhead
 }
 
 // DistanceForRSSI inverts the log-distance RSSI model: the transmitter
@@ -385,35 +293,18 @@ func (r *Radio) ChannelAirtime(ch dot11.Channel) sim.Time { return r.m.ChannelAi
 func (r *Radio) ChannelContenders(ch dot11.Channel) int { return r.m.ChannelContenders(ch) }
 
 // ExpectedThroughput models the saturated MAC goodput, in bits/s, of a
-// unicast stream to a peer at distance d: for each rate in the table it
-// charges a full-size data frame's airtime plus per-frame overhead against
-// the expected delivered payload (data and ACK must both survive, hence
-// the squared survival term), and returns the best rate's goodput — the
-// steady state ARF converges to. Zero at or beyond Range. This is the
+// unicast stream to a peer at distance d on a quiet channel: it charges a
+// full-size data frame's airtime plus per-frame overhead against the
+// expected delivered payload (data and ACK must both survive, hence the
+// squared survival term). Zero at or beyond the 100 m range. This is the
 // per-client rate model the proportional-fair allocator shares with the
 // opt package's throughput framework.
-func (p Params) ExpectedThroughput(d float64) float64 {
-	if d >= p.Range {
-		return 0
-	}
+func ExpectedThroughput(d float64) float64 {
 	const payloadBytes = 1500.0
-	rates := p.rates()
-	if !p.RateAdaptation {
-		rates = []float64{p.BitRate}
-	}
-	best := 0.0
-	for _, rate := range rates {
-		loss := p.lossAt(d, rate)
-		succ := (1 - loss) * (1 - loss)
-		if succ <= 0 {
-			continue
-		}
-		air := payloadBytes*8/rate + float64(p.PerFrameOverhead)/1e9
-		if g := payloadBytes * 8 * succ / air; g > best {
-			best = g
-		}
-	}
-	return best
+	loss := lossAt(d, 0)
+	succ := (1 - loss) * (1 - loss)
+	air := payloadBytes*8/bitRate + float64(perFrameOverhead)/1e9
+	return payloadBytes * 8 * succ / air
 }
 
 // Radio is a single physical 802.11 interface: it is tuned to one channel
@@ -440,12 +331,7 @@ type Radio struct {
 	// pending counts this radio's frames committed but not yet off the
 	// air, per channel; the medium's per-channel distinct-transmitter
 	// count is maintained from the 0↔1 transitions.
-	pending [numChannels]int32
-	// ARF per-peer rate state: a flat slice of states indexed through a
-	// small MAC→index map (one map insert per peer lifetime, no per-frame
-	// allocation).
-	arfIdx    map[dot11.MACAddr]int32
-	arfStates []arfState
+	pending   [numChannels]int32
 	txAirtime sim.Time
 }
 
@@ -459,8 +345,7 @@ func (m *Medium) NewRadio(mac dot11.MACAddr, pos func() geo.Point, stillFrom sim
 	if pos == nil {
 		panic("phy: NewRadio with nil position func")
 	}
-	r := &Radio{m: m, mac: mac, channel: dot11.Channel1, pos: pos, stillFrom: stillFrom,
-		arfIdx: make(map[dot11.MACAddr]int32)}
+	r := &Radio{m: m, mac: mac, channel: dot11.Channel1, pos: pos, stillFrom: stillFrom}
 	k := macKey(mac)
 	if _, shared := m.byMAC[k]; shared {
 		m.byMAC[k] = nil
@@ -613,7 +498,7 @@ func (r *Radio) SetChannel(ch dot11.Channel, done func()) {
 	}
 	r.switching = true
 	r.m.stale[r.channel] = true
-	r.m.eng.Schedule(r.m.params.SwitchLatency, func() {
+	r.m.eng.Schedule(SwitchLatency, func() {
 		if r.closed {
 			return
 		}
@@ -628,9 +513,6 @@ func (r *Radio) SetChannel(ch dot11.Channel, done func()) {
 		}
 	})
 }
-
-// SwitchLatency returns the hardware reset cost of a channel change.
-func (r *Radio) SwitchLatency() sim.Time { return r.m.params.SwitchLatency }
 
 // TxAirtime returns the cumulative on-air transmit time of this radio
 // (including retries), for energy accounting.
@@ -692,7 +574,7 @@ func (m *Medium) collisionLaw(k int) float64 {
 	}
 	c := m.collide[k]
 	if math.IsNaN(c) {
-		c = 1 - math.Pow(1-m.params.CollisionProb, float64(k))
+		c = 1 - math.Pow(1-m.collisionProb, float64(k))
 		m.collide[k] = c
 	}
 	return c
@@ -721,7 +603,6 @@ type txJob struct {
 	m        *Medium
 	src      *Radio
 	f        dot11.Frame
-	rate     float64
 	status   func(ok bool)
 	attempt  int
 	ch       dot11.Channel
@@ -755,46 +636,38 @@ func (j *txJob) RunEvent() {
 }
 
 // transmit commits one on-air attempt of j (j.attempt is the retry
-// index). The rate is re-evaluated per attempt so ARF fallback applies to
-// retries.
+// index).
 func (m *Medium) transmit(j *txJob) {
-	src, ch, f := j.src, j.ch, &j.f
+	src, ch := j.src, j.ch
 	now := m.eng.Now()
 	start := now
 	if bu := m.busyUntil[ch]; bu > start {
 		start = bu
 	}
-	var rate float64
-	if f.Addr1.IsBroadcast() {
-		rate = m.params.broadcastRate()
-	} else {
-		rate = src.rateFor(f.Addr1)
-	}
 	// Contention: every other station with a frame committed on this
 	// channel is racing our backoff. The collision draw happens at commit
-	// time so the outcome is a pure function of the event sequence.
+	// time so the outcome is a pure function of the event sequence; a law
+	// of 0 takes no draw.
 	collided := false
-	if p := m.params.CollisionProb; p > 0 {
-		if k := m.contenders(ch, src); k > 0 {
-			collided = m.rng.Bool(m.collisionLaw(k))
-		}
+	if k := m.contenders(ch, src); k > 0 {
+		collided = m.rng.Bool(m.collisionLaw(k))
 	}
 	// Small random backoff decorrelates contending senders.
 	start += m.rng.UniformDuration(0, 100*1000) // 0-100µs
-	air := m.airtimeAt(f.WireLen(), rate)
+	air := m.Airtime(j.f.WireLen())
 	m.busyUntil[ch] = start + air
 	src.txAirtime += air
 	m.stats.FramesSent++
 	m.airtime[ch] += air
 	m.addPending(ch, src)
-	j.rate, j.collided = rate, collided
+	j.collided = collided
 	m.eng.ScheduleCall(start+air-now, j)
 }
 
 // deliver ends one attempt of j: tap it, hand it to receivers, and either
 // report its outcome or retransmit. It reports whether j was rescheduled.
 func (m *Medium) deliver(j *txJob) bool {
-	src, ch, f, rate, status := j.src, j.ch, &j.f, j.rate, j.status
+	src, ch, f, status := j.src, j.ch, &j.f, j.status
 	if m.tap != nil {
 		m.tapWire = f.AppendTo(m.tapWire[:0])
 		m.tap(ch, m.tapWire, m.eng.Now())
@@ -814,7 +687,7 @@ func (m *Medium) deliver(j *txJob) bool {
 			}
 			return false
 		}
-		m.fanOut(src, ch, f, m.params.curve(rate, m.noise[ch]))
+		m.fanOut(src, ch, f, m.noise[ch])
 		if status != nil {
 			// Broadcasts are unacknowledged: the sender only knows the
 			// frame has been on air, collided or not.
@@ -827,17 +700,16 @@ func (m *Medium) deliver(j *txJob) bool {
 	ok := false
 	if target != nil && !j.collided {
 		d := target.Position().Distance(src.Position())
-		if d <= m.params.Range {
+		if d <= txRange {
 			// Success requires the data frame and the returning ACK to
 			// both survive, hence the squared survival probability.
-			p := 1 - m.params.curve(rate, m.noise[ch]).at(d)
+			p := 1 - lossAt(d, m.noise[ch])
 			ok = m.rng.Bool(p * p)
 			if ok && target.recv != nil {
 				m.deliverTo(target, f, ch, d)
 			}
 		}
 	}
-	src.arfReport(f.Addr1, ok)
 	if ok {
 		if status != nil {
 			status(true)
@@ -845,7 +717,7 @@ func (m *Medium) deliver(j *txJob) bool {
 		return false
 	}
 	m.stats.FramesLost++
-	if j.attempt < m.params.RetryLimit && !src.closed && !src.switching && !src.down && src.channel == ch {
+	if j.attempt < retryLimit && !src.closed && !src.switching && !src.down && src.channel == ch {
 		f.Retry = true
 		j.attempt++
 		m.transmit(j)
@@ -867,7 +739,7 @@ func (m *Medium) deliver(j *txJob) bool {
 // change the list or a radio's state; the loop then goes on radio by radio
 // through the slice it began with, reading each entry as it is now, and
 // meets no further run.
-func (m *Medium) fanOut(src *Radio, ch dot11.Channel, f *dot11.Frame, curve lossCurve) {
+func (m *Medium) fanOut(src *Radio, ch dot11.Channel, f *dot11.Frame, noise float64) {
 	srcPos := src.Position()
 	if m.stale[ch] {
 		m.buildRuns(ch)
@@ -893,12 +765,12 @@ func (m *Medium) fanOut(src *Radio, ch dot11.Channel, f *dot11.Frame, curve loss
 				if d < 0 || r.at != last {
 					last, d, loss = r.at, r.at.Distance(srcPos), -1
 				}
-				if d > m.params.Range {
+				if d > txRange {
 					i = int(r.end) - 1
 					continue
 				}
 				if loss < 0 {
-					loss = curve.at(d)
+					loss = lossAt(d, noise)
 				}
 				if loss >= 1 || loss <= 0 && r.accepts&(1<<f.Type) == 0 {
 					n := uint64(r.end - r.start)
@@ -922,11 +794,11 @@ func (m *Medium) fanOut(src *Radio, ch dot11.Channel, f *dot11.Frame, curve loss
 		if pos := rx.Position(); d < 0 || pos != last {
 			last, d, loss = pos, pos.Distance(srcPos), -1
 		}
-		if d > m.params.Range {
+		if d > txRange {
 			continue
 		}
 		if loss < 0 {
-			loss = curve.at(d)
+			loss = lossAt(d, noise)
 		}
 		if m.rng.Bool(loss) {
 			m.stats.FramesLost++
