@@ -75,7 +75,7 @@ type Client struct {
 	xid      uint32
 	pending  Message
 	deadline sim.Time
-	timer    *sim.Event
+	timer    sim.Timer // the retransmission deadline
 	started  sim.Time
 
 	// Span, when non-nil, is the Join root span this acquisition's phases
@@ -105,7 +105,9 @@ func NewClient(eng *sim.Engine, rng *sim.RNG, cfg ClientConfig, mac dot11.MACAdd
 	if cfg.Counts == nil {
 		cfg.Counts = &Counts{}
 	}
-	return &Client{eng: eng, rng: rng, cfg: cfg, mac: mac, send: send, done: done}
+	c := &Client{eng: eng, rng: rng, cfg: cfg, mac: mac, send: send, done: done}
+	c.timer.Bind(eng, sim.Func(c.onTimeout))
+	return c
 }
 
 // Start begins acquisition. If cached is non-nil the client skips Discover
@@ -141,17 +143,10 @@ func (c *Client) Elapsed() sim.Time { return c.eng.Now() - c.started }
 
 // Stop abandons the acquisition without invoking the completion callback.
 func (c *Client) Stop() {
-	c.cancelTimer()
+	c.timer.Stop()
 	c.phase.EndStatus(c.eng.Now(), "stopped")
 	c.phase = nil
 	c.state = stateIdle
-}
-
-func (c *Client) cancelTimer() {
-	if c.timer != nil {
-		c.eng.Cancel(c.timer)
-		c.timer = nil
-	}
 }
 
 func (c *Client) transmit(first bool) {
@@ -160,12 +155,10 @@ func (c *Client) transmit(first bool) {
 		c.cfg.Counts.Retransmits++
 	}
 	c.send(c.pending)
-	c.cancelTimer()
-	c.timer = c.eng.Schedule(c.cfg.RetryTimeout, c.onTimeout)
+	c.timer.Reset(c.cfg.RetryTimeout)
 }
 
 func (c *Client) onTimeout() {
-	c.timer = nil
 	if !c.Active() {
 		return
 	}
@@ -177,7 +170,7 @@ func (c *Client) onTimeout() {
 }
 
 func (c *Client) fail() {
-	c.cancelTimer()
+	c.timer.Stop()
 	c.phase.EndStatus(c.eng.Now(), "fail")
 	c.phase = nil
 	c.state = stateFailed
@@ -200,7 +193,7 @@ func (c *Client) Deliver(msg Message) {
 		c.transmit(true)
 	case msg.Type == Ack && c.state == stateRequesting:
 		c.cfg.Counts.Acks++
-		c.cancelTimer()
+		c.timer.Stop()
 		c.phase.EndStatus(c.eng.Now(), "ok")
 		c.phase = nil
 		c.state = stateBound

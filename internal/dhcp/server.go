@@ -81,8 +81,7 @@ type Server struct {
 	binding *ipam.Binding
 	fault   FaultMode
 
-	sweepEv *sim.Event
-	sweepAt sim.Time
+	sweepTimer sim.Timer // the expiry sweep, armed at the earliest lease deadline
 
 	// Counters for experiment reporting.
 	Offers        int
@@ -104,7 +103,9 @@ func NewServer(eng *sim.Engine, rng *sim.RNG, cfg ServerConfig, binding *ipam.Bi
 	if cfg.RespDelayMax < cfg.RespDelayMin {
 		cfg.RespDelayMax = cfg.RespDelayMin
 	}
-	return &Server{eng: eng, rng: rng, cfg: cfg, binding: binding}
+	s := &Server{eng: eng, rng: rng, cfg: cfg, binding: binding}
+	s.sweepTimer.Bind(eng, sim.Func(s.sweep))
+	return s
 }
 
 // Gateway returns the server's gateway address.
@@ -136,7 +137,7 @@ func (s *Server) Release(mac dot11.MACAddr) { s.binding.Release(mac) }
 func (s *Server) Reset() {
 	s.binding.Reset()
 	s.fault = FaultNone
-	s.disarmSweep()
+	s.sweepTimer.Stop()
 }
 
 // ttl returns the enforced lease duration (0 when expiry is off).
@@ -154,29 +155,17 @@ func (s *Server) ttl() sim.Time {
 func (s *Server) armSweep() {
 	next := s.binding.NextExpiry()
 	if next == 0 {
-		s.disarmSweep()
+		s.sweepTimer.Stop()
 		return
 	}
-	if s.sweepEv != nil && s.sweepAt <= next {
+	if s.sweepTimer.Armed() && s.sweepTimer.At() <= next {
 		return
 	}
-	s.disarmSweep()
-	s.sweepAt = next
-	s.sweepEv = s.eng.ScheduleAt(next, s.sweep)
-}
-
-func (s *Server) disarmSweep() {
-	if s.sweepEv != nil {
-		s.eng.Cancel(s.sweepEv)
-		s.sweepEv = nil
-	}
-	s.sweepAt = 0
+	s.sweepTimer.ResetAt(next)
 }
 
 // sweep reclaims every expired lease, then re-arms for the next deadline.
 func (s *Server) sweep() {
-	s.sweepEv = nil
-	s.sweepAt = 0
 	s.Reclaimed += len(s.binding.SweepExpired(s.eng.Now()))
 	s.armSweep()
 }

@@ -103,8 +103,7 @@ type Driver struct {
 
 	schedule  []Slot
 	slotIdx   int
-	slotTimer *sim.Event
-	switching bool
+	slotTimer sim.Timer // the current slot's dwell (multi-slot schedules only)
 
 	// txq is indexed by channel number (1..14, numChannels entries);
 	// per-channel backing arrays are retained across drains so steady-state
@@ -124,6 +123,7 @@ type Driver struct {
 	// suppressed counts emissions the cached flag swallowed, so sampling
 	// loss stays loud (see Suppressed).
 	evChatty   bool
+	switching  bool // a hardware reset is in flight
 	suppressed int64
 	// occSpan is the open schedule-occupancy span for the channel the
 	// radio currently dwells on; switches close it and arrivals open the
@@ -153,10 +153,13 @@ func New(eng *sim.Engine, rng *sim.RNG, medium *phy.Medium, mac dot11.MACAddr, p
 		events:   cfg.Events,
 		evChatty: cfg.Events.ChattyFlag(),
 	}
+	d.slotTimer.Bind(eng, sim.Func(d.nextSlot))
 	d.radio = medium.NewRadio(mac, pos, stillFrom)
 	d.radio.SetReceiver(d.onFrame, rxTypes...)
 	for i := 0; i < cfg.NumVIFs; i++ {
-		d.vifs = append(d.vifs, &VIF{id: i, drv: d})
+		v := &VIF{id: int32(i), drv: d}
+		v.timer.Bind(eng, (*vifTimeout)(v))
+		d.vifs = append(d.vifs, v)
 	}
 	d.schedule = []Slot{{Channel: d.radio.Channel(), Duration: 0}}
 	d.occSpan = d.events.StartSpan(eng.Now(), "occupancy")
@@ -172,9 +175,7 @@ func (d *Driver) Close() {
 	if d.stopProbe != nil {
 		d.stopProbe()
 	}
-	if d.slotTimer != nil {
-		d.eng.Cancel(d.slotTimer)
-	}
+	d.slotTimer.Stop()
 	d.radio.Close()
 }
 
@@ -263,10 +264,7 @@ func (d *Driver) SetSchedule(slots []Slot) {
 	}
 	d.schedule = append([]Slot(nil), slots...)
 	d.slotIdx = 0
-	if d.slotTimer != nil {
-		d.eng.Cancel(d.slotTimer)
-		d.slotTimer = nil
-	}
+	d.slotTimer.Stop()
 	if d.radio.Channel() == slots[0].Channel && !d.radio.Switching() {
 		d.enterSlot()
 		return
@@ -330,12 +328,10 @@ func (d *Driver) enterSlot() {
 	if len(d.schedule) <= 1 {
 		return
 	}
-	dur := d.schedule[d.slotIdx].Duration
-	d.slotTimer = d.eng.Schedule(dur, d.nextSlot)
+	d.slotTimer.Reset(d.schedule[d.slotIdx].Duration)
 }
 
 func (d *Driver) nextSlot() {
-	d.slotTimer = nil
 	d.slotIdx = (d.slotIdx + 1) % len(d.schedule)
 	next := d.schedule[d.slotIdx].Channel
 	if next == d.radio.Channel() && !d.radio.Switching() {

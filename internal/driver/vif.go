@@ -18,19 +18,35 @@ const (
 	vifAssociated
 )
 
+// joinPhase names the link-layer join phase a VIF is in: the span child
+// it has open, when the join is traced.
+type joinPhase uint8
+
+const (
+	phaseNone joinPhase = iota
+	phaseScan
+	phaseProbe
+	phaseAuth
+	phaseAssoc
+)
+
+var phaseNames = [...]string{phaseScan: "scan", phaseProbe: "probe", phaseAuth: "auth", phaseAssoc: "assoc"}
+
 // VIF is one virtual interface — the driver-level analogue of the per-AP
 // Linux network device Spider exposes. Each VIF binds to at most one AP and
-// carries an independent link-layer join state machine.
+// carries an independent link-layer join state machine. Every client has
+// one per interface, so the small fields are packed.
 type VIF struct {
-	id  int
 	drv *Driver
 
-	state   vifState
-	bssid   dot11.MACAddr
-	channel dot11.Channel
+	id        int32
+	state     vifState
+	channel   dot11.Channel
+	phaseKind joinPhase
+	bssid     dot11.MACAddr
 
 	deadline sim.Time
-	timer    *sim.Event
+	timer    sim.Timer // the auth/assoc retransmission deadline
 
 	// OnJoinResult reports the outcome of Associate: true once the
 	// four-way handshake completes, false on window expiry or rejection.
@@ -44,8 +60,7 @@ type VIF struct {
 	// exactly.
 	Span *obs.ActiveSpan
 
-	phase     *obs.ActiveSpan
-	phaseName string
+	phase *obs.ActiveSpan
 
 	// Stats.
 	AuthAttempts  int
@@ -53,7 +68,7 @@ type VIF struct {
 }
 
 // ID returns the interface index.
-func (v *VIF) ID() int { return v.id }
+func (v *VIF) ID() int { return int(v.id) }
 
 // Associated reports whether the four-way handshake has completed.
 func (v *VIF) Associated() bool { return v.state == vifAssociated }
@@ -87,28 +102,28 @@ func (v *VIF) Associate(bssid dot11.MACAddr, ch dot11.Channel) {
 	v.bssid = bssid
 	v.channel = ch
 	v.deadline = v.drv.eng.Now() + joinWindow
-	v.startPhase("scan")
+	v.startPhase(phaseScan)
 	v.sendAuth()
 }
 
 // startPhase closes the open join phase and opens the next at the same
 // instant, keeping the phase children contiguous under the root span.
-func (v *VIF) startPhase(name string) {
+func (v *VIF) startPhase(p joinPhase) {
 	now := v.drv.eng.Now()
 	v.phase.EndStatus(now, "ok")
-	v.phase = v.Span.StartChild(now, name)
+	v.phase = v.Span.StartChild(now, phaseNames[p])
 	if v.phase != nil {
 		v.phase.SetBSSID(v.bssid.String())
 		v.phase.SetChannel(int(v.channel))
 	}
-	v.phaseName = name
+	v.phaseKind = p
 }
 
 // onChannelArrive notes the radio settling on this joining VIF's channel:
 // the scan wait is over and the probe-to-first-frame dwell begins.
 func (v *VIF) onChannelArrive() {
-	if v.phaseName == "scan" {
-		v.startPhase("probe")
+	if v.phaseKind == phaseScan {
+		v.startPhase(phaseProbe)
 	}
 }
 
@@ -129,31 +144,26 @@ func (v *VIF) Disassociate() {
 }
 
 func (v *VIF) reset() {
-	v.cancelTimer()
+	v.timer.Stop()
 	// An abandoned handshake closes its open phase here; completed joins
 	// already closed theirs, so this End is the idempotent no-op.
 	v.phase.EndStatus(v.drv.eng.Now(), "aborted")
-	v.phase, v.phaseName = nil, ""
+	v.phase, v.phaseKind = nil, phaseNone
 	v.Span = nil
 	v.state = vifIdle
 	v.bssid = dot11.MACAddr{}
 	v.channel = 0
 }
 
-func (v *VIF) cancelTimer() {
-	if v.timer != nil {
-		v.drv.eng.Cancel(v.timer)
-		v.timer = nil
-	}
-}
+func (v *VIF) armTimer() { v.timer.Reset(v.drv.cfg.LLTimeout) }
 
-func (v *VIF) armTimer() {
-	v.cancelTimer()
-	v.timer = v.drv.eng.Schedule(v.drv.cfg.LLTimeout, v.onTimeout)
-}
+// vifTimeout is a VIF as its timer's Runnable: binding the VIF itself,
+// not a method value, keeps a closure per interface off the heap.
+type vifTimeout VIF
+
+func (t *vifTimeout) RunEvent() { (*VIF)(t).onTimeout() }
 
 func (v *VIF) onTimeout() {
-	v.timer = nil
 	switch v.state {
 	case vifAuthWait:
 		if v.drv.eng.Now() >= v.deadline {
@@ -185,9 +195,9 @@ func (v *VIF) fail() {
 func (v *VIF) sendAuth() {
 	if v.drv.radio.Channel() == v.channel && !v.drv.switching {
 		v.AuthAttempts++
-		if v.phaseName == "scan" || v.phaseName == "probe" {
+		if v.phaseKind == phaseScan || v.phaseKind == phaseProbe {
 			// First frame on air ends the pre-handshake wait.
-			v.startPhase("auth")
+			v.startPhase(phaseAuth)
 		}
 		// Record only real transmissions, not timer re-arms while the
 		// radio dwells elsewhere — the timeline shows frames on air. The
@@ -253,7 +263,7 @@ func (v *VIF) onMgmt(f *dot11.Frame) {
 			return
 		}
 		v.state = vifAssocWait
-		v.startPhase("assoc")
+		v.startPhase(phaseAssoc)
 		v.sendAssoc()
 	case f.Type == dot11.TypeAssocResp && v.state == vifAssocWait:
 		body, err := dot11.DecodeAssocRespBody(f.Body)
@@ -264,10 +274,10 @@ func (v *VIF) onMgmt(f *dot11.Frame) {
 			v.fail()
 			return
 		}
-		v.cancelTimer()
+		v.timer.Stop()
 		v.state = vifAssociated
 		v.phase.EndStatus(v.drv.eng.Now(), "ok")
-		v.phase, v.phaseName = nil, ""
+		v.phase, v.phaseKind = nil, phaseNone
 		v.Span = nil // link-layer phases done; DHCP children follow
 		if v.OnJoinResult != nil {
 			v.OnJoinResult(true)

@@ -200,36 +200,73 @@ const (
 	connUp
 )
 
-// conn is the per-VIF controller.
+// conn is the per-VIF controller. Every client has one per interface, so
+// the small fields are packed.
 type conn struct {
-	m     *LMM
-	vif   *driver.VIF
-	state connState
+	m   *LMM
+	vif *driver.VIF
 
+	state   connState
+	channel dot11.Channel
 	bssid   dot11.MACAddr
 	ssid    string
-	channel dot11.Channel
 
 	started  sim.Time // join start
 	assocDur sim.Time
 	dhcpDur  sim.Time
-	cacheHit bool
 
-	dhcpCli *dhcp.Client
-	lease   dhcp.Lease
-	link    *Link
-	renewEv *sim.Event // pending lease-renewal timer
+	dhcpCli  *dhcp.Client
+	lease    dhcp.Lease
+	cacheHit bool
+	pingSeq  uint16
+	link     *Link
+	// live holds an established link's liveness state; nil unless the
+	// conn is up.
+	live *liveness
 
 	// joinSpan is the attempt's Join root span; testSpan the open
 	// conn-test child. Both nil when recording is off or no join runs.
 	joinSpan *obs.ActiveSpan
 	testSpan *obs.ActiveSpan
 
-	pingSeq      uint16
-	pingPending  map[uint16]*sim.Event
-	pingFails    int
-	stopPinger   func()
 	testAttempts int
+	// testRetry re-sends the conn test's ping every pingTimeout. Each conn
+	// test re-arms it, so a retry left pending by an earlier join on this
+	// conn moves rather than firing into the new test.
+	testRetry sim.Timer
+}
+
+// connTestRetry is a conn as its test-retry timer's Runnable: binding the
+// conn itself, not a method value, keeps a closure per interface off the
+// heap.
+type connTestRetry conn
+
+func (c *connTestRetry) RunEvent() { (*conn)(c).sendTestPing() }
+
+// liveness is an established link's monitoring state, allocated at goUp
+// and dropped at down: the 10 Hz ping ticker, the run of unanswered pings,
+// the lease-renewal timer and one timeout per outstanding ping.
+type liveness struct {
+	stopPinger func()
+	fails      int
+	renewal    sim.Timer
+	// pings is a ring of ping timeouts, slot seq&(len-1). Its length is a
+	// power of two, so the mask survives the uint16 sequence wrap, and
+	// spans more than pingTimeout of pings, so a slot's previous timeout
+	// has fired or stopped before the slot is reused.
+	pings []pingDeadline
+}
+
+// ping returns the ring slot of the ping with sequence seq.
+func (l *liveness) ping(seq uint16) *pingDeadline {
+	return &l.pings[int(seq)&(len(l.pings)-1)]
+}
+
+// pingDeadline is the liveness timeout of the ping with sequence seq.
+type pingDeadline struct {
+	timer sim.Timer
+	c     *conn
+	seq   uint16
 }
 
 type utilState struct {
@@ -281,9 +318,10 @@ type LMM struct {
 
 	// sel runs reselect every ReselectInterval. A pass that starts no
 	// join puts it to sleep until the earliest time a pass could start
-	// one; every event that can change a pass's outcome sooner — a
-	// scan-table write, a conn reset, SetSchedule, SetAllocTarget — wakes
-	// it. Skipped passes keep their tick, so gating changes no output.
+	// one, and a pinned pass whose target is taken sleeps until woken;
+	// every event that can change a pass's outcome sooner — a scan-table
+	// write, a conn reset, SetSchedule, SetAllocTarget — wakes it. Skipped
+	// passes keep their tick, so gating changes no output.
 	sel *sim.GatedTicker
 
 	// schedChanList mirrors schedChans in schedule order for the alloc
@@ -334,7 +372,9 @@ func New(eng *sim.Engine, rng *sim.RNG, drv *driver.Driver, cfg Config) *LMM {
 		m.schedChans[s.Channel] = true
 	}
 	for _, v := range drv.VIFs() {
-		m.conns = append(m.conns, &conn{m: m, vif: v})
+		c := &conn{m: m, vif: v}
+		c.testRetry.Bind(eng, (*connTestRetry)(c))
+		m.conns = append(m.conns, c)
 	}
 	m.sel = eng.GatedTicker(cfg.ReselectInterval, m.reselect)
 	drv.OnScanUpdate = m.sel.Wake
@@ -521,11 +561,9 @@ func (m *LMM) SetAllocTarget(bssid dot11.MACAddr) {
 
 // steerToTarget tears down connections to APs other than the pinned target
 // once the target is actually joinable — tearing down earlier would strand
-// the client between the AP it had and the AP it cannot reach yet.
+// the client between the AP it had and the AP it cannot reach yet. The
+// caller has checked that the target is not already joining or joined.
 func (m *LMM) steerToTarget(now sim.Time) {
-	if m.inUse[m.allocTarget] {
-		return // already joining or joined the target
-	}
 	visible := false
 	for _, e := range m.drv.ScanTable() {
 		if e.BSSID == m.allocTarget && e.Open && m.schedChans[e.Channel] &&
@@ -560,6 +598,16 @@ func (m *LMM) reselect() {
 		m.cfg.Alloc.Observe(now, m.drv.ChannelAirtime, m.drv.ChannelContenders, m.schedChanList)
 	}
 	if m.allocPinned {
+		if m.inUse[m.allocTarget] {
+			// The target is joining or joined, so steering and the
+			// candidate scan both pass over it: no pass can start, abort
+			// or tear down anything until a conn reset frees the target
+			// or SetAllocTarget moves the pin, and both wake the ticker.
+			if m.cfg.Alloc == nil {
+				m.sel.SleepUntil(sim.Infinity)
+			}
+			return
+		}
 		m.steerToTarget(now)
 	}
 	active := 0
@@ -574,8 +622,9 @@ func (m *LMM) reselect() {
 	m.idleScratch = idle
 	// A pass that starts nothing may put the ticker to sleep only when
 	// every input it read wakes it on change. Observe runs every pass,
-	// steering reads the scan table, and the parked channel filter reads
-	// the driver's rotation, so those configurations always poll.
+	// steering toward a free target reads the scan table, and the parked
+	// channel filter reads the driver's rotation, so those configurations
+	// always poll.
 	gated := m.cfg.Alloc == nil && !m.allocPinned && !(m.cfg.ParkOnConnect && active > 0)
 	if len(idle) == 0 || active >= m.maxActive() {
 		if gated {
@@ -729,19 +778,17 @@ func (c *conn) dhcpSend(msg dhcp.Message) {
 // T1 timer of RFC 2131. Without it the client would keep using an
 // address the server may hand to someone else once LeaseSecs elapses.
 func (c *conn) armRenewal() {
-	m := c.m
 	if c.lease.LeaseSecs == 0 {
 		return
 	}
 	life := sim.Time(c.lease.LeaseSecs) * 1000 * 1000 * 1000
-	c.renewEv = m.eng.Schedule(life/2, c.renewLease)
+	c.live.renewal.Reset(life / 2)
 }
 
 // renewLease re-requests the bound lease in place. Success refreshes the
 // lease (and cache) and re-arms the timer; failure demotes the link so
 // the module fails over instead of riding an expiring address.
 func (c *conn) renewLease() {
-	c.renewEv = nil
 	if c.state != connUp {
 		return
 	}
@@ -795,7 +842,6 @@ func (c *conn) renewLease() {
 func (c *conn) startConnTest() {
 	c.state = connPing
 	c.testAttempts = 0
-	c.pingPending = make(map[uint16]*sim.Event)
 	c.testSpan = c.joinSpan.StartChild(c.m.eng.Now(), "conn-test")
 	c.sendTestPing()
 }
@@ -817,7 +863,7 @@ func (c *conn) sendTestPing() {
 	}
 	c.sendPingTo(target)
 	// Retry every pingTimeout until an answer arrives or attempts cap.
-	m.eng.Schedule(pingTimeout, c.sendTestPing)
+	c.testRetry.Reset(pingTimeout)
 }
 
 func (c *conn) sendPing() { c.sendPingTo(c.lease.Server) }
@@ -829,17 +875,39 @@ func (c *conn) sendPingTo(target ipnet.Addr) {
 	c.vif.SendPacket(ping)
 	// Arm the liveness timeout for this probe (used in the up state).
 	if c.state == connUp {
-		ev := c.m.eng.Schedule(pingTimeout, func() {
-			delete(c.pingPending, seq)
-			c.pingFails++
-			if c.pingFails >= c.m.cfg.PingFailLimit && c.state == connUp {
-				c.m.stats.LinksDropped++
-				c.link.DownCause = "ping-timeout"
-				c.down(true)
-			}
-		})
-		c.pingPending[seq] = ev
+		p := c.live.ping(seq)
+		p.seq = seq
+		p.timer.Reset(pingTimeout)
 	}
+}
+
+// RunEvent counts an unanswered ping and drops the link at the limit.
+func (p *pingDeadline) RunEvent() {
+	c := p.c
+	c.live.fails++
+	if c.live.fails >= c.m.cfg.PingFailLimit && c.state == connUp {
+		c.m.stats.LinksDropped++
+		c.link.DownCause = "ping-timeout"
+		c.down(true)
+	}
+}
+
+// newLiveness builds a link's monitoring state, its timers bound but
+// disarmed.
+func (c *conn) newLiveness() *liveness {
+	eng := c.m.eng
+	n := 1
+	for sim.Time(n)*c.m.cfg.PingInterval <= pingTimeout {
+		n *= 2
+	}
+	l := &liveness{pings: make([]pingDeadline, n)}
+	l.renewal.Bind(eng, sim.Func(c.renewLease))
+	for i := range l.pings {
+		p := &l.pings[i]
+		p.c = c
+		p.timer.Bind(eng, p)
+	}
+	return l
 }
 
 // finishJoin records a terminal join outcome (success handled in goUp).
@@ -918,7 +986,6 @@ func (c *conn) goUp() {
 	delete(m.blacklist, c.bssid) // success forgives the failure streak
 	c.state = connUp
 	m.up++
-	c.pingFails = 0
 	c.link = &Link{
 		VIF:   c.vif,
 		BSSID: c.bssid,
@@ -927,7 +994,8 @@ func (c *conn) goUp() {
 		Since: m.eng.Now(),
 		conn:  c,
 	}
-	c.stopPinger = m.eng.Ticker(m.cfg.PingInterval, c.sendPing)
+	c.live = c.newLiveness()
+	c.live.stopPinger = m.eng.Ticker(m.cfg.PingInterval, c.sendPing)
 	c.armRenewal()
 	if m.cfg.ParkOnConnect {
 		m.drv.SetSchedule([]driver.Slot{{Channel: c.channel}})
@@ -942,14 +1010,14 @@ func (c *conn) goUp() {
 func (c *conn) down(notify bool) {
 	m := c.m
 	link := c.link
-	if c.stopPinger != nil {
-		c.stopPinger()
-		c.stopPinger = nil
+	if l := c.live; l != nil {
+		l.stopPinger()
+		l.renewal.Stop()
+		for i := range l.pings {
+			l.pings[i].timer.Stop()
+		}
+		c.live = nil
 	}
-	for _, ev := range c.pingPending {
-		m.eng.Cancel(ev)
-	}
-	c.pingPending = nil
 	m.backoffUntil[c.bssid] = m.eng.Now() + m.cfg.FailureBackoff
 	c.reset()
 	if m.cfg.ParkOnConnect && m.up == 0 {
@@ -986,14 +1054,6 @@ func (c *conn) reset() {
 	if c.dhcpCli != nil {
 		c.dhcpCli.Stop()
 		c.dhcpCli = nil
-	}
-	if c.renewEv != nil {
-		m.eng.Cancel(c.renewEv)
-		c.renewEv = nil
-	}
-	if c.stopPinger != nil {
-		c.stopPinger()
-		c.stopPinger = nil
 	}
 	delete(m.inUse, c.bssid)
 	m.sel.Wake() // an idle conn and a freed BSSID can change the next pass
@@ -1061,10 +1121,9 @@ func (c *conn) onPingReply(seq uint16) {
 	case connPing:
 		c.goUp()
 	case connUp:
-		if ev, ok := c.pingPending[seq]; ok {
-			c.m.eng.Cancel(ev)
-			delete(c.pingPending, seq)
+		if p := c.live.ping(seq); p.seq == seq {
+			p.timer.Stop()
 		}
-		c.pingFails = 0
+		c.live.fails = 0
 	}
 }

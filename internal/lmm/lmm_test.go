@@ -653,3 +653,54 @@ func TestNumActiveLinksMatchesActiveLinks(t *testing.T) {
 		t.Fatalf("links up after Close = %d", r.m.NumActiveLinks())
 	}
 }
+
+// TestConnTestRetryDoesNotOutliveItsJoin brings a link up, tears it down
+// at once and lets the same conn reach its next conn test within one
+// pingTimeout of the first test's last ping, whose retry is then still
+// pending. The second test gets no replies, so it must send its 10 pings
+// one pingTimeout apart and fail 10 pingTimeouts after it began; a retry
+// left over from the first test would fire into it and reach the cap
+// about twice as fast.
+func TestConnTestRetryDoesNotOutliveItsJoin(t *testing.T) {
+	r := newRig(t, Config{Schedule: ch1Sched(), SingleAP: true, UseLeaseCache: true, FailureBackoff: 1})
+	r.addAP(dot11.Channel1, 1, true)
+	c := r.m.conns[0]
+	var upAt sim.Time
+	r.m.OnLinkUp = func(l *Link) {
+		if upAt != 0 {
+			return
+		}
+		upAt = r.eng.Now()
+		r.eng.Schedule(0, func() {
+			l.DownCause = "test"
+			l.conn.down(true)
+		})
+	}
+	for c.state != connIdle || upAt == 0 {
+		r.run(time.Millisecond)
+	}
+	for c.state != connAssoc {
+		r.run(time.Millisecond)
+	}
+	// The second join's conn test hears no replies.
+	c.vif.OnPacket = func(p ipnet.Packet) {
+		if p.Proto != ipnet.ProtoICMP {
+			c.onPacket(p)
+		}
+	}
+	for c.state != connPing {
+		r.run(time.Millisecond)
+	}
+	if r.eng.Now()-upAt >= pingTimeout {
+		t.Fatalf("second conn test began %v after the first link came up, want under %v", r.eng.Now()-upAt, pingTimeout)
+	}
+	r.run(10 * time.Second)
+	joins := r.m.Joins()
+	if len(joins) < 2 || joins[1].Stage != StagePingFailed {
+		t.Fatalf("joins = %+v, want the second to fail its conn test", joins)
+	}
+	j := joins[1]
+	if test := j.TotalDur - j.AssocDur - j.DHCPDur; test != 10*pingTimeout {
+		t.Fatalf("second conn test lasted %v, want 10 × %v", test, pingTimeout)
+	}
+}

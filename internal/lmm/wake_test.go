@@ -217,3 +217,63 @@ func TestReselectNeverSleepsUnderAllocPolicy(t *testing.T) {
 		}
 	}
 }
+
+// TestReselectSleepsWhilePinnedTargetTaken pins the module to an AP and
+// lets it join: with the target taken, no pass can act, so the ticker
+// sleeps indefinitely. Moving the pin to another visible AP wakes it, and
+// that tick's pass steers off the old target and joins the new one, after
+// which the module sleeps again. With every beacon silenced, losing the
+// new target's link wakes the ticker through the conn reset, and while the
+// target is free but embargoed each pass polls: the rejoin starts on the
+// first tick at or after the embargo ends, with no scan write to help.
+func TestReselectSleepsWhilePinnedTargetTaken(t *testing.T) {
+	r := newRig(t, Config{Schedule: ch1Sched(), PingFailLimit: 5, FailureBackoff: time.Second})
+	a := r.addAP(dot11.Channel1, 1, true)
+	b := r.addAP(dot11.Channel1, 2, true)
+	r.m.SetAllocTarget(a.BSSID())
+	r.run(5 * time.Second)
+	if len(r.ups) != 1 || r.ups[0].BSSID != a.BSSID() {
+		t.Fatalf("%d links up, want one to the pinned AP", len(r.ups))
+	}
+	if w := r.wakeAfterNextTick(); w != sim.Infinity {
+		t.Fatalf("wake with the pinned target joined = %v, want Infinity", w)
+	}
+
+	at := r.eng.Now()
+	r.m.SetAllocTarget(b.BSSID())
+	if w := r.m.sel.WakeAt(); w != 0 {
+		t.Fatalf("SetAllocTarget left the ticker asleep until %v", w)
+	}
+	r.run(5 * time.Second)
+	if len(r.downs) != 1 || r.downs[0].DownCause != "alloc-steer" {
+		t.Fatalf("downs = %d, want the old target's link steered down", len(r.downs))
+	}
+	if got, want := r.lastJoinStart(t), r.firstTickAtOrAfter(at); got != want || len(r.ups) != 2 || r.ups[1].BSSID != b.BSSID() {
+		t.Fatalf("join to the new target started at %v (%d links up), want %v", got, len(r.ups), want)
+	}
+	if w := r.wakeAfterNextTick(); w != sim.Infinity {
+		t.Fatalf("wake with the new target joined = %v, want Infinity", w)
+	}
+
+	a.SetBeaconing(false)
+	b.SetBeaconing(false)
+	r.m.OnLinkDown = func(*Link) {
+		if w := r.m.sel.WakeAt(); w != 0 {
+			t.Errorf("the target's conn reset left the ticker asleep until %v", w)
+		}
+	}
+	b.Crash()
+	for r.m.Stats().LinksDropped == 0 {
+		r.run(10 * time.Millisecond)
+	}
+	b.Reboot() // up again but silent: its scan entry is still fresh
+	_, until := r.m.Blacklist(b.BSSID())
+	if w := r.wakeAfterNextTick(); w != 0 {
+		t.Fatalf("pinned module with its target free slept until %v", w)
+	}
+	r.run(3 * time.Second)
+	if got, want := r.lastJoinStart(t), r.firstTickAtOrAfter(until); got != want || len(r.ups) != 3 {
+		t.Fatalf("rejoin started at %v (%d links up), want the first tick at or after the embargo end (%v)",
+			got, len(r.ups), want)
+	}
+}

@@ -1,6 +1,7 @@
 // Package sim provides the discrete-event simulation kernel used by every
-// other substrate in this repository: a virtual clock, a cancellable event
-// scheduler with deterministic ordering, and seeded random-number streams.
+// other substrate in this repository: a virtual clock, an event scheduler
+// with deterministic ordering, re-armable timers, and seeded random-number
+// streams.
 //
 // All simulated components (radios, APs, DHCP servers, TCP endpoints,
 // drivers) schedule callbacks on a shared *Engine. Events at equal virtual
@@ -15,8 +16,9 @@
 // arm lands at now+period with a fresh sequence number, and the fire loop
 // merges the earliest lane head with the batch head by (at, seq).
 // City-scale runs schedule tens of millions of events, so nodes are
-// recycled through a free list and fire-and-forget callers can schedule a
-// Runnable without allocating a handle or a closure.
+// recycled through a free list. Schedule and ScheduleCall are
+// fire-and-forget; a deadline its owner may move or drop is a Timer the
+// owner embeds, which re-arms in place without allocating.
 package sim
 
 import (
@@ -34,10 +36,18 @@ const Infinity Time = math.MaxInt64
 
 // Runnable is a pooled alternative to a func() callback: hot paths embed a
 // job struct and implement RunEvent on it, so scheduling captures one
-// pointer instead of allocating a closure (and no *Event handle is created).
+// pointer instead of allocating a closure.
 type Runnable interface {
 	RunEvent()
 }
+
+// Func adapts a function to Runnable. Binding a method value through it
+// allocates the method's closure once per owner, so an owner the world
+// holds thousands of binds itself, as a Runnable type, instead.
+type Func func()
+
+// RunEvent calls f.
+func (f Func) RunEvent() { f() }
 
 // Wheel geometry. Ticks are 2^tickBits ns (~65.5 µs): finer than any MAC
 // timing constant in the stack, so same-tick collisions are resolved by the
@@ -65,16 +75,16 @@ const noLimit = ^uint64(0)
 
 // node is a pooled scheduler entry. It lives on exactly one of: a wheel
 // slot's doubly-linked list, the overflow list, the batch heap, a ticker
-// lane, or the free list. Nodes are recycled after firing or cancellation;
-// the public *Event handle is detached first, so stale handles can never
-// reach a recycled node. A ticker keeps one node for its whole life. The
-// small fields are packed so a node stays 80 bytes.
+// lane, or the free list. Nodes are recycled after firing or after a
+// Timer's Stop; an armed Timer is detached from its node first, so it can
+// never reach a recycled one. A ticker keeps one node for its whole life.
+// The small fields are packed so a node stays 80 bytes.
 type node struct {
 	at    Time
 	seq   uint64
 	fn    func()
 	r     Runnable
-	ev    *Event // back-pointer to the handle, nil for fire-and-forget
+	t     *Timer // the armed timer that owns the node, nil for fire-and-forget
 	wake  Time   // a ticker's ticks skip its callback while now < wake
 	next  *node
 	prev  *node
@@ -82,21 +92,6 @@ type node struct {
 	level int8  // wheel level, or a placement marker above
 	slot  uint8 // wheel slot index within level
 }
-
-// Event is a handle to a scheduled callback. It may be cancelled until it
-// has fired. The handle is detached from its pooled node when the event
-// fires or is cancelled, so holding one past that point is always safe.
-type Event struct {
-	at     Time
-	n      *node
-	cancel bool
-}
-
-// At returns the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
-// Cancelled reports whether Cancel was called before the event fired.
-func (e *Event) Cancelled() bool { return e.cancel }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; simulations are deterministic and single-goroutine by
@@ -147,8 +142,8 @@ func (e *Engine) Fired() uint64 { return e.fired }
 func (e *Engine) Pending() int { return e.pending }
 
 // PeekNext returns the virtual time of the earliest scheduled event
-// without firing it, and false when the queue is empty. Cancelled events
-// leave the queue immediately, so the reported time is always live.
+// without firing it, and false when the queue is empty. A stopped Timer
+// leaves the queue immediately, so the reported time is always live.
 // FuzzEngine checks it against the heap reference; no loop of the program
 // reads it.
 func (e *Engine) PeekNext() (Time, bool) {
@@ -160,29 +155,27 @@ func (e *Engine) PeekNext() (Time, bool) {
 
 // Schedule runs fn after delay. A negative delay is treated as zero: the
 // event fires at the current time, after events already scheduled for that
-// time.
-func (e *Engine) Schedule(delay Time, fn func()) *Event {
+// time. The event cannot be withdrawn; a deadline that may move or be
+// dropped is a Timer.
+func (e *Engine) Schedule(delay Time, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	return e.ScheduleAt(e.now+delay, fn)
+	e.ScheduleAt(e.now+delay, fn)
 }
 
 // ScheduleAt runs fn at absolute virtual time at. Times in the past are
 // clamped to now.
-func (e *Engine) ScheduleAt(at Time, fn func()) *Event {
+func (e *Engine) ScheduleAt(at Time, fn func()) {
 	if fn == nil {
 		panic("sim: ScheduleAt with nil callback")
 	}
-	n := e.scheduleNode(at, fn, nil)
-	ev := &Event{at: n.at, n: n}
-	n.ev = ev
-	return ev
+	e.scheduleNode(at, fn, nil)
 }
 
-// ScheduleCall runs r.RunEvent() after delay without allocating a closure
-// or an *Event handle. A negative delay is treated as zero. Use for
-// fire-and-forget hot-path work (frame delivery, backhaul completions).
+// ScheduleCall runs r.RunEvent() after delay without allocating a closure.
+// A negative delay is treated as zero. Use for fire-and-forget hot-path
+// work (frame delivery, backhaul completions).
 func (e *Engine) ScheduleCall(delay Time, r Runnable) {
 	if delay < 0 {
 		delay = 0
@@ -191,7 +184,7 @@ func (e *Engine) ScheduleCall(delay Time, r Runnable) {
 }
 
 // ScheduleCallAt runs r.RunEvent() at absolute virtual time at (clamped to
-// now) without allocating a closure or an *Event handle.
+// now) without allocating a closure.
 func (e *Engine) ScheduleCallAt(at Time, r Runnable) {
 	if r == nil {
 		panic("sim: ScheduleCallAt with nil Runnable")
@@ -392,22 +385,6 @@ func (e *Engine) refillFromOverflow() {
 	}
 }
 
-// Cancel removes a scheduled event. Cancelling a fired or already-cancelled
-// event is a no-op and returns false.
-func (e *Engine) Cancel(ev *Event) bool {
-	if ev == nil || ev.n == nil {
-		return false
-	}
-	n := ev.n
-	e.unlink(n)
-	ev.n = nil
-	ev.cancel = true
-	n.ev = nil
-	e.pending--
-	e.freeNode(n)
-	return true
-}
-
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
@@ -430,9 +407,8 @@ func (e *Engine) fire(n *node) {
 	}
 	e.batchRemove(0)
 	fn, r := n.fn, n.r
-	if ev := n.ev; ev != nil {
-		ev.n = nil
-		n.ev = nil
+	if t := n.t; t != nil {
+		t.n = nil // disarmed before its callback runs, which may re-arm it
 	}
 	e.freeNode(n)
 	if r != nil {
@@ -475,6 +451,96 @@ func (e *Engine) RunAll() {
 		}
 	}
 }
+
+// Timer is a one-shot deadline that its owner embeds and binds to a
+// Runnable once. Reset and ResetAt arm it, or move it when it is already
+// armed; Stop disarms it. A move re-arms the timer's node in place: it
+// unlinks the node, sets the new time, takes the next sequence number and
+// places it again, which gives the same (time, sequence) as dropping the
+// old deadline and scheduling a new one, without a free or an allocation.
+// The timer is disarmed before its callback runs, so the callback may
+// re-arm it.
+//
+// An armed timer owns an engine node that points back at it, so a Timer
+// must not be copied; go vet rejects a copy by value.
+type Timer struct {
+	noCopy noCopy
+	e      *Engine
+	n      *node // the armed node; nil while disarmed
+	r      Runnable
+}
+
+// Bind ties the timer to e and to the Runnable it runs when it fires.
+// Bind it once, before the first arm.
+func (t *Timer) Bind(e *Engine, r Runnable) {
+	if r == nil {
+		panic("sim: Timer bound to a nil Runnable")
+	}
+	t.e, t.r = e, r
+}
+
+// Armed reports whether the timer is waiting to fire.
+func (t *Timer) Armed() bool { return t.n != nil }
+
+// At returns the time the armed timer fires at, and 0 when it is disarmed.
+func (t *Timer) At() Time {
+	if t.n == nil {
+		return 0
+	}
+	return t.n.at
+}
+
+// Reset arms the timer to fire after delay, moving it if it is armed. A
+// negative delay is treated as zero.
+func (t *Timer) Reset(delay Time) {
+	if delay < 0 {
+		delay = 0
+	}
+	t.ResetAt(t.e.now + delay)
+}
+
+// ResetAt arms the timer to fire at absolute virtual time at (clamped to
+// now), moving it if it is armed.
+func (t *Timer) ResetAt(at Time) {
+	e := t.e
+	n := t.n
+	if n == nil {
+		n = e.scheduleNode(at, nil, t.r)
+		n.t = t
+		t.n = n
+		return
+	}
+	if at < e.now {
+		at = e.now
+	}
+	e.unlink(n)
+	n.at = at
+	n.seq = e.seq
+	e.seq++
+	e.place(n)
+}
+
+// Stop disarms the timer. It reports whether the timer was armed; stopping
+// a fired or stopped timer is a no-op.
+func (t *Timer) Stop() bool {
+	n := t.n
+	if n == nil {
+		return false
+	}
+	t.n = nil
+	e := t.e
+	e.unlink(n)
+	e.pending--
+	e.freeNode(n)
+	return true
+}
+
+// noCopy marks a struct that must not be copied after first use: go vet's
+// copylocks check reports any copy by value of a struct holding one.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // Ticker invokes fn every period until cancelled via the returned stop
 // function. The first tick fires one period from now. Ticks never enter
@@ -734,7 +800,7 @@ func (e *Engine) allocNode() *node {
 func (e *Engine) freeNode(n *node) {
 	n.fn = nil
 	n.r = nil
-	n.ev = nil
+	n.t = nil
 	n.wake = 0
 	n.prev = nil
 	n.level = levelFree

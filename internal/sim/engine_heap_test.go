@@ -19,15 +19,11 @@ type heapEngine struct {
 
 // heapEvent is the reference engine's event handle: one heap entry per event.
 type heapEvent struct {
-	at     Time
-	seq    uint64
-	fn     func()
-	index  int // heap index, -1 once fired or cancelled
-	cancel bool
+	at    Time
+	seq   uint64
+	fn    func()
+	index int // heap index, -1 once fired or cancelled
 }
-
-func (e *heapEvent) At() Time        { return e.at }
-func (e *heapEvent) Cancelled() bool { return e.cancel }
 
 type heapEventQueue []*heapEvent
 
@@ -98,9 +94,34 @@ func (e *heapEngine) Cancel(ev *heapEvent) bool {
 	}
 	heap.Remove(&e.queue, ev.index)
 	ev.index = -1
-	ev.cancel = true
 	return true
 }
+
+// heapTimer is the reference semantics of a Timer: a re-arm cancels the
+// pending event and schedules a fresh one, which takes the next sequence
+// number, and Stop is a cancel.
+type heapTimer struct {
+	e  *heapEngine
+	fn func()
+	ev *heapEvent
+}
+
+func newHeapTimer(e *heapEngine, fn func()) *heapTimer { return &heapTimer{e: e, fn: fn} }
+
+func (t *heapTimer) ResetAt(at Time) {
+	t.e.Cancel(t.ev)
+	t.ev = t.e.ScheduleAt(at, t.fn)
+}
+
+func (t *heapTimer) Reset(delay Time) {
+	if delay < 0 {
+		delay = 0
+	}
+	t.ResetAt(t.e.now + delay)
+}
+
+func (t *heapTimer) Stop() bool  { return t.e.Cancel(t.ev) }
+func (t *heapTimer) Armed() bool { return t.ev != nil && t.ev.index >= 0 }
 
 func (e *heapEngine) Stop() { e.stopped = true }
 

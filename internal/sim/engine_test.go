@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -54,29 +55,34 @@ func TestNegativeDelayClamped(t *testing.T) {
 	}
 }
 
+// TestCancel stops an armed timer: it never fires, and a second Stop is
+// a no-op.
 func TestCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.Schedule(time.Second, func() { fired = true })
-	if !e.Cancel(ev) {
-		t.Fatal("Cancel returned false for pending event")
+	var tm Timer
+	tm.Bind(e, Func(func() { fired = true }))
+	tm.Reset(time.Second)
+	if !tm.Stop() {
+		t.Fatal("Stop returned false for an armed timer")
 	}
-	if e.Cancel(ev) {
-		t.Fatal("Cancel returned true for already-cancelled event")
+	if tm.Stop() {
+		t.Fatal("Stop returned true for a stopped timer")
 	}
 	e.RunAll()
 	if fired {
-		t.Fatal("cancelled event fired")
+		t.Fatal("stopped timer fired")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() false after Cancel")
+	if tm.Armed() || e.Pending() != 0 {
+		t.Fatalf("after Stop: armed=%v pending=%d", tm.Armed(), e.Pending())
 	}
 }
 
+// TestCancelNil stops a timer that was never armed, or even bound.
 func TestCancelNil(t *testing.T) {
-	e := NewEngine()
-	if e.Cancel(nil) {
-		t.Fatal("Cancel(nil) returned true")
+	var tm Timer
+	if tm.Stop() || tm.Armed() {
+		t.Fatal("a zero Timer reported itself armed")
 	}
 }
 
@@ -332,27 +338,116 @@ func TestFiredCounter(t *testing.T) {
 	}
 }
 
+// TestEventAccessors pins a timer's At and Armed through arm, move, fire
+// and a re-arm into the past, which clamps to now.
 func TestEventAccessors(t *testing.T) {
 	e := NewEngine()
-	ev := e.Schedule(5*time.Second, func() {})
-	if ev.At() != 5*time.Second {
-		t.Fatalf("At = %v", ev.At())
+	var tm Timer
+	tm.Bind(e, Func(func() {}))
+	if tm.At() != 0 {
+		t.Fatalf("disarmed At = %v", tm.At())
 	}
-	if ev.Cancelled() {
-		t.Fatal("fresh event cancelled")
+	tm.Reset(5 * time.Second)
+	if !tm.Armed() || tm.At() != 5*time.Second {
+		t.Fatalf("armed=%v At=%v, want armed at 5s", tm.Armed(), tm.At())
+	}
+	tm.ResetAt(3 * time.Second)
+	if tm.At() != 3*time.Second || e.Pending() != 1 {
+		t.Fatalf("after a move: At=%v pending=%d", tm.At(), e.Pending())
+	}
+	e.RunAll()
+	if tm.Armed() || tm.At() != 0 || e.Now() != 3*time.Second {
+		t.Fatalf("after firing: armed=%v At=%v now=%v", tm.Armed(), tm.At(), e.Now())
+	}
+	tm.ResetAt(time.Second)
+	if tm.At() != 3*time.Second {
+		t.Fatalf("ResetAt in the past: At=%v, want now (3s)", tm.At())
 	}
 }
 
 func TestCancelDuringTick(t *testing.T) {
-	// Cancelling a later event from within an earlier one must work.
+	// Stopping a later timer from within an earlier event must work.
 	e := NewEngine()
-	var late *Event
+	var late Timer
 	lateFired := false
-	late = e.Schedule(2*time.Second, func() { lateFired = true })
-	e.Schedule(time.Second, func() { e.Cancel(late) })
+	late.Bind(e, Func(func() { lateFired = true }))
+	late.Reset(2 * time.Second)
+	e.Schedule(time.Second, func() { late.Stop() })
 	e.RunAll()
 	if lateFired {
-		t.Fatal("cancelled event fired")
+		t.Fatal("stopped timer fired")
+	}
+}
+
+// TestTimerResetTakesNextSequence pins the move contract: a timer moved
+// onto an instant other events hold orders after every event scheduled
+// before the move, as cancel-then-schedule would, even when it was
+// armed first; and one re-armed by its own callback fires again.
+func TestTimerResetTakesNextSequence(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	var tm Timer
+	rearms := 2
+	tm.Bind(e, Func(func() {
+		got = append(got, fmt.Sprintf("timer@%v", e.Now()))
+		if rearms > 0 {
+			rearms--
+			tm.Reset(0)
+		}
+	}))
+	tm.ResetAt(time.Second)
+	e.ScheduleAt(time.Second, func() { got = append(got, "a") })
+	e.ScheduleAt(2*time.Second, func() { got = append(got, "b") })
+	tm.ResetAt(time.Second) // same instant, next sequence: after a
+	e.ScheduleAt(time.Second, func() { got = append(got, "c") })
+	e.Run(time.Second)
+	if want := "[a timer@1s c timer@1s timer@1s]"; fmt.Sprint(got) != want {
+		t.Fatalf("order = %v, want %s", got, want)
+	}
+	tm.ResetAt(2 * time.Second) // a fired timer re-armed: after b
+	e.RunAll()
+	if want := "[a timer@1s c timer@1s timer@1s b timer@2s]"; fmt.Sprint(got) != want {
+		t.Fatalf("order = %v, want %s", got, want)
+	}
+}
+
+// TestTimerZeroAlloc pins the point of Timer: once the node pool is warm,
+// moving an armed timer, re-arming a fired one and re-arming a stopped
+// one allocate nothing.
+func TestTimerZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	var tm Timer
+	n := 0
+	tm.Bind(e, Func(func() { n++ }))
+	tm.Reset(time.Millisecond)
+	e.RunAll() // warm the pool and the batch
+	cases := []struct {
+		name string
+		op   func()
+	}{
+		{"move an armed timer", func() {
+			tm.Reset(time.Millisecond)
+			tm.Reset(2 * time.Millisecond)
+			e.RunAll()
+		}},
+		{"re-arm a fired timer", func() {
+			tm.Reset(time.Millisecond)
+			e.RunAll()
+		}},
+		{"re-arm a stopped timer", func() {
+			tm.Reset(time.Millisecond)
+			tm.Stop()
+			tm.Reset(time.Millisecond)
+			e.RunAll()
+		}},
+	}
+	for _, c := range cases {
+		if allocs := testing.AllocsPerRun(100, c.op); allocs != 0 {
+			t.Errorf("%s: %.1f allocs/op", c.name, allocs)
+		}
+	}
+	if n == 0 {
+		t.Fatal("timer never fired")
 	}
 }
 
@@ -414,19 +509,21 @@ func TestPeekNextReportsHead(t *testing.T) {
 
 func TestPeekNextAfterCancelledHead(t *testing.T) {
 	e := NewEngine()
-	head := e.Schedule(time.Second, func() {})
+	var head Timer
+	head.Bind(e, Func(func() {}))
+	head.Reset(time.Second)
 	e.Schedule(2*time.Second, func() {})
-	e.Cancel(head)
-	// Cancel removes the event from the queue immediately, so the peek
-	// must report the surviving event, never the cancelled head.
+	head.Stop()
+	// Stop removes the timer from the queue immediately, so the peek
+	// must report the surviving event, never the stopped head.
 	if at, ok := e.PeekNext(); !ok || at != 2*time.Second {
-		t.Fatalf("PeekNext after cancelling head = (%v, %v), want (2s, true)", at, ok)
+		t.Fatalf("PeekNext after stopping head = (%v, %v), want (2s, true)", at, ok)
 	}
 	if e.Pending() != 1 {
-		t.Fatalf("Pending after cancel = %d, want 1", e.Pending())
+		t.Fatalf("Pending after stop = %d, want 1", e.Pending())
 	}
-	e.Cancel(head)
+	head.Stop()
 	if e.Pending() != 1 {
-		t.Fatalf("double-cancel changed Pending to %d", e.Pending())
+		t.Fatalf("double stop changed Pending to %d", e.Pending())
 	}
 }

@@ -69,25 +69,66 @@ func (r *fuzzRig) startHeap(period Time) {
 	}))
 }
 
-// scheduleStarter schedules a one-shot on both engines that logs and then
-// starts a ticker on its own engine.
+// scheduleStarter arms a timer on both engines that logs and, on its
+// first firing only, starts a ticker on its own engine; a re-armed
+// starter fires again but starts nothing, so the tick budget holds.
 func (r *fuzzRig) scheduleStarter(at, period Time) {
-	id := r.nextID
-	r.nextID++
 	r.starters++
-	r.wheelEvs[id] = r.wheel.ScheduleAt(at, func() {
-		r.wheelLog = append(r.wheelLog, firing{r.wheel.Now(), id})
-		r.starters--
-		if !r.draining {
-			r.startWheel(period)
+	var fired [2]bool
+	id := r.newTimer(func(side int) {
+		if fired[side] {
+			return
 		}
-	})
-	r.heapEvs[id] = r.heap.ScheduleAt(at, func() {
-		r.heapLog = append(r.heapLog, firing{r.heap.Now(), id})
-		if !r.draining {
+		fired[side] = true
+		if side == 0 {
+			r.starters--
+		}
+		if r.draining {
+			return
+		}
+		if side == 0 {
+			r.startWheel(period)
+		} else {
 			r.startHeap(period)
 		}
 	})
+	r.resetAt(id, at)
+}
+
+// armActor arms a timer at at on both engines whose first firing moves
+// timer victim to d after it (act 0) or stops it (act 1), on its own
+// engine. Acting once bounds the firings two actors aimed at each other
+// can cause.
+func (r *fuzzRig) armActor(at Time, victim, act int, d Time) {
+	var acted [2]bool
+	id := r.newTimer(func(side int) {
+		if acted[side] {
+			return
+		}
+		acted[side] = true
+		tm, now := r.sideTimer(side, victim)
+		if act == 0 {
+			tm.ResetAt(now + d)
+		} else {
+			tm.Stop()
+		}
+	})
+	r.resetAt(id, at)
+}
+
+// armRepeater arms a timer at at on both engines that re-arms itself from
+// its own callback, d later, n times.
+func (r *fuzzRig) armRepeater(at Time, n int, d Time) {
+	left := [2]int{n, n}
+	var id int
+	id = r.newTimer(func(side int) {
+		if left[side] > 0 {
+			left[side]--
+			tm, now := r.sideTimer(side, id)
+			tm.ResetAt(now + d)
+		}
+	})
+	r.resetAt(id, at)
 }
 
 // runSpan shrinks a Run horizon until the live tickers, and one ticker per
@@ -115,11 +156,14 @@ func (r *fuzzRig) ticksIn(span Time) Time {
 }
 
 // FuzzEngine decodes its input, three bytes per operation, into a program
-// of schedule, cancel, ticker start (directly or from a one-shot), sleep,
-// wake, stop and Run(until) steps. It replays the program on the Engine
-// and on the heap reference (refTicker for tickers) and requires identical
-// traces, clocks, Fired, Pending and PeekNext at every Run barrier and
-// after a final drain.
+// of timer arm, stop and move steps (from outside Run, and from callbacks:
+// an actor's, or a repeater's own), ticker start (directly or from a
+// one-shot timer), sleep, wake, stop and Run(until) steps. It replays the
+// program on the Engine and on the heap reference (heapTimer for timers,
+// refTicker for tickers) and requires identical traces, clocks, Fired,
+// Pending and PeekNext at every Run barrier and after a final drain. An
+// op byte below 8 decodes alike under %12 and %8, so corpus entries
+// written for the eight original ops keep their meaning.
 func FuzzEngine(f *testing.F) {
 	f.Add([]byte{2, 4, 3, 2, 4, 3, 0, 3, 9, 6, 5, 2, 5, 0, 0, 6, 5, 40})
 	f.Add([]byte{0, 7, 1, 0, 0, 0, 1, 0, 0, 6, 3, 200, 2, 0, 0, 6, 2, 9})
@@ -129,18 +173,28 @@ func FuzzEngine(f *testing.F) {
 		r := &fuzzRig{diffRig: newDiffRig()}
 		prog = prog[:min(len(prog), 3*fuzzMaxOps)]
 		for ; len(prog) >= 3 && r.firings < fuzzMaxFirings && r.wheel.Now() < fuzzMaxNow; prog = prog[3:] {
-			op, a, b := prog[0]%8, prog[1], prog[2]
+			op, a, b := prog[0]%12, prog[1], prog[2]
 			k := 0
 			if len(r.wt) > 0 {
 				k = int(a) % len(r.wt)
 			}
 			switch {
-			case op == 0: // schedule a plain event
+			case op == 0: // arm a new timer
 				r.scheduleAt(r.wheel.Now() + fuzzSpan(a, b))
-			case op == 1: // cancel an event, fired or not
+			case op == 1: // stop a timer, armed, fired or stopped
 				if r.nextID > 0 {
-					r.cancel((int(a)<<8 | int(b)) % r.nextID)
+					r.stop((int(a)<<8 | int(b)) % r.nextID)
 				}
+			case op == 8: // move a timer, armed, fired or stopped
+				if r.nextID > 0 {
+					r.resetAt(int(a)%r.nextID, r.wheel.Now()+fuzzSpan(b, a))
+				}
+			case op == 9 || op == 10: // arm an actor that moves or stops a timer
+				if r.nextID > 0 {
+					r.armActor(r.wheel.Now()+fuzzSpan(a, b), int(b)%r.nextID, int(op-9), fuzzSpan(b, a))
+				}
+			case op == 11: // arm a timer that re-arms itself
+				r.armRepeater(r.wheel.Now()+fuzzSpan(a, b), int(a%4)+1, fuzzSpan(b>>3, b))
 			case op == 2: // start a ticker from outside Run
 				p := fuzzSpan(a, b)
 				r.startWheel(p)

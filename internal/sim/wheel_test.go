@@ -9,10 +9,19 @@ import (
 // differential harness: drive the timer-wheel Engine and the reference
 // heapEngine through the same randomized workload and require identical
 // (time, id) firing sequences, identical clocks, and identical counters.
+// The rig's events are timers, so a workload can move and stop them; the
+// reference timer is cancel-then-schedule (heapTimer).
 
 type firing struct {
 	at Time
 	id int
+}
+
+// timerOps is the surface Timer and heapTimer share.
+type timerOps interface {
+	ResetAt(Time)
+	Stop() bool
+	Armed() bool
 }
 
 type diffRig struct {
@@ -22,38 +31,74 @@ type diffRig struct {
 	wheelLog []firing
 	heapLog  []firing
 
-	wheelEvs map[int]*Event
-	heapEvs  map[int]*heapEvent
-	nextID   int
+	// Timer id is wheelTimers[id] on the wheel, heapTimers[id] on the
+	// reference.
+	wheelTimers map[int]*Timer
+	heapTimers  map[int]*heapTimer
+	nextID      int
 }
 
 func newDiffRig() *diffRig {
 	return &diffRig{
-		wheel:    NewEngine(),
-		heap:     newHeapEngine(),
-		wheelEvs: make(map[int]*Event),
-		heapEvs:  make(map[int]*heapEvent),
+		wheel:       NewEngine(),
+		heap:        newHeapEngine(),
+		wheelTimers: make(map[int]*Timer),
+		heapTimers:  make(map[int]*heapTimer),
 	}
 }
 
-// scheduleAt registers the same callback on both engines and returns its id.
-func (r *diffRig) scheduleAt(at Time) int {
+// newTimer binds a disarmed timer under a new id on both engines. Its
+// callback logs (now, id), then, when after is not nil, calls after with
+// its side: 0 on the wheel, 1 on the reference.
+func (r *diffRig) newTimer(after func(side int)) int {
 	id := r.nextID
 	r.nextID++
-	r.wheelEvs[id] = r.wheel.ScheduleAt(at, func() {
+	wt := new(Timer)
+	wt.Bind(r.wheel, Func(func() {
 		r.wheelLog = append(r.wheelLog, firing{r.wheel.Now(), id})
-	})
-	r.heapEvs[id] = r.heap.ScheduleAt(at, func() {
+		if after != nil {
+			after(0)
+		}
+	}))
+	r.wheelTimers[id] = wt
+	r.heapTimers[id] = newHeapTimer(r.heap, func() {
 		r.heapLog = append(r.heapLog, firing{r.heap.Now(), id})
+		if after != nil {
+			after(1)
+		}
 	})
 	return id
 }
 
-func (r *diffRig) cancel(id int) {
-	cw := r.wheel.Cancel(r.wheelEvs[id])
-	ch := r.heap.Cancel(r.heapEvs[id])
-	if cw != ch {
-		panic(fmt.Sprintf("Cancel(%d) diverged: wheel=%v heap=%v", id, cw, ch))
+// sideTimer returns timer id on one side of the rig and that side's clock.
+func (r *diffRig) sideTimer(side, id int) (timerOps, Time) {
+	if side == 0 {
+		return r.wheelTimers[id], r.wheel.Now()
+	}
+	return r.heapTimers[id], r.heap.Now()
+}
+
+// scheduleAt arms a new logging timer at at on both engines and returns
+// its id.
+func (r *diffRig) scheduleAt(at Time) int {
+	id := r.newTimer(nil)
+	r.resetAt(id, at)
+	return id
+}
+
+// resetAt arms or moves timer id on both engines.
+func (r *diffRig) resetAt(id int, at Time) {
+	r.wheelTimers[id].ResetAt(at)
+	r.heapTimers[id].ResetAt(at)
+}
+
+// stop disarms timer id on both engines, which must agree on whether it
+// was armed.
+func (r *diffRig) stop(id int) {
+	sw := r.wheelTimers[id].Stop()
+	sh := r.heapTimers[id].Stop()
+	if sw != sh {
+		panic(fmt.Sprintf("Stop(%d) diverged: wheel=%v heap=%v", id, sw, sh))
 	}
 }
 
@@ -83,7 +128,7 @@ func (r *diffRig) check(t *testing.T) {
 	}
 }
 
-// TestDifferentialRandomWorkload exercises randomized schedule/cancel
+// TestDifferentialRandomWorkload exercises randomized arm/move/stop timer
 // mixes across several seeds, with delays spanning sub-tick jitter to
 // multi-level wheel distances, and random StepUntil-style Run barriers.
 func TestDifferentialRandomWorkload(t *testing.T) {
@@ -118,11 +163,14 @@ func TestDifferentialRandomWorkload(t *testing.T) {
 
 			for round := 0; round < 40; round++ {
 				for i := 0; i < 50; i++ {
-					switch {
-					case rng.Intn(4) == 0 && len(live) > 0:
+					switch k := rng.Intn(8); {
+					case k < 2 && len(live) > 0:
 						k := rng.Intn(len(live))
-						rig.cancel(live[k])
+						rig.stop(live[k])
 						live = append(live[:k], live[k+1:]...)
+					case k == 2 && len(live) > 0:
+						// Move a timer, armed or fired, in place.
+						rig.resetAt(live[rng.Intn(len(live))], rig.wheel.Now()+randomDelay())
 					default:
 						at := rig.wheel.Now() + randomDelay()
 						live = append(live, rig.scheduleAt(at))
@@ -134,13 +182,13 @@ func TestDifferentialRandomWorkload(t *testing.T) {
 				rig.wheel.Run(until)
 				rig.heap.Run(until)
 				rig.check(t)
-				// Drop fired ids from the live set (handles are safe to
-				// cancel after firing; both must agree it is a no-op).
+				// Drop fired ids from the live set (a fired timer is safe to
+				// stop; both must agree it is a no-op).
 				if len(live) > 200 {
 					kept := live[:0]
 					for _, id := range live {
-						if rig.wheelEvs[id].n == nil && rng.Intn(2) == 0 {
-							rig.cancel(id) // fired: must be a no-op on both
+						if !rig.wheelTimers[id].Armed() && rng.Intn(2) == 0 {
+							rig.stop(id) // fired: must be a no-op on both
 							continue
 						}
 						kept = append(kept, id)
@@ -219,7 +267,7 @@ func TestDifferentialStepUntilBarriers(t *testing.T) {
 	}
 }
 
-// TestDifferentialCancelDuringRun cancels pending events from inside
+// TestDifferentialCancelDuringRun stops pending timers from inside
 // callbacks on both engines and requires identical outcomes.
 func TestDifferentialCancelDuringRun(t *testing.T) {
 	rig := newDiffRig()
@@ -227,15 +275,15 @@ func TestDifferentialCancelDuringRun(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		victims = append(victims, rig.scheduleAt(Time(100+i)*time.Millisecond))
 	}
-	// At 50ms, cancel every even victim on both engines.
+	// At 50ms, stop every even victim on both engines.
 	rig.wheel.ScheduleAt(50*time.Millisecond, func() {
 		for i := 0; i < len(victims); i += 2 {
-			rig.wheel.Cancel(rig.wheelEvs[victims[i]])
+			rig.wheelTimers[victims[i]].Stop()
 		}
 	})
 	rig.heap.ScheduleAt(50*time.Millisecond, func() {
 		for i := 0; i < len(victims); i += 2 {
-			rig.heap.Cancel(rig.heapEvs[victims[i]])
+			rig.heapTimers[victims[i]].Stop()
 		}
 	})
 	rig.wheel.RunAll()
@@ -243,6 +291,43 @@ func TestDifferentialCancelDuringRun(t *testing.T) {
 	rig.check(t)
 	if got := len(rig.wheelLog); got != 4 {
 		t.Fatalf("expected 4 survivors, got %d", got)
+	}
+}
+
+// TestDifferentialTimerMovesDuringRun moves timers from inside callbacks
+// on both engines: earlier, later, onto an instant other events already
+// hold (where the move must order the timer after them), and a timer that
+// re-arms itself from its own callback.
+func TestDifferentialTimerMovesDuringRun(t *testing.T) {
+	rig := newDiffRig()
+	var victims []int
+	for i := 0; i < 8; i++ {
+		victims = append(victims, rig.scheduleAt(Time(100+10*i)*time.Millisecond))
+	}
+	rig.scheduleAt(120 * time.Millisecond) // shares the instant victims[2] moves to
+	targets := []Time{5, 300, 120, 101, 2000, 0, 170, 1 << 20}
+	mover := func(side int) {
+		for i, v := range victims {
+			tm, now := rig.sideTimer(side, v)
+			tm.ResetAt(now + targets[i]*time.Millisecond - 50*time.Millisecond)
+		}
+	}
+	rig.resetAt(rig.newTimer(mover), 50*time.Millisecond)
+	left := [2]int{3, 3}
+	var self int
+	self = rig.newTimer(func(side int) {
+		if left[side] > 0 {
+			left[side]--
+			tm, now := rig.sideTimer(side, self)
+			tm.ResetAt(now + 7*time.Millisecond)
+		}
+	})
+	rig.resetAt(self, 95*time.Millisecond)
+	rig.wheel.RunAll()
+	rig.heap.RunAll()
+	rig.check(t)
+	if got, want := len(rig.wheelLog), 8+1+1+4; got != want {
+		t.Fatalf("firings = %d, want %d", got, want)
 	}
 }
 

@@ -50,7 +50,7 @@ type Sender struct {
 	// increase and an ACK covers a prefix.
 	sendTimes []sentSegment
 
-	rtoTimer *sim.Event
+	rtoTimer sim.Timer
 	stopped  bool
 
 	// Pacing: when paceBps > 0, data segments are released no faster than
@@ -59,7 +59,7 @@ type Sender struct {
 	// would otherwise allow more.
 	paceBps   float64
 	paceNext  sim.Time
-	paceTimer *sim.Event
+	paceTimer sim.Timer
 
 	// Stats for experiments.
 	Timeouts        int
@@ -85,7 +85,7 @@ func NewSender(eng *sim.Engine, out func(Segment), done func()) *Sender {
 	if out == nil {
 		panic("tcpsim: NewSender with nil out")
 	}
-	return &Sender{
+	s := &Sender{
 		eng:      eng,
 		out:      out,
 		done:     done,
@@ -93,6 +93,9 @@ func NewSender(eng *sim.Engine, out func(Segment), done func()) *Sender {
 		ssthresh: 64, // segments
 		rto:      initRTO,
 	}
+	s.rtoTimer.Bind(eng, sim.Func(s.onRTO))
+	s.paceTimer.Bind(eng, sim.Func(s.sendData))
+	return s
 }
 
 // Start opens the connection and begins pushing totalBytes of payload
@@ -111,8 +114,8 @@ func (s *Sender) Start(totalBytes int64) {
 // Stop abandons the connection; no further segments are sent.
 func (s *Sender) Stop() {
 	s.stopped = true
-	s.cancelRTO()
-	s.cancelPace()
+	s.rtoTimer.Stop()
+	s.paceTimer.Stop()
 }
 
 // SetPaceBps caps the sender's payload release rate (the allocator's
@@ -120,7 +123,7 @@ func (s *Sender) Stop() {
 // records it — no event is scheduled, so an allocator may re-pace any
 // number of idle senders without perturbing the event timeline. Only when
 // the sender was asleep on its own pace timer is that wakeup replaced by
-// an immediate re-drive, since the cancelled timer was its sole way
+// an immediate re-drive, since the stopped timer was its sole way
 // forward.
 func (s *Sender) SetPaceBps(bps float64) {
 	if bps <= 0 {
@@ -128,26 +131,13 @@ func (s *Sender) SetPaceBps(bps float64) {
 		s.paceNext = 0
 	}
 	s.paceBps = bps
-	if s.paceTimer != nil {
-		s.cancelPace()
+	if s.paceTimer.Stop() {
 		s.sendData()
 	}
 }
 
 // PaceBps returns the current pacing cap (0 when unpaced).
 func (s *Sender) PaceBps() float64 { return s.paceBps }
-
-func (s *Sender) cancelPace() {
-	if s.paceTimer != nil {
-		s.eng.Cancel(s.paceTimer)
-		s.paceTimer = nil
-	}
-}
-
-func (s *Sender) onPaceTimer() {
-	s.paceTimer = nil
-	s.sendData()
-}
 
 // Established reports whether the handshake has completed.
 func (s *Sender) Established() bool { return s.state == senderEstablished }
@@ -161,17 +151,9 @@ func (s *Sender) Cwnd() float64 { return s.cwnd }
 // RTO returns the current retransmission timeout.
 func (s *Sender) RTO() sim.Time { return s.rto }
 
-func (s *Sender) cancelRTO() {
-	if s.rtoTimer != nil {
-		s.eng.Cancel(s.rtoTimer)
-		s.rtoTimer = nil
-	}
-}
-
-func (s *Sender) armRTO() {
-	s.cancelRTO()
-	s.rtoTimer = s.eng.Schedule(s.rto, s.onRTO)
-}
+// armRTO (re)starts the retransmission timer; it moves in place on every
+// ACK that leaves data in flight.
+func (s *Sender) armRTO() { s.rtoTimer.Reset(s.rto) }
 
 func (s *Sender) flight() uint32 { return s.sndNxt - s.sndUna }
 
@@ -186,7 +168,6 @@ func (s *Sender) remaining() int64 {
 }
 
 func (s *Sender) onRTO() {
-	s.rtoTimer = nil
 	if s.stopped || s.state == senderDone || s.state == senderClosed {
 		return
 	}
@@ -228,8 +209,8 @@ func (s *Sender) sendData() {
 			if s.paceNext > now {
 				// Token bucket empty: wake exactly when it refills. One
 				// timer, re-armed only while the window wants more data.
-				if s.paceTimer == nil {
-					s.paceTimer = s.eng.ScheduleAt(s.paceNext, s.onPaceTimer)
+				if !s.paceTimer.Armed() {
+					s.paceTimer.ResetAt(s.paceNext)
 				}
 				break
 			}
@@ -256,7 +237,7 @@ func (s *Sender) sendData() {
 		s.out(seg)
 		s.SegmentsSent++
 	}
-	if s.flight() > 0 && s.rtoTimer == nil {
+	if s.flight() > 0 && !s.rtoTimer.Armed() {
 		s.armRTO()
 	}
 }
@@ -315,7 +296,7 @@ func (s *Sender) Deliver(seg Segment) {
 			s.state = senderEstablished
 			s.sndUna, s.sndNxt = 1, 1
 			s.rto = initRTO
-			s.cancelRTO()
+			s.rtoTimer.Stop()
 			s.sendData()
 		}
 	case senderEstablished:
@@ -338,15 +319,15 @@ func (s *Sender) Deliver(seg Segment) {
 			}
 			if s.total >= 0 && int64(s.sndUna) >= s.total+1 {
 				s.state = senderDone
-				s.cancelRTO()
-				s.cancelPace()
+				s.rtoTimer.Stop()
+				s.paceTimer.Stop()
 				if s.done != nil {
 					s.done()
 				}
 				return
 			}
 			if s.flight() == 0 {
-				s.cancelRTO()
+				s.rtoTimer.Stop()
 			} else {
 				s.armRTO()
 			}

@@ -198,6 +198,15 @@ func newWinAcc() *winAcc {
 	}
 }
 
+// reset empties the accumulator for another window, keeping its maps'
+// storage.
+func (w *winAcc) reset() {
+	clear(w.goodput)
+	clear(w.outage)
+	clear(w.perAP)
+	*w = winAcc{goodput: w.goodput, outage: w.outage, perAP: w.perAP}
+}
+
 func (w *winAcc) ap(bssid string) *apAcc {
 	a, ok := w.perAP[bssid]
 	if !ok {
@@ -231,6 +240,12 @@ type Aggregator struct {
 	lastClosed     int64
 	windows        []Window
 	droppedWindows int64
+	// spare holds closed windows' accumulators, reset for reuse, and ids
+	// and bssids are closeWindow's sort scratch, so a run builds them
+	// once rather than once per window.
+	spare  []*winAcc
+	ids    []int
+	bssids []string
 
 	lastProbe Probe
 	haveProbe bool
@@ -310,11 +325,21 @@ func (a *Aggregator) acc(at sim.Time) *winAcc {
 	}
 	w, ok := a.accs[idx]
 	if !ok {
-		w = newWinAcc()
+		w = a.newAcc()
 		a.accs[idx] = w
 	}
 	a.curIdx, a.cur = idx, w
 	return w
+}
+
+// newAcc returns an empty accumulator, reusing a closed window's.
+func (a *Aggregator) newAcc() *winAcc {
+	if n := len(a.spare); n > 0 {
+		w := a.spare[n-1]
+		a.spare = a.spare[:n-1]
+		return w
+	}
+	return newWinAcc()
 }
 
 func (a *Aggregator) noteClient(id int) {
@@ -462,6 +487,7 @@ func (a *Aggregator) Finish(now sim.Time) {
 	a.finished = true
 	a.accs = nil
 	a.cur = nil
+	a.spare = nil
 }
 
 // closeWindow finalizes the window [idx*W, end): splits open outages,
@@ -472,7 +498,7 @@ func (a *Aggregator) closeWindow(idx int64, end sim.Time, withProbe bool) {
 	start := sim.Time(idx * W)
 	acc, ok := a.accs[idx]
 	if !ok {
-		acc = newWinAcc()
+		acc = a.newAcc()
 	} else {
 		delete(a.accs, idx)
 	}
@@ -527,16 +553,22 @@ func (a *Aggregator) closeWindow(idx int64, end sim.Time, withProbe bool) {
 		w.Clients = p.Clients
 		w.Collisions = p.CumCollisions - prev.CumCollisions
 		w.PoolExhausted = p.CumPoolExhausted - prev.CumPoolExhausted
-		prevCh := make(map[int]ChannelProbe, len(prev.Channels))
-		for _, c := range prev.Channels {
-			prevCh[c.Channel] = c
+		if len(p.Channels) > 0 {
+			w.Channels = make([]ChannelRoll, len(p.Channels))
 		}
-		for _, c := range p.Channels {
-			w.Channels = append(w.Channels, ChannelRoll{
+		for i, c := range p.Channels {
+			var prevAirtime int64
+			for _, q := range prev.Channels {
+				if q.Channel == c.Channel {
+					prevAirtime = q.CumAirtimeNS
+					break
+				}
+			}
+			w.Channels[i] = ChannelRoll{
 				Channel:    c.Channel,
-				AirtimeNS:  c.CumAirtimeNS - prevCh[c.Channel].CumAirtimeNS,
+				AirtimeNS:  c.CumAirtimeNS - prevAirtime,
 				Contenders: c.Contenders,
-			})
+			}
 		}
 		sort.Slice(w.Channels, func(i, j int) bool { return w.Channels[i].Channel < w.Channels[j].Channel })
 		a.lastProbe, a.haveProbe = p, true
@@ -548,21 +580,23 @@ func (a *Aggregator) closeWindow(idx int64, end sim.Time, withProbe bool) {
 	// Per-client series and the window's fairness index over the full
 	// population (absent clients contribute zero goodput).
 	var sum, sumSq float64
-	ids := make([]int, 0, len(acc.goodput)+len(acc.outage))
-	seen := make(map[int]struct{}, len(acc.goodput))
+	ids := a.ids[:0]
 	for c := range acc.goodput {
 		ids = append(ids, c)
-		seen[c] = struct{}{}
 	}
 	for c := range acc.outage {
-		if _, ok := seen[c]; !ok {
+		if _, ok := acc.goodput[c]; !ok {
 			ids = append(ids, c)
 		}
 	}
 	sort.Ints(ids)
-	for _, c := range ids {
+	a.ids = ids
+	if len(ids) > 0 {
+		w.PerClient = make([]ClientRoll, len(ids))
+	}
+	for i, c := range ids {
 		g := acc.goodput[c]
-		w.PerClient = append(w.PerClient, ClientRoll{Client: c, GoodputBytes: g, OutageNS: acc.outage[c]})
+		w.PerClient[i] = ClientRoll{Client: c, GoodputBytes: g, OutageNS: acc.outage[c]}
 		w.GoodputBytes += g
 		w.OutageNS += acc.outage[c]
 		sum += float64(g)
@@ -582,15 +616,21 @@ func (a *Aggregator) closeWindow(idx int64, end sim.Time, withProbe bool) {
 	}
 
 	// Per-AP series in BSSID order.
-	bssids := make([]string, 0, len(acc.perAP))
+	bssids := a.bssids[:0]
 	for b := range acc.perAP {
 		bssids = append(bssids, b)
 	}
 	sort.Strings(bssids)
-	for _, b := range bssids {
-		ap := acc.perAP[b]
-		w.PerAP = append(w.PerAP, APRoll{BSSID: b, JoinOKs: ap.joinOKs, JoinFails: ap.joinFails, IPAMAllocs: ap.ipamAllocs})
+	a.bssids = bssids
+	if len(bssids) > 0 {
+		w.PerAP = make([]APRoll, len(bssids))
 	}
+	for i, b := range bssids {
+		ap := acc.perAP[b]
+		w.PerAP[i] = APRoll{BSSID: b, JoinOKs: ap.joinOKs, JoinFails: ap.joinFails, IPAMAllocs: ap.ipamAllocs}
+	}
+	acc.reset()
+	a.spare = append(a.spare, acc)
 
 	// SLO evaluation and health transitions. Events carry At = the
 	// window boundary, so they land in the next window — evaluation
