@@ -128,7 +128,7 @@ type AP struct {
 
 	outstanding int
 	nextAID     uint16
-	stopBeacons func()
+	beacons     *sim.Ticker
 	crashed     bool
 	beaconing   bool
 
@@ -222,13 +222,13 @@ func New(eng *sim.Engine, rng *sim.RNG, medium *phy.Medium, pos geo.Point, mac d
 			a.uplink(p)
 		}
 	})
-	a.stopBeacons = eng.Ticker(cfg.BeaconInterval, a.beacon)
+	a.beacons = eng.Ticker(cfg.BeaconInterval, a.beacon)
 	return a
 }
 
 // Close silences the AP.
 func (a *AP) Close() {
-	a.stopBeacons()
+	a.beacons.Stop()
 	a.radio.Close()
 }
 

@@ -90,13 +90,13 @@ func TestThroughputMatchesRate(t *testing.T) {
 	bytes := 0
 	l := NewLink(eng, Config{RateBps: 2e6}, func(p ipnet.Packet) { bytes += p.WireLen() })
 	// Keep the queue fed for one simulated second.
-	stop := eng.Ticker(time.Millisecond, func() {
+	feed := eng.Ticker(time.Millisecond, func() {
 		for l.QueueDepth() < 10 {
 			l.Send(pkt(1488))
 		}
 	})
 	eng.Run(time.Second)
-	stop()
+	feed.Stop()
 	eng.Run(2 * time.Second)
 	got := float64(bytes*8) / 2 // bits over ~2s of draining+1s feed... measure loosely
 	_ = got

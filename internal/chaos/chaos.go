@@ -288,10 +288,10 @@ func (inj *Injector) startProcess(pr Process) {
 				Duration: pr.Duration, Channel: pr.Channel,
 				Loss: pr.Loss, Delay: pr.Delay, Cause: pr.Cause,
 			})
-			arm(inj.eng.Now() + inj.rng.ExpDuration(pr.Mean))
+			arm(sim.Later(inj.eng.Now(), inj.rng.ExpDuration(pr.Mean)))
 		})
 	}
-	arm(pr.Start + inj.rng.ExpDuration(pr.Mean))
+	arm(sim.Later(pr.Start, inj.rng.ExpDuration(pr.Mean)))
 }
 
 // targets resolves an Event.AP selector to concrete targets and their

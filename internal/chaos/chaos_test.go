@@ -220,6 +220,33 @@ func TestDisabledProcessNeverFires(t *testing.T) {
 	}
 }
 
+// TestProcessWithEndlessMeanNeverFires: an arrival drawn past the last
+// Time, or landing past it after the start, saturates at sim.Infinity
+// instead of wrapping negative and firing at once.
+func TestProcessWithEndlessMeanNeverFires(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		eng, fakes, targets := rig(1)
+		plan := Plan{Procs: []Process{{Kind: APCrash, Mean: sim.Infinity, Start: 10 * sim.Time(time.Second), AP: 0}}}
+		inj := New(eng, sim.NewRNG(seed).Stream("chaos"), plan, targets, nil)
+		eng.Run(60 * sim.Time(time.Second))
+		if n := inj.Stats().Injected; n != 0 || len(fakes[0].log) != 0 {
+			t.Fatalf("seed %d: %d injections in 60s: %v", seed, n, fakes[0].log)
+		}
+	}
+}
+
+// TestEndlessDurationNeverReverts: a fault whose Duration would carry its
+// revert past the last Time stays in force.
+func TestEndlessDurationNeverReverts(t *testing.T) {
+	eng, fakes, targets := rig(1)
+	plan := Plan{Events: []Event{{At: sim.Time(time.Second), Kind: APCrash, AP: 0, Duration: sim.Infinity}}}
+	inj := New(eng, sim.NewRNG(1).Stream("chaos"), plan, targets, nil)
+	eng.Run(60 * sim.Time(time.Second))
+	if want := []string{"1s ap0 crash"}; !reflect.DeepEqual(fakes[0].log, want) || inj.Stats().Reverted != 0 {
+		t.Fatalf("log = %v (reverted %d), want %v", fakes[0].log, inj.Stats().Reverted, want)
+	}
+}
+
 func TestAllAPsSelector(t *testing.T) {
 	eng, fakes, targets := rig(3)
 	plan := Plan{Events: []Event{{At: 1, Kind: APCrash, AP: AllAPs}}}

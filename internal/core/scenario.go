@@ -229,8 +229,8 @@ func (s *Scenario) materialize(cc ClientConfig) error {
 }
 
 // StepUntil advances the live scenario to the given absolute virtual time
-// and returns the engine clock (exactly t, unless a caller stopped the
-// engine). Every event scheduled at or before t fires, so t is a
+// and returns the engine clock (t, or the later clock of a scenario
+// already past t). Every event scheduled at or before t fires, so t is a
 // quiescent barrier: external inputs applied after StepUntil(t) returns
 // land deterministically between the event batch at t and everything
 // later, which is what makes an intent log replayable.

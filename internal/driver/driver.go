@@ -112,8 +112,8 @@ type Driver struct {
 	scan    map[dot11.MACAddr]ScanEntry
 	scanOut []ScanEntry // scratch for ScanTable, reused across calls
 
-	stopProbe func()
-	stats     Stats
+	prober *sim.Ticker
+	stats  Stats
 
 	// events is the driver's timeline (nil-receiver no-ops when disabled).
 	events *obs.ClientLog
@@ -165,15 +165,15 @@ func New(eng *sim.Engine, rng *sim.RNG, medium *phy.Medium, mac dot11.MACAddr, p
 	d.occSpan = d.events.StartSpan(eng.Now(), "occupancy")
 	d.occSpan.SetChannel(int(d.radio.Channel()))
 	if cfg.ProbeInterval > 0 {
-		d.stopProbe = eng.Ticker(cfg.ProbeInterval, d.probe)
+		d.prober = eng.Ticker(cfg.ProbeInterval, d.probe)
 	}
 	return d
 }
 
 // Close shuts the driver down.
 func (d *Driver) Close() {
-	if d.stopProbe != nil {
-		d.stopProbe()
+	if d.prober != nil {
+		d.prober.Stop()
 	}
 	d.slotTimer.Stop()
 	d.radio.Close()

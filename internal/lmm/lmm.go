@@ -247,9 +247,9 @@ func (c *connTestRetry) RunEvent() { (*conn)(c).sendTestPing() }
 // and dropped at down: the 10 Hz ping ticker, the run of unanswered pings,
 // the lease-renewal timer and one timeout per outstanding ping.
 type liveness struct {
-	stopPinger func()
-	fails      int
-	renewal    sim.Timer
+	pinger  *sim.Ticker
+	fails   int
+	renewal sim.Timer
 	// pings is a ring of ping timeouts, slot seq&(len-1). Its length is a
 	// power of two, so the mask survives the uint16 sequence wrap, and
 	// spans more than pingTimeout of pings, so a slot's previous timeout
@@ -320,9 +320,10 @@ type LMM struct {
 	// join puts it to sleep until the earliest time a pass could start
 	// one, and a pinned pass whose target is taken sleeps until woken;
 	// every event that can change a pass's outcome sooner — a scan-table
-	// write, a conn reset, SetSchedule, SetAllocTarget — wakes it. Skipped
-	// passes keep their tick, so gating changes no output.
-	sel *sim.GatedTicker
+	// write (scanUpdated), a conn reset, SetSchedule, SetAllocTarget —
+	// wakes it. Skipped passes keep their tick, so gating changes no
+	// output.
+	sel *sim.Ticker
 
 	// schedChanList mirrors schedChans in schedule order for the alloc
 	// policy's channel-sense pass. allocTarget pins the module to one AP
@@ -376,8 +377,8 @@ func New(eng *sim.Engine, rng *sim.RNG, drv *driver.Driver, cfg Config) *LMM {
 		c.testRetry.Bind(eng, (*connTestRetry)(c))
 		m.conns = append(m.conns, c)
 	}
-	m.sel = eng.GatedTicker(cfg.ReselectInterval, m.reselect)
-	drv.OnScanUpdate = m.sel.Wake
+	m.sel = eng.Ticker(cfg.ReselectInterval, m.reselect)
+	drv.OnScanUpdate = m.scanUpdated
 	return m
 }
 
@@ -556,6 +557,17 @@ func (m *LMM) maxActive() int {
 func (m *LMM) SetAllocTarget(bssid dot11.MACAddr) {
 	m.allocTarget = bssid
 	m.allocPinned = bssid != (dot11.MACAddr{})
+	m.sel.Wake()
+}
+
+// scanUpdated wakes the reselect ticker after a scan-table write, unless
+// the module is pinned to a target that is already joining or joined:
+// reselect then returns before it reads the table, and only a conn reset
+// or SetAllocTarget, which both wake the ticker, can change that.
+func (m *LMM) scanUpdated() {
+	if m.allocPinned && m.inUse[m.allocTarget] {
+		return
+	}
 	m.sel.Wake()
 }
 
@@ -995,7 +1007,7 @@ func (c *conn) goUp() {
 		conn:  c,
 	}
 	c.live = c.newLiveness()
-	c.live.stopPinger = m.eng.Ticker(m.cfg.PingInterval, c.sendPing)
+	c.live.pinger = m.eng.Ticker(m.cfg.PingInterval, c.sendPing)
 	c.armRenewal()
 	if m.cfg.ParkOnConnect {
 		m.drv.SetSchedule([]driver.Slot{{Channel: c.channel}})
@@ -1011,7 +1023,7 @@ func (c *conn) down(notify bool) {
 	m := c.m
 	link := c.link
 	if l := c.live; l != nil {
-		l.stopPinger()
+		l.pinger.Stop()
 		l.renewal.Stop()
 		for i := range l.pings {
 			l.pings[i].timer.Stop()

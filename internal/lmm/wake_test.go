@@ -207,6 +207,40 @@ func TestReselectWakesOnSetAllocTarget(t *testing.T) {
 	}
 }
 
+// TestPinnedTakenTargetSleepsThroughBeacons: once the pinned target is
+// joined, no scan write can change a pass, so the beacons the module keeps
+// hearing from both APs leave the ticker asleep.
+func TestPinnedTakenTargetSleepsThroughBeacons(t *testing.T) {
+	r := newRig(t, Config{Schedule: ch1Sched()})
+	a := r.addAP(dot11.Channel1, 1, true)
+	r.addAP(dot11.Channel1, 2, true)
+	r.m.SetAllocTarget(a.BSSID())
+	r.run(5 * time.Second)
+	if len(r.ups) != 1 || r.ups[0].BSSID != a.BSSID() {
+		t.Fatalf("%d links up, want one to the pinned AP", len(r.ups))
+	}
+	if w := r.wakeAfterNextTick(); w != sim.Infinity {
+		t.Fatalf("wake with the pinned target joined = %v, want Infinity", w)
+	}
+	writes := 0
+	var woken []sim.Time
+	scanned := r.drv.OnScanUpdate
+	r.drv.OnScanUpdate = func() {
+		scanned()
+		writes++
+		if r.m.sel.WakeAt() != sim.Infinity {
+			woken = append(woken, r.eng.Now())
+		}
+	}
+	r.run(2 * time.Second)
+	if writes == 0 {
+		t.Fatal("no beacon reached the scan table")
+	}
+	if len(woken) > 0 {
+		t.Fatalf("%d of %d scan writes woke the pinned module, the first at %v", len(woken), writes, woken[0])
+	}
+}
+
 // TestReselectNeverSleepsUnderAllocPolicy: the policy observes channel
 // load on every pass, so no pass is a no-op.
 func TestReselectNeverSleepsUnderAllocPolicy(t *testing.T) {

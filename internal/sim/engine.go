@@ -8,17 +8,19 @@
 // times fire in scheduling order, so a run is a pure function of its seed
 // and parameters.
 //
-// The scheduler is a hierarchical timer wheel over pooled event nodes: far
-// events cost O(1) to insert and sit in coarse slots until the clock nears
-// them; due events drain into a small (at, seq)-ordered batch heap that
-// reproduces the exact total order of a global binary heap. Tickers bypass
-// the wheel: each period has a FIFO lane, which stays sorted because every
-// arm lands at now+period with a fresh sequence number, and the fire loop
-// merges the earliest lane head with the batch head by (at, seq).
-// City-scale runs schedule tens of millions of events, so nodes are
-// recycled through a free list. Schedule and ScheduleCall are
+// Every pending event is one pooled 64-byte node that carries one
+// Runnable. The scheduler is a hierarchical timer wheel whose levels span
+// every Time: far events cost O(1) to insert and sit in coarse slots until
+// the clock nears them; due events drain into a small (at, seq)-ordered
+// batch heap that reproduces the exact total order of a global binary
+// heap. Tickers bypass the wheel: each period has a FIFO lane, which stays
+// sorted because every arm lands at now+period with a fresh sequence
+// number, and the fire loop merges the earliest lane head with the batch
+// head by (at, seq). City-scale runs schedule tens of millions of events,
+// so nodes are recycled through a free list. Schedule and ScheduleCall are
 // fire-and-forget; a deadline its owner may move or drop is a Timer the
-// owner embeds, which re-arms in place without allocating.
+// owner embeds, which re-arms in place without allocating. A delay that
+// would pass Infinity saturates there, so it never fires in a bounded Run.
 package sim
 
 import (
@@ -31,8 +33,21 @@ import (
 // Time is an absolute virtual time measured from the start of the run.
 type Time = time.Duration
 
-// Infinity is a time later than any event a run can schedule.
+// Infinity is the last Time. An event at Infinity fires only in RunAll or
+// in Run(Infinity).
 const Infinity Time = math.MaxInt64
+
+// Later returns the time delay after t: t itself for a negative delay, and
+// Infinity when the sum would pass it.
+func Later(t, delay Time) Time {
+	if delay <= 0 {
+		return t
+	}
+	if at := t + delay; at > t {
+		return at
+	}
+	return Infinity
+}
 
 // Runnable is a pooled alternative to a func() callback: hot paths embed a
 // job struct and implement RunEvent on it, so scheduling captures one
@@ -51,41 +66,40 @@ func (f Func) RunEvent() { f() }
 
 // Wheel geometry. Ticks are 2^tickBits ns (~65.5 µs): finer than any MAC
 // timing constant in the stack, so same-tick collisions are resolved by the
-// batch heap, and coarse enough that a 6-level * 64-slot wheel covers
-// 2^(16+36) ns ≈ 52 days before the overflow list is consulted.
+// batch heap. A Time has 63 bits, so a tick has 47, and 8 levels of 64
+// slots (48 bits) hold every Time, Infinity included.
 const (
 	tickBits   = 16
 	levelBits  = 6
 	wheelSlots = 1 << levelBits // 64
 	slotMask   = wheelSlots - 1
-	numLevels  = 6
+	numLevels  = 8
 )
 
 // node placement markers (node.level); values >= 0 are wheel levels.
 const (
-	levelBatch    = -1 // in the due-batch heap; node.index is the heap slot
-	levelOverflow = -2 // on the overflow list (beyond the wheel horizon)
-	levelFree     = -3 // on the free list
-	levelLane     = -4 // on a ticker lane; node.index is the lane index
-	levelFiring   = -5 // a ticker's node while its tick runs, on no list
+	levelBatch  = -1 // in the due-batch heap; node.index is the heap slot
+	levelFree   = -2 // on the free list
+	levelLane   = -3 // on a ticker lane; node.index is the lane index
+	levelFiring = -4 // a ticker's node while its tick runs, on no list
 )
 
 // noLimit is advance's limit when no lane holds a node.
 const noLimit = ^uint64(0)
 
 // node is a pooled scheduler entry. It lives on exactly one of: a wheel
-// slot's doubly-linked list, the overflow list, the batch heap, a ticker
-// lane, or the free list. Nodes are recycled after firing or after a
-// Timer's Stop; an armed Timer is detached from its node first, so it can
-// never reach a recycled one. A ticker keeps one node for its whole life.
-// The small fields are packed so a node stays 80 bytes.
+// slot's doubly-linked list, the batch heap, a ticker lane, or the free
+// list. Its one callback is r: Schedule's Func, ScheduleCall's Runnable,
+// an armed Timer (as timerRun) or a Ticker (as tickerRun). Nodes are
+// recycled after firing or after a Timer's Stop; an armed Timer is
+// disarmed before its callback runs, so it can never reach a recycled
+// one. A ticker keeps one node for its whole life. The small fields are
+// packed so a node is 64 bytes, one cache line.
 type node struct {
 	at    Time
 	seq   uint64
-	fn    func()
 	r     Runnable
-	t     *Timer // the armed timer that owns the node, nil for fire-and-forget
-	wake  Time   // a ticker's ticks skip its callback while now < wake
+	wake  Time // a ticker's ticks skip its callback while now < wake
 	next  *node
 	prev  *node
 	index int32 // batch heap index (levelBatch), or lane index (levelLane)
@@ -100,7 +114,6 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	fired   uint64
-	stopped bool
 	pending int
 
 	// currentTick is the wheel cursor: every node stored in a wheel level
@@ -112,9 +125,7 @@ type Engine struct {
 	levels      [numLevels][wheelSlots]*node
 	occ         [numLevels]uint64 // per-level slot occupancy bitmask
 
-	batch       []*node // min-heap on (at, seq): the only totally ordered region
-	overflow    *node   // events beyond the wheel horizon, unordered
-	overflowMin uint64  // lower bound on the overflow list's ticks
+	batch []*node // min-heap on (at, seq): the only totally ordered region
 
 	// lanes hold ticker nodes, one FIFO per period, each sorted by
 	// (at, seq). laneMin is the earliest lane head, recomputed after a
@@ -141,27 +152,12 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending returns the number of events still scheduled.
 func (e *Engine) Pending() int { return e.pending }
 
-// PeekNext returns the virtual time of the earliest scheduled event
-// without firing it, and false when the queue is empty. A stopped Timer
-// leaves the queue immediately, so the reported time is always live.
-// FuzzEngine checks it against the heap reference; no loop of the program
-// reads it.
-func (e *Engine) PeekNext() (Time, bool) {
-	if n := e.next(); n != nil {
-		return n.at, true
-	}
-	return 0, false
-}
-
 // Schedule runs fn after delay. A negative delay is treated as zero: the
 // event fires at the current time, after events already scheduled for that
 // time. The event cannot be withdrawn; a deadline that may move or be
 // dropped is a Timer.
 func (e *Engine) Schedule(delay Time, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.ScheduleAt(e.now+delay, fn)
+	e.ScheduleAt(Later(e.now, delay), fn)
 }
 
 // ScheduleAt runs fn at absolute virtual time at. Times in the past are
@@ -170,17 +166,14 @@ func (e *Engine) ScheduleAt(at Time, fn func()) {
 	if fn == nil {
 		panic("sim: ScheduleAt with nil callback")
 	}
-	e.scheduleNode(at, fn, nil)
+	e.scheduleNode(at, Func(fn))
 }
 
 // ScheduleCall runs r.RunEvent() after delay without allocating a closure.
 // A negative delay is treated as zero. Use for fire-and-forget hot-path
 // work (frame delivery, backhaul completions).
 func (e *Engine) ScheduleCall(delay Time, r Runnable) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.ScheduleCallAt(e.now+delay, r)
+	e.ScheduleCallAt(Later(e.now, delay), r)
 }
 
 // ScheduleCallAt runs r.RunEvent() at absolute virtual time at (clamped to
@@ -189,17 +182,16 @@ func (e *Engine) ScheduleCallAt(at Time, r Runnable) {
 	if r == nil {
 		panic("sim: ScheduleCallAt with nil Runnable")
 	}
-	e.scheduleNode(at, nil, r)
+	e.scheduleNode(at, r)
 }
 
-func (e *Engine) scheduleNode(at Time, fn func(), r Runnable) *node {
+func (e *Engine) scheduleNode(at Time, r Runnable) *node {
 	if at < e.now {
 		at = e.now
 	}
 	n := e.allocNode()
 	n.at = at
 	n.seq = e.seq
-	n.fn = fn
 	n.r = r
 	e.seq++
 	e.pending++
@@ -208,8 +200,8 @@ func (e *Engine) scheduleNode(at Time, fn func(), r Runnable) *node {
 }
 
 // place inserts a node into the region its tick calls for: the batch heap
-// when it is not ahead of the cursor, a wheel slot within the horizon, or
-// the overflow list beyond it.
+// when it is not ahead of the cursor, otherwise the wheel level of the
+// highest bit in which its tick differs from the cursor's.
 func (e *Engine) place(n *node) {
 	tick := uint64(n.at) >> tickBits
 	if tick <= e.currentTick {
@@ -217,20 +209,6 @@ func (e *Engine) place(n *node) {
 		return
 	}
 	level := (bits.Len64(tick^e.currentTick) - 1) / levelBits
-	if level >= numLevels {
-		if e.overflow == nil || tick < e.overflowMin {
-			e.overflowMin = tick
-		}
-		n.level = levelOverflow
-		n.slot = 0
-		n.prev = nil
-		n.next = e.overflow
-		if e.overflow != nil {
-			e.overflow.prev = n
-		}
-		e.overflow = n
-		return
-	}
 	slot := uint8((tick >> (uint(level) * levelBits)) & slotMask)
 	n.level = int8(level)
 	n.slot = slot
@@ -243,32 +221,22 @@ func (e *Engine) place(n *node) {
 	e.occ[level] |= 1 << uint(slot)
 }
 
-// unlink removes a node from whichever region holds it.
+// unlink removes a node from the batch heap or its wheel slot.
 func (e *Engine) unlink(n *node) {
-	switch n.level {
-	case levelBatch:
+	if n.level == levelBatch {
 		e.batchRemove(int(n.index))
-	case levelOverflow:
-		if n.prev != nil {
-			n.prev.next = n.next
-		} else {
-			e.overflow = n.next
+		return
+	}
+	if n.prev != nil {
+		n.prev.next = n.next
+	} else {
+		e.levels[n.level][n.slot] = n.next
+		if n.next == nil {
+			e.occ[n.level] &^= 1 << uint(n.slot)
 		}
-		if n.next != nil {
-			n.next.prev = n.prev
-		}
-	default:
-		if n.prev != nil {
-			n.prev.next = n.next
-		} else {
-			e.levels[n.level][n.slot] = n.next
-			if n.next == nil {
-				e.occ[n.level] &^= 1 << uint(n.slot)
-			}
-		}
-		if n.next != nil {
-			n.next.prev = n.prev
-		}
+	}
+	if n.next != nil {
+		n.next.prev = n.prev
 	}
 	n.next, n.prev = nil, nil
 }
@@ -298,22 +266,16 @@ func (e *Engine) next() *node {
 // reports whether the batch holds a node. It stops, leaving the cursor
 // where it is, when every wheel node is later than limit (the lane head's
 // tick), so the cursor never runs past a lane head that is due first. It
-// never touches the clock (now), so PeekNext can call it freely.
+// never touches the clock (now), so Run can look at the next node before
+// it decides to fire it.
 func (e *Engine) advance(limit uint64) bool {
 	for len(e.batch) == 0 {
 		level, slot, tick := e.nearestSlot()
-		switch {
-		case level < 0 && e.overflow != nil:
-			if e.overflowMin > limit {
-				return false
-			}
-			e.refillFromOverflow()
-		case level < 0 || tick > limit:
+		if level < 0 || tick > limit {
 			return false
-		default:
-			e.currentTick = tick
-			e.drainSlot(level, slot)
 		}
+		e.currentTick = tick
+		e.drainSlot(level, slot)
 	}
 	return true
 }
@@ -362,32 +324,6 @@ func (e *Engine) drainSlot(level int, slot uint8) {
 	}
 }
 
-// refillFromOverflow jumps the cursor to the earliest overflow tick and
-// reinserts every overflow node; nodes still beyond the horizon go back on
-// the list. Overflow is empty in any realistic run (the horizon is ~52
-// days), so the O(n) scan is fine.
-func (e *Engine) refillFromOverflow() {
-	minTick := ^uint64(0)
-	for n := e.overflow; n != nil; n = n.next {
-		if t := uint64(n.at) >> tickBits; t < minTick {
-			minTick = t
-		}
-	}
-	e.currentTick = minTick
-	n := e.overflow
-	e.overflow = nil
-	e.overflowMin = noLimit
-	for n != nil {
-		next := n.next
-		n.next, n.prev = nil, nil
-		e.place(n)
-		n = next
-	}
-}
-
-// Stop makes Run return after the currently executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // fire removes n, the node next returned, and executes it. A lane node
 // stays with its ticker, which re-arms it; any other node is recycled
 // before its callback runs.
@@ -406,31 +342,19 @@ func (e *Engine) fire(n *node) {
 		return
 	}
 	e.batchRemove(0)
-	fn, r := n.fn, n.r
-	if t := n.t; t != nil {
-		t.n = nil // disarmed before its callback runs, which may re-arm it
-	}
+	r := n.r
 	e.freeNode(n)
-	if r != nil {
-		r.RunEvent()
-	} else {
-		fn()
-	}
+	r.RunEvent()
 }
 
 // Run executes events until no events remain or the clock would pass until.
 // The clock is left at min(until, time of last event) — or exactly until if
 // the queue drains earlier, so that repeated Run calls advance monotonically.
 func (e *Engine) Run(until Time) {
-	e.stopped = false
-	for !e.stopped {
-		n := e.next()
-		if n == nil || n.at > until {
-			break
-		}
+	for n := e.next(); n != nil && n.at <= until; n = e.next() {
 		e.fire(n)
 	}
-	if !e.stopped && e.now < until {
+	if e.now < until {
 		e.now = until
 	}
 }
@@ -439,12 +363,7 @@ func (e *Engine) Run(until Time) {
 // of events as a runaway-loop backstop.
 func (e *Engine) RunAll() {
 	const backstop = 1 << 34
-	e.stopped = false
-	for !e.stopped {
-		n := e.next()
-		if n == nil {
-			break
-		}
+	for n := e.next(); n != nil; n = e.next() {
 		e.fire(n)
 		if e.fired > backstop {
 			panic(fmt.Sprintf("sim: runaway event loop: %d events fired", e.fired))
@@ -461,7 +380,7 @@ func (e *Engine) RunAll() {
 // The timer is disarmed before its callback runs, so the callback may
 // re-arm it.
 //
-// An armed timer owns an engine node that points back at it, so a Timer
+// An armed timer's node runs the timer itself (as timerRun), so a Timer
 // must not be copied; go vet rejects a copy by value.
 type Timer struct {
 	noCopy noCopy
@@ -493,10 +412,7 @@ func (t *Timer) At() Time {
 // Reset arms the timer to fire after delay, moving it if it is armed. A
 // negative delay is treated as zero.
 func (t *Timer) Reset(delay Time) {
-	if delay < 0 {
-		delay = 0
-	}
-	t.ResetAt(t.e.now + delay)
+	t.ResetAt(Later(t.e.now, delay))
 }
 
 // ResetAt arms the timer to fire at absolute virtual time at (clamped to
@@ -505,9 +421,7 @@ func (t *Timer) ResetAt(at Time) {
 	e := t.e
 	n := t.n
 	if n == nil {
-		n = e.scheduleNode(at, nil, t.r)
-		n.t = t
-		t.n = n
+		t.n = e.scheduleNode(at, (*timerRun)(t))
 		return
 	}
 	if at < e.now {
@@ -535,6 +449,15 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
+// timerRun is an armed Timer's Runnable: it disarms the timer, then runs
+// the owner's Runnable, which may re-arm it.
+type timerRun Timer
+
+func (t *timerRun) RunEvent() {
+	t.n = nil
+	t.r.RunEvent()
+}
+
 // noCopy marks a struct that must not be copied after first use: go vet's
 // copylocks check reports any copy by value of a struct holding one.
 type noCopy struct{}
@@ -542,86 +465,63 @@ type noCopy struct{}
 func (*noCopy) Lock()   {}
 func (*noCopy) Unlock() {}
 
-// Ticker invokes fn every period until cancelled via the returned stop
-// function. The first tick fires one period from now. Ticks never enter
-// the timer wheel: each one is appended to its period's lane, and the one
-// pooled node and the single ticker allocated here are reused by every
-// re-arm, so a running ticker allocates nothing. It is a GatedTicker that
-// is never put to sleep.
-func (e *Engine) Ticker(period Time, fn func()) (stop func()) {
-	return e.GatedTicker(period, fn).Stop
-}
-
-// GatedTicker is a Ticker whose callback can be put to sleep. While
-// Now() is before the wake time a tick still fires, counts in Fired() and
-// re-arms exactly as an ungated tick would — same time, same sequence
-// number, same place in its lane and in the event order — it only skips
-// fn. A periodic poll uses it to skip passes it can prove are no-ops
-// without moving the tick grid, so gating never changes a run's event
-// order or outputs. The wake time sits on the ticker's node, so a
-// sleeping tick is one lane pop and one append.
-type GatedTicker struct {
-	job tickerJob
-}
-
-// GatedTicker starts a ticker that invokes fn every period, first one
-// period from now, and is awake until SleepUntil says otherwise.
-func (e *Engine) GatedTicker(period Time, fn func()) *GatedTicker {
-	if period <= 0 {
-		panic("sim: Ticker with non-positive period")
-	}
-	g := &GatedTicker{job: tickerJob{e: e, fn: fn}}
-	n := e.allocNode()
-	n.r = &g.job
-	n.index = e.laneFor(period)
-	g.job.n = n
-	e.laneAppend(n)
-	return g
-}
-
-// SleepUntil skips fn on every tick before at; Infinity sleeps until the
-// next Wake.
-func (g *GatedTicker) SleepUntil(at Time) {
-	if n := g.job.n; n != nil {
-		n.wake = at
-	}
-}
-
-// Wake makes the next tick invoke fn again.
-func (g *GatedTicker) Wake() { g.SleepUntil(0) }
-
-// WakeAt returns the time before which ticks skip fn; 0 means awake or
-// stopped.
-func (g *GatedTicker) WakeAt() Time {
-	if n := g.job.n; n != nil {
-		return n.wake
-	}
-	return 0
-}
-
-// Stop cancels the ticker; no further tick fires.
-func (g *GatedTicker) Stop() { g.job.stop() }
-
-// tickerJob is a ticker's Runnable. The wake time lives on its node, so a
-// sleeping tick re-arms without touching the job.
-type tickerJob struct {
+// Ticker invokes a callback every period, first one period from now, until
+// Stop. Ticks never enter the timer wheel: each one is appended to its
+// period's lane, and the ticker's one pooled node is reused by every
+// re-arm, so a running ticker allocates nothing.
+//
+// A ticker's callback can be put to sleep. While Now() is before the wake
+// time a tick still fires, counts in Fired() and re-arms exactly as an
+// awake tick would — same time, same sequence number, same place in its
+// lane and in the event order — it only skips the callback. A periodic
+// poll uses it to skip passes it can prove are no-ops without moving the
+// tick grid, so sleeping never changes a run's event order or outputs.
+// The wake time sits on the ticker's node, so a sleeping tick is one lane
+// pop and one append.
+type Ticker struct {
 	e  *Engine
 	fn func()
 	n  *node // the ticker's node; nil once stopped
 }
 
-// RunEvent runs an awake tick: fn, then the re-arm, which takes its
-// sequence number after everything fn scheduled.
-func (t *tickerJob) RunEvent() {
-	t.fn()
-	if t.n != nil {
-		t.e.laneAppend(t.n)
+// Ticker starts a ticker that invokes fn every period, first one period
+// from now, and is awake until SleepUntil says otherwise.
+func (e *Engine) Ticker(period Time, fn func()) *Ticker {
+	if period <= 0 {
+		panic("sim: Ticker with non-positive period")
+	}
+	t := &Ticker{e: e, fn: fn}
+	n := e.allocNode()
+	n.r = (*tickerRun)(t)
+	n.index = e.laneFor(period)
+	t.n = n
+	e.laneAppend(n)
+	return t
+}
+
+// SleepUntil skips the callback on every tick before at; Infinity sleeps
+// until the next Wake.
+func (t *Ticker) SleepUntil(at Time) {
+	if n := t.n; n != nil {
+		n.wake = at
 	}
 }
 
-// stop takes the ticker's node off its lane, or, when called from the
-// ticker's own callback, lets RunEvent skip the re-arm.
-func (t *tickerJob) stop() {
+// Wake makes the next tick invoke the callback again.
+func (t *Ticker) Wake() { t.SleepUntil(0) }
+
+// WakeAt returns the time before which ticks skip the callback; 0 means
+// awake or stopped.
+func (t *Ticker) WakeAt() Time {
+	if n := t.n; n != nil {
+		return n.wake
+	}
+	return 0
+}
+
+// Stop cancels the ticker; no further tick fires. Called from the ticker's
+// own callback, it makes that tick skip its re-arm.
+func (t *Ticker) Stop() {
 	n := t.n
 	if n == nil {
 		return
@@ -632,6 +532,19 @@ func (t *tickerJob) stop() {
 		t.e.pending--
 	}
 	t.e.freeNode(n)
+}
+
+// tickerRun is a Ticker's Runnable. The wake time lives on its node, so a
+// sleeping tick re-arms without touching the ticker.
+type tickerRun Ticker
+
+// RunEvent runs an awake tick: fn, then the re-arm, which takes its
+// sequence number after everything fn scheduled.
+func (t *tickerRun) RunEvent() {
+	t.fn()
+	if t.n != nil {
+		t.e.laneAppend(t.n)
+	}
 }
 
 // --- ticker lanes: one FIFO of ticker nodes per period ---
@@ -798,9 +711,7 @@ func (e *Engine) allocNode() *node {
 }
 
 func (e *Engine) freeNode(n *node) {
-	n.fn = nil
 	n.r = nil
-	n.t = nil
 	n.wake = 0
 	n.prev = nil
 	n.level = levelFree

@@ -10,11 +10,10 @@ import (
 // engines must fire identical (time, order) sequences on any workload. It is
 // not used by production code.
 type heapEngine struct {
-	now     Time
-	seq     uint64
-	queue   heapEventQueue
-	fired   uint64
-	stopped bool
+	now   Time
+	seq   uint64
+	queue heapEventQueue
+	fired uint64
 }
 
 // heapEvent is the reference engine's event handle: one heap entry per event.
@@ -123,11 +122,8 @@ func (t *heapTimer) Reset(delay Time) {
 func (t *heapTimer) Stop() bool  { return t.e.Cancel(t.ev) }
 func (t *heapTimer) Armed() bool { return t.ev != nil && t.ev.index >= 0 }
 
-func (e *heapEngine) Stop() { e.stopped = true }
-
 func (e *heapEngine) Run(until Time) {
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
+	for len(e.queue) > 0 {
 		next := e.queue[0]
 		if next.at > until {
 			break
@@ -139,15 +135,14 @@ func (e *heapEngine) Run(until Time) {
 		next.fn = nil
 		fn()
 	}
-	if !e.stopped && e.now < until {
+	if e.now < until {
 		e.now = until
 	}
 }
 
 func (e *heapEngine) RunAll() {
 	const backstop = 1 << 34
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
+	for len(e.queue) > 0 {
 		next := heap.Pop(&e.queue).(*heapEvent)
 		e.now = next.at
 		e.fired++

@@ -2,11 +2,13 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -86,6 +88,43 @@ func TestCancelNil(t *testing.T) {
 	}
 }
 
+// TestDelayPastInfinitySaturates: a delay that would carry the clock past
+// the last Time holds the event at Infinity, so no bounded Run fires it,
+// for Schedule, ScheduleCall and Timer.Reset alike.
+func TestDelayPastInfinitySaturates(t *testing.T) {
+	e := NewEngine()
+	e.Run(60 * time.Second)
+	fired := 0
+	count := func() { fired++ }
+	e.Schedule(Infinity, count)
+	e.ScheduleCall(Infinity-time.Second, Func(count))
+	var tm Timer
+	tm.Bind(e, Func(count))
+	tm.Reset(Infinity)
+	if tm.At() != Infinity {
+		t.Fatalf("timer armed at %v, want Infinity", tm.At())
+	}
+	e.Run(Infinity - 1)
+	if fired != 0 || e.Pending() != 3 {
+		t.Fatalf("by Infinity-1: fired %d, pending %d; want 0 and 3", fired, e.Pending())
+	}
+	e.RunAll()
+	if fired != 3 || e.Now() != Infinity {
+		t.Fatalf("after RunAll: fired %d at %v, want 3 at Infinity", fired, e.Now())
+	}
+}
+
+// TestNodeFitsCacheLine pins a node at one 64-byte cache line on 64-bit
+// builds: one callback field and no timer back-pointer.
+func TestNodeFitsCacheLine(t *testing.T) {
+	if bits.UintSize != 64 {
+		t.Skip("the node's size is pinned on 64-bit builds")
+	}
+	if got := unsafe.Sizeof(node{}); got != 64 {
+		t.Fatalf("node is %d bytes, want 64", got)
+	}
+}
+
 func TestRunUntilStopsAtBoundary(t *testing.T) {
 	e := NewEngine()
 	var fired []time.Duration
@@ -129,34 +168,14 @@ func TestScheduleFromWithinEvent(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(time.Duration(i)*time.Millisecond, func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.RunAll()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 (Stop should halt the loop)", count)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", e.Pending())
-	}
-}
-
 func TestTicker(t *testing.T) {
 	e := NewEngine()
 	ticks := 0
-	var stop func()
-	stop = e.Ticker(100*time.Millisecond, func() {
+	var tk *Ticker
+	tk = e.Ticker(100*time.Millisecond, func() {
 		ticks++
 		if ticks == 5 {
-			stop()
+			tk.Stop()
 		}
 	})
 	e.Run(10 * time.Second)
@@ -479,6 +498,36 @@ func TestExpDuration(t *testing.T) {
 	if mean < 900*time.Millisecond || mean > 1100*time.Millisecond {
 		t.Fatalf("exp mean = %v, want ≈1s", mean)
 	}
+}
+
+// TestExpDurationSaturates: a draw past the last Time comes out as
+// Infinity, never as a wrapped negative duration. With mean Infinity that
+// is every draw of at least the mean, about 1/e of them.
+func TestExpDurationSaturates(t *testing.T) {
+	g := NewRNG(5)
+	saturated := 0
+	for i := 0; i < 10000; i++ {
+		switch d := g.ExpDuration(Infinity); {
+		case d < 0:
+			t.Fatalf("draw %d: ExpDuration(Infinity) = %v", i, d)
+		case d == Infinity:
+			saturated++
+		}
+	}
+	if saturated == 0 {
+		t.Fatal("no draw saturated at Infinity")
+	}
+}
+
+// PeekNext returns the virtual time of the earliest scheduled event
+// without firing it, and false when the queue is empty. A stopped Timer
+// leaves the queue at once, so the reported time is always live. The
+// differential tests and FuzzEngine check it against the heap reference.
+func (e *Engine) PeekNext() (Time, bool) {
+	if n := e.next(); n != nil {
+		return n.at, true
+	}
+	return 0, false
 }
 
 func TestPeekNextEmpty(t *testing.T) {

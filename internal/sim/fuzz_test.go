@@ -20,8 +20,8 @@ const (
 )
 
 // fuzzSpan decodes a duration: (b+1) << shift, with the shift picked by
-// the low three bits of a, from sub-tick through every wheel level to
-// past the wheel horizon.
+// the low three bits of a, from sub-tick through every wheel level, the
+// coarsest (2^58 ns) included.
 func fuzzSpan(a, b byte) Time {
 	shifts := [8]uint{0, 4, 10, tickBits, 22, 28, 34, 50}
 	return Time(int64(b)+1) << shifts[a&7]
@@ -32,7 +32,7 @@ func fuzzSpan(a, b byte) Time {
 // inside each engine's run; index k names the same ticker on both sides.
 type fuzzRig struct {
 	*diffRig
-	wt       []*GatedTicker
+	wt       []*Ticker
 	ht       []*refTicker
 	periods  []Time
 	alive    []bool
@@ -57,7 +57,7 @@ func (r *fuzzRig) startWheel(period Time) {
 	id := len(r.wt)
 	r.periods = append(r.periods, period)
 	r.alive = append(r.alive, true)
-	r.wt = append(r.wt, r.wheel.GatedTicker(period, func() {
+	r.wt = append(r.wt, r.wheel.Ticker(period, func() {
 		r.wheelLog = append(r.wheelLog, firing{r.wheel.Now(), 1_000_000 + id})
 	}))
 }

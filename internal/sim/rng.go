@@ -131,7 +131,11 @@ func (g *RNG) UniformDuration(lo, hi Time) Time {
 }
 
 // ExpDuration returns an exponentially distributed duration with the given
-// mean.
+// mean. A draw past the last Time saturates at Infinity.
 func (g *RNG) ExpDuration(mean Time) Time {
-	return Time(float64(mean) * g.src().ExpFloat64())
+	d := float64(mean) * g.src().ExpFloat64()
+	if d >= 1<<63 {
+		return Infinity
+	}
+	return Time(d)
 }

@@ -140,7 +140,7 @@ func TestDifferentialRandomWorkload(t *testing.T) {
 
 			// Delays chosen to cross every wheel level: same-tick (0),
 			// sub-tick (<65.5µs), level-0 (<4.2ms), level-1 (<268ms),
-			// level-2+ (seconds…minutes), and past-the-horizon.
+			// level-2+ (seconds…minutes), and level 6 (2^53 ns).
 			randomDelay := func() Time {
 				switch rng.Intn(10) {
 				case 0:
@@ -156,7 +156,7 @@ func TestDifferentialRandomWorkload(t *testing.T) {
 				case 8:
 					return Time(rng.Intn(int(10 * time.Minute)))
 				default:
-					// Beyond the 2^52 ns horizon: overflow list.
+					// Level 6, past the 52-day reach of levels 0-5.
 					return Time(1)<<53 + Time(rng.Intn(1<<30))
 				}
 			}
@@ -196,7 +196,7 @@ func TestDifferentialRandomWorkload(t *testing.T) {
 					live = kept
 				}
 			}
-			// Drain everything, including overflow-horizon stragglers.
+			// Drain everything, including the level-6 stragglers.
 			rig.wheel.RunAll()
 			rig.heap.RunAll()
 			rig.check(t)
@@ -331,14 +331,70 @@ func TestDifferentialTimerMovesDuringRun(t *testing.T) {
 	}
 }
 
-// gate is the control surface shared by GatedTicker and refTicker.
+// TestDifferentialWholeTimeRange orders events and timers across the whole
+// Time range against the heap reference: near times, 2^52 (past what six
+// levels reach), 2^58 and 2^62 (the coarsest level), Infinity-1 and
+// Infinity, each with a same-time twin. Timers move between near and far
+// from outside Run; a hopper fires at each far point, moves itself to the
+// next one and moves a victim alternately just ahead of the clock and to
+// the far end; barriers carry the clock to Infinity-1 before the drain.
+func TestDifferentialWholeTimeRange(t *testing.T) {
+	rig := newDiffRig()
+	points := []Time{0, 1, 1 << tickBits, 3 * time.Millisecond, time.Hour,
+		1<<52 - 1, 1 << 52, 1 << 58, 1 << 62, Infinity - 1, Infinity}
+	var ids []int
+	for _, at := range points {
+		ids = append(ids, rig.scheduleAt(at), rig.scheduleAt(at))
+	}
+	rig.resetAt(ids[2], Infinity)
+	rig.resetAt(ids[5], 1<<62)
+	rig.resetAt(ids[len(ids)-1], 2*time.Millisecond)
+	rig.resetAt(ids[len(ids)-3], 5)
+
+	victim := rig.scheduleAt(time.Minute)
+	var farNext [2]bool
+	var hopper int
+	hopper = rig.newTimer(func(side int) {
+		tm, now := rig.sideTimer(side, hopper)
+		for _, p := range points {
+			if p > now {
+				tm.ResetAt(p)
+				break
+			}
+		}
+		v, _ := rig.sideTimer(side, victim)
+		if farNext[side] {
+			v.ResetAt(Infinity - 2)
+		} else {
+			v.ResetAt(Later(now, time.Millisecond))
+		}
+		farNext[side] = !farNext[side]
+	})
+	rig.resetAt(hopper, time.Hour)
+
+	for _, until := range []Time{time.Second, 1 << 52, 1<<58 + 5, 1 << 62, Infinity - 2, Infinity - 1} {
+		rig.wheel.Run(until)
+		rig.heap.Run(until)
+		rig.check(t)
+	}
+	rig.wheel.RunAll()
+	rig.heap.RunAll()
+	rig.check(t)
+	// Every twin fires once, the hopper at 1h and at each of its six later
+	// points, and the victim six times.
+	if got, want := len(rig.wheelLog), 2*len(points)+7+6; got != want {
+		t.Fatalf("firings = %d, want %d", got, want)
+	}
+}
+
+// gate is the control surface shared by Ticker and refTicker.
 type gate interface {
 	SleepUntil(Time)
 	Wake()
 	Stop()
 }
 
-// refTicker is the reference semantics of a GatedTicker on the heap
+// refTicker is the reference semantics of a Ticker on the heap
 // engine: a self-rescheduling event chain whose every link fires, and
 // which invokes fn iff now >= wake.
 type refTicker struct {
@@ -422,7 +478,7 @@ func TestDifferentialGatedTickers(t *testing.T) {
 			w := &gateSide{now: rig.wheel.Now, rng: NewRNG(seed).Stream("gated"), periods: periods, log: &rig.wheelLog}
 			h := &gateSide{now: rig.heap.Now, rng: NewRNG(seed).Stream("gated"), periods: periods, log: &rig.heapLog}
 			for i, p := range periods {
-				w.gates = append(w.gates, rig.wheel.GatedTicker(p, func() { w.tick(i) }))
+				w.gates = append(w.gates, rig.wheel.Ticker(p, func() { w.tick(i) }))
 				h.gates = append(h.gates, newRefTicker(rig.heap, p, func() { h.tick(i) }))
 			}
 			rng := NewRNG(seed).Stream("driver")
@@ -583,10 +639,10 @@ func (s *laneSide) oneShot(d Time) {
 	})
 }
 
-// wheelIdle reports whether the wheel, batch and overflow hold nothing,
-// so that every pending event sits on a lane.
+// wheelIdle reports whether the wheel and batch hold nothing, so that
+// every pending event sits on a lane.
 func wheelIdle(e *Engine) bool {
-	return len(e.batch) == 0 && e.overflow == nil && e.occ == [numLevels]uint64{}
+	return len(e.batch) == 0 && e.occ == [numLevels]uint64{}
 }
 
 // TestDifferentialLanes drives tickers on the lanes and on the reference
@@ -604,7 +660,7 @@ func TestDifferentialLanes(t *testing.T) {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			rig := newDiffRig()
 			w := &laneSide{now: rig.wheel.Now, peek: rig.wheel.PeekNext, pending: rig.wheel.Pending,
-				start: func(p Time, fn func()) gate { return rig.wheel.GatedTicker(p, fn) },
+				start: func(p Time, fn func()) gate { return rig.wheel.Ticker(p, fn) },
 				after: func(d Time, fn func()) { rig.wheel.Schedule(d, fn) },
 				rng:   NewRNG(seed).Stream("lanes"), log: &rig.wheelLog}
 			h := &laneSide{now: rig.heap.Now, peek: rig.heap.PeekNext, pending: rig.heap.Pending,

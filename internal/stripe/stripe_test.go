@@ -152,7 +152,7 @@ func TestPathChurnCompletes(t *testing.T) {
 	c.AddPath(1)
 	// Every 300 ms one path dies and the other (re)joins, alternating.
 	alive := 1
-	stop := eng.Ticker(300*time.Millisecond, func() {
+	churn := eng.Ticker(300*time.Millisecond, func() {
 		if c.Done() {
 			return
 		}
@@ -162,7 +162,7 @@ func TestPathChurnCompletes(t *testing.T) {
 		alive = next
 	})
 	eng.Run(time.Minute)
-	stop()
+	churn.Stop()
 	if !completed || !c.Done() {
 		t.Fatalf("transfer did not survive path churn: done=%v", c.Done())
 	}
