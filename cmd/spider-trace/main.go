@@ -18,8 +18,8 @@
 // -rollups switches to the telemetry plane's bounded-memory export
 // (spider-bench -rollups, or GET /v1/rollups on spider-serve): a
 // per-window breakdown with run-level quantiles re-derived from the
-// merged window sketches, SLO violation tallies, and the flight-recorder
-// accounting. -run and -out apply as usual; -spans is not required.
+// merged window sketches, and SLO violation tallies. -run and -out apply
+// as usual; -spans is not required.
 package main
 
 import (

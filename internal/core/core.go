@@ -207,12 +207,12 @@ type WorldConfig struct {
 	// cost beyond a nil check at each instrumentation site.
 	Obs *obs.Recorder
 	// Telemetry, when non-nil, attaches the streaming aggregation plane
-	// (see internal/telemetry): bounded-memory rollup windows, a flight
-	// recorder of raw events, and SLO health evaluation. The scenario
-	// binds it to the recorder, drives its window ticks from the engine,
-	// and wires the medium/DHCP/driver probe. When Obs is nil a streaming
-	// (non-retaining) recorder is created automatically, so city-scale
-	// runs get telemetry without the O(events) raw timeline.
+	// (see internal/telemetry): bounded-memory rollup windows and SLO
+	// health evaluation. The scenario binds it to the recorder, drives its
+	// window ticks from the engine, and wires the medium/DHCP probe. When
+	// Obs is nil a streaming (non-retaining) recorder is created
+	// automatically, so city-scale runs get telemetry without the
+	// O(events) raw timeline.
 	Telemetry *telemetry.Aggregator
 }
 

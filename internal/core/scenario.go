@@ -127,8 +127,9 @@ func (s *Scenario) Start() {
 	}
 	// The telemetry plane aggregates the recorder's event stream; a run
 	// that asked for telemetry without a recorder gets a streaming one —
-	// every event is constructed and delivered to subscribers, nothing
-	// retained — so city-scale runs keep O(windows) memory.
+	// every event but the chatty kinds (see obs.Recorder) is delivered to
+	// subscribers, nothing retained — so city-scale runs keep O(windows)
+	// memory.
 	if s.cfg.Telemetry != nil && s.cfg.Obs == nil {
 		s.cfg.Obs = obs.NewStreamingRecorder()
 	}
@@ -169,19 +170,13 @@ func (s *Scenario) Start() {
 
 // telemetryProbe snapshots the world's cumulative counters for the
 // aggregator's per-window deltas: per-channel airtime and contenders from
-// the medium, total collisions, DHCP pool-exhaustion refusals, and the
-// drivers' sampled-out chatty emissions. Runs on the sim goroutine.
+// the medium, total collisions and DHCP pool-exhaustion refusals. Runs on
+// the sim goroutine.
 func (s *Scenario) telemetryProbe() telemetry.Probe {
 	p := telemetry.Probe{
 		Clients:          len(s.clients),
 		CumCollisions:    int64(s.medium.Stats().Collisions),
 		CumPoolExhausted: int64(s.DHCPPoolExhausted()),
-	}
-	for _, c := range s.clients {
-		// A client whose StartOffset has not arrived has no stack yet.
-		if c.drv != nil {
-			p.CumSuppressed += c.drv.Suppressed()
-		}
 	}
 	chSet := make(map[int]struct{}, 4)
 	for _, site := range s.cfg.Sites {

@@ -15,7 +15,7 @@ import (
 // one) and returns the results and the finished aggregator.
 func runWithTelemetry(seed int64) ([]Result, *telemetry.Aggregator) {
 	world, model := corridorWorld(seed)
-	tel := telemetry.New(telemetry.Config{Seed: seed, KeepClients: 1, SLOs: telemetry.DefaultSLOs()})
+	tel := telemetry.New(telemetry.Config{SLOs: telemetry.DefaultSLOs()})
 	world.Telemetry = tel
 	s := NewScenario(world)
 	s.AddClient(ClientConfig{ID: 0, Preset: SingleChannelMultiAP, Mobility: model})
@@ -76,10 +76,6 @@ func TestScenarioTelemetryRollups(t *testing.T) {
 	if !sawJoin {
 		t.Fatal("no window carries join completions")
 	}
-	fc := tel.FlightCounters()
-	if fc.EventsAdmitted == 0 || fc.SpansAdmitted == 0 {
-		t.Fatalf("flight recorder admitted nothing: %+v", fc)
-	}
 }
 
 // TestTelemetryDoesNotPerturbRun: attaching the streaming plane must not
@@ -101,7 +97,7 @@ func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 }
 
 // TestTelemetryExportDeterminism: two identical runs export byte-identical
-// rollup JSONL, flight events included.
+// rollup JSONL.
 func TestTelemetryExportDeterminism(t *testing.T) {
 	export := func() []byte {
 		_, tel := runWithTelemetry(42)

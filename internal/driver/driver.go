@@ -117,14 +117,11 @@ type Driver struct {
 
 	// events is the driver's timeline (nil-receiver no-ops when disabled).
 	events *obs.ClientLog
-	// evChatty caches the log's per-client sampling decision (immutable
+	// evChatty caches whether the log records chatty kinds (immutable
 	// after the log exists) so the per-probe guard reads driver-local
 	// state instead of chasing the ClientLog pointer every emission.
-	// suppressed counts emissions the cached flag swallowed, so sampling
-	// loss stays loud (see Suppressed).
-	evChatty   bool
-	switching  bool // a hardware reset is in flight
-	suppressed int64
+	evChatty  bool
+	switching bool // a hardware reset is in flight
 	// occSpan is the open schedule-occupancy span for the channel the
 	// radio currently dwells on; switches close it and arrivals open the
 	// next, so the span timeline tiles the run per channel.
@@ -187,10 +184,6 @@ func (d *Driver) Config() Config { return d.cfg }
 
 // Stats returns a snapshot of the driver counters.
 func (d *Driver) Stats() Stats { return d.stats }
-
-// Suppressed returns how many chatty events (probes, auth and assoc
-// attempts) the log's sampling policy kept this driver from emitting.
-func (d *Driver) Suppressed() int64 { return d.suppressed }
 
 // TxAirtime returns the radio's cumulative transmit airtime.
 func (d *Driver) TxAirtime() sim.Time { return d.radio.TxAirtime() }
@@ -305,16 +298,14 @@ func (d *Driver) probe() {
 	}
 	d.stats.ProbesSent++
 	// Probes are the single largest event class on a dense run (tens per
-	// client-minute); the cached chatty flag lets a sampling policy drop
-	// them per client before the event is even built.
+	// client-minute); the cached chatty flag skips them before the event
+	// is even built when the log does not record them.
 	if d.evChatty {
 		d.events.Emit(obs.Event{
 			At:      d.eng.Now(),
 			Kind:    obs.KindProbe,
 			Channel: int(d.radio.Channel()),
 		})
-	} else if d.events.Enabled() {
-		d.suppressed++
 	}
 	d.radio.Send(dot11.Frame{
 		Type:  dot11.TypeProbeReq,

@@ -201,8 +201,8 @@ func (v *VIF) sendAuth() {
 		}
 		// Record only real transmissions, not timer re-arms while the
 		// radio dwells elsewhere — the timeline shows frames on air. The
-		// chatty guard keeps the disabled path (and sampled-out clients)
-		// from rendering the BSSID.
+		// chatty guard keeps a log that records no chatty kinds from
+		// rendering the BSSID.
 		if v.drv.evChatty {
 			v.drv.events.Emit(obs.Event{
 				At:      v.drv.eng.Now(),
@@ -211,8 +211,6 @@ func (v *VIF) sendAuth() {
 				Channel: int(v.channel),
 				Value:   int64(v.AuthAttempts),
 			})
-		} else if v.drv.events.Enabled() {
-			v.drv.suppressed++
 		}
 		body := dot11.AuthBody{SeqNum: 1}
 		v.drv.radio.Send(dot11.Frame{
@@ -237,8 +235,6 @@ func (v *VIF) sendAssoc() {
 				Channel: int(v.channel),
 				Value:   int64(v.AssocAttempts),
 			})
-		} else if v.drv.events.Enabled() {
-			v.drv.suppressed++
 		}
 		v.drv.radio.Send(dot11.Frame{
 			Type:  dot11.TypeAssocReq,

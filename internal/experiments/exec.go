@@ -73,9 +73,7 @@ func (o Options) simulate(label string, r run) core.PopulationResult {
 	world.Obs = rec
 	var tel *telemetry.Aggregator
 	if o.Runs.Rollups() {
-		// Flight sampling seeds from the experiment seed, so the kept-client
-		// set is a pure function of Options.
-		tel = telemetry.New(telemetry.Config{Seed: o.Seed, SLOs: telemetry.DefaultSLOs()})
+		tel = telemetry.New(telemetry.Config{SLOs: telemetry.DefaultSLOs()})
 	}
 	world.Telemetry = tel
 	p := core.RunPopulation(world, r.clients)

@@ -39,11 +39,11 @@ type Options struct {
 	Clock obs.Clock
 	// Runs, when non-nil, files every simulation run's artifacts under
 	// its run label ("chaos#0", "population#n=8", …): its event and span
-	// streams when the store traces, and the closed windows and flight
-	// accounting of a telemetry aggregator (default window, default SLOs)
-	// when it rolls up. Each artifact is a pure function of the run's
-	// (seed, config) and the store exports in sorted label order, so the
-	// merged JSONL is byte-identical at any fleet worker count. Note the
+	// streams when the store traces, and the closed windows of a telemetry
+	// aggregator (default window, default SLOs) when it rolls up. Each
+	// artifact is a pure function of the run's (seed, config) and the
+	// store exports in sorted label order, so the merged JSONL is
+	// byte-identical at any fleet worker count. Note the
 	// fleet result cache can satisfy a memoized experiment without
 	// re-running its jobs; collect with a fresh pool when a complete
 	// export matters.

@@ -53,28 +53,21 @@ func TestPinnedChaosTimeline(t *testing.T) {
 }
 
 // TestPinnedDenseTelemetry pins the telemetry-only dense rung (streaming
-// recorder, chatty sampling): the rollup JSONL with its flight accounting,
-// then the flight recorder's retained events and spans.
+// recorder): its rollup JSONL.
 func TestPinnedDenseTelemetry(t *testing.T) {
 	for _, tc := range []struct {
 		clients int
 		want    string
 	}{
-		{256, "04a1b1d4d2f3a23ea9b2d2fa958e6401cc1910eca852bb92f1175a4c305ea56f"},
-		{512, "401147d697f41f08599da993f1ff2f6c36d704b91184f8b338235679c66948d8"},
+		{256, "58c459b6228a78a95fe3f5dcd3d61dde33a955fd008088212f76c93a24013d8f"},
+		{512, "e1777a8e04e210854c8e1f3910ab6dbbb31f0a8b62d0a0a676dc9840c5bfd45e"},
 	} {
 		world, clients := PopulationDenseScenario(Options{Seed: 1, Scale: 0.05}, tc.clients)
-		tel := telemetry.New(telemetry.Config{Seed: 1, SLOs: telemetry.DefaultSLOs()})
+		tel := telemetry.New(telemetry.Config{SLOs: telemetry.DefaultSLOs()})
 		world.Telemetry = tel
 		core.RunPopulation(world, clients)
 		var b bytes.Buffer
 		if err := tel.WriteJSONL(&b, ""); err != nil {
-			t.Fatal(err)
-		}
-		if err := obs.WriteJSONL(&b, "", tel.FlightEvents()); err != nil {
-			t.Fatal(err)
-		}
-		if err := obs.WriteSpansJSONL(&b, "", tel.FlightSpans()); err != nil {
 			t.Fatal(err)
 		}
 		if got := sha(b.Bytes()); got != tc.want {
@@ -105,7 +98,7 @@ func TestPinnedPopulationLadder(t *testing.T) {
 	} {
 		world, clients := tc.scenario(Options{Seed: 1, Scale: 0.05}, tc.clients)
 		if tc.telemetry {
-			world.Telemetry = telemetry.New(telemetry.Config{Seed: 1, SLOs: telemetry.DefaultSLOs()})
+			world.Telemetry = telemetry.New(telemetry.Config{SLOs: telemetry.DefaultSLOs()})
 		}
 		p := core.RunPopulation(world, clients)
 		if got := sha([]byte(fmt.Sprintf("%+v", p))); got != tc.want {
@@ -115,22 +108,22 @@ func TestPinnedPopulationLadder(t *testing.T) {
 	}
 }
 
-// TestPinnedHeldBytes pins the bytes a traced world's stores hold on the
-// rush-hour plaza (seed 1, 60 vehicles over 60 sim-s, the +failover+gc
-// arm, events, spans and telemetry on): the retaining recorder's record
-// chunks and string table, and the telemetry plane's flight rings. Both
-// figures are counted from the stores' own structures, so they move only
-// when the recorded stream or the storage layout does, and a layout
-// regression fails here before any benchmark sees it.
+// TestPinnedHeldBytes pins the bytes a traced world's retaining recorder
+// holds on the rush-hour plaza (seed 1, 60 vehicles over 60 sim-s, the
+// +failover+gc arm, events, spans and telemetry on): its record chunks
+// and string table. The figure is counted from the store's own
+// structures, so it moves only when the recorded stream or the storage
+// layout does, and a layout regression fails here before any benchmark
+// sees it.
 func TestPinnedHeldBytes(t *testing.T) {
 	const n, d = 60, sim.Time(60 * time.Second)
 	world := rushHourWorld(1, d, rushHourIPAM(n, true), true)
 	rec := obs.NewRecorder()
-	tel := telemetry.New(telemetry.Config{Seed: 1, SLOs: telemetry.DefaultSLOs()})
-	world.Obs, world.Telemetry = rec, tel
+	world.Obs = rec
+	world.Telemetry = telemetry.New(telemetry.Config{SLOs: telemetry.DefaultSLOs()})
 	core.RunPopulation(world, rushHourClients(n, d))
-	got := [4]int64{rec.Summary().Total(), int64(len(rec.Spans())), rec.HeldBytes(), tel.HeldBytes()}
-	if want := [4]int64{8523, 2445, 654242, 106496}; got != want {
-		t.Errorf("events, spans, recorder bytes, telemetry bytes = %v, want %v", got, want)
+	got := [3]int64{rec.Summary().Total(), int64(len(rec.Spans())), rec.HeldBytes()}
+	if want := [3]int64{8523, 2445, 654242}; got != want {
+		t.Errorf("events, spans, recorder bytes = %v, want %v", got, want)
 	}
 }

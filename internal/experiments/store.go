@@ -29,13 +29,11 @@ type runArtifacts struct {
 	events  []obs.Event
 	spans   []obs.Span
 	windows []telemetry.Window
-	flight  *telemetry.FlightCounters // nil when the run had no aggregator
 }
 
 // NewRunStore returns an empty store. traces asks every run to record its
 // event and span streams; rollups asks every run to attach a telemetry
-// aggregator (default window, default SLOs) and keep its closed windows
-// and flight accounting.
+// aggregator (default window, default SLOs) and keep its closed windows.
 func NewRunStore(traces, rollups bool) *RunStore {
 	return &RunStore{traces: traces, rollups: rollups, runs: make(map[string]*runArtifacts)}
 }
@@ -48,17 +46,13 @@ func (s *RunStore) Traces() bool { return s != nil && s.traces }
 func (s *RunStore) Rollups() bool { return s != nil && s.rollups }
 
 // File stores one finished run's retained events and spans (rec) and its
-// closed windows and flight accounting (tel) under label; either may be
-// nil. It refuses a label the store already holds. No-op on a nil store.
+// closed windows (tel) under label; either may be nil. It refuses a label
+// the store already holds. No-op on a nil store.
 func (s *RunStore) File(label string, rec *obs.Recorder, tel *telemetry.Aggregator) error {
 	if s == nil {
 		return nil
 	}
 	a := &runArtifacts{events: rec.Events(), spans: rec.Spans(), windows: tel.Windows()}
-	if tel != nil {
-		fc := tel.FlightCounters()
-		a.flight = &fc
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.runs[label]; dup {
@@ -123,16 +117,12 @@ func (s *RunStore) WriteSpans(w io.Writer) error {
 	return nil
 }
 
-// WriteRollups exports every run's closed windows and then its flight
-// accounting, runs in label order; runs without an aggregator write
-// nothing.
+// WriteRollups exports every run's closed windows, runs in label order;
+// runs without an aggregator write nothing.
 func (s *RunStore) WriteRollups(w io.Writer) error {
 	labels, arts := s.sorted()
 	for i, a := range arts {
-		if a.flight == nil {
-			continue
-		}
-		if err := telemetry.WriteRollupsJSONL(w, labels[i], a.windows, a.flight); err != nil {
+		if err := telemetry.WriteRollupsJSONL(w, labels[i], a.windows); err != nil {
 			return err
 		}
 	}

@@ -34,7 +34,7 @@ func TestRunStoreOrderInvariance(t *testing.T) {
 	const w = time.Second
 	run := func(kind obs.Kind, span string) (*obs.Recorder, *telemetry.Aggregator) {
 		rec := obs.NewRecorder()
-		tel := telemetry.New(telemetry.Config{Window: w, Seed: 1})
+		tel := telemetry.New(telemetry.Config{Window: w})
 		tel.Bind(rec)
 		rec.Client(0).Emit(obs.Event{At: 1, Kind: kind})
 		rec.Client(0).StartSpan(1, span).End(2)

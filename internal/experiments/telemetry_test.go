@@ -48,20 +48,20 @@ func TestRollupStreamWorkerInvariance(t *testing.T) {
 
 // TestChaosSLOFires pins the health evaluator end to end on a fault
 // workload: an outage SLO must transition to violating in some window,
-// annotate that window, and emit a health event that the flight recorder
-// keeps (health transitions are an always-keep class).
+// annotate that window, and emit a health event that a retaining recorder
+// keeps.
 func TestChaosSLOFires(t *testing.T) {
 	o := Options{Seed: 1, Scale: 0.05}
 	world, client := ChaosScenario(o)
 	tel := telemetry.New(telemetry.Config{
-		Seed: 1,
 		SLOs: []telemetry.SLORule{
 			// Zero tolerance: any outage time in a window violates, so the
 			// chaos plan's AP crashes are guaranteed to trip it.
 			{Name: "outage-any", Signal: "outage_rate", Op: "max", Limit: 0},
 		},
 	})
-	world.Telemetry = tel
+	rec := obs.NewRecorder()
+	world.Obs, world.Telemetry = rec, tel
 	core.Run(world, client)
 
 	violated := false
@@ -76,7 +76,7 @@ func TestChaosSLOFires(t *testing.T) {
 		t.Fatal("no window annotated with the outage-any violation")
 	}
 	found := false
-	for _, ev := range tel.FlightEvents() {
+	for _, ev := range rec.Events() {
 		if ev.Kind == obs.KindHealthViolation {
 			found = true
 			if !strings.Contains(ev.Note, "outage-any outage_rate=") {
@@ -88,25 +88,18 @@ func TestChaosSLOFires(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("flight recorder kept no health.violation event")
+		t.Fatal("recorder kept no health.violation event")
 	}
 }
 
 // TestTelemetryBoundedAtDense pins the bounded-memory contract on a dense
-// city-scale rung shrunk to test size: with tight caps the aggregator
-// must retain at most MaxWindows windows and at most the configured
-// flight entries, count everything it sheds, and still finish the run.
+// city-scale rung shrunk to test size: with a tight cap the aggregator
+// must retain at most MaxWindows windows, count the windows it sheds, and
+// still finish the run.
 func TestTelemetryBoundedAtDense(t *testing.T) {
 	o := Options{Seed: 1, Scale: 0.05}
 	world, clients := PopulationDenseScenario(o, 32)
-	tel := telemetry.New(telemetry.Config{
-		Seed:         1,
-		MaxWindows:   4,
-		FlightEvents: 64,
-		FlightSpans:  64,
-		KeepClients:  1,
-		SLOs:         telemetry.DefaultSLOs(),
-	})
+	tel := telemetry.New(telemetry.Config{MaxWindows: 4, SLOs: telemetry.DefaultSLOs()})
 	world.Telemetry = tel
 	core.RunPopulation(world, clients)
 
@@ -116,14 +109,26 @@ func TestTelemetryBoundedAtDense(t *testing.T) {
 	if tel.DroppedWindows() == 0 {
 		t.Fatal("60s run closed no windows past the cap of 4")
 	}
-	fc := tel.FlightCounters()
-	if fc.EventsKept > 64 || fc.SpansKept > 64 {
-		t.Fatalf("flight rings exceeded caps: %+v", fc)
+}
+
+// TestTelemetryStreamCarriesNoChattyKinds: on a telemetry-only dense
+// rung the streaming recorder's subscribers see no chatty kind (probe,
+// auth, assoc), while the events the rollups fold still arrive.
+func TestTelemetryStreamCarriesNoChattyKinds(t *testing.T) {
+	world, clients := PopulationDenseScenario(Options{Seed: 1, Scale: 0.05}, 256)
+	rec := obs.NewStreamingRecorder()
+	var kinds [obs.NumKinds]int
+	rec.Subscribe(func(e obs.Event) { kinds[e.Kind]++ })
+	world.Obs = rec
+	world.Telemetry = telemetry.New(telemetry.Config{SLOs: telemetry.DefaultSLOs()})
+	core.RunPopulation(world, clients)
+
+	for _, k := range []obs.Kind{obs.KindProbe, obs.KindAuth, obs.KindAssoc} {
+		if kinds[k] != 0 {
+			t.Errorf("%d %s events reached the streaming recorder's subscribers", kinds[k], k)
+		}
 	}
-	if fc.EventsEvicted == 0 {
-		t.Fatal("dense run evicted nothing from a 64-event ring")
-	}
-	if len(tel.FlightEvents()) != fc.EventsKept {
-		t.Fatalf("FlightEvents length %d != kept %d", len(tel.FlightEvents()), fc.EventsKept)
+	if kinds[obs.KindJoinStart] == 0 {
+		t.Fatal("no join-start event reached the subscribers")
 	}
 }

@@ -20,6 +20,12 @@ import (
 // Events, Spans and Summary, while NewStreamingRecorder keeps nothing —
 // the mode the bounded-memory telemetry plane runs city-scale
 // populations in.
+//
+// One rule decides the chatty kinds (probe, auth and assoc: one event per
+// frame sent, the bulk of a dense run's stream): a retaining recorder
+// records all of them, and a streaming recorder records none, since its
+// one subscriber, the telemetry plane, folds none of them. Emitters of
+// those kinds ask ClientLog.ChattyFlag before they build the event.
 type Recorder struct {
 	seq      uint64
 	logs     map[int]*ClientLog
@@ -29,12 +35,6 @@ type Recorder struct {
 	// kept is the retention subscriber's store; nil on a streaming
 	// recorder.
 	kept *timeline
-
-	// chattyPolicy, when set, decides once per client (at log creation)
-	// whether the client's chatty diagnostic events — the per-probe and
-	// per-handshake-attempt kinds that dominate a dense run's stream —
-	// are recorded at all.
-	chattyPolicy func(client int) bool
 
 	// ClientLog structs and their span slots are carved from block
 	// allocations, so a thousand-client run pays tens of mallocs instead
@@ -63,10 +63,6 @@ func NewStreamingRecorder() *Recorder {
 	return &Recorder{logs: make(map[int]*ClientLog)}
 }
 
-// Streaming reports whether the recorder retains nothing (false on nil:
-// a nil recorder records nothing at all, which callers test separately).
-func (r *Recorder) Streaming() bool { return r != nil && r.kept == nil }
-
 // Client returns the log for one client ID, creating it on first use.
 // Returns nil (the disabled log) on a nil recorder.
 func (r *Recorder) Client(id int) *ClientLog {
@@ -84,12 +80,9 @@ func (r *Recorder) Client(id int) *ClientLog {
 		}
 		l = &r.logSlab[0]
 		r.logSlab = r.logSlab[1:]
-		*l = ClientLog{r: r, id: id, chatty: true}
+		*l = ClientLog{r: r, id: id}
 		l.spans = r.spanSlab[0:0:spanSlots]
 		r.spanSlab = r.spanSlab[spanSlots:]
-		if r.chattyPolicy != nil && id != WorldClient {
-			l.chatty = r.chattyPolicy(id)
-		}
 		r.logs[id] = l
 	}
 	return l
@@ -102,20 +95,6 @@ const logSlabSize = 256
 // recycles closed slots, so a log only needs its maximum concurrently-
 // open span depth, which the join pipeline keeps in single digits.
 const spanSlots = 8
-
-// SetChattyPolicy installs the per-client chatty-event admission policy:
-// fn is consulted once per client, when its log is created, and a false
-// verdict makes ChattyFlag report false for that log forever after. The
-// world log is never suppressed. Install before the run creates any
-// client log (the telemetry plane does so at Bind, which core calls
-// before the world is built); logs that already exist keep their
-// decision. No-op on a nil recorder.
-func (r *Recorder) SetChattyPolicy(fn func(client int) bool) {
-	if r == nil {
-		return
-	}
-	r.chattyPolicy = fn
-}
 
 // World returns the log world-scoped events (chaos faults) record under.
 func (r *Recorder) World() *ClientLog { return r.Client(WorldClient) }
@@ -193,10 +172,6 @@ type ClientLog struct {
 	r  *Recorder
 	id int
 
-	// chatty is the client's cached chatty-policy verdict (true when no
-	// policy is installed); see ChattyFlag.
-	chatty bool
-
 	// spans holds this client's open spans plus closed slots waiting on
 	// spanFree for reuse; spanSeq is the client-local allocation counter
 	// span IDs derive from — no global state, so IDs are reproducible per
@@ -227,13 +202,12 @@ func (l *ClientLog) Emit(ev Event) {
 // that want to skip payload construction entirely.
 func (l *ClientLog) Enabled() bool { return l != nil }
 
-// ChattyFlag reports whether this client's chatty diagnostic events
-// (probes, per-attempt handshake counters — the kinds that dominate a
-// dense run's stream) should be rendered and emitted. The decision is
-// immutable, so hot emitters (the driver's probe path) cache it next to
-// their own state and count the emissions it suppressed themselves.
-// False on a nil log, where nothing is recorded.
-func (l *ClientLog) ChattyFlag() bool { return l != nil && l.chatty }
+// ChattyFlag reports whether this log records the chatty kinds (probe,
+// auth, assoc): true when its recorder retains its timeline, false on a
+// streaming recorder (see Recorder) and on a nil log, where nothing is
+// recorded. It never changes, so hot emitters (the driver's probe path)
+// cache it next to their own state.
+func (l *ClientLog) ChattyFlag() bool { return l != nil && l.r.kept != nil }
 
 // WriteJSONL writes events as one JSON object per line.
 func WriteJSONL(w io.Writer, run string, evs []Event) error {

@@ -248,8 +248,8 @@ func (r *Recorder) CloseOpenSpans(at sim.Time) {
 		return
 	}
 	// Sweep logs in client-ID order: the closes are delivered to span
-	// subscribers (telemetry's flight recorder among them), and map
-	// iteration order must never reach an observer.
+	// subscribers (the retaining store among them), and map iteration
+	// order must never reach an observer.
 	ids := make([]int, 0, len(r.logs))
 	for id := range r.logs {
 		ids = append(ids, id)

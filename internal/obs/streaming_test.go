@@ -10,9 +10,6 @@ import (
 // that is what bounds memory at city-scale populations.
 func TestStreamingRecorderRetainsNothing(t *testing.T) {
 	rec := NewStreamingRecorder()
-	if !rec.Streaming() {
-		t.Fatalf("NewStreamingRecorder not streaming")
-	}
 	var gotEv []Event
 	var gotSp []Span
 	rec.Subscribe(func(e Event) { gotEv = append(gotEv, e) })
@@ -49,6 +46,25 @@ func TestStreamingRecorderRetainsNothing(t *testing.T) {
 	open.End(50) // already closed by the sweep: must be a no-op
 	if len(gotSp) != 2 {
 		t.Fatalf("double close delivered twice")
+	}
+}
+
+// TestStreamingRecorderChattyFlag: a streaming recorder's logs record
+// no chatty kinds and a retaining recorder's logs record them all; a nil
+// log records nothing.
+func TestStreamingRecorderChattyFlag(t *testing.T) {
+	streaming, retaining := NewStreamingRecorder(), NewRecorder()
+	for _, id := range []int{0, 7, WorldClient} {
+		if streaming.Client(id).ChattyFlag() {
+			t.Errorf("streaming recorder: client %d's log records chatty kinds", id)
+		}
+		if !retaining.Client(id).ChattyFlag() {
+			t.Errorf("retaining recorder: client %d's log records no chatty kinds", id)
+		}
+	}
+	var nilRec *Recorder
+	if nilRec.Client(0).ChattyFlag() {
+		t.Error("nil log records chatty kinds")
 	}
 }
 

@@ -375,7 +375,7 @@ func (d *Daemon) ask(do func() (any, error)) (any, int, error) {
 //
 //	GET  /v1/status   — lock-free status cell (never blocks on the loop)
 //	GET  /v1/metrics  — scenario metrics, Prometheus text exposition
-//	GET  /v1/rollups  — closed telemetry windows + flight accounting
+//	GET  /v1/rollups  — closed telemetry windows
 //	                    (?from_ns= &to_ns= &last= filter; 404 if disabled)
 //	GET  /v1/events   — JSONL stream: recorded backlog, then live events
 //	POST /v1/intents  — durably accept one intent (body: Intent JSON,
@@ -429,9 +429,8 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // rollupsResponse is the GET /v1/rollups body.
 type rollupsResponse struct {
-	Windows        []telemetry.Window       `json:"windows"`
-	Flight         telemetry.FlightCounters `json:"flight"`
-	DroppedWindows int64                    `json:"dropped_windows,omitempty"`
+	Windows        []telemetry.Window `json:"windows"`
+	DroppedWindows int64              `json:"dropped_windows,omitempty"`
 }
 
 func (d *Daemon) handleRollups(w http.ResponseWriter, r *http.Request) {
@@ -480,7 +479,6 @@ func (d *Daemon) handleRollups(w http.ResponseWriter, r *http.Request) {
 		}
 		return rollupsResponse{
 			Windows:        out,
-			Flight:         tel.FlightCounters(),
 			DroppedWindows: tel.DroppedWindows(),
 		}, nil
 	})

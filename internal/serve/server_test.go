@@ -110,9 +110,8 @@ func streams(t *testing.T, rec *obs.Recorder) ([]byte, []byte) {
 	return evs.Bytes(), spans.Bytes()
 }
 
-// rollupArtifacts renders the telemetry plane's deterministic exports:
-// the rollup JSONL (windows + flight accounting) followed by the flight
-// recorder's retained events and spans.
+// rollupArtifacts renders the telemetry plane's deterministic export: the
+// rollup JSONL.
 func rollupArtifacts(t *testing.T, srv *Server) []byte {
 	t.Helper()
 	tel := srv.Telemetry()
@@ -123,12 +122,6 @@ func rollupArtifacts(t *testing.T, srv *Server) []byte {
 	if err := tel.WriteJSONL(&b, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.WriteJSONL(&b, "", tel.FlightEvents()); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.WriteSpansJSONL(&b, "", tel.FlightSpans()); err != nil {
-		t.Fatal(err)
-	}
 	return b.Bytes()
 }
 
@@ -136,7 +129,7 @@ const testUntil = sim.Time(90 * time.Second)
 
 // referenceRun produces the uninterrupted streams every crash-recovery
 // comparison is judged against: obs events, spans, and the telemetry
-// rollup/flight exports.
+// rollup export.
 func referenceRun(t *testing.T) ([]byte, []byte, []byte) {
 	t.Helper()
 	srv, err := Open(t.TempDir(), corridorWorld())

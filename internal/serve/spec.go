@@ -62,19 +62,13 @@ type WorldSpec struct {
 // TelemetrySpec is the serializable tuning of the streaming telemetry
 // plane (see internal/telemetry). Zero fields take package defaults.
 type TelemetrySpec struct {
-	// Disable turns the plane off entirely: no rollups, no flight
-	// recorder, /v1/rollups answers 404.
+	// Disable turns the plane off entirely: no rollups, /v1/rollups
+	// answers 404.
 	Disable bool `json:"disable,omitempty"`
 	// WindowNS is the rollup window width (default 1s).
 	WindowNS int64 `json:"window_ns,omitempty"`
 	// MaxWindows bounds retained closed windows (0 keeps all).
 	MaxWindows int `json:"max_windows,omitempty"`
-	// FlightEvents / FlightSpans size the flight recorder rings
-	// (defaults 4096 / 2048; negative disables a ring).
-	FlightEvents int `json:"flight_events,omitempty"`
-	FlightSpans  int `json:"flight_spans,omitempty"`
-	// KeepClients is the flight sampling fraction (default 0.05).
-	KeepClients float64 `json:"keep_clients,omitempty"`
 	// SLOs replaces the default health rule set; nil keeps
 	// telemetry.DefaultSLOs().
 	SLOs []telemetry.SLORule `json:"slos,omitempty"`
@@ -89,13 +83,10 @@ func (w *WorldSpec) TelemetryAggregator() *telemetry.Aggregator {
 	if t != nil && t.Disable {
 		return nil
 	}
-	cfg := telemetry.Config{Seed: w.Seed, SLOs: telemetry.DefaultSLOs()}
+	cfg := telemetry.Config{SLOs: telemetry.DefaultSLOs()}
 	if t != nil {
 		cfg.Window = sim.Time(t.WindowNS)
 		cfg.MaxWindows = t.MaxWindows
-		cfg.FlightEvents = t.FlightEvents
-		cfg.FlightSpans = t.FlightSpans
-		cfg.KeepClients = t.KeepClients
 		if t.SLOs != nil {
 			cfg.SLOs = t.SLOs
 		}
@@ -175,8 +166,6 @@ const (
 	// addresses are listed in memory: a world holds at most 65,536
 	// clients (IDs 0..65535).
 	maxPoolHosts = 1 << 16
-	// maxFlightRing bounds each flight-recorder ring, allocated whole.
-	maxFlightRing = 1 << 20
 )
 
 // minPeriod is the shortest positive period a spec or an intent may ask
@@ -265,9 +254,6 @@ func (w *WorldSpec) Validate() error {
 	}
 	if err := w.WorldConfig(nil).Validate(); err != nil {
 		return fmt.Errorf("serve: %w", err)
-	}
-	if t := w.Telemetry; t != nil && (t.FlightEvents > maxFlightRing || t.FlightSpans > maxFlightRing) {
-		return fmt.Errorf("serve: flight rings hold at most %d records", maxFlightRing)
 	}
 	ids := make(map[int]bool, len(w.Clients))
 	for _, c := range w.Clients {

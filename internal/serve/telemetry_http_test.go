@@ -21,9 +21,7 @@ import (
 // exercises GET /v1/rollups: full listing, the last-N and from_ns
 // filters, and parameter validation.
 func TestHTTPRollups(t *testing.T) {
-	spec := corridorWorld()
-	spec.Telemetry = &TelemetrySpec{KeepClients: 1} // keep every client's events
-	srv, err := Open(t.TempDir(), spec)
+	srv, err := Open(t.TempDir(), corridorWorld())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +74,6 @@ func TestHTTPRollups(t *testing.T) {
 		if w.EndNS-w.StartNS != int64(time.Second) {
 			t.Fatalf("window %d spans %d ns, want 1s", i, w.EndNS-w.StartNS)
 		}
-	}
-	if all.Flight.EventsAdmitted == 0 {
-		t.Fatalf("flight recorder admitted nothing: %+v", all.Flight)
 	}
 
 	last, code := get("/v1/rollups?last=1")

@@ -70,21 +70,6 @@ func (g *RNG) Derive(label string) *RNG {
 	return NewRNG(fnv1a(label) ^ (g.head.seed * 0x5851f42d4c957f2d) ^ 0x14057b7ef767814f)
 }
 
-// Coin returns one uniform [0,1) variate that is a pure function of
-// (seed, label) — the same derivation key as Derive, finished with a
-// splitmix64 mix instead of seeding a full generator, for samplers that
-// need exactly one decision per label (the telemetry flight recorder's
-// per-client keep/drop coin). Like Derive it consumes no generator state,
-// so call order cannot perturb anything.
-func (g *RNG) Coin(label string) float64 {
-	x := uint64(fnv1a(label) ^ (g.head.seed * 0x5851f42d4c957f2d) ^ 0x14057b7ef767814f)
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / (1 << 53)
-}
-
 // Float64 returns a uniform value in [0,1).
 func (g *RNG) Float64() float64 { return g.src().Float64() }
 

@@ -16,7 +16,7 @@ import (
 func TestCollectorOrder(t *testing.T) {
 	const w = time.Second
 	mk := func() *telemetry.Aggregator {
-		a := telemetry.New(telemetry.Config{Window: w, Seed: 1})
+		a := telemetry.New(telemetry.Config{Window: w})
 		a.Bind(obs.NewStreamingRecorder())
 		a.Tick(w)
 		a.Finish(w)

@@ -1,27 +1,27 @@
 // Package telemetry is the streaming aggregation plane: bounded-memory
-// rollups, a flight recorder, and declarative SLO health evaluated
-// online, beside (not instead of) the raw obs recorder.
+// rollups and declarative SLO health evaluated online, beside (not
+// instead of) the raw obs recorder.
 //
 // The raw recorder keeps every event and span, which is exactly right up
 // to a few hundred clients and unaffordable at the 1024/4096-client
 // dense rungs. The telemetry plane subscribes to the same deterministic
-// streams and keeps only:
+// event stream and keeps only:
 //
 //   - fixed sim-time windows of per-client / per-AP / per-channel
 //     aggregates (goodput, airtime, collisions, join outcomes, outage
 //     time, Jain across clients) plus log-linear quantile sketches for
 //     join latency and RTT — O(windows) memory however many clients;
-//   - a bounded ring of raw events/spans with deterministic admission
-//     (see flight.go) — O(ring capacity);
 //   - per-rule SLO state emitting health.violation / health.recovered
 //     events on the world timeline — O(rules).
 //
+// Raw events and spans are the recorder's to keep: a run that wants them
+// records with a retaining obs recorder, and the plane holds none.
+//
 // Determinism contract: every input is already deterministic (obs events
-// in engine order, sim-time-driven ticks, derived-RNG client sampling),
-// the aggregator adds no randomness and no wall-clock reads, and every
-// export sorts map-shaped state before rendering. A rollup or flight
-// export is therefore byte-identical at any fleet worker count and
-// across a serve crash/restore replay.
+// in engine order, sim-time-driven ticks), the aggregator adds no
+// randomness and no wall-clock reads, and every export sorts map-shaped
+// state before rendering. A rollup export is therefore byte-identical at
+// any fleet worker count and across a serve crash/restore replay.
 package telemetry
 
 import (
@@ -42,16 +42,6 @@ type Config struct {
 	// stated budget). When bounded, oldest windows drop and
 	// DroppedWindows counts them.
 	MaxWindows int
-	// FlightEvents / FlightSpans size the flight recorder rings
-	// (defaults 4096 / 2048; negative disables a ring).
-	FlightEvents int
-	FlightSpans  int
-	// KeepClients is the fraction of clients whose droppable events are
-	// admitted to the flight recorder (default 0.05; ≥1 keeps all).
-	KeepClients float64
-	// Seed feeds the derived-RNG client sampling; use the run's seed so
-	// the sampled set is a pure function of the scenario.
-	Seed int64
 	// SLOs are the health rules evaluated at every window close; nil
 	// means no health evaluation (use DefaultSLOs() for the stock set).
 	SLOs []SLORule
@@ -60,21 +50,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = sim.Time(1e9)
-	}
-	if c.FlightEvents == 0 {
-		c.FlightEvents = 4096
-	}
-	if c.FlightEvents < 0 {
-		c.FlightEvents = 0
-	}
-	if c.FlightSpans == 0 {
-		c.FlightSpans = 2048
-	}
-	if c.FlightSpans < 0 {
-		c.FlightSpans = 0
-	}
-	if c.KeepClients <= 0 {
-		c.KeepClients = 0.05
 	}
 	return c
 }
@@ -95,10 +70,6 @@ type Probe struct {
 	Channels         []ChannelProbe
 	CumCollisions    int64
 	CumPoolExhausted int64
-	// CumSuppressed counts chatty emissions the recorder's sampling
-	// policy suppressed at their call sites (see Bind); FlightCounters
-	// reports them as sampled out.
-	CumSuppressed int64
 }
 
 // ClientRoll is one client's share of a window.
@@ -250,7 +221,6 @@ type Aggregator struct {
 	lastProbe Probe
 	haveProbe bool
 
-	fl       flight
 	sloBad   map[string]bool
 	finished bool
 	// violations counts SLO rules entering violation, over the run.
@@ -267,7 +237,6 @@ func New(cfg Config) *Aggregator {
 		curIdx:     -1,
 		outOpen:    make(map[int]sim.Time),
 		lastClosed: -1,
-		fl:         newFlight(cfg.FlightEvents, cfg.FlightSpans, cfg.Seed, cfg.KeepClients),
 		sloBad:     make(map[string]bool),
 	}
 }
@@ -280,30 +249,18 @@ func (a *Aggregator) Window() sim.Time {
 	return a.cfg.Window
 }
 
-// Bind subscribes the aggregator to a recorder's event and span streams
-// and adopts its world log for health emission. Call once, before the
-// run starts.
+// Bind subscribes the aggregator to a recorder's event stream and adopts
+// its world log for health emission. Call once, before the run starts.
 func (a *Aggregator) Bind(rec *obs.Recorder) {
 	if a == nil || rec == nil {
 		return
 	}
 	a.rec = rec
 	rec.Subscribe(a.handleEvent)
-	rec.SubscribeSpans(a.handleSpan)
-	// On a streaming recorder nothing retains the raw timeline, so the
-	// flight recorder is the only consumer of chatty per-client events —
-	// push its sampling decision down to the emission sites, where an
-	// unsampled client skips event construction entirely (the dominant
-	// cost of running telemetry at city scale). A retaining recorder
-	// keeps its full timeline: no policy, no behavior change.
-	if rec.Streaming() {
-		rec.SetChattyPolicy(a.fl.sampled)
-	}
 }
 
 // SetProbe registers the cumulative-counter snapshot callback sampled at
-// window closes (core wires the medium, DHCP pools and drivers through
-// this). FlightCounters reads it too, for the suppressed-emission count.
+// window closes (core wires the medium and DHCP pools through this).
 func (a *Aggregator) SetProbe(fn func() Probe) {
 	if a == nil {
 		return
@@ -358,8 +315,9 @@ func (a *Aggregator) noteClient(id int) {
 }
 
 // foldedKinds marks the event kinds the window accumulator folds; the
-// rest (probes above all — the bulk of a dense run's stream) skip the
-// accumulator lookup entirely.
+// rest skip the accumulator lookup entirely. No chatty kind (see
+// obs.ClientLog.ChattyFlag) is folded, which is why a streaming recorder
+// need not record them.
 var foldedKinds = func() (m [obs.NumKinds]bool) {
 	for _, k := range []obs.Kind{
 		obs.KindJoinStart, obs.KindJoinComplete, obs.KindJoinFail,
@@ -372,13 +330,12 @@ var foldedKinds = func() (m [obs.NumKinds]bool) {
 	return
 }()
 
-// handleEvent folds one obs event into the open window and offers it to
-// the flight recorder. Runs synchronously on the sim goroutine.
+// handleEvent folds one obs event into the open window. Runs
+// synchronously on the sim goroutine.
 func (a *Aggregator) handleEvent(e obs.Event) {
 	if a.finished {
 		return
 	}
-	a.fl.admitEvent(e)
 	a.noteClient(e.Client)
 	if int(e.Kind) >= obs.NumKinds || !foldedKinds[e.Kind] {
 		return
@@ -424,14 +381,6 @@ func (a *Aggregator) handleEvent(e obs.Event) {
 	case obs.KindIPAMFailover:
 		w.ipamFailovers++
 	}
-}
-
-// handleSpan offers a closed span to the flight recorder.
-func (a *Aggregator) handleSpan(s obs.Span) {
-	if a.finished {
-		return
-	}
-	a.fl.admitSpan(s)
 }
 
 // AddGoodput folds n delivered bytes for a client at sim time at — the
@@ -704,34 +653,40 @@ func (a *Aggregator) Violations() int64 {
 	return a.violations
 }
 
-// RollupLine is one line of the rollup JSONL export: either a window or
-// the final flight-recorder accounting.
+// RollupLine is one line of the rollup JSONL export: one closed window,
+// with an optional run label.
 type RollupLine struct {
-	Run    string          `json:"run,omitempty"`
-	Window *Window         `json:"window,omitempty"`
-	Flight *FlightCounters `json:"flight,omitempty"`
+	Run    string  `json:"run,omitempty"`
+	Window *Window `json:"window,omitempty"`
 }
 
-// WriteRollupsJSONL writes windows (in order) then the flight counters,
-// one JSON object per line, with an optional run label.
-func WriteRollupsJSONL(w io.Writer, run string, windows []Window, fc *FlightCounters) error {
+// WriteRollupsJSONL writes windows in order, one JSON object per line,
+// with an optional run label.
+func WriteRollupsJSONL(w io.Writer, run string, windows []Window) error {
 	enc := json.NewEncoder(w)
 	for i := range windows {
 		if err := enc.Encode(RollupLine{Run: run, Window: &windows[i]}); err != nil {
 			return err
 		}
 	}
-	if fc != nil {
-		return enc.Encode(RollupLine{Run: run, Flight: fc})
-	}
 	return nil
 }
 
-// WriteJSONL exports this aggregator's windows and flight accounting.
+// WriteJSONL exports this aggregator's closed windows.
 func (a *Aggregator) WriteJSONL(w io.Writer, run string) error {
 	if a == nil {
 		return nil
 	}
-	fc := a.FlightCounters()
-	return WriteRollupsJSONL(w, run, a.windows, &fc)
+	return WriteRollupsJSONL(w, run, a.windows)
 }
+
+// FlightCounters is a zero shim kept only so perfbench still compiles:
+// its telemetry.flight_events_kept metric is the one reader. The
+// benchmark change that drops that metric (ROADMAP item 11) deletes
+// both.
+type FlightCounters struct {
+	EventsKept int
+}
+
+// FlightCounters returns zero: the plane keeps no raw events.
+func (a *Aggregator) FlightCounters() FlightCounters { return FlightCounters{} }

@@ -72,7 +72,7 @@ func TestSketchSmallValues(t *testing.T) {
 // TestWindowRollup: events and goodput land in their sim-time windows,
 // outages split across boundaries, and Jain reflects the skew.
 func TestWindowRollup(t *testing.T) {
-	a, rec := newBound(t, Config{Window: W, Seed: 1, KeepClients: 1})
+	a, rec := newBound(t, Config{Window: W})
 	l0, l1 := rec.Client(0), rec.Client(1)
 
 	l0.Emit(obs.Event{At: W / 10, Kind: obs.KindJoinStart})
@@ -139,7 +139,7 @@ func TestWindowRollup(t *testing.T) {
 // TestProbeDeltas: cumulative probe counters become per-window deltas
 // and per-channel airtime series.
 func TestProbeDeltas(t *testing.T) {
-	a, _ := newBound(t, Config{Window: W, Seed: 1})
+	a, _ := newBound(t, Config{Window: W})
 	cum := Probe{Clients: 4, CumCollisions: 10, CumPoolExhausted: 1,
 		Channels: []ChannelProbe{{Channel: 1, CumAirtimeNS: 100, Contenders: 2}}}
 	a.SetProbe(func() Probe { return cum })
@@ -164,105 +164,12 @@ func TestProbeDeltas(t *testing.T) {
 	}
 }
 
-// TestFlightAdmission: always-keep classes always land, droppable
-// traffic from unsampled clients is counted out, and the ring stays at
-// its cap with loud eviction counters.
-func TestFlightAdmission(t *testing.T) {
-	a, rec := newBound(t, Config{Window: W, Seed: 42, FlightEvents: 8, FlightSpans: 4, KeepClients: 0.5})
-	world := rec.World()
-	// Faults and outages always admitted, from any client.
-	for c := 0; c < 20; c++ {
-		rec.Client(c).Emit(obs.Event{At: sim.Time(c), Kind: obs.KindOutageBegin})
-		rec.Client(c).Emit(obs.Event{At: sim.Time(c), Kind: obs.KindProbe}) // droppable
-	}
-	world.Emit(obs.Event{At: 100, Kind: obs.KindFaultBegin, Note: "ap-crash"})
-
-	fc := a.FlightCounters()
-	if fc.EventsKept != 8 || fc.EventCap != 8 {
-		t.Fatalf("ring: %+v", fc)
-	}
-	if fc.EventsEvicted == 0 {
-		t.Fatalf("eviction silent: %+v", fc)
-	}
-	if fc.EventsSampledOut == 0 {
-		t.Fatalf("sampling silent: %+v", fc)
-	}
-	// Admission = total - sampledOut, and every admitted droppable event
-	// came from a sampled client.
-	if fc.EventsAdmitted+fc.EventsSampledOut != 41 {
-		t.Fatalf("accounting: %+v", fc)
-	}
-	evs := a.FlightEvents()
-	if len(evs) != 8 {
-		t.Fatalf("export length %d", len(evs))
-	}
-	for i := 1; i < len(evs); i++ {
-		a, b := evs[i-1], evs[i]
-		if b.At < a.At || (b.At == a.At && b.Client < a.Client) {
-			t.Fatalf("export unsorted at %d", i)
-		}
-	}
-
-	// Spans: "outage" always kept, others sampled.
-	for c := 0; c < 20; c++ {
-		sp := rec.Client(c).StartSpan(sim.Time(c), "join")
-		sp.End(sim.Time(c + 1))
-	}
-	o := rec.Client(0).StartSpan(50, "outage")
-	o.End(60)
-	sc := a.FlightCounters()
-	if sc.SpansKept != 4 {
-		t.Fatalf("span ring: %+v", sc)
-	}
-	if sc.SpansSampledOut == 0 {
-		t.Fatalf("span sampling silent")
-	}
-	// The outage span was admitted last and must be in the ring.
-	found := false
-	for _, s := range a.FlightSpans() {
-		if s.Name == "outage" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("always-keep span evicted semantics: outage span missing")
-	}
-}
-
-// TestFlightSamplingWorkerInvariant: the per-client keep decision is a
-// pure function of (seed, client), not of arrival order.
-func TestFlightSamplingWorkerInvariant(t *testing.T) {
-	f1 := newFlight(16, 16, 7, 0.3)
-	f2 := newFlight(16, 16, 7, 0.3)
-	for c := 0; c < 64; c++ {
-		f1.sampled(c)
-	}
-	for c := 63; c >= 0; c-- {
-		f2.sampled(c)
-	}
-	for c := 0; c < 64; c++ {
-		if f1.keep[c] != f2.keep[c] {
-			t.Fatalf("client %d decision depends on order", c)
-		}
-	}
-	f3 := newFlight(16, 16, 8, 0.3)
-	diff := false
-	for c := 0; c < 64; c++ {
-		if f3.sampled(c) != (f1.keep[c] == 1) {
-			diff = true
-		}
-	}
-	if !diff {
-		t.Fatalf("seed does not influence sampling")
-	}
-}
-
 // TestSLOTransitions: a violating window emits health.violation with the
 // window's values, recovery emits health.recovered, and steady states
 // emit nothing.
 func TestSLOTransitions(t *testing.T) {
 	rules := []SLORule{{Name: "outage-rate", Signal: "outage_rate", Op: "max", Limit: 0.25}}
-	a, rec := newBound(t, Config{Window: W, Seed: 1, SLOs: rules, KeepClients: 1})
+	a, rec := newBound(t, Config{Window: W, SLOs: rules})
 	var health []obs.Event
 	rec.Subscribe(func(e obs.Event) {
 		if e.Kind == obs.KindHealthViolation || e.Kind == obs.KindHealthRecovered {
@@ -306,21 +213,11 @@ func TestSLOTransitions(t *testing.T) {
 	if len(ws[1].Violations) != 1 || len(ws[2].Violations) != 0 {
 		t.Fatalf("violation annotations: %v %v", ws[1].Violations, ws[2].Violations)
 	}
-	// The health events themselves ride the flight recorder.
-	foundV := false
-	for _, e := range a.FlightEvents() {
-		if e.Kind == obs.KindHealthViolation {
-			foundV = true
-		}
-	}
-	if !foundV {
-		t.Fatalf("health events not in flight ring")
-	}
 }
 
 // TestMaxWindows: the rollup series honors its bound and counts drops.
 func TestMaxWindows(t *testing.T) {
-	a, _ := newBound(t, Config{Window: W, Seed: 1, MaxWindows: 4})
+	a, _ := newBound(t, Config{Window: W, MaxWindows: 4})
 	for i := 1; i <= 10; i++ {
 		a.Tick(sim.Time(i) * W)
 	}
@@ -339,7 +236,7 @@ func TestMaxWindows(t *testing.T) {
 // TestExportDeterminism: two identical runs produce byte-identical JSONL.
 func TestExportDeterminism(t *testing.T) {
 	runOnce := func() []byte {
-		a, rec := newBound(t, Config{Window: W, Seed: 3, SLOs: DefaultSLOs(), KeepClients: 0.5})
+		a, rec := newBound(t, Config{Window: W, SLOs: DefaultSLOs()})
 		a.SetProbe(func() Probe { return Probe{Clients: 8} })
 		for c := 0; c < 8; c++ {
 			l := rec.Client(c)
@@ -360,13 +257,15 @@ func TestExportDeterminism(t *testing.T) {
 	if !bytes.Equal(j1, j2) {
 		t.Fatalf("JSONL differs:\n%s\nvs\n%s", j1, j2)
 	}
-	// The JSONL must parse back and carry the flight accounting line.
+	// The JSONL holds one line per window.
 	lines := strings.Split(strings.TrimSpace(string(j1)), "\n")
-	if len(lines) != 3 { // 2 windows + flight
+	if len(lines) != 2 {
 		t.Fatalf("lines: %d", len(lines))
 	}
-	if !strings.Contains(lines[2], `"flight"`) {
-		t.Fatalf("flight line missing: %s", lines[2])
+	for _, l := range lines {
+		if !strings.Contains(l, `"window"`) {
+			t.Fatalf("line is not a window: %s", l)
+		}
 	}
 }
 
@@ -379,7 +278,7 @@ func TestNilAggregator(t *testing.T) {
 	a.AddRTT(0, 0, 1)
 	a.Tick(W)
 	a.Finish(W)
-	if a.Windows() != nil || a.Window() != 0 || a.FlightEvents() != nil || a.FlightSpans() != nil {
+	if a.Windows() != nil || a.Window() != 0 {
 		t.Fatalf("nil aggregator returned data")
 	}
 	if err := a.WriteJSONL(&bytes.Buffer{}, "x"); err != nil {

@@ -36,8 +36,8 @@ func FuzzReadSpans(f *testing.F) {
 // -rollups: ReadRollups, then RollupReport for every run it found, which
 // re-derives whole-run quantiles from the windows' sparse histograms. The
 // seed corpus in testdata/fuzz/FuzzReadRollups holds real windows with
-// histograms, per-AP and per-client rows, violations, the flight line and
-// corruptions of each.
+// histograms, per-AP and per-client rows and violations, corruptions of
+// each, and a line that holds no window.
 func FuzzReadRollups(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rf, err := ReadRollups(bytes.NewReader(data))

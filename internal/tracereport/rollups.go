@@ -11,26 +11,20 @@ import (
 	"spider/internal/telemetry"
 )
 
-// RollupFile is a parsed rollup JSONL export: the window series and the
-// flight-recorder accounting, grouped per run label.
+// RollupFile is a parsed rollup JSONL export: the window series, grouped
+// per run label.
 type RollupFile struct {
 	// Runs holds the run labels in sorted order ("" for unlabeled).
 	Runs []string
 	// Windows maps run label to its window series in file order.
 	Windows map[string][]telemetry.Window
-	// Flight maps run label to its flight accounting (zero when the
-	// export carried none).
-	Flight map[string]telemetry.FlightCounters
 }
 
 // ReadRollups parses rollup JSONL (telemetry.WriteRollupsJSONL output).
 // Lines are validated strictly — a malformed line is an error, not a
 // skip — matching ReadSpans' corruption stance.
 func ReadRollups(r io.Reader) (*RollupFile, error) {
-	rf := &RollupFile{
-		Windows: make(map[string][]telemetry.Window),
-		Flight:  make(map[string]telemetry.FlightCounters),
-	}
+	rf := &RollupFile{Windows: make(map[string][]telemetry.Window)}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	line := 0
@@ -45,19 +39,14 @@ func ReadRollups(r io.Reader) (*RollupFile, error) {
 		if err := json.Unmarshal([]byte(text), &rl); err != nil {
 			return nil, fmt.Errorf("tracereport: rollups line %d: %w", line, err)
 		}
-		if rl.Window == nil && rl.Flight == nil {
-			return nil, fmt.Errorf("tracereport: rollups line %d: neither window nor flight", line)
+		if rl.Window == nil {
+			return nil, fmt.Errorf("tracereport: rollups line %d: no window", line)
 		}
 		if !seen[rl.Run] {
 			seen[rl.Run] = true
 			rf.Runs = append(rf.Runs, rl.Run)
 		}
-		if rl.Window != nil {
-			rf.Windows[rl.Run] = append(rf.Windows[rl.Run], *rl.Window)
-		}
-		if rl.Flight != nil {
-			rf.Flight[rl.Run] = *rl.Flight
-		}
+		rf.Windows[rl.Run] = append(rf.Windows[rl.Run], *rl.Window)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -69,8 +58,8 @@ func ReadRollups(r io.Reader) (*RollupFile, error) {
 // RollupReport renders the per-window breakdown of one run (empty label
 // when the export is unlabeled): a window table, run totals with
 // whole-run quantiles re-derived by merging the windows' sparse
-// histograms, SLO violation spans, and the flight accounting. Pure
-// function of the input — byte-stable and golden-testable.
+// histograms, and SLO violation spans. Pure function of the input —
+// byte-stable and golden-testable.
 func (rf *RollupFile) RollupReport(run string) string {
 	var b strings.Builder
 	wins := rf.Windows[run]
@@ -144,15 +133,6 @@ func (rf *RollupFile) RollupReport(run string) string {
 		rows = append(rows, []string{r, fmt.Sprintf("%d", violWindows[r])})
 	}
 	table(&b, "SLO violations", []string{"rule", "windows in violation"}, rows)
-
-	if fc, ok := rf.Flight[run]; ok {
-		fmt.Fprintf(&b, "== flight recorder ==\n")
-		fmt.Fprintf(&b, "events: %d kept / %d admitted (%d sampled out, %d evicted), cap %d\n",
-			fc.EventsKept, fc.EventsAdmitted, fc.EventsSampledOut, fc.EventsEvicted, fc.EventCap)
-		fmt.Fprintf(&b, "spans:  %d kept / %d admitted (%d sampled out, %d evicted), cap %d\n",
-			fc.SpansKept, fc.SpansAdmitted, fc.SpansSampledOut, fc.SpansEvicted, fc.SpanCap)
-		fmt.Fprintf(&b, "clients sampled: %d\n", fc.ClientsSampled)
-	}
 	return b.String()
 }
 

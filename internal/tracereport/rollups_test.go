@@ -15,11 +15,7 @@ import (
 // RTTs, and goodput — and exports it as JSONL.
 func rollupFixture(t *testing.T, run string) []byte {
 	t.Helper()
-	a := telemetry.New(telemetry.Config{
-		Seed:        7,
-		KeepClients: 1,
-		SLOs:        telemetry.DefaultSLOs(),
-	})
+	a := telemetry.New(telemetry.Config{SLOs: telemetry.DefaultSLOs()})
 	sec := sim.Time(time.Second)
 	for c := 0; c < 3; c++ {
 		a.AddGoodput(c, sim.Time(c+1)*100e6, 1000*(c+1))
@@ -57,17 +53,14 @@ func TestReadRollupsRoundTrip(t *testing.T) {
 	if wins[1].GoodputBytes != 5000 {
 		t.Fatalf("window 1 goodput %d", wins[1].GoodputBytes)
 	}
-	if _, ok := rf.Flight["fixture"]; !ok {
-		t.Fatal("flight counters line missing")
-	}
 }
 
 func TestReadRollupsRejectsCorruption(t *testing.T) {
 	if _, err := ReadRollups(strings.NewReader("{\"run\":\"a\",\"window\"")); err == nil {
 		t.Fatal("malformed JSON accepted")
 	}
-	// A syntactically valid line that is neither window nor flight is
-	// corruption too, not a silent no-op.
+	// A syntactically valid line that holds no window is corruption too,
+	// not a silent no-op.
 	if _, err := ReadRollups(strings.NewReader(`{"run":"a"}`)); err == nil {
 		t.Fatal("empty rollup line accepted")
 	}
@@ -86,7 +79,6 @@ func TestRollupReportRenders(t *testing.T) {
 		"== run totals ==",
 		"goodput: 11000 B",
 		"== SLO violations ==",
-		"== flight recorder ==",
 	} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
