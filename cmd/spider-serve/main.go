@@ -17,7 +17,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -55,12 +54,14 @@ func main() {
 
 	var spec *serve.WorldSpec
 	if *config != "" {
-		b, err := os.ReadFile(*config)
+		f, err := os.Open(*config)
 		if err != nil {
 			fatal(err)
 		}
 		spec = new(serve.WorldSpec)
-		if err := json.Unmarshal(b, spec); err != nil {
+		err = serve.DecodeStrict(f, spec)
+		f.Close()
+		if err != nil {
 			fatal(fmt.Errorf("%s: %w", *config, err))
 		}
 	}

@@ -253,8 +253,10 @@ func (c *Client) build(rng *sim.RNG) {
 					Note: cause,
 				})
 				c.outSpan = c.events.StartSpan(eng.Now(), "outage")
-				c.outSpan.SetBSSID(l.BSSID.String())
-				c.outSpan.SetStatus(cause)
+				if c.outSpan != nil {
+					c.outSpan.SetBSSID(l.BSSID.String())
+					c.outSpan.SetStatus(cause)
+				}
 			}
 		}
 	}

@@ -484,10 +484,9 @@ func (s *Scenario) armInjector(plan chaos.Plan, rng *sim.RNG) *chaos.Injector {
 		// revert) stay active for the rest of the run.
 		if begin {
 			s.faultCauses[e.Cause]++
-			span := world.StartSpan(s.eng.Now(), "fault")
-			span.SetChannel(int(e.Channel))
-			span.SetStatus(e.Cause + ":" + e.Kind.String())
-			if span != nil {
+			if span := world.StartSpan(s.eng.Now(), "fault"); span != nil {
+				span.SetChannel(int(e.Channel))
+				span.SetStatus(e.Cause + ":" + e.Kind.String())
 				s.faultSpans[e.Cause] = append(s.faultSpans[e.Cause], span)
 			}
 		} else {

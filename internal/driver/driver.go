@@ -117,9 +117,10 @@ type Driver struct {
 
 	// events is the driver's timeline (nil-receiver no-ops when disabled).
 	events *obs.ClientLog
-	// evChatty caches whether the log records chatty kinds (immutable
-	// after the log exists) so the per-probe guard reads driver-local
-	// state instead of chasing the ClientLog pointer every emission.
+	// evChatty caches events.Retains(), whether the log records chatty
+	// kinds (immutable after the log exists), so the per-probe guard
+	// reads driver-local state instead of chasing the ClientLog pointer
+	// every emission.
 	evChatty  bool
 	switching bool // a hardware reset is in flight
 	// occSpan is the open schedule-occupancy span for the channel the
@@ -148,7 +149,7 @@ func New(eng *sim.Engine, rng *sim.RNG, medium *phy.Medium, mac dot11.MACAddr, p
 		scan: make(map[dot11.MACAddr]ScanEntry),
 
 		events:   cfg.Events,
-		evChatty: cfg.Events.ChattyFlag(),
+		evChatty: cfg.Events.Retains(),
 	}
 	d.slotTimer.Bind(eng, sim.Func(d.nextSlot))
 	d.radio = medium.NewRadio(mac, pos, stillFrom)

@@ -1,12 +1,11 @@
 package fleet
 
 // The result cache is content-keyed and single-flight: the first request
-// for a key computes it (on the caller's goroutine for Do, on a worker for
-// keyed jobs), concurrent requests for the same key block until that
-// computation finishes, and later requests reuse the stored result. Keys
-// must uniquely encode everything the computation depends on — the
-// experiment id, its Options, and the seed — so a hit is always safe to
-// substitute for a recompute.
+// for a key computes it on the caller's goroutine, concurrent requests for
+// the same key block until that computation finishes, and later requests
+// reuse the stored result. Keys must uniquely encode everything the
+// computation depends on — the experiment id, its Options, and the seed —
+// so a hit is always safe to substitute for a recompute.
 
 type cacheEntry struct {
 	ready chan struct{}
@@ -14,26 +13,17 @@ type cacheEntry struct {
 	err   error
 }
 
-// Do memoizes compute under key with single-flight semantics and no group
-// attribution. It reports whether the result came from the cache.
-func (p *Pool) Do(key string, compute func() (any, error)) (any, bool, error) {
-	v, err, hit := p.cacheDo(p.Group(""), key, compute)
-	return v, hit, err
-}
-
-// Do is Pool.Do with this group's telemetry attribution.
+// Do memoizes compute under key with single-flight semantics, attributing
+// the hit or miss to this group. It reports whether the result came from
+// the cache.
 func (g *Group) Do(key string, compute func() (any, error)) (any, bool, error) {
-	v, err, hit := g.pool.cacheDo(g, key, compute)
-	return v, hit, err
-}
-
-func (p *Pool) cacheDo(g *Group, key string, compute func() (any, error)) (any, error, bool) {
+	p := g.pool
 	p.cacheMu.Lock()
 	if e, ok := p.cache[key]; ok {
 		p.cacheMu.Unlock()
 		<-e.ready
 		p.noteCache(g, key, true)
-		return e.value, e.err, true
+		return e.value, true, e.err
 	}
 	e := &cacheEntry{ready: make(chan struct{})}
 	p.cache[key] = e
@@ -44,12 +34,5 @@ func (p *Pool) cacheDo(g *Group, key string, compute func() (any, error)) (any, 
 	// later request for the key.
 	e.value, e.err = safeRun(compute)
 	close(e.ready)
-	return e.value, e.err, false
-}
-
-// CacheLen reports how many keys the cache holds (for tests and telemetry).
-func (p *Pool) CacheLen() int {
-	p.cacheMu.Lock()
-	defer p.cacheMu.Unlock()
-	return len(p.cache)
+	return e.value, false, e.err
 }

@@ -17,7 +17,8 @@
 //
 // A content-keyed single-flight cache (see cache.go) memoizes expensive
 // shared computations such as the town study, and a telemetry layer (see
-// telemetry.go) reports queue depth, per-job wall time, and an ETA.
+// telemetry.go) reports queue depth, per-job wall time, and an ETA, all
+// read from the wall clock — telemetry only, never results or cache keys.
 package fleet
 
 import (
@@ -38,21 +39,12 @@ type Config struct {
 	// OnEvent, when non-nil, receives telemetry for every job lifecycle
 	// transition. Callbacks are serialized and must be fast.
 	OnEvent func(Event)
-	// Clock supplies every wall-clock read the pool makes (job wall
-	// times, elapsed, ETA). Nil means the real clock. Wall time feeds
-	// telemetry only — never results or cache keys — so substituting
-	// obs.NewManual makes the pool's reporting fully deterministic.
-	Clock obs.Clock
 }
 
 // Job is one independent unit of work.
 type Job struct {
 	// ID labels the job in telemetry and error reports.
 	ID string
-	// Key, when non-empty, memoizes the job's result in the pool's
-	// content-keyed cache: a second job with the same key reuses the
-	// first result instead of recomputing it.
-	Key string
 	// Run computes the result. It must be a pure function of state
 	// captured at job construction; it may panic.
 	Run func() (any, error)
@@ -60,11 +52,10 @@ type Job struct {
 
 // JobResult is the outcome of one job, reported in submission order.
 type JobResult struct {
-	ID       string
-	Value    any
-	Err      *JobError
-	Wall     time.Duration
-	CacheHit bool
+	ID    string
+	Value any
+	Err   *JobError
+	Wall  time.Duration
 }
 
 // JobError is the typed failure report for a single job.
@@ -109,7 +100,6 @@ func (e *SweepError) Error() string {
 // Pool executes jobs on a fixed set of workers.
 type Pool struct {
 	cfg     Config
-	clock   obs.Clock
 	workers int
 	tasks   chan *task
 	done    sync.WaitGroup
@@ -122,7 +112,6 @@ type Pool struct {
 	ndone   int
 	nfailed int
 	hits    int
-	misses  int
 	wallSum time.Duration
 	health  Health
 	events  obs.Summary
@@ -146,16 +135,11 @@ func New(cfg Config) *Pool {
 	if w <= 0 {
 		w = runtime.NumCPU()
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = obs.Wall()
-	}
 	p := &Pool{
 		cfg:     cfg,
-		clock:   clock,
 		workers: w,
 		tasks:   make(chan *task),
-		start:   clock.Now(),
+		start:   time.Now(),
 		cache:   make(map[string]*cacheEntry),
 	}
 	p.done.Add(w)
@@ -244,20 +228,9 @@ func (p *Pool) exec(t *task) {
 		return
 	}
 	p.noteStarted(t)
-	start := p.clock.Now()
-	var (
-		value any
-		err   error
-		hit   bool
-	)
-	if t.job.Key != "" {
-		// A failed keyed computation is cached like a result, so every
-		// job sharing the key replays the same failure.
-		value, err, hit = p.cacheDo(t.group, t.job.Key, t.job.Run)
-	} else {
-		value, err = safeRun(t.job.Run)
-	}
-	res := JobResult{ID: t.job.ID, CacheHit: hit}
+	start := time.Now()
+	value, err := safeRun(t.job.Run)
+	res := JobResult{ID: t.job.ID}
 	if err != nil {
 		res.Err = &JobError{ID: t.job.ID, Index: t.idx}
 		if pe, ok := err.(*panicError); ok {
@@ -268,7 +241,7 @@ func (p *Pool) exec(t *task) {
 	} else {
 		res.Value = value
 	}
-	res.Wall = p.clock.Since(start)
+	res.Wall = time.Since(start)
 	p.finishTask(t, res, start)
 }
 

@@ -156,67 +156,6 @@ func TestPlainErrorNotRetried(t *testing.T) {
 	}
 }
 
-// TestCacheSingleFlight: two keyed jobs sharing a key compute once; a
-// different key computes separately.
-func TestCacheSingleFlight(t *testing.T) {
-	p := New(Config{Workers: 1})
-	defer p.Close()
-	var computes int32
-	mk := func(id, key string) Job {
-		return Job{ID: id, Key: key, Run: func() (any, error) {
-			atomic.AddInt32(&computes, 1)
-			return key + "-value", nil
-		}}
-	}
-	res, err := p.Map(context.Background(), []Job{
-		mk("a", "town|seed=1"), mk("b", "town|seed=1"), mk("c", "town|seed=2"),
-	})
-	if err != nil {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if got := atomic.LoadInt32(&computes); got != 2 {
-		t.Errorf("computed %d times, want 2 (one per distinct key)", got)
-	}
-	if res[0].CacheHit || !res[1].CacheHit || res[2].CacheHit {
-		t.Errorf("cache-hit flags %v/%v/%v, want false/true/false", res[0].CacheHit, res[1].CacheHit, res[2].CacheHit)
-	}
-	if res[1].Value != "town|seed=1-value" || res[2].Value != "town|seed=2-value" {
-		t.Errorf("wrong cached values: %v / %v", res[1].Value, res[2].Value)
-	}
-	if p.CacheLen() != 2 {
-		t.Errorf("cache holds %d keys, want 2", p.CacheLen())
-	}
-}
-
-// TestKeyedPanicReplaysToEverySlot: keyed jobs sharing a key whose
-// computation panics compute once, and every job's slot carries the panic
-// under its own ID and index.
-func TestKeyedPanicReplaysToEverySlot(t *testing.T) {
-	p := New(Config{Workers: 1})
-	defer p.Close()
-	var calls int32
-	run := func() (any, error) {
-		atomic.AddInt32(&calls, 1)
-		panic("bad town")
-	}
-	res, err := p.Map(context.Background(), []Job{
-		{ID: "a", Key: "town|seed=1", Run: run},
-		{ID: "b", Key: "town|seed=1", Run: run},
-	})
-	if err == nil {
-		t.Fatal("expected sweep error")
-	}
-	if got := atomic.LoadInt32(&calls); got != 1 {
-		t.Errorf("keyed computation ran %d times, want 1", got)
-	}
-	for i, id := range []string{"a", "b"} {
-		je := res[i].Err
-		if je == nil || je.ID != id || je.Index != i || je.Panic != "bad town" || je.Stack == "" {
-			t.Errorf("slot %d: error %+v, want job %q's panic with its stack", i, je, id)
-		}
-	}
-}
-
 // TestCacheDistinguishesKeys guards against key collisions: the same job
 // body under different keys must not share results.
 func TestCacheDistinguishesKeys(t *testing.T) {
@@ -247,18 +186,19 @@ func TestCacheDistinguishesKeys(t *testing.T) {
 func TestCachePanicReplaysError(t *testing.T) {
 	p := New(Config{Workers: 1})
 	defer p.Close()
+	g := p.Group("exp")
 	var calls int32
 	compute := func() (any, error) {
 		atomic.AddInt32(&calls, 1)
 		panic("compute exploded")
 	}
-	_, _, err := p.Do("bad", compute)
+	_, _, err := g.Do("bad", compute)
 	if err == nil {
 		t.Fatal("want error from panicking compute")
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := p.Do("bad", compute)
+		_, _, err := g.Do("bad", compute)
 		done <- err
 	}()
 	select {

@@ -19,9 +19,9 @@ const (
 	JobDone
 	// JobFailed fires when a job panics, returns an error, or is canceled.
 	JobFailed
-	// CacheHit fires when a keyed computation is served from the cache.
+	// CacheHit fires when Group.Do serves a key from the cache.
 	CacheHit
-	// CacheMiss fires when a keyed computation must be computed.
+	// CacheMiss fires when Group.Do must compute a key.
 	CacheMiss
 )
 
@@ -115,7 +115,7 @@ func (p *Pool) statsLocked() Stats {
 		Failed:    p.nfailed,
 		CacheHits: p.hits,
 		WallSum:   p.wallSum,
-		Elapsed:   p.clock.Since(p.start),
+		Elapsed:   time.Since(p.start),
 		Health:    p.health,
 		Events:    p.events,
 	}
@@ -182,12 +182,14 @@ func (p *Pool) noteCache(g *Group, key string, hit bool) {
 	if hit {
 		typ = CacheHit
 		p.hits++
-	} else {
-		p.misses++
 	}
 	ev := Event{Type: typ, Job: key, Group: g.name, Stats: p.statsLocked()}
 	p.mu.Unlock()
-	g.recordCache(hit)
+	if hit {
+		g.mu.Lock()
+		g.hits++
+		g.mu.Unlock()
+	}
 	p.event(ev)
 }
 
@@ -208,7 +210,6 @@ type Group struct {
 	jobs   int
 	failed int
 	hits   int
-	misses int
 	wall   time.Duration
 	health Health
 	events obs.Summary
@@ -218,9 +219,6 @@ type Group struct {
 func (p *Pool) Group(name string) *Group {
 	return &Group{pool: p, name: name}
 }
-
-// Pool returns the pool this group executes on.
-func (g *Group) Pool() *Pool { return g.pool }
 
 // Name returns the group's label.
 func (g *Group) Name() string { return g.name }
@@ -258,16 +256,6 @@ func (g *Group) AddEvents(s obs.Summary) {
 	g.pool.mu.Lock()
 	g.pool.events.Add(s)
 	g.pool.mu.Unlock()
-}
-
-func (g *Group) recordCache(hit bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if hit {
-		g.hits++
-	} else {
-		g.misses++
-	}
 }
 
 // GroupStats summarizes one group's completed activity.

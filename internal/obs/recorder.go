@@ -6,42 +6,38 @@ import (
 	"sort"
 )
 
-// Recorder stamps one run's events and spans and dispatches them to its
+// Recorder stamps one run's events and dispatches them to its
 // subscribers. A Recorder belongs to a single scenario run and is written
 // from that run's (single) simulation goroutine; reading happens after
 // the run completes, or between steps on that goroutine. A nil *Recorder
 // disables recording everywhere: the ClientLogs it hands out are nil, and
 // every method on those is a no-op.
 //
-// There is one code path. Emit stamps an event and hands it to every
-// subscriber; a span is handed over when it closes, and its slot goes
-// back on its log's free list. Retention is just the first subscriber:
-// NewRecorder installs one that keeps every event and closed span for
-// Events, Spans and Summary, while NewStreamingRecorder keeps nothing —
-// the mode the bounded-memory telemetry plane runs city-scale
-// populations in.
+// Events have one code path: Emit stamps an event and hands it to every
+// subscriber. Retention is just the first subscriber: NewRecorder
+// installs one that keeps every event for Events and Summary, while
+// NewStreamingRecorder keeps nothing — the mode the bounded-memory
+// telemetry plane runs city-scale populations in.
 //
-// One rule decides the chatty kinds (probe, auth and assoc: one event per
-// frame sent, the bulk of a dense run's stream): a retaining recorder
-// records all of them, and a streaming recorder records none, since its
-// one subscriber, the telemetry plane, folds none of them. Emitters of
-// those kinds ask ClientLog.ChattyFlag before they build the event.
+// One rule, ClientLog.Retains, decides what only a retaining recorder
+// records. Spans exist only there: a span closes straight into the
+// retained timeline, and a streaming recorder's logs open none. The
+// chatty kinds (probe, auth and assoc: one event per frame sent, the bulk
+// of a dense run's stream) are recorded only there too, since a streaming
+// recorder's one subscriber, the telemetry plane, folds none of them.
 type Recorder struct {
-	seq      uint64
-	logs     map[int]*ClientLog
-	subs     []func(Event)
-	spanSubs []func(Span)
+	seq  uint64
+	logs map[int]*ClientLog
+	subs []func(Event)
 
-	// kept is the retention subscriber's store; nil on a streaming
-	// recorder.
+	// kept is the retained timeline; nil on a streaming recorder.
 	kept *timeline
 
-	// ClientLog structs and their span slots are carved from block
-	// allocations, so a thousand-client run pays tens of mallocs instead
-	// of thousands, and the logs the per-event hot path reads sit densely
-	// in memory rather than scattered across the heap.
-	logSlab  []ClientLog
-	spanSlab []Span
+	// ClientLog structs are carved from block allocations, so a
+	// thousand-client run pays tens of mallocs instead of thousands, and
+	// the logs the per-event hot path reads sit densely in memory rather
+	// than scattered across the heap.
+	logSlab []ClientLog
 }
 
 // NewRecorder returns a recorder that retains its whole timeline for
@@ -50,15 +46,14 @@ func NewRecorder() *Recorder {
 	r := NewStreamingRecorder()
 	r.kept = newTimeline()
 	r.Subscribe(r.kept.addEvent)
-	r.SubscribeSpans(r.kept.addSpan)
 	return r
 }
 
 // NewStreamingRecorder returns a recorder that retains nothing: events
-// and closed spans are delivered to Subscribe/SubscribeSpans observers
-// and then dropped, so memory stays O(open spans + clients) at any
-// population and run length. Events, Spans, and Summary return nothing
-// in this mode — the stream is the product.
+// are delivered to Subscribe observers and then dropped, and no span is
+// opened, so memory stays O(clients) at any population and run length.
+// Events, Spans, and Summary return nothing in this mode — the stream is
+// the product.
 func NewStreamingRecorder() *Recorder {
 	return &Recorder{logs: make(map[int]*ClientLog)}
 }
@@ -76,13 +71,10 @@ func (r *Recorder) Client(id int) *ClientLog {
 			// not pay for a thousand-client block.
 			n := min(max(len(r.logs), 4), logSlabSize)
 			r.logSlab = make([]ClientLog, n)
-			r.spanSlab = make([]Span, n*spanSlots)
 		}
 		l = &r.logSlab[0]
 		r.logSlab = r.logSlab[1:]
 		*l = ClientLog{r: r, id: id}
-		l.spans = r.spanSlab[0:0:spanSlots]
-		r.spanSlab = r.spanSlab[spanSlots:]
 		r.logs[id] = l
 	}
 	return l
@@ -90,11 +82,6 @@ func (r *Recorder) Client(id int) *ClientLog {
 
 // logSlabSize caps the ClientLog block size (see logSlab).
 const logSlabSize = 256
-
-// spanSlots is the per-client span-slot reservation: the free list
-// recycles closed slots, so a log only needs its maximum concurrently-
-// open span depth, which the join pipeline keeps in single digits.
-const spanSlots = 8
 
 // World returns the log world-scoped events (chaos faults) record under.
 func (r *Recorder) World() *ClientLog { return r.Client(WorldClient) }
@@ -111,18 +98,6 @@ func (r *Recorder) Subscribe(fn func(Event)) {
 		return
 	}
 	r.subs = append(r.subs, fn)
-}
-
-// SubscribeSpans registers a streaming observer invoked synchronously,
-// on the recording goroutine, for every span as it closes (End,
-// EndStatus, or the final CloseOpenSpans sweep). The delivered Span is a
-// copy — observers may keep it. Same registration contract as Subscribe:
-// before the run, not concurrently with it. No-op on a nil recorder.
-func (r *Recorder) SubscribeSpans(fn func(Span)) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.spanSubs = append(r.spanSubs, fn)
 }
 
 // Events returns the retained timeline ordered by (sim-time, client ID,
@@ -172,15 +147,12 @@ type ClientLog struct {
 	r  *Recorder
 	id int
 
-	// spans holds this client's open spans plus closed slots waiting on
-	// spanFree for reuse; spanSeq is the client-local allocation counter
-	// span IDs derive from — no global state, so IDs are reproducible per
-	// client. Reuse bumps a slot's spanGen, so stale ActiveSpan handles
-	// turn into no-ops instead of scribbling on the recycled slot.
-	spans    []Span
-	spanSeq  uint32
-	spanGen  []uint32
-	spanFree []int
+	// open holds this client's open spans, oldest first, for
+	// CloseOpenSpans; spanSeq is the client-local allocation counter span
+	// IDs derive from — no global state, so IDs are reproducible per
+	// client.
+	open    []*ActiveSpan
+	spanSeq uint32
 }
 
 // Emit stamps one event with the client ID and the recorder-global
@@ -202,12 +174,13 @@ func (l *ClientLog) Emit(ev Event) {
 // that want to skip payload construction entirely.
 func (l *ClientLog) Enabled() bool { return l != nil }
 
-// ChattyFlag reports whether this log records the chatty kinds (probe,
-// auth, assoc): true when its recorder retains its timeline, false on a
-// streaming recorder (see Recorder) and on a nil log, where nothing is
-// recorded. It never changes, so hot emitters (the driver's probe path)
-// cache it next to their own state.
-func (l *ClientLog) ChattyFlag() bool { return l != nil && l.r.kept != nil }
+// Retains reports whether this log's recorder keeps its timeline: true
+// on a retaining recorder, false on a streaming recorder (see Recorder)
+// and on a nil log, where nothing is recorded. Only a log that retains
+// opens spans and records the chatty kinds (probe, auth, assoc). It never
+// changes, so hot emitters (the driver's probe path) cache it next to
+// their own state.
+func (l *ClientLog) Retains() bool { return l != nil && l.r.kept != nil }
 
 // WriteJSONL writes events as one JSON object per line.
 func WriteJSONL(w io.Writer, run string, evs []Event) error {

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
 
 	"spider/internal/sim"
@@ -76,144 +77,117 @@ func (s Span) Duration() sim.Time {
 // Open reports whether the span has not ended yet.
 func (s Span) Open() bool { return s.End == openEnd }
 
-// ActiveSpan is a live handle on a recorded span. The nil handle is the
-// disabled span: every method is a single branch and no work, so
-// instrumentation sites never test for recording themselves. Handles are
-// owned by the single simulation goroutine, like the rest of a Recorder.
+// ActiveSpan is an open span: the handle holds the span itself until it
+// closes. Only a log whose recorder retains its timeline opens spans
+// (ClientLog.Retains); everywhere else StartSpan hands out the nil handle,
+// the disabled span, on which every method is a single branch and no
+// work, so instrumentation sites never test for recording themselves.
+// Closing a span moves it into the recorder's timeline, and from then on
+// the handle is inert: the setters, End, EndStatus and StartChild do
+// nothing. Handles are owned by the single simulation goroutine, like the
+// rest of a Recorder.
 type ActiveSpan struct {
-	l   *ClientLog
-	idx int
-	// gen is the slot generation the handle was issued against. Closed
-	// slots are recycled; a reused slot bumps its generation, so a stale
-	// handle (kept past its span's close) fails the check and degrades to
-	// the nil-handle no-op path.
-	gen uint32
+	l  *ClientLog
+	sp Span
 }
 
-// span returns the underlying record (nil handle → nil; stale handle on
-// a recycled slot → nil).
-func (s *ActiveSpan) span() *Span {
-	if s == nil || s.l.spanGen[s.idx] != s.gen {
-		return nil
-	}
-	return &s.l.spans[s.idx]
-}
+// open reports whether s is a live handle on a span not yet closed.
+func (s *ActiveSpan) open() bool { return s != nil && s.sp.Open() }
 
 // SpanID returns the span's deterministic ID (zero on the nil handle).
 func (s *ActiveSpan) SpanID() SpanID {
-	if sp := s.span(); sp != nil {
-		return sp.ID
+	if s == nil {
+		return 0
 	}
-	return 0
+	return s.sp.ID
 }
 
 // SetBSSID annotates the span with the AP involved.
 func (s *ActiveSpan) SetBSSID(bssid string) {
-	if sp := s.span(); sp != nil {
-		sp.BSSID = bssid
+	if s.open() {
+		s.sp.BSSID = bssid
 	}
 }
 
 // SetChannel annotates the span with the channel involved.
 func (s *ActiveSpan) SetChannel(ch int) {
-	if sp := s.span(); sp != nil {
-		sp.Channel = ch
+	if s.open() {
+		s.sp.Channel = ch
 	}
 }
 
 // SetStatus sets the span's outcome/cause label.
 func (s *ActiveSpan) SetStatus(status string) {
-	if sp := s.span(); sp != nil {
-		sp.Status = status
+	if s.open() {
+		s.sp.Status = status
 	}
 }
 
-// Ended reports whether End was already called (false on nil handles, so
+// Ended reports whether the span has closed (false on nil handles, so
 // disabled instrumentation stays on the no-op path).
-func (s *ActiveSpan) Ended() bool {
-	sp := s.span()
-	return sp != nil && sp.End != openEnd
-}
+func (s *ActiveSpan) Ended() bool { return s != nil && !s.open() }
 
 // End closes the span at the given sim time. Idempotent: the first close
 // wins, so teardown paths may end defensively.
 func (s *ActiveSpan) End(at sim.Time) {
-	if sp := s.span(); sp != nil && sp.End == openEnd {
-		sp.End = closeTime(at)
-		s.l.spanClosed(s.idx)
+	if s.open() {
+		s.close(at)
 	}
 }
 
 // EndStatus closes the span and records its outcome in one call. Like
 // End, the first close wins (status included).
 func (s *ActiveSpan) EndStatus(at sim.Time, status string) {
-	if sp := s.span(); sp != nil && sp.End == openEnd {
-		sp.End = closeTime(at)
-		sp.Status = status
-		s.l.spanClosed(s.idx)
+	if s.open() {
+		s.sp.Status = status
+		s.close(at)
 	}
+}
+
+// close stamps the span's end, retains it, and takes it off its log's
+// open list.
+func (s *ActiveSpan) close(at sim.Time) {
+	s.sp.End = closeTime(at)
+	l := s.l
+	l.r.kept.addSpan(s.sp)
+	i := slices.Index(l.open, s)
+	l.open = slices.Delete(l.open, i, i+1)
 }
 
 // closeTime is the End a span closed at sim time at records. Sim time
 // never runs below zero, and a close at openEnd would leave the span
-// reading open after it was delivered and its slot freed, so negative
-// times clamp to 0.
+// reading open after it was retained, so negative times clamp to 0.
 func closeTime(at sim.Time) sim.Time { return max(at, 0) }
 
-// spanClosed delivers the just-closed span at idx to span subscribers
-// and returns its slot to the free list for reuse.
-func (l *ClientLog) spanClosed(idx int) {
-	for _, fn := range l.r.spanSubs {
-		fn(l.spans[idx])
-	}
-	l.spanFree = append(l.spanFree, idx)
-}
-
-// StartChild opens a child span under s. On the nil handle it returns
-// nil, so whole span trees disappear when recording is off. A stale
-// handle (slot recycled) also yields nil: the parent is gone, so the
-// child would dangle.
+// StartChild opens a child span under s. On the nil handle, and on a
+// closed one, it returns nil, so whole span trees disappear when
+// recording is off and no child ever outlives its parent's close.
 func (s *ActiveSpan) StartChild(at sim.Time, name string) *ActiveSpan {
-	sp := s.span()
-	if sp == nil {
+	if !s.open() {
 		return nil
 	}
-	// Capture the ID before StartSpan: the allocation may grow or
-	// recycle storage and invalidate sp.
-	pid := sp.ID
 	child := s.l.StartSpan(at, name)
-	if c := child.span(); c != nil {
-		c.Parent = pid
-	}
+	child.sp.Parent = s.sp.ID
 	return child
 }
 
 // StartSpan opens a root span on this client's log. Returns the nil
-// handle (all methods no-ops) on a nil log.
+// handle (all methods no-ops) unless the log retains its timeline: a
+// span exists only where it is kept.
 func (l *ClientLog) StartSpan(at sim.Time, name string) *ActiveSpan {
-	if l == nil {
+	if !l.Retains() {
 		return nil
 	}
 	l.spanSeq++
-	sp := Span{
+	s := &ActiveSpan{l: l, sp: Span{
 		ID:     MakeSpanID(l.id, l.spanSeq),
 		Client: l.id,
 		Name:   name,
 		Start:  at,
 		End:    openEnd,
-	}
-	// Reuse a closed slot when one is free, bumping its generation so
-	// handles on the previous occupant go stale.
-	if n := len(l.spanFree); n > 0 {
-		idx := l.spanFree[n-1]
-		l.spanFree = l.spanFree[:n-1]
-		l.spanGen[idx]++
-		l.spans[idx] = sp
-		return &ActiveSpan{l: l, idx: idx, gen: l.spanGen[idx]}
-	}
-	l.spans = append(l.spans, sp)
-	l.spanGen = append(l.spanGen, 0)
-	return &ActiveSpan{l: l, idx: len(l.spans) - 1}
+	}}
+	l.open = append(l.open, s)
+	return s
 }
 
 // Spans returns the retained closed spans ordered by (Start, Client, ID)
@@ -244,12 +218,11 @@ func (r *Recorder) Spans() []Span {
 // (channel occupancy, a link still up, a persistent fault) export with a
 // definite end and parent/child containment holds throughout the tree.
 func (r *Recorder) CloseOpenSpans(at sim.Time) {
-	if r == nil {
+	if r == nil || r.kept == nil {
 		return
 	}
-	// Sweep logs in client-ID order: the closes are delivered to span
-	// subscribers (the retaining store among them), and map iteration
-	// order must never reach an observer.
+	// Sweep logs in client-ID order, so map iteration order never reaches
+	// the timeline.
 	ids := make([]int, 0, len(r.logs))
 	for id := range r.logs {
 		ids = append(ids, id)
@@ -258,12 +231,12 @@ func (r *Recorder) CloseOpenSpans(at sim.Time) {
 	at = closeTime(at)
 	for _, id := range ids {
 		l := r.logs[id]
-		for i := range l.spans {
-			if l.spans[i].End == openEnd {
-				l.spans[i].End = at
-				l.spanClosed(i)
-			}
+		for _, s := range l.open {
+			s.sp.End = at
+			r.kept.addSpan(s.sp)
 		}
+		clear(l.open)
+		l.open = l.open[:0]
 	}
 }
 

@@ -6,14 +6,12 @@ import (
 )
 
 // TestStreamingRecorderRetainsNothing: a streaming recorder delivers
-// every event and closed span to its subscribers but keeps no timeline —
+// every event to its subscribers but keeps no timeline and opens no span —
 // that is what bounds memory at city-scale populations.
 func TestStreamingRecorderRetainsNothing(t *testing.T) {
 	rec := NewStreamingRecorder()
 	var gotEv []Event
-	var gotSp []Span
 	rec.Subscribe(func(e Event) { gotEv = append(gotEv, e) })
-	rec.SubscribeSpans(func(s Span) { gotSp = append(gotSp, s) })
 
 	l := rec.Client(7)
 	l.Emit(Event{At: 10, Kind: KindProbe})
@@ -30,9 +28,8 @@ func TestStreamingRecorderRetainsNothing(t *testing.T) {
 	if gotEv[0].Client != 7 || gotEv[0].Seq != 0 || gotEv[1].Seq != 1 {
 		t.Fatalf("streaming events missing client/seq: %v", gotEv)
 	}
-	if len(gotSp) != 2 || gotSp[0].Name != "join" || gotSp[0].End != 25 ||
-		gotSp[0].Status != "ok" || gotSp[1].Name != "link" || gotSp[1].End != 40 {
-		t.Fatalf("span subscriber saw %v", gotSp)
+	if sp != nil || open != nil || len(l.open) != 0 {
+		t.Fatalf("streaming recorder opened spans: %v %v, %d open", sp, open, len(l.open))
 	}
 	if evs := rec.Events(); len(evs) != 0 {
 		t.Fatalf("streaming recorder retained %d events", len(evs))
@@ -43,80 +40,106 @@ func TestStreamingRecorderRetainsNothing(t *testing.T) {
 	if !rec.Summary().Empty() {
 		t.Fatalf("streaming recorder has a summary")
 	}
-	open.End(50) // already closed by the sweep: must be a no-op
-	if len(gotSp) != 2 {
-		t.Fatalf("double close delivered twice")
+	open.End(50) // the nil handle: must be a no-op
+	if sps := rec.Spans(); len(sps) != 0 || rec.HeldBytes() != 0 {
+		t.Fatalf("ending a nil handle retained %d spans", len(sps))
 	}
 }
 
-// TestStreamingRecorderChattyFlag: a streaming recorder's logs record
-// no chatty kinds and a retaining recorder's logs record them all; a nil
-// log records nothing.
-func TestStreamingRecorderChattyFlag(t *testing.T) {
+// TestStreamingRecorderRetains: a streaming recorder's logs retain
+// nothing, so they record no chatty kinds, and a retaining recorder's
+// logs record them all; a nil log records nothing.
+func TestStreamingRecorderRetains(t *testing.T) {
 	streaming, retaining := NewStreamingRecorder(), NewRecorder()
 	for _, id := range []int{0, 7, WorldClient} {
-		if streaming.Client(id).ChattyFlag() {
+		if streaming.Client(id).Retains() {
 			t.Errorf("streaming recorder: client %d's log records chatty kinds", id)
 		}
-		if !retaining.Client(id).ChattyFlag() {
+		if !retaining.Client(id).Retains() {
 			t.Errorf("retaining recorder: client %d's log records no chatty kinds", id)
 		}
 	}
 	var nilRec *Recorder
-	if nilRec.Client(0).ChattyFlag() {
+	if nilRec.Client(0).Retains() {
 		t.Error("nil log records chatty kinds")
 	}
 }
 
-// TestStreamingSpanRecycling: closed span slots are reused, stale handles
-// go inert, and IDs stay unique across reuse.
-func TestStreamingSpanRecycling(t *testing.T) {
+// TestStreamingRecorderOpensNoSpans: a streaming recorder's logs hand
+// out the nil handle, so a span's whole start, annotate and end cycle
+// allocates nothing there.
+func TestStreamingRecorderOpensNoSpans(t *testing.T) {
 	rec := NewStreamingRecorder()
+	for _, id := range []int{0, 7, WorldClient} {
+		if sp := rec.Client(id).StartSpan(1, "join"); sp != nil {
+			t.Errorf("client %d: streaming log opened span %+v", id, sp.sp)
+		}
+	}
+	l := rec.Client(7)
+	allocs := testing.AllocsPerRun(100, func() {
+		sp := l.StartSpan(1, "join")
+		sp.SetBSSID("02:00:00:00:00:01")
+		sp.End(2)
+	})
+	if allocs != 0 {
+		t.Errorf("span cycle on a streaming log: %v allocs, want 0", allocs)
+	}
+}
+
+// TestStreamingSpanRecycling: a closed handle is inert — its setters,
+// End and StartChild touch neither its retained span nor any later one —
+// and span IDs stay unique on a retaining recorder.
+func TestStreamingSpanRecycling(t *testing.T) {
+	rec := NewRecorder()
 	l := rec.Client(1)
 
 	a := l.StartSpan(0, "a")
 	aid := a.SpanID()
 	a.End(10)
 
-	// The next span must reuse a's slot.
 	b := l.StartSpan(20, "b")
-	if len(l.spans) != 1 {
-		t.Fatalf("slot not recycled: %d slots", len(l.spans))
-	}
 	if b.SpanID() == aid {
-		t.Fatalf("span ID reused across recycling")
+		t.Fatalf("span ID reused")
 	}
-	// The stale handle must not touch b's record.
+	// The closed handle must not touch a's retained span or b.
 	a.SetStatus("stale-write")
 	a.SetBSSID("stale")
 	a.End(99)
 	if c := a.StartChild(30, "child-of-stale"); c != nil {
-		t.Fatalf("stale handle spawned a child")
+		t.Fatalf("closed handle spawned a child")
 	}
-	if sp := b.span(); sp.Status != "" || sp.BSSID != "" || sp.End != openEnd {
-		t.Fatalf("stale handle corrupted recycled slot: %+v", *sp)
+	if b.sp.Status != "" || b.sp.BSSID != "" || b.sp.End != openEnd {
+		t.Fatalf("closed handle corrupted the open span: %+v", b.sp)
+	}
+	if len(l.open) != 1 || l.open[0] != b {
+		t.Fatalf("open list holds %d spans, want only b", len(l.open))
 	}
 
-	// Children of a live parent still link correctly after recycling.
+	// Children of a live parent link to it.
 	ch := b.StartChild(25, "child")
-	if ch.span().Parent != b.SpanID() {
-		t.Fatalf("child parent = %v, want %v", ch.span().Parent, b.SpanID())
+	if ch.sp.Parent != b.SpanID() {
+		t.Fatalf("child parent = %v, want %v", ch.sp.Parent, b.SpanID())
 	}
 	ch.End(26)
 	b.End(30)
-
-	// A retaining recorder recycles slots the same way, and still keeps
-	// every closed span.
-	rr := NewRecorder()
-	rl := rr.Client(1)
-	x := rl.StartSpan(0, "x")
-	x.End(1)
-	rl.StartSpan(2, "y").End(3)
-	if len(rl.spans) != 1 {
-		t.Fatalf("retaining recorder did not recycle: %d slots", len(rl.spans))
+	if len(l.open) != 0 {
+		t.Fatalf("%d spans still open after every close", len(l.open))
 	}
-	if sps := rr.Spans(); len(sps) != 2 || sps[0].Name != "x" || sps[1].Name != "y" {
+
+	// Every closed span is retained once, as it was when it closed.
+	sps := rec.Spans()
+	if len(sps) != 3 || sps[0].Name != "a" || sps[1].Name != "b" || sps[2].Name != "child" {
 		t.Fatalf("retained spans = %+v", sps)
+	}
+	if sps[0].End != 10 || sps[0].Status != "" || sps[0].BSSID != "" {
+		t.Fatalf("closed handle rewrote its retained span: %+v", sps[0])
+	}
+	seen := map[SpanID]bool{}
+	for _, sp := range sps {
+		if seen[sp.ID] {
+			t.Fatalf("span ID %#x retained twice", sp.ID)
+		}
+		seen[sp.ID] = true
 	}
 }
 

@@ -59,36 +59,44 @@ var fuzzExtremes = []int64{
 
 // fuzzRig drives a retaining recorder from a fuzz program and keeps a
 // plain-slice reference timeline beside it: the events as the rig itself
-// stamps them, and the spans as a subscriber appends them — the way the
-// recorder retained its timeline before it kept compact records. The
-// subscriber fails the run when one (client, span ID) pair is delivered
-// twice: every span closes exactly once.
+// stamps them, and the spans as the rig itself opens, annotates and
+// closes them. A span the recorder retains twice, or not at all, differs
+// from the reference at the next check.
 type fuzzRig struct {
 	prog    []byte
 	rec     *Recorder
 	logs    []*ClientLog
 	handles []*ActiveSpan
+	refs    []*refSpan // the reference span behind each handle; nil for nil handles
+	seqs    map[int]uint32
 	strs    []string // strings the program has used, for repeats
 	events  []Event
-	spans   []Span
+	spans   []Span // closed reference spans, in close order
 }
 
-func newFuzzRig(t *testing.T, prog []byte) *fuzzRig {
-	r := &fuzzRig{prog: prog, rec: NewRecorder()}
-	type key struct {
-		client int
-		id     SpanID
-	}
-	delivered := map[key]bool{}
-	r.rec.SubscribeSpans(func(s Span) {
-		k := key{s.Client, s.ID}
-		if delivered[k] {
-			t.Fatalf("span %d of client %d delivered twice", s.ID, s.Client)
-		}
-		delivered[k] = true
-		r.spans = append(r.spans, s)
-	})
-	return r
+// refSpan is the rig's reference for one span it opened.
+type refSpan struct {
+	sp   Span
+	open bool
+}
+
+func newFuzzRig(prog []byte) *fuzzRig {
+	return &fuzzRig{prog: prog, rec: NewRecorder(), seqs: map[int]uint32{}}
+}
+
+// open is the reference for a span opened on client's log.
+func (r *fuzzRig) open(client int, at sim.Time, name string, parent SpanID) *refSpan {
+	r.seqs[client]++
+	return &refSpan{open: true, sp: Span{
+		ID: MakeSpanID(client, r.seqs[client]), Parent: parent,
+		Client: client, Name: name, Start: at, End: -1,
+	}}
+}
+
+// close ends an open reference span at at, clamped to zero, and files it.
+func (r *fuzzRig) close(ref *refSpan, at sim.Time) {
+	ref.sp.End, ref.open = max(at, 0), false
+	r.spans = append(r.spans, ref.sp)
 }
 
 func (r *fuzzRig) byte() byte {
@@ -150,14 +158,35 @@ func (r *fuzzRig) log() *ClientLog {
 	return l
 }
 
-// handle picks a span handle, stale and ended ones included; nil when
-// there are none, which exercises the nil handle.
-func (r *fuzzRig) handle() *ActiveSpan {
+// closeOpenSpans sweeps the recorder and the reference alike.
+func (r *fuzzRig) closeOpenSpans(at sim.Time) {
+	r.rec.CloseOpenSpans(at)
+	for _, ref := range r.refs {
+		if ref = live(ref); ref != nil {
+			r.close(ref, at)
+		}
+	}
+}
+
+// handle picks a span handle and its reference, closed ones included;
+// nil when there are none, which exercises the nil handle. The returned
+// reference is nil exactly when the handle is, and open only while the
+// span is.
+func (r *fuzzRig) handle() (*ActiveSpan, *refSpan) {
 	b := r.byte()
 	if len(r.handles) == 0 {
+		return nil, nil
+	}
+	i := int(b) % len(r.handles)
+	return r.handles[i], r.refs[i]
+}
+
+// live is ref when it stands for an open span, and nil otherwise.
+func live(ref *refSpan) *refSpan {
+	if ref == nil || !ref.open {
 		return nil
 	}
-	return r.handles[int(b)%len(r.handles)]
+	return ref
 }
 
 func (r *fuzzRig) step(t *testing.T) {
@@ -177,23 +206,64 @@ func (r *fuzzRig) step(t *testing.T) {
 		r.events = append(r.events, ev)
 	case 1:
 		l := r.log()
-		r.handles = append(r.handles, l.StartSpan(sim.Time(r.int64()), r.str()))
+		at, name := sim.Time(r.int64()), r.str()
+		h := l.StartSpan(at, name)
+		if h == nil {
+			t.Fatalf("retaining log %d opened no span", l.id)
+		}
+		r.handles = append(r.handles, h)
+		r.refs = append(r.refs, r.open(l.id, at, name, 0))
 	case 2:
-		h := r.handle()
-		r.handles = append(r.handles, h.StartChild(sim.Time(r.int64()), r.str()))
+		h, ref := r.handle()
+		at, name := sim.Time(r.int64()), r.str()
+		c := h.StartChild(at, name)
+		var cref *refSpan
+		if p := live(ref); p != nil {
+			cref = r.open(p.sp.Client, at, name, p.sp.ID)
+		}
+		if (c == nil) != (cref == nil) {
+			t.Fatalf("StartChild on a parent open=%v returned %v", cref != nil, c)
+		}
+		r.handles = append(r.handles, c)
+		r.refs = append(r.refs, cref)
 	case 3:
-		r.handle().SetBSSID(r.str())
+		h, ref := r.handle()
+		v := r.str()
+		h.SetBSSID(v)
+		if ref = live(ref); ref != nil {
+			ref.sp.BSSID = v
+		}
 	case 4:
-		r.handle().SetChannel(int(r.int64()))
+		h, ref := r.handle()
+		v := int(r.int64())
+		h.SetChannel(v)
+		if ref = live(ref); ref != nil {
+			ref.sp.Channel = v
+		}
 	case 5:
-		r.handle().SetStatus(r.str())
+		h, ref := r.handle()
+		v := r.str()
+		h.SetStatus(v)
+		if ref = live(ref); ref != nil {
+			ref.sp.Status = v
+		}
 	case 6:
-		r.handle().End(sim.Time(r.int64()))
+		h, ref := r.handle()
+		at := sim.Time(r.int64())
+		h.End(at)
+		if ref = live(ref); ref != nil {
+			r.close(ref, at)
+		}
 	case 7:
-		h := r.handle()
-		h.EndStatus(sim.Time(r.int64()), r.str())
+		h, ref := r.handle()
+		at, v := sim.Time(r.int64()), r.str()
+		h.EndStatus(at, v)
+		if ref = live(ref); ref != nil {
+			ref.sp.Status = v
+			r.close(ref, at)
+		}
 	case 8:
-		r.rec.CloseOpenSpans(sim.Time(r.int64()))
+		r.closeOpenSpans(sim.Time(r.int64()))
 	case 9:
 		r.check(t)
 	}
@@ -284,17 +354,17 @@ func (r *fuzzRig) wantHeld() int64 {
 // CloseOpenSpans — with reads of Events, Spans, Summary and HeldBytes
 // mid-run and at the end, each compared with the plain-slice reference.
 // The committed corpus covers a join-shaped run, fields at the edges of
-// every narrow width, empty, repeated and long strings, stale handles and
+// every narrow width, empty, repeated and long strings, closed handles and
 // timelines that cross chunk boundaries.
 func FuzzTimeline(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, prog []byte) {
-		r := newFuzzRig(t, prog[:min(len(prog), 4096)])
+		r := newFuzzRig(prog[:min(len(prog), 4096)])
 		for len(r.prog) > 0 {
 			r.step(t)
 		}
 		r.check(t)
-		r.rec.CloseOpenSpans(0)
+		r.closeOpenSpans(0)
 		r.check(t)
 	})
 }

@@ -504,7 +504,7 @@ const maxIntentBody = 1 << 20
 
 func (d *Daemon) handleIntent(w http.ResponseWriter, r *http.Request) {
 	var req intentRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIntentBody)).Decode(&req); err != nil {
+	if err := DecodeStrict(http.MaxBytesReader(w, r.Body, maxIntentBody), &req); err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

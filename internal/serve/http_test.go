@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -146,6 +147,49 @@ func TestHTTPIntentBodyTooLarge(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || in.Seq != 0 {
 		t.Fatalf("valid intent after oversize one: status %d, %+v", resp.StatusCode, in)
+	}
+}
+
+// TestHTTPIntentUnknownKeyRefused: an intent body carrying a key this
+// build does not declare, at the top level or nested, answers 400 with an
+// error naming the key, and nothing is journaled.
+func TestHTTPIntentUnknownKeyRefused(t *testing.T) {
+	_, ts := startDaemon(t, DaemonConfig{
+		Quantum: sim.Time(100 * time.Millisecond),
+		Pace:    10,
+	})
+	for key, body := range map[string]string{
+		"max_window": `{"kind":"add-client","after_ns":1000000000,"max_window":3,` +
+			`"client":{"id":5,"route":{"points":[{"X":350,"Y":5}]}}}`,
+		"speed": `{"kind":"add-client","after_ns":1000000000,` +
+			`"client":{"id":5,"speed":3,"route":{"points":[{"X":350,"Y":5}]}}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/intents", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), key) {
+			t.Fatalf("intent with unknown key %q: status %d, %s", key, resp.StatusCode, msg)
+		}
+	}
+
+	// The WAL assigns sequence numbers, so seq 0 proves neither refused
+	// body reached it.
+	body := `{"kind":"add-client","after_ns":1000000000,` +
+		`"client":{"id":5,"route":{"points":[{"X":350,"Y":5}]}}}`
+	resp, err := http.Post(ts.URL+"/v1/intents", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in Intent
+	if err := json.NewDecoder(resp.Body).Decode(&in); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || in.Seq != 0 {
+		t.Fatalf("valid intent after refused ones: status %d, %+v", resp.StatusCode, in)
 	}
 }
 

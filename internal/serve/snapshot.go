@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -95,8 +96,8 @@ func loadConfig(dir string) (*WorldSpec, bool, error) {
 		return nil, false, err
 	}
 	var spec WorldSpec
-	if err := json.Unmarshal(b, &spec); err != nil {
-		return nil, false, fmt.Errorf("serve: corrupt %s: %w", configFile, err)
+	if err := DecodeStrict(bytes.NewReader(b), &spec); err != nil {
+		return nil, false, fmt.Errorf("serve: %s: %w", configFile, err)
 	}
 	return &spec, true, nil
 }

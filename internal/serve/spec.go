@@ -17,8 +17,10 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"time"
 
 	"spider/internal/core"
@@ -301,6 +303,27 @@ func (w *WorldSpec) Hash() string {
 	h := fnv.New64a()
 	h.Write(b)
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// DecodeStrict decodes one JSON document from r into v. Every spec and
+// intent that reaches a daemon from outside is read through it, so a key
+// v does not declare — a typo, or a field this build retired — is an
+// error that names the key, not a setting that silently does nothing.
+// Anything but white space after the document is an error too. WAL replay
+// does not use it: the log holds only what this daemon encoded.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("data after the JSON document")
+		}
+		return err
+	}
+	return nil
 }
 
 // WorldConfig converts the spec into a core world config wired to the

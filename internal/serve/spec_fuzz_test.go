@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"encoding/json"
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -49,7 +49,7 @@ func slowSpec(w *WorldSpec) bool {
 func FuzzWorldSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var w WorldSpec
-		if len(data) > fuzzMaxInput || json.Unmarshal(data, &w) != nil || slowSpec(&w) {
+		if len(data) > fuzzMaxInput || DecodeStrict(bytes.NewReader(data), &w) != nil || slowSpec(&w) {
 			return
 		}
 		if w.Validate() != nil {
@@ -84,7 +84,7 @@ func fuzzWorld() *WorldSpec {
 func FuzzIntent(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var in Intent
-		if len(data) > fuzzMaxInput || json.Unmarshal(data, &in) != nil {
+		if len(data) > fuzzMaxInput || DecodeStrict(bytes.NewReader(data), &in) != nil {
 			return
 		}
 		if p := in.Chaos; p != nil && len(p.Events)+len(p.Procs) > fuzzMaxEntries {

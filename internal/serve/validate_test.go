@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -224,4 +226,65 @@ func TestPeriodFloorNamesTheFieldAndKeepsZero(t *testing.T) {
 			t.Errorf("refusal %v does not name %s", err, field)
 		}
 	}
+}
+
+// specWithKey is the corridor world's JSON with one more top-level member.
+func specWithKey(t *testing.T, member string) []byte {
+	t.Helper()
+	b, err := json.Marshal(corridorWorld())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b[:len(b)-1], ","+member+"}"...)
+}
+
+// TestSpecUnknownKeyRefused: a spec carrying a key this build does not
+// declare — here the telemetry flight recorder's retired setting — is
+// refused with an error naming the key, both where spider-serve reads
+// -config and where Open reads a state directory's config.json.
+func TestSpecUnknownKeyRefused(t *testing.T) {
+	b := specWithKey(t, `"telemetry":{"flight_events":100}`)
+	var spec WorldSpec
+	if err := DecodeStrict(bytes.NewReader(b), &spec); err == nil || !strings.Contains(err.Error(), "flight_events") {
+		t.Fatalf("-config with a retired key: %v", err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, configFile), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, nil); err == nil || !strings.Contains(err.Error(), "flight_events") {
+		t.Fatalf("config.json with a retired key: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, walFile)); !os.IsNotExist(err) {
+		t.Fatalf("refused config.json still opened a WAL: %v", err)
+	}
+
+	// Without the key the same document decodes; trailing white space is
+	// fine, and a second document is not.
+	b = specWithKey(t, `"telemetry":{"window_ns":1000000000}`)
+	if err := DecodeStrict(bytes.NewReader(append(b, " \n"...)), &spec); err != nil {
+		t.Fatalf("valid spec refused: %v", err)
+	}
+	if err := DecodeStrict(bytes.NewReader(append(b, b...)), &spec); err == nil {
+		t.Fatal("two concatenated specs accepted")
+	}
+}
+
+// TestExampleSpecBoots: the shipped example spec decodes strictly and
+// opens.
+func TestExampleSpecBoots(t *testing.T) {
+	f, err := os.Open(filepath.Join("..", "..", "examples", "serve", "corridor.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var spec WorldSpec
+	if err := DecodeStrict(f, &spec); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Open(t.TempDir(), &spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
 }

@@ -316,7 +316,7 @@ func (a *Aggregator) noteClient(id int) {
 
 // foldedKinds marks the event kinds the window accumulator folds; the
 // rest skip the accumulator lookup entirely. No chatty kind (see
-// obs.ClientLog.ChattyFlag) is folded, which is why a streaming recorder
+// obs.ClientLog.Retains) is folded, which is why a streaming recorder
 // need not record them.
 var foldedKinds = func() (m [obs.NumKinds]bool) {
 	for _, k := range []obs.Kind{
