@@ -61,14 +61,6 @@ type experiment struct {
 
 func one(r renderable) []renderable { return []renderable{r} }
 
-// town routes every town-derived experiment through the fleet result
-// cache: TownStudy memoizes itself under its canonical options key, so
-// Table 2/4, Figures 11-13/16-17, and the AP-density summary share one
-// computation however many of them run, in whatever order.
-func town(o experiments.Options) *experiments.TownResults {
-	return experiments.TownStudy(o)
-}
-
 var registry = []experiment{
 	{"fig2", "join model vs simulation", func(o experiments.Options) []renderable { return one(experiments.Figure2(o)) }},
 	{"fig3", "join probability vs βmax", func(o experiments.Options) []renderable { return one(experiments.Figure3(o)) }},
@@ -86,17 +78,21 @@ var registry = []experiment{
 	{"fig8", "TCP throughput vs absolute dwell", func(o experiments.Options) []renderable { return one(experiments.Figure8(o)) }},
 	{"table1", "channel switch latency", func(o experiments.Options) []renderable { return one(experiments.Table1(o)) }},
 	{"fig10", "throughput vs backhaul bandwidth", func(o experiments.Options) []renderable { return one(experiments.Figure10(o)) }},
-	{"table2", "throughput/connectivity by configuration", func(o experiments.Options) []renderable { return one(experiments.Table2(town(o))) }},
-	{"fig11", "connection duration CDFs", func(o experiments.Options) []renderable { return one(experiments.Figure11(town(o))) }},
-	{"fig12", "disruption length CDFs", func(o experiments.Options) []renderable { return one(experiments.Figure12(town(o))) }},
-	{"fig13", "instantaneous bandwidth CDFs", func(o experiments.Options) []renderable { return one(experiments.Figure13(town(o))) }},
+	{"table2", "throughput/connectivity by configuration", func(o experiments.Options) []renderable { return one(experiments.Table2(experiments.TownStudy(o))) }},
+	{"fig11", "connection duration CDFs", func(o experiments.Options) []renderable { return one(experiments.Figure11(experiments.TownStudy(o))) }},
+	{"fig12", "disruption length CDFs", func(o experiments.Options) []renderable { return one(experiments.Figure12(experiments.TownStudy(o))) }},
+	{"fig13", "instantaneous bandwidth CDFs", func(o experiments.Options) []renderable { return one(experiments.Figure13(experiments.TownStudy(o))) }},
 	{"table3", "dhcp failure probabilities", func(o experiments.Options) []renderable { return one(experiments.Table3(o)) }},
 	{"fig14", "join time vs dhcp timeout", func(o experiments.Options) []renderable { return one(experiments.Figure14(o)) }},
 	{"fig15", "join time vs scheduling policy", func(o experiments.Options) []renderable { return one(experiments.Figure15(o)) }},
-	{"table4", "throughput/connectivity by channel count", func(o experiments.Options) []renderable { return one(experiments.Table4(town(o))) }},
-	{"fig16", "user vs Spider connection lengths", func(o experiments.Options) []renderable { return one(experiments.Figure16(o, town(o))) }},
-	{"fig17", "user vs Spider disruption lengths", func(o experiments.Options) []renderable { return one(experiments.Figure17(o, town(o))) }},
-	{"apdensity", "time at k concurrent APs (Section 4.4)", func(o experiments.Options) []renderable { return one(experiments.APDensity(town(o))) }},
+	{"table4", "throughput/connectivity by channel count", func(o experiments.Options) []renderable { return one(experiments.Table4(experiments.TownStudy(o))) }},
+	{"fig16", "user vs Spider connection lengths", func(o experiments.Options) []renderable {
+		return one(experiments.Figure16(o, experiments.TownStudy(o)))
+	}},
+	{"fig17", "user vs Spider disruption lengths", func(o experiments.Options) []renderable {
+		return one(experiments.Figure17(o, experiments.TownStudy(o)))
+	}},
+	{"apdensity", "time at k concurrent APs (Section 4.4)", func(o experiments.Options) []renderable { return one(experiments.APDensity(experiments.TownStudy(o))) }},
 	{"appendixa", "multi-AP selection solver ablation", func(o experiments.Options) []renderable { return one(experiments.AppendixA(o)) }},
 	{"chaos", "fault-injection sweep: recovery time and goodput retention", func(o experiments.Options) []renderable {
 		cr := experiments.ChaosStudy(o)
@@ -545,9 +541,9 @@ func writeOverhead(path, title string, budget float64, off, on abArm) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s, sums over %d interleaved pairs (alternating order, GC before each timed run)\n", title, abPairs)
 	for i, arm := range arms {
-		fmt.Fprintf(&b, "%s: %v wall, %v cpu per run (%d MB allocated)\n", arm.label,
+		fmt.Fprintf(&b, "%s: %v wall, %v cpu per run (%d KiB allocated)\n", arm.label,
 			(tot[i].wall / abPairs).Round(time.Millisecond), (tot[i].cpu / abPairs).Round(time.Millisecond),
-			tot[i].alloc/abPairs>>20)
+			tot[i].alloc/abPairs>>10)
 	}
 	fmt.Fprintf(&b, "overhead: %+.2f%% wall, %+.2f%% cpu, %+.1f%% allocated bytes\n", overhead,
 		pct(float64(tot[0].cpu), float64(tot[1].cpu)), pct(float64(tot[0].alloc), float64(tot[1].alloc)))

@@ -98,10 +98,3 @@ func main() {
 		fmt.Printf("  %v  %8d frames  %8.1f KiB\n", s, bySender[s], float64(bytesBySender[s])/1024)
 	}
 }
-
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -70,16 +70,23 @@ func main() {
 		PrimaryChannel: spider.Channel(*channel),
 		Mobility:       spider.Route(loop, *speed, true),
 	}
+	var pcap *os.File
 	if *pcapPath != "" {
 		f, err := os.Create(*pcapPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer f.Close()
+		pcap = f
 		world.PCAP = f
 	}
 	res := spider.Run(world, client)
+	if pcap != nil {
+		if err := pcap.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
 
 	fmt.Printf("\n=== %v, %v simulated ===\n", res.Preset, res.Duration)
 	fmt.Printf("throughput:    %8.1f KB/s\n", res.ThroughputKBps)

@@ -235,17 +235,8 @@ func (a *AP) Close() {
 // BSSID returns the AP's MAC address.
 func (a *AP) BSSID() dot11.MACAddr { return a.radio.MAC() }
 
-// Gateway returns the AP's LAN gateway address.
-func (a *AP) Gateway() ipnet.Addr { return a.cfg.Gateway }
-
 // Channel returns the AP's operating channel.
 func (a *AP) Channel() dot11.Channel { return a.cfg.Channel }
-
-// SSID returns the AP's network name.
-func (a *AP) SSID() string { return a.cfg.SSID }
-
-// Config returns the effective configuration.
-func (a *AP) Config() Config { return a.cfg }
 
 // Stats returns a snapshot of the AP counters.
 func (a *AP) Stats() Stats { return a.stats }
@@ -306,9 +297,6 @@ func (a *AP) SetBackhaulExtraDelay(extra sim.Time) {
 // FromInternet injects a packet arriving from the wired side; it traverses
 // the rate-limited downlink before reaching the wireless side.
 func (a *AP) FromInternet(p ipnet.Packet) { a.down.Send(p) }
-
-// Downlink returns the wired downlink for queue inspection.
-func (a *AP) Downlink() *backhaul.Link { return a.down }
 
 func (a *AP) capabilities() uint16 {
 	if a.cfg.Open {

@@ -75,15 +75,9 @@ func NewLink(eng *sim.Engine, cfg Config, deliver func(ipnet.Packet)) *Link {
 	return &Link{eng: eng, cfg: cfg, deliver: deliver}
 }
 
-// QueueDepth returns the packets currently queued ahead of new arrivals.
-func (l *Link) QueueDepth() int { return l.queued }
-
 // SetBlackhole drops every subsequent Send until cleared (fault
 // injection). Packets already in flight still arrive.
 func (l *Link) SetBlackhole(on bool) { l.blackhole = on }
-
-// Blackhole reports whether the link is currently blackholed.
-func (l *Link) Blackhole() bool { return l.blackhole }
 
 // SetExtraDelay adds d to the propagation delay of subsequent packets (a
 // latency spike); non-positive restores the configured delay.
@@ -93,9 +87,6 @@ func (l *Link) SetExtraDelay(d sim.Time) {
 	}
 	l.extra = d
 }
-
-// ExtraDelay returns the currently injected extra delay.
-func (l *Link) ExtraDelay() sim.Time { return l.extra }
 
 // Send enqueues a packet. It is dropped if the queue is full.
 func (l *Link) Send(p ipnet.Packet) {

@@ -91,7 +91,7 @@ func TestThroughputMatchesRate(t *testing.T) {
 	l := NewLink(eng, Config{RateBps: 2e6}, func(p ipnet.Packet) { bytes += p.WireLen() })
 	// Keep the queue fed for one simulated second.
 	feed := eng.Ticker(time.Millisecond, func() {
-		for l.QueueDepth() < 10 {
+		for l.queued < 10 {
 			l.Send(pkt(1488))
 		}
 	})
@@ -122,8 +122,8 @@ func TestBlackholeDropsAndRecovers(t *testing.T) {
 	l := NewLink(eng, Config{Delay: time.Millisecond}, func(ipnet.Packet) { delivered++ })
 	l.Send(pkt(100))
 	l.SetBlackhole(true)
-	if !l.Blackhole() {
-		t.Fatal("Blackhole() = false after SetBlackhole(true)")
+	if !l.blackhole {
+		t.Fatal("not blackholed after SetBlackhole(true)")
 	}
 	l.Send(pkt(100))
 	l.Send(pkt(100))
@@ -160,13 +160,13 @@ func TestExtraDelayShiftsArrival(t *testing.T) {
 	l := NewLink(eng, Config{Delay: 10 * time.Millisecond}, func(ipnet.Packet) { times = append(times, eng.Now()) })
 	l.Send(pkt(100))
 	l.SetExtraDelay(40 * time.Millisecond)
-	if l.ExtraDelay() != 40*time.Millisecond {
-		t.Fatalf("ExtraDelay = %v", l.ExtraDelay())
+	if l.extra != 40*time.Millisecond {
+		t.Fatalf("extra delay = %v", l.extra)
 	}
 	l.Send(pkt(100))
 	l.SetExtraDelay(-time.Second) // clamps to zero, restoring base delay
-	if l.ExtraDelay() != 0 {
-		t.Fatalf("ExtraDelay after negative set = %v, want 0", l.ExtraDelay())
+	if l.extra != 0 {
+		t.Fatalf("extra delay after negative set = %v, want 0", l.extra)
 	}
 	l.Send(pkt(100))
 	eng.RunAll()

@@ -44,9 +44,6 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: w}
 }
 
-// Count returns the number of packets written.
-func (w *Writer) Count() int { return w.count }
-
 // fileHeader is the 24-byte pcap file header every capture starts with.
 func fileHeader() [24]byte {
 	var hdr [24]byte

@@ -28,8 +28,8 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.Count() != 3 {
-		t.Fatalf("count = %d", w.Count())
+	if w.count != 3 {
+		t.Fatalf("count = %d", w.count)
 	}
 	pkts, err := ReadAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -127,8 +127,8 @@ func TestHeaderRetriedAfterFailedWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkts) != 1 || string(pkts[0].Data) != "kept" || w.Count() != 1 {
-		t.Fatalf("read %d packets (%+v), count %d; want the one written after the failure", len(pkts), pkts, w.Count())
+	if len(pkts) != 1 || string(pkts[0].Data) != "kept" || w.count != 1 {
+		t.Fatalf("read %d packets (%+v), count %d; want the one written after the failure", len(pkts), pkts, w.count)
 	}
 }
 

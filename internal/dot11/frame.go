@@ -54,12 +54,6 @@ func (t FrameType) String() string {
 // Valid reports whether t is one of the defined frame subtypes.
 func (t FrameType) Valid() bool { return t >= TypeBeacon && t <= TypeAck }
 
-// IsManagement reports whether the subtype is a management frame, which is
-// never buffered by power-save mode at the AP.
-func (t FrameType) IsManagement() bool {
-	return t >= TypeBeacon && t <= TypeDeauth
-}
-
 // Frame control flag bits.
 const (
 	flagPowerMgmt = 1 << 0
@@ -128,11 +122,6 @@ func (f *Frame) AppendTo(b []byte) []byte {
 	}
 	fcs := crc32.ChecksumIEEE(b[start:])
 	return binary.BigEndian.AppendUint32(b, fcs)
-}
-
-// Bytes serializes the frame into a fresh buffer.
-func (f *Frame) Bytes() []byte {
-	return f.AppendTo(make([]byte, 0, f.WireLen()))
 }
 
 // Decoding errors.

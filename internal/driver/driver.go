@@ -128,9 +128,6 @@ type Driver struct {
 	// next, so the span timeline tiles the run per channel.
 	occSpan *obs.ActiveSpan
 
-	// OnChannelActive, if set, fires each time the radio settles on a
-	// channel (after the PS-Poll flush).
-	OnChannelActive func(ch dot11.Channel)
 	// OnScanUpdate, if set, fires after every scan-table write, so a
 	// consumer that has found nothing to join in the table knows when to
 	// look again.
@@ -168,20 +165,8 @@ func New(eng *sim.Engine, rng *sim.RNG, medium *phy.Medium, mac dot11.MACAddr, p
 	return d
 }
 
-// Close shuts the driver down.
-func (d *Driver) Close() {
-	if d.prober != nil {
-		d.prober.Stop()
-	}
-	d.slotTimer.Stop()
-	d.radio.Close()
-}
-
 // MAC returns the radio's MAC address.
 func (d *Driver) MAC() dot11.MACAddr { return d.radio.MAC() }
-
-// Config returns the effective configuration.
-func (d *Driver) Config() Config { return d.cfg }
 
 // Stats returns a snapshot of the driver counters.
 func (d *Driver) Stats() Stats { return d.stats }
@@ -209,25 +194,6 @@ func (d *Driver) VIFs() []*VIF { return d.vifs }
 // CurrentChannel returns the channel the radio is tuned to (the target
 // channel while a switch is in flight).
 func (d *Driver) CurrentChannel() dot11.Channel { return d.radio.Channel() }
-
-// Switching reports whether a hardware reset is in progress.
-func (d *Driver) Switching() bool { return d.switching }
-
-// Channels returns the distinct channels in the active schedule.
-func (d *Driver) Channels() []dot11.Channel {
-	var seen [numChannels]bool
-	out := make([]dot11.Channel, 0, len(d.schedule))
-	for _, s := range d.schedule {
-		if !seen[s.Channel] {
-			seen[s.Channel] = true
-			out = append(out, s.Channel)
-		}
-	}
-	return out
-}
-
-// Schedule returns a copy of the active schedule.
-func (d *Driver) Schedule() []Slot { return append([]Slot(nil), d.schedule...) }
 
 // CheckSchedule reports why SetSchedule would refuse slots: an empty
 // schedule, an invalid channel, or a multi-slot schedule with a duration
@@ -404,9 +370,6 @@ func (d *Driver) arriveOn(ch dot11.Channel) {
 	}
 	for _, f := range q {
 		d.radio.Send(f, nil)
-	}
-	if d.OnChannelActive != nil {
-		d.OnChannelActive(ch)
 	}
 	d.enterSlot()
 }

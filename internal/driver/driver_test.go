@@ -10,6 +10,7 @@ import (
 	"spider/internal/geo"
 	"spider/internal/ipam"
 	"spider/internal/ipnet"
+	"spider/internal/obs"
 	"spider/internal/phy"
 	"spider/internal/sim"
 )
@@ -131,8 +132,8 @@ func TestSingleChannelJoin(t *testing.T) {
 	if !joinVIF(t, r, v, a.BSSID(), dot11.Channel6, 5*time.Second) {
 		t.Fatal("join failed on dedicated channel")
 	}
-	if !v.Associated() || v.BSSID() != a.BSSID() {
-		t.Fatalf("vif state: assoc=%v bssid=%v", v.Associated(), v.BSSID())
+	if v.state != vifAssociated || v.bssid != a.BSSID() {
+		t.Fatalf("vif state: %v bssid=%v", v.state, v.bssid)
 	}
 	if a.Stats().Associations != 1 {
 		t.Fatalf("AP associations = %d", a.Stats().Associations)
@@ -153,7 +154,7 @@ func TestJoinToClosedAPFails(t *testing.T) {
 	if joinVIF(t, r, r.drv.VIFs()[0], closed.BSSID(), dot11.Channel6, 5*time.Second) {
 		t.Fatal("join to closed AP succeeded")
 	}
-	if r.drv.VIFs()[0].Associated() {
+	if r.drv.VIFs()[0].state == vifAssociated {
 		t.Fatal("vif associated after rejection")
 	}
 }
@@ -189,15 +190,23 @@ func TestAssociateBusyVIFPanics(t *testing.T) {
 }
 
 func TestScheduleCycling(t *testing.T) {
-	r := newRig(t, Config{})
+	rec := obs.NewRecorder()
+	r := newRig(t, Config{Events: rec.Client(0)})
 	r.drv.SetSchedule([]Slot{
 		{Channel: dot11.Channel1, Duration: 100 * time.Millisecond},
 		{Channel: dot11.Channel6, Duration: 100 * time.Millisecond},
 		{Channel: dot11.Channel11, Duration: 100 * time.Millisecond},
 	})
-	visits := map[dot11.Channel]int{}
-	r.drv.OnChannelActive = func(ch dot11.Channel) { visits[ch]++ }
 	r.run(2 * time.Second)
+	rec.CloseOpenSpans(r.eng.Now())
+	// Each arrival on a channel opens an occupancy span; the first span is
+	// the one New opens before any schedule.
+	visits := map[dot11.Channel]int{}
+	for _, s := range rec.Spans()[1:] {
+		if s.Name == "occupancy" {
+			visits[dot11.Channel(s.Channel)]++
+		}
+	}
 	// Each full cycle is ~315 ms (3 dwells + 3 switches); expect ≈6 cycles.
 	for _, ch := range dot11.OrthogonalChannels {
 		if visits[ch] < 4 {
@@ -294,7 +303,7 @@ func TestPSMBufferingAcrossSwitch(t *testing.T) {
 		{Channel: dot11.Channel6, Duration: 200 * time.Millisecond},
 	})
 	// Wait until the driver is dwelling on channel 6, then push packets.
-	for r.drv.CurrentChannel() != dot11.Channel6 || r.drv.Switching() {
+	for r.drv.CurrentChannel() != dot11.Channel6 || r.drv.switching {
 		r.run(10 * time.Millisecond)
 	}
 	for i := 0; i < 5; i++ {
@@ -328,7 +337,7 @@ func TestPerChannelTxQueueFlushesOnReturn(t *testing.T) {
 		{Channel: dot11.Channel1, Duration: 200 * time.Millisecond},
 		{Channel: dot11.Channel6, Duration: 200 * time.Millisecond},
 	})
-	for r.drv.CurrentChannel() != dot11.Channel6 || r.drv.Switching() {
+	for r.drv.CurrentChannel() != dot11.Channel6 || r.drv.switching {
 		r.run(10 * time.Millisecond)
 	}
 	// Transmit while away: must be queued, not lost.
@@ -356,7 +365,7 @@ func TestTxQueueCap(t *testing.T) {
 		{Channel: dot11.Channel1, Duration: 100 * time.Millisecond},
 		{Channel: dot11.Channel6, Duration: 100 * time.Millisecond},
 	})
-	for r.drv.CurrentChannel() != dot11.Channel6 || r.drv.Switching() {
+	for r.drv.CurrentChannel() != dot11.Channel6 || r.drv.switching {
 		r.run(10 * time.Millisecond)
 	}
 	for i := 0; i < txQueueLimit+7; i++ {
@@ -382,7 +391,7 @@ func TestDisassociateInformsAP(t *testing.T) {
 	if assoc, _, _, _ := a.StationState(r.drv.MAC()); assoc {
 		t.Fatal("AP still associated after deauth")
 	}
-	if v.Associated() || v.BSSID() != (dot11.MACAddr{}) {
+	if v.state != vifIdle {
 		t.Fatal("vif not reset")
 	}
 }
@@ -486,18 +495,13 @@ func TestAccessors(t *testing.T) {
 		{Channel: dot11.Channel1, Duration: 50 * time.Millisecond},
 	}
 	r.drv.SetSchedule(sched)
-	chans := r.drv.Channels()
-	if len(chans) != 2 || chans[0] != dot11.Channel1 || chans[1] != dot11.Channel6 {
-		t.Fatalf("Channels() = %v", chans)
+	if got := r.drv.schedule; len(got) != 3 || got[2].Duration != 50*time.Millisecond {
+		t.Fatalf("schedule = %v", got)
 	}
-	got := r.drv.Schedule()
-	if len(got) != 3 || got[2].Duration != 50*time.Millisecond {
-		t.Fatalf("Schedule() = %v", got)
-	}
-	// The returned slice is a copy.
-	got[0].Channel = dot11.Channel11
-	if r.drv.Schedule()[0].Channel != dot11.Channel1 {
-		t.Fatal("Schedule() leaked internal state")
+	// SetSchedule keeps its own copy.
+	sched[0].Channel = dot11.Channel11
+	if r.drv.schedule[0].Channel != dot11.Channel1 {
+		t.Fatal("SetSchedule kept the caller's slice")
 	}
 	if r.drv.MAC() != dot11.MAC(1) {
 		t.Fatalf("MAC() = %v", r.drv.MAC())

@@ -70,19 +70,8 @@ type VIF struct {
 // ID returns the interface index.
 func (v *VIF) ID() int { return int(v.id) }
 
-// Associated reports whether the four-way handshake has completed.
-func (v *VIF) Associated() bool { return v.state == vifAssociated }
-
 // Joining reports whether a link-layer join is in progress.
 func (v *VIF) Joining() bool { return v.state == vifAuthWait || v.state == vifAssocWait }
-
-// BSSID returns the bound AP, or the zero address when idle.
-func (v *VIF) BSSID() dot11.MACAddr {
-	if v.state == vifIdle {
-		return dot11.MACAddr{}
-	}
-	return v.bssid
-}
 
 // Channel returns the channel of the bound AP.
 func (v *VIF) Channel() dot11.Channel { return v.channel }

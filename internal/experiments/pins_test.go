@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"spider/internal/core"
+	"spider/internal/ipam"
+	"spider/internal/ipnet"
 	"spider/internal/obs"
 	"spider/internal/sim"
 	"spider/internal/telemetry"
@@ -90,7 +92,7 @@ func TestPinnedPopulationLadder(t *testing.T) {
 	}{
 		{1, PopulationScenario, false, "3a082011f13ed40d9b4bbf6ae7fa5e08190473f2db56b3543123418681cac9ad"},
 		{8, PopulationScenario, false, "f9041649594567ff232d2e301bb3b06863126cba20faf5820d150fe6ababda99"},
-		{32, PopulationIPAMScenario, false, "c5e7f6645e9705f4958a872c264ca4518bea8ba5df800a0d9a339f3a84d12c33"},
+		{32, populationIPAMScenario, false, "c5e7f6645e9705f4958a872c264ca4518bea8ba5df800a0d9a339f3a84d12c33"},
 		{64, PopulationScenario, false, "89b04d1777c70893ed295e9435ae0b530e60cb68aebf2abe6eb81b596ba73fb6"},
 		{256, PopulationDenseScenario, false, "cbebfc4a5c75ff9157a18e6c288f3bce620b8569e84474955e621b23e8db0814"},
 		{512, PopulationDenseScenario, true, "521b6faf20528cf4eca088b4371998c122d33f6e6c9a538f05e6b9b18784562d"},
@@ -106,6 +108,32 @@ func TestPinnedPopulationLadder(t *testing.T) {
 				tc.clients, p.AggregateKBps, p.JainFairness, got, tc.want)
 		}
 	}
+}
+
+// populationIPAMScenario is a population rung with the production address
+// plan swapped in for the legacy per-AP pools: every corridor AP joins
+// one "corridor" group — a primary pool carved from a /26 CIDR with an
+// ordered backup and a one-address per-AP reserve — and leases expire at
+// sim time. The radio workload is identical to PopulationScenario, so the
+// ladder's 32-client rung built on this adds the full ipam data path
+// (hierarchy lookup, failover, reserve carving, expiry sweeps) and
+// nothing else.
+func populationIPAMScenario(o Options, n int) (core.WorldConfig, []core.ClientConfig) {
+	world, clients := PopulationScenario(o, n)
+	for i := range world.Sites {
+		world.Sites[i].Segment = "corridor"
+	}
+	world.IPAM = &ipam.Config{
+		Pools: []ipam.PoolSpec{
+			{Name: "corridor-primary", CIDR: ipnet.MustParsePrefix("172.20.0.0/26")},
+			{Name: "corridor-backup", CIDR: ipnet.MustParsePrefix("172.21.0.0/26")},
+		},
+		Groups: []ipam.GroupSpec{
+			{Name: "corridor", Pools: []string{"corridor-primary", "corridor-backup"}},
+		},
+		ReservePerAP: 1,
+	}
+	return world, clients
 }
 
 // TestPinnedHeldBytes pins the bytes a traced world's retaining recorder

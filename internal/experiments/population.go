@@ -7,8 +7,6 @@ import (
 	"spider/internal/core"
 	"spider/internal/dot11"
 	"spider/internal/geo"
-	"spider/internal/ipam"
-	"spider/internal/ipnet"
 	"spider/internal/mobility"
 	"spider/internal/sim"
 )
@@ -107,32 +105,6 @@ func PopulationDenseScenario(o Options, n int) (core.WorldConfig, []core.ClientC
 	window := d / 4
 	for i := range clients {
 		clients[i].StartOffset = sim.Time(i) * window / sim.Time(n)
-	}
-	return world, clients
-}
-
-// PopulationIPAMScenario is a population rung with the production address
-// plan swapped in for the legacy per-AP pools: every corridor AP joins
-// one "corridor" group — a primary pool carved from a /26 CIDR with an
-// ordered backup and a one-address per-AP reserve — and leases expire at
-// sim time. The radio workload is identical to PopulationScenario, so the
-// ladder's 32-client rung built on this adds the full ipam data path
-// (hierarchy lookup, failover, reserve carving, expiry sweeps) and
-// nothing else.
-func PopulationIPAMScenario(o Options, n int) (core.WorldConfig, []core.ClientConfig) {
-	world, clients := PopulationScenario(o, n)
-	for i := range world.Sites {
-		world.Sites[i].Segment = "corridor"
-	}
-	world.IPAM = &ipam.Config{
-		Pools: []ipam.PoolSpec{
-			{Name: "corridor-primary", CIDR: ipnet.MustParsePrefix("172.20.0.0/26")},
-			{Name: "corridor-backup", CIDR: ipnet.MustParsePrefix("172.21.0.0/26")},
-		},
-		Groups: []ipam.GroupSpec{
-			{Name: "corridor", Pools: []string{"corridor-primary", "corridor-backup"}},
-		},
-		ReservePerAP: 1,
 	}
 	return world, clients
 }

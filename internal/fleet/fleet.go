@@ -152,8 +152,8 @@ func New(cfg Config) *Pool {
 // Workers reports the pool's concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
 
-// Close stops the workers. It must only be called after all Map and Do
-// calls have returned; further use of the pool panics.
+// Close stops the workers. It must only be called after every Map call
+// has returned; further use of the pool panics.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -166,15 +166,11 @@ func (p *Pool) Close() {
 	p.done.Wait()
 }
 
-// Map executes jobs on the pool and returns their results in job order,
-// regardless of completion order. Failed jobs are reported both in their
-// JobResult slot and in the returned *SweepError; successful results are
-// always present. A canceled ctx skips jobs that have not started.
-func (p *Pool) Map(ctx context.Context, jobs []Job) ([]JobResult, error) {
-	return p.Group("").Map(ctx, jobs)
-}
-
-// Map is Pool.Map with this group's telemetry attribution.
+// Map executes jobs on the group's pool, attributed to the group, and
+// returns their results in job order, regardless of completion order.
+// Failed jobs are reported both in their JobResult slot and in the
+// returned *SweepError; successful results are always present. A
+// canceled ctx skips jobs that have not started.
 func (g *Group) Map(ctx context.Context, jobs []Job) ([]JobResult, error) {
 	if len(jobs) == 0 {
 		return nil, nil

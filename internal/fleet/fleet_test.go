@@ -11,10 +11,18 @@ import (
 	"time"
 )
 
+// poolStats reads p's progress counters under its lock, as the events it
+// emits carry them.
+func poolStats(p *Pool) Stats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.statsLocked()
+}
+
 func TestMapZeroJobs(t *testing.T) {
 	p := New(Config{Workers: 2})
 	defer p.Close()
-	res, err := p.Map(context.Background(), nil)
+	res, err := p.Group("").Map(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("zero jobs: unexpected error %v", err)
 	}
@@ -56,7 +64,7 @@ func TestMapOrderPreserved(t *testing.T) {
 			return i, nil
 		}}
 	}
-	res, err := p.Map(context.Background(), jobs)
+	res, err := p.Group("").Map(context.Background(), jobs)
 	if err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
@@ -83,7 +91,7 @@ func TestSingleWorkerRunsSequentially(t *testing.T) {
 			return i, nil
 		}}
 	}
-	res, err := p.Map(context.Background(), jobs)
+	res, err := p.Group("").Map(context.Background(), jobs)
 	if err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
@@ -105,7 +113,7 @@ func TestPanicExhaustsRetries(t *testing.T) {
 	p := New(Config{Workers: 2})
 	defer p.Close()
 	var calls int32
-	res, err := p.Map(context.Background(), []Job{
+	res, err := p.Group("").Map(context.Background(), []Job{
 		{ID: "doomed", Run: func() (any, error) {
 			atomic.AddInt32(&calls, 1)
 			panic("unstable scenario")
@@ -141,7 +149,7 @@ func TestPlainErrorNotRetried(t *testing.T) {
 	defer p.Close()
 	var calls int32
 	boom := errors.New("boom")
-	res, err := p.Map(context.Background(), []Job{{ID: "e", Run: func() (any, error) {
+	res, err := p.Group("").Map(context.Background(), []Job{{ID: "e", Run: func() (any, error) {
 		atomic.AddInt32(&calls, 1)
 		return nil, boom
 	}}})
@@ -239,7 +247,7 @@ func TestCancellationMidSweep(t *testing.T) {
 		cancel()
 		close(release)
 	}()
-	res, err := p.Map(ctx, jobs)
+	res, err := p.Group("").Map(ctx, jobs)
 	var sweep *SweepError
 	if !errors.As(err, &sweep) {
 		t.Fatalf("want SweepError, got %v", err)
@@ -288,7 +296,7 @@ func TestTelemetryCounts(t *testing.T) {
 	if counts[JobFailed] != 0 {
 		t.Errorf("%d failure events on a clean sweep", counts[JobFailed])
 	}
-	s := p.Stats()
+	s := poolStats(p)
 	if s.Done != n || s.Failed != 0 || s.Queued != 0 || s.Running != 0 {
 		t.Errorf("final stats %+v", s)
 	}
@@ -330,14 +338,14 @@ func TestGroupAttribution(t *testing.T) {
 func TestHealthAggregation(t *testing.T) {
 	p := New(Config{Workers: 3})
 	defer p.Close()
-	if !p.Stats().Health.Empty() {
+	if !poolStats(p).Health.Empty() {
 		t.Fatal("fresh pool reports non-empty health")
 	}
 	ga, gb := p.Group("a"), p.Group("b")
 	mk := func(g *Group, n int, h Health) []Job {
 		jobs := make([]Job, n)
 		for i := range jobs {
-			jobs[i] = Job{ID: fmt.Sprintf("%s%d", g.Name(), i), Run: func() (any, error) {
+			jobs[i] = Job{ID: fmt.Sprintf("%s%d", g.name, i), Run: func() (any, error) {
 				g.AddHealth(h)
 				return nil, nil
 			}}
@@ -361,10 +369,10 @@ func TestHealthAggregation(t *testing.T) {
 	if got, want := gb.Stats().Health, (Health{Faults: 10}); got != want {
 		t.Errorf("group b health = %+v, want %+v", got, want)
 	}
-	if got, want := p.Stats().Health, (Health{Faults: 18, Recoveries: 4, LinkDrops: 12}); got != want {
+	if got, want := poolStats(p).Health, (Health{Faults: 18, Recoveries: 4, LinkDrops: 12}); got != want {
 		t.Errorf("pool health = %+v, want %+v", got, want)
 	}
-	if p.Stats().Health.Empty() {
+	if poolStats(p).Health.Empty() {
 		t.Error("Empty() = true after counters recorded")
 	}
 }

@@ -99,13 +99,6 @@ type Stats struct {
 	Events obs.Summary
 }
 
-// Stats returns a consistent snapshot of pool progress.
-func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.statsLocked()
-}
-
 func (p *Pool) statsLocked() Stats {
 	s := Stats{
 		Workers:   p.workers,
@@ -219,9 +212,6 @@ type Group struct {
 func (p *Pool) Group(name string) *Group {
 	return &Group{pool: p, name: name}
 }
-
-// Name returns the group's label.
-func (g *Group) Name() string { return g.name }
 
 func (g *Group) record(res JobResult) {
 	g.mu.Lock()

@@ -34,17 +34,8 @@ type Binding struct {
 	leases  map[dot11.MACAddr]*Lease
 }
 
-// Name returns the binding's label (the AP's BSSID in core scenarios).
-func (b *Binding) Name() string { return b.name }
-
 // LeaseCount returns the number of live leases held through this binding.
 func (b *Binding) LeaseCount() int { return len(b.leases) }
-
-// Holds reports whether mac currently holds exactly addr here.
-func (b *Binding) Holds(mac dot11.MACAddr, addr ipnet.Addr) bool {
-	l, ok := b.leases[mac]
-	return ok && l.Addr == addr
-}
 
 // HasLease reports whether mac holds any lease here.
 func (b *Binding) HasLease(mac dot11.MACAddr) bool {
@@ -143,16 +134,6 @@ func (b *Binding) record(now sim.Time, mac dot11.MACAddr, a ipnet.Addr, p *pool,
 	b.leases[mac] = &Lease{Addr: a, MAC: mac, Pool: p.name, Expiry: expiry(now, ttl), p: p}
 	b.m.st.Allocs++
 	b.m.emit(now, kindAlloc, b.name, p.name, int64(a))
-}
-
-// Release returns mac's lease (if any) to its pool.
-func (b *Binding) Release(mac dot11.MACAddr) {
-	l, ok := b.leases[mac]
-	if !ok {
-		return
-	}
-	delete(b.leases, mac)
-	l.p.release(l.Addr)
 }
 
 // Reset drops every lease this binding holds — an AP power cycle. Leases

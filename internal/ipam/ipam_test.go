@@ -266,9 +266,10 @@ func TestResetRewindsToVirginOrder(t *testing.T) {
 		}
 	}
 	first := sequence()
-	// Interleave releases to scramble the free lists, then reset.
-	b.Release(dot11.MAC(2))
-	b.Release(dot11.MAC(1))
+	// Expire two leases to scramble the free lists, then reset.
+	b.Allocate(0, dot11.MAC(2), 1)
+	b.Allocate(0, dot11.MAC(1), 1)
+	b.SweepExpired(1)
 	b.Reset()
 	if b.LeaseCount() != 0 {
 		t.Fatalf("LeaseCount after Reset = %d", b.LeaseCount())
@@ -295,7 +296,6 @@ func TestDeterministicReplay(t *testing.T) {
 			a, _ := b.Allocate(sim.Time(i), dot11.MAC(uint32(1+i)), ttl)
 			out = append(out, a)
 		}
-		b.Release(dot11.MAC(3))
 		a, _ := b.Allocate(10, dot11.MAC(7), ttl)
 		out = append(out, a)
 		for _, l := range b.SweepExpired(sim.Time(5 * time.Second)) {

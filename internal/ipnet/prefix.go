@@ -91,16 +91,10 @@ func maskOf(bits int) Addr {
 
 // IsValid reports whether the prefix was constructed (the zero Prefix is
 // 0.0.0.0/0's sibling but distinguishable: PrefixFrom(0, 0) is valid and
-// equal to the zero value, so callers that need "unset" should use the
-// pointer or check Bits against an impossible sentinel). For the
-// simulation's purposes a /0 is never a pool, so IsValid excludes it.
+// equal to the zero value, so callers that need "unset" should use a
+// pointer). For the simulation's purposes a /0 is never a pool, so
+// IsValid excludes it.
 func (p Prefix) IsValid() bool { return p.bits > 0 && p.bits <= 32 }
-
-// Bits returns the mask length.
-func (p Prefix) Bits() int { return p.bits }
-
-// Network returns the network base address (host bits zero).
-func (p Prefix) Network() Addr { return p.addr }
 
 // Broadcast returns the directed broadcast address (host bits one).
 func (p Prefix) Broadcast() Addr { return p.addr | ^maskOf(p.bits) }

@@ -22,11 +22,11 @@ func TestPrefixParseAndFormat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParsePrefix(%q): %v", c.in, err)
 		}
-		if got := p.Network().String(); got != c.network {
-			t.Errorf("ParsePrefix(%q).Network() = %s, want %s", c.in, got, c.network)
+		if got := p.addr.String(); got != c.network {
+			t.Errorf("ParsePrefix(%q) network = %s, want %s", c.in, got, c.network)
 		}
-		if p.Bits() != c.bits {
-			t.Errorf("ParsePrefix(%q).Bits() = %d, want %d", c.in, p.Bits(), c.bits)
+		if p.bits != c.bits {
+			t.Errorf("ParsePrefix(%q) bits = %d, want %d", c.in, p.bits, c.bits)
 		}
 		want := fmt.Sprintf("%s/%d", c.network, c.bits)
 		if p.String() != want {
@@ -98,7 +98,7 @@ func TestPrefixHostRange(t *testing.T) {
 		if i > 0 && hosts[i-1] >= a {
 			t.Fatalf("Hosts() not ascending at %d: %s >= %s", i, hosts[i-1], a)
 		}
-		if a == p.Network() || a == p.Broadcast() {
+		if a == p.addr || a == p.Broadcast() {
 			t.Fatalf("Hosts() handed out %s (network/broadcast)", a)
 		}
 	}

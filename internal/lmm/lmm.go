@@ -177,8 +177,8 @@ type Link struct {
 	OnPacket func(ipnet.Packet)
 
 	// DownCause names why the link went down ("ping-timeout",
-	// "lease-expiry", "schedule-change", "shutdown"), set before the
-	// OnLinkDown callback so outage attribution can read it.
+	// "lease-expiry", "schedule-change"), set before the OnLinkDown
+	// callback so outage attribution can read it.
 	DownCause string
 
 	conn *conn
@@ -382,20 +382,6 @@ func New(eng *sim.Engine, rng *sim.RNG, drv *driver.Driver, cfg Config) *LMM {
 	return m
 }
 
-// Close stops the module.
-func (m *LMM) Close() {
-	m.sel.Stop()
-	for _, c := range m.conns {
-		if c.state == connUp {
-			c.link.DownCause = "shutdown"
-			c.down(false)
-		}
-	}
-}
-
-// Config returns the effective configuration.
-func (m *LMM) Config() Config { return m.cfg }
-
 // Stats returns a snapshot of the counters.
 func (m *LMM) Stats() Stats { return m.stats }
 
@@ -419,15 +405,6 @@ func (m *LMM) ActiveLinks() []*Link {
 		}
 	}
 	return out
-}
-
-// Blacklist reports an AP's consecutive-failure streak and when its
-// backoff expires (zero streak when the AP is in good standing).
-func (m *LMM) Blacklist(bssid dot11.MACAddr) (streak int, until sim.Time) {
-	if e := m.blacklist[bssid]; e != nil {
-		streak = e.streak
-	}
-	return streak, m.backoffUntil[bssid]
 }
 
 // noteFailure records a join failure against bssid and arms the

@@ -284,18 +284,6 @@ func TestBackoffPreventsThrashing(t *testing.T) {
 	}
 }
 
-func TestCloseStopsModule(t *testing.T) {
-	r := newRig(t, Config{Schedule: ch1Sched()})
-	r.addAP(dot11.Channel1, 1, true)
-	r.run(10 * time.Second)
-	r.m.Close()
-	ups := len(r.ups)
-	r.run(10 * time.Second)
-	if len(r.ups) != ups {
-		t.Fatal("module still joining after Close")
-	}
-}
-
 func TestCaptivePortalDetectedByE2ETest(t *testing.T) {
 	// With TestTarget set to a remote host, a captive AP (gateway answers,
 	// WAN blocked) must fail the connectivity test and score vb, not come
@@ -414,7 +402,7 @@ func TestExponentialBackoffGrowsAndCaps(t *testing.T) {
 				t.Fatalf("no join failure %d after 10 minutes", i)
 			}
 		}
-		streak, until := r.m.Blacklist(zombie.BSSID())
+		streak, until := r.m.blacklist[zombie.BSSID()].streak, r.m.backoffUntil[zombie.BSSID()]
 		if streak != i+1 {
 			t.Fatalf("streak after failure %d = %d, want %d", i, streak, i+1)
 		}
@@ -439,19 +427,19 @@ func TestBackoffStreakDecays(t *testing.T) {
 	bssid := dot11.MAC(2000)
 	r.m.noteFailure(bssid)
 	r.m.noteFailure(bssid)
-	if streak, _ := r.m.Blacklist(bssid); streak != 2 {
+	if streak := r.m.blacklist[bssid].streak; streak != 2 {
 		t.Fatalf("streak = %d, want 2", streak)
 	}
 	// A failure within twice the cap extends the streak.
 	r.run(2*maxBackoff - time.Second)
 	r.m.noteFailure(bssid)
-	if streak, _ := r.m.Blacklist(bssid); streak != 3 {
+	if streak := r.m.blacklist[bssid].streak; streak != 3 {
 		t.Fatalf("streak = %d, want 3", streak)
 	}
 	// After twice the cap with no failures, the next failure starts fresh.
 	r.run(2*maxBackoff + time.Second)
 	r.m.noteFailure(bssid)
-	streak, until := r.m.Blacklist(bssid)
+	streak, until := r.m.blacklist[bssid].streak, r.m.backoffUntil[bssid]
 	if streak != 1 {
 		t.Fatalf("post-decay streak = %d, want 1", streak)
 	}
@@ -468,7 +456,7 @@ func TestBackoffCapRaisedToFailureBackoff(t *testing.T) {
 	bssid := dot11.MAC(2000)
 	for i := 1; i <= 3; i++ {
 		r.m.noteFailure(bssid)
-		if streak, until := r.m.Blacklist(bssid); streak != i || until-r.eng.Now() != 90*time.Second {
+		if streak, until := r.m.blacklist[bssid].streak, r.m.backoffUntil[bssid]; streak != i || until-r.eng.Now() != 90*time.Second {
 			t.Fatalf("failure %d: streak %d, embargo %v, want %d and 90s", i, streak, until-r.eng.Now(), i)
 		}
 	}
@@ -482,8 +470,8 @@ func TestSuccessClearsBlacklist(t *testing.T) {
 	if len(r.ups) != 1 {
 		t.Fatal("join did not complete")
 	}
-	if streak, _ := r.m.Blacklist(a.BSSID()); streak != 0 {
-		t.Fatalf("streak = %d after successful join, want 0", streak)
+	if e := r.m.blacklist[a.BSSID()]; e != nil {
+		t.Fatalf("streak = %d after successful join, want none", e.streak)
 	}
 }
 
@@ -572,9 +560,9 @@ func TestRecoveryAfterAPCrashReboot(t *testing.T) {
 
 // TestNumActiveLinksMatchesActiveLinks holds the link count to the list it
 // stands in for across every way a link comes and goes: joins, a
-// ping-timeout drop, an alloc-steer teardown, a schedule change that
-// aborts a live link and a join in flight, and Close. The hooks check at
-// each transition and a 10 ms ticker checks in between.
+// ping-timeout drop, an alloc-steer teardown, and a schedule change that
+// aborts a live link and a join in flight. The hooks check at each
+// transition and a 10 ms ticker checks in between.
 func TestNumActiveLinksMatchesActiveLinks(t *testing.T) {
 	r := newRig(t, Config{Schedule: ch1Sched(), PingFailLimit: 10, FailureBackoff: time.Second})
 	check := func(when string) {
@@ -646,11 +634,6 @@ func TestNumActiveLinksMatchesActiveLinks(t *testing.T) {
 	r.run(15 * time.Second)
 	if r.m.NumActiveLinks() == 0 {
 		t.Fatal("no link came back on channel 1")
-	}
-	r.m.Close()
-	check("Close")
-	if r.m.NumActiveLinks() != 0 {
-		t.Fatalf("links up after Close = %d", r.m.NumActiveLinks())
 	}
 }
 

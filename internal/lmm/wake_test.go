@@ -93,7 +93,7 @@ func TestReselectWakesOnConnResetAndBackoffExpiry(t *testing.T) {
 	for r.m.Stats().LinksDropped == 0 {
 		r.run(10 * time.Millisecond)
 	}
-	_, until := r.m.Blacklist(a.BSSID())
+	until := r.m.backoffUntil[a.BSSID()]
 	if w := r.wakeAfterNextTick(); w != until {
 		t.Fatalf("wake with the only AP embargoed = %v, want the embargo end %v", w, until)
 	}
@@ -112,7 +112,7 @@ func TestReselectWakesAtJoinFailureBackoffExpiry(t *testing.T) {
 	for r.m.Stats().DHCPFailures == 0 {
 		r.run(10 * time.Millisecond)
 	}
-	_, until := r.m.Blacklist(a.BSSID())
+	until := r.m.backoffUntil[a.BSSID()]
 	if w := r.wakeAfterNextTick(); w != until {
 		t.Fatalf("wake with the only AP embargoed = %v, want %v", w, until)
 	}
@@ -301,7 +301,7 @@ func TestReselectSleepsWhilePinnedTargetTaken(t *testing.T) {
 		r.run(10 * time.Millisecond)
 	}
 	b.Reboot() // up again but silent: its scan entry is still fresh
-	_, until := r.m.Blacklist(b.BSSID())
+	until := r.m.backoffUntil[b.BSSID()]
 	if w := r.wakeAfterNextTick(); w != 0 {
 		t.Fatalf("pinned module with its target free slept until %v", w)
 	}

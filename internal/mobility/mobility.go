@@ -117,11 +117,8 @@ func (w *Waypoints) arrival() sim.Time {
 func (w *Waypoints) Speed() float64 { return w.speed }
 
 // StillFrom returns when the route parks at its final point: the least t
-// with speed×t ≥ Length, or sim.Infinity for a loop.
+// with speed×t ≥ the route length, or sim.Infinity for a loop.
 func (w *Waypoints) StillFrom() sim.Time { return w.still }
-
-// Length returns the route length in metres (one lap when looping).
-func (w *Waypoints) Length() float64 { return w.total }
 
 // PositionAt returns the position after travelling speed×t along the route.
 func (w *Waypoints) PositionAt(t sim.Time) geo.Point {
@@ -149,9 +146,6 @@ func (w *Waypoints) PositionAt(t sim.Time) geo.Point {
 	frac := (d - w.cum[lo]) / segLen
 	return geo.Lerp(w.pts[lo], w.pts[hi], frac)
 }
-
-// Route returns a copy of the route points (closed when looping).
-func (w *Waypoints) Route() []geo.Point { return append([]geo.Point(nil), w.pts...) }
 
 // APSite describes one deployed access point.
 type APSite struct {

@@ -23,8 +23,8 @@ func TestStatic(t *testing.T) {
 
 func TestWaypointsStraightLine(t *testing.T) {
 	w := NewWaypoints([]geo.Point{{X: 0, Y: 0}, {X: 1000, Y: 0}}, 10, false)
-	if w.Speed() != 10 || w.Length() != 1000 {
-		t.Fatalf("speed=%v length=%v", w.Speed(), w.Length())
+	if w.Speed() != 10 || w.total != 1000 {
+		t.Fatalf("speed=%v length=%v", w.Speed(), w.total)
 	}
 	p := w.PositionAt(50 * time.Second)
 	if math.Abs(p.X-500) > 1e-9 || p.Y != 0 {
@@ -48,8 +48,8 @@ func TestWaypointsMultiSegment(t *testing.T) {
 func TestWaypointsLoop(t *testing.T) {
 	// 400 m square loop at 10 m/s: one lap every 40 s.
 	w := NewWaypoints([]geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 100, Y: 100}, {X: 0, Y: 100}}, 10, true)
-	if w.Length() != 400 {
-		t.Fatalf("loop length = %v, want 400 (closed)", w.Length())
+	if w.total != 400 {
+		t.Fatalf("loop length = %v, want 400 (closed)", w.total)
 	}
 	p0 := w.PositionAt(5 * time.Second)
 	p1 := w.PositionAt(45 * time.Second) // one lap later
@@ -228,12 +228,12 @@ func TestPropertyStillFrom(t *testing.T) {
 			continue
 		}
 		if still <= 0 || still == sim.Infinity {
-			t.Fatalf("route %d: StillFrom = %v for a %.3g m route at %.3g m/s", i, still, w.Length(), speed)
+			t.Fatalf("route %d: StillFrom = %v for a %.3g m route at %.3g m/s", i, still, w.total, speed)
 		}
-		if speed*still.Seconds() < w.Length() {
-			t.Fatalf("route %d: speed×StillFrom = %v short of length %v", i, speed*still.Seconds(), w.Length())
+		if speed*still.Seconds() < w.total {
+			t.Fatalf("route %d: speed×StillFrom = %v short of length %v", i, speed*still.Seconds(), w.total)
 		}
-		if speed*(still-1).Seconds() >= w.Length() {
+		if speed*(still-1).Seconds() >= w.total {
 			t.Fatalf("route %d: already parked at StillFrom-1 = %v", i, still-1)
 		}
 		last := w.pts[len(w.pts)-1]

@@ -29,12 +29,6 @@ func MakeSpanID(client int, seq uint32) SpanID {
 	return SpanID(uint64(uint32(client+1))<<32 | uint64(seq))
 }
 
-// Client recovers the owning client ID encoded in the span ID.
-func (id SpanID) Client() int { return int(uint32(id>>32)) - 1 }
-
-// Seq recovers the client-local allocation sequence.
-func (id SpanID) Seq() uint32 { return uint32(id) }
-
 // openEnd marks a span still in progress. Recorder.CloseOpenSpans
 // finalizes every open span at end of run, so exported spans always have
 // End >= Start.
@@ -94,14 +88,6 @@ type ActiveSpan struct {
 // open reports whether s is a live handle on a span not yet closed.
 func (s *ActiveSpan) open() bool { return s != nil && s.sp.Open() }
 
-// SpanID returns the span's deterministic ID (zero on the nil handle).
-func (s *ActiveSpan) SpanID() SpanID {
-	if s == nil {
-		return 0
-	}
-	return s.sp.ID
-}
-
 // SetBSSID annotates the span with the AP involved.
 func (s *ActiveSpan) SetBSSID(bssid string) {
 	if s.open() {
@@ -122,10 +108,6 @@ func (s *ActiveSpan) SetStatus(status string) {
 		s.sp.Status = status
 	}
 }
-
-// Ended reports whether the span has closed (false on nil handles, so
-// disabled instrumentation stays on the no-op path).
-func (s *ActiveSpan) Ended() bool { return s != nil && !s.open() }
 
 // End closes the span at the given sim time. Idempotent: the first close
 // wins, so teardown paths may end defensively.

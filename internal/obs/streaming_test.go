@@ -94,11 +94,11 @@ func TestStreamingSpanRecycling(t *testing.T) {
 	l := rec.Client(1)
 
 	a := l.StartSpan(0, "a")
-	aid := a.SpanID()
+	aid := a.sp.ID
 	a.End(10)
 
 	b := l.StartSpan(20, "b")
-	if b.SpanID() == aid {
+	if b.sp.ID == aid {
 		t.Fatalf("span ID reused")
 	}
 	// The closed handle must not touch a's retained span or b.
@@ -117,8 +117,8 @@ func TestStreamingSpanRecycling(t *testing.T) {
 
 	// Children of a live parent link to it.
 	ch := b.StartChild(25, "child")
-	if ch.sp.Parent != b.SpanID() {
-		t.Fatalf("child parent = %v, want %v", ch.sp.Parent, b.SpanID())
+	if ch.sp.Parent != b.sp.ID {
+		t.Fatalf("child parent = %v, want %v", ch.sp.Parent, b.sp.ID)
 	}
 	ch.End(26)
 	b.End(30)

@@ -23,7 +23,7 @@ import "math"
 // else's assignment. Load appears in every rival's denominator, so best
 // responses spread clients across APs and channels; the sweep is the
 // classic distributed approximation of the PF optimum and converges (or is
-// cut off by MaxPasses) in a handful of passes. Everything iterates in
+// cut off by pfMaxPasses) in a handful of passes. Everything iterates in
 // index order with strict tie-breaks, so the solution is a pure function
 // of the problem.
 
@@ -47,8 +47,6 @@ type PFProblem struct {
 	// solution (-1 = unassigned) — the hysteresis that keeps an epoch
 	// re-solve from flapping equal-value clients between APs.
 	Initial []int
-	// MaxPasses bounds the best-response sweeps (default 8).
-	MaxPasses int
 	// SwitchMargin, when positive, is the relative gain an alternative AP
 	// must offer before a client abandons one it currently holds (0.5 =
 	// "only move for 50% more"). The model prices airtime but not churn:
@@ -112,16 +110,15 @@ func (s *pfState) remove(c int) {
 	s.nCh[s.chOf(a)]--
 }
 
+// pfMaxPasses bounds the best-response sweeps.
+const pfMaxPasses = 8
+
 // SolvePF solves the association by deterministic best-response sweeps.
 func SolvePF(p PFProblem) PFSolution {
 	n := len(p.RateBps)
 	sol := PFSolution{Assign: make([]int, n), ThroughputBps: make([]float64, n)}
 	if n == 0 || len(p.APs) == 0 {
 		return sol
-	}
-	maxPasses := p.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = 8
 	}
 	// Channels outside [0,15] (not 802.11, but the types allow it) fold
 	// onto one bucket; they still share fairly, just with each other.
@@ -153,7 +150,7 @@ func SolvePF(p PFProblem) PFSolution {
 	if p.SwitchMargin > 0 {
 		stick = 1 + p.SwitchMargin
 	}
-	for pass := 0; pass < maxPasses; pass++ {
+	for pass := 0; pass < pfMaxPasses; pass++ {
 		changed := false
 		for c := 0; c < n; c++ {
 			cur := s.assign[c]

@@ -17,24 +17,11 @@ type ChannelInput struct {
 	Available float64
 }
 
-// JoinDiscount selects how the expected unjoined fraction E[X_i] is
-// computed.
-type JoinDiscount int
-
-const (
-	// CorrelatedBeta treats an AP's response time β as fixed per visit,
-	// stretched by the schedule fraction (the default; see
-	// model.CorrelatedJoinFraction). This reproduces the paper's
-	// dividing-speed result.
-	CorrelatedBeta JoinDiscount = iota
-	// LiteralEq7 uses Equations 5-7 exactly as written, which redraw β
-	// per retransmission and are optimistic about fractional schedules.
-	LiteralEq7
-)
-
 // Problem is one instance of the optimization.
 type Problem struct {
-	// Model supplies p(f_i, t) and E[X_i].
+	// Model supplies p(f_i, t) and E[X_i], the latter as
+	// model.CorrelatedJoinFraction, which treats an AP's response time β
+	// as fixed per visit and so reproduces the paper's dividing speed.
 	Model model.Params
 	// Bw is the wireless channel bandwidth in bits/s (paper: 11 Mbit/s).
 	Bw float64
@@ -42,16 +29,6 @@ type Problem struct {
 	T sim.Time
 	// Channels are the competing channels.
 	Channels []ChannelInput
-	// Discount selects the E[X_i] computation (default CorrelatedBeta).
-	Discount JoinDiscount
-}
-
-// joinFraction dispatches on Discount.
-func (p Problem) joinFraction(fi float64) float64 {
-	if p.Discount == LiteralEq7 {
-		return p.Model.ExpectedJoinFraction(fi, p.T)
-	}
-	return p.Model.CorrelatedJoinFraction(fi, p.T)
 }
 
 // Solution is an optimal schedule.
@@ -86,7 +63,7 @@ func (p Problem) Solve(step float64) Solution {
 		fmaxAt[i] = make([]float64, steps)
 		for k := 0; k < steps; k++ {
 			f := float64(k) * step
-			ex := p.joinFraction(f)
+			ex := p.Model.CorrelatedJoinFraction(f, p.T)
 			// Attained bandwidth: schedule share, clipped by what the
 			// channel can deliver (joined APs plus the join-discounted
 			// unjoined ones). Unlike a hard feasibility cut, clipping

@@ -216,14 +216,6 @@ func (m *Medium) SetChannelNoise(ch dot11.Channel, extraLoss float64) {
 	m.noise[ch] = min(extraLoss, 1)
 }
 
-// ChannelNoise returns the injected extra loss on ch (0 when clear).
-func (m *Medium) ChannelNoise(ch dot11.Channel) float64 {
-	if !ch.Valid() {
-		return 0
-	}
-	return m.noise[ch]
-}
-
 // Stats returns a snapshot of the medium counters. The per-channel airtime
 // map is materialized from the flat internal array on each call.
 func (m *Medium) Stats() Stats {
@@ -433,9 +425,6 @@ func (r *Radio) SetDown(down bool) {
 		r.m.index(r, r.channel)
 	}
 }
-
-// Down reports whether the radio is powered off.
-func (r *Radio) Down() bool { return r.down }
 
 // Position returns the radio's current position. Once the radio is still,
 // this is the point it read then.

@@ -373,19 +373,19 @@ func TestChannelNoiseRaisesLossAndClears(t *testing.T) {
 		t.Fatalf("noise-free baseline delivered %d/50", got)
 	}
 	m.SetChannelNoise(dot11.Channel1, 0.9)
-	if m.ChannelNoise(dot11.Channel1) != 0.9 {
-		t.Fatalf("ChannelNoise = %v", m.ChannelNoise(dot11.Channel1))
+	if m.noise[dot11.Channel1] != 0.9 {
+		t.Fatalf("noise = %v", m.noise[dot11.Channel1])
 	}
 	noisy := send(200)
 	if noisy > 120 {
 		t.Fatalf("delivered %d/200 under 0.9 noise, want far fewer", noisy)
 	}
 	// Other channels are unaffected.
-	if m.ChannelNoise(dot11.Channel6) != 0 {
+	if m.noise[dot11.Channel6] != 0 {
 		t.Fatal("noise leaked to channel 6")
 	}
 	m.SetChannelNoise(dot11.Channel1, 0)
-	if m.ChannelNoise(dot11.Channel1) != 0 {
+	if m.noise[dot11.Channel1] != 0 {
 		t.Fatal("noise not cleared")
 	}
 	if got := send(50); got != 50 {
@@ -396,11 +396,11 @@ func TestChannelNoiseRaisesLossAndClears(t *testing.T) {
 func TestChannelNoiseClamped(t *testing.T) {
 	m := NewMedium(sim.NewEngine(), sim.NewRNG(1))
 	m.SetChannelNoise(dot11.Channel1, 2.5)
-	if got := m.ChannelNoise(dot11.Channel1); got != 1 {
+	if got := m.noise[dot11.Channel1]; got != 1 {
 		t.Fatalf("noise = %v, want clamped to 1", got)
 	}
 	m.SetChannelNoise(dot11.Channel1, -3)
-	if got := m.ChannelNoise(dot11.Channel1); got != 0 {
+	if got := m.noise[dot11.Channel1]; got != 0 {
 		t.Fatalf("noise = %v, want 0 after negative set", got)
 	}
 }
@@ -414,8 +414,8 @@ func TestRadioDownStopsTraffic(t *testing.T) {
 	rx.SetReceiver(func(*dot11.Frame, RxInfo) { got++ })
 
 	rx.SetDown(true)
-	if !rx.Down() {
-		t.Fatal("Down() = false after SetDown(true)")
+	if !rx.down {
+		t.Fatal("radio not down after SetDown(true)")
 	}
 	tx.Send(dot11.Frame{Type: dot11.TypeBeacon, Addr1: dot11.Broadcast}, nil)
 	var uni *bool

@@ -43,14 +43,10 @@ type Observation struct {
 
 type cellKey struct{ x, y int32 }
 
-type cellStats struct {
-	byChannel map[dot11.Channel]float64
-	visits    int
-}
-
 // History is the position-indexed join-outcome database.
 type History struct {
-	cells map[cellKey]*cellStats
+	// cells holds each populated cell's decayed score per channel.
+	cells map[cellKey]map[dot11.Channel]float64
 
 	// Observations counts records ever made.
 	Observations int
@@ -58,7 +54,7 @@ type History struct {
 
 // New creates an empty history.
 func New() *History {
-	return &History{cells: make(map[cellKey]*cellStats)}
+	return &History{cells: make(map[cellKey]map[dot11.Channel]float64)}
 }
 
 func (h *History) key(p geo.Point) cellKey {
@@ -77,36 +73,10 @@ func (h *History) Record(obs Observation) {
 	k := h.key(obs.Pos)
 	c := h.cells[k]
 	if c == nil {
-		c = &cellStats{byChannel: make(map[dot11.Channel]float64)}
+		c = make(map[dot11.Channel]float64)
 		h.cells[k] = c
 	}
-	c.visits++
-	prev := c.byChannel[obs.Channel]
-	c.byChannel[obs.Channel] = prev*decay + obs.Score
-}
-
-// Cells returns the number of populated grid cells.
-func (h *History) Cells() int { return len(h.cells) }
-
-// scoreAround aggregates a channel's score over the cell containing p and
-// its 8 neighbours (APs straddle cell boundaries).
-func (h *History) scoreAround(p geo.Point, ch dot11.Channel) float64 {
-	k := h.key(p)
-	total := 0.0
-	for dx := int32(-1); dx <= 1; dx++ {
-		for dy := int32(-1); dy <= 1; dy++ {
-			if c := h.cells[cellKey{k.x + dx, k.y + dy}]; c != nil {
-				total += c.byChannel[ch]
-			}
-		}
-	}
-	return total
-}
-
-// ExpectedScore reports the aggregate historical score for a channel near
-// a position.
-func (h *History) ExpectedScore(p geo.Point, ch dot11.Channel) float64 {
-	return h.scoreAround(p, ch)
+	c[obs.Channel] = c[obs.Channel]*decay + obs.Score
 }
 
 // BestChannel recommends the historically best channel near p, or false if
@@ -117,7 +87,7 @@ func (h *History) BestChannel(p geo.Point) (dot11.Channel, bool) {
 	for dx := int32(-1); dx <= 1; dx++ {
 		for dy := int32(-1); dy <= 1; dy++ {
 			if c := h.cells[cellKey{k.x + dx, k.y + dy}]; c != nil {
-				for ch, s := range c.byChannel {
+				for ch, s := range c {
 					scores[ch] += s
 				}
 			}
@@ -137,10 +107,4 @@ func (h *History) BestChannel(p geo.Point) (dot11.Channel, bool) {
 		return 0, false
 	}
 	return channels[0], true
-}
-
-// Explored reports whether the cell containing p has any recorded visits.
-func (h *History) Explored(p geo.Point) bool {
-	c := h.cells[h.key(p)]
-	return c != nil && c.visits > 0
 }

@@ -24,8 +24,8 @@ func TestRecordAndBestChannel(t *testing.T) {
 	if !ok || ch != dot11.Channel6 {
 		t.Fatalf("best = %v/%v, want ch6", ch, ok)
 	}
-	if h.Observations != 3 || h.Cells() != 1 {
-		t.Fatalf("obs=%d cells=%d", h.Observations, h.Cells())
+	if h.Observations != 3 || len(h.cells) != 1 {
+		t.Fatalf("obs=%d cells=%d", h.Observations, len(h.cells))
 	}
 }
 
@@ -75,7 +75,8 @@ func TestDecayFavoursRecency(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Record(obs(10, 10, dot11.Channel1, 1.0))
 	}
-	old := h.ExpectedScore(geo.Point{X: 10, Y: 10}, dot11.Channel1)
+	cell := h.cells[h.key(geo.Point{X: 10, Y: 10})]
+	old := cell[dot11.Channel1]
 	if bound := 1 / (1 - decay); old >= bound {
 		t.Fatalf("decayed accumulation = %v, want bounded by 1/(1-decay)=%v", old, bound)
 	}
@@ -83,20 +84,8 @@ func TestDecayFavoursRecency(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		h.Record(obs(10, 10, dot11.Channel1, -1.0))
 	}
-	if s := h.ExpectedScore(geo.Point{X: 10, Y: 10}, dot11.Channel1); s > 0 {
+	if s := cell[dot11.Channel1]; s > 0 {
 		t.Fatalf("score after failures = %v, want negative", s)
-	}
-}
-
-func TestExplored(t *testing.T) {
-	h := New()
-	p := geo.Point{X: 10, Y: 10}
-	if h.Explored(p) {
-		t.Fatal("unexplored cell reported explored")
-	}
-	h.Record(obs(10, 10, dot11.Channel1, 0))
-	if !h.Explored(p) {
-		t.Fatal("explored cell not reported")
 	}
 }
 

@@ -308,14 +308,8 @@ func (r ctrlReq) run() {
 	r.resp <- ctrlResp{v: v, err: err}
 }
 
-// Stop asks the loop to drain and exit; Wait for completion.
+// Stop asks the loop to drain and exit; Run returns once it has.
 func (d *Daemon) Stop() { d.stopO.Do(func() { close(d.stop) }) }
-
-// Wait blocks until the loop has exited and returns its error.
-func (d *Daemon) Wait() error {
-	<-d.done
-	return d.runErr
-}
 
 func (d *Daemon) publishStatus(lastStep time.Duration) {
 	st := &Status{

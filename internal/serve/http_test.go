@@ -16,9 +16,10 @@ import (
 )
 
 // startDaemon boots a paced daemon over a fresh corridor world and
-// returns it with its HTTP test server. Pacing keeps the world alive
-// for the duration of the test instead of sprinting to the horizon.
-func startDaemon(t *testing.T, cfg DaemonConfig) (*Daemon, *httptest.Server) {
+// returns it with its HTTP test server and a channel that delivers Run's
+// result and then closes. Pacing keeps the world alive for the duration
+// of the test instead of sprinting to the horizon.
+func startDaemon(t *testing.T, cfg DaemonConfig) (*Daemon, *httptest.Server, <-chan error) {
 	t.Helper()
 	srv, err := Open(t.TempDir(), corridorWorld())
 	if err != nil {
@@ -26,18 +27,19 @@ func startDaemon(t *testing.T, cfg DaemonConfig) (*Daemon, *httptest.Server) {
 	}
 	d := NewDaemon(srv, cfg)
 	ctx, cancel := context.WithCancel(context.Background())
-	go d.Run(ctx)
+	ran := make(chan error, 1)
+	go func() { ran <- d.Run(ctx); close(ran) }()
 	ts := httptest.NewServer(d.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		cancel()
-		d.Wait()
+		<-ran
 	})
-	return d, ts
+	return d, ts, ran
 }
 
 func TestHTTPStatusAndIntentFlow(t *testing.T) {
-	_, ts := startDaemon(t, DaemonConfig{
+	_, ts, _ := startDaemon(t, DaemonConfig{
 		Quantum: sim.Time(100 * time.Millisecond),
 		Pace:    10, // 1s virtual per 100ms wall
 	})
@@ -118,7 +120,7 @@ func TestHTTPStatusAndIntentFlow(t *testing.T) {
 // TestHTTPIntentBodyTooLarge: an intent body over maxIntentBody is refused
 // with 413 before anything is journaled, and the daemon keeps accepting.
 func TestHTTPIntentBodyTooLarge(t *testing.T) {
-	_, ts := startDaemon(t, DaemonConfig{
+	_, ts, _ := startDaemon(t, DaemonConfig{
 		Quantum: sim.Time(100 * time.Millisecond),
 		Pace:    10,
 	})
@@ -154,7 +156,7 @@ func TestHTTPIntentBodyTooLarge(t *testing.T) {
 // build does not declare, at the top level or nested, answers 400 with an
 // error naming the key, and nothing is journaled.
 func TestHTTPIntentUnknownKeyRefused(t *testing.T) {
-	_, ts := startDaemon(t, DaemonConfig{
+	_, ts, _ := startDaemon(t, DaemonConfig{
 		Quantum: sim.Time(100 * time.Millisecond),
 		Pace:    10,
 	})
@@ -194,7 +196,7 @@ func TestHTTPIntentUnknownKeyRefused(t *testing.T) {
 }
 
 func TestHTTPEventStream(t *testing.T) {
-	_, ts := startDaemon(t, DaemonConfig{
+	_, ts, _ := startDaemon(t, DaemonConfig{
 		Quantum: sim.Time(200 * time.Millisecond),
 		Pace:    20,
 	})
@@ -267,7 +269,7 @@ func TestHTTPQueueFullAnd503(t *testing.T) {
 }
 
 func TestHTTPShutdownDrains(t *testing.T) {
-	d, ts := startDaemon(t, DaemonConfig{
+	d, ts, ran := startDaemon(t, DaemonConfig{
 		Quantum: sim.Time(100 * time.Millisecond),
 		Pace:    10,
 	})
@@ -276,7 +278,7 @@ func TestHTTPShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if err := d.Wait(); err != nil {
+	if err := <-ran; err != nil {
 		t.Fatalf("drain failed: %v", err)
 	}
 	// The drain checkpointed: a lifecycle checkpoint event exists.

@@ -30,9 +30,10 @@ func TestHTTPRollups(t *testing.T) {
 		Pace:    50, // 1 virtual second per 20ms wall
 	})
 	ctx, cancel := context.WithCancel(context.Background())
-	go d.Run(ctx)
+	ran := make(chan error, 1)
+	go func() { ran <- d.Run(ctx) }()
 	ts := httptest.NewServer(d.Handler())
-	t.Cleanup(func() { ts.Close(); cancel(); d.Wait() })
+	t.Cleanup(func() { ts.Close(); cancel(); <-ran })
 
 	get := func(path string) (rollupsResponse, int) {
 		t.Helper()
@@ -104,9 +105,10 @@ func TestHTTPRollupsDisabled(t *testing.T) {
 	}
 	d := NewDaemon(srv, DaemonConfig{Quantum: sim.Time(100 * time.Millisecond), Pace: 10})
 	ctx, cancel := context.WithCancel(context.Background())
-	go d.Run(ctx)
+	ran := make(chan error, 1)
+	go func() { ran <- d.Run(ctx) }()
 	ts := httptest.NewServer(d.Handler())
-	t.Cleanup(func() { ts.Close(); cancel(); d.Wait() })
+	t.Cleanup(func() { ts.Close(); cancel(); <-ran })
 
 	resp, err := http.Get(ts.URL + "/v1/rollups")
 	if err != nil {
@@ -123,7 +125,7 @@ func TestHTTPRollupsDisabled(t *testing.T) {
 // metric lines arrive sorted, carry the spider_ prefix, and include the
 // telemetry plane's counters.
 func TestHTTPMetricsPrometheus(t *testing.T) {
-	_, ts := startDaemon(t, DaemonConfig{
+	_, ts, _ := startDaemon(t, DaemonConfig{
 		Quantum: sim.Time(100 * time.Millisecond),
 		Pace:    10,
 	})

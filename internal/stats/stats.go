@@ -69,9 +69,6 @@ func NewCDF(samples []float64) CDF {
 	return CDF{xs: xs}
 }
 
-// N returns the sample count.
-func (c CDF) N() int { return len(c.xs) }
-
 // P returns the fraction of samples ≤ x.
 func (c CDF) P(x float64) float64 {
 	if len(c.xs) == 0 {
@@ -192,30 +189,6 @@ func Jain(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sumSq)
 }
 
-// Point is one (x, cumulative fraction) pair of a rendered CDF.
-type Point struct {
-	X float64
-	Y float64
-}
-
-// Points renders the CDF at n evenly spaced x positions across the sample
-// range, suitable for printing a figure's series.
-func (c CDF) Points(n int) []Point {
-	if len(c.xs) == 0 || n <= 0 {
-		return nil
-	}
-	lo, hi := c.xs[0], c.xs[len(c.xs)-1]
-	if n == 1 || hi == lo {
-		return []Point{{X: hi, Y: 1}}
-	}
-	out := make([]Point, n)
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		out[i] = Point{X: x, Y: c.P(x)}
-	}
-	return out
-}
-
 // TimeSeries accumulates a value (typically bytes delivered) into fixed
 // time buckets; connectivity, disruption and instantaneous-bandwidth
 // metrics all derive from it.
@@ -243,15 +216,6 @@ func (ts *TimeSeries) Add(at sim.Time, v float64) {
 		ts.maxIdx = idx
 	}
 	ts.any = true
-}
-
-// Total returns the sum over all buckets.
-func (ts *TimeSeries) Total() float64 {
-	t := 0.0
-	for _, v := range ts.buckets {
-		t += v
-	}
-	return t
 }
 
 // ConnectivityFraction returns the fraction of buckets in [0, total) with a

@@ -52,29 +52,6 @@ func TestCDFBasics(t *testing.T) {
 	}
 }
 
-func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{0, 10})
-	pts := c.Points(11)
-	if len(pts) != 11 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[0].X != 0 || pts[10].X != 10 || pts[10].Y != 1 {
-		t.Fatalf("endpoints = %+v, %+v", pts[0], pts[10])
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Y < pts[i-1].Y {
-			t.Fatal("CDF points not monotone")
-		}
-	}
-	if NewCDF(nil).Points(5) != nil {
-		t.Fatal("empty Points should be nil")
-	}
-	single := NewCDF([]float64{3, 3}).Points(4)
-	if len(single) != 1 || single[0].Y != 1 {
-		t.Fatalf("degenerate points = %+v", single)
-	}
-}
-
 // Property: P is monotone and bounded; Quantile inverts P approximately.
 func TestPropertyCDF(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -116,8 +93,12 @@ func TestTimeSeriesConnectivity(t *testing.T) {
 	if math.Abs(got-0.3) > 1e-12 {
 		t.Fatalf("connectivity = %v, want 0.3", got)
 	}
-	if ts.Total() != 26 {
-		t.Fatalf("total = %v", ts.Total())
+	total := 0.0
+	for _, v := range ts.buckets {
+		total += v
+	}
+	if total != 26 {
+		t.Fatalf("total = %v", total)
 	}
 }
 

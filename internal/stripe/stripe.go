@@ -89,14 +89,8 @@ func New(eng *sim.Engine, total int64, fetch FetchFunc) *Controller {
 	return c
 }
 
-// Blocks returns the number of blocks in the object.
-func (c *Controller) Blocks() int { return len(c.blocks) }
-
 // Done reports whether the whole object has arrived.
 func (c *Controller) Done() bool { return c.doneCnt == len(c.blocks) }
-
-// Progress returns completed and total block counts.
-func (c *Controller) Progress() (done, total int) { return c.doneCnt, len(c.blocks) }
 
 // AddPath attaches a link and immediately puts it to work. Adding an
 // existing id panics.
@@ -226,13 +220,4 @@ func (c *Controller) fetchDone(pathID, blockIdx int, ok bool) {
 		}
 	}
 	c.kick()
-}
-
-// PathStats reports per-path bytes fetched and failures, for experiments.
-func (c *Controller) PathStats(id int) (fetched int64, failed int, ok bool) {
-	p, exists := c.paths[id]
-	if !exists {
-		return 0, 0, false
-	}
-	return p.fetched, p.failed, true
 }

@@ -39,12 +39,12 @@ func newRig(total int64) (*sim.Engine, *fakeNet, *Controller) {
 
 func TestBlockPartition(t *testing.T) {
 	_, _, c := newRig(3*blockSize + 100_000)
-	if c.Blocks() != 4 {
-		t.Fatalf("blocks = %d, want 4 (3×256 KiB + 100k)", c.Blocks())
+	if len(c.blocks) != 4 {
+		t.Fatalf("blocks = %d, want 4 (3×256 KiB + 100k)", len(c.blocks))
 	}
 	_, _, c2 := newRig(blockSize)
-	if c2.Blocks() != 1 {
-		t.Fatalf("blocks = %d, want 1", c2.Blocks())
+	if len(c2.blocks) != 1 {
+		t.Fatalf("blocks = %d, want 1", len(c2.blocks))
 	}
 }
 
@@ -57,9 +57,8 @@ func TestSinglePathCompletes(t *testing.T) {
 	if !completed || !c.Done() {
 		t.Fatalf("done=%v completed=%v", c.Done(), completed)
 	}
-	fetched, failed, ok := c.PathStats(1)
-	if !ok || fetched != 1_000_000 || failed != 0 {
-		t.Fatalf("path stats = %d/%d/%v", fetched, failed, ok)
+	if p := c.paths[1]; p.fetched != 1_000_000 || p.failed != 0 {
+		t.Fatalf("path stats = %d/%d", p.fetched, p.failed)
 	}
 }
 
@@ -74,8 +73,7 @@ func TestTwoPathsShareWork(t *testing.T) {
 	if !c.Done() {
 		t.Fatal("not done")
 	}
-	f1, _, _ := c.PathStats(1)
-	f2, _, _ := c.PathStats(2)
+	f1, f2 := c.paths[1].fetched, c.paths[2].fetched
 	if f1 == 0 || f2 == 0 {
 		t.Fatalf("one path idle: %d/%d", f1, f2)
 	}
@@ -92,8 +90,7 @@ func TestFasterPathFetchesMore(t *testing.T) {
 	c.AddPath(1)
 	c.AddPath(2)
 	eng.Run(time.Minute)
-	f1, _, _ := c.PathStats(1)
-	f2, _, _ := c.PathStats(2)
+	f1, f2 := c.paths[1].fetched, c.paths[2].fetched
 	if f1 <= f2*2 {
 		t.Fatalf("4×-faster path fetched %d vs %d", f1, f2)
 	}
@@ -166,14 +163,13 @@ func TestPathChurnCompletes(t *testing.T) {
 	if !completed || !c.Done() {
 		t.Fatalf("transfer did not survive path churn: done=%v", c.Done())
 	}
-	done, total := c.Progress()
-	if done != total {
-		t.Fatalf("progress %d/%d after completion", done, total)
+	if c.doneCnt != len(c.blocks) {
+		t.Fatalf("progress %d/%d after completion", c.doneCnt, len(c.blocks))
 	}
 	// Churn abandons in-flight blocks, so more fetches are issued than
 	// blocks exist — but each block is still delivered exactly once.
-	if c.FetchesIssued < c.Blocks() {
-		t.Fatalf("issued %d fetches for %d blocks", c.FetchesIssued, c.Blocks())
+	if c.FetchesIssued < len(c.blocks) {
+		t.Fatalf("issued %d fetches for %d blocks", c.FetchesIssued, len(c.blocks))
 	}
 }
 
@@ -190,8 +186,7 @@ func TestFailingPathDoesNotStall(t *testing.T) {
 	if c.FetchesFailed == 0 {
 		t.Fatal("failures not counted")
 	}
-	_, failed, _ := c.PathStats(1)
-	if failed == 0 {
+	if c.paths[1].failed == 0 {
 		t.Fatal("failing path shows no failures")
 	}
 }
@@ -234,8 +229,8 @@ func TestDuplicateCompletionCountedOnce(t *testing.T) {
 	completions := 0
 	c.OnComplete = func() { completions++ }
 	eng.Run(time.Minute)
-	if done, total := c.Progress(); done != total {
-		t.Fatalf("progress %d/%d", done, total)
+	if c.doneCnt != len(c.blocks) {
+		t.Fatalf("progress %d/%d", c.doneCnt, len(c.blocks))
 	}
 	if completions != 1 {
 		t.Fatalf("OnComplete fired %d times", completions)

@@ -30,9 +30,6 @@ func NewReceiver(eng *sim.Engine, out func(Segment), onData func(n int, at sim.T
 	return &Receiver{eng: eng, out: out, onData: onData, ooo: make(map[uint32]int)}
 }
 
-// RcvNxt returns the next expected sequence number.
-func (r *Receiver) RcvNxt() uint32 { return r.rcvNxt }
-
 // Deliver feeds a segment from the sender into the receiver. Every data
 // segment triggers an ACK (no delayed ACKs), mirroring the aggressive
 // acking of the short-RTT paths in the paper's testbed.

@@ -136,21 +136,6 @@ func (s *Sender) SetPaceBps(bps float64) {
 	}
 }
 
-// PaceBps returns the current pacing cap (0 when unpaced).
-func (s *Sender) PaceBps() float64 { return s.paceBps }
-
-// Established reports whether the handshake has completed.
-func (s *Sender) Established() bool { return s.state == senderEstablished }
-
-// Done reports whether a finite flow has been fully acknowledged.
-func (s *Sender) Done() bool { return s.state == senderDone }
-
-// Cwnd returns the congestion window in segments (for tests/metrics).
-func (s *Sender) Cwnd() float64 { return s.cwnd }
-
-// RTO returns the current retransmission timeout.
-func (s *Sender) RTO() sim.Time { return s.rto }
-
 // armRTO (re)starts the retransmission timer; it moves in place on every
 // ACK that leaves data in flight.
 func (s *Sender) armRTO() { s.rtoTimer.Reset(s.rto) }

@@ -44,7 +44,7 @@ func TestLosslessTransferCompletes(t *testing.T) {
 	const total = 1 << 20 // 1 MiB
 	snd, rcv := connect(eng, p, total, func() { doneAt = eng.Now() })
 	eng.Run(time.Minute)
-	if !snd.Done() {
+	if snd.state != senderDone {
 		t.Fatalf("flow not done: acked=%d timeouts=%d", snd.BytesAcked, snd.Timeouts)
 	}
 	if rcv.BytesReceived != total {
@@ -63,10 +63,10 @@ func TestSlowStartGrowth(t *testing.T) {
 	p := &pipe{eng: eng, rng: sim.NewRNG(1), delay: 50 * time.Millisecond}
 	snd, _ := connect(eng, p, -1, nil)
 	eng.Run(2 * time.Second)
-	if snd.Cwnd() <= initCwnd {
-		t.Fatalf("cwnd = %v, did not grow", snd.Cwnd())
+	if snd.cwnd <= initCwnd {
+		t.Fatalf("cwnd = %v, did not grow", snd.cwnd)
 	}
-	if !snd.Established() {
+	if snd.state != senderEstablished {
 		t.Fatal("handshake failed")
 	}
 }
@@ -94,14 +94,14 @@ func TestBlackoutCausesTimeoutAndRecovery(t *testing.T) {
 	snd, rcv := connect(eng, p, -1, nil)
 	// Let it ramp up, then block the path for 3 s (≫ RTO).
 	eng.Run(time.Second)
-	preCwnd := snd.Cwnd()
+	preCwnd := snd.cwnd
 	p.blocked = true
 	eng.Run(4 * time.Second)
 	if snd.Timeouts == 0 {
 		t.Fatal("no RTO during 2s blackout")
 	}
-	if snd.Cwnd() != 1 {
-		t.Fatalf("cwnd = %v during blackout, want 1", snd.Cwnd())
+	if snd.cwnd != 1 {
+		t.Fatalf("cwnd = %v during blackout, want 1", snd.cwnd)
 	}
 	if preCwnd <= 1 {
 		t.Fatalf("pre-blackout cwnd = %v, expected ramp-up", preCwnd)
@@ -119,11 +119,11 @@ func TestRTOBackoffGrows(t *testing.T) {
 	p := &pipe{eng: eng, rng: sim.NewRNG(1), delay: 10 * time.Millisecond}
 	snd, _ := connect(eng, p, -1, nil)
 	eng.Run(time.Second)
-	base := snd.RTO()
+	base := snd.rto
 	p.blocked = true
 	eng.Run(20 * time.Second)
-	if snd.RTO() < 4*base {
-		t.Fatalf("rto = %v after long blackout, want exponential backoff beyond %v", snd.RTO(), 4*base)
+	if snd.rto < 4*base {
+		t.Fatalf("rto = %v after long blackout, want exponential backoff beyond %v", snd.rto, 4*base)
 	}
 	if snd.Timeouts < 3 {
 		t.Fatalf("timeouts = %d, want >= 3", snd.Timeouts)
@@ -153,8 +153,8 @@ func TestReceiverOutOfOrder(t *testing.T) {
 	r.Deliver(Segment{Flags: FlagSYN, Seq: 0})
 	r.Deliver(Segment{Flags: FlagACK, Seq: 101, Payload: 100}) // out of order
 	r.Deliver(Segment{Flags: FlagACK, Seq: 1, Payload: 100})   // fills the gap
-	if r.RcvNxt() != 201 {
-		t.Fatalf("rcvNxt = %d, want 201", r.RcvNxt())
+	if r.rcvNxt != 201 {
+		t.Fatalf("rcvNxt = %d, want 201", r.rcvNxt)
 	}
 	if r.BytesReceived != 200 {
 		t.Fatalf("bytes = %d, want 200", r.BytesReceived)
@@ -282,8 +282,8 @@ func TestPerSegmentRTTSampling(t *testing.T) {
 	}, nil)
 	snd.Start(-1)
 	eng.Run(3 * time.Second)
-	if snd.RTO() < 400*time.Millisecond {
-		t.Fatalf("RTO = %v after staggered ACKs, want inflated by slow samples", snd.RTO())
+	if snd.rto < 400*time.Millisecond {
+		t.Fatalf("RTO = %v after staggered ACKs, want inflated by slow samples", snd.rto)
 	}
 	if snd.Timeouts != 0 {
 		t.Fatalf("spurious timeouts: %d", snd.Timeouts)
@@ -293,14 +293,14 @@ func TestPerSegmentRTTSampling(t *testing.T) {
 func TestSenderAccessors(t *testing.T) {
 	eng := sim.NewEngine()
 	s := NewSender(eng, func(Segment) {}, nil)
-	if s.Established() || s.Done() {
+	if s.state == senderEstablished || s.state == senderDone {
 		t.Fatal("fresh sender claims progress")
 	}
-	if s.Cwnd() != initCwnd {
-		t.Fatalf("initial cwnd = %v", s.Cwnd())
+	if s.cwnd != initCwnd {
+		t.Fatalf("initial cwnd = %v", s.cwnd)
 	}
-	if s.RTO() != initRTO {
-		t.Fatalf("initial rto = %v", s.RTO())
+	if s.rto != initRTO {
+		t.Fatalf("initial rto = %v", s.rto)
 	}
 }
 
@@ -314,7 +314,7 @@ func TestPacingCapsThroughput(t *testing.T) {
 	snd, _ := connect(eng, p, total, func() { doneAt = eng.Now() })
 	snd.SetPaceBps(1e6)
 	eng.Run(time.Minute)
-	if !snd.Done() {
+	if snd.state != senderDone {
 		t.Fatal("paced transfer did not complete")
 	}
 	want := sim.Time(float64(total) * 8 / 1e6 * 1e9) // ~8.4 s
@@ -337,7 +337,7 @@ func TestPacingClearedMidFlow(t *testing.T) {
 	snd.SetPaceBps(1e5) // would take ~84 s alone
 	eng.Schedule(time.Second, func() { snd.SetPaceBps(0) })
 	eng.Run(time.Minute)
-	if !snd.Done() {
+	if snd.state != senderDone {
 		t.Fatal("transfer did not complete after the cap was lifted")
 	}
 	if doneAt > sim.Time(5*time.Second) {

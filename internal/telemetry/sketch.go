@@ -19,7 +19,6 @@ import (
 type Sketch struct {
 	counts [sketchBuckets]int64
 	count  int64
-	sum    int64
 }
 
 // sketchBuckets: values 0..7 get exact unit buckets; every octave
@@ -58,14 +57,7 @@ func bucketOf(v int64) int {
 func (s *Sketch) Observe(v int64) {
 	s.counts[bucketOf(v)]++
 	s.count++
-	s.sum += v
 }
-
-// Count returns the number of observations.
-func (s *Sketch) Count() int64 { return s.count }
-
-// Sum returns the observation total.
-func (s *Sketch) Sum() int64 { return s.sum }
 
 // Quantile returns the q-quantile through the shared histogram-quantile
 // path, or 0 on an empty sketch (never NaN: the value is exported as

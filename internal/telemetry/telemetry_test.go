@@ -41,8 +41,8 @@ func TestSketchAccuracy(t *testing.T) {
 			t.Fatalf("q=%g: got %g want %g (err %.1f%%)", q, got, want, 100*math.Abs(got-want)/want)
 		}
 	}
-	if s.Count() != int64(n) {
-		t.Fatalf("count %d", s.Count())
+	if s.count != int64(n) {
+		t.Fatalf("count %d", s.count)
 	}
 	// Sparse export round-trips through the shared quantile path.
 	if got, direct := QuantileFromSparse(s.Sparse(), 0.95), s.Quantile(0.95); got != direct {

@@ -102,17 +102,3 @@ func Synthesize(rng *sim.RNG, cfg MeshConfig) MeshTrace {
 func lognormal(rng *sim.RNG, median, sigma float64) float64 {
 	return math.Exp(math.Log(median) + sigma*rng.NormFloat64())
 }
-
-// FlowSize samples a flow size in bytes for web-like traffic: a lognormal
-// body (median ≈ 20 KiB) with occasional large downloads, matching the 68%
-// HTTP mix the study observed. Used by the example applications.
-func FlowSize(rng *sim.RNG) int64 {
-	sz := math.Exp(math.Log(20*1024) + 1.8*rng.NormFloat64())
-	if sz < 200 {
-		sz = 200
-	}
-	if sz > 64<<20 {
-		sz = 64 << 20
-	}
-	return int64(sz)
-}

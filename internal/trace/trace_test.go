@@ -96,19 +96,3 @@ func TestSynthesizeValidation(t *testing.T) {
 	}()
 	Synthesize(sim.NewRNG(1), MeshConfig{})
 }
-
-func TestFlowSize(t *testing.T) {
-	rng := sim.NewRNG(3)
-	var sizes []float64
-	for i := 0; i < 5000; i++ {
-		s := FlowSize(rng)
-		if s < 200 || s > 64<<20 {
-			t.Fatalf("size %d out of bounds", s)
-		}
-		sizes = append(sizes, float64(s))
-	}
-	c := stats.NewCDF(sizes)
-	if m := c.Quantile(0.5); m < 5*1024 || m > 80*1024 {
-		t.Fatalf("median flow size = %v, want ≈20KiB", m)
-	}
-}
